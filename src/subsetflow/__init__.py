@@ -19,21 +19,18 @@ from .geometry import (
     TreeSpace,
     TreeTopology,
     cat0_audit,
-    distance,
-    geodesic_point,
     make_space,
     space_from_json,
-    space_to_json,
 )
 from .subset_space import (
     FiniteSubset,
     PointTuple,
-    embed,
     hausdorff_distance,
     make_subset,
     max_spread,
     min_gap,
     order_tuple,
+    pairwise_distances,
     product_distance,
     to_set,
 )
@@ -80,11 +77,8 @@ __all__ = [
     "bound_suite",
     "cat0_audit",
     "convergence_study",
-    "distance",
-    "embed",
     "flow_adaptive",
     "full_resolvent_oracle",
-    "geodesic_point",
     "hausdorff_distance",
     "lipschitz_constant_bound",
     "lipschitz_scan",
@@ -96,10 +90,10 @@ __all__ = [
     "min_gap",
     "order_tuple",
     "pair_resolvent",
+    "pairwise_distances",
     "product_distance",
     "retract",
     "space_from_json",
-    "space_to_json",
     "splitting_flow",
     "sum_pairwise_distances",
     "sweep",

@@ -21,9 +21,6 @@ from .retraction import retract
 from .subset_space import FiniteSubset, PointTuple, make_subset
 from .verify import ScanConfig, bound_suite, convergence_study, lipschitz_scan
 
-_COMMANDS = ("retract", "flow", "merge-time", "verify", "scan", "convergence")
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """Everything a run needs; raw point payloads are parsed in run()."""

@@ -11,14 +11,16 @@ sweeps forward in time until a gap collapses is what the retraction in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor
-from .subset_space import PointTuple, min_gap, product_distance
+from .subset_space import PointTuple, min_gap, pairwise_distances, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
 # the closest pair is snapped together by force.
@@ -97,27 +99,9 @@ def sum_pairwise_distances(x: PointTuple) -> float:
     """The flow objective: total distance over all coordinate pairs."""
     if len(x) < 2:
         raise GeometryError("the objective needs at least two coordinates")
-    space = x.space
-    pts = x.coords
-    return sum(
-        space.distance(pts[i], pts[j])
-        for i in range(len(pts) - 1)
-        for j in range(i + 1, len(pts))
-    )
-
-
-def _pairwise_stats(space: SpaceDescriptor, coords: list[Point]) -> tuple[float, float]:
-    gap = math.inf
-    total = 0.0
-    n = len(coords)
-    for i in range(n - 1):
-        p = coords[i]
-        for j in range(i + 1, n):
-            d = space.distance(p, coords[j])
-            total += d
-            if d < gap:
-                gap = d
-    return gap, total
+    # Summed left to right, as in the flow traces; the builtin sum rounds
+    # differently from Python 3.12 on.
+    return functools.reduce(operator.add, pairwise_distances(x.space, x.coords))
 
 
 def _pair_step(space: SpaceDescriptor, coords: list[Point], i: int, j: int, lam: float) -> None:
@@ -191,15 +175,15 @@ def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
 
 def _traced_run(space, coords: list[Point], t: float, k: int):
     lam = t / k
-    gap, total = _pairwise_stats(space, coords)
-    gap_trace = [(0.0, gap)]
-    obj_trace = [(0.0, total)]
-    for m in range(1, k + 1):
-        _sweep_inplace(space, coords, lam)
-        gap, total = _pairwise_stats(space, coords)
+    gap_trace = []
+    obj_trace = []
+    for m in range(k + 1):
+        if m:
+            _sweep_inplace(space, coords, lam)
+        ds = pairwise_distances(space, coords)
         now = m * lam
-        gap_trace.append((now, gap))
-        obj_trace.append((now, total))
+        gap_trace.append((now, min(ds)))
+        obj_trace.append((now, functools.reduce(operator.add, ds)))
     return gap_trace, obj_trace
 
 
@@ -278,18 +262,11 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     for _ in range(max_sweeps):
         _sweep_inplace(space, coords, lam)
         elapsed += lam
-        gap, _ = _pairwise_stats(space, coords)
-        if gap <= threshold:
+        if min(pairwise_distances(space, coords)) <= threshold:
             return elapsed, PointTuple(space, tuple(coords))
-    # Force-merge the closest pair at the horizon.
-    n = len(coords)
-    best = None
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = space.distance(coords[i], coords[j])
-            if best is None or d < best[0]:
-                best = (d, i, j)
-    _, i, j = best
+    # Force-merge the first closest pair at the horizon.
+    ds = pairwise_distances(space, coords)
+    i, j = list(itertools.combinations(range(len(coords)), 2))[ds.index(min(ds))]
     mid = space.geodesic_point(coords[i], coords[j], 0.5)
     coords[i] = mid
     coords[j] = mid

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
-# Tolerance for the Minkowski constraint <x,x> = -1 on hyperboloid input.
+# Tolerance for the Minkowski constraint <x,x> = -1 on hyperboloid input,
+# relative to x0^2 (so absolute at the apex).
 HYPERBOLOID_CONSTRAINT_TOL = 1e-9
 
 # Random hyperboloid points are capped at this distance from the apex so
@@ -115,7 +116,7 @@ class HyperboloidSpace:
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
     Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
-    holds within ``HYPERBOLOID_CONSTRAINT_TOL``.  Every interpolation is
+    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  Every interpolation is
     reprojected onto the sheet before it is returned.
     """
 
@@ -141,7 +142,8 @@ class HyperboloidSpace:
             raise GeometryError("coordinates must be finite")
         if data[0] <= 0.0:
             raise GeometryError("hyperboloid points need a positive time coordinate")
-        if abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL:
+        # <x,x> rounds at the scale of x0^2, so the tolerance scales with it
+        if abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * data[0] * data[0]:
             raise GeometryError("point is off the hyperboloid sheet")
         return Point(self.kind, data)
 
@@ -467,10 +469,6 @@ def make_space(kind: str, dim: int | None = None, tree: TreeTopology | None = No
     raise GeometryError(f"unknown space kind {kind!r}")
 
 
-def space_to_json(space: SpaceDescriptor):
-    return space.to_json()
-
-
 def space_from_json(obj) -> SpaceDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GeometryError('space JSON must carry a "kind"')
@@ -487,24 +485,6 @@ def space_from_json(obj) -> SpaceDescriptor:
             raise GeometryError("tree space JSON needs an edges array")
         return make_space(kind, tree=TreeTopology.from_json(obj["edges"]))
     raise GeometryError(f"unknown space kind {kind!r}")
-
-
-def distance(space: SpaceDescriptor, p: Point, q: Point) -> float:
-    """Geodesic distance between two points of ``space``."""
-    return space.distance(p, q)
-
-
-def geodesic_point(space: SpaceDescriptor, p: Point, q: Point, t: float) -> Point:
-    """The point a fraction ``t`` of the way along the geodesic from p to q."""
-    return space.geodesic_point(p, q, t)
-
-
-def point_to_json(space: SpaceDescriptor, p: Point):
-    return space.point_to_json(p)
-
-
-def point_from_json(space: SpaceDescriptor, obj) -> Point:
-    return space.point_from_json(obj)
 
 
 def point_sort_key(space: SpaceDescriptor, p: Point) -> str:

@@ -8,6 +8,7 @@ the retraction machinery is built on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,12 +17,15 @@ from .geometry import (
     Point,
     SpaceDescriptor,
     SpaceMismatchError,
-    point_from_json,
     point_sort_key,
-    point_to_json,
     space_from_json,
-    space_to_json,
 )
+
+
+def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
+    """d(pts[i], pts[j]) for every i < j, in ``itertools.combinations`` order."""
+    dist = space.distance
+    return [dist(p, q) for p, q in itertools.combinations(pts, 2)]
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class PointTuple:
 
     def to_json(self):
         return {
-            "space": space_to_json(self.space),
-            "coords": [point_to_json(self.space, p) for p in self.coords],
+            "space": self.space.to_json(),
+            "coords": [self.space.point_to_json(p) for p in self.coords],
         }
 
     @staticmethod
@@ -54,7 +58,7 @@ class PointTuple:
         if not isinstance(obj, dict) or "space" not in obj or "coords" not in obj:
             raise GeometryError('tuple JSON must carry "space" and "coords"')
         space = space_from_json(obj["space"])
-        return PointTuple(space, tuple(point_from_json(space, c) for c in obj["coords"]))
+        return PointTuple(space, tuple(space.point_from_json(c) for c in obj["coords"]))
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,8 @@ class FiniteSubset:
         keys = [point_sort_key(self.space, p) for p in points]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise GeometryError("points are not in canonical order; use make_subset")
-        for i in range(len(points) - 1):
-            for j in range(i + 1, len(points)):
-                if self.space.distance(points[i], points[j]) <= self.dedup_tolerance:
-                    raise GeometryError("points closer than the dedup tolerance; use make_subset")
+        if any(d <= self.dedup_tolerance for d in pairwise_distances(self.space, points)):
+            raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
@@ -95,8 +97,8 @@ class FiniteSubset:
 
     def to_json(self):
         return {
-            "space": space_to_json(self.space),
-            "points": [point_to_json(self.space, p) for p in self.points],
+            "space": self.space.to_json(),
+            "points": [self.space.point_to_json(p) for p in self.points],
         }
 
     @staticmethod
@@ -104,7 +106,7 @@ class FiniteSubset:
         if not isinstance(obj, dict) or "space" not in obj or "points" not in obj:
             raise GeometryError('subset JSON must carry "space" and "points"')
         space = space_from_json(obj["space"])
-        return make_subset(space, [point_from_json(space, c) for c in obj["points"]], 0.0)
+        return make_subset(space, [space.point_from_json(c) for c in obj["points"]], 0.0)
 
 
 def _clusters(space: SpaceDescriptor, points: list[Point], tol: float) -> list[list[int]]:
@@ -186,40 +188,19 @@ def min_gap(x: PointTuple) -> float:
     """Smallest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("min gap needs at least two coordinates")
-    space = x.space
-    pts = x.coords
-    return min(
-        space.distance(pts[i], pts[j])
-        for i in range(len(pts) - 1)
-        for j in range(i + 1, len(pts))
-    )
+    return min(pairwise_distances(x.space, x.coords))
 
 
 def max_spread(x: PointTuple) -> float:
     """Largest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("max spread needs at least two coordinates")
-    space = x.space
-    pts = x.coords
-    return max(
-        space.distance(pts[i], pts[j])
-        for i in range(len(pts) - 1)
-        for j in range(i + 1, len(pts))
-    )
+    return max(pairwise_distances(x.space, x.coords))
 
 
 def to_set(x: PointTuple, tol: float) -> FiniteSubset:
     """Collapse a tuple to the subset of its coordinates, merging within tol."""
     return make_subset(x.space, x.coords, tol)
-
-
-def embed(a: FiniteSubset) -> FiniteSubset:
-    """Identity inclusion of a subset into any larger-cardinality subset space.
-
-    Subsets are represented the same way at every cardinality bound, so the
-    embedding is the identity; it exists to make that contract explicit.
-    """
-    return a
 
 
 def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
@@ -235,14 +216,8 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
         raise GeometryError(f"cannot number {len(a)} points as a {pad_to}-tuple")
     pts = list(a.points)
     if len(pts) >= 2:
-        space = a.space
-        best = None
-        for i in range(len(pts) - 1):
-            for j in range(i + 1, len(pts)):
-                d = space.distance(pts[i], pts[j])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        _, i, j = best
+        ds = pairwise_distances(a.space, pts)
+        i, j = list(itertools.combinations(range(len(pts)), 2))[ds.index(min(ds))]
         first = [pts[i], pts[j]]
         rest = [p for k, p in enumerate(pts) if k not in (i, j)]
         pts = first + rest

@@ -12,13 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .geometry import (
-    EuclideanSpace,
-    GeometryError,
-    SpaceDescriptor,
-    cat0_audit,
-    space_to_json,
-)
+from .geometry import EuclideanSpace, GeometryError, SpaceDescriptor, cat0_audit
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -27,13 +21,16 @@ from .subset_space import (
     max_spread,
     min_gap,
     order_tuple,
+    pairwise_distances,
     product_distance,
     to_set,
 )
 from .flow import (
+    MERGE_SLACK,
     FlowConfig,
     flow_adaptive,
     full_resolvent_oracle,
+    merge_time,
     pair_resolvent,
     splitting_flow,
     sum_pairwise_distances,
@@ -44,7 +41,6 @@ from .retraction import lipschitz_constant_bound, retract
 # relative slacks for discretized ones.
 EXACT_TOL = 1e-9
 SPREAD_SLACK = 1.01
-MERGE_SLACK = 1e-3
 ATTAINMENT_TOL = 1e-6
 RESOLVENT_INEQ_TOL = 1e-7
 ORACLE_AGREEMENT_TOL = 1e-4
@@ -111,7 +107,7 @@ class ScanReport:
 
     def to_json(self):
         return {
-            "space": space_to_json(self.space),
+            "space": self.space.to_json(),
             "n": self.n,
             "samples": self.samples,
             "seed": self.seed,
@@ -165,16 +161,6 @@ def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
 
 def perturb_subset(a: FiniteSubset, scale: float, rng: random.Random) -> FiniteSubset:
     return make_subset(a.space, [perturb_point(a.space, p, scale, rng) for p in a.points], 0.0)
-
-
-def _pair_min_gap(a: FiniteSubset) -> float:
-    space = a.space
-    pts = a.points
-    return min(
-        space.distance(pts[i], pts[j])
-        for i in range(len(pts) - 1)
-        for j in range(i + 1, len(pts))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +319,6 @@ def check_spread_bound(space: SpaceDescriptor, n: int, seed: int, trials: int,
 
 def check_merge_time_bound(space: SpaceDescriptor, n: int, seed: int, trials: int,
                            cfg: FlowConfig) -> list[CheckResult]:
-    from .flow import merge_time
-
     worst_time = -math.inf
     worst_state = -math.inf
     worst_input = None
@@ -357,8 +341,6 @@ def check_merge_time_bound(space: SpaceDescriptor, n: int, seed: int, trials: in
 
 def check_two_point_merge(space: SpaceDescriptor, seed: int, trials: int,
                           cfg: FlowConfig) -> CheckResult:
-    from .flow import merge_time
-
     worst = -math.inf
     for i in range(trials):
         rng = _rng(seed, "twopoint", i)
@@ -496,7 +478,7 @@ def check_retract_contracts(space: SpaceDescriptor, n: int, seed: int, trials: i
     for i in range(trials):
         rng = _rng(seed, "rcontract", i)
         a = sample_subset(space, n, rng)
-        delta = _pair_min_gap(a)
+        delta = min(pairwise_distances(space, a.points))
         rep = retract(a, n, cfg)
         worst_card = max(worst_card, float(rep.output_cardinality - (n - 1)))
         prox = hausdorff_distance(a, rep.output) / (n**1.5 * delta)
@@ -531,7 +513,8 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
         if i % 2 == 0:
             b = sample_subset(space, n, rng)
         else:
-            b = perturb_subset(a, perturbation_scale * _pair_min_gap(a), rng)
+            scale = perturbation_scale * min(pairwise_distances(space, a.points))
+            b = perturb_subset(a, scale, rng)
         gap = hausdorff_distance(a, b)
         if gap <= 1e-12:
             degenerate += 1

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from subsetflow import space_to_json
 from subsetflow.cli import main
 
 
@@ -24,7 +23,7 @@ def test_retract_line_pair(capsys):
 
 def test_retract_tree_space_file(capsys, tmp_path, star_tree):
     space_path = tmp_path / "star.json"
-    space_path.write_text(json.dumps(space_to_json(star_tree)))
+    space_path.write_text(json.dumps(star_tree.to_json()))
     rc, out, _ = run_cli(capsys, "retract", "--space-file", str(space_path),
                          "--set", '[{"edge": 0, "offset": 0.4}, {"edge": 1, "offset": 0.3}]',
                          "--n", "2")
@@ -153,7 +152,7 @@ def test_set_and_input_conflict(capsys, tmp_path):
 
 def test_space_and_space_file_conflict(capsys, tmp_path, star_tree):
     space_path = tmp_path / "star.json"
-    space_path.write_text(json.dumps(space_to_json(star_tree)))
+    space_path.write_text(json.dumps(star_tree.to_json()))
     rc, _, err = run_cli(capsys, "retract", "--space", "euclidean:1",
                          "--space-file", str(space_path),
                          "--set", "[[0.0],[1.0]]", "--n", "2")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from subsetflow import (
     flow_adaptive,
     full_resolvent_oracle,
     merge_time,
+    min_gap,
     pair_resolvent,
     product_distance,
     splitting_flow,
@@ -279,6 +281,29 @@ def test_merge_bound_random(plane):
             continue
         t_star, _ = merge_time(x, FlowConfig())
         assert t_star <= delta / 2.0 * (1.0 + 1e-3)
+
+
+def test_merge_time_forced_snap_merges_first_closest_pair(plane):
+    # No gap of this input falls to the merge tolerance by the delta/2
+    # horizon, so the march snaps the closest pair there: (1, 3), the fifth
+    # pair in (i, j) order, well clear of the runner-up.
+    x = PointTuple(plane, tuple(plane.point(c) for c in
+                                ((-1.7, -0.3), (-1.6, 1.0), (0.0, -1.8), (-1.8, 0.9))))
+    cfg = FlowConfig()
+    delta = min_gap(x)
+    lam = delta / (2.0 * cfg.sweeps_per_run)
+    y = x
+    for _ in range(cfg.sweeps_per_run):
+        y = sweep(y, lam)
+        assert min_gap(y) > cfg.merge_tolerance * delta
+    gaps = sorted((plane.distance(y.coords[i], y.coords[j]), (i, j))
+                  for i, j in itertools.combinations(range(4), 2))
+    assert gaps[0][1] == (1, 3) and gaps[1][0] > 2.0 * gaps[0][0]
+    t_star, merged = merge_time(x, cfg)
+    assert min_gap(merged) == 0.0
+    mid = plane.geodesic_point(y.coords[1], y.coords[3], 0.5)
+    assert merged.coords == (y.coords[0], mid, y.coords[2], mid)
+    assert t_star <= delta / 2.0 * (1.0 + 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from subsetflow import (
     cat0_audit,
     make_space,
     space_from_json,
-    space_to_json,
 )
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
@@ -88,6 +87,20 @@ def test_hyperboloid_validates_points(hyper):
         hyper.point((-1.0, 0.0, 0.0))  # lower sheet
     with pytest.raises(GeometryError):
         hyper.point((2.0, 0.0, 0.0))  # off the sheet
+
+
+def test_hyperboloid_accepts_far_points_and_rejects_off_sheet(hyper):
+    # <x,x> + 1 rounds at the scale of x0^2 = cosh(10)^2 ~ 1.2e8, so exact
+    # points 10 from the apex carry residuals far above an absolute 1e-9
+    r = 10.0
+    for i in range(200):
+        theta = 2.0 * math.pi * _rng(f"far:{i}").random()
+        p = hyper.point((math.cosh(r), math.sinh(r) * math.cos(theta), math.sinh(r) * math.sin(theta)))
+        assert abs(hyper.distance(hyper.point((1.0, 0.0, 0.0)), p) - r) < 1e-6
+    # a time coordinate off by a relative 1e-6 is rejected at the apex and far out
+    for dist in (0.0, r):
+        with pytest.raises(GeometryError):
+            hyper.point((math.cosh(dist) * (1.0 + 1e-6), math.sinh(dist), 0.0))
 
 
 def test_hyperboloid_sampler_stays_on_sheet(hyper):
@@ -247,7 +260,7 @@ def test_cat0_audit_validates_trials(plane):
 @pytest.mark.parametrize("key", SPACE_KEYS)
 def test_space_json_roundtrip(all_spaces, key):
     space = all_spaces[key]
-    assert space_from_json(space_to_json(space)) == space
+    assert space_from_json(space.to_json()) == space
 
 
 @pytest.mark.parametrize("key", SPACE_KEYS)

@@ -9,12 +9,12 @@ from subsetflow import (
     FiniteSubset,
     GeometryError,
     PointTuple,
-    embed,
     hausdorff_distance,
     make_subset,
     max_spread,
     min_gap,
     order_tuple,
+    pairwise_distances,
     product_distance,
     to_set,
 )
@@ -174,12 +174,13 @@ def test_gap_needs_two(line):
 
 
 # ---------------------------------------------------------------------------
-# embed / order_tuple / roundtrip
+# pairwise distances / order_tuple / roundtrip
 
 
-def test_embed_is_identity(line):
-    a = line_set(line, 0.0, 1.0)
-    assert embed(a) is a
+def test_pairwise_distances_in_combinations_order(line):
+    pts = [line.point((v,)) for v in (0.0, 1.0, 3.0, 7.0)]
+    assert pairwise_distances(line, pts) == [1.0, 3.0, 7.0, 2.0, 6.0, 4.0]
+    assert pairwise_distances(line, pts[:1]) == []
 
 
 def test_order_tuple_min_gap_first(line):
@@ -192,6 +193,13 @@ def test_order_tuple_pads_with_last(line):
     a = line_set(line, 4.0)
     x = order_tuple(a, 3)
     assert [p.data[0] for p in x.coords] == [4.0, 4.0, 4.0]
+
+
+def test_order_tuple_tie_puts_first_tied_pair_first(line):
+    # both gaps of {0, 1, 2} are exactly 1; the pair (0, 1) comes first in
+    # (i, j) order, so it is numbered first
+    x = order_tuple(line_set(line, 2.0, 0.0, 1.0), 3)
+    assert [p.data[0] for p in x.coords] == [0.0, 1.0, 2.0]
 
 
 def test_order_tuple_tie_break_deterministic(plane):
