@@ -70,8 +70,9 @@ def _decode_points(spec: RunSpec, field: str):
     if payload is None:
         raise CliError(f"no input points (--set or --input with \"{field}\")")
     if isinstance(payload, dict):
-        if field not in payload:
-            raise CliError(f"input file is missing the \"{field}\" field")
+        for key in (field, "space"):
+            if key not in payload:
+                raise CliError(f"input file is missing the \"{key}\" field")
         space = space_from_json(payload["space"])
         items = payload[field]
     else:

@@ -247,11 +247,16 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     never runs past half the starting gap (plus a small slack): if nothing
     has merged by then, the closest pair is snapped to its midpoint, so the
     returned time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.
+    A tuple with a pairwise distance that is not finite is rejected.
     """
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
-    delta = min_gap(x)
+    ds = pairwise_distances(space, x.coords)
+    # A pair at infinite distance would never move (its step is lam/inf = 0)
+    if not all(math.isfinite(d) for d in ds):
+        raise GeometryError("pairwise distances overflow double precision")
+    delta = min(ds)
     if delta == 0.0:
         return 0.0, x
     threshold = cfg.merge_tolerance * delta
@@ -262,10 +267,10 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     for _ in range(max_sweeps):
         _sweep_inplace(space, coords, lam)
         elapsed += lam
-        if min(pairwise_distances(space, coords)) <= threshold:
+        ds = pairwise_distances(space, coords)
+        if min(ds) <= threshold:
             return elapsed, PointTuple(space, tuple(coords))
-    # Force-merge the first closest pair at the horizon.
-    ds = pairwise_distances(space, coords)
+    # Force-merge the first closest pair of the last sweep's distances.
     i, j = list(itertools.combinations(range(len(coords)), 2))[ds.index(min(ds))]
     mid = space.geodesic_point(coords[i], coords[j], 0.5)
     coords[i] = mid

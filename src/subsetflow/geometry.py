@@ -58,6 +58,19 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
+def _coordinates(coords, count: int) -> tuple:
+    """Exactly count finite floats; malformed input is a GeometryError."""
+    try:
+        data = tuple(float(c) for c in coords)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GeometryError(f"coordinates must be numbers, got {coords!r}") from exc
+    if len(data) != count:
+        raise GeometryError(f"expected {count} coordinates, got {len(data)}")
+    if not all(math.isfinite(c) for c in data):
+        raise GeometryError("coordinates must be finite")
+    return data
+
+
 @dataclass(frozen=True)
 class EuclideanSpace:
     """R^dim with the usual metric; geodesics are straight segments."""
@@ -70,12 +83,7 @@ class EuclideanSpace:
             raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
 
     def point(self, coords) -> Point:
-        data = tuple(float(c) for c in coords)
-        if len(data) != self.dim:
-            raise GeometryError(f"expected {self.dim} coordinates, got {len(data)}")
-        if not all(math.isfinite(c) for c in data):
-            raise GeometryError("coordinates must be finite")
-        return Point(self.kind, data)
+        return Point(self.kind, _coordinates(coords, self.dim))
 
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
@@ -135,11 +143,7 @@ class HyperboloidSpace:
         return s
 
     def point(self, coords) -> Point:
-        data = tuple(float(c) for c in coords)
-        if len(data) != self.dim + 1:
-            raise GeometryError(f"expected {self.dim + 1} coordinates, got {len(data)}")
-        if not all(math.isfinite(c) for c in data):
-            raise GeometryError("coordinates must be finite")
+        data = _coordinates(coords, self.dim + 1)
         if data[0] <= 0.0:
             raise GeometryError("hyperboloid points need a positive time coordinate")
         # <x,x> rounds at the scale of x0^2, so the tolerance scales with it
@@ -280,16 +284,11 @@ class TreeTopology:
         edges = []
         for item in obj:
             try:
-                edges.append(
-                    TreeEdge(
-                        id=int(item["id"]),
-                        from_node=int(item["from"]),
-                        to_node=int(item["to"]),
-                        length=float(item["length"]),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
+                fields = (int(item["id"]), int(item["from"]), int(item["to"]),
+                          float(item["length"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise GeometryError(f"malformed tree edge entry: {item!r}") from exc
+            edges.append(TreeEdge(*fields))
         return TreeTopology(tuple(edges))
 
 
@@ -348,10 +347,13 @@ class TreeSpace:
             edge_id, offset = place
         except (TypeError, ValueError) as exc:
             raise GeometryError("tree point is an (edge_id, offset) pair") from exc
-        edge = self._edge_by_id.get(edge_id)
+        try:
+            edge = self._edge_by_id.get(edge_id)
+            offset = float(offset)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GeometryError(f"malformed tree point {place!r}") from exc
         if edge is None:
             raise GeometryError(f"unknown edge id {edge_id!r}")
-        offset = float(offset)
         if not (math.isfinite(offset) and 0.0 <= offset <= edge.length):
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
         return self.canonicalize(Point(self.kind, (edge.id, offset)))

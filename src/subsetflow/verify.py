@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import EuclideanSpace, GeometryError, SpaceDescriptor, cat0_audit
 from .subset_space import (
@@ -163,6 +163,33 @@ def perturb_subset(a: FiniteSubset, scale: float, rng: random.Random) -> FiniteS
     return make_subset(a.space, [perturb_point(a.space, p, scale, rng) for p in a.points], 0.0)
 
 
+def _trials(seed: int, label: str, trials: int, trial) -> list:
+    """Outcomes of ``trial(rng)``, one per generator drawn from (seed, label, index)."""
+    return [trial(_rng(seed, label, i)) for i in range(trials)]
+
+
+def _row(name: str, outcomes, threshold: float, data=None) -> CheckResult:
+    """Report row from per-trial ``(value, describe)`` outcomes.
+
+    The first strictly largest value wins (a NaN never does), and only the
+    winner's ``describe``, when it has one, is called to build worst_input.
+    """
+    worst, describe = -math.inf, None
+    for value, desc in outcomes:
+        if value > worst:
+            worst, describe = value, desc
+    return CheckResult(name, len(outcomes), worst, threshold, worst <= threshold,
+                       describe() if describe else None, data)
+
+
+def _oracle_gap(x: PointTuple, t: float, k: int) -> float:
+    """Product distance between k splitting sweeps and k exact resolvents of step t/k."""
+    cur = x
+    for _ in range(k):
+        cur = full_resolvent_oracle(cur, t / k)
+    return product_distance(splitting_flow(x, t, k), cur)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks.  Each returns one or more CheckResult rows and draws its
 # own deterministic generators, so callers can run any subset independently.
@@ -182,10 +209,7 @@ def check_cat0(space: SpaceDescriptor, seed: int, trials: int) -> list[CheckResu
 
 
 def check_geodesic_parametrization(space: SpaceDescriptor, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "geoparam", i)
+    def trial(rng):
         p = space.random_point(rng)
         q = space.random_point(rng)
         s, t = sorted((rng.random(), rng.random()))
@@ -196,18 +220,14 @@ def check_geodesic_parametrization(space: SpaceDescriptor, seed: int, trials: in
             abs(space.distance(p, xt) - t * d),
             abs(space.distance(xs, xt) - (t - s) * d),
         )
-        if err > worst:
-            worst = err
-            worst_input = {"p": space.point_to_json(p), "q": space.point_to_json(q), "s": s, "t": t}
-    return CheckResult("geodesic_parametrization", trials, worst, EXACT_TOL,
-                       worst <= EXACT_TOL, worst_input)
+        return err, lambda: {"p": space.point_to_json(p), "q": space.point_to_json(q),
+                             "s": s, "t": t}
+
+    return _row("geodesic_parametrization", _trials(seed, "geoparam", trials, trial), EXACT_TOL)
 
 
 def check_hausdorff_metric(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "hausmetric", i)
+    def trial(rng):
         sizes = [rng.randint(1, n) for _ in range(3)]
         a, b, c = (sample_subset(space, m, rng) for m in sizes)
         violation = max(
@@ -215,49 +235,44 @@ def check_hausdorff_metric(space: SpaceDescriptor, n: int, seed: int, trials: in
             hausdorff_distance(a, a),
             hausdorff_distance(a, c) - hausdorff_distance(a, b) - hausdorff_distance(b, c),
         )
-        if violation > worst:
-            worst = violation
-            worst_input = {"a": a.to_json(), "b": b.to_json(), "c": c.to_json()}
-    return CheckResult("hausdorff_metric", trials, worst, EXACT_TOL, worst <= EXACT_TOL, worst_input)
+        return violation, lambda: {"a": a.to_json(), "b": b.to_json(), "c": c.to_json()}
+
+    return _row("hausdorff_metric", _trials(seed, "hausmetric", trials, trial), EXACT_TOL)
 
 
 def check_product_dominates_hausdorff(space: SpaceDescriptor, n: int, seed: int,
                                       trials: int) -> CheckResult:
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "proddom", i)
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
-        worst = max(worst, hausdorff_distance(to_set(x, 0.0), to_set(y, 0.0)) - product_distance(x, y))
-    return CheckResult("product_dominates_hausdorff", trials, worst, EXACT_TOL, worst <= EXACT_TOL)
+        return hausdorff_distance(to_set(x, 0.0), to_set(y, 0.0)) - product_distance(x, y), None
+
+    return _row("product_dominates_hausdorff", _trials(seed, "proddom", trials, trial), EXACT_TOL)
 
 
 def check_set_tuple_roundtrip(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "roundtrip", i)
+    def trial(rng):
         a = sample_subset(space, rng.randint(1, n), rng)
         back = to_set(order_tuple(a, n), 0.0)
-        worst = max(worst, hausdorff_distance(back, a))
-    return CheckResult("set_tuple_roundtrip", trials, worst, 0.0, worst <= 0.0)
+        return hausdorff_distance(back, a), None
+
+    return _row("set_tuple_roundtrip", _trials(seed, "roundtrip", trials, trial), 0.0)
 
 
 def check_objective_lipschitz(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
     lip = n**1.5
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "objlip", i)
+
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
         gap = abs(sum_pairwise_distances(x) - sum_pairwise_distances(y))
-        worst = max(worst, gap - lip * product_distance(x, y))
-    return CheckResult("objective_lipschitz", trials, worst, EXACT_TOL, worst <= EXACT_TOL)
+        return gap - lip * product_distance(x, y), None
+
+    return _row("objective_lipschitz", _trials(seed, "objlip", trials, trial), EXACT_TOL)
 
 
 def check_objective_convexity(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "objconv", i)
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
         t = rng.random()
@@ -265,99 +280,81 @@ def check_objective_convexity(space: SpaceDescriptor, n: int, seed: int, trials:
             space.geodesic_point(p, q, t) for p, q in zip(x.coords, y.coords)
         ))
         bound = (1.0 - t) * sum_pairwise_distances(x) + t * sum_pairwise_distances(y)
-        worst = max(worst, sum_pairwise_distances(mid) - bound)
-    return CheckResult("objective_convexity", trials, worst, EXACT_TOL, worst <= EXACT_TOL)
+        return sum_pairwise_distances(mid) - bound, None
+
+    return _row("objective_convexity", _trials(seed, "objconv", trials, trial), EXACT_TOL)
 
 
 def check_flow_nonexpansive(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "nonexp", i)
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
         t = rng.uniform(0.01, 1.0)
         k = rng.randint(1, 32)
         before = product_distance(x, y)
         after = product_distance(splitting_flow(x, t, k), splitting_flow(y, t, k))
-        if after - before > worst:
-            worst = after - before
-            worst_input = {"x": x.to_json(), "y": y.to_json(), "t": t, "k": k}
-    return CheckResult("flow_nonexpansive", trials, worst, EXACT_TOL, worst <= EXACT_TOL, worst_input)
+        return after - before, lambda: {"x": x.to_json(), "y": y.to_json(), "t": t, "k": k}
+
+    return _row("flow_nonexpansive", _trials(seed, "nonexp", trials, trial), EXACT_TOL)
 
 
 def check_flow_descent(space: SpaceDescriptor, n: int, seed: int, trials: int,
                        cfg: FlowConfig) -> CheckResult:
     single = dataclasses.replace(cfg, sweeps_per_run=64, max_doublings=0)
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "descent", i)
+
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         t = rng.uniform(0.1, 1.0) * min_gap(x)
         rep = flow_adaptive(x, t, single)  # constructor rejects any real ascent
         values = [f for _, f in rep.objective_trace]
-        worst = max(worst, max(b - a for a, b in zip(values, values[1:])))
-    return CheckResult("flow_descent", trials, worst, EXACT_TOL, worst <= EXACT_TOL)
+        return max(b - a for a, b in zip(values, values[1:])), None
+
+    return _row("flow_descent", _trials(seed, "descent", trials, trial), EXACT_TOL)
 
 
 def check_spread_bound(space: SpaceDescriptor, n: int, seed: int, trials: int,
                        cfg: FlowConfig) -> CheckResult:
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "spread", i)
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         t = rng.uniform(0.05, 1.0) * 0.5 * min_gap(x)
         moved = product_distance(splitting_flow(x, t, cfg.sweeps_per_run), x)
-        ratio = moved / (2.0 * t * n**1.5)
-        if ratio > worst:
-            worst = ratio
-            worst_input = {"x": x.to_json(), "t": t}
-    return CheckResult("flow_spread_bound", trials, worst, SPREAD_SLACK,
-                       worst <= SPREAD_SLACK, worst_input)
+        return moved / (2.0 * t * n**1.5), lambda: {"x": x.to_json(), "t": t}
+
+    return _row("flow_spread_bound", _trials(seed, "spread", trials, trial), SPREAD_SLACK)
 
 
 def check_merge_time_bound(space: SpaceDescriptor, n: int, seed: int, trials: int,
                            cfg: FlowConfig) -> list[CheckResult]:
-    worst_time = -math.inf
-    worst_state = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "mergebound", i)
+    def trial(rng):
         x = sample_tuple(space, rng.randint(2, n), rng)
         delta = min_gap(x)
         t_star, merged = merge_time(x, cfg)
-        ratio = t_star / (0.5 * delta)
-        if ratio > worst_time:
-            worst_time = ratio
-            worst_input = {"x": x.to_json()}
-        worst_state = max(worst_state, min_gap(merged) - cfg.merge_tolerance * delta)
+        return ((t_star / (0.5 * delta), lambda: {"x": x.to_json()}),
+                (min_gap(merged) - cfg.merge_tolerance * delta, None))
+
+    outcomes = _trials(seed, "mergebound", trials, trial)
     return [
-        CheckResult("merge_time_bound", trials, worst_time, 1.0 + MERGE_SLACK,
-                    worst_time <= 1.0 + MERGE_SLACK, worst_input),
-        CheckResult("merge_state_gap", trials, worst_state, EXACT_TOL, worst_state <= EXACT_TOL),
+        _row("merge_time_bound", [time for time, _ in outcomes], 1.0 + MERGE_SLACK),
+        _row("merge_state_gap", [state for _, state in outcomes], EXACT_TOL),
     ]
 
 
 def check_two_point_merge(space: SpaceDescriptor, seed: int, trials: int,
                           cfg: FlowConfig) -> CheckResult:
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "twopoint", i)
+    def trial(rng):
         x = sample_tuple(space, 2, rng)
         delta = min_gap(x)
         t_star, merged = merge_time(x, cfg)
-        worst = max(worst, abs(t_star - 0.5 * delta), min_gap(merged))
-    return CheckResult("two_point_merge", trials, worst, EXACT_TOL, worst <= EXACT_TOL)
+        return max(abs(t_star - 0.5 * delta), min_gap(merged)), None
+
+    return _row("two_point_merge", _trials(seed, "twopoint", trials, trial), EXACT_TOL)
 
 
 def check_pair_gap_stability(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
     if n < 3:
         n = 3
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "gapstable", i)
+
+    def trial(rng):
         y = sample_tuple(space, n, rng)
         idx = rng.randrange(2, n)
         base = space.distance(y.coords[0], y.coords[1])
@@ -365,10 +362,9 @@ def check_pair_gap_stability(space: SpaceDescriptor, n: int, seed: int, trials: 
         z = pair_resolvent(pair_resolvent(y, 0, idx, lam), 1, idx, lam)
         after = space.distance(z.coords[0], z.coords[1])
         allowed = base if base >= lam else base + lam
-        if after - allowed > worst:
-            worst = after - allowed
-            worst_input = {"y": y.to_json(), "i": idx, "lam": lam}
-    return CheckResult("pair_gap_stability", trials, worst, EXACT_TOL, worst <= EXACT_TOL, worst_input)
+        return after - allowed, lambda: {"y": y.to_json(), "i": idx, "lam": lam}
+
+    return _row("pair_gap_stability", _trials(seed, "gapstable", trials, trial), EXACT_TOL)
 
 
 def check_min_attainment(space: SpaceDescriptor, n: int, seed: int, trials: int,
@@ -376,40 +372,31 @@ def check_min_attainment(space: SpaceDescriptor, n: int, seed: int, trials: int,
     # Two doublings suffice: once every coordinate has merged the objective
     # is exactly zero, and only the irrelevant collapse location keeps moving.
     capped = dataclasses.replace(cfg, max_doublings=min(cfg.max_doublings, 2))
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "attain", i)
+
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         spread = max_spread(x)
         rep = flow_adaptive(x, 0.5 * spread, capped)
         ratio = sum_pairwise_distances(rep.final) / spread if len(rep.final) >= 2 else 0.0
-        if ratio > worst:
-            worst = ratio
-            worst_input = {"x": x.to_json()}
-    return CheckResult("min_attainment", trials, worst, ATTAINMENT_TOL,
-                       worst <= ATTAINMENT_TOL, worst_input)
+        return ratio, lambda: {"x": x.to_json()}
+
+    return _row("min_attainment", _trials(seed, "attain", trials, trial), ATTAINMENT_TOL)
 
 
 def check_permutation_limit(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    worst = -math.inf
-    data = []
-    for i in range(trials):
-        rng = _rng(seed, "permlimit", i)
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         perm = list(range(n))
         rng.shuffle(perm)
         y = PointTuple(space, tuple(x.coords[p] for p in perm))
         t = 0.25 * min_gap(x)
-        seq = []
-        for k in (32, 64, 128, 256):
-            seq.append(hausdorff_distance(
-                to_set(splitting_flow(x, t, k), 0.0),
-                to_set(splitting_flow(y, t, k), 0.0),
-            ))
-        data.append(seq)
-        worst = max(worst, (seq[-1] - EXACT_TOL) / max(seq[0], EXACT_TOL))
-    return CheckResult("permutation_limit", trials, worst, 0.5, worst <= 0.5, data=data)
+        return [hausdorff_distance(to_set(splitting_flow(x, t, k), 0.0),
+                                   to_set(splitting_flow(y, t, k), 0.0))
+                for k in (32, 64, 128, 256)]
+
+    seqs = _trials(seed, "permlimit", trials, trial)
+    ratios = [((seq[-1] - EXACT_TOL) / max(seq[0], EXACT_TOL), None) for seq in seqs]
+    return _row("permutation_limit", ratios, 0.5, data=seqs)
 
 
 def check_oracle_consistency(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
@@ -417,32 +404,23 @@ def check_oracle_consistency(space: SpaceDescriptor, n: int, seed: int, trials: 
     if not isinstance(space, EuclideanSpace) or n * space.dim > 8:
         return CheckResult("oracle_consistency", 0, -math.inf, 0.5, True,
                            data={"skipped": "euclidean small cases only"})
-    worst = -math.inf
-    data = []
-    for i in range(trials):
-        rng = _rng(seed, "oracleconsist", i)
+
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         scale = 0.3 * min_gap(x)
-        seq = []
-        for k in (4, 8, 16, 32, 64):
-            lam = scale / k
-            cur = x
-            for _ in range(k):
-                cur = full_resolvent_oracle(cur, lam)
-            seq.append(product_distance(splitting_flow(x, scale, k), cur))
-        data.append(seq)
-        worst = max(worst, seq[-1] / max(seq[0], 1e-12))
-    return CheckResult("oracle_consistency", trials, worst, 0.5, worst <= 0.5, data=data)
+        return [_oracle_gap(x, scale, k) for k in (4, 8, 16, 32, 64)]
+
+    seqs = _trials(seed, "oracleconsist", trials, trial)
+    ratios = [(seq[-1] / max(seq[0], 1e-12), None) for seq in seqs]
+    return _row("oracle_consistency", ratios, 0.5, data=seqs)
 
 
 def check_resolvent_inequality(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
     if not isinstance(space, EuclideanSpace) or n * space.dim > 8:
         return CheckResult("resolvent_inequality", 0, -math.inf, RESOLVENT_INEQ_TOL, True,
                            data={"skipped": "euclidean small cases only"})
-    worst = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "resolvineq", i)
+
+    def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
         lam = rng.uniform(0.02, 0.5)
@@ -452,43 +430,36 @@ def check_resolvent_inequality(space: SpaceDescriptor, n: int, seed: int, trials
             + (product_distance(x, j) ** 2 + product_distance(j, y) ** 2) / (2.0 * lam)
         )
         rhs = sum_pairwise_distances(y) + product_distance(x, y) ** 2 / (2.0 * lam)
-        if lhs - rhs > worst:
-            worst = lhs - rhs
-            worst_input = {"x": x.to_json(), "y": y.to_json(), "lam": lam}
-    return CheckResult("resolvent_inequality", trials, worst, RESOLVENT_INEQ_TOL,
-                       worst <= RESOLVENT_INEQ_TOL, worst_input)
+        return lhs - rhs, lambda: {"x": x.to_json(), "y": y.to_json(), "lam": lam}
+
+    return _row("resolvent_inequality", _trials(seed, "resolvineq", trials, trial),
+                RESOLVENT_INEQ_TOL)
 
 
 def check_retract_identity(space: SpaceDescriptor, n: int, seed: int, trials: int,
                            cfg: FlowConfig) -> CheckResult:
-    worst = -math.inf
-    for i in range(trials):
-        rng = _rng(seed, "ridentity", i)
+    def trial(rng):
         a = sample_subset(space, rng.randint(1, n - 1), rng)
         rep = retract(a, n, cfg)
-        worst = max(worst, hausdorff_distance(rep.output, a), rep.merge_time_used)
-    return CheckResult("retract_identity", trials, worst, 0.0, worst <= 0.0)
+        return max(hausdorff_distance(rep.output, a), rep.merge_time_used), None
+
+    return _row("retract_identity", _trials(seed, "ridentity", trials, trial), 0.0)
 
 
 def check_retract_contracts(space: SpaceDescriptor, n: int, seed: int, trials: int,
                             cfg: FlowConfig) -> list[CheckResult]:
-    worst_card = -math.inf
-    worst_prox = -math.inf
-    worst_input = None
-    for i in range(trials):
-        rng = _rng(seed, "rcontract", i)
+    def trial(rng):
         a = sample_subset(space, n, rng)
         delta = min(pairwise_distances(space, a.points))
         rep = retract(a, n, cfg)
-        worst_card = max(worst_card, float(rep.output_cardinality - (n - 1)))
         prox = hausdorff_distance(a, rep.output) / (n**1.5 * delta)
-        if prox > worst_prox:
-            worst_prox = prox
-            worst_input = {"a": a.to_json()}
+        return ((float(rep.output_cardinality - (n - 1)), None),
+                (prox, lambda: {"a": a.to_json()}))
+
+    outcomes = _trials(seed, "rcontract", trials, trial)
     return [
-        CheckResult("retract_cardinality", trials, worst_card, 0.0, worst_card <= 0.0),
-        CheckResult("retract_proximity", trials, worst_prox, 1.0 + EXACT_TOL,
-                    worst_prox <= 1.0 + EXACT_TOL, worst_input),
+        _row("retract_cardinality", [card for card, _ in outcomes], 0.0),
+        _row("retract_proximity", [prox for _, prox in outcomes], 1.0 + EXACT_TOL),
     ]
 
 
@@ -502,13 +473,9 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
 
     Pairs alternate between independent draws and small perturbations of a
     common subset, so both far-apart and nearby regimes are exercised.
+    Degenerate pairs (Hausdorff gap at most 1e-12) are counted, not kept.
     """
-    bound = lipschitz_constant_bound(n)
-    worst = -math.inf
-    worst_input = None
-    degenerate = 0
-    for i in range(samples):
-        rng = _rng(seed, "lipscan", i)
+    def trial(i, rng):
         a = sample_subset(space, n, rng)
         if i % 2 == 0:
             b = sample_subset(space, n, rng)
@@ -517,16 +484,15 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
             b = perturb_subset(a, scale, rng)
         gap = hausdorff_distance(a, b)
         if gap <= 1e-12:
-            degenerate += 1
-            continue
+            return None
         ra = retract(a, n, flow_cfg).output
         rb = retract(b, n, flow_cfg).output
-        ratio = hausdorff_distance(ra, rb) / gap
-        if ratio > worst:
-            worst = ratio
-            worst_input = {"a": a.to_json(), "b": b.to_json()}
-    return CheckResult("lipschitz_ratio", samples - degenerate, worst, bound,
-                       worst <= bound, worst_input, data={"degenerate_pairs": degenerate})
+        return hausdorff_distance(ra, rb) / gap, lambda: {"a": a.to_json(), "b": b.to_json()}
+
+    outcomes = [trial(i, _rng(seed, "lipscan", i)) for i in range(samples)]
+    kept = [o for o in outcomes if o is not None]
+    return _row("lipschitz_ratio", kept, lipschitz_constant_bound(n),
+                data={"degenerate_pairs": samples - len(kept)})
 
 
 def lipschitz_scan(cfg: ScanConfig) -> ScanReport:
@@ -585,61 +551,51 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
     """
     if t < 0.0:
         raise GeometryError("flow time must be nonnegative")
+    if cfg.flow.max_doublings < 1:
+        raise GeometryError("a convergence study needs max_doublings >= 1")
     space = cfg.space
-    worst_monotone = -math.inf
-    worst_final = -math.inf
-    sequences = []
-    for i in range(cfg.samples):
-        rng = _rng(cfg.seed, "cauchy", i)
+    flow = cfg.flow
+
+    def cauchy(rng):
         x = sample_tuple(space, cfg.n, rng)
-        k = cfg.flow.sweeps_per_run
+        k = flow.sweeps_per_run
         prev = splitting_flow(x, t, k)
         seq = []
-        for _ in range(cfg.flow.max_doublings):
+        for _ in range(flow.max_doublings):
             k *= 2
             cur = splitting_flow(x, t, k)
             seq.append(product_distance(prev, cur))
             prev = cur
-            if seq[-1] <= cfg.flow.richardson_tolerance:
+            if seq[-1] <= flow.richardson_tolerance:
                 break
-        sequences.append(seq)
-        worst_monotone = max(worst_monotone,
-                             max((b - a for a, b in zip(seq, seq[1:])), default=-math.inf))
-        worst_final = max(worst_final, seq[-1])
+        return seq
+
+    sequences = _trials(cfg.seed, "cauchy", cfg.samples, cauchy)
+    rises = [(max((b - a for a, b in zip(seq, seq[1:])), default=-math.inf), None)
+             for seq in sequences]
     checks = [
-        CheckResult("cauchy_monotone", cfg.samples, worst_monotone, 1e-10,
-                    worst_monotone <= 1e-10, data=sequences),
-        CheckResult("cauchy_reaches_tolerance", cfg.samples, worst_final,
-                    cfg.flow.richardson_tolerance,
-                    worst_final <= cfg.flow.richardson_tolerance),
+        _row("cauchy_monotone", rises, 1e-10, data=sequences),
+        _row("cauchy_reaches_tolerance", [(seq[-1], None) for seq in sequences],
+             flow.richardson_tolerance),
     ]
 
     if isinstance(space, EuclideanSpace) and cfg.n * space.dim <= 8:
-        worst_oracle = -math.inf
-        details = []
-        for i in range(min(cfg.samples, 3)):
-            rng = _rng(cfg.seed, "oraclepow", i)
+        def oracle(rng):
             x = sample_tuple(space, cfg.n, rng)
+            if t == 0.0:
+                return [0.0]
             seq = []
-            k = 4
-            while True:
-                if t == 0.0:
-                    seq.append(0.0)
-                    break
-                cur = x
-                for _ in range(k):
-                    cur = full_resolvent_oracle(cur, t / k)
-                seq.append(product_distance(splitting_flow(x, t, k), cur))
+            for k in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+                seq.append(_oracle_gap(x, t, k))
                 # always show a few doublings of decay, then stop once the
                 # agreement is comfortably inside tolerance
-                if k >= 1024 or (len(seq) >= 3 and seq[-1] <= 0.5 * ORACLE_AGREEMENT_TOL):
+                if len(seq) >= 3 and seq[-1] <= 0.5 * ORACLE_AGREEMENT_TOL:
                     break
-                k *= 2
-            details.append(seq)
-            worst_oracle = max(worst_oracle, seq[-1])
-        checks.append(CheckResult("oracle_agreement", min(cfg.samples, 3), worst_oracle,
-                                  ORACLE_AGREEMENT_TOL, worst_oracle <= ORACLE_AGREEMENT_TOL,
-                                  data=details))
+            return seq
+
+        details = _trials(cfg.seed, "oraclepow", min(cfg.samples, 3), oracle)
+        checks.append(_row("oracle_agreement", [(seq[-1], None) for seq in details],
+                           ORACLE_AGREEMENT_TOL, data=details))
     else:
         checks.append(CheckResult("oracle_agreement", 0, -math.inf, ORACLE_AGREEMENT_TOL,
                                   True, data={"skipped": "euclidean small cases only"}))

@@ -180,6 +180,33 @@ def test_input_file_missing_field(capsys, tmp_path):
     assert "points" in err
 
 
+STAR_EDGES = ('[{"id": 0, "from": 0, "to": 1, "length": 1.0},'
+              ' {"id": 1, "from": 0, "to": 2, "length": 1.0}]')
+
+
+@pytest.mark.parametrize("argv", [
+    ["retract", "--space", "euclidean:2", "--set", '[["a", 1]]', "--n", "2"],
+    ["retract", "--space", "hyperboloid:1", "--set", "[[null, 1]]", "--n", "2"],
+    ["retract", "--space", "euclidean:2", "--set", "[[[1], 1]]", "--n", "2"],
+    ["retract", "--set", '{"space": {"kind": "tree", "edges": %s},'
+     ' "points": [{"edge": [0], "offset": 0.5}]}' % STAR_EDGES, "--n", "2"],
+    ["retract", "--set", '{"space": {"kind": "tree", "edges": %s},'
+     ' "points": [{"edge": 0, "offset": "abc"}]}' % STAR_EDGES, "--n", "2"],
+    ["retract", "--set", '{"space": {"kind": "tree", "edges":'
+     ' [{"id": "x", "from": 0, "to": 1, "length": 1.0}]}, "points": []}', "--n", "2"],
+    ["retract", "--set", '{"points": [[0.0]]}', "--n", "2"],
+    ["retract", "--space", "euclidean:1", "--set", "[[-1e308], [1e308]]", "--n", "2"],
+    ["convergence", "--space", "euclidean:2", "--n", "3", "--time", "0.1",
+     "--max-doublings", "0"],
+], ids=["letter", "null", "nested", "tree-edge-list", "tree-offset-text", "tree-edge-id",
+        "no-space", "overflow", "no-doublings"])
+def test_bad_input_is_an_error_line(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_missing_input_file(capsys):
     rc, _, err = run_cli(capsys, "retract", "--input", "/nonexistent/in.json", "--n", "2")
     assert rc == 1

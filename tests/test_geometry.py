@@ -45,6 +45,14 @@ def test_euclidean_rejects_wrong_arity(plane):
         plane.point((1.0, float("nan")))
 
 
+@pytest.mark.parametrize("coords", [["a", 1], [None, 1], [[1], 1], [10**400, 1], 5])
+@pytest.mark.parametrize("space", [EuclideanSpace(2), HyperboloidSpace(1)],
+                         ids=["euclidean-2", "hyperboloid-1"])
+def test_malformed_coordinates_are_geometry_errors(space, coords):
+    with pytest.raises(GeometryError):
+        space.point(coords)
+
+
 # ---------------------------------------------------------------------------
 # hyperboloid
 
@@ -176,6 +184,23 @@ def test_tree_rejects_bad_offsets(star_tree):
         star_tree.point((0, 1.1))
     with pytest.raises(GeometryError):
         star_tree.point((9, 0.5))
+
+
+@pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400)])
+def test_tree_malformed_points_are_geometry_errors(star_tree, place):
+    with pytest.raises(GeometryError):
+        star_tree.point(place)
+
+
+@pytest.mark.parametrize("entry", [
+    {"id": "x", "from": 0, "to": 1, "length": 1.0},
+    {"id": 0, "from": [0], "to": 1, "length": 1.0},
+    {"id": 0, "from": 0, "to": 1, "length": "long"},
+    {"id": 0, "from": 0, "to": 1},
+])
+def test_tree_topology_json_rejects_malformed_edges(entry):
+    with pytest.raises(GeometryError):
+        TreeTopology.from_json([entry])
 
 
 def test_tree_topology_must_be_a_tree():

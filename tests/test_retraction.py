@@ -1,11 +1,14 @@
 import json
+import math
 import random
 
 import pytest
 
 from subsetflow import (
+    EuclideanSpace,
     FlowConfig,
     GeometryError,
+    HyperboloidSpace,
     RetractReport,
     hausdorff_distance,
     lipschitz_constant_bound,
@@ -70,6 +73,29 @@ def test_retract_rejects_oversized(line):
         retract(line_set(line, 0.0, 1.0, 2.0), 2)
     with pytest.raises(GeometryError):
         retract(line_set(line, 0.0, 1.0), 1)
+
+
+FAR = 700.0  # on the hyperboloid, two points this far out in opposite directions
+
+
+@pytest.mark.parametrize("space, coords", [
+    (EuclideanSpace(1), [(-1e308,), (1e308,)]),
+    # every gap is finite; only the spread overflows
+    (EuclideanSpace(1), [(-1e308,), (0.0,), (1e308,)]),
+    (HyperboloidSpace(1), [(math.cosh(FAR), math.sinh(FAR)), (math.cosh(FAR), -math.sinh(FAR))]),
+], ids=["line-pair", "line-spread", "hyperboloid-far"])
+def test_retract_rejects_overflowing_distances(space, coords):
+    a = make_subset(space, [space.point(c) for c in coords], 0.0)
+    with pytest.raises(GeometryError):
+        retract(a, len(coords))
+
+
+def test_retract_distances_just_below_overflow(line):
+    # the spread 1.7e308 is still a finite double, so the set retracts
+    report = retract(line_set(line, 0.0, 1.0, 1.7e308), 3)
+    got = [p.data[0] for p in report.output.points]
+    assert got == pytest.approx([1.0, 1.7e308], rel=1e-12)
+    assert report.merge_time_used == pytest.approx(0.5, abs=5e-4)
 
 
 @pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])

@@ -163,6 +163,12 @@ def test_convergence_rejects_negative_time(plane):
         convergence_study(small_cfg(plane, samples=2), -0.5)
 
 
+def test_convergence_rejects_zero_doublings(plane):
+    # a doubling study with no doublings has no sequence to report
+    with pytest.raises(GeometryError):
+        convergence_study(small_cfg(plane, samples=2, max_doublings=0), 0.1)
+
+
 def test_convergence_smooth_regime(plane):
     cfg = ScanConfig(space=plane, n=4, samples=2, seed=13,
                      flow=FlowConfig(sweeps_per_run=16, max_doublings=8))
