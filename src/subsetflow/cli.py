@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Thin orchestration only: parse flags into a RunSpec, build the objects,
-call the library, serialize the result.  All numerics live elsewhere.
-Reports are emitted with sorted keys and no timestamps, so identical
-RunSpecs produce byte-identical output.
+Thin orchestration only: parse flags, build the objects, call the library,
+serialize the result.  All numerics live elsewhere.  Reports are emitted
+with sorted keys and no timestamps, so identical invocations produce
+byte-identical output.
 
 Exit codes: 0 success, 1 validation/usage error, 2 verification failure.
 """
@@ -13,48 +13,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .flow import FlowConfig, flow_adaptive, merge_time
 from .geometry import GeometryError, make_space, space_from_json
 from .retraction import retract
-from .subset_space import FiniteSubset, PointTuple, make_subset
+from .subset_space import PointTuple, make_subset
 from .verify import ScanConfig, bound_suite, convergence_study, lipschitz_scan
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything a run needs; raw point payloads are parsed in run()."""
-
-    command: str
-    space_arg: str | None = None
-    space_file: str | None = None
-    points: object = None  # decoded JSON payload for --set / --input
-    n: int | None = None
-    seed: int = 0
-    samples: int = 200
-    k: int = 256
-    merge_tol: float = 1e-6
-    max_doublings: int = 8
-    time: float | None = None
-    perturbation_scale: float = 0.05
-    out: str | None = None
-    csv: str | None = None
-    trace_csv: str | None = None
 
 
 class CliError(ValueError):
     pass
 
 
-def _load_space(spec: RunSpec):
-    if spec.space_file is not None:
-        if spec.space_arg is not None:
+def _load_space(ns: argparse.Namespace):
+    if ns.space_file is not None:
+        if ns.space is not None:
             raise CliError("give either --space or --space-file, not both")
-        with open(spec.space_file) as fh:
+        with open(ns.space_file) as fh:
             return space_from_json(json.load(fh))
-    if spec.space_arg is None:
+    if ns.space is None:
         raise CliError("a space is required (--space kind:dim or --space-file)")
-    kind, sep, dim = spec.space_arg.partition(":")
+    kind, sep, dim = ns.space.partition(":")
     if kind == "tree":
         raise CliError("tree spaces carry a topology; pass them via --space-file")
     if not sep:
@@ -65,8 +44,26 @@ def _load_space(spec: RunSpec):
         raise CliError(str(exc)) from exc
 
 
-def _decode_points(spec: RunSpec, field: str):
-    payload = spec.points
+def _payload(ns: argparse.Namespace):
+    """The decoded --set or --input JSON, or None when neither is given."""
+    if ns.set_json is not None and ns.input is not None:
+        raise CliError("give either --set or --input, not both")
+    if ns.set_json is not None:
+        try:
+            return json.loads(ns.set_json)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"--set is not valid JSON: {exc}") from exc
+    if ns.input is not None:
+        try:
+            with open(ns.input) as fh:
+                return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"input file is not valid JSON: {exc}") from exc
+    return None
+
+
+def _decode_points(ns: argparse.Namespace, field: str):
+    payload = _payload(ns)
     if payload is None:
         raise CliError(f"no input points (--set or --input with \"{field}\")")
     if isinstance(payload, dict):
@@ -76,7 +73,7 @@ def _decode_points(spec: RunSpec, field: str):
         space = space_from_json(payload["space"])
         items = payload[field]
     else:
-        space = _load_space(spec)
+        space = _load_space(ns)
         items = payload
     if not isinstance(items, list):
         raise CliError(f"\"{field}\" must be a JSON array of points")
@@ -85,17 +82,15 @@ def _decode_points(spec: RunSpec, field: str):
     return space, [space.point_from_json(p) for p in items]
 
 
-def _flow_config(spec: RunSpec) -> FlowConfig:
-    return FlowConfig(sweeps_per_run=spec.k, merge_tolerance=spec.merge_tol,
-                      max_doublings=spec.max_doublings)
+def _flow_config(ns: argparse.Namespace) -> FlowConfig:
+    return FlowConfig(sweeps_per_run=ns.k, merge_tolerance=ns.merge_tol,
+                      max_doublings=ns.max_doublings)
 
 
-def _scan_config(spec: RunSpec) -> ScanConfig:
-    if spec.n is None:
-        raise CliError("--n is required for verification runs")
-    return ScanConfig(space=_load_space(spec), n=spec.n, samples=spec.samples,
-                      seed=spec.seed, flow=_flow_config(spec),
-                      perturbation_scale=spec.perturbation_scale)
+def _scan_config(ns: argparse.Namespace) -> ScanConfig:
+    return ScanConfig(space=_load_space(ns), n=ns.n, samples=ns.samples,
+                      seed=ns.seed, flow=_flow_config(ns),
+                      perturbation_scale=ns.perturbation_scale)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -110,52 +105,52 @@ def _emit_json(obj, path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one RunSpec.  Returns the process exit code."""
-    if spec.command == "retract":
-        space, pts = _decode_points(spec, "points")
-        if spec.n is None:
+def run(ns: argparse.Namespace) -> int:
+    """Execute one parsed command line.  Returns the process exit code."""
+    if ns.command == "retract":
+        space, pts = _decode_points(ns, "points")
+        if ns.n is None:
             raise CliError("--n (the H(n) the input lives in) is required")
         a = make_subset(space, pts, 0.0)
-        report = retract(a, spec.n, _flow_config(spec))
-        _emit_json(report.to_json(), spec.out)
+        report = retract(a, ns.n, _flow_config(ns))
+        _emit_json(report.to_json(), ns.out)
         return 0
 
-    if spec.command == "flow":
-        space, pts = _decode_points(spec, "coords")
-        if spec.time is None:
+    if ns.command == "flow":
+        space, pts = _decode_points(ns, "coords")
+        if ns.time is None:
             raise CliError("--time is required for flow runs")
         x = PointTuple(space, tuple(pts))
-        report = flow_adaptive(x, spec.time, _flow_config(spec))
-        _emit_json(report.to_json(), spec.out)
-        if spec.trace_csv is not None:
-            _emit(report.trace_csv(), spec.trace_csv)
+        report = flow_adaptive(x, ns.time, _flow_config(ns))
+        _emit_json(report.to_json(), ns.out)
+        if ns.trace_csv is not None:
+            _emit(report.trace_csv(), ns.trace_csv)
         return 0
 
-    if spec.command == "merge-time":
-        space, pts = _decode_points(spec, "coords")
+    if ns.command == "merge-time":
+        space, pts = _decode_points(ns, "coords")
         x = PointTuple(space, tuple(pts))
-        t_star, merged = merge_time(x, _flow_config(spec))
+        t_star, merged = merge_time(x, _flow_config(ns))
         _emit_json({"input": x.to_json(), "t_star": t_star,
-                    "merged": merged.to_json()}, spec.out)
+                    "merged": merged.to_json()}, ns.out)
         return 0
 
-    if spec.command in ("verify", "scan", "convergence"):
-        cfg = _scan_config(spec)
-        if spec.command == "verify":
+    if ns.command in ("verify", "scan", "convergence"):
+        cfg = _scan_config(ns)
+        if ns.command == "verify":
             report = bound_suite(cfg)
-        elif spec.command == "scan":
+        elif ns.command == "scan":
             report = lipschitz_scan(cfg)
         else:
-            if spec.time is None:
+            if ns.time is None:
                 raise CliError("--time is required for convergence runs")
-            report = convergence_study(cfg, spec.time)
-        _emit_json(report.to_json(), spec.out)
-        if spec.csv is not None:
-            _emit(report.to_csv(), spec.csv)
+            report = convergence_study(cfg, ns.time)
+        _emit_json(report.to_json(), ns.out)
+        if ns.csv is not None:
+            _emit(report.to_csv(), ns.csv)
         return 0 if report.overall_pass else 2
 
-    raise CliError(f"unknown command {spec.command!r}")
+    raise CliError(f"unknown command {ns.command!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,40 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_spec(ns: argparse.Namespace) -> RunSpec:
-    points = None
-    if getattr(ns, "set_json", None) is not None and getattr(ns, "input", None) is not None:
-        raise CliError("give either --set or --input, not both")
-    if getattr(ns, "set_json", None) is not None:
-        try:
-            points = json.loads(ns.set_json)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--set is not valid JSON: {exc}") from exc
-    elif getattr(ns, "input", None) is not None:
-        try:
-            with open(ns.input) as fh:
-                points = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"input file is not valid JSON: {exc}") from exc
-    return RunSpec(
-        command=ns.command,
-        space_arg=ns.space,
-        space_file=ns.space_file,
-        points=points,
-        n=getattr(ns, "n", None),
-        seed=getattr(ns, "seed", 0),
-        samples=getattr(ns, "samples", 200),
-        k=ns.k,
-        merge_tol=ns.merge_tol,
-        max_doublings=ns.max_doublings,
-        time=getattr(ns, "time", None),
-        perturbation_scale=getattr(ns, "perturbation_scale", 0.05),
-        out=ns.out,
-        csv=getattr(ns, "csv", None),
-        trace_csv=getattr(ns, "trace_csv", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -247,7 +208,7 @@ def main(argv=None) -> int:
         # verification failures here
         return 0 if exc.code == 0 else 1
     try:
-        return run(_to_spec(ns))
+        return run(ns)
     except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,10 @@ from .subset_space import PointTuple, min_gap, pairwise_distances, product_dista
 # the closest pair is snapped together by force.
 MERGE_SLACK = 1e-3
 
+# Product distance between the results of two successive sweep doublings at
+# which an adaptive run counts as converged.
+DOUBLING_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -36,14 +40,11 @@ class FlowConfig:
     merge_tolerance: a gap at or below this fraction of the starting min
     gap counts as merged.
     max_doublings: how many times an adaptive run may double its sweep count.
-    richardson_tolerance: successive-run distance at which the adaptive run
-    declares convergence.
     """
 
     sweeps_per_run: int = 256
     merge_tolerance: float = 1e-6
     max_doublings: int = 8
-    richardson_tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.sweeps_per_run < 1:
@@ -52,8 +53,6 @@ class FlowConfig:
             raise GeometryError("merge_tolerance must lie in (0, 1)")
         if self.max_doublings < 0:
             raise GeometryError("max_doublings must be >= 0")
-        if self.richardson_tolerance <= 0.0:
-            raise GeometryError("richardson_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     """Run the splitting flow, doubling the sweep count until stable.
 
     Successive runs use k, 2k, 4k, ... sweeps; the run stops once two
-    consecutive results agree within ``cfg.richardson_tolerance`` in the
+    consecutive results agree within ``DOUBLING_TOLERANCE`` in the
     product metric, or after ``cfg.max_doublings`` doublings, in which case
     the report carries ``converged=False`` and the finest result.
     """
@@ -221,7 +220,7 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
         gap_trace, obj_trace = _traced_run(space, coords, t, k)
         cur = PointTuple(space, tuple(coords))
         sweeps_used += k
-        if product_distance(prev, cur) <= cfg.richardson_tolerance:
+        if product_distance(prev, cur) <= DOUBLING_TOLERANCE:
             converged = True
             prev = cur
             break
@@ -394,26 +393,31 @@ def _reduced_minimize(pts: np.ndarray, blocks: list[list[int]], lam: float):
     return val, u
 
 
+def oracle_supports(space: SpaceDescriptor, n: int) -> bool:
+    """Whether full_resolvent_oracle accepts n-tuples in space.
+
+    Only euclidean tuples with n*dim <= 8 keep the enumeration honest-sized.
+    """
+    return isinstance(space, EuclideanSpace) and n * space.dim <= 8
+
+
 def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
-    """Exact resolvent of the full objective; euclidean reference only.
+    """Exact resolvent of the full objective, for the cases oracle_supports admits.
 
     Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam)
     by enumerating coincidence patterns of the coordinates and solving each
     smooth reduced problem by Newton iteration.  A pattern can only be
     optimal if its merged coordinates started within 2(n-1)*lam of each
-    other, which prunes the enumeration hard for small steps.  Restricted
-    to n*dim <= 8 to keep the enumeration honest-sized.
+    other, which prunes the enumeration hard for small steps.
     """
     space = x.space
-    if not isinstance(space, EuclideanSpace):
-        raise GeometryError("the reference resolvent supports only the euclidean backend")
+    n = len(x)
+    if not oracle_supports(space, n):
+        raise GeometryError("the reference resolvent supports only euclidean tuples with n*dim <= 8")
     if lam <= 0.0:
         raise GeometryError("step size must be positive")
-    n = len(x)
     if n < 2:
         return x
-    if n * space.dim > 8:
-        raise GeometryError("reference resolvent is limited to n*dim <= 8")
     pts = np.array([p.data for p in x.coords], dtype=float)
     reach = 2.0 * (n - 1) * lam * (1.0 + 1e-9) + 1e-12
 

@@ -72,15 +72,40 @@ def _coordinates(coords, count: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class EuclideanSpace:
-    """R^dim with the usual metric; geodesics are straight segments."""
+class _CoordinateSpace:
+    """What the coordinate backends share: a dimension and the array codec.
+
+    Subclasses set ``kind`` and define ``point``, ``distance``,
+    ``geodesic_point`` and ``random_point`` in their own class body, where
+    per-backend call counters look the kernels up.
+    """
 
     dim: int
-    kind: ClassVar[str] = "euclidean"
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 1:
             raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
+
+    def canonicalize(self, p: Point) -> Point:
+        return p
+
+    def point_to_json(self, p: Point):
+        _check_kind(self, p)
+        return list(p.data)
+
+    def point_from_json(self, obj) -> Point:
+        if not isinstance(obj, (list, tuple)):
+            raise GeometryError(f"{self.kind} point JSON must be a coordinate array")
+        return self.point(obj)
+
+    def to_json(self):
+        return {"kind": self.kind, "dim": self.dim}
+
+
+class EuclideanSpace(_CoordinateSpace):
+    """R^dim with the usual metric; geodesics are straight segments."""
+
+    kind: ClassVar[str] = "euclidean"
 
     def point(self, coords) -> Point:
         return Point(self.kind, _coordinates(coords, self.dim))
@@ -103,24 +128,8 @@ class EuclideanSpace:
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
 
-    def canonicalize(self, p: Point) -> Point:
-        return p
 
-    def point_to_json(self, p: Point):
-        _check_kind(self, p)
-        return list(p.data)
-
-    def point_from_json(self, obj) -> Point:
-        if not isinstance(obj, (list, tuple)):
-            raise GeometryError("euclidean point JSON must be a coordinate array")
-        return self.point(obj)
-
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim}
-
-
-@dataclass(frozen=True)
-class HyperboloidSpace:
+class HyperboloidSpace(_CoordinateSpace):
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
     Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
@@ -128,12 +137,7 @@ class HyperboloidSpace:
     reprojected onto the sheet before it is returned.
     """
 
-    dim: int
     kind: ClassVar[str] = "hyperboloid"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
 
     @staticmethod
     def minkowski(u: tuple, v: tuple) -> float:
@@ -144,10 +148,17 @@ class HyperboloidSpace:
 
     def point(self, coords) -> Point:
         data = _coordinates(coords, self.dim + 1)
-        if data[0] <= 0.0:
+        x0 = data[0]
+        if x0 <= 0.0:
             raise GeometryError("hyperboloid points need a positive time coordinate")
-        # <x,x> rounds at the scale of x0^2, so the tolerance scales with it
-        if abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * data[0] * data[0]:
+        # <x,x> rounds at the scale of x0^2, so the tolerance scales with it.
+        # Where x0^2 overflows, the same test runs on <x,x>/x0^2, in which the
+        # 1/x0^2 term is below any tolerance.
+        if math.isfinite(x0 * x0):
+            off = abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0
+        else:
+            off = abs(sum((c / x0) ** 2 for c in data[1:]) - 1.0) > HYPERBOLOID_CONSTRAINT_TOL
+        if off:
             raise GeometryError("point is off the hyperboloid sheet")
         return Point(self.kind, data)
 
@@ -200,21 +211,6 @@ class HyperboloidSpace:
         length = min(r, HYPERBOLOID_SAMPLE_CAP)
         scale = math.sinh(length) / r
         return Point(self.kind, (math.cosh(length),) + tuple(g * scale for g in gauss))
-
-    def canonicalize(self, p: Point) -> Point:
-        return p
-
-    def point_to_json(self, p: Point):
-        _check_kind(self, p)
-        return list(p.data)
-
-    def point_from_json(self, obj) -> Point:
-        if not isinstance(obj, (list, tuple)):
-            raise GeometryError("hyperboloid point JSON must be a coordinate array")
-        return self.point(obj)
-
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -370,20 +366,33 @@ class TreeSpace:
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
+        if p.data[0] == q.data[0]:
+            return abs(p.data[1] - q.data[1])
+        return self._route(p, q)[0]
+
+    def _route(self, p: Point, q: Point) -> tuple[float, float, int, int]:
+        """Shortest route between points on two different edges.
+
+        Returns (length, leg from p to the exit node of p's edge, exit node,
+        entry node of q's edge).  The four endpoint pairings are tried in a
+        fixed order and the first strict minimum wins, so distances and
+        geodesics agree on which route a tie takes.
+        """
         e1, o1 = p.data
         e2, o2 = q.data
-        if e1 == e2:
-            return abs(o1 - o2)
         try:
             a = self._edge_by_id[e1]
             b = self._edge_by_id[e2]
         except KeyError as exc:
             raise SpaceMismatchError(f"edge id {exc.args[0]!r} does not belong to this tree") from exc
         dist = self._node_dist
-        best = o1 + dist[a.from_node][b.from_node] + o2
-        best = min(best, o1 + dist[a.from_node][b.to_node] + (b.length - o2))
-        best = min(best, (a.length - o1) + dist[a.to_node][b.from_node] + o2)
-        best = min(best, (a.length - o1) + dist[a.to_node][b.to_node] + (b.length - o2))
+        best = None
+        for na, ra in ((a.from_node, o1), (a.to_node, a.length - o1)):
+            row = dist[na]
+            for nb, rb in ((b.from_node, o2), (b.to_node, b.length - o2)):
+                length = ra + row[nb] + rb
+                if best is None or length < best[0]:
+                    best = (length, ra, na, nb)
         return best
 
     def _walk_from_node(self, start: int, target_edge: TreeEdge, target_offset: float,
@@ -416,22 +425,13 @@ class TreeSpace:
         e2, o2 = q.data
         if e1 == e2:
             return self.canonicalize(Point(self.kind, (e1, o1 + t * (o2 - o1))))
-        try:
-            a = self._edge_by_id[e1]
-            b = self._edge_by_id[e2]
-        except KeyError as exc:
-            raise SpaceMismatchError(f"edge id {exc.args[0]!r} does not belong to this tree") from exc
-        dist = self._node_dist
-        routes = []
-        for na, ra in ((a.from_node, o1), (a.to_node, a.length - o1)):
-            for nb, rb in ((b.from_node, o2), (b.to_node, b.length - o2)):
-                routes.append((ra + dist[na][nb] + rb, ra, na, nb, rb))
-        total, ra, na, nb, _ = min(routes, key=lambda r: r[0])
+        total, ra, na, nb = self._route(p, q)
         s = t * total
         if s <= ra:
+            a = self._edge_by_id[e1]
             off = o1 - s if na == a.from_node else o1 + s
             return self.canonicalize(Point(self.kind, (e1, min(max(off, 0.0), a.length))))
-        return self._walk_from_node(na, b, o2, nb, s - ra)
+        return self._walk_from_node(na, self._edge_by_id[e2], o2, nb, s - ra)
 
     def random_point(self, rng: random.Random) -> Point:
         edges = self.topology.edges
@@ -474,19 +474,11 @@ def make_space(kind: str, dim: int | None = None, tree: TreeTopology | None = No
 def space_from_json(obj) -> SpaceDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GeometryError('space JSON must carry a "kind"')
-    kind = obj["kind"]
-    if kind in ("euclidean", "hyperboloid"):
-        if "dim" not in obj:
-            raise GeometryError(f"{kind} space JSON needs a dim")
-        dim = obj["dim"]
-        if not isinstance(dim, int):
-            raise GeometryError("dim must be an integer")
-        return make_space(kind, dim=dim)
-    if kind == "tree":
+    if obj["kind"] == "tree":
         if "edges" not in obj:
             raise GeometryError("tree space JSON needs an edges array")
-        return make_space(kind, tree=TreeTopology.from_json(obj["edges"]))
-    raise GeometryError(f"unknown space kind {kind!r}")
+        return make_space("tree", tree=TreeTopology.from_json(obj["edges"]))
+    return make_space(obj["kind"], obj.get("dim"))
 
 
 def point_sort_key(space: SpaceDescriptor, p: Point) -> str:

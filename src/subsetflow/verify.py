@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import EuclideanSpace, GeometryError, SpaceDescriptor, cat0_audit
+from .geometry import GeometryError, SpaceDescriptor, cat0_audit
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -26,11 +26,13 @@ from .subset_space import (
     to_set,
 )
 from .flow import (
+    DOUBLING_TOLERANCE,
     MERGE_SLACK,
     FlowConfig,
     flow_adaptive,
     full_resolvent_oracle,
     merge_time,
+    oracle_supports,
     pair_resolvent,
     splitting_flow,
     sum_pairwise_distances,
@@ -401,9 +403,9 @@ def check_permutation_limit(space: SpaceDescriptor, n: int, seed: int, trials: i
 
 def check_oracle_consistency(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
     """Splitting vs powers of the exact resolvent shrinks as k doubles."""
-    if not isinstance(space, EuclideanSpace) or n * space.dim > 8:
-        return CheckResult("oracle_consistency", 0, -math.inf, 0.5, True,
-                           data={"skipped": "euclidean small cases only"})
+    if not oracle_supports(space, n):
+        return _row("oracle_consistency", [], 0.5,
+                    data={"skipped": "euclidean small cases only"})
 
     def trial(rng):
         x = sample_tuple(space, n, rng)
@@ -416,9 +418,9 @@ def check_oracle_consistency(space: SpaceDescriptor, n: int, seed: int, trials: 
 
 
 def check_resolvent_inequality(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
-    if not isinstance(space, EuclideanSpace) or n * space.dim > 8:
-        return CheckResult("resolvent_inequality", 0, -math.inf, RESOLVENT_INEQ_TOL, True,
-                           data={"skipped": "euclidean small cases only"})
+    if not oracle_supports(space, n):
+        return _row("resolvent_inequality", [], RESOLVENT_INEQ_TOL,
+                    data={"skipped": "euclidean small cases only"})
 
     def trial(rng):
         x = sample_tuple(space, n, rng)
@@ -566,7 +568,7 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
             cur = splitting_flow(x, t, k)
             seq.append(product_distance(prev, cur))
             prev = cur
-            if seq[-1] <= flow.richardson_tolerance:
+            if seq[-1] <= DOUBLING_TOLERANCE:
                 break
         return seq
 
@@ -576,10 +578,10 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
     checks = [
         _row("cauchy_monotone", rises, 1e-10, data=sequences),
         _row("cauchy_reaches_tolerance", [(seq[-1], None) for seq in sequences],
-             flow.richardson_tolerance),
+             DOUBLING_TOLERANCE),
     ]
 
-    if isinstance(space, EuclideanSpace) and cfg.n * space.dim <= 8:
+    if oracle_supports(space, cfg.n):
         def oracle(rng):
             x = sample_tuple(space, cfg.n, rng)
             if t == 0.0:
@@ -597,8 +599,8 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
         checks.append(_row("oracle_agreement", [(seq[-1], None) for seq in details],
                            ORACLE_AGREEMENT_TOL, data=details))
     else:
-        checks.append(CheckResult("oracle_agreement", 0, -math.inf, ORACLE_AGREEMENT_TOL,
-                                  True, data={"skipped": "euclidean small cases only"}))
+        checks.append(_row("oracle_agreement", [], ORACLE_AGREEMENT_TOL,
+                           data={"skipped": "euclidean small cases only"}))
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, tuple(checks))
 
 

@@ -215,8 +215,6 @@ def test_flow_config_validation():
         FlowConfig(merge_tolerance=1.0)
     with pytest.raises(GeometryError):
         FlowConfig(max_doublings=-1)
-    with pytest.raises(GeometryError):
-        FlowConfig(richardson_tolerance=0.0)
 
 
 # ---------------------------------------------------------------------------

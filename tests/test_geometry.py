@@ -111,6 +111,16 @@ def test_hyperboloid_accepts_far_points_and_rejects_off_sheet(hyper):
             hyper.point((math.cosh(dist) * (1.0 + 1e-6), math.sinh(dist), 0.0))
 
 
+def test_hyperboloid_checks_the_sheet_where_x0_squared_overflows():
+    # a tolerance scaled by an overflowing x0^2 would be inf and accept anything
+    space = HyperboloidSpace(2)
+    with pytest.raises(GeometryError):
+        space.point((1e200, 5.0, 0.0))
+    assert space.point((1e150, 1e150, 0.0)).data == (1e150, 1e150, 0.0)
+    far = (math.cosh(700.0), math.sinh(700.0), 0.0)
+    assert space.point(far).data == far
+
+
 def test_hyperboloid_sampler_stays_on_sheet(hyper):
     for i in range(200):
         p = hyper.random_point(_rng(i))
@@ -302,3 +312,18 @@ def test_make_space_rejects_unknown_kind():
         make_space("spherical", 2)
     with pytest.raises(GeometryError):
         make_space("euclidean", 0)
+
+
+@pytest.mark.parametrize("obj", [
+    [],
+    {"dim": 2},
+    {"kind": "spherical", "dim": 2},
+    {"kind": "euclidean"},
+    {"kind": "hyperboloid", "dim": 2.0},
+    {"kind": "euclidean", "dim": "2"},
+    {"kind": "euclidean", "dim": 0},
+    {"kind": "tree"},
+])
+def test_space_from_json_rejects_malformed_descriptors(obj):
+    with pytest.raises(GeometryError):
+        space_from_json(obj)
