@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor
-from .subset_space import PointTuple, min_gap, pairwise_distances, product_distance
+from .subset_space import PointTuple, _gaps, min_gap, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
 # the closest pair is snapped together by force.
@@ -100,23 +100,14 @@ def sum_pairwise_distances(x: PointTuple) -> float:
         raise GeometryError("the objective needs at least two coordinates")
     # Summed left to right, as in the flow traces; the builtin sum rounds
     # differently from Python 3.12 on.
-    return functools.reduce(operator.add, pairwise_distances(x.space, x.coords))
+    return functools.reduce(operator.add, _gaps(x.space, x.coords))
 
 
 def _pair_step(space: SpaceDescriptor, coords: list[Point], i: int, j: int, lam: float) -> None:
     p = coords[i]
     q = coords[j]
-    if p == q:
-        return
-    d = space.distance(p, q)
-    if d <= 2.0 * lam:
-        mid = space.geodesic_point(p, q, 0.5)
-        coords[i] = mid
-        coords[j] = mid
-    else:
-        s = lam / d
-        coords[i] = space.geodesic_point(p, q, s)
-        coords[j] = space.geodesic_point(q, p, s)
+    if p != q:
+        coords[i], coords[j] = space._step(p, q, lam)
 
 
 def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
@@ -179,7 +170,7 @@ def _traced_run(space, coords: list[Point], t: float, k: int):
     for m in range(k + 1):
         if m:
             _sweep_inplace(space, coords, lam)
-        ds = pairwise_distances(space, coords)
+        ds = _gaps(space, coords)
         now = m * lam
         gap_trace.append((now, min(ds)))
         obj_trace.append((now, functools.reduce(operator.add, ds)))
@@ -251,7 +242,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
-    ds = pairwise_distances(space, x.coords)
+    ds = _gaps(space, x.coords)
     # A pair at infinite distance would never move (its step is lam/inf = 0)
     if not all(math.isfinite(d) for d in ds):
         raise GeometryError("pairwise distances overflow double precision")
@@ -266,7 +257,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     for _ in range(max_sweeps):
         _sweep_inplace(space, coords, lam)
         elapsed += lam
-        ds = pairwise_distances(space, coords)
+        ds = _gaps(space, coords)
         if min(ds) <= threshold:
             return elapsed, PointTuple(space, tuple(coords))
     # Force-merge the first closest pair of the last sweep's distances.

@@ -5,6 +5,15 @@ space, the hyperboloid model of hyperbolic space, and metric trees.  All
 space and point values are immutable, and every operation is a pure
 function of its arguments, so the module is safe to use from concurrent
 samplers.
+
+The public ``distance`` and ``geodesic_point`` check that their points
+belong to the space.  Each backend also has two private kernels for the
+flow's inner loop, which skip that check because their callers pass the
+coordinates of a ``PointTuple``, checked once when it was built:
+``_gap(p, q)`` is the distance, and ``_step(p, q, lam)`` is the two-point
+resolvent of distinct p and q, which computes d once and returns the
+shared midpoint when d <= 2 lam, else both points moved lam toward each
+other.  Both give the same bits as the public methods they stand in for.
 """
 
 from __future__ import annotations
@@ -58,6 +67,12 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
+def _far_step(space, p: Point, q: Point, s: float) -> tuple[Point, Point]:
+    # A pair step whose fraction lam/d is 0 (d overflowed) or NaN keeps the
+    # checked composition's outcome: both points stay put, or GeometryError.
+    return space.geodesic_point(p, q, s), space.geodesic_point(q, p, s)
+
+
 def _coordinates(coords, count: int) -> tuple:
     """Exactly count finite floats; malformed input is a GeometryError."""
     try:
@@ -77,13 +92,13 @@ class _CoordinateSpace:
 
     Subclasses set ``kind`` and define ``point``, ``distance``,
     ``geodesic_point`` and ``random_point`` in their own class body, where
-    per-backend call counters look the kernels up.
+    per-backend call counters look the public methods up.
     """
 
     dim: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
 
     def canonicalize(self, p: Point) -> Point:
@@ -113,7 +128,7 @@ class EuclideanSpace(_CoordinateSpace):
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
-        return math.dist(p.data, q.data)
+        return self._gap(p, q)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
         _check_kind(self, p)
@@ -124,6 +139,20 @@ class EuclideanSpace(_CoordinateSpace):
         if t == 1.0:
             return q
         return Point(self.kind, tuple(a + t * (b - a) for a, b in zip(p.data, q.data)))
+
+    def _gap(self, p: Point, q: Point) -> float:
+        return math.dist(p.data, q.data)
+
+    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
+        d = math.dist(p.data, q.data)
+        if d <= 2.0 * lam:
+            mid = Point(self.kind, tuple([a + 0.5 * (b - a) for a, b in zip(p.data, q.data)]))
+            return mid, mid
+        s = lam / d
+        if not s > 0.0:
+            return _far_step(self, p, q, s)
+        return (Point(self.kind, tuple([a + s * (b - a) for a, b in zip(p.data, q.data)])),
+                Point(self.kind, tuple([b + s * (a - b) for a, b in zip(p.data, q.data)])))
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -165,12 +194,18 @@ class HyperboloidSpace(_CoordinateSpace):
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
+        return self._gap(p, q)
+
+    def _gap(self, p: Point, q: Point) -> float:
         # Algebraically arcosh(-<p,q>), but evaluated through the Minkowski
         # norm of the difference: the arcosh form loses half the significant
         # digits for separations near sqrt(eps), which merge detection needs.
-        diff = tuple(a - b for a, b in zip(p.data, q.data))
-        md = -diff[0] * diff[0]
-        for c in diff[1:]:
+        pairs = zip(p.data, q.data)
+        a, b = next(pairs)
+        c = a - b
+        md = -c * c
+        for a, b in pairs:
+            c = a - b
             md += c * c
         if md <= 0.0:
             return 0.0
@@ -183,7 +218,7 @@ class HyperboloidSpace(_CoordinateSpace):
         if s <= 0.0 or raw[0] <= 0.0:
             raise GeometryError("interpolation left the hyperboloid sheet")
         inv = 1.0 / math.sqrt(s)
-        return Point(self.kind, tuple(c * inv for c in raw))
+        return Point(self.kind, tuple([c * inv for c in raw]))
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
         _check_kind(self, p)
@@ -193,15 +228,28 @@ class HyperboloidSpace(_CoordinateSpace):
             return p
         if t == 1.0:
             return q
-        theta = self.distance(p, q)
+        return self._interp(p.data, q.data, t, self._gap(p, q))
+
+    def _interp(self, pd: tuple, qd: tuple, t: float, theta: float) -> Point:
+        # The point at fraction t from pd to qd, theta = d(pd, qd) apart.
         if theta < _SMALL_ANGLE:
-            raw = tuple(a + t * (b - a) for a, b in zip(p.data, q.data))
+            raw = [a + t * (b - a) for a, b in zip(pd, qd)]
         else:
             sh = math.sinh(theta)
             wp = math.sinh((1.0 - t) * theta) / sh
             wq = math.sinh(t * theta) / sh
-            raw = tuple(wp * a + wq * b for a, b in zip(p.data, q.data))
+            raw = [wp * a + wq * b for a, b in zip(pd, qd)]
         return self._project(raw)
+
+    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
+        theta = self._gap(p, q)
+        if theta <= 2.0 * lam:
+            mid = self._interp(p.data, q.data, 0.5, theta)
+            return mid, mid
+        s = lam / theta
+        if not s > 0.0:
+            return _far_step(self, p, q, s)
+        return self._interp(p.data, q.data, s, theta), self._interp(q.data, p.data, s, theta)
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -366,6 +414,9 @@ class TreeSpace:
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
+        return self._gap(p, q)
+
+    def _gap(self, p: Point, q: Point) -> float:
         if p.data[0] == q.data[0]:
             return abs(p.data[1] - q.data[1])
         return self._route(p, q)[0]
@@ -421,17 +472,39 @@ class TreeSpace:
             return p
         if t == 1.0:
             return q
+        return self._along(p, q, t)
+
+    def _along(self, p: Point, q: Point, t: float, route=None) -> Point:
+        # The point at fraction t in (0, 1) from p to q != p; route is
+        # _route(p, q) when the caller has it already.
         e1, o1 = p.data
         e2, o2 = q.data
         if e1 == e2:
             return self.canonicalize(Point(self.kind, (e1, o1 + t * (o2 - o1))))
-        total, ra, na, nb = self._route(p, q)
+        total, ra, na, nb = route or self._route(p, q)
         s = t * total
         if s <= ra:
             a = self._edge_by_id[e1]
             off = o1 - s if na == a.from_node else o1 + s
             return self.canonicalize(Point(self.kind, (e1, min(max(off, 0.0), a.length))))
         return self._walk_from_node(na, self._edge_by_id[e2], o2, nb, s - ra)
+
+    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
+        if p.data[0] == q.data[0]:
+            route = None
+            d = abs(p.data[1] - q.data[1])
+        else:
+            route = self._route(p, q)
+            d = route[0]
+        if d <= 2.0 * lam:
+            mid = self._along(p, q, 0.5, route)
+            return mid, mid
+        s = lam / d
+        if not s > 0.0:
+            return _far_step(self, p, q, s)
+        # The reverse route is looked up afresh: _route(q, p) sums its legs
+        # in the other order, and reusing this one would change the last bit.
+        return self._along(p, q, s, route), self._along(q, p, s)
 
     def random_point(self, rng: random.Random) -> Point:
         edges = self.topology.edges

@@ -17,6 +17,7 @@ from .geometry import (
     Point,
     SpaceDescriptor,
     SpaceMismatchError,
+    _check_kind,
     point_sort_key,
     space_from_json,
 )
@@ -24,13 +25,26 @@ from .geometry import (
 
 def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
     """d(pts[i], pts[j]) for every i < j, in ``itertools.combinations`` order."""
-    dist = space.distance
-    return [dist(p, q) for p, q in itertools.combinations(pts, 2)]
+    pts = tuple(pts)
+    for p in pts:
+        _check_kind(space, p)
+    return _gaps(space, pts)
+
+
+def _gaps(space: SpaceDescriptor, pts) -> list[float]:
+    # pairwise_distances without its kind check, for the points of a
+    # PointTuple or FiniteSubset, whose kinds were checked when it was built.
+    gap = space._gap
+    return [gap(p, q) for p, q in itertools.combinations(pts, 2)]
 
 
 @dataclass(frozen=True)
 class PointTuple:
-    """Ordered tuple of points, an element of the product space."""
+    """Ordered tuple of points, an element of the product space.
+
+    Construction checks every coordinate's kind once; the flow kernels and
+    the helpers below that take a tuple or subset rely on that check.
+    """
 
     space: SpaceDescriptor
     coords: tuple[Point, ...]
@@ -40,8 +54,7 @@ class PointTuple:
         if not coords:
             raise GeometryError("a tuple needs at least one coordinate")
         for p in coords:
-            if p.kind != self.space.kind:
-                raise SpaceMismatchError(f"coordinate of kind {p.kind!r} in {self.space.kind!r} tuple")
+            _check_kind(self.space, p)
         object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
@@ -83,12 +96,11 @@ class FiniteSubset:
         if self.dedup_tolerance < 0.0:
             raise GeometryError("dedup tolerance must be >= 0")
         for p in points:
-            if p.kind != self.space.kind:
-                raise SpaceMismatchError(f"point of kind {p.kind!r} in {self.space.kind!r} subset")
+            _check_kind(self.space, p)
         keys = [point_sort_key(self.space, p) for p in points]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise GeometryError("points are not in canonical order; use make_subset")
-        if any(d <= self.dedup_tolerance for d in pairwise_distances(self.space, points)):
+        if any(d <= self.dedup_tolerance for d in _gaps(self.space, points)):
             raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
 
@@ -167,12 +179,12 @@ def _check_same_space(a, b) -> None:
 def hausdorff_distance(a: FiniteSubset, b: FiniteSubset) -> float:
     """Hausdorff distance: the larger of the two directed max-min distances."""
     _check_same_space(a, b)
-    space = a.space
+    gap = a.space._gap
     worst = 0.0
     for p in a.points:
-        worst = max(worst, min(space.distance(p, q) for q in b.points))
+        worst = max(worst, min(gap(p, q) for q in b.points))
     for q in b.points:
-        worst = max(worst, min(space.distance(p, q) for p in a.points))
+        worst = max(worst, min(gap(p, q) for p in a.points))
     return worst
 
 
@@ -181,21 +193,22 @@ def product_distance(x: PointTuple, y: PointTuple) -> float:
     _check_same_space(x, y)
     if len(x) != len(y):
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
-    return math.sqrt(sum(x.space.distance(p, q) ** 2 for p, q in zip(x.coords, y.coords)))
+    gap = x.space._gap
+    return math.sqrt(sum(gap(p, q) ** 2 for p, q in zip(x.coords, y.coords)))
 
 
 def min_gap(x: PointTuple) -> float:
     """Smallest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("min gap needs at least two coordinates")
-    return min(pairwise_distances(x.space, x.coords))
+    return min(_gaps(x.space, x.coords))
 
 
 def max_spread(x: PointTuple) -> float:
     """Largest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("max spread needs at least two coordinates")
-    return max(pairwise_distances(x.space, x.coords))
+    return max(_gaps(x.space, x.coords))
 
 
 def to_set(x: PointTuple, tol: float) -> FiniteSubset:
@@ -216,7 +229,7 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
         raise GeometryError(f"cannot number {len(a)} points as a {pad_to}-tuple")
     pts = list(a.points)
     if len(pts) >= 2:
-        ds = pairwise_distances(a.space, pts)
+        ds = _gaps(a.space, pts)
         i, j = list(itertools.combinations(range(len(pts)), 2))[ds.index(min(ds))]
         first = [pts[i], pts[j]]
         rest = [p for k, p in enumerate(pts) if k not in (i, j)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -198,8 +199,10 @@ STAR_EDGES = ('[{"id": 0, "from": 0, "to": 1, "length": 1.0},'
     ["retract", "--space", "euclidean:1", "--set", "[[-1e308], [1e308]]", "--n", "2"],
     ["convergence", "--space", "euclidean:2", "--n", "3", "--time", "0.1",
      "--max-doublings", "0"],
+    ["retract", "--set", '{"space": {"kind": "euclidean", "dim": true},'
+     ' "points": [[0.0]]}', "--n", "2"],
 ], ids=["letter", "null", "nested", "tree-edge-list", "tree-offset-text", "tree-edge-id",
-        "no-space", "overflow", "no-doublings"])
+        "no-space", "overflow", "no-doublings", "bool-dim"])
 def test_bad_input_is_an_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
@@ -225,3 +228,27 @@ def test_usage_error_is_exit_one(capsys):
 def test_help_is_exit_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["retract", "--help"]) == 0
+
+
+# The README's star tree, and the sha256 of each command's stdout as the code
+# printed it before the flow's pair step was fused into one kernel per backend.
+README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
+                           {"id": 1, "from": 0, "to": 2, "length": 1.0},
+                           {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--space", "hyperboloid:2", "--n", "4", "--samples", "20", "--seed", "0"],
+     "b6c1ebaf6584bf221f9c73972a155d00f222f23a4af9e15efaa40896cdc584f6"),
+    (["scan", "--space", "euclidean:2", "--n", "3", "--samples", "50", "--seed", "0"],
+     "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
+    (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
+      ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
+     "7dfbce01dd8798274c9e210421b836a8a33cce33d1750b97f29b89bf4a91ea2f"),
+], ids=["verify-hyperboloid", "scan-euclidean", "retract-star"])
+def test_golden_report_bytes(capsys, tmp_path, argv, digest):
+    star = tmp_path / "star.json"
+    star.write_text(README_STAR)
+    rc, out, err = run_cli(capsys, *(a.replace("{star}", str(star)) for a in argv))
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,6 +10,7 @@ from subsetflow import (
     FlowConfig,
     FlowReport,
     GeometryError,
+    HyperboloidSpace,
     PointTuple,
     flow_adaptive,
     full_resolvent_oracle,
@@ -21,6 +22,7 @@ from subsetflow import (
     sum_pairwise_distances,
     sweep,
 )
+from subsetflow.geometry import _SMALL_ANGLE
 from oracles import grid_pair_prox
 
 
@@ -97,6 +99,58 @@ def test_pair_resolvent_matches_grid_oracle(plane, seed):
     ref1, ref2 = grid_pair_prox(p.data, q.data, lam)
     got = list(y.coords[0].data) + list(y.coords[1].data)
     assert got == pytest.approx(list(ref1) + list(ref2), abs=1e-5)
+
+
+def _composed_pair_step(space, p, q, lam):
+    # The pair step as the public space methods compose it.
+    d = space.distance(p, q)
+    if d <= 2.0 * lam:
+        mid = space.geodesic_point(p, q, 0.5)
+        return mid, mid
+    s = lam / d
+    return space.geodesic_point(p, q, s), space.geodesic_point(q, p, s)
+
+
+def _far_pair(space):
+    # Two points whose distance overflows to inf, or None on a tree.
+    if isinstance(space, EuclideanSpace):
+        return space.point((-1e308, 0.0)), space.point((1e308, 0.0))
+    if isinstance(space, HyperboloidSpace):
+        c, s = math.cosh(710.0), math.sinh(710.0)
+        return space.point((c, s, 0.0)), space.point((c, -s, 0.0))
+    return None
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])
+def test_pair_kernel_matches_public_methods_bit_for_bit(all_spaces, key):
+    space = all_spaces[key]
+    rng = random.Random(f"pairkernel:{key}")
+    cases = []
+    for _ in range(20):
+        p, q = space.random_point(rng), space.random_point(rng)
+        d = space.distance(p, q)
+        cases += [(p, q, lam) for lam in (0.5 * d, 2.0 * d, 0.49 * d, 0.1 * d, 1e-3 * d)]
+    if key == "hyperboloid-2":
+        # theta below _SMALL_ANGLE takes the affine blend in both branches
+        p, r = space.random_point(rng), space.random_point(rng)
+        q = space.geodesic_point(p, r, 1e-9 / space.distance(p, r))
+        theta = space.distance(p, q)
+        assert 0.0 < theta < _SMALL_ANGLE
+        cases += [(p, q, theta), (p, q, 0.1 * theta)]
+    if key == "star-tree":
+        assert any(p.data[0] == q.data[0] and p != q for p, q, _ in cases)
+    far = _far_pair(space)
+    if far is not None:
+        assert space.distance(*far) == math.inf
+        cases.append((*far, 1.0))
+    merged = moved = 0
+    for p, q, lam in cases:
+        y = pair_resolvent(PointTuple(space, (p, q)), 0, 1, lam)
+        want = _composed_pair_step(space, p, q, lam)
+        assert y.coords == want and repr(y.coords) == repr(want)
+        merged += space.distance(p, q) <= 2.0 * lam
+        moved += space.distance(p, q) > 2.0 * lam
+    assert merged and moved
 
 
 # ---------------------------------------------------------------------------

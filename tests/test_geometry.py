@@ -323,6 +323,7 @@ def test_make_space_rejects_unknown_kind():
     {"kind": "euclidean", "dim": "2"},
     {"kind": "euclidean", "dim": 0},
     {"kind": "tree"},
+    {"kind": "euclidean", "dim": True},
 ])
 def test_space_from_json_rejects_malformed_descriptors(obj):
     with pytest.raises(GeometryError):

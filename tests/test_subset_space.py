@@ -8,7 +8,9 @@ from subsetflow import (
     EuclideanSpace,
     FiniteSubset,
     GeometryError,
+    HyperboloidSpace,
     PointTuple,
+    SpaceMismatchError,
     hausdorff_distance,
     make_subset,
     max_spread,
@@ -53,6 +55,18 @@ def test_constructor_rejects_non_canonical(line):
     near = (line.point((0.0,)), line.point((1e-12,)))
     with pytest.raises(GeometryError):
         FiniteSubset(line, near, dedup_tolerance=1e-9)
+
+
+def test_non_point_coordinates_are_a_space_mismatch():
+    # PointTuple and FiniteSubset are where kinds are checked: the flow
+    # kernels trust them, so a bare coordinate tuple must not get through.
+    plane = EuclideanSpace(2)
+    with pytest.raises(SpaceMismatchError):
+        PointTuple(plane, ((1.0, 2.0),))
+    with pytest.raises(SpaceMismatchError):
+        FiniteSubset(plane, ((1.0, 2.0),))
+    with pytest.raises(SpaceMismatchError):
+        PointTuple(plane, (plane.point((0.0, 0.0)), HyperboloidSpace(1).point((1.0, 0.0))))
 
 
 def test_empty_subset_rejected(line):
