@@ -9,7 +9,6 @@ bound the construction relies on.
 """
 
 from .geometry import (
-    Cat0AuditReport,
     EuclideanSpace,
     GeometryError,
     HyperboloidSpace,
@@ -18,7 +17,6 @@ from .geometry import (
     TreeEdge,
     TreeSpace,
     TreeTopology,
-    cat0_audit,
     make_space,
     space_from_json,
 )
@@ -53,11 +51,9 @@ from .verify import (
     bound_suite,
     convergence_study,
     lipschitz_scan,
-    matching_diagnostic,
 )
 
 __all__ = [
-    "Cat0AuditReport",
     "CheckResult",
     "EuclideanSpace",
     "FiniteSubset",
@@ -75,7 +71,6 @@ __all__ = [
     "TreeSpace",
     "TreeTopology",
     "bound_suite",
-    "cat0_audit",
     "convergence_study",
     "flow_adaptive",
     "full_resolvent_oracle",
@@ -84,7 +79,6 @@ __all__ = [
     "lipschitz_scan",
     "make_space",
     "make_subset",
-    "matching_diagnostic",
     "max_spread",
     "merge_time",
     "min_gap",

@@ -167,9 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", dest="set_json",
                            help="inline JSON array of points")
             p.add_argument("--input", help="JSON file with space plus points/coords")
-        p.add_argument("--k", type=int, default=256, help="sweeps per unit run")
-        p.add_argument("--merge-tol", type=float, default=1e-6)
-        p.add_argument("--max-doublings", type=int, default=8)
+        p.add_argument("--k", type=int, default=FlowConfig.sweeps_per_run,
+                       help="sweeps per unit run")
+        p.add_argument("--merge-tol", type=float, default=FlowConfig.merge_tolerance)
+        p.add_argument("--max-doublings", type=int, default=FlowConfig.max_doublings)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("retract", help="retract a finite set into fewer points")
@@ -192,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--perturbation-scale", type=float, default=0.05)
+        p.add_argument("--perturbation-scale", type=float,
+                       default=ScanConfig.perturbation_scale)
         p.add_argument("--csv", help="also write the report as CSV here")
         if name == "convergence":
             p.add_argument("--time", type=float)

@@ -1,4 +1,4 @@
-"""Hadamard-space backends: distances, geodesics, and CAT(0) self-audits.
+"""Hadamard-space backends: distances and geodesics.
 
 Three concrete spaces of nonpositive curvature are provided: Euclidean
 space, the hyperboloid model of hyperbolic space, and metric trees.  All
@@ -558,95 +558,3 @@ def point_sort_key(space: SpaceDescriptor, p: Point) -> str:
     """Canonical serialization, used wherever a deterministic order is needed."""
     return json.dumps(space.point_to_json(p), sort_keys=True)
 
-
-@dataclass(frozen=True)
-class Cat0AuditReport:
-    """Worst slack seen for each nonpositive-curvature inequality.
-
-    Positive entries mean a violation; honest backends stay at or below
-    floating-point noise.  ``skipped`` counts degenerate comparison
-    triangles (a zero side) that were excluded.
-    """
-
-    trials: int
-    skipped: int
-    cat0_inequality: float
-    comparison_points: float
-    geodesic_convexity: float
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.cat0_inequality, self.comparison_points, self.geodesic_convexity)
-
-    def to_json(self):
-        return {
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "cat0_inequality": self.cat0_inequality,
-            "comparison_points": self.comparison_points,
-            "geodesic_convexity": self.geodesic_convexity,
-        }
-
-
-def cat0_audit(space: SpaceDescriptor, sampler_seed: int, trials: int) -> Cat0AuditReport:
-    """Stress the backend against three defining CAT(0) inequalities.
-
-    Per trial: the quadratic comparison inequality along a random geodesic,
-    the planar comparison-point inequality for a random triangle, and joint
-    convexity of the metric along two random geodesics.
-    """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    worst_quad = -math.inf
-    worst_comp = -math.inf
-    worst_conv = -math.inf
-    skipped = 0
-    for i in range(trials):
-        rng = random.Random(f"{sampler_seed}:{i}:cat0")
-
-        z = space.random_point(rng)
-        x0 = space.random_point(rng)
-        x1 = space.random_point(rng)
-        t = rng.random()
-        xt = space.geodesic_point(x0, x1, t)
-        d01 = space.distance(x0, x1)
-        slack = space.distance(z, xt) ** 2 - (
-            (1.0 - t) * space.distance(z, x0) ** 2
-            + t * space.distance(z, x1) ** 2
-            - t * (1.0 - t) * d01 * d01
-        )
-        worst_quad = max(worst_quad, slack)
-
-        p = space.random_point(rng)
-        q = space.random_point(rng)
-        r = space.random_point(rng)
-        s = rng.random()
-        u = rng.random()
-        side_q = space.distance(p, q)
-        side_r = space.distance(p, r)
-        if side_q < 1e-12 or side_r < 1e-12:
-            skipped += 1
-        else:
-            side_qr = space.distance(q, r)
-            cos_a = (side_q**2 + side_r**2 - side_qr**2) / (2.0 * side_q * side_r)
-            cos_a = min(1.0, max(-1.0, cos_a))
-            sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-            x = space.geodesic_point(p, q, u)
-            y = space.geodesic_point(p, r, s)
-            flat = math.hypot(u * side_q - s * side_r * cos_a, s * side_r * sin_a)
-            worst_comp = max(worst_comp, space.distance(x, y) - flat)
-
-        y0 = space.random_point(rng)
-        y1 = space.random_point(rng)
-        v = rng.random()
-        lhs = space.distance(space.geodesic_point(x0, x1, v), space.geodesic_point(y0, y1, v))
-        rhs = (1.0 - v) * space.distance(x0, y0) + v * space.distance(x1, y1)
-        worst_conv = max(worst_conv, lhs - rhs)
-
-    return Cat0AuditReport(
-        trials=trials,
-        skipped=skipped,
-        cat0_inequality=worst_quad,
-        comparison_points=worst_comp,
-        geodesic_convexity=worst_conv,
-    )

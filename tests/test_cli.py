@@ -231,7 +231,9 @@ def test_help_is_exit_zero(capsys):
 
 
 # The README's star tree, and the sha256 of each command's stdout as the code
-# printed it before the flow's pair step was fused into one kernel per backend.
+# printed it before the flow's pair step was fused into one kernel per backend
+# (the two verify runs on euclidean:2 and the star tree: before the CAT(0)
+# audit moved into verify.py).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -245,7 +247,12 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
     (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
       ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
      "7dfbce01dd8798274c9e210421b836a8a33cce33d1750b97f29b89bf4a91ea2f"),
-], ids=["verify-hyperboloid", "scan-euclidean", "retract-star"])
+    (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
+     "9688c4beed9a6d3de93507f32407aed5c5225ac2cdfafa724f93876a0b95bad8"),
+    (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
+     "f16d962c699d852411f29dcaf6173dcb970174f393e6aa0e666520c5e2144e60"),
+], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
+        "verify-star"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)

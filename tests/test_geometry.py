@@ -13,7 +13,6 @@ from subsetflow import (
     TreeEdge,
     TreeSpace,
     TreeTopology,
-    cat0_audit,
     make_space,
     space_from_json,
 )
@@ -264,28 +263,6 @@ def test_euclidean_geodesic_is_affine(t):
     x = space.geodesic_point(p, q, t)
     for a, b, c in zip(p.data, q.data, x.data):
         assert abs((1.0 - t) * a + t * b - c) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# audits
-
-
-@pytest.mark.parametrize("key", SPACE_KEYS)
-def test_cat0_audit_clean(all_spaces, key):
-    rep = cat0_audit(all_spaces[key], sampler_seed=11, trials=200)
-    assert rep.max_violation <= 1e-9
-    assert rep.trials == 200
-
-
-def test_cat0_audit_deterministic(plane):
-    a = cat0_audit(plane, sampler_seed=3, trials=50)
-    b = cat0_audit(plane, sampler_seed=3, trials=50)
-    assert a == b
-
-
-def test_cat0_audit_validates_trials(plane):
-    with pytest.raises(GeometryError):
-        cat0_audit(plane, sampler_seed=0, trials=0)
 
 
 # ---------------------------------------------------------------------------

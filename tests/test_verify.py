@@ -12,21 +12,21 @@ from subsetflow import (
     ScanReport,
     bound_suite,
     convergence_study,
-    hausdorff_distance,
     lipschitz_scan,
-    make_subset,
-    matching_diagnostic,
 )
-from subsetflow.verify import perturb_point, perturb_subset, sample_subset, sample_tuple
+from subsetflow.verify import (
+    check_cat0,
+    check_flow_descent,
+    perturb_point,
+    perturb_subset,
+    sample_subset,
+    sample_tuple,
+)
 
 
 def small_cfg(space, n=3, samples=8, seed=7, **flow):
     return ScanConfig(space=space, n=n, samples=samples, seed=seed,
                       flow=FlowConfig(**flow) if flow else FlowConfig())
-
-
-def line_set(line, *vals):
-    return make_subset(line, [line.point((v,)) for v in vals], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +185,31 @@ def test_convergence_collapse_regime(plane):
 
 
 # ---------------------------------------------------------------------------
-# matching diagnostic
+# single checks
 
 
-def test_matching_identity(line):
-    a = line_set(line, 0.0, 1.0)
-    pairs = matching_diagnostic(a, a)
-    assert pairs is not None
-    assert all(line.distance(a.points[i], a.points[j]) == 0.0 for i, j in pairs)
+@pytest.mark.parametrize("key", ["euclidean-1", "euclidean-2", "hyperboloid-2",
+                                 "star-tree", "path-tree"])
+def test_check_cat0_clean(all_spaces, key):
+    rows = check_cat0(all_spaces[key], 11, 200)
+    assert [r.name for r in rows] == ["cat0_inequality", "comparison_points",
+                                      "geodesic_convexity"]
+    assert max(r.worst for r in rows) <= 1e-9
+    assert all(r.trials == 200 and r.passed for r in rows)
 
 
-def test_matching_within_hausdorff(line):
-    a = line_set(line, 0.0, 10.0)
-    b = line_set(line, 1.0, 10.5)
-    pairs = matching_diagnostic(a, b)
-    d = hausdorff_distance(a, b)
-    assert pairs is not None
-    assert max(line.distance(a.points[i], b.points[j]) for i, j in pairs) <= d + 1e-12
+def test_check_cat0_deterministic(plane):
+    assert check_cat0(plane, 3, 50) == check_cat0(plane, 3, 50)
 
 
-def test_matching_greedy_failure_case(line):
-    # greedy grabs (4,3) first, stranding 0 with 7 at distance 7 while the
-    # Hausdorff distance is only 3, so the diagnostic must decline
-    a = line_set(line, 0.0, 4.0)
-    b = line_set(line, 3.0, 7.0)
-    assert matching_diagnostic(a, b) is None
+def test_flow_descent_reports_an_ascent_as_a_failed_row(plane, monkeypatch):
+    # a broken sweep that scales every point by 2 doubles the objective
+    def scaling_sweep(space, coords, lam):
+        coords[:] = [space.point(tuple(2.0 * c for c in p.data)) for p in coords]
 
-
-def test_matching_size_mismatch(line):
-    with pytest.raises(GeometryError):
-        matching_diagnostic(line_set(line, 0.0), line_set(line, 0.0, 1.0))
-
-
-def test_matching_space_mismatch(line, plane):
-    with pytest.raises(GeometryError):
-        matching_diagnostic(line_set(line, 0.0), make_subset(plane, [plane.point((0.0, 0.0))], 0.0))
+    monkeypatch.setattr("subsetflow.flow._sweep_inplace", scaling_sweep)
+    row = check_flow_descent(plane, 3, 0, 2)
+    assert row.name == "flow_descent"
+    assert row.trials == 2
+    assert not row.passed
+    assert row.worst > 1.0
