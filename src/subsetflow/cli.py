@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .flow import FlowConfig, flow_adaptive, merge_time
-from .geometry import GeometryError, make_space, space_from_json
+from .geometry import GeometryError, space_from_json
 from .retraction import retract
-from .subset_space import PointTuple, make_subset
+from .subset_space import FiniteSubset, PointTuple
 from .verify import ScanConfig, bound_suite, convergence_study, lipschitz_scan
 
 
@@ -25,12 +26,19 @@ class CliError(ValueError):
     pass
 
 
-def _load_space(ns: argparse.Namespace):
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _space_json(ns: argparse.Namespace):
+    """The space descriptor that --space-file holds or --space spells out."""
     if ns.space_file is not None:
         if ns.space is not None:
             raise CliError("give either --space or --space-file, not both")
-        with open(ns.space_file) as fh:
-            return space_from_json(json.load(fh))
+        return _json(Path(ns.space_file).read_text(), "space file")
     if ns.space is None:
         raise CliError("a space is required (--space kind:dim or --space-file)")
     kind, sep, dim = ns.space.partition(":")
@@ -39,47 +47,24 @@ def _load_space(ns: argparse.Namespace):
     if not sep:
         raise CliError("--space must look like euclidean:2 or hyperboloid:3")
     try:
-        return make_space(kind, int(dim))
+        return {"kind": kind, "dim": int(dim)}
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _payload(ns: argparse.Namespace):
-    """The decoded --set or --input JSON, or None when neither is given."""
+def _points(ns: argparse.Namespace, cls, field: str):
+    """--set or --input parsed by cls.from_json; a bare array takes the --space."""
     if ns.set_json is not None and ns.input is not None:
         raise CliError("give either --set or --input, not both")
     if ns.set_json is not None:
-        try:
-            return json.loads(ns.set_json)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--set is not valid JSON: {exc}") from exc
-    if ns.input is not None:
-        try:
-            with open(ns.input) as fh:
-                return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"input file is not valid JSON: {exc}") from exc
-    return None
-
-
-def _decode_points(ns: argparse.Namespace, field: str):
-    payload = _payload(ns)
-    if payload is None:
-        raise CliError(f"no input points (--set or --input with \"{field}\")")
-    if isinstance(payload, dict):
-        for key in (field, "space"):
-            if key not in payload:
-                raise CliError(f"input file is missing the \"{key}\" field")
-        space = space_from_json(payload["space"])
-        items = payload[field]
+        payload = _json(ns.set_json, "--set")
+    elif ns.input is not None:
+        payload = _json(Path(ns.input).read_text(), "input file")
     else:
-        space = _load_space(ns)
-        items = payload
-    if not isinstance(items, list):
-        raise CliError(f"\"{field}\" must be a JSON array of points")
-    if not items:
-        raise CliError("empty set")
-    return space, [space.point_from_json(p) for p in items]
+        raise CliError(f"no input points (--set or --input with \"{field}\")")
+    if not isinstance(payload, dict):
+        payload = {"space": _space_json(ns), field: payload}
+    return cls.from_json(payload)
 
 
 def _flow_config(ns: argparse.Namespace) -> FlowConfig:
@@ -88,7 +73,7 @@ def _flow_config(ns: argparse.Namespace) -> FlowConfig:
 
 
 def _scan_config(ns: argparse.Namespace) -> ScanConfig:
-    return ScanConfig(space=_load_space(ns), n=ns.n, samples=ns.samples,
+    return ScanConfig(space=space_from_json(_space_json(ns)), n=ns.n, samples=ns.samples,
                       seed=ns.seed, flow=_flow_config(ns),
                       perturbation_scale=ns.perturbation_scale)
 
@@ -108,19 +93,17 @@ def _emit_json(obj, path: str | None) -> None:
 def run(ns: argparse.Namespace) -> int:
     """Execute one parsed command line.  Returns the process exit code."""
     if ns.command == "retract":
-        space, pts = _decode_points(ns, "points")
+        a = _points(ns, FiniteSubset, "points")
         if ns.n is None:
             raise CliError("--n (the H(n) the input lives in) is required")
-        a = make_subset(space, pts, 0.0)
         report = retract(a, ns.n, _flow_config(ns))
         _emit_json(report.to_json(), ns.out)
         return 0
 
     if ns.command == "flow":
-        space, pts = _decode_points(ns, "coords")
+        x = _points(ns, PointTuple, "coords")
         if ns.time is None:
             raise CliError("--time is required for flow runs")
-        x = PointTuple(space, tuple(pts))
         report = flow_adaptive(x, ns.time, _flow_config(ns))
         _emit_json(report.to_json(), ns.out)
         if ns.trace_csv is not None:
@@ -128,8 +111,7 @@ def run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "merge-time":
-        space, pts = _decode_points(ns, "coords")
-        x = PointTuple(space, tuple(pts))
+        x = _points(ns, PointTuple, "coords")
         t_star, merged = merge_time(x, _flow_config(ns))
         _emit_json({"input": x.to_json(), "t_star": t_star,
                     "merged": merged.to_json()}, ns.out)

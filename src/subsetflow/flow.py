@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor
-from .subset_space import PointTuple, _gaps, min_gap, product_distance
+from .subset_space import PointTuple, _gaps, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
 # the closest pair is snapped together by force.
@@ -103,13 +103,6 @@ def sum_pairwise_distances(x: PointTuple) -> float:
     return functools.reduce(operator.add, _gaps(x.space, x.coords))
 
 
-def _pair_step(space: SpaceDescriptor, coords: list[Point], i: int, j: int, lam: float) -> None:
-    p = coords[i]
-    q = coords[j]
-    if p != q:
-        coords[i], coords[j] = space._step(p, q, lam)
-
-
 def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
     """Resolvent of the single pair term d(x_i, x_j) at step size lam.
 
@@ -126,26 +119,28 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
     if lam <= 0.0:
         raise GeometryError("step size must be positive")
     coords = list(x.coords)
-    _pair_step(x.space, coords, i, j, lam)
+    if coords[i] != coords[j]:
+        coords[i], coords[j] = x.space._step(coords[i], coords[j], lam)
     return PointTuple(x.space, tuple(coords))
 
 
 def _sweep_inplace(space: SpaceDescriptor, coords: list[Point], lam: float) -> None:
     # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
     # (1,2), (0,3), ...  The composition applies (0,1) first.
-    n = len(coords)
-    for j in range(1, n):
+    step = space._step
+    for j in range(1, len(coords)):
         for i in range(j):
-            _pair_step(space, coords, i, j, lam)
+            p = coords[i]
+            q = coords[j]
+            if p != q:
+                coords[i], coords[j] = step(p, q, lam)
 
 
 def sweep(x: PointTuple, lam: float) -> PointTuple:
     """One full cycle of pair resolvents over every coordinate pair."""
     if lam <= 0.0:
         raise GeometryError("step size must be positive")
-    coords = list(x.coords)
-    _sweep_inplace(x.space, coords, lam)
-    return PointTuple(x.space, tuple(coords))
+    return splitting_flow(x, lam, 1)
 
 
 def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
@@ -156,11 +151,18 @@ def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
         raise GeometryError("sweep count must be >= 1")
     if t == 0.0 or len(x) < 2:
         return x
-    lam = t / k
     coords = list(x.coords)
-    for _ in range(k):
-        _sweep_inplace(x.space, coords, lam)
+    _run(x.space, coords, t, k)
     return PointTuple(x.space, tuple(coords))
+
+
+def _run(space, coords: list[Point], t: float, k: int) -> None:
+    # k sweeps of step t/k, in place; time zero moves nothing
+    if t == 0.0:
+        return
+    lam = t / k
+    for _ in range(k):
+        _sweep_inplace(space, coords, lam)
 
 
 def _traced_run(space, coords: list[Point], t: float, k: int):
@@ -177,53 +179,52 @@ def _traced_run(space, coords: list[Point], t: float, k: int):
     return gap_trace, obj_trace
 
 
+def _refine(x: PointTuple, t: float, k: int, doublings: int, run):
+    """Flow x for time t by ``run(space, coords, t, k)`` with k, 2k, 4k, ... sweeps.
+
+    Stops once two successive results are within ``DOUBLING_TOLERANCE`` in
+    the product metric, or after ``doublings`` doublings.  Returns the finest
+    result, its ``run`` output, the sweeps spent and the successive distances.
+    """
+    space = x.space
+    prev, used, steps = None, 0, []
+    for _ in range(doublings + 1):
+        coords = list(x.coords)
+        out = run(space, coords, t, k)
+        cur = PointTuple(space, tuple(coords))
+        used += k
+        k *= 2
+        if prev is not None:
+            steps.append(product_distance(prev, cur))
+        prev = cur
+        if steps and steps[-1] <= DOUBLING_TOLERANCE:
+            break
+    return prev, out, used, steps
+
+
 def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     """Run the splitting flow, doubling the sweep count until stable.
 
-    Successive runs use k, 2k, 4k, ... sweeps; the run stops once two
-    consecutive results agree within ``DOUBLING_TOLERANCE`` in the
-    product metric, or after ``cfg.max_doublings`` doublings, in which case
-    the report carries ``converged=False`` and the finest result.
+    Successive runs use k, 2k, 4k, ... sweeps (``_refine``).  If the
+    ``cfg.max_doublings`` doublings run out first, the report carries
+    ``converged=False`` and the finest result; a single run (no doublings)
+    counts as converged.
     """
     if t < 0.0:
         raise GeometryError("flow time must be >= 0")
-    space = x.space
     if t == 0.0 or len(x) < 2:
-        gap = min_gap(x) if len(x) >= 2 else math.inf
-        total = sum_pairwise_distances(x) if len(x) >= 2 else 0.0
-        return FlowReport(
-            final=x,
-            elapsed_time=t,
-            sweeps_used=0,
-            converged=True,
-            min_gap_trace=((0.0, gap),),
-            objective_trace=((0.0, total),),
-        )
-    k = cfg.sweeps_per_run
-    coords = list(x.coords)
-    gap_trace, obj_trace = _traced_run(space, coords, t, k)
-    prev = PointTuple(space, tuple(coords))
-    sweeps_used = k
-    converged = False
-    for _ in range(cfg.max_doublings):
-        k *= 2
-        coords = list(x.coords)
-        gap_trace, obj_trace = _traced_run(space, coords, t, k)
-        cur = PointTuple(space, tuple(coords))
-        sweeps_used += k
-        if product_distance(prev, cur) <= DOUBLING_TOLERANCE:
-            converged = True
-            prev = cur
-            break
-        prev = cur
+        ds = _gaps(x.space, x.coords)
+        final, used, steps = x, 0, []
+        gap_trace = [(0.0, min(ds, default=math.inf))]
+        obj_trace = [(0.0, functools.reduce(operator.add, ds, 0.0))]
     else:
-        if cfg.max_doublings == 0:
-            converged = True  # nothing to compare against; single-run mode
+        final, (gap_trace, obj_trace), used, steps = _refine(
+            x, t, cfg.sweeps_per_run, cfg.max_doublings, _traced_run)
     return FlowReport(
-        final=prev,
+        final=final,
         elapsed_time=t,
-        sweeps_used=sweeps_used,
-        converged=converged,
+        sweeps_used=used,
+        converged=not steps or steps[-1] <= DOUBLING_TOLERANCE,
         min_gap_trace=tuple(gap_trace),
         objective_trace=tuple(obj_trace),
     )
@@ -273,25 +274,15 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
 
 
 def _set_partitions(n: int):
-    # Standard restricted-growth enumeration of partitions of range(n).
+    # Partitions of range(n): the last element joins each block of a
+    # partition of range(n - 1) in turn, then opens a block of its own.
     if n == 0:
         yield []
         return
-    parts = [[0]]
-
-    def rec(i):
-        if i == n:
-            yield [list(b) for b in parts]
-            return
-        for b in parts:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        parts.append([i])
-        yield from rec(i + 1)
-        parts.pop()
-
-    yield from rec(1)
+    for blocks in _set_partitions(n - 1):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] + [n - 1]] + blocks[i + 1:]
+        yield blocks + [[n - 1]]
 
 
 def _reduced_minimize(pts: np.ndarray, blocks: list[list[int]], lam: float):

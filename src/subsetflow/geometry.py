@@ -88,11 +88,12 @@ def _coordinates(coords, count: int) -> tuple:
 
 @dataclass(frozen=True)
 class _CoordinateSpace:
-    """What the coordinate backends share: a dimension and the array codec.
+    """What the coordinate backends share: a dimension, the array codec, the pair step.
 
     Subclasses set ``kind`` and define ``point``, ``distance``,
     ``geodesic_point`` and ``random_point`` in their own class body, where
-    per-backend call counters look the public methods up.
+    per-backend call counters look the public methods up, and the kernels
+    ``_gap`` and ``_interp(pd, qd, t, d)`` (the point at fraction t, d apart).
     """
 
     dim: int
@@ -116,6 +117,17 @@ class _CoordinateSpace:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
+    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
+        pd, qd = p.data, q.data
+        d = self._gap(p, q)
+        if d <= 2.0 * lam:
+            mid = self._interp(pd, qd, 0.5, d)
+            return mid, mid
+        s = lam / d
+        if not s > 0.0:
+            return _far_step(self, p, q, s)
+        return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d)
+
 
 class EuclideanSpace(_CoordinateSpace):
     """R^dim with the usual metric; geodesics are straight segments."""
@@ -138,21 +150,13 @@ class EuclideanSpace(_CoordinateSpace):
             return p
         if t == 1.0:
             return q
-        return Point(self.kind, tuple(a + t * (b - a) for a, b in zip(p.data, q.data)))
+        return self._interp(p.data, q.data, t, None)
 
     def _gap(self, p: Point, q: Point) -> float:
         return math.dist(p.data, q.data)
 
-    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
-        d = math.dist(p.data, q.data)
-        if d <= 2.0 * lam:
-            mid = Point(self.kind, tuple([a + 0.5 * (b - a) for a, b in zip(p.data, q.data)]))
-            return mid, mid
-        s = lam / d
-        if not s > 0.0:
-            return _far_step(self, p, q, s)
-        return (Point(self.kind, tuple([a + s * (b - a) for a, b in zip(p.data, q.data)])),
-                Point(self.kind, tuple([b + s * (a - b) for a, b in zip(p.data, q.data)])))
+    def _interp(self, pd: tuple, qd: tuple, t: float, d) -> Point:
+        return Point(self.kind, tuple([a + t * (b - a) for a, b in zip(pd, qd)]))
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -240,16 +244,6 @@ class HyperboloidSpace(_CoordinateSpace):
             wq = math.sinh(t * theta) / sh
             raw = [wp * a + wq * b for a, b in zip(pd, qd)]
         return self._project(raw)
-
-    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
-        theta = self._gap(p, q)
-        if theta <= 2.0 * lam:
-            mid = self._interp(p.data, q.data, 0.5, theta)
-            return mid, mid
-        s = lam / theta
-        if not s > 0.0:
-            return _far_step(self, p, q, s)
-        return self._interp(p.data, q.data, s, theta), self._interp(q.data, p.data, s, theta)
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]

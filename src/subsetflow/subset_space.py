@@ -38,6 +38,19 @@ def _gaps(space: SpaceDescriptor, pts) -> list[float]:
     return [gap(p, q) for p, q in itertools.combinations(pts, 2)]
 
 
+def _points_from_json(obj, what: str, field: str):
+    """The space and the points of a {"space": ..., field: [...]} payload."""
+    if not isinstance(obj, dict) or "space" not in obj or field not in obj:
+        raise GeometryError(f'{what} JSON must carry "space" and "{field}"')
+    space = space_from_json(obj["space"])
+    items = obj[field]
+    if not isinstance(items, (list, tuple)):
+        raise GeometryError(f'"{field}" must be a JSON array of points')
+    if not items:
+        raise GeometryError("empty set")
+    return space, [space.point_from_json(p) for p in items]
+
+
 @dataclass(frozen=True)
 class PointTuple:
     """Ordered tuple of points, an element of the product space.
@@ -68,10 +81,8 @@ class PointTuple:
 
     @staticmethod
     def from_json(obj) -> "PointTuple":
-        if not isinstance(obj, dict) or "space" not in obj or "coords" not in obj:
-            raise GeometryError('tuple JSON must carry "space" and "coords"')
-        space = space_from_json(obj["space"])
-        return PointTuple(space, tuple(space.point_from_json(c) for c in obj["coords"]))
+        space, coords = _points_from_json(obj, "tuple", "coords")
+        return PointTuple(space, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -115,10 +126,8 @@ class FiniteSubset:
 
     @staticmethod
     def from_json(obj) -> "FiniteSubset":
-        if not isinstance(obj, dict) or "space" not in obj or "points" not in obj:
-            raise GeometryError('subset JSON must carry "space" and "points"')
-        space = space_from_json(obj["space"])
-        return make_subset(space, [space.point_from_json(c) for c in obj["points"]], 0.0)
+        space, points = _points_from_json(obj, "subset", "points")
+        return make_subset(space, points, 0.0)
 
 
 def _clusters(space: SpaceDescriptor, points: list[Point], tol: float) -> list[list[int]]:

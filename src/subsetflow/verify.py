@@ -29,6 +29,8 @@ from .flow import (
     DOUBLING_TOLERANCE,
     MERGE_SLACK,
     FlowConfig,
+    _refine,
+    _run,
     _traced_run,
     flow_adaptive,
     full_resolvent_oracle,
@@ -588,13 +590,14 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
     """Cauchy behavior of the splitting flow as the sweep count doubles.
 
     For each sampled tuple the distances between successive doublings are
-    recorded; they must never increase, and they reach the configured
-    tolerance either for small t (distances scale like t^2/k) or once t
-    exceeds the sample's collapse time, where the discrete flow lands on
-    the common limit exactly.  At intermediate t they decay like 1/k and
-    the study honestly reports not reaching the tolerance.  On small
-    euclidean instances the flow is also compared against powers of the
-    exact resolvent with step t/k.
+    recorded.  They fall once k resolves the flow; from a coarse k one of
+    them can still rise, and the ``cauchy_monotone`` row then fails.  They
+    reach the configured tolerance either for small t (distances scale like
+    t^2/k) or once t exceeds the sample's collapse time, where the discrete
+    flow lands on the common limit exactly.  At intermediate t they decay
+    like 1/k and the study honestly reports not reaching the tolerance.
+    On small euclidean instances the flow is also compared against powers
+    of the exact resolvent with step t/k.
     """
     if t < 0.0:
         raise GeometryError("flow time must be nonnegative")
@@ -605,17 +608,7 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
 
     def cauchy(rng):
         x = sample_tuple(space, cfg.n, rng)
-        k = flow.sweeps_per_run
-        prev = splitting_flow(x, t, k)
-        seq = []
-        for _ in range(flow.max_doublings):
-            k *= 2
-            cur = splitting_flow(x, t, k)
-            seq.append(product_distance(prev, cur))
-            prev = cur
-            if seq[-1] <= DOUBLING_TOLERANCE:
-                break
-        return seq
+        return _refine(x, t, flow.sweeps_per_run, flow.max_doublings, _run)[3]
 
     sequences = _trials(cfg.seed, "cauchy", cfg.samples, cauchy)
     rises = [(max((b - a for a, b in zip(seq, seq[1:])), default=-math.inf), None)

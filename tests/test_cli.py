@@ -142,6 +142,15 @@ def test_bad_inline_json(capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("argv", [["retract", "--set", "[[0.0]]"], ["verify"]])
+def test_bad_space_file_json(capsys, tmp_path, argv):
+    space = tmp_path / "space.json"
+    space.write_text("{bad")
+    rc, _, err = run_cli(capsys, *argv, "--space-file", str(space), "--n", "2")
+    assert rc == 1
+    assert err.startswith("error: space file is not valid JSON")
+
+
 def test_set_and_input_conflict(capsys, tmp_path):
     payload = tmp_path / "in.json"
     payload.write_text("[[0.0]]")
@@ -233,7 +242,8 @@ def test_help_is_exit_zero(capsys):
 # The README's star tree, and the sha256 of each command's stdout as the code
 # printed it before the flow's pair step was fused into one kernel per backend
 # (the two verify runs on euclidean:2 and the star tree: before the CAT(0)
-# audit moved into verify.py).
+# audit moved into verify.py; the README's flow, merge-time and convergence
+# runs: before the sweep-doubling loop was shared by the flow and the study).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -251,11 +261,28 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
      "9688c4beed9a6d3de93507f32407aed5c5225ac2cdfafa724f93876a0b95bad8"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
      "f16d962c699d852411f29dcaf6173dcb970174f393e6aa0e666520c5e2144e60"),
+    (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],
+     "6faa9dde48692fa093d845c47b3e5503480d8f84a0bc040847be6d893545935a"),
+    (["merge-time", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]"],
+     "49697ac95a2896463c1700e7d67d74e2cf491c2fd83780ea1a51f594420653c5"),
+    (["convergence", "--space", "euclidean:2", "--n", "4", "--time", "0.01", "--k", "16",
+      "--samples", "3"],
+     "8c946b163d1537b5f89ace856b2ee2202bff456b118dcd85e1e367aa2067bb85"),
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
-        "verify-star"])
+        "verify-star", "flow-readme", "merge-time-readme", "convergence-readme"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)
     rc, out, err = run_cli(capsys, *(a.replace("{star}", str(star)) for a in argv))
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_flow_trace_csv_bytes(capsys, tmp_path):
+    # the --trace-csv file of the README's flow run, pinned like its stdout
+    trace = tmp_path / "trace.csv"
+    rc, _, err = run_cli(capsys, "flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]",
+                         "--time", "0.4", "--trace-csv", str(trace))
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "721b1f78cb8e804d52de8ddd9024bcb8b53a1c981a6b9da51f09a156700ddc35")

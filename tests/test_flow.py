@@ -251,6 +251,29 @@ def test_flow_adaptive_time_zero(line):
     assert report.converged
 
 
+TRIANGLE = ((0.0, 0.0), (1.0, 0.2), (0.3, 1.1))
+
+
+def test_flow_adaptive_exhausted_budget(plane):
+    # At t = 0.5 the doubling distances decay like 1/k, far above the
+    # tolerance, so two doublings run out: k, 2k and 4k sweeps are spent and
+    # the finest run is reported.
+    x = PointTuple(plane, tuple(plane.point(c) for c in TRIANGLE))
+    report = flow_adaptive(x, 0.5, FlowConfig(sweeps_per_run=4, max_doublings=2))
+    assert not report.converged
+    assert report.sweeps_used == 7 * 4
+    assert report.final == splitting_flow(x, 0.5, 16)
+    assert len(report.min_gap_trace) == 16 + 1
+
+
+def test_flow_adaptive_without_doublings(plane):
+    x = PointTuple(plane, tuple(plane.point(c) for c in TRIANGLE))
+    report = flow_adaptive(x, 0.5, FlowConfig(sweeps_per_run=4, max_doublings=0))
+    assert report.converged
+    assert report.sweeps_used == 4
+    assert report.final == splitting_flow(x, 0.5, 4)
+
+
 def test_trace_csv_shape(line):
     report = flow_adaptive(line_tuple(line, 0.0, 1.0), 0.2, FlowConfig(sweeps_per_run=2, max_doublings=1))
     lines = report.trace_csv().splitlines()

@@ -254,3 +254,18 @@ def test_tuple_json_roundtrip(line):
     x = line_tuple(line, 0.0, 2.0, 1.0)  # tuples keep their numbering
     back = PointTuple.from_json(json.loads(json.dumps(x.to_json())))
     assert back == x
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (FiniteSubset, "points", 5),
+    (FiniteSubset, "points", None),
+    (FiniteSubset, "points", {"x": 1.0}),
+    (FiniteSubset, "points", []),
+    (PointTuple, "coords", None),
+    (PointTuple, "coords", 5),
+    (PointTuple, "coords", "00"),
+    (PointTuple, "coords", []),
+])
+def test_from_json_rejects_a_field_that_is_no_array_of_points(cls, field, value):
+    with pytest.raises(GeometryError):
+        cls.from_json({"space": {"kind": "euclidean", "dim": 1}, field: value})
