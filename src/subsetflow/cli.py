@@ -33,12 +33,20 @@ def _json(text: str, what: str):
         raise CliError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _json_file(path: str, what: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} is not UTF-8 text: {exc}") from exc
+    return _json(text, what)
+
+
 def _space_json(ns: argparse.Namespace):
     """The space descriptor that --space-file holds or --space spells out."""
     if ns.space_file is not None:
         if ns.space is not None:
             raise CliError("give either --space or --space-file, not both")
-        return _json(Path(ns.space_file).read_text(), "space file")
+        return _json_file(ns.space_file, "space file")
     if ns.space is None:
         raise CliError("a space is required (--space kind:dim or --space-file)")
     kind, sep, dim = ns.space.partition(":")
@@ -59,7 +67,7 @@ def _points(ns: argparse.Namespace, cls, field: str):
     if ns.set_json is not None:
         payload = _json(ns.set_json, "--set")
     elif ns.input is not None:
-        payload = _json(Path(ns.input).read_text(), "input file")
+        payload = _json_file(ns.input, "input file")
     else:
         raise CliError(f"no input points (--set or --input with \"{field}\")")
     if not isinstance(payload, dict):

@@ -7,6 +7,10 @@ form: both coordinates move toward each other along their geodesic, and
 land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
 :mod:`subsetflow.retraction` is made of.
+
+A run holds its state as a list of bare coordinate data, the ``Point.data``
+of each slot, and steps it with the space's private kernels; it builds
+Points again once, when it ends (``_wrap``).
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ def sum_pairwise_distances(x: PointTuple) -> float:
         raise GeometryError("the objective needs at least two coordinates")
     # Summed left to right, as in the flow traces; the builtin sum rounds
     # differently from Python 3.12 on.
-    return functools.reduce(operator.add, _gaps(x.space, x.coords))
+    return functools.reduce(operator.add, _gaps(x.space, [p.data for p in x.coords]))
 
 
 def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
@@ -118,13 +122,31 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("pair indices must be given as i < j")
     if lam <= 0.0:
         raise GeometryError("step size must be positive")
-    coords = list(x.coords)
-    if coords[i] != coords[j]:
-        coords[i], coords[j] = x.space._step(coords[i], coords[j], lam)
+    data = [p.data for p in x.coords]
+    if data[i] != data[j]:
+        data[i], data[j] = x.space._step(data[i], data[j], lam)
+    return _wrap(x, data)
+
+
+def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
+    """The PointTuple of a run that started at x and ended with this data.
+
+    A slot whose data did not move keeps x's Point, and slots that hold one
+    data object (a shared midpoint) share one Point, so a later gap check
+    sees an exact zero between them.
+    """
+    kind = x.space.kind
+    made = {id(p.data): p for p in x.coords}
+    coords = []
+    for d in data:
+        p = made.get(id(d))
+        if p is None:
+            p = made[id(d)] = Point(kind, d)
+        coords.append(p)
     return PointTuple(x.space, tuple(coords))
 
 
-def _sweep_inplace(space: SpaceDescriptor, coords: list[Point], lam: float) -> None:
+def _sweep_inplace(space: SpaceDescriptor, coords: list[tuple], lam: float) -> None:
     # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
     # (1,2), (0,3), ...  The composition applies (0,1) first.
     step = space._step
@@ -151,12 +173,12 @@ def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
         raise GeometryError("sweep count must be >= 1")
     if t == 0.0 or len(x) < 2:
         return x
-    coords = list(x.coords)
-    _run(x.space, coords, t, k)
-    return PointTuple(x.space, tuple(coords))
+    data = [p.data for p in x.coords]
+    _run(x.space, data, t, k)
+    return _wrap(x, data)
 
 
-def _run(space, coords: list[Point], t: float, k: int) -> None:
+def _run(space, coords: list[tuple], t: float, k: int) -> None:
     # k sweeps of step t/k, in place; time zero moves nothing
     if t == 0.0:
         return
@@ -165,7 +187,7 @@ def _run(space, coords: list[Point], t: float, k: int) -> None:
         _sweep_inplace(space, coords, lam)
 
 
-def _traced_run(space, coords: list[Point], t: float, k: int):
+def _traced_run(space, coords: list[tuple], t: float, k: int):
     lam = t / k
     gap_trace = []
     obj_trace = []
@@ -187,11 +209,12 @@ def _refine(x: PointTuple, t: float, k: int, doublings: int, run):
     result, its ``run`` output, the sweeps spent and the successive distances.
     """
     space = x.space
+    start = [p.data for p in x.coords]
     prev, used, steps = None, 0, []
     for _ in range(doublings + 1):
-        coords = list(x.coords)
-        out = run(space, coords, t, k)
-        cur = PointTuple(space, tuple(coords))
+        data = list(start)
+        out = run(space, data, t, k)
+        cur = _wrap(x, data)
         used += k
         k *= 2
         if prev is not None:
@@ -213,7 +236,7 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     if t < 0.0:
         raise GeometryError("flow time must be >= 0")
     if t == 0.0 or len(x) < 2:
-        ds = _gaps(x.space, x.coords)
+        ds = _gaps(x.space, [p.data for p in x.coords])
         final, used, steps = x, 0, []
         gap_trace = [(0.0, min(ds, default=math.inf))]
         obj_trace = [(0.0, functools.reduce(operator.add, ds, 0.0))]
@@ -243,7 +266,8 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
-    ds = _gaps(space, x.coords)
+    data = [p.data for p in x.coords]
+    ds = _gaps(space, data)
     # A pair at infinite distance would never move (its step is lam/inf = 0)
     if not all(math.isfinite(d) for d in ds):
         raise GeometryError("pairwise distances overflow double precision")
@@ -253,20 +277,18 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     threshold = cfg.merge_tolerance * delta
     lam = delta / (2.0 * cfg.sweeps_per_run)
     max_sweeps = int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))
-    coords = list(x.coords)
     elapsed = 0.0
     for _ in range(max_sweeps):
-        _sweep_inplace(space, coords, lam)
+        _sweep_inplace(space, data, lam)
         elapsed += lam
-        ds = _gaps(space, coords)
+        ds = _gaps(space, data)
         if min(ds) <= threshold:
-            return elapsed, PointTuple(space, tuple(coords))
+            return elapsed, _wrap(x, data)
     # Force-merge the first closest pair of the last sweep's distances.
-    i, j = list(itertools.combinations(range(len(coords)), 2))[ds.index(min(ds))]
-    mid = space.geodesic_point(coords[i], coords[j], 0.5)
-    coords[i] = mid
-    coords[j] = mid
-    return elapsed, PointTuple(space, tuple(coords))
+    i, j = list(itertools.combinations(range(len(data)), 2))[ds.index(min(ds))]
+    mid = space.geodesic_point(Point(space.kind, data[i]), Point(space.kind, data[j]), 0.5)
+    data[i] = data[j] = mid.data
+    return elapsed, _wrap(x, data)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ function of its arguments, so the module is safe to use from concurrent
 samplers.
 
 The public ``distance`` and ``geodesic_point`` check that their points
-belong to the space.  Each backend also has two private kernels for the
-flow's inner loop, which skip that check because their callers pass the
-coordinates of a ``PointTuple``, checked once when it was built:
-``_gap(p, q)`` is the distance, and ``_step(p, q, lam)`` is the two-point
-resolvent of distinct p and q, which computes d once and returns the
-shared midpoint when d <= 2 lam, else both points moved lam toward each
-other.  Both give the same bits as the public methods they stand in for.
+belong to the space, call a private kernel and wrap its result in a
+``Point``.  The kernels take and return bare coordinate data, the
+``Point.data`` of a point: a coordinate tuple, or an ``(edge_id, offset)``
+pair on a tree.  They skip the kind check, because the flow passes them
+the data of a ``PointTuple``, checked once when it was built, and it
+builds Points again only once per run.  ``_gap(pd, qd)`` is the distance,
+and ``_step(pd, qd, lam)`` is the two-point resolvent of distinct pd and
+qd, which computes d once and returns the shared midpoint when
+d <= 2 lam, else both points moved lam toward each other.  Both give the
+same bits as the public methods they stand in for.
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
-def _far_step(space, p: Point, q: Point, s: float) -> tuple[Point, Point]:
+def _far_step(pd: tuple, qd: tuple, s: float) -> tuple[tuple, tuple]:
     # A pair step whose fraction lam/d is 0 (d overflowed) or NaN keeps the
     # checked composition's outcome: both points stay put, or GeometryError.
-    return space.geodesic_point(p, q, s), space.geodesic_point(q, p, s)
+    _check_t(s)
+    return pd, qd
 
 
 def _coordinates(coords, count: int) -> tuple:
@@ -86,6 +90,17 @@ def _coordinates(coords, count: int) -> tuple:
     return data
 
 
+def _project(raw: list) -> tuple:
+    # Rescale a blend of hyperboloid points back onto the sheet.
+    s = raw[0] * raw[0]
+    for c in raw[1:]:
+        s -= c * c
+    if s <= 0.0 or raw[0] <= 0.0:
+        raise GeometryError("interpolation left the hyperboloid sheet")
+    inv = 1.0 / math.sqrt(s)
+    return tuple([c * inv for c in raw])
+
+
 @dataclass(frozen=True)
 class _CoordinateSpace:
     """What the coordinate backends share: a dimension, the array codec, the pair step.
@@ -93,7 +108,9 @@ class _CoordinateSpace:
     Subclasses set ``kind`` and define ``point``, ``distance``,
     ``geodesic_point`` and ``random_point`` in their own class body, where
     per-backend call counters look the public methods up, and the kernels
-    ``_gap`` and ``_interp(pd, qd, t, d)`` (the point at fraction t, d apart).
+    ``_gap``, ``_interp(pd, qd, t, d)`` (the point at fraction t from pd
+    to qd, d apart) and ``_toward(pd, qd, s, d)`` (what ``_interp`` gives
+    from pd and from qd at fraction s, from one set of weights).
     """
 
     dim: int
@@ -117,16 +134,15 @@ class _CoordinateSpace:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
-    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
-        pd, qd = p.data, q.data
-        d = self._gap(p, q)
+    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple]:
+        d = self._gap(pd, qd)
         if d <= 2.0 * lam:
             mid = self._interp(pd, qd, 0.5, d)
             return mid, mid
         s = lam / d
         if not s > 0.0:
-            return _far_step(self, p, q, s)
-        return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d)
+            return _far_step(pd, qd, s)
+        return self._toward(pd, qd, s, d)
 
 
 class EuclideanSpace(_CoordinateSpace):
@@ -140,7 +156,7 @@ class EuclideanSpace(_CoordinateSpace):
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
-        return self._gap(p, q)
+        return math.dist(p.data, q.data)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
         _check_kind(self, p)
@@ -150,13 +166,18 @@ class EuclideanSpace(_CoordinateSpace):
             return p
         if t == 1.0:
             return q
-        return self._interp(p.data, q.data, t, None)
+        return Point(self.kind, self._interp(p.data, q.data, t, None))
 
-    def _gap(self, p: Point, q: Point) -> float:
-        return math.dist(p.data, q.data)
+    _gap = staticmethod(math.dist)
 
-    def _interp(self, pd: tuple, qd: tuple, t: float, d) -> Point:
-        return Point(self.kind, tuple([a + t * (b - a) for a, b in zip(pd, qd)]))
+    @staticmethod
+    def _interp(pd: tuple, qd: tuple, t: float, d) -> tuple:
+        return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
+
+    @staticmethod
+    def _toward(pd: tuple, qd: tuple, s: float, d) -> tuple[tuple, tuple]:
+        return (tuple([a + s * (b - a) for a, b in zip(pd, qd)]),
+                tuple([b + s * (a - b) for a, b in zip(pd, qd)]))
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -198,13 +219,14 @@ class HyperboloidSpace(_CoordinateSpace):
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
-        return self._gap(p, q)
+        return self._gap(p.data, q.data)
 
-    def _gap(self, p: Point, q: Point) -> float:
+    @staticmethod
+    def _gap(pd: tuple, qd: tuple) -> float:
         # Algebraically arcosh(-<p,q>), but evaluated through the Minkowski
         # norm of the difference: the arcosh form loses half the significant
         # digits for separations near sqrt(eps), which merge detection needs.
-        pairs = zip(p.data, q.data)
+        pairs = zip(pd, qd)
         a, b = next(pairs)
         c = a - b
         md = -c * c
@@ -215,15 +237,6 @@ class HyperboloidSpace(_CoordinateSpace):
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(md))
 
-    def _project(self, raw: tuple) -> Point:
-        s = raw[0] * raw[0]
-        for c in raw[1:]:
-            s -= c * c
-        if s <= 0.0 or raw[0] <= 0.0:
-            raise GeometryError("interpolation left the hyperboloid sheet")
-        inv = 1.0 / math.sqrt(s)
-        return Point(self.kind, tuple([c * inv for c in raw]))
-
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
         _check_kind(self, p)
         _check_kind(self, q)
@@ -232,18 +245,29 @@ class HyperboloidSpace(_CoordinateSpace):
             return p
         if t == 1.0:
             return q
-        return self._interp(p.data, q.data, t, self._gap(p, q))
+        pd, qd = p.data, q.data
+        return Point(self.kind, self._interp(pd, qd, t, self._gap(pd, qd)))
 
-    def _interp(self, pd: tuple, qd: tuple, t: float, theta: float) -> Point:
+    @staticmethod
+    def _interp(pd: tuple, qd: tuple, t: float, theta: float) -> tuple:
         # The point at fraction t from pd to qd, theta = d(pd, qd) apart.
         if theta < _SMALL_ANGLE:
-            raw = [a + t * (b - a) for a, b in zip(pd, qd)]
-        else:
-            sh = math.sinh(theta)
-            wp = math.sinh((1.0 - t) * theta) / sh
-            wq = math.sinh(t * theta) / sh
-            raw = [wp * a + wq * b for a, b in zip(pd, qd)]
-        return self._project(raw)
+            return _project([a + t * (b - a) for a, b in zip(pd, qd)])
+        sh = math.sinh(theta)
+        wp = math.sinh((1.0 - t) * theta) / sh
+        wq = math.sinh(t * theta) / sh
+        return _project([wp * a + wq * b for a, b in zip(pd, qd)])
+
+    def _toward(self, pd: tuple, qd: tuple, s: float, theta: float) -> tuple[tuple, tuple]:
+        # _interp(pd, qd, s, theta) and _interp(qd, pd, s, theta), with the
+        # sinh weights computed once: the reverse point takes them swapped.
+        if theta < _SMALL_ANGLE:
+            return self._interp(pd, qd, s, theta), self._interp(qd, pd, s, theta)
+        sh = math.sinh(theta)
+        wp = math.sinh((1.0 - s) * theta) / sh
+        wq = math.sinh(s * theta) / sh
+        return (_project([wp * a + wq * b for a, b in zip(pd, qd)]),
+                _project([wp * b + wq * a for a, b in zip(pd, qd)]))
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -358,7 +382,7 @@ class TreeSpace:
         vertex_rep = {}
         for v, edges in incident.items():
             e = min(edges, key=lambda e: e.id)
-            vertex_rep[v] = Point(self.kind, (e.id, e.endpoint_offset(v)))
+            vertex_rep[v] = (e.id, e.endpoint_offset(v))
         # One BFS per target node yields distances plus, for every other
         # node, the first edge on the unique path toward that target.
         node_dist: dict[int, dict[int, float]] = {}
@@ -394,28 +418,31 @@ class TreeSpace:
             raise GeometryError(f"unknown edge id {edge_id!r}")
         if not (math.isfinite(offset) and 0.0 <= offset <= edge.length):
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
-        return self.canonicalize(Point(self.kind, (edge.id, offset)))
+        return Point(self.kind, self._place(edge, offset))
 
-    def canonicalize(self, p: Point) -> Point:
-        edge = self._edge_by_id[p.data[0]]
-        offset = p.data[1]
+    def _place(self, edge: TreeEdge, offset: float) -> tuple:
+        # The canonical data of the point at offset along edge.
         if offset == 0.0:
             return self._vertex_rep[edge.from_node]
         if offset == edge.length:
             return self._vertex_rep[edge.to_node]
-        return p
+        return (edge.id, offset)
+
+    def canonicalize(self, p: Point) -> Point:
+        _check_kind(self, p)
+        return Point(self.kind, self._place(self._edge_by_id[p.data[0]], p.data[1]))
 
     def distance(self, p: Point, q: Point) -> float:
         _check_kind(self, p)
         _check_kind(self, q)
-        return self._gap(p, q)
+        return self._gap(p.data, q.data)
 
-    def _gap(self, p: Point, q: Point) -> float:
-        if p.data[0] == q.data[0]:
-            return abs(p.data[1] - q.data[1])
-        return self._route(p, q)[0]
+    def _gap(self, pd: tuple, qd: tuple) -> float:
+        if pd[0] == qd[0]:
+            return abs(pd[1] - qd[1])
+        return self._route(pd, qd)[0]
 
-    def _route(self, p: Point, q: Point) -> tuple[float, float, int, int]:
+    def _route(self, pd: tuple, qd: tuple) -> tuple[float, float, int, int]:
         """Shortest route between points on two different edges.
 
         Returns (length, leg from p to the exit node of p's edge, exit node,
@@ -423,8 +450,8 @@ class TreeSpace:
         fixed order and the first strict minimum wins, so distances and
         geodesics agree on which route a tie takes.
         """
-        e1, o1 = p.data
-        e2, o2 = q.data
+        e1, o1 = pd
+        e2, o2 = qd
         try:
             a = self._edge_by_id[e1]
             b = self._edge_by_id[e2]
@@ -441,22 +468,21 @@ class TreeSpace:
         return best
 
     def _walk_from_node(self, start: int, target_edge: TreeEdge, target_offset: float,
-                        target_node: int, s: float) -> Point:
+                        target_node: int, s: float) -> tuple:
         # Walk arclength s from a vertex toward a point on target_edge whose
         # nearer endpoint (along this route) is target_node.
         u = start
         while u != target_node:
             e = self._next_edge[u][target_node]
             if s < e.length:
-                off = s if u == e.from_node else e.length - s
-                return self.canonicalize(Point(self.kind, (e.id, off)))
+                return self._place(e, s if u == e.from_node else e.length - s)
             s -= e.length
             u = e.other(u)
         if target_node == target_edge.from_node:
             off = min(s, target_offset)
         else:
             off = max(target_edge.length - s, target_offset)
-        return self.canonicalize(Point(self.kind, (target_edge.id, off)))
+        return self._place(target_edge, off)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
         _check_kind(self, p)
@@ -466,45 +492,45 @@ class TreeSpace:
             return p
         if t == 1.0:
             return q
-        return self._along(p, q, t)
+        return Point(self.kind, self._along(p.data, q.data, t))
 
-    def _along(self, p: Point, q: Point, t: float, route=None) -> Point:
-        # The point at fraction t in (0, 1) from p to q != p; route is
-        # _route(p, q) when the caller has it already.
-        e1, o1 = p.data
-        e2, o2 = q.data
+    def _along(self, pd: tuple, qd: tuple, t: float, route=None) -> tuple:
+        # The point at fraction t in (0, 1) from pd to qd != pd; route is
+        # _route(pd, qd) when the caller has it already.
+        e1, o1 = pd
+        e2, o2 = qd
         if e1 == e2:
-            return self.canonicalize(Point(self.kind, (e1, o1 + t * (o2 - o1))))
-        total, ra, na, nb = route or self._route(p, q)
+            return self._place(self._edge_by_id[e1], o1 + t * (o2 - o1))
+        total, ra, na, nb = route or self._route(pd, qd)
         s = t * total
         if s <= ra:
             a = self._edge_by_id[e1]
             off = o1 - s if na == a.from_node else o1 + s
-            return self.canonicalize(Point(self.kind, (e1, min(max(off, 0.0), a.length))))
+            return self._place(a, min(max(off, 0.0), a.length))
         return self._walk_from_node(na, self._edge_by_id[e2], o2, nb, s - ra)
 
-    def _step(self, p: Point, q: Point, lam: float) -> tuple[Point, Point]:
-        if p.data[0] == q.data[0]:
+    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple]:
+        if pd[0] == qd[0]:
             route = None
-            d = abs(p.data[1] - q.data[1])
+            d = abs(pd[1] - qd[1])
         else:
-            route = self._route(p, q)
+            route = self._route(pd, qd)
             d = route[0]
         if d <= 2.0 * lam:
-            mid = self._along(p, q, 0.5, route)
+            mid = self._along(pd, qd, 0.5, route)
             return mid, mid
         s = lam / d
         if not s > 0.0:
-            return _far_step(self, p, q, s)
-        # The reverse route is looked up afresh: _route(q, p) sums its legs
+            return _far_step(pd, qd, s)
+        # The reverse route is looked up afresh: _route(qd, pd) sums its legs
         # in the other order, and reusing this one would change the last bit.
-        return self._along(p, q, s, route), self._along(q, p, s)
+        return self._along(pd, qd, s, route), self._along(qd, pd, s)
 
     def random_point(self, rng: random.Random) -> Point:
         edges = self.topology.edges
         weights = [e.length for e in edges]
         e = rng.choices(edges, weights=weights)[0]
-        return self.canonicalize(Point(self.kind, (e.id, rng.uniform(0.0, e.length))))
+        return Point(self.kind, self._place(e, rng.uniform(0.0, e.length)))
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)

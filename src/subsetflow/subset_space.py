@@ -28,14 +28,14 @@ def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
     pts = tuple(pts)
     for p in pts:
         _check_kind(space, p)
-    return _gaps(space, pts)
+    return _gaps(space, [p.data for p in pts])
 
 
-def _gaps(space: SpaceDescriptor, pts) -> list[float]:
-    # pairwise_distances without its kind check, for the points of a
-    # PointTuple or FiniteSubset, whose kinds were checked when it was built.
+def _gaps(space: SpaceDescriptor, data) -> list[float]:
+    # pairwise_distances on the bare data of points whose kinds were checked
+    # already: those of a PointTuple or FiniteSubset, or the flow's state.
     gap = space._gap
-    return [gap(p, q) for p, q in itertools.combinations(pts, 2)]
+    return [gap(p, q) for p, q in itertools.combinations(data, 2)]
 
 
 def _points_from_json(obj, what: str, field: str):
@@ -111,7 +111,7 @@ class FiniteSubset:
         keys = [point_sort_key(self.space, p) for p in points]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise GeometryError("points are not in canonical order; use make_subset")
-        if any(d <= self.dedup_tolerance for d in _gaps(self.space, points)):
+        if any(d <= self.dedup_tolerance for d in _gaps(self.space, [p.data for p in points])):
             raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
 
@@ -189,11 +189,13 @@ def hausdorff_distance(a: FiniteSubset, b: FiniteSubset) -> float:
     """Hausdorff distance: the larger of the two directed max-min distances."""
     _check_same_space(a, b)
     gap = a.space._gap
+    ad = [p.data for p in a.points]
+    bd = [q.data for q in b.points]
     worst = 0.0
-    for p in a.points:
-        worst = max(worst, min(gap(p, q) for q in b.points))
-    for q in b.points:
-        worst = max(worst, min(gap(p, q) for p in a.points))
+    for p in ad:
+        worst = max(worst, min(gap(p, q) for q in bd))
+    for q in bd:
+        worst = max(worst, min(gap(p, q) for p in ad))
     return worst
 
 
@@ -203,21 +205,21 @@ def product_distance(x: PointTuple, y: PointTuple) -> float:
     if len(x) != len(y):
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
     gap = x.space._gap
-    return math.sqrt(sum(gap(p, q) ** 2 for p, q in zip(x.coords, y.coords)))
+    return math.sqrt(sum(gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)))
 
 
 def min_gap(x: PointTuple) -> float:
     """Smallest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("min gap needs at least two coordinates")
-    return min(_gaps(x.space, x.coords))
+    return min(_gaps(x.space, [p.data for p in x.coords]))
 
 
 def max_spread(x: PointTuple) -> float:
     """Largest pairwise coordinate distance; needs at least two coordinates."""
     if len(x) < 2:
         raise GeometryError("max spread needs at least two coordinates")
-    return max(_gaps(x.space, x.coords))
+    return max(_gaps(x.space, [p.data for p in x.coords]))
 
 
 def to_set(x: PointTuple, tol: float) -> FiniteSubset:
@@ -238,7 +240,7 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
         raise GeometryError(f"cannot number {len(a)} points as a {pad_to}-tuple")
     pts = list(a.points)
     if len(pts) >= 2:
-        ds = _gaps(a.space, pts)
+        ds = _gaps(a.space, [p.data for p in pts])
         i, j = list(itertools.combinations(range(len(pts)), 2))[ds.index(min(ds))]
         first = [pts[i], pts[j]]
         rest = [p for k, p in enumerate(pts) if k not in (i, j)]

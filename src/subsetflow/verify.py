@@ -354,7 +354,7 @@ def check_flow_descent(space: SpaceDescriptor, n: int, seed: int, trials: int) -
         x = sample_tuple(space, n, rng)
         t = rng.uniform(0.1, 1.0) * min_gap(x)
         # the raw trace: a FlowReport would raise on the ascent this row reports
-        _, objective = _traced_run(space, list(x.coords), t, 64)
+        _, objective = _traced_run(space, [p.data for p in x.coords], t, 64)
         values = [f for _, f in objective]
         return max(b - a for a, b in zip(values, values[1:])), None
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -217,6 +218,22 @@ def test_bad_input_is_an_error_line(capsys, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["retract", "--input", "{noise}", "--n", "2"],
+    ["retract", "--space-file", "{noise}", "--set", "[[0.0]]", "--n", "2"],
+], ids=["input", "space-file"])
+def test_non_utf8_file_is_an_error_line(capsys, tmp_path, argv):
+    noise = random.Random(0).randbytes(300)
+    with pytest.raises(UnicodeDecodeError):
+        noise.decode("utf-8")
+    path = tmp_path / "noise.bin"
+    path.write_bytes(noise)
+    rc, out, err = run_cli(capsys, *(a.replace("{noise}", str(path)) for a in argv))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_input_file(capsys):

@@ -167,6 +167,33 @@ def test_sweep_rejects_bad_step(line):
         sweep(line_tuple(line, 0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("key", ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree",
+                                 "path-tree", "caterpillar"])
+def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_tree, key):
+    space = caterpillar_tree if key == "caterpillar" else all_spaces[key]
+    rng = random.Random(f"sweepbits:{key}")
+    merged = moved = 0
+    for n in range(3, 7):
+        for _ in range(4):
+            x = random_tuple(space, rng, n)
+            ds = [space.distance(p, q) for p, q in itertools.combinations(x.coords, 2)]
+            # lam below every starting d/2, between them, and above them all
+            for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2], 0.6 * max(ds)):
+                want = list(x.coords)
+                # the documented order: (0,1), (0,2), (1,2), (0,3), ...
+                for j in range(1, n):
+                    for i in range(j):
+                        p, q = want[i], want[j]
+                        if p != q:
+                            d = space.distance(p, q)
+                            merged += d <= 2.0 * lam
+                            moved += d > 2.0 * lam
+                            want[i], want[j] = _composed_pair_step(space, p, q, lam)
+                got = sweep(x, lam).coords
+                assert got == tuple(want) and repr(got) == repr(tuple(want))
+    assert merged and moved
+
+
 def test_two_point_flow_exact(line):
     x = line_tuple(line, 0.0, 1.0)
     for k in (1, 2, 7, 64):

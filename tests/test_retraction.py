@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -152,3 +153,57 @@ def test_retract_respects_config(line):
     report = retract(line_set(line, 0.0, 1.0, 10.0), 3, FlowConfig(merge_tolerance=1e-2))
     assert report.output_cardinality == 2
     assert report.merge_time_used <= 0.5 * (1.0 + 1e-3)
+
+
+def _golden_set(space, n, rng):
+    # n seeded points built through space.point, not the space's own sampler
+    if isinstance(space, EuclideanSpace):
+        return make_subset(space, [space.point((rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)))
+                                   for _ in range(n)])
+    if isinstance(space, HyperboloidSpace):
+        pts = []
+        for k in range(n):
+            # every other point lies 6 to 7.9 from the apex
+            r = rng.uniform(6.0, 7.9) if k % 2 else rng.uniform(0.0, 2.5)
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            x1, x2 = math.sinh(r) * math.cos(a), math.sinh(r) * math.sin(a)
+            pts.append(space.point((math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)))
+        return make_subset(space, pts)
+    edges = space.topology.edges
+    picks = rng.choices(edges, weights=[e.length for e in edges], k=n)
+    return make_subset(space, [space.point((e.id, rng.uniform(0.0, e.length))) for e in picks])
+
+
+# sha256 of the sorted-key JSON of retract's report, as the code printed it
+# before the flow ran on bare coordinate tuples
+GOLDEN_RETRACTS = {
+    ("euclidean-2", 6):
+        "1e24ba784e3b1c18d217aa3ca1def851fc8e96d8270ce5262840b50a2fa89c9b",
+    ("euclidean-2", 7):
+        "7371ce4a5a354e09488323e8b61b1d7e927f0c4c1f150444196dd36ab0696998",
+    ("euclidean-2", 8):
+        "423e4a27792c6ed218a9a355df821ce2269067a9215d4c7c1ae9b87310b9dd40",
+    ("hyperboloid-2", 6):
+        "e0e831653feae4609c7591a595026882dcecb9e9608be2015f14e6eb370ede13",
+    ("hyperboloid-2", 7):
+        "fc37b224e0de0e7cfb9c0f3347df742628ba6ca4d3a3b26b1b9dbb8f062a2097",
+    ("hyperboloid-2", 8):
+        "dc9e001803f5a1a399c9520708fddca62c444b3b04fb77bf7a6df5bd236289d4",
+    ("caterpillar", 6):
+        "9e06662700005667c3f7c4eba8011681101d33c2402a0e4291161a0304d3c825",
+    ("caterpillar", 7):
+        "163e88c46f2c0cab9834ac5b6a5b8c38750c96f602e2b6755b46c8fdb393789f",
+    ("caterpillar", 8):
+        "ac2514bd876673af40c37689f3bb556ebf9fda22d8d479c7d874c93677d46443",
+}
+
+
+@pytest.mark.parametrize("key, n", sorted(GOLDEN_RETRACTS))
+def test_golden_retract_bytes_large_n(all_spaces, caterpillar_tree, key, n):
+    space = caterpillar_tree if key == "caterpillar" else all_spaces[key]
+    a = _golden_set(space, n, random.Random(f"golden:{key}:{n}"))
+    assert len(a) == n
+    report = retract(a, n)
+    assert report.output_cardinality < n
+    out = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RETRACTS[key, n]
