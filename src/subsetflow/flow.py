@@ -30,6 +30,10 @@ from .subset_space import PointTuple, _gaps, product_distance
 # the closest pair is snapped together by force.
 MERGE_SLACK = 1e-3
 
+# Below this fraction of the space's scale, a step of size lam may round by
+# as much as lam itself, so merge_time measures the gaps after every sweep.
+ROUNDING_FLOOR = 2.0**-30
+
 # Product distance between the results of two successive sweep doublings at
 # which an adaptive run counts as converged.
 DOUBLING_TOLERANCE = 1e-7
@@ -124,7 +128,7 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("step size must be positive")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
-        data[i], data[j] = x.space._step(data[i], data[j], lam)
+        data[i], data[j], _ = x.space._step(data[i], data[j], lam)
     return _wrap(x, data)
 
 
@@ -146,16 +150,24 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
     return PointTuple(x.space, tuple(coords))
 
 
-def _sweep_inplace(space: SpaceDescriptor, coords: list[tuple], lam: float) -> None:
+def _sweep_inplace(space: SpaceDescriptor, coords: list[tuple], lam: float) -> float:
     # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
-    # (1,2), (0,3), ...  The composition applies (0,1) first.
+    # (1,2), (0,3), ...  The composition applies (0,1) first.  Returns the
+    # smallest distance a pair was stepped from, or 0.0 if a pair was
+    # skipped because its two slots held equal data.
     step = space._step
+    low = math.inf
     for j in range(1, len(coords)):
         for i in range(j):
             p = coords[i]
             q = coords[j]
             if p != q:
-                coords[i], coords[j] = step(p, q, lam)
+                coords[i], coords[j], d = step(p, q, lam)
+                if d < low:
+                    low = d
+            else:
+                low = 0.0
+    return low
 
 
 def sweep(x: PointTuple, lam: float) -> PointTuple:
@@ -262,6 +274,18 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     has merged by then, the closest pair is snapped to its midpoint, so the
     returned time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.
     A tuple with a pairwise distance that is not finite is rejected.
+
+    The gaps are measured after a sweep only where one may have merged.  A
+    sweep steps each coordinate in n-1 pair steps of at most lam each, so
+    in exact arithmetic every gap after it is at least ``low - 2(n-1)lam``,
+    where ``low`` is the smallest distance a pair was stepped from in that
+    sweep (0 if a pair held equal data).  The march therefore measures the
+    gaps only when ``low <= threshold + 4 n lam``, a margin about twice the
+    exact one that also covers rounding; after every sweep when lam is
+    below ``ROUNDING_FLOOR`` times the space's scale (``space._scale``),
+    where a step may round by as much as lam; and after the last sweep,
+    whose gaps pick the pair to snap.  The result keeps every bit of a
+    march that measures the gaps after every sweep.
     """
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
@@ -277,13 +301,18 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     threshold = cfg.merge_tolerance * delta
     lam = delta / (2.0 * cfg.sweeps_per_run)
     max_sweeps = int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))
+    if lam < ROUNDING_FLOOR * space._scale(data):
+        watch = math.inf
+    else:
+        watch = threshold + 4.0 * len(data) * lam
     elapsed = 0.0
-    for _ in range(max_sweeps):
-        _sweep_inplace(space, data, lam)
+    for m in range(1, max_sweeps + 1):
+        low = _sweep_inplace(space, data, lam)
         elapsed += lam
-        ds = _gaps(space, data)
-        if min(ds) <= threshold:
-            return elapsed, _wrap(x, data)
+        if low <= watch or m == max_sweeps:
+            ds = _gaps(space, data)
+            if min(ds) <= threshold:
+                return elapsed, _wrap(x, data)
     # Force-merge the first closest pair of the last sweep's distances.
     i, j = list(itertools.combinations(range(len(data)), 2))[ds.index(min(ds))]
     mid = space.geodesic_point(Point(space.kind, data[i]), Point(space.kind, data[j]), 0.5)

@@ -14,9 +14,13 @@ pair on a tree.  They skip the kind check, because the flow passes them
 the data of a ``PointTuple``, checked once when it was built, and it
 builds Points again only once per run.  ``_gap(pd, qd)`` is the distance,
 and ``_step(pd, qd, lam)`` is the two-point resolvent of distinct pd and
-qd, which computes d once and returns the shared midpoint when
-d <= 2 lam, else both points moved lam toward each other.  Both give the
-same bits as the public methods they stand in for.
+qd, which computes their distance d once and returns ``(p', q', d)``:
+the shared midpoint twice when d <= 2 lam, else both points moved lam
+toward each other, and d itself, which the merge march uses as a bound.
+Both give the same bits as the public methods they stand in for.
+``_scale(data)`` bounds the magnitude of every coordinate or length that
+a flow from that data works with; the merge march compares its step
+size to it to tell when rounding may be as large as a step.
 """
 
 from __future__ import annotations
@@ -70,11 +74,11 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
-def _far_step(pd: tuple, qd: tuple, s: float) -> tuple[tuple, tuple]:
+def _far_step(pd: tuple, qd: tuple, s: float, d: float) -> tuple[tuple, tuple, float]:
     # A pair step whose fraction lam/d is 0 (d overflowed) or NaN keeps the
     # checked composition's outcome: both points stay put, or GeometryError.
     _check_t(s)
-    return pd, qd
+    return pd, qd, d
 
 
 def _coordinates(coords, count: int) -> tuple:
@@ -110,7 +114,8 @@ class _CoordinateSpace:
     per-backend call counters look the public methods up, and the kernels
     ``_gap``, ``_interp(pd, qd, t, d)`` (the point at fraction t from pd
     to qd, d apart) and ``_toward(pd, qd, s, d)`` (what ``_interp`` gives
-    from pd and from qd at fraction s, from one set of weights).
+    from pd and from qd at fraction s, from one set of weights, followed
+    by d: the moving pair step's result).
     """
 
     dim: int
@@ -134,15 +139,23 @@ class _CoordinateSpace:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
-    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple]:
+    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
         d = self._gap(pd, qd)
         if d <= 2.0 * lam:
             mid = self._interp(pd, qd, 0.5, d)
-            return mid, mid
+            return mid, mid, d
         s = lam / d
         if not s > 0.0:
-            return _far_step(pd, qd, s)
+            return _far_step(pd, qd, s, d)
         return self._toward(pd, qd, s, d)
+
+    @staticmethod
+    def _scale(data: list[tuple]) -> float:
+        # The largest absolute coordinate of data bounds every coordinate the
+        # flow from data reaches: the flow stays in the convex hull of data,
+        # which on the hyperboloid lies in the ball around the apex that
+        # holds data.
+        return max(abs(c) for pd in data for c in pd)
 
 
 class EuclideanSpace(_CoordinateSpace):
@@ -175,9 +188,9 @@ class EuclideanSpace(_CoordinateSpace):
         return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
 
     @staticmethod
-    def _toward(pd: tuple, qd: tuple, s: float, d) -> tuple[tuple, tuple]:
+    def _toward(pd: tuple, qd: tuple, s: float, d: float) -> tuple[tuple, tuple, float]:
         return (tuple([a + s * (b - a) for a, b in zip(pd, qd)]),
-                tuple([b + s * (a - b) for a, b in zip(pd, qd)]))
+                tuple([b + s * (a - b) for a, b in zip(pd, qd)]), d)
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -258,16 +271,16 @@ class HyperboloidSpace(_CoordinateSpace):
         wq = math.sinh(t * theta) / sh
         return _project([wp * a + wq * b for a, b in zip(pd, qd)])
 
-    def _toward(self, pd: tuple, qd: tuple, s: float, theta: float) -> tuple[tuple, tuple]:
+    def _toward(self, pd: tuple, qd: tuple, s: float, theta: float) -> tuple[tuple, tuple, float]:
         # _interp(pd, qd, s, theta) and _interp(qd, pd, s, theta), with the
         # sinh weights computed once: the reverse point takes them swapped.
         if theta < _SMALL_ANGLE:
-            return self._interp(pd, qd, s, theta), self._interp(qd, pd, s, theta)
+            return self._interp(pd, qd, s, theta), self._interp(qd, pd, s, theta), theta
         sh = math.sinh(theta)
         wp = math.sinh((1.0 - s) * theta) / sh
         wq = math.sinh(s * theta) / sh
         return (_project([wp * a + wq * b for a, b in zip(pd, qd)]),
-                _project([wp * b + wq * a for a, b in zip(pd, qd)]))
+                _project([wp * b + wq * a for a, b in zip(pd, qd)]), theta)
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -367,6 +380,7 @@ class TreeSpace:
 
     topology: TreeTopology
     _edge_by_id: dict = field(init=False, repr=False, compare=False)
+    _length: float = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
@@ -400,6 +414,7 @@ class TreeSpace:
                         stack.append(w)
             node_dist[target] = dist
         object.__setattr__(self, "_edge_by_id", edge_by_id)
+        object.__setattr__(self, "_length", sum(e.length for e in topo.edges))
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_node_dist", node_dist)
         object.__setattr__(self, "_next_edge", next_edge)
@@ -428,19 +443,41 @@ class TreeSpace:
             return self._vertex_rep[edge.to_node]
         return (edge.id, offset)
 
+    def _edge(self, edge_id) -> TreeEdge:
+        try:
+            return self._edge_by_id[edge_id]
+        except KeyError:
+            raise SpaceMismatchError(f"edge id {edge_id!r} does not belong to this tree") from None
+
     def canonicalize(self, p: Point) -> Point:
         _check_kind(self, p)
-        return Point(self.kind, self._place(self._edge_by_id[p.data[0]], p.data[1]))
+        return Point(self.kind, self._place(self._edge(p.data[0]), p.data[1]))
 
-    def distance(self, p: Point, q: Point) -> float:
+    def _check_pair(self, p: Point, q: Point) -> None:
+        # The kinds, and the edge of a pair on one edge: a route between two
+        # edges looks both up itself.
         _check_kind(self, p)
         _check_kind(self, q)
+        if p.data[0] == q.data[0]:
+            self._edge(p.data[0])
+
+    def distance(self, p: Point, q: Point) -> float:
+        self._check_pair(p, q)
         return self._gap(p.data, q.data)
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
         if pd[0] == qd[0]:
             return abs(pd[1] - qd[1])
         return self._route(pd, qd)[0]
+
+    def _ends(self, pd: tuple) -> tuple[tuple, tuple]:
+        # The endpoints of pd's edge, from then to, each as (node, leg from
+        # pd, the node's row of _node_dist).
+        edge = self._edge(pd[0])
+        o = pd[1]
+        dist = self._node_dist
+        return ((edge.from_node, o, dist[edge.from_node]),
+                (edge.to_node, edge.length - o, dist[edge.to_node]))
 
     def _route(self, pd: tuple, qd: tuple) -> tuple[float, float, int, int]:
         """Shortest route between points on two different edges.
@@ -450,22 +487,36 @@ class TreeSpace:
         fixed order and the first strict minimum wins, so distances and
         geodesics agree on which route a tie takes.
         """
-        e1, o1 = pd
-        e2, o2 = qd
-        try:
-            a = self._edge_by_id[e1]
-            b = self._edge_by_id[e2]
-        except KeyError as exc:
-            raise SpaceMismatchError(f"edge id {exc.args[0]!r} does not belong to this tree") from exc
-        dist = self._node_dist
+        ends_p, ends_q = self._ends(pd), self._ends(qd)
         best = None
-        for na, ra in ((a.from_node, o1), (a.to_node, a.length - o1)):
-            row = dist[na]
-            for nb, rb in ((b.from_node, o2), (b.to_node, b.length - o2)):
-                length = ra + row[nb] + rb
+        for na, ra, row_a in ends_p:
+            for nb, rb, _ in ends_q:
+                length = ra + row_a[nb] + rb
                 if best is None or length < best[0]:
                     best = (length, ra, na, nb)
         return best
+
+    def _routes(self, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
+        """``_route(pd, qd)`` and ``_route(qd, pd)`` from one pass over the pairings.
+
+        Each direction sums its legs in its own order, from its own row of
+        ``_node_dist``, so both keep their bits.  ``_route(qd, pd)`` tries
+        q's endpoints in its outer loop, so among equal lengths its first
+        strict minimum is the one with the earlier q endpoint j; this pass
+        runs p's endpoints outside and reproduces that by the j test.
+        """
+        ends_p, ends_q = self._ends(pd), self._ends(qd)
+        fwd = rev = None
+        for na, ra, row_a in ends_p:
+            for j, (nb, rb, row_b) in enumerate(ends_q):
+                length = ra + row_a[nb] + rb
+                if fwd is None or length < fwd[0]:
+                    fwd = (length, ra, na, nb)
+                length = rb + row_b[na] + ra
+                if rev is None or length < rev[0] or (length == rev[0] and j < rev_j):
+                    rev = (length, rb, nb, na)
+                    rev_j = j
+        return fwd, rev
 
     def _walk_from_node(self, start: int, target_edge: TreeEdge, target_offset: float,
                         target_node: int, s: float) -> tuple:
@@ -485,8 +536,7 @@ class TreeSpace:
         return self._place(target_edge, off)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        _check_kind(self, p)
-        _check_kind(self, q)
+        self._check_pair(p, q)
         _check_t(t)
         if t == 0.0 or p == q:
             return p
@@ -509,22 +559,27 @@ class TreeSpace:
             return self._place(a, min(max(off, 0.0), a.length))
         return self._walk_from_node(na, self._edge_by_id[e2], o2, nb, s - ra)
 
-    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple]:
+    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
         if pd[0] == qd[0]:
-            route = None
+            fwd = rev = None
             d = abs(pd[1] - qd[1])
         else:
-            route = self._route(pd, qd)
-            d = route[0]
+            # The reverse route is its own: _route(qd, pd) sums its legs in
+            # the other order, and reusing the forward one would change the
+            # last bit.
+            fwd, rev = self._routes(pd, qd)
+            d = fwd[0]
         if d <= 2.0 * lam:
-            mid = self._along(pd, qd, 0.5, route)
-            return mid, mid
+            mid = self._along(pd, qd, 0.5, fwd)
+            return mid, mid, d
         s = lam / d
         if not s > 0.0:
-            return _far_step(pd, qd, s)
-        # The reverse route is looked up afresh: _route(qd, pd) sums its legs
-        # in the other order, and reusing this one would change the last bit.
-        return self._along(pd, qd, s, route), self._along(qd, pd, s)
+            return _far_step(pd, qd, s, d)
+        return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
+
+    def _scale(self, data: list[tuple]) -> float:
+        # Every offset and route length the flow meets is at most this.
+        return self._length
 
     def random_point(self, rng: random.Random) -> Point:
         edges = self.topology.edges

@@ -17,11 +17,13 @@ from subsetflow import (
     merge_time,
     min_gap,
     pair_resolvent,
+    pairwise_distances,
     product_distance,
     splitting_flow,
     sum_pairwise_distances,
     sweep,
 )
+from subsetflow.flow import MERGE_SLACK
 from subsetflow.geometry import _SMALL_ANGLE
 from oracles import grid_pair_prox
 
@@ -192,6 +194,24 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
                 got = sweep(x, lam).coords
                 assert got == tuple(want) and repr(got) == repr(tuple(want))
     assert merged and moved
+
+
+def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
+    # The pair step finds the forward and the reverse route in one pass;
+    # each must keep the tie rule of its own direction.  Vertices and points
+    # on edges that share a node have endpoint pairings whose lengths tie.
+    space = caterpillar_tree
+    pts = list(dict.fromkeys(space.point((e.id, f * e.length))
+                             for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
+    for p, q in itertools.permutations(pts, 2):
+        if p.data[0] != q.data[0]:
+            pd, qd = p.data, q.data
+            assert space._routes(pd, qd) == (space._route(pd, qd), space._route(qd, pd))
+        d = space.distance(p, q)
+        for lam in (0.1 * d, 0.3 * d, d):
+            y = pair_resolvent(PointTuple(space, (p, q)), 0, 1, lam)
+            want = _composed_pair_step(space, p, q, lam)
+            assert y.coords == want and repr(y.coords) == repr(want)
 
 
 def test_two_point_flow_exact(line):
@@ -406,6 +426,71 @@ def test_merge_time_forced_snap_merges_first_closest_pair(plane):
     mid = plane.geodesic_point(y.coords[1], y.coords[3], 0.5)
     assert merged.coords == (y.coords[0], mid, y.coords[2], mid)
     assert t_star <= delta / 2.0 * (1.0 + 1e-3)
+
+
+def _reference_merge_time(x, cfg):
+    # The march as plain composition: measure every gap after every sweep.
+    ds = pairwise_distances(x.space, x.coords)
+    delta = min(ds)
+    if delta == 0.0:
+        return 0.0, x
+    threshold = cfg.merge_tolerance * delta
+    lam = delta / (2.0 * cfg.sweeps_per_run)
+    elapsed = 0.0
+    for _ in range(int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))):
+        x = sweep(x, lam)
+        elapsed += lam
+        ds = pairwise_distances(x.space, x.coords)
+        if min(ds) <= threshold:
+            return elapsed, x
+    i, j = list(itertools.combinations(range(len(x)), 2))[ds.index(min(ds))]
+    mid = x.space.geodesic_point(x.coords[i], x.coords[j], 0.5)
+    coords = list(x.coords)
+    coords[i] = coords[j] = mid
+    return elapsed, PointTuple(x.space, tuple(coords))
+
+
+def _outcome(march, x, cfg):
+    try:
+        return repr(march(x, cfg))
+    except GeometryError as exc:
+        return repr(exc)
+
+
+def _adversarial_march_inputs(plane, hyper, star_tree, caterpillar_tree):
+    for scale in (1.0, 1e4, 1e8, 1e12):
+        for gap in (1e-9, 1e-5, 1e-1):
+            rng = random.Random(f"marchgrid:{scale}:{gap}")
+            base = (0.8 * scale, -0.6 * scale)
+            yield PointTuple(plane, tuple(
+                plane.point([c + gap * rng.uniform(-1.0, 1.0) for c in base]) for _ in range(3)))
+    # far from the apex, where rounding in a step or a gap can exceed lam
+    for r in (5.0, 10.0, 15.0, 20.0, 25.0):
+        for spread in (1e-12, 1e-9, 1e-6, 1e-3):
+            rng = random.Random(f"marchgrid:{r}:{spread}")
+            for n in (3, 4, 5, 3, 4, 5):
+                pts = []
+                for _ in range(n):
+                    rad = r * (1.0 + spread * rng.uniform(-1.0, 1.0))
+                    th = 0.3 + r * spread * rng.uniform(-1.0, 1.0) / math.sinh(r)
+                    pts.append(hyper.point((math.cosh(rad), math.sinh(rad) * math.cos(th),
+                                            math.sinh(rad) * math.sin(th))))
+                yield PointTuple(hyper, tuple(pts))
+    rng = random.Random("marchgrid:trees")
+    for tree in (star_tree, caterpillar_tree):
+        for n in (3, 4, 5):
+            yield random_tuple(tree, rng, n)
+
+
+def test_merge_time_matches_gap_every_sweep_march_bit_for_bit(plane, hyper, star_tree,
+                                                              caterpillar_tree):
+    # merge_time measures the gaps only after sweeps where a merge is possible;
+    # it must return what a march measuring them after every sweep returns.
+    cfgs = [FlowConfig(sweeps_per_run=k, merge_tolerance=tol)
+            for k in (3, 256) for tol in (1e-6, 1e-12)]
+    for x in _adversarial_march_inputs(plane, hyper, star_tree, caterpillar_tree):
+        for cfg in cfgs:
+            assert _outcome(merge_time, x, cfg) == _outcome(_reference_merge_time, x, cfg)
 
 
 # ---------------------------------------------------------------------------

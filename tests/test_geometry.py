@@ -14,6 +14,7 @@ from subsetflow import (
     TreeSpace,
     TreeTopology,
     make_space,
+    make_subset,
     space_from_json,
 )
 from oracles import hyperboloid_distance_ref, tree_point_distance
@@ -179,11 +180,22 @@ def test_tree_rejects_foreign_edges(star_tree):
     # not have cannot be located (overlapping ids are structurally valid)
     foreign = TreeSpace(TreeTopology((TreeEdge(7, 0, 1, 1.0),)))
     p = foreign.point((7, 0.5))
+    p2 = foreign.point((7, 0.7))
     q = star_tree.point((0, 0.5))
     with pytest.raises(SpaceMismatchError):
         star_tree.distance(q, p)
     with pytest.raises(SpaceMismatchError):
         star_tree.geodesic_point(q, p, 0.5)
+    # also when both points name the same unknown edge, and where the
+    # point is only canonicalized
+    with pytest.raises(SpaceMismatchError):
+        star_tree.distance(p, p2)
+    with pytest.raises(SpaceMismatchError):
+        star_tree.geodesic_point(p, p2, 0.5)
+    with pytest.raises(SpaceMismatchError):
+        star_tree.canonicalize(p)
+    with pytest.raises(SpaceMismatchError):
+        make_subset(star_tree, [p])
 
 
 def test_tree_rejects_bad_offsets(star_tree):
