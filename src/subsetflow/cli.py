@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="inline JSON array of points")
             p.add_argument("--input", help="JSON file with space plus points/coords")
         p.add_argument("--k", type=int, default=FlowConfig.sweeps_per_run,
-                       help="sweeps per unit run")
+                       help="sweeps per unit run (a tree's merge runs the exact flow)")
         p.add_argument("--merge-tol", type=float, default=FlowConfig.merge_tolerance)
         p.add_argument("--max-doublings", type=int, default=FlowConfig.max_doublings)
         p.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -6,7 +6,8 @@ cyclic sweeps of two-coordinate resolvents, each of which has a closed
 form: both coordinates move toward each other along their geodesic, and
 land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
-:mod:`subsetflow.retraction` is made of.
+:mod:`subsetflow.retraction` is made of, except on a metric tree, where
+the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
@@ -21,9 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor
+from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace
 from .subset_space import PointTuple, _gaps, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
@@ -44,7 +43,8 @@ class FlowConfig:
     """Knobs for the splitting flow and the merge march.
 
     sweeps_per_run: resolvent sweeps used to cover one flow run; the merge
-    march uses the same count to cover its half-gap horizon.
+    march uses the same count to cover its half-gap horizon (a tree does
+    not march).
     merge_tolerance: a gap at or below this fraction of the starting min
     gap counts as merged.
     max_doublings: how many times an adaptive run may double its sweep count.
@@ -266,14 +266,21 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
 
 
 def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
-    """March the flow forward until some pair of coordinates merges.
+    """Run the flow forward until some pair of coordinates merges.
 
-    Returns the first time a pairwise gap falls to ``merge_tolerance``
-    times the starting min gap, together with the state there.  The march
-    never runs past half the starting gap (plus a small slack): if nothing
-    has merged by then, the closest pair is snapped to its midpoint, so the
-    returned time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.
-    A tuple with a pairwise distance that is not finite is rejected.
+    On a metric tree the flow is run exactly, event by event, to its first
+    collision (``TreeSpace._first_collision``): the returned time is that
+    collision's, at most ``min_gap(x)/2``, and the pair that met shares one
+    point in the returned state.  ``cfg`` plays no part there: no
+    ``sweeps_per_run``, no ``merge_tolerance`` threshold, no forced snap.
+
+    Elsewhere the splitting sweeps march the flow, and the result is the
+    first time a pairwise gap falls to ``merge_tolerance`` times the
+    starting min gap, together with the state there.  The march never runs
+    past half the starting gap (plus a small slack): if nothing has merged
+    by then, the closest pair is snapped to its midpoint, so the returned
+    time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.  A tuple
+    with a pairwise distance that is not finite is rejected.
 
     The gaps are measured after a sweep only where one may have merged.  A
     sweep steps each coordinate in n-1 pair steps of at most lam each, so
@@ -298,6 +305,9 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     delta = min(ds)
     if delta == 0.0:
         return 0.0, x
+    if isinstance(space, TreeSpace):
+        t, data = space._first_collision(data)
+        return t, _wrap(x, data)
     threshold = cfg.merge_tolerance * delta
     lam = delta / (2.0 * cfg.sweeps_per_run)
     max_sweeps = int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))
@@ -345,6 +355,8 @@ def _reduced_minimize(pts: np.ndarray, blocks: list[list[int]], lam: float):
     (value, block points) or None when blocks collide, in which case a
     coarser pattern dominates this one anyway.
     """
+    import numpy as np
+
     dim = pts.shape[1]
     m = len(blocks)
     sizes = np.array([len(b) for b in blocks], dtype=float)
@@ -443,6 +455,8 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     optimal if its merged coordinates started within 2(n-1)*lam of each
     other, which prunes the enumeration hard for small steps.
     """
+    import numpy as np
+
     space = x.space
     n = len(x)
     if not oracle_supports(space, n):

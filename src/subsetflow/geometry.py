@@ -18,16 +18,23 @@ qd, which computes their distance d once and returns ``(p', q', d)``:
 the shared midpoint twice when d <= 2 lam, else both points moved lam
 toward each other, and d itself, which the merge march uses as a bound.
 Both give the same bits as the public methods they stand in for.
-``_scale(data)`` bounds the magnitude of every coordinate or length that
-a flow from that data works with; the merge march compares its step
-size to it to tell when rounding may be as large as a step.
+On the coordinate backends ``_scale(data)`` bounds the magnitude of every
+coordinate that a flow from that data works with; the merge march
+compares its step size to it to tell when rounding may be as large as a
+step.  A tree has no march: ``merge_time`` calls its
+``_first_collision(data)``, the exact flow to the first collision.
+
+``_check_point(p)`` is the check ``PointTuple`` and ``FiniteSubset`` make
+of every point they hold: its kind and, on a tree, its edge and offset.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
@@ -126,6 +133,9 @@ class _CoordinateSpace:
 
     def canonicalize(self, p: Point) -> Point:
         return p
+
+    def _check_point(self, p: Point) -> None:
+        _check_kind(self, p)
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
@@ -312,6 +322,21 @@ class TreeEdge:
         return 0.0 if node == self.from_node else self.length
 
 
+class _Move(NamedTuple):
+    """How a tree point moves until the next event of the exact flow."""
+
+    edge: TreeEdge  # the edge it moves along
+    offset: float  # where it is on that edge
+    sign: float  # +1.0 toward the edge's to_node, -1.0 toward its from_node
+    speed: int
+    toward: list  # per slot of the flow, whether it moves toward that slot's point
+
+    def arrival(self) -> float:
+        # When it reaches the vertex ahead, if no collision comes first.
+        leg = self.edge.length - self.offset if self.sign > 0.0 else self.offset
+        return leg / self.speed
+
+
 @dataclass(frozen=True)
 class TreeTopology:
     """A finite combinatorial tree with positive edge lengths."""
@@ -380,7 +405,6 @@ class TreeSpace:
 
     topology: TreeTopology
     _edge_by_id: dict = field(init=False, repr=False, compare=False)
-    _length: float = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
@@ -414,7 +438,6 @@ class TreeSpace:
                         stack.append(w)
             node_dist[target] = dist
         object.__setattr__(self, "_edge_by_id", edge_by_id)
-        object.__setattr__(self, "_length", sum(e.length for e in topo.edges))
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_node_dist", node_dist)
         object.__setattr__(self, "_next_edge", next_edge)
@@ -452,6 +475,15 @@ class TreeSpace:
     def canonicalize(self, p: Point) -> Point:
         _check_kind(self, p)
         return Point(self.kind, self._place(self._edge(p.data[0]), p.data[1]))
+
+    def _check_point(self, p: Point) -> None:
+        # A point of another tree: an unknown edge id is a SpaceMismatchError,
+        # an offset off this tree's edge a GeometryError.
+        _check_kind(self, p)
+        edge_id, offset = p.data
+        edge = self._edge(edge_id)
+        if not 0.0 <= offset <= edge.length:
+            raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
     def _check_pair(self, p: Point, q: Point) -> None:
         # The kinds, and the edge of a pair on one edge: a route between two
@@ -577,9 +609,102 @@ class TreeSpace:
             return _far_step(pd, qd, s, d)
         return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
 
-    def _scale(self, data: list[tuple]) -> float:
-        # Every offset and route length the flow meets is at most this.
-        return self._length
+    def _branch(self, node: int, qd: tuple) -> TreeEdge:
+        # The first edge from the vertex node toward the point qd != node.  An
+        # edge that does not end at node lies in one branch of it, with both
+        # of its endpoints.
+        edge = self._edge(qd[0])
+        if node == edge.from_node or node == edge.to_node:
+            return edge
+        return self._next_edge[node][edge.from_node]
+
+    def _motion(self, i: int, data: list[tuple]) -> _Move | None:
+        # How point i of data moves until the next event of the exact flow;
+        # None if it stays.
+        edge = self._edge(data[i][0])
+        o = data[i][1]
+        others = len(data) - 1
+        if 0.0 < o < edge.length:
+            # Inside an edge: toward the side that holds more of the others,
+            # at the difference of the two counts.
+            ahead = [qd[1] > o if qd[0] == edge.id else self._branch(edge.to_node, qd) is not edge
+                     for qd in data]
+            ahead[i] = False
+            speed = 2 * sum(ahead) - others
+            if speed == 0:
+                return None
+            if speed > 0:
+                return _Move(edge, o, 1.0, speed, ahead)
+            return _Move(edge, o, -1.0, -speed, [not a for a in ahead])
+        # At a vertex: into the branch that holds c > (n-1)/2 of the others,
+        # at 2c - (n-1), or nowhere.
+        v = edge.from_node if o == 0.0 else edge.to_node
+        branches = [None if j == i else self._branch(v, qd) for j, qd in enumerate(data)]
+        (b, count), = Counter(branches[:i] + branches[i + 1:]).most_common(1)
+        speed = 2 * count - others
+        if speed <= 0:
+            return None
+        sign = 1.0 if v == b.from_node else -1.0
+        return _Move(b, b.endpoint_offset(v), sign, speed, [c is b for c in branches])
+
+    def _first_collision(self, data: list[tuple]) -> tuple[float, list[tuple]]:
+        """The exact flow of the total pairwise distance, up to its first collision.
+
+        data holds distinct points.  Until two of them meet, each point moves
+        at an integer speed that counts of the others decide (``_motion``),
+        and those counts change only when two points meet.  Between events
+        (a point reaches a vertex, or two points meet) every point moves
+        along one edge and every gap changes linearly, so each event time is
+        a leg over a speed or a gap over a closing rate.  A point whose
+        arrival is the step is placed on its vertex exactly.
+
+        Returns the collision time and the data there, in which the points
+        that met share one tuple.  A point never turns back before the first
+        collision, so it reaches each vertex at most once; past
+        n (edge count + 1) events the run raises GeometryError.
+        """
+        n = len(data)
+        data = list(data)
+        pairs = list(itertools.combinations(range(n), 2))
+        t = 0.0
+        for _ in range(n * (len(self.topology.edges) + 1)):
+            moves = [self._motion(i, data) for i in range(n)]
+            arrivals = [math.inf if m is None else m.arrival() for m in moves]
+            meets = []
+            for i, j in pairs:
+                d = self._gap(data[i], data[j])
+                # The gap closes at the sum of what each point moves toward the other.
+                rate = 0
+                for a, b in ((i, j), (j, i)):
+                    m = moves[a]
+                    if m is not None:
+                        rate += m.speed if m.toward[b] else -m.speed
+                if d == 0.0:
+                    meets.append(0.0)
+                else:
+                    meets.append(d / rate if rate > 0 else math.inf)
+            h = min(min(arrivals), min(meets))
+            if h == math.inf:
+                raise GeometryError("no two points of the flow approach each other")
+            for i, m in enumerate(moves):
+                if m is None:
+                    continue
+                edge = m.edge
+                if arrivals[i] == h:
+                    o = edge.length if m.sign > 0.0 else 0.0
+                else:
+                    o = min(max(m.offset + m.sign * m.speed * h, 0.0), edge.length)
+                data[i] = self._place(edge, o)
+            t += h
+            hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
+            if hits:
+                for i, j in hits:
+                    # Every slot at j's point takes i's, so three that meet
+                    # share one tuple too.
+                    old, new = data[j], data[i]
+                    data = [new if d is old else d for d in data]
+                return t, data
+        raise GeometryError("the exact tree flow ran past its event bound")
 
     def random_point(self, rng: random.Random) -> Point:
         edges = self.topology.edges

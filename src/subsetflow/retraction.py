@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from .geometry import GeometryError
 from .flow import FlowConfig, merge_time
-from .subset_space import FiniteSubset, min_gap, order_tuple, to_set
+# min_gap is no longer called here, but stays a name of this module:
+# bench/spans.py wraps retraction.min_gap when it traces a run.
+from .subset_space import FiniteSubset, min_gap, order_tuple, to_set  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,9 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
             output_cardinality=len(a),
         )
     x = order_tuple(a, n)
-    delta = min_gap(x)  # positive: a canonical n-point subset has no duplicates
+    # order_tuple puts the closest pair first; positive, because a canonical
+    # n-point subset has no duplicates
+    delta = x.space._gap(x.coords[0].data, x.coords[1].data)
     t_star, merged = merge_time(x, cfg)
     out = to_set(merged, cfg.merge_tolerance * delta)
     return RetractReport(

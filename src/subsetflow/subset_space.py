@@ -55,8 +55,9 @@ def _points_from_json(obj, what: str, field: str):
 class PointTuple:
     """Ordered tuple of points, an element of the product space.
 
-    Construction checks every coordinate's kind once; the flow kernels and
-    the helpers below that take a tuple or subset rely on that check.
+    Construction checks every coordinate once (``space._check_point``: its
+    kind and, on a tree, its edge and offset); the flow kernels and the
+    helpers below that take a tuple or subset rely on that check.
     """
 
     space: SpaceDescriptor
@@ -67,7 +68,7 @@ class PointTuple:
         if not coords:
             raise GeometryError("a tuple needs at least one coordinate")
         for p in coords:
-            _check_kind(self.space, p)
+            self.space._check_point(p)
         object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
@@ -107,7 +108,7 @@ class FiniteSubset:
         if self.dedup_tolerance < 0.0:
             raise GeometryError("dedup tolerance must be >= 0")
         for p in points:
-            _check_kind(self.space, p)
+            self.space._check_point(p)
         keys = [point_sort_key(self.space, p) for p in points]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise GeometryError("points are not in canonical order; use make_subset")

@@ -260,7 +260,9 @@ def test_help_is_exit_zero(capsys):
 # printed it before the flow's pair step was fused into one kernel per backend
 # (the two verify runs on euclidean:2 and the star tree: before the CAT(0)
 # audit moved into verify.py; the README's flow, merge-time and convergence
-# runs: before the sweep-doubling loop was shared by the flow and the study).
+# runs: before the sweep-doubling loop was shared by the flow and the study;
+# the retract and verify runs on the star tree: as the exact tree flow prints
+# them, the retract with merge_time_used 0.2, as test_retraction checks).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -273,11 +275,11 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
      "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
     (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
       ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
-     "7dfbce01dd8798274c9e210421b836a8a33cce33d1750b97f29b89bf4a91ea2f"),
+     "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
      "9688c4beed9a6d3de93507f32407aed5c5225ac2cdfafa724f93876a0b95bad8"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
-     "f16d962c699d852411f29dcaf6173dcb970174f393e6aa0e666520c5e2144e60"),
+     "865650c19958a9a11e43499cfdceb2c9139d99c7ead5ebd07ab6ca40bc17b0d5"),
     (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],
      "6faa9dde48692fa093d845c47b3e5503480d8f84a0bc040847be6d893545935a"),
     (["merge-time", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]"],

@@ -12,8 +12,10 @@ from subsetflow import (
     GeometryError,
     HyperboloidSpace,
     PointTuple,
+    TreeSpace,
     flow_adaptive,
     full_resolvent_oracle,
+    hausdorff_distance,
     merge_time,
     min_gap,
     pair_resolvent,
@@ -22,9 +24,10 @@ from subsetflow import (
     splitting_flow,
     sum_pairwise_distances,
     sweep,
+    to_set,
 )
 from subsetflow.flow import MERGE_SLACK
-from subsetflow.geometry import _SMALL_ANGLE
+from subsetflow.geometry import _SMALL_ANGLE, _Move
 from oracles import grid_pair_prox
 
 
@@ -457,7 +460,7 @@ def _outcome(march, x, cfg):
         return repr(exc)
 
 
-def _adversarial_march_inputs(plane, hyper, star_tree, caterpillar_tree):
+def _adversarial_march_inputs(plane, hyper):
     for scale in (1.0, 1e4, 1e8, 1e12):
         for gap in (1e-9, 1e-5, 1e-1):
             rng = random.Random(f"marchgrid:{scale}:{gap}")
@@ -476,21 +479,113 @@ def _adversarial_march_inputs(plane, hyper, star_tree, caterpillar_tree):
                     pts.append(hyper.point((math.cosh(rad), math.sinh(rad) * math.cos(th),
                                             math.sinh(rad) * math.sin(th))))
                 yield PointTuple(hyper, tuple(pts))
-    rng = random.Random("marchgrid:trees")
-    for tree in (star_tree, caterpillar_tree):
-        for n in (3, 4, 5):
-            yield random_tuple(tree, rng, n)
 
 
-def test_merge_time_matches_gap_every_sweep_march_bit_for_bit(plane, hyper, star_tree,
-                                                              caterpillar_tree):
+def test_merge_time_matches_gap_every_sweep_march_bit_for_bit(plane, hyper):
     # merge_time measures the gaps only after sweeps where a merge is possible;
     # it must return what a march measuring them after every sweep returns.
+    # Trees do not march: they run the exact flow (tests below).
     cfgs = [FlowConfig(sweeps_per_run=k, merge_tolerance=tol)
             for k in (3, 256) for tol in (1e-6, 1e-12)]
-    for x in _adversarial_march_inputs(plane, hyper, star_tree, caterpillar_tree):
+    for x in _adversarial_march_inputs(plane, hyper):
         for cfg in cfgs:
             assert _outcome(merge_time, x, cfg) == _outcome(_reference_merge_time, x, cfg)
+
+
+# ---------------------------------------------------------------------------
+# exact flow on trees
+
+
+def tree_tuple(tree, *places):
+    return PointTuple(tree, tuple(tree.point(p) for p in places))
+
+
+def test_tree_merge_time_closed_form(star_tree):
+    # Both others lie toward the hub, so each point heads there at speed 2.
+    # The first reaches it at t = 0.15 and stays (one other on each leg),
+    # and the second meets it there 0.2 / 2 later.  The configuration plays
+    # no part: there is no march on a tree.
+    x = tree_tuple(star_tree, (0, 0.3), (1, 0.5), (2, 1.2))
+    hub = star_tree.point((0, 0.0))
+    for cfg in (FlowConfig(), FlowConfig(sweeps_per_run=3, merge_tolerance=0.5)):
+        t_star, merged = merge_time(x, cfg)
+        assert t_star == pytest.approx(0.25, abs=1e-12)
+        assert merged.coords[:2] == (hub, hub)
+        assert merged.coords[0].data is merged.coords[1].data
+        assert merged.coords[2].data[0] == 2
+        assert merged.coords[2].data[1] == pytest.approx(0.7, abs=1e-12)
+
+
+def test_tree_merge_time_chases_across_a_vertex(path_tree):
+    # On the path 0 -2- 1 -0.5- 2 -1- 3 the points sit 1.0, 2.3 and 3.0 from
+    # node 0.  The middle one has one other on each side and stays; the
+    # outer two close in at speed 2, and the one at 3.0 meets it first,
+    # passing node 2 on the way.
+    x = tree_tuple(path_tree, (0, 1.0), (1, 0.3), (2, 0.5))
+    t_star, merged = merge_time(x, FlowConfig())
+    # d((1, 0.3), (2, 0.5)) = 0.2 + 0.5 = 0.7, closed at speed 2
+    assert t_star == pytest.approx(0.35, abs=1e-12)
+    assert merged.coords[1].data is merged.coords[2].data
+    assert merged.coords[1].data == pytest.approx((1, 0.3), abs=1e-12)
+    assert merged.coords[0].data == pytest.approx((0, 1.7), abs=1e-12)
+
+
+def _caterpillar_tuples(tree):
+    for n in (6, 7, 8):
+        for i in range(4):
+            yield random_tuple(tree, random.Random(f"exacttree:{n}:{i}"), n)
+
+
+def test_tree_merge_time_ignores_the_numbering(caterpillar_tree):
+    # The exact flow is a flow of the set: every renumbering of a tuple gives
+    # the same collision time and the same merged set.  All 720 and 5040
+    # numberings at n = 6 and 7; at n = 8, 2000 of the 40320, drawn by seed.
+    rng = random.Random("exacttree:perms")
+    for n in (6, 7, 8):
+        x = random_tuple(caterpillar_tree, random.Random(f"exacttree:{n}:perm"), n)
+        t_star, merged = merge_time(x, FlowConfig())
+        want = to_set(merged, 1e-9)
+        perms = (itertools.permutations(range(n)) if n < 8
+                 else (rng.sample(range(n), n) for _ in range(2000)))
+        for perm in perms:
+            y = PointTuple(caterpillar_tree, tuple(x.coords[k] for k in perm))
+            t_perm, merged_perm = merge_time(y, FlowConfig())
+            assert t_perm == pytest.approx(t_star, abs=1e-12)
+            assert hausdorff_distance(to_set(merged_perm, 1e-9), want) <= 1e-12
+
+
+def test_tree_merge_time_is_the_limit_of_the_splitting(caterpillar_tree):
+    # At the exact collision time t*, k splitting sweeps land within n t*/k
+    # of the exact state in the product metric: the splitting converges to
+    # this flow like 1/k.  (Its closest gap need not shrink at every step:
+    # a point resting on a vertex jitters there by O(t*/k).)  A collision
+    # before delta/2 is one where other points change how the pair closes.
+    early = 0
+    for x in _caterpillar_tuples(caterpillar_tree):
+        n = len(x)
+        t_star, merged = merge_time(x, FlowConfig())
+        early += t_star < 0.45 * min_gap(x)
+        for k in ((256, 1024, 4096) if n == 6 else (256, 1024)):
+            assert product_distance(splitting_flow(x, t_star, k), merged) <= n * t_star / k
+    assert early >= 3
+
+
+def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
+    # A flow in which nothing approaches, or which never collides, raises
+    # instead of looping.
+    x = tree_tuple(star_tree, (0, 0.3), (1, 0.5), (2, 1.2))
+    monkeypatch.setattr(TreeSpace, "_motion", lambda self, i, data: None)
+    with pytest.raises(GeometryError, match="approach"):
+        merge_time(x, FlowConfig())
+    # every point bounces between the ends of its edge, never toward another
+    def bounce(self, i, data):
+        edge = self._edge(data[i][0])
+        sign = -1.0 if data[i][1] == edge.length else 1.0
+        return _Move(edge, data[i][1], sign, 1, [False] * len(data))
+
+    monkeypatch.setattr(TreeSpace, "_motion", bounce)
+    with pytest.raises(GeometryError, match="event bound"):
+        merge_time(x, FlowConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from subsetflow import (
     EuclideanSpace,
+    FiniteSubset,
     GeometryError,
     HyperboloidSpace,
+    Point,
+    PointTuple,
     SpaceMismatchError,
     TreeEdge,
     TreeSpace,
@@ -196,6 +199,11 @@ def test_tree_rejects_foreign_edges(star_tree):
         star_tree.canonicalize(p)
     with pytest.raises(SpaceMismatchError):
         make_subset(star_tree, [p])
+    # and where tuples and subsets are built, which the flow kernels trust
+    with pytest.raises(SpaceMismatchError):
+        PointTuple(star_tree, (q, p))
+    with pytest.raises(SpaceMismatchError):
+        FiniteSubset(star_tree, (p,))
 
 
 def test_tree_rejects_bad_offsets(star_tree):
@@ -205,6 +213,13 @@ def test_tree_rejects_bad_offsets(star_tree):
         star_tree.point((0, 1.1))
     with pytest.raises(GeometryError):
         star_tree.point((9, 0.5))
+    # a point of another tree whose edge has this id but is longer
+    long_leg = TreeSpace(TreeTopology((TreeEdge(0, 0, 1, 5.0),))).point((0, 3.0))
+    for bad in (long_leg, Point("tree", (0, -0.1)), Point("tree", (0, math.nan))):
+        with pytest.raises(GeometryError):
+            PointTuple(star_tree, (bad,))
+        with pytest.raises(GeometryError):
+            FiniteSubset(star_tree, (bad,))
 
 
 @pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400)])

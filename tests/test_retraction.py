@@ -14,6 +14,7 @@ from subsetflow import (
     hausdorff_distance,
     lipschitz_constant_bound,
     make_subset,
+    pairwise_distances,
     retract,
 )
 
@@ -175,7 +176,9 @@ def _golden_set(space, n, rng):
 
 
 # sha256 of the sorted-key JSON of retract's report, as the code printed it
-# before the flow ran on bare coordinate tuples
+# before the flow ran on bare coordinate tuples; the caterpillar entries as
+# the exact tree flow prints them, each merging at delta/2, where its closest
+# pair meets at closing speed 2 (test_golden_caterpillar_merges_at_half_gap)
 GOLDEN_RETRACTS = {
     ("euclidean-2", 6):
         "1e24ba784e3b1c18d217aa3ca1def851fc8e96d8270ce5262840b50a2fa89c9b",
@@ -190,11 +193,11 @@ GOLDEN_RETRACTS = {
     ("hyperboloid-2", 8):
         "dc9e001803f5a1a399c9520708fddca62c444b3b04fb77bf7a6df5bd236289d4",
     ("caterpillar", 6):
-        "9e06662700005667c3f7c4eba8011681101d33c2402a0e4291161a0304d3c825",
+        "5c4265c18f785a4b1c56bbe00f1f5902e77b5959a7d0468da66b2f9f4d7fc883",
     ("caterpillar", 7):
-        "163e88c46f2c0cab9834ac5b6a5b8c38750c96f602e2b6755b46c8fdb393789f",
+        "30566b5da22ef90b08c6fd973d3d8673b0e2297927466196010180f513528585",
     ("caterpillar", 8):
-        "ac2514bd876673af40c37689f3bb556ebf9fda22d8d479c7d874c93677d46443",
+        "ba8940a4cd72b17bfad0b0d00cf3b4edd6299ec194a3da957d2cba523e6c676c",
 }
 
 
@@ -207,3 +210,24 @@ def test_golden_retract_bytes_large_n(all_spaces, caterpillar_tree, key, n):
     assert report.output_cardinality < n
     out = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RETRACTS[key, n]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_golden_caterpillar_merges_at_half_gap(caterpillar_tree, n):
+    # The closed form behind the caterpillar digests: no third point reaches
+    # the closest pair first, so it meets at delta/2.
+    a = _golden_set(caterpillar_tree, n, random.Random(f"golden:caterpillar:{n}"))
+    delta = min(pairwise_distances(caterpillar_tree, a.points))
+    assert retract(a, n).merge_time_used == pytest.approx(delta / 2.0, rel=1e-12)
+
+
+def test_retract_readme_star_closed_form(star_tree):
+    # The README's star run: every point heads for the hub at speed 2.  The
+    # point at 0.3 gets there at t = 0.15 and stays (one other on each leg),
+    # the point at 0.4 meets it at t = 0.2, and the third has come in to 0.8.
+    a = make_subset(star_tree, [star_tree.point(p) for p in ((0, 0.4), (1, 0.3), (2, 1.2))])
+    report = retract(a, 3)
+    assert report.merge_time_used == pytest.approx(0.2, abs=1e-12)
+    (hub, hub_offset), (leg, offset) = (p.data for p in report.output.points)
+    assert (hub, hub_offset) == (0, 0.0)
+    assert leg == 2 and offset == pytest.approx(0.8, abs=1e-12)

@@ -11,12 +11,17 @@ from subsetflow import (
     ScanConfig,
     ScanReport,
     bound_suite,
+    TreeEdge,
+    TreeSpace,
+    TreeTopology,
     convergence_study,
+    lipschitz_constant_bound,
     lipschitz_scan,
 )
 from subsetflow.verify import (
     check_cat0,
     check_flow_descent,
+    check_lipschitz_ratio,
     perturb_point,
     perturb_subset,
     sample_subset,
@@ -139,6 +144,20 @@ def test_lipschitz_scan_deterministic_and_sane(plane):
     assert row.name == "lipschitz_ratio"
     assert row.passed
     assert row.worst <= row.threshold
+
+
+@pytest.mark.parametrize("tree", ["five-leg star", "caterpillar"])
+def test_lipschitz_ratio_on_trees_at_small_perturbations(caterpillar_tree, tree):
+    # Perturbations of 1e-4 of the min gap: the splitting march broke the
+    # bound here (caterpillar: 1.91x at n = 4 with seed 27, 1.06x at n = 3
+    # with seed 6); the exact tree flow, a flow of the set, must not.
+    space = caterpillar_tree if tree == "caterpillar" else TreeSpace(
+        TreeTopology(tuple(TreeEdge(i, 0, i + 1, 1.0) for i in range(5))))
+    for n in (3, 4, 5):
+        for seed in range(30):
+            row = check_lipschitz_ratio(space, n, seed, 8, FlowConfig(), 1e-4)
+            assert row.trials > 0
+            assert row.worst <= lipschitz_constant_bound(n), (n, seed, row.worst)
 
 
 def test_lipschitz_scan_seed_changes_draws(plane):
