@@ -11,7 +11,11 @@ the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
-Points again once, when it ends (``_wrap``).
+Points again once, when it ends (``_wrap``).  A sweep on the euclidean and
+hyperboloid backends is one call of the space's generated ``_sweep``, which
+unrolls the pair step for its dimension.  On a tree, and above
+``geometry._SWEEP_MAX_DIM``, a cap that bounds the memory compiled
+kernels take, ``_sweep_inplace`` calls ``_step`` pair by pair.
 """
 
 from __future__ import annotations
@@ -154,7 +158,12 @@ def _sweep_inplace(space: SpaceDescriptor, coords: list[tuple], lam: float) -> f
     # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
     # (1,2), (0,3), ...  The composition applies (0,1) first.  Returns the
     # smallest distance a pair was stepped from, or 0.0 if a pair was
-    # skipped because its two slots held equal data.
+    # skipped because its two slots held equal data.  The space's generated
+    # kernel runs the same sweep where it has one; trees and dimensions
+    # above the kernels' cap loop over _step here.
+    kernel = space._sweep
+    if kernel is not None:
+        return kernel(coords, lam)
     step = space._step
     low = math.inf
     for j in range(1, len(coords)):
@@ -177,10 +186,15 @@ def sweep(x: PointTuple, lam: float) -> PointTuple:
     return splitting_flow(x, lam, 1)
 
 
+def _check_time(t: float) -> None:
+    # NaN fails the comparison too.
+    if not 0.0 <= t < math.inf:
+        raise GeometryError(f"flow time must be finite and >= 0, got {t}")
+
+
 def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
     """Time-t flow approximated by k resolvent sweeps of step t/k."""
-    if t < 0.0:
-        raise GeometryError("flow time must be >= 0")
+    _check_time(t)
     if k < 1:
         raise GeometryError("sweep count must be >= 1")
     if t == 0.0 or len(x) < 2:
@@ -245,8 +259,7 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     ``converged=False`` and the finest result; a single run (no doublings)
     counts as converged.
     """
-    if t < 0.0:
-        raise GeometryError("flow time must be >= 0")
+    _check_time(t)
     if t == 0.0 or len(x) < 2:
         ds = _gaps(x.space, [p.data for p in x.coords])
         final, used, steps = x, 0, []

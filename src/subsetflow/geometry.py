@@ -24,12 +24,21 @@ compares its step size to it to tell when rounding may be as large as a
 step.  A tree has no march: ``merge_time`` calls its
 ``_first_collision(data)``, the exact flow to the first collision.
 
+The coordinate backends also have ``_sweep(coords, lam)``: one whole cyclic
+sweep of pair steps in place, returning the smallest distance a pair was
+stepped from.  Its source is generated once per backend and dimension from
+a template, with ``_step`` inlined and the coordinates unrolled, and keeps
+``_step``'s bits.  Compiling a kernel costs 10 to 40 KB of memory per
+dimension, so kernels are generated only up to ``_SWEEP_MAX_DIM``; above
+it ``_sweep`` is None and the flow loops over ``_step``, as on a tree.
+
 ``_check_point(p)`` is the check ``PointTuple`` and ``FiniteSubset`` make
 of every point they hold: its kind and, on a tree, its edge and offset.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -101,15 +110,48 @@ def _coordinates(coords, count: int) -> tuple:
     return data
 
 
+_OFF_SHEET = "interpolation left the hyperboloid sheet"
+
+
 def _project(raw: list) -> tuple:
     # Rescale a blend of hyperboloid points back onto the sheet.
     s = raw[0] * raw[0]
     for c in raw[1:]:
         s -= c * c
     if s <= 0.0 or raw[0] <= 0.0:
-        raise GeometryError("interpolation left the hyperboloid sheet")
+        raise GeometryError(_OFF_SHEET)
     inv = 1.0 / math.sqrt(s)
     return tuple([c * inv for c in raw])
+
+
+# Sweep kernels are generated up to this dimension.  Compiling one costs
+# 10 to 40 KB of memory per dimension (peak RSS measured at dim 1,000: +11 MB
+# for a euclidean kernel, +37 MB for a hyperboloid one; +112 MB for the
+# hyperboloid at 3,000), so above the cap the flow keeps its loop over
+# ``_step``.  At the cap a kernel compiles in 5 (euclidean) to 16 ms
+# (hyperboloid) and holds under 20 KB.
+_SWEEP_MAX_DIM = 16
+
+
+@functools.cache
+def _sweep_kernel(cls, dim: int):
+    """The sweep kernel of backend cls at dim, compiled from ``cls._SWEEP_SOURCE``.
+
+    Each field of the template is a pattern of ``cls._SWEEP_UNROLL`` written
+    out once per coordinate, from its first index to the last of a point's
+    ``dim + cls._EXTRA_COORDS`` coordinates; the source is then run by
+    ``exec``, the way ``dataclasses`` and ``collections.namedtuple`` build
+    their methods.  The cache holds at most one kernel per backend and
+    dimension up to ``_SWEEP_MAX_DIM``.
+    """
+    count = dim + cls._EXTRA_COORDS
+    fields = {name: "".join(pattern.format(k=k) for k in range(first, count))
+              for name, (pattern, first) in cls._SWEEP_UNROLL.items()}
+    namespace = {"inf": math.inf, "dist": math.dist, "sqrt": math.sqrt, "asinh": math.asinh,
+                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OFF_SHEET": _OFF_SHEET,
+                 "_far_step": _far_step, "GeometryError": GeometryError}
+    exec(cls._SWEEP_SOURCE.format(**fields), namespace)
+    return namespace["_sweep"]
 
 
 @dataclass(frozen=True)
@@ -123,9 +165,20 @@ class _CoordinateSpace:
     to qd, d apart) and ``_toward(pd, qd, s, d)`` (what ``_interp`` gives
     from pd and from qd at fraction s, from one set of weights, followed
     by d: the moving pair step's result).
+
+    They also set the template of their sweep kernel: ``_SWEEP_SOURCE``,
+    the source of ``_sweep(coords, lam) -> low``, one whole cyclic sweep in
+    place with ``_step`` inlined, and ``_SWEEP_UNROLL``, the per-coordinate
+    patterns that fill its fields.  ``self._sweep`` is that kernel for
+    ``self.dim``, generated on first use and cached by dimension, or None
+    above ``_SWEEP_MAX_DIM``.  It keeps every float operation of
+    ``_step`` in its order, so a sweep gives the same bits through either.
     """
 
     dim: int
+
+    # Coordinates a point carries beyond dim: the hyperboloid's time coordinate.
+    _EXTRA_COORDS: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
@@ -158,6 +211,12 @@ class _CoordinateSpace:
         if not s > 0.0:
             return _far_step(pd, qd, s, d)
         return self._toward(pd, qd, s, d)
+
+    @property
+    def _sweep(self):
+        if self.dim > _SWEEP_MAX_DIM:
+            return None
+        return _sweep_kernel(type(self), self.dim)
 
     @staticmethod
     def _scale(data: list[tuple]) -> float:
@@ -201,6 +260,44 @@ class EuclideanSpace(_CoordinateSpace):
     def _toward(pd: tuple, qd: tuple, s: float, d: float) -> tuple[tuple, tuple, float]:
         return (tuple([a + s * (b - a) for a, b in zip(pd, qd)]),
                 tuple([b + s * (a - b) for a, b in zip(pd, qd)]), d)
+
+    # The reverse point keeps b + s * (a - b): b - s * (b - a) is the same
+    # number except where a and b are both -0.0, which it leaves at -0.0.
+    _SWEEP_SOURCE: ClassVar[str] = """
+def _sweep(coords, lam):
+    lam2 = 2.0 * lam
+    low = inf
+    for j in range(1, len(coords)):
+        q = coords[j]
+        for i in range(j):
+            p = coords[i]
+            if p == q:
+                low = 0.0
+                continue
+            d = dist(p, q)
+            if d < low:
+                low = d
+            {a} = p
+            {b} = q
+            if d <= lam2:
+                coords[i] = q = ({mid})
+                continue
+            s = lam / d
+            if not s > 0.0:
+                _far_step(p, q, s, d)
+                continue
+            coords[i] = ({fwd})
+            q = ({rev})
+        coords[j] = q
+    return low
+"""
+    _SWEEP_UNROLL: ClassVar[dict] = {
+        "a": ("a{k}, ", 0),
+        "b": ("b{k}, ", 0),
+        "mid": ("a{k} + 0.5 * (b{k} - a{k}), ", 0),
+        "fwd": ("a{k} + s * (b{k} - a{k}), ", 0),
+        "rev": ("b{k} + s * (a{k} - b{k}), ", 0),
+    }
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -291,6 +388,80 @@ class HyperboloidSpace(_CoordinateSpace):
         wq = math.sinh(s * theta) / sh
         return (_project([wp * a + wq * b for a, b in zip(pd, qd)]),
                 _project([wp * b + wq * a for a, b in zip(pd, qd)]), theta)
+
+    # The midpoint's weights are one number: sinh((1.0 - 0.5) * d) is
+    # sinh(0.5 * d).  u is the blend toward q, v the one toward p, each
+    # projected as _project does.
+    _EXTRA_COORDS: ClassVar[int] = 1
+    _SWEEP_SOURCE: ClassVar[str] = """
+def _sweep(coords, lam):
+    lam2 = 2.0 * lam
+    low = inf
+    for j in range(1, len(coords)):
+        q = coords[j]
+        for i in range(j):
+            p = coords[i]
+            if p == q:
+                low = 0.0
+                continue
+            {a} = p
+            {b} = q
+            c = a0 - b0; md = -c * c; {md}
+            if md <= 0.0:
+                d = 0.0
+            else:
+                d = 2.0 * asinh(0.5 * sqrt(md))
+            if d < low:
+                low = d
+            if d <= lam2:
+                if d < _SMALL_ANGLE:
+                    {mid_affine}
+                else:
+                    w = sinh(0.5 * d) / sinh(d)
+                    {mid_sinh}
+                n2 = u0 * u0; {norm_u}
+                if n2 <= 0.0 or u0 <= 0.0:
+                    raise GeometryError(_OFF_SHEET)
+                inv = 1.0 / sqrt(n2)
+                coords[i] = q = ({u})
+                continue
+            s = lam / d
+            if not s > 0.0:
+                _far_step(p, q, s, d)
+                continue
+            if d < _SMALL_ANGLE:
+                {fwd_affine}
+            else:
+                sh = sinh(d)
+                wp = sinh((1.0 - s) * d) / sh
+                wq = sinh(s * d) / sh
+                {fwd_sinh}
+            n2 = u0 * u0; {norm_u}
+            if n2 <= 0.0 or u0 <= 0.0:
+                raise GeometryError(_OFF_SHEET)
+            inv = 1.0 / sqrt(n2)
+            coords[i] = ({u})
+            n2 = v0 * v0; {norm_v}
+            if n2 <= 0.0 or v0 <= 0.0:
+                raise GeometryError(_OFF_SHEET)
+            inv = 1.0 / sqrt(n2)
+            q = ({v})
+        coords[j] = q
+    return low
+"""
+    _SWEEP_UNROLL: ClassVar[dict] = {
+        "a": ("a{k}, ", 0),
+        "b": ("b{k}, ", 0),
+        "md": ("c = a{k} - b{k}; md += c * c; ", 1),
+        "mid_affine": ("u{k} = a{k} + 0.5 * (b{k} - a{k}); ", 0),
+        "mid_sinh": ("u{k} = w * a{k} + w * b{k}; ", 0),
+        "fwd_affine": ("u{k} = a{k} + s * (b{k} - a{k}); v{k} = b{k} + s * (a{k} - b{k}); ", 0),
+        "fwd_sinh": ("u{k} = wp * a{k} + wq * b{k}; v{k} = wp * b{k} + wq * a{k}; ", 0),
+        "norm_u": ("n2 -= u{k} * u{k}; ", 1),
+        "norm_v": ("n2 -= v{k} * v{k}; ", 1),
+        "u": ("u{k} * inv, ", 0),
+        "v": ("v{k} * inv, ", 0),
+    }
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -409,6 +580,8 @@ class TreeSpace:
     _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
+    # No generated sweep: the flow steps a tree pair by pair through _step.
+    _sweep: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         topo = self.topology

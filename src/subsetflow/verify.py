@@ -29,6 +29,7 @@ from .flow import (
     DOUBLING_TOLERANCE,
     MERGE_SLACK,
     FlowConfig,
+    _check_time,
     _refine,
     _run,
     _traced_run,
@@ -599,8 +600,7 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
     On small euclidean instances the flow is also compared against powers
     of the exact resolvent with step t/k.
     """
-    if t < 0.0:
-        raise GeometryError("flow time must be nonnegative")
+    _check_time(t)
     if cfg.flow.max_doublings < 1:
         raise GeometryError("a convergence study needs max_doublings >= 1")
     space = cfg.space

@@ -211,8 +211,12 @@ STAR_EDGES = ('[{"id": 0, "from": 0, "to": 1, "length": 1.0},'
      "--max-doublings", "0"],
     ["retract", "--set", '{"space": {"kind": "euclidean", "dim": true},'
      ' "points": [[0.0]]}', "--n", "2"],
+    ["flow", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--time", "inf"],
+    ["flow", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--time", "nan"],
+    ["convergence", "--space", "euclidean:2", "--n", "3", "--samples", "2", "--time", "inf"],
 ], ids=["letter", "null", "nested", "tree-edge-list", "tree-offset-text", "tree-edge-id",
-        "no-space", "overflow", "no-doublings", "bool-dim"])
+        "no-space", "overflow", "no-doublings", "bool-dim", "flow-time-inf", "flow-time-nan",
+        "convergence-time-inf"])
 def test_bad_input_is_an_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1

@@ -16,6 +16,7 @@ from subsetflow import (
     flow_adaptive,
     full_resolvent_oracle,
     hausdorff_distance,
+    make_space,
     merge_time,
     min_gap,
     pair_resolvent,
@@ -26,8 +27,8 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import MERGE_SLACK
-from subsetflow.geometry import _SMALL_ANGLE, _Move
+from subsetflow.flow import MERGE_SLACK, _sweep_inplace, _wrap
+from subsetflow.geometry import _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move
 from oracles import grid_pair_prox
 
 
@@ -118,12 +119,18 @@ def _composed_pair_step(space, p, q, lam):
 
 def _far_pair(space):
     # Two points whose distance overflows to inf, or None on a tree.
+    if isinstance(space, TreeSpace):
+        return None
+    pad = (0.0,) * (space.dim - 1)
     if isinstance(space, EuclideanSpace):
-        return space.point((-1e308, 0.0)), space.point((1e308, 0.0))
-    if isinstance(space, HyperboloidSpace):
-        c, s = math.cosh(710.0), math.sinh(710.0)
-        return space.point((c, s, 0.0)), space.point((c, -s, 0.0))
-    return None
+        return space.point((-1e308,) + pad), space.point((1e308,) + pad)
+    c, s = math.cosh(710.0), math.sinh(710.0)
+    return space.point((c, s) + pad), space.point((c, -s) + pad)
+
+
+def _ray_point(hyper, r):
+    # The point of hyperboloid:2 r from the apex along a fixed ray.
+    return hyper.point((math.cosh(r), math.sinh(r) * math.cos(0.3), math.sinh(r) * math.sin(0.3)))
 
 
 @pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])
@@ -172,31 +179,128 @@ def test_sweep_rejects_bad_step(line):
         sweep(line_tuple(line, 0.0, 1.0), 0.0)
 
 
-@pytest.mark.parametrize("key", ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree",
-                                 "path-tree", "caterpillar"])
+def _composed_sweep(space, x, lam, seen):
+    # One sweep as public pair steps in the documented order: (0,1), (0,2),
+    # (1,2), (0,3), ...; with the smallest distance a pair was stepped from,
+    # 0.0 once a pair holds equal data.  seen counts the branches taken.
+    want = list(x.coords)
+    low = math.inf
+    for j in range(1, len(want)):
+        for i in range(j):
+            p, q = want[i], want[j]
+            if p == q:
+                seen["equal"] += 1
+                low = 0.0
+                continue
+            d = space.distance(p, q)
+            low = min(low, d)
+            seen["merged" if d <= 2.0 * lam else "moved"] += 1
+            seen["far"] += d == math.inf
+            seen["tiny"] += 0.0 < d < _SMALL_ANGLE
+            want[i], want[j] = _composed_pair_step(space, p, q, lam)
+    return PointTuple(space, tuple(want)), low
+
+
+def _flow_sweep(x, lam):
+    # One sweep through the flow's own entry point, and the low it reports.
+    data = [p.data for p in x.coords]
+    low = _sweep_inplace(x.space, data, lam)
+    return _wrap(x, data), low
+
+
+def _sweeps_outcome(march, x, lam, sweeps):
+    # The repr of the state and lows after the sweeps, or of the error one
+    # of them raised.
+    lows = []
+    try:
+        for _ in range(sweeps):
+            x, low = march(x, lam)
+            lows.append(low)
+        return repr((x.coords, lows))
+    except GeometryError as exc:
+        return repr(exc)
+
+
+def _last_coordinate_negative_zero(space, p):
+    # p with its last coordinate -0.0, moved back onto the sheet on the
+    # hyperboloid.  Two points sharing it tell the pair step's b + s*(a - b)
+    # from b - s*(b - a), which differ only there.
+    if space.dim == 1:
+        return p
+    if isinstance(space, EuclideanSpace):
+        return space.point(p.data[:-1] + (-0.0,))
+    rest = p.data[1:-1] + (-0.0,)
+    return space.point((math.sqrt(1.0 + sum(c * c for c in rest)),) + rest)
+
+
+def _branch_inputs(space, rng):
+    # (tuple, step, sweeps) cases on a coordinate backend that make a sweep
+    # skip two slots holding equal data, step a pair whose distance
+    # overflows, and step a pair closer than _SMALL_ANGLE.
+    # A later step clears a -0.0 again, so the pairs that share one are
+    # also swept alone, once.
+    p, q, r = (_last_coordinate_negative_zero(space, space.random_point(rng)) for _ in range(3))
+    yield PointTuple(space, (p, q)), 0.1 * space.distance(p, q), 1
+    yield PointTuple(space, (p, p, q, r)), 0.1 * space.distance(p, q), 3
+    far_p, far_q = _far_pair(space)
+    for lam in (1.0, 0.1):
+        yield PointTuple(space, (far_p, far_q)), lam, 2
+        yield PointTuple(space, (far_p, far_q, p)), lam, 1
+    near = space.geodesic_point(p, r, 1e-9 / space.distance(p, r))
+    near = _last_coordinate_negative_zero(space, near)
+    theta = space.distance(p, near)
+    assert 0.0 < theta < _SMALL_ANGLE
+    for lam in (theta, 0.1 * theta):
+        yield PointTuple(space, (p, near)), lam, 1
+        yield PointTuple(space, (p, near, q)), lam, 2
+
+
+SWEEP_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", f"euclidean-{_SWEEP_MAX_DIM + 1}",
+              "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", f"hyperboloid-{_SWEEP_MAX_DIM + 1}",
+              "star-tree", "path-tree", "caterpillar"]
+
+
+@pytest.mark.parametrize("key", SWEEP_KEYS)
 def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_tree, key):
-    space = caterpillar_tree if key == "caterpillar" else all_spaces[key]
+    # Every dimension the kernel template emits, and one above the cap,
+    # where the flow steps pair by pair.
+    if key == "caterpillar":
+        space = caterpillar_tree
+    elif key in all_spaces:
+        space = all_spaces[key]
+    else:
+        kind, dim = key.split("-")
+        space = make_space(kind, int(dim))
+    coordinates = not isinstance(space, TreeSpace)
+    if coordinates:
+        assert (space._sweep is None) == (space.dim > _SWEEP_MAX_DIM)
     rng = random.Random(f"sweepbits:{key}")
-    merged = moved = 0
+    cases = []
     for n in range(3, 7):
         for _ in range(4):
             x = random_tuple(space, rng, n)
             ds = [space.distance(p, q) for p, q in itertools.combinations(x.coords, 2)]
             # lam below every starting d/2, between them, and above them all
-            for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2], 0.6 * max(ds)):
-                want = list(x.coords)
-                # the documented order: (0,1), (0,2), (1,2), (0,3), ...
-                for j in range(1, n):
-                    for i in range(j):
-                        p, q = want[i], want[j]
-                        if p != q:
-                            d = space.distance(p, q)
-                            merged += d <= 2.0 * lam
-                            moved += d > 2.0 * lam
-                            want[i], want[j] = _composed_pair_step(space, p, q, lam)
-                got = sweep(x, lam).coords
-                assert got == tuple(want) and repr(got) == repr(tuple(want))
-    assert merged and moved
+            cases += [(x, lam, 1) for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2],
+                                              0.6 * max(ds))]
+    if coordinates:
+        cases += _branch_inputs(space, rng)
+    if key == "hyperboloid-2":
+        # Valid points on one ray far from the apex that leave the sheet
+        # through either path: at 17 and 18 the march's 53rd sweep does, at
+        # 18 and 19 the midpoint.
+        for r, lam, sweeps in ((17.0, 1.0 / 512.0, 60), (18.0, 1.0, 1)):
+            x = PointTuple(space, (_ray_point(space, r), _ray_point(space, r + 1.0)))
+            cases.append((x, lam * min_gap(x), sweeps))
+            assert "interpolation left the hyperboloid sheet" in _sweeps_outcome(
+                _flow_sweep, *cases[-1])
+    seen = dict.fromkeys(("equal", "merged", "moved", "far", "tiny"), 0)
+    for x, lam, sweeps in cases:
+        want = _sweeps_outcome(lambda y, lam: _composed_sweep(space, y, lam, seen), x, lam, sweeps)
+        assert _sweeps_outcome(_flow_sweep, x, lam, sweeps) == want
+    assert seen["merged"] and seen["moved"]
+    if coordinates:
+        assert seen["equal"] and seen["far"] and seen["tiny"]
 
 
 def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
@@ -237,6 +341,13 @@ def test_flow_validation(line):
         splitting_flow(x, -0.1, 8)
     with pytest.raises(GeometryError):
         splitting_flow(x, 0.1, 0)
+    # A time that is not finite is refused as a time, not by the geodesic
+    # parameter check a NaN step would reach.
+    for t in (math.inf, math.nan):
+        with pytest.raises(GeometryError, match="flow time"):
+            splitting_flow(x, t, 8)
+        with pytest.raises(GeometryError, match="flow time"):
+            flow_adaptive(x, t, FlowConfig())
 
 
 @pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])
