@@ -26,6 +26,14 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error, such as a flag the command does not take, is one error
+    # line and exit code 1 like any bad input; argparse would print the usage
+    # and exit 2, which is reserved for verification failures.
+    def error(self, message):
+        raise CliError(message)
+
+
 def _json(text: str, what: str):
     try:
         return json.loads(text)
@@ -75,9 +83,18 @@ def _points(ns: argparse.Namespace, cls, field: str):
     return cls.from_json(payload)
 
 
+# Each flow flag: the FlowConfig field it sets, its type and its help.  A
+# command takes only the flags whose fields it reads.
+_FLOW_FLAGS = {
+    "--k": ("sweeps_per_run", int, "sweeps per unit run (a tree's merge runs the exact flow)"),
+    "--merge-tol": ("merge_tolerance", float, None),
+    "--max-doublings": ("max_doublings", int, None),
+}
+
+
 def _flow_config(ns: argparse.Namespace) -> FlowConfig:
-    return FlowConfig(sweeps_per_run=ns.k, merge_tolerance=ns.merge_tol,
-                      max_doublings=ns.max_doublings)
+    return FlowConfig(**{field: getattr(ns, field) for field, _, _ in _FLOW_FLAGS.values()
+                         if hasattr(ns, field)})
 
 
 def _scan_config(ns: argparse.Namespace) -> ScanConfig:
@@ -144,42 +161,46 @@ def run(ns: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subsetflow",
         description="Lipschitz retractions of finite subset spaces by gradient flow",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, needs_points=False):
+    def common(p, flow_flags, needs_points=False):
         p.add_argument("--space", help="simple space as kind:dim, e.g. euclidean:2")
         p.add_argument("--space-file", help="JSON space descriptor (required for trees)")
         if needs_points:
             p.add_argument("--set", dest="set_json",
                            help="inline JSON array of points")
             p.add_argument("--input", help="JSON file with space plus points/coords")
-        p.add_argument("--k", type=int, default=FlowConfig.sweeps_per_run,
-                       help="sweeps per unit run (a tree's merge runs the exact flow)")
-        p.add_argument("--merge-tol", type=float, default=FlowConfig.merge_tolerance)
-        p.add_argument("--max-doublings", type=int, default=FlowConfig.max_doublings)
+        for flag in flow_flags:
+            field, kind, help_text = _FLOW_FLAGS[flag]
+            p.add_argument(flag, dest=field, type=kind, default=getattr(FlowConfig, field),
+                           help=help_text)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
+    merge_flags = ("--k", "--merge-tol")
+    doubling_flags = ("--k", "--max-doublings")
+
     p = sub.add_parser("retract", help="retract a finite set into fewer points")
-    common(p, needs_points=True)
+    common(p, merge_flags, needs_points=True)
     p.add_argument("--n", type=int, help="cardinality bound n of the ambient H(n)")
 
     p = sub.add_parser("flow", help="run the adaptive splitting flow on a tuple")
-    common(p, needs_points=True)
+    common(p, doubling_flags, needs_points=True)
     p.add_argument("--time", type=float)
     p.add_argument("--trace-csv", help="write the (time, delta, F) trace here")
 
     p = sub.add_parser("merge-time", help="first-merge time of a tuple")
-    common(p, needs_points=True)
+    common(p, merge_flags, needs_points=True)
 
-    for name, help_text in (("verify", "run the full invariant suite"),
-                            ("scan", "empirical Lipschitz ratio scan"),
-                            ("convergence", "sweep-doubling convergence study")):
+    for name, help_text, flow_flags in (
+            ("verify", "run the full invariant suite", tuple(_FLOW_FLAGS)),
+            ("scan", "empirical Lipschitz ratio scan", merge_flags),
+            ("convergence", "sweep-doubling convergence study", doubling_flags)):
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        common(p, flow_flags)
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
@@ -192,15 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        return run(_build_parser().parse_args(argv))
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; that code is reserved for
-        # verification failures here
-        return 0 if exc.code == 0 else 1
-    try:
-        return run(ns)
+        # --help
+        return exc.code
     except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

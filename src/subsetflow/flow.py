@@ -11,11 +11,10 @@ the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
-Points again once, when it ends (``_wrap``).  A sweep on the euclidean and
-hyperboloid backends is one call of the space's generated ``_sweep``, which
-unrolls the pair step for its dimension.  On a tree, and above
-``geometry._SWEEP_MAX_DIM``, a cap that bounds the memory compiled
-kernels take, ``_sweep_inplace`` calls ``_step`` pair by pair.
+Points again once, when it ends (``_wrap``).  A sweep is one call of the
+space's ``_sweep``, and :mod:`subsetflow.geometry` decides how it runs; this
+module only schedules sweeps: how many, of what step, and when to measure
+the gaps.
 """
 
 from __future__ import annotations
@@ -154,31 +153,6 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
     return PointTuple(x.space, tuple(coords))
 
 
-def _sweep_inplace(space: SpaceDescriptor, coords: list[tuple], lam: float) -> float:
-    # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
-    # (1,2), (0,3), ...  The composition applies (0,1) first.  Returns the
-    # smallest distance a pair was stepped from, or 0.0 if a pair was
-    # skipped because its two slots held equal data.  The space's generated
-    # kernel runs the same sweep where it has one; trees and dimensions
-    # above the kernels' cap loop over _step here.
-    kernel = space._sweep
-    if kernel is not None:
-        return kernel(coords, lam)
-    step = space._step
-    low = math.inf
-    for j in range(1, len(coords)):
-        for i in range(j):
-            p = coords[i]
-            q = coords[j]
-            if p != q:
-                coords[i], coords[j], d = step(p, q, lam)
-                if d < low:
-                    low = d
-            else:
-                low = 0.0
-    return low
-
-
 def sweep(x: PointTuple, lam: float) -> PointTuple:
     """One full cycle of pair resolvents over every coordinate pair."""
     if lam <= 0.0:
@@ -209,17 +183,19 @@ def _run(space, coords: list[tuple], t: float, k: int) -> None:
     if t == 0.0:
         return
     lam = t / k
+    sweep = space._sweep
     for _ in range(k):
-        _sweep_inplace(space, coords, lam)
+        sweep(coords, lam)
 
 
 def _traced_run(space, coords: list[tuple], t: float, k: int):
     lam = t / k
+    sweep = space._sweep
     gap_trace = []
     obj_trace = []
     for m in range(k + 1):
         if m:
-            _sweep_inplace(space, coords, lam)
+            sweep(coords, lam)
         ds = _gaps(space, coords)
         now = m * lam
         gap_trace.append((now, min(ds)))
@@ -329,8 +305,9 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     else:
         watch = threshold + 4.0 * len(data) * lam
     elapsed = 0.0
+    sweep = space._sweep
     for m in range(1, max_sweeps + 1):
-        low = _sweep_inplace(space, data, lam)
+        low = sweep(data, lam)
         elapsed += lam
         if low <= watch or m == max_sweeps:
             ds = _gaps(space, data)
@@ -338,8 +315,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
                 return elapsed, _wrap(x, data)
     # Force-merge the first closest pair of the last sweep's distances.
     i, j = list(itertools.combinations(range(len(data)), 2))[ds.index(min(ds))]
-    mid = space.geodesic_point(Point(space.kind, data[i]), Point(space.kind, data[j]), 0.5)
-    data[i] = data[j] = mid.data
+    data[i], data[j], _ = space._step(data[i], data[j], math.inf)
     return elapsed, _wrap(x, data)
 
 

@@ -6,34 +6,35 @@ space and point values are immutable, and every operation is a pure
 function of its arguments, so the module is safe to use from concurrent
 samplers.
 
-The public ``distance`` and ``geodesic_point`` check that their points
-belong to the space, call a private kernel and wrap its result in a
-``Point``.  The kernels take and return bare coordinate data, the
-``Point.data`` of a point: a coordinate tuple, or an ``(edge_id, offset)``
-pair on a tree.  They skip the kind check, because the flow passes them
-the data of a ``PointTuple``, checked once when it was built, and it
-builds Points again only once per run.  ``_gap(pd, qd)`` is the distance,
-and ``_step(pd, qd, lam)`` is the two-point resolvent of distinct pd and
-qd, which computes their distance d once and returns ``(p', q', d)``:
-the shared midpoint twice when d <= 2 lam, else both points moved lam
-toward each other, and d itself, which the merge march uses as a bound.
-Both give the same bits as the public methods they stand in for.
+The public ``distance`` and ``geodesic_point`` check each point with
+``_check_point(p)``, the check ``PointTuple`` and ``FiniteSubset`` make of
+every point they hold (its kind and, on a tree, its edge and offset), call
+a private kernel and wrap its result in a ``Point``.  The kernels take and
+return bare coordinate data, the ``Point.data`` of a point: a coordinate
+tuple, or an ``(edge_id, offset)`` pair on a tree.  They skip the check,
+because the flow passes them the data of a ``PointTuple``, checked once
+when it was built, and it builds Points again only once per run.
+``_gap(pd, qd)`` is the distance, and ``_step(pd, qd, lam)`` is the
+two-point resolvent of distinct pd and qd, which computes their distance d
+once and returns ``(p', q', d)``: the shared midpoint twice when
+d <= 2 lam, else both points moved lam toward each other, and d itself,
+which the merge march uses as a bound.  Both give the same bits as the
+public methods they stand in for.
 On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
 step.  A tree has no march: ``merge_time`` calls its
 ``_first_collision(data)``, the exact flow to the first collision.
 
-The coordinate backends also have ``_sweep(coords, lam)``: one whole cyclic
-sweep of pair steps in place, returning the smallest distance a pair was
-stepped from.  Its source is generated once per backend and dimension from
-a template, with ``_step`` inlined and the coordinates unrolled, and keeps
-``_step``'s bits.  Compiling a kernel costs 10 to 40 KB of memory per
-dimension, so kernels are generated only up to ``_SWEEP_MAX_DIM``; above
-it ``_sweep`` is None and the flow loops over ``_step``, as on a tree.
-
-``_check_point(p)`` is the check ``PointTuple`` and ``FiniteSubset`` make
-of every point they hold: its kind and, on a tree, its edge and offset.
+Every space also has ``_sweep(coords, lam)``: one whole cyclic sweep of
+pair steps in place, returning the smallest distance a pair was stepped
+from.  This module alone decides how a sweep runs.  ``_pair_sweep`` loops
+over ``_step`` in the sweep's pair order; a tree sweeps with it, and so does
+a coordinate backend above ``_SWEEP_MAX_DIM``.  Up to that cap a coordinate
+backend's ``_sweep`` is a kernel generated once per backend and dimension
+from a template, with ``_step`` inlined and the coordinates unrolled, which
+keeps ``_step``'s bits.  Compiling a kernel costs 10 to 40 KB of memory per
+dimension, which is what the cap bounds.
 """
 
 from __future__ import annotations
@@ -127,10 +128,31 @@ def _project(raw: list) -> tuple:
 # Sweep kernels are generated up to this dimension.  Compiling one costs
 # 10 to 40 KB of memory per dimension (peak RSS measured at dim 1,000: +11 MB
 # for a euclidean kernel, +37 MB for a hyperboloid one; +112 MB for the
-# hyperboloid at 3,000), so above the cap the flow keeps its loop over
-# ``_step``.  At the cap a kernel compiles in 5 (euclidean) to 16 ms
-# (hyperboloid) and holds under 20 KB.
+# hyperboloid at 3,000), so above the cap ``_sweep`` is ``_pair_sweep``.  At
+# the cap a kernel compiles in 5 (euclidean) to 16 ms (hyperboloid) and holds
+# under 20 KB.
 _SWEEP_MAX_DIM = 16
+
+
+def _pair_sweep(space, coords: list[tuple], lam: float) -> float:
+    # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
+    # (1,2), (0,3), ...  The composition applies (0,1) first.  Returns the
+    # smallest distance a pair was stepped from, or 0.0 if a pair was
+    # skipped because its two slots held equal data.  The generated kernels
+    # run the same sweep with the pair step inlined.
+    step = space._step
+    low = math.inf
+    for j in range(1, len(coords)):
+        for i in range(j):
+            p = coords[i]
+            q = coords[j]
+            if p != q:
+                coords[i], coords[j], d = step(p, q, lam)
+                if d < low:
+                    low = d
+            else:
+                low = 0.0
+    return low
 
 
 @functools.cache
@@ -161,18 +183,18 @@ class _CoordinateSpace:
     Subclasses set ``kind`` and define ``point``, ``distance``,
     ``geodesic_point`` and ``random_point`` in their own class body, where
     per-backend call counters look the public methods up, and the kernels
-    ``_gap``, ``_interp(pd, qd, t, d)`` (the point at fraction t from pd
-    to qd, d apart) and ``_toward(pd, qd, s, d)`` (what ``_interp`` gives
-    from pd and from qd at fraction s, from one set of weights, followed
-    by d: the moving pair step's result).
+    ``_gap`` and ``_interp(pd, qd, t, d)``, the point at fraction t from pd
+    to qd, d apart.  ``_step`` is ``_gap`` followed by ``_interp`` from each
+    end.
 
     They also set the template of their sweep kernel: ``_SWEEP_SOURCE``,
     the source of ``_sweep(coords, lam) -> low``, one whole cyclic sweep in
     place with ``_step`` inlined, and ``_SWEEP_UNROLL``, the per-coordinate
     patterns that fill its fields.  ``self._sweep`` is that kernel for
-    ``self.dim``, generated on first use and cached by dimension, or None
-    above ``_SWEEP_MAX_DIM``.  It keeps every float operation of
-    ``_step`` in its order, so a sweep gives the same bits through either.
+    ``self.dim``, generated on first use and cached by dimension, up to
+    ``_SWEEP_MAX_DIM``, and ``_pair_sweep`` bound to the space above it.
+    The kernel keeps every float operation of ``_step`` in its order, so a
+    sweep gives the same bits through either.
     """
 
     dim: int
@@ -210,12 +232,12 @@ class _CoordinateSpace:
         s = lam / d
         if not s > 0.0:
             return _far_step(pd, qd, s, d)
-        return self._toward(pd, qd, s, d)
+        return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d), d
 
     @property
     def _sweep(self):
         if self.dim > _SWEEP_MAX_DIM:
-            return None
+            return functools.partial(_pair_sweep, self)
         return _sweep_kernel(type(self), self.dim)
 
     @staticmethod
@@ -255,11 +277,6 @@ class EuclideanSpace(_CoordinateSpace):
     @staticmethod
     def _interp(pd: tuple, qd: tuple, t: float, d) -> tuple:
         return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
-
-    @staticmethod
-    def _toward(pd: tuple, qd: tuple, s: float, d: float) -> tuple[tuple, tuple, float]:
-        return (tuple([a + s * (b - a) for a, b in zip(pd, qd)]),
-                tuple([b + s * (a - b) for a, b in zip(pd, qd)]), d)
 
     # The reverse point keeps b + s * (a - b): b - s * (b - a) is the same
     # number except where a and b are both -0.0, which it leaves at -0.0.
@@ -377,17 +394,6 @@ class HyperboloidSpace(_CoordinateSpace):
         wp = math.sinh((1.0 - t) * theta) / sh
         wq = math.sinh(t * theta) / sh
         return _project([wp * a + wq * b for a, b in zip(pd, qd)])
-
-    def _toward(self, pd: tuple, qd: tuple, s: float, theta: float) -> tuple[tuple, tuple, float]:
-        # _interp(pd, qd, s, theta) and _interp(qd, pd, s, theta), with the
-        # sinh weights computed once: the reverse point takes them swapped.
-        if theta < _SMALL_ANGLE:
-            return self._interp(pd, qd, s, theta), self._interp(qd, pd, s, theta), theta
-        sh = math.sinh(theta)
-        wp = math.sinh((1.0 - s) * theta) / sh
-        wq = math.sinh(s * theta) / sh
-        return (_project([wp * a + wq * b for a, b in zip(pd, qd)]),
-                _project([wp * b + wq * a for a, b in zip(pd, qd)]), theta)
 
     # The midpoint's weights are one number: sinh((1.0 - 0.5) * d) is
     # sinh(0.5 * d).  u is the blend toward q, v the one toward p, each
@@ -580,8 +586,6 @@ class TreeSpace:
     _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
-    # No generated sweep: the flow steps a tree pair by pair through _step.
-    _sweep: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         topo = self.topology
@@ -658,16 +662,9 @@ class TreeSpace:
         if not 0.0 <= offset <= edge.length:
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
-    def _check_pair(self, p: Point, q: Point) -> None:
-        # The kinds, and the edge of a pair on one edge: a route between two
-        # edges looks both up itself.
-        _check_kind(self, p)
-        _check_kind(self, q)
-        if p.data[0] == q.data[0]:
-            self._edge(p.data[0])
-
     def distance(self, p: Point, q: Point) -> float:
-        self._check_pair(p, q)
+        self._check_point(p)
+        self._check_point(q)
         return self._gap(p.data, q.data)
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
@@ -741,7 +738,8 @@ class TreeSpace:
         return self._place(target_edge, off)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        self._check_pair(p, q)
+        self._check_point(p)
+        self._check_point(q)
         _check_t(t)
         if t == 0.0 or p == q:
             return p
@@ -781,6 +779,9 @@ class TreeSpace:
         if not s > 0.0:
             return _far_step(pd, qd, s, d)
         return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
+
+    def _sweep(self, coords: list[tuple], lam: float) -> float:
+        return _pair_sweep(self, coords, lam)
 
     def _branch(self, node: int, qd: tuple) -> TreeEdge:
         # The first edge from the vertex node toward the point qd != node.  An

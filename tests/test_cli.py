@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subsetflow
 from subsetflow.cli import main
 
 
@@ -35,6 +40,18 @@ def test_retract_tree_space_file(capsys, tmp_path, star_tree):
     assert pt["edge"] == 0
     assert pt["offset"] == pytest.approx(0.05, abs=1e-12)
     assert report["merge_time_used"] == pytest.approx(0.35, rel=1e-9)
+
+
+def test_import_and_retract_leave_numpy_unloaded():
+    # numpy is imported only by the exact reference resolvent
+    code = ("import sys, subsetflow, subsetflow.cli\n"
+            "rc = subsetflow.cli.main(['retract', '--space', 'euclidean:2',"
+            " '--set', '[[0, 0], [1, 0], [0, 1]]', '--n', '3'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(subsetflow.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tree_requires_space_file(capsys):
@@ -214,9 +231,14 @@ STAR_EDGES = ('[{"id": 0, "from": 0, "to": 1, "length": 1.0},'
     ["flow", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--time", "inf"],
     ["flow", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--time", "nan"],
     ["convergence", "--space", "euclidean:2", "--n", "3", "--samples", "2", "--time", "inf"],
+    # a flow flag the command does not read is not accepted
+    ["flow", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--time", "0.1",
+     "--merge-tol", "0.5"],
+    ["retract", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--n", "2",
+     "--max-doublings", "5"],
 ], ids=["letter", "null", "nested", "tree-edge-list", "tree-offset-text", "tree-edge-id",
         "no-space", "overflow", "no-doublings", "bool-dim", "flow-time-inf", "flow-time-nan",
-        "convergence-time-inf"])
+        "convergence-time-inf", "flow-merge-tol", "retract-max-doublings"])
 def test_bad_input_is_an_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1

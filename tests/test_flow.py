@@ -27,8 +27,8 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import MERGE_SLACK, _sweep_inplace, _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move
+from subsetflow.flow import MERGE_SLACK, _wrap
+from subsetflow.geometry import _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move, _pair_sweep, _sweep_kernel
 from oracles import grid_pair_prox
 
 
@@ -202,9 +202,9 @@ def _composed_sweep(space, x, lam, seen):
 
 
 def _flow_sweep(x, lam):
-    # One sweep through the flow's own entry point, and the low it reports.
+    # One sweep through the space's own entry point, and the low it reports.
     data = [p.data for p in x.coords]
-    low = _sweep_inplace(x.space, data, lam)
+    low = x.space._sweep(data, lam)
     return _wrap(x, data), low
 
 
@@ -273,7 +273,11 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         space = make_space(kind, int(dim))
     coordinates = not isinstance(space, TreeSpace)
     if coordinates:
-        assert (space._sweep is None) == (space.dim > _SWEEP_MAX_DIM)
+        # a generated kernel exactly when dim <= _SWEEP_MAX_DIM
+        if space.dim <= _SWEEP_MAX_DIM:
+            assert space._sweep is _sweep_kernel(type(space), space.dim)
+        else:
+            assert space._sweep.func is _pair_sweep and space._sweep.args == (space,)
     rng = random.Random(f"sweepbits:{key}")
     cases = []
     for n in range(3, 7):

@@ -215,11 +215,18 @@ def test_tree_rejects_bad_offsets(star_tree):
         star_tree.point((9, 0.5))
     # a point of another tree whose edge has this id but is longer
     long_leg = TreeSpace(TreeTopology((TreeEdge(0, 0, 1, 5.0),))).point((0, 3.0))
+    good = star_tree.point((0, 0.5))
     for bad in (long_leg, Point("tree", (0, -0.1)), Point("tree", (0, math.nan))):
         with pytest.raises(GeometryError):
             PointTuple(star_tree, (bad,))
         with pytest.raises(GeometryError):
             FiniteSubset(star_tree, (bad,))
+        # the public methods check the offset too, also on a shared edge
+        for p, q in ((bad, good), (good, bad)):
+            with pytest.raises(GeometryError):
+                star_tree.distance(p, q)
+            with pytest.raises(GeometryError):
+                star_tree.geodesic_point(p, q, 0.5)
 
 
 @pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400)])
