@@ -11,10 +11,10 @@ the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
-Points again once, when it ends (``_wrap``).  A sweep is one call of the
-space's ``_sweep``, and :mod:`subsetflow.geometry` decides how it runs; this
-module only schedules sweeps: how many, of what step, and when to measure
-the gaps.
+Points again once, when it ends (``_wrap``).  Its sweeps run in marches,
+calls of the space's ``_march``, which :mod:`subsetflow.geometry` decides
+how to run; this module only schedules marches: how many sweeps, of what
+step, and when to stop and measure the gaps.
 """
 
 from __future__ import annotations
@@ -138,9 +138,10 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
 def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
     """The PointTuple of a run that started at x and ended with this data.
 
-    A slot whose data did not move keeps x's Point, and slots that hold one
-    data object (a shared midpoint) share one Point, so a later gap check
-    sees an exact zero between them.
+    A slot whose data object is one of x's keeps x's Point, and slots that
+    hold one data object share one Point.  A shared midpoint may also be
+    equal data in two objects (the euclidean march builds its tuples anew);
+    either way a later gap check sees an exact zero between the two slots.
     """
     kind = x.space.kind
     made = {id(p.data): p for p in x.coords}
@@ -182,20 +183,17 @@ def _run(space, coords: list[tuple], t: float, k: int) -> None:
     # k sweeps of step t/k, in place; time zero moves nothing
     if t == 0.0:
         return
-    lam = t / k
-    sweep = space._sweep
-    for _ in range(k):
-        sweep(coords, lam)
+    space._march(coords, t / k, k, -math.inf)
 
 
 def _traced_run(space, coords: list[tuple], t: float, k: int):
     lam = t / k
-    sweep = space._sweep
+    march = space._march
     gap_trace = []
     obj_trace = []
     for m in range(k + 1):
         if m:
-            sweep(coords, lam)
+            march(coords, lam, 1, -math.inf)
         ds = _gaps(space, coords)
         now = m * lam
         gap_trace.append((now, min(ds)))
@@ -275,12 +273,13 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     sweep steps each coordinate in n-1 pair steps of at most lam each, so
     in exact arithmetic every gap after it is at least ``low - 2(n-1)lam``,
     where ``low`` is the smallest distance a pair was stepped from in that
-    sweep (0 if a pair held equal data).  The march therefore measures the
-    gaps only when ``low <= threshold + 4 n lam``, a margin about twice the
-    exact one that also covers rounding; after every sweep when lam is
-    below ``ROUNDING_FLOOR`` times the space's scale (``space._scale``),
-    where a step may round by as much as lam; and after the last sweep,
-    whose gaps pick the pair to snap.  The result keeps every bit of a
+    sweep (0 if a pair held equal data).  The march therefore stops to
+    measure the gaps (``space._march``'s ``watch``) only after a sweep with
+    ``low <= threshold + 4 n lam``, a margin about twice the exact one that
+    also covers rounding; after every sweep when lam is below
+    ``ROUNDING_FLOOR`` times the space's scale (``space._scale``), where a
+    step may round by as much as lam; and after the last sweep, whose gaps
+    pick the pair to snap.  The result keeps every bit of a
     march that measures the gaps after every sweep.
     """
     if len(x) < 2:
@@ -305,14 +304,16 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     else:
         watch = threshold + 4.0 * len(data) * lam
     elapsed = 0.0
-    sweep = space._sweep
-    for m in range(1, max_sweeps + 1):
-        low = sweep(data, lam)
-        elapsed += lam
-        if low <= watch or m == max_sweeps:
-            ds = _gaps(space, data)
-            if min(ds) <= threshold:
-                return elapsed, _wrap(x, data)
+    m = 0
+    while m < max_sweeps:
+        # The march stops after a sweep with low <= watch, or the last one.
+        done, _ = space._march(data, lam, max_sweeps - m, watch)
+        m += done
+        for _ in range(done):
+            elapsed += lam
+        ds = _gaps(space, data)
+        if min(ds) <= threshold:
+            return elapsed, _wrap(x, data)
     # Force-merge the first closest pair of the last sweep's distances.
     i, j = list(itertools.combinations(range(len(data)), 2))[ds.index(min(ds))]
     data[i], data[j], _ = space._step(data[i], data[j], math.inf)

@@ -7,8 +7,9 @@ function of its arguments, so the module is safe to use from concurrent
 samplers.
 
 The public ``distance`` and ``geodesic_point`` check each point with
-``_check_point(p)``, the check ``PointTuple`` and ``FiniteSubset`` make of
-every point they hold (its kind and, on a tree, its edge and offset), call
+``_check_point(p)``, the check ``PointTuple``, ``FiniteSubset`` and
+``make_subset`` make of every point they hold (its kind; on the coordinate
+backends its coordinate count, on a tree its edge and offset), call
 a private kernel and wrap its result in a ``Point``.  The kernels take and
 return bare coordinate data, the ``Point.data`` of a point: a coordinate
 tuple, or an ``(edge_id, offset)`` pair on a tree.  They skip the check,
@@ -26,15 +27,19 @@ compares its step size to it to tell when rounding may be as large as a
 step.  A tree has no march: ``merge_time`` calls its
 ``_first_collision(data)``, the exact flow to the first collision.
 
-Every space also has ``_sweep(coords, lam)``: one whole cyclic sweep of
-pair steps in place, returning the smallest distance a pair was stepped
-from.  This module alone decides how a sweep runs.  ``_pair_sweep`` loops
-over ``_step`` in the sweep's pair order; a tree sweeps with it, and so does
-a coordinate backend above ``_SWEEP_MAX_DIM``.  Up to that cap a coordinate
-backend's ``_sweep`` is a kernel generated once per backend and dimension
-from a template, with ``_step`` inlined and the coordinates unrolled, which
-keeps ``_step``'s bits.  Compiling a kernel costs 10 to 40 KB of memory per
-dimension, which is what the cap bounds.
+Every space also has ``_march(coords, lam, sweeps, watch)``: up to
+``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
+sweep whose smallest stepped distance ``low`` is at most ``watch``; it
+returns how many sweeps ran and that sweep's ``low``.  This module alone
+decides how a march runs.  ``_pair_sweep`` is one sweep as a loop over
+``_step`` in the sweep's pair order, and ``_loop_march`` repeats a sweep;
+a tree marches with both.  The hyperboloid repeats a sweep kernel generated
+once per dimension from a template, with ``_step`` inlined and the
+coordinates unrolled, up to ``_SWEEP_MAX_DIM``.  The euclidean march is one
+kernel generated per dimension and tuple size, up to ``_MARCH_MAX_TERMS``
+pair x coordinate terms, that holds every coordinate in a local for the
+whole march.  Above the caps a march loops over ``_pair_sweep``.  Every
+kernel keeps ``_step``'s bits.
 """
 
 from __future__ import annotations
@@ -125,13 +130,18 @@ def _project(raw: list) -> tuple:
     return tuple([c * inv for c in raw])
 
 
-# Sweep kernels are generated up to this dimension.  Compiling one costs
-# 10 to 40 KB of memory per dimension (peak RSS measured at dim 1,000: +11 MB
-# for a euclidean kernel, +37 MB for a hyperboloid one; +112 MB for the
-# hyperboloid at 3,000), so above the cap ``_sweep`` is ``_pair_sweep``.  At
-# the cap a kernel compiles in 5 (euclidean) to 16 ms (hyperboloid) and holds
-# under 20 KB.
+# The hyperboloid's sweep kernels are generated up to this dimension.
+# Compiling one costs 10 to 40 KB of memory per dimension (peak RSS measured
+# at dim 1,000: +37 MB; +112 MB at 3,000), so above the cap it sweeps with
+# ``_pair_sweep``.  At the cap a kernel compiles in 16 ms and holds under
+# 20 KB.
 _SWEEP_MAX_DIM = 16
+
+# The euclidean march kernels are generated up to this many pair x
+# coordinate terms, n(n-1)/2 * dim for n-tuples in R^dim, which holds every
+# shape with dim <= 16 and n <= 8 (448 terms at most).  Above it the march
+# loops over ``_pair_sweep``.
+_MARCH_MAX_TERMS = 448
 
 
 def _pair_sweep(space, coords: list[tuple], lam: float) -> float:
@@ -155,25 +165,52 @@ def _pair_sweep(space, coords: list[tuple], lam: float) -> float:
     return low
 
 
+def _loop_march(sweep, coords: list[tuple], lam: float, sweeps: int,
+                watch: float) -> tuple[int, float]:
+    # The march as repeated calls of one sweep, sweep(coords, lam) -> low.
+    for done in range(1, sweeps + 1):
+        low = sweep(coords, lam)
+        if low <= watch:
+            break
+    return done, low
+
+
+_KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh": math.asinh,
+                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OFF_SHEET": _OFF_SHEET,
+                 "_far_step": _far_step, "GeometryError": GeometryError}
+
+
+def _compile(source: str, name: str):
+    # Run generated source by exec, the way dataclasses and
+    # collections.namedtuple build their methods, and return name from it.
+    namespace = dict(_KERNEL_NAMES)
+    exec(source, namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _sweep_kernel(cls, dim: int):
     """The sweep kernel of backend cls at dim, compiled from ``cls._SWEEP_SOURCE``.
 
     Each field of the template is a pattern of ``cls._SWEEP_UNROLL`` written
     out once per coordinate, from its first index to the last of a point's
-    ``dim + cls._EXTRA_COORDS`` coordinates; the source is then run by
-    ``exec``, the way ``dataclasses`` and ``collections.namedtuple`` build
-    their methods.  The cache holds at most one kernel per backend and
-    dimension up to ``_SWEEP_MAX_DIM``.
+    ``dim + cls._EXTRA_COORDS`` coordinates.  The cache holds at most one
+    kernel per backend and dimension up to ``_SWEEP_MAX_DIM``.
     """
     count = dim + cls._EXTRA_COORDS
     fields = {name: "".join(pattern.format(k=k) for k in range(first, count))
               for name, (pattern, first) in cls._SWEEP_UNROLL.items()}
-    namespace = {"inf": math.inf, "dist": math.dist, "sqrt": math.sqrt, "asinh": math.asinh,
-                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OFF_SHEET": _OFF_SHEET,
-                 "_far_step": _far_step, "GeometryError": GeometryError}
-    exec(cls._SWEEP_SOURCE.format(**fields), namespace)
-    return namespace["_sweep"]
+    return _compile(cls._SWEEP_SOURCE.format(**fields), "_sweep")
+
+
+@functools.cache
+def _march_kernel(cls, dim: int, n: int):
+    """The march of n-tuples in ``cls(dim)``: ``cls._kernel(dim, n)``, or above
+    the backend's cap, where that is None, ``_loop_march`` over ``_pair_sweep``."""
+    march = cls._kernel(dim, n)
+    if march is None:
+        march = functools.partial(_loop_march, functools.partial(_pair_sweep, cls(dim)))
+    return march
 
 
 @dataclass(frozen=True)
@@ -187,14 +224,15 @@ class _CoordinateSpace:
     to qd, d apart.  ``_step`` is ``_gap`` followed by ``_interp`` from each
     end.
 
-    They also set the template of their sweep kernel: ``_SWEEP_SOURCE``,
-    the source of ``_sweep(coords, lam) -> low``, one whole cyclic sweep in
-    place with ``_step`` inlined, and ``_SWEEP_UNROLL``, the per-coordinate
-    patterns that fill its fields.  ``self._sweep`` is that kernel for
-    ``self.dim``, generated on first use and cached by dimension, up to
-    ``_SWEEP_MAX_DIM``, and ``_pair_sweep`` bound to the space above it.
-    The kernel keeps every float operation of ``_step`` in its order, so a
-    sweep gives the same bits through either.
+    Each subclass also sets ``_kernel(dim, n)``, its march of n-tuples in
+    dimension dim, or None above its cap.  ``self._march(coords, lam,
+    sweeps, watch)`` runs the one for ``len(coords)``, built on first use
+    and cached by backend, dimension and n (``_march_kernel``), and
+    ``_loop_march`` over ``_pair_sweep`` above the cap.  The euclidean
+    kernel is one generated function per dimension and n; the hyperboloid's
+    repeats a sweep kernel generated per dimension from ``_SWEEP_SOURCE``
+    and ``_SWEEP_UNROLL``.  Each keeps every float operation of ``_step`` in
+    its order, so a march gives the same bits through any of them.
     """
 
     dim: int
@@ -210,7 +248,11 @@ class _CoordinateSpace:
         return p
 
     def _check_point(self, p: Point) -> None:
+        # The march kernels unpack a fixed number of coordinates per slot.
         _check_kind(self, p)
+        count = self.dim + self._EXTRA_COORDS
+        if len(p.data) != count:
+            raise GeometryError(f"expected {count} coordinates, got {len(p.data)}")
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
@@ -234,11 +276,9 @@ class _CoordinateSpace:
             return _far_step(pd, qd, s, d)
         return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d), d
 
-    @property
-    def _sweep(self):
-        if self.dim > _SWEEP_MAX_DIM:
-            return functools.partial(_pair_sweep, self)
-        return _sweep_kernel(type(self), self.dim)
+    def _march(self, coords: list[tuple], lam: float, sweeps: int,
+               watch: float) -> tuple[int, float]:
+        return _march_kernel(type(self), self.dim, len(coords))(coords, lam, sweeps, watch)
 
     @staticmethod
     def _scale(data: list[tuple]) -> float:
@@ -258,13 +298,13 @@ class EuclideanSpace(_CoordinateSpace):
         return Point(self.kind, _coordinates(coords, self.dim))
 
     def distance(self, p: Point, q: Point) -> float:
-        _check_kind(self, p)
-        _check_kind(self, q)
+        self._check_point(p)
+        self._check_point(q)
         return math.dist(p.data, q.data)
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        _check_kind(self, p)
-        _check_kind(self, q)
+        self._check_point(p)
+        self._check_point(q)
         _check_t(t)
         if t == 0.0 or p == q:
             return p
@@ -278,43 +318,62 @@ class EuclideanSpace(_CoordinateSpace):
     def _interp(pd: tuple, qd: tuple, t: float, d) -> tuple:
         return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
 
-    # The reverse point keeps b + s * (a - b): b - s * (b - a) is the same
-    # number except where a and b are both -0.0, which it leaves at -0.0.
-    _SWEEP_SOURCE: ClassVar[str] = """
-def _sweep(coords, lam):
+    # The march of n-tuples, coordinate k of slot i held in the local
+    # x{i}_{k}.  Each pair block is _step inlined, every float operation in
+    # its order: the equal-data skip, d = hypot of the differences, which
+    # has math.dist's bits (CPython computes both as the vector_norm of
+    # |p_k - q_k|), the shared midpoint, and both points moved s = lam / d
+    # toward each other.  The reverse point keeps b + s * (a - b):
+    # b - s * (b - a) is the same number except where a and b are both
+    # -0.0, which it leaves at -0.0.  A shared midpoint leaves as equal
+    # tuples, not one.
+    _MARCH_SOURCE: ClassVar[str] = """
+def _march(coords, lam, sweeps, watch):
+    {slots}, = coords
     lam2 = 2.0 * lam
-    low = inf
-    for j in range(1, len(coords)):
-        q = coords[j]
-        for i in range(j):
-            p = coords[i]
-            if p == q:
-                low = 0.0
-                continue
-            d = dist(p, q)
+    for done in range(1, sweeps + 1):
+        low = inf{pairs}
+        if low <= watch:
+            break
+    coords[:] = {slots},
+    return done, low
+"""
+    _MARCH_PAIR: ClassVar[str] = """
+        if {same}:
+            low = 0.0
+        else:
+            d = hypot({diff})
             if d < low:
                 low = d
-            {a} = p
-            {b} = q
             if d <= lam2:
-                coords[i] = q = ({mid})
-                continue
-            s = lam / d
-            if not s > 0.0:
-                _far_step(p, q, s, d)
-                continue
-            coords[i] = ({fwd})
-            q = ({rev})
-        coords[j] = q
-    return low
-"""
-    _SWEEP_UNROLL: ClassVar[dict] = {
-        "a": ("a{k}, ", 0),
-        "b": ("b{k}, ", 0),
-        "mid": ("a{k} + 0.5 * (b{k} - a{k}), ", 0),
-        "fwd": ("a{k} + s * (b{k} - a{k}), ", 0),
-        "rev": ("b{k} + s * (a{k} - b{k}), ", 0),
+                {mid}
+            else:
+                s = lam / d
+                if s > 0.0:
+                    {step}
+                else:
+                    _far_step(None, None, s, d)"""
+    # Each field of _MARCH_PAIR: a pattern written out once per coordinate
+    # pair (a, b) of the two slots, and its separator.
+    _MARCH_UNROLL: ClassVar[dict] = {
+        "same": ("{a} == {b}", " and "),
+        "diff": ("{a} - {b}", ", "),
+        "mid": ("{a} = {b} = {a} + 0.5 * ({b} - {a})", "; "),
+        "step": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; "),
     }
+
+    @classmethod
+    def _kernel(cls, dim: int, n: int):
+        # The march kernel of n-tuples in R^dim, or None above _MARCH_MAX_TERMS.
+        if n * (n - 1) // 2 * dim > _MARCH_MAX_TERMS:
+            return None
+        x = [[f"x{i}_{k}" for k in range(dim)] for i in range(n)]
+        pairs = "".join(cls._MARCH_PAIR.format(**{
+            name: sep.join(pattern.format(a=a, b=b) for a, b in zip(x[i], x[j]))
+            for name, (pattern, sep) in cls._MARCH_UNROLL.items()})
+            for j in range(1, n) for i in range(j))
+        slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
+        return _compile(cls._MARCH_SOURCE.format(slots=slots, pairs=pairs), "_march")
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -354,8 +413,8 @@ class HyperboloidSpace(_CoordinateSpace):
         return Point(self.kind, data)
 
     def distance(self, p: Point, q: Point) -> float:
-        _check_kind(self, p)
-        _check_kind(self, q)
+        self._check_point(p)
+        self._check_point(q)
         return self._gap(p.data, q.data)
 
     @staticmethod
@@ -375,8 +434,8 @@ class HyperboloidSpace(_CoordinateSpace):
         return 2.0 * math.asinh(0.5 * math.sqrt(md))
 
     def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        _check_kind(self, p)
-        _check_kind(self, q)
+        self._check_point(p)
+        self._check_point(q)
         _check_t(t)
         if t == 0.0 or p == q:
             return p
@@ -468,6 +527,13 @@ def _sweep(coords, lam):
         "u": ("u{k} * inv, ", 0),
         "v": ("v{k} * inv, ", 0),
     }
+
+    @classmethod
+    def _kernel(cls, dim: int, n: int):
+        # The march of any n: the sweep kernel at dim, repeated.
+        if dim > _SWEEP_MAX_DIM:
+            return None
+        return functools.partial(_loop_march, _sweep_kernel(cls, dim))
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -780,8 +846,9 @@ class TreeSpace:
             return _far_step(pd, qd, s, d)
         return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
 
-    def _sweep(self, coords: list[tuple], lam: float) -> float:
-        return _pair_sweep(self, coords, lam)
+    def _march(self, coords: list[tuple], lam: float, sweeps: int,
+               watch: float) -> tuple[int, float]:
+        return _loop_march(functools.partial(_pair_sweep, self), coords, lam, sweeps, watch)
 
     def _branch(self, node: int, qd: tuple) -> TreeEdge:
         # The first edge from the vertex node toward the point qd != node.  An

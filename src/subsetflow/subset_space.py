@@ -56,8 +56,9 @@ class PointTuple:
     """Ordered tuple of points, an element of the product space.
 
     Construction checks every coordinate once (``space._check_point``: its
-    kind and, on a tree, its edge and offset); the flow kernels and the
-    helpers below that take a tuple or subset rely on that check.
+    kind; its coordinate count, or on a tree its edge and offset); the flow
+    kernels and the helpers below that take a tuple or subset rely on that
+    check.
     """
 
     space: SpaceDescriptor
@@ -131,10 +132,12 @@ class FiniteSubset:
         return make_subset(space, points, 0.0)
 
 
-def _clusters(space: SpaceDescriptor, points: list[Point], tol: float) -> list[list[int]]:
-    # Single linkage: indices within tol are chained into one cluster.
-    # Discovery order follows the input order, so results are deterministic.
-    n = len(points)
+def _clusters(space: SpaceDescriptor, data: list[tuple], tol: float) -> list[list[int]]:
+    # Single linkage: indices of the checked points' data within tol are
+    # chained into one cluster.  Discovery order follows the input order, so
+    # results are deterministic.
+    gap = space._gap
+    n = len(data)
     seen = [False] * n
     out = []
     for i in range(n):
@@ -146,7 +149,7 @@ def _clusters(space: SpaceDescriptor, points: list[Point], tol: float) -> list[l
         while frontier:
             a = frontier.pop(0)
             for b in range(n):
-                if not seen[b] and space.distance(points[a], points[b]) <= tol:
+                if not seen[b] and gap(data[a], data[b]) <= tol:
                     seen[b] = True
                     cluster.append(b)
                     frontier.append(b)
@@ -159,15 +162,20 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
 
     Points within ``dedup_tolerance`` of each other (by chained single
     linkage) are replaced by one representative, built by folding the
-    cluster through pairwise geodesic midpoints in discovery order.
+    cluster through pairwise geodesic midpoints in discovery order.  Each
+    point is checked once, on entry (``space._check_point``), and the
+    clustering runs on the distance kernel over the checked data.
     """
-    pts = [space.canonicalize(p) for p in points]
+    pts = []
+    for p in points:
+        space._check_point(p)
+        pts.append(space.canonicalize(p))
     if not pts:
         raise GeometryError("a finite subset needs at least one point")
     if dedup_tolerance < 0.0:
         raise GeometryError("dedup tolerance must be >= 0")
     while True:
-        clusters = _clusters(space, pts, dedup_tolerance)
+        clusters = _clusters(space, [p.data for p in pts], dedup_tolerance)
         if len(clusters) == len(pts):
             break
         merged = []

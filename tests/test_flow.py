@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -28,7 +29,8 @@ from subsetflow import (
     to_set,
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move, _pair_sweep, _sweep_kernel
+from subsetflow.geometry import (_MARCH_MAX_TERMS, _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move, _loop_march,
+                                 _march_kernel, _pair_sweep, _sweep_kernel)
 from oracles import grid_pair_prox
 
 
@@ -201,22 +203,37 @@ def _composed_sweep(space, x, lam, seen):
     return PointTuple(space, tuple(want)), low
 
 
-def _flow_sweep(x, lam):
-    # One sweep through the space's own entry point, and the low it reports.
+def _composed_march(space, x, lam, sweeps, watch, seen):
+    # Up to sweeps composed sweeps, stopping after the first whose low is at
+    # most watch; with how many ran and that sweep's low.
+    for done in range(1, sweeps + 1):
+        x, low = _composed_sweep(space, x, lam, seen)
+        if low <= watch:
+            break
+    return x, done, low
+
+
+def _flow_march(x, lam, sweeps, watch):
+    # The same march as one call of the space's own entry point.
     data = [p.data for p in x.coords]
-    low = x.space._sweep(data, lam)
-    return _wrap(x, data), low
+    done, low = x.space._march(data, lam, sweeps, watch)
+    return _wrap(x, data), done, low
 
 
-def _sweeps_outcome(march, x, lam, sweeps):
-    # The repr of the state and lows after the sweeps, or of the error one
-    # of them raised.
-    lows = []
+def _stepwise_march(x, lam, sweeps, watch):
+    # The same march as one call per sweep.
+    for done in range(1, sweeps + 1):
+        x, _, low = _flow_march(x, lam, 1, -math.inf)
+        if low <= watch:
+            break
+    return x, done, low
+
+
+def _march_outcome(march, *args):
+    # The repr of the state, sweeps run and low after the march, or of the
+    # error it raised.
     try:
-        for _ in range(sweeps):
-            x, low = march(x, lam)
-            lows.append(low)
-        return repr((x.coords, lows))
+        return repr(march(*args))
     except GeometryError as exc:
         return repr(exc)
 
@@ -255,15 +272,17 @@ def _branch_inputs(space, rng):
         yield PointTuple(space, (p, near, q)), lam, 2
 
 
-SWEEP_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", f"euclidean-{_SWEEP_MAX_DIM + 1}",
-              "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", f"hyperboloid-{_SWEEP_MAX_DIM + 1}",
-              "star-tree", "path-tree", "caterpillar"]
+MARCH_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", "euclidean-16", "euclidean-17",
+              "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", "hyperboloid-16",
+              f"hyperboloid-{_SWEEP_MAX_DIM + 1}", "star-tree", "path-tree", "caterpillar"]
 
 
-@pytest.mark.parametrize("key", SWEEP_KEYS)
+@pytest.mark.parametrize("key", MARCH_KEYS)
 def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_tree, key):
-    # Every dimension the kernel template emits, and one above the cap,
-    # where the flow steps pair by pair.
+    # A march is the composed pair steps, sweep after sweep, in one call or
+    # in one call per sweep: at n = 2..8 in every dimension the kernels are
+    # generated for, and above their caps, where the march loops over
+    # _pair_sweep (euclidean:17 at n = 8 and 9, hyperboloid:17).
     if key == "caterpillar":
         space = caterpillar_tree
     elif key in all_spaces:
@@ -272,20 +291,30 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         kind, dim = key.split("-")
         space = make_space(kind, int(dim))
     coordinates = not isinstance(space, TreeSpace)
+    ns = range(2, 10 if key == "euclidean-17" else 9)
     if coordinates:
-        # a generated kernel exactly when dim <= _SWEEP_MAX_DIM
-        if space.dim <= _SWEEP_MAX_DIM:
-            assert space._sweep is _sweep_kernel(type(space), space.dim)
-        else:
-            assert space._sweep.func is _pair_sweep and space._sweep.args == (space,)
+        for n in ns:
+            kernel = _march_kernel(type(space), space.dim, n)
+            if isinstance(space, EuclideanSpace):
+                looped = n * (n - 1) // 2 * space.dim > _MARCH_MAX_TERMS
+                generated = not looped and inspect.isfunction(kernel) and kernel.__name__ == "_march"
+            else:
+                looped = space.dim > _SWEEP_MAX_DIM
+                generated = not looped and kernel.args == (_sweep_kernel(type(space), space.dim),)
+            if looped:
+                assert kernel.func is _loop_march and kernel.args[0].func is _pair_sweep
+                assert kernel.args[0].args == (space,)
+            else:
+                assert generated
+        assert looped == (key in ("euclidean-17", f"hyperboloid-{_SWEEP_MAX_DIM + 1}"))
     rng = random.Random(f"sweepbits:{key}")
     cases = []
-    for n in range(3, 7):
-        for _ in range(4):
+    for n in ns:
+        for _ in range(3):
             x = random_tuple(space, rng, n)
             ds = [space.distance(p, q) for p, q in itertools.combinations(x.coords, 2)]
             # lam below every starting d/2, between them, and above them all
-            cases += [(x, lam, 1) for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2],
+            cases += [(x, lam, 3) for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2],
                                               0.6 * max(ds))]
     if coordinates:
         cases += _branch_inputs(space, rng)
@@ -296,13 +325,21 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         for r, lam, sweeps in ((17.0, 1.0 / 512.0, 60), (18.0, 1.0, 1)):
             x = PointTuple(space, (_ray_point(space, r), _ray_point(space, r + 1.0)))
             cases.append((x, lam * min_gap(x), sweeps))
-            assert "interpolation left the hyperboloid sheet" in _sweeps_outcome(
-                _flow_sweep, *cases[-1])
+            assert "interpolation left the hyperboloid sheet" in _march_outcome(
+                _flow_march, *cases[-1], -math.inf)
     seen = dict.fromkeys(("equal", "merged", "moved", "far", "tiny"), 0)
+    early = 0
     for x, lam, sweeps in cases:
-        want = _sweeps_outcome(lambda y, lam: _composed_sweep(space, y, lam, seen), x, lam, sweeps)
-        assert _sweeps_outcome(_flow_sweep, x, lam, sweeps) == want
-    assert seen["merged"] and seen["moved"]
+        watches = [-math.inf]
+        if sweeps == 3:
+            # the second sweep's low, so the march stops after one or two
+            watches.append(_composed_march(space, x, lam, 2, -math.inf, seen)[2])
+        for watch in watches:
+            want = _march_outcome(lambda: _composed_march(space, x, lam, sweeps, watch, seen))
+            assert _march_outcome(_flow_march, x, lam, sweeps, watch) == want
+            assert _march_outcome(_stepwise_march, x, lam, sweeps, watch) == want
+            early += watch > -math.inf and _flow_march(x, lam, sweeps, watch)[1] < sweeps
+    assert seen["merged"] and seen["moved"] and early
     if coordinates:
         assert seen["equal"] and seen["far"] and seen["tiny"]
 

@@ -56,6 +56,55 @@ def test_malformed_coordinates_are_geometry_errors(space, coords):
         space.point(coords)
 
 
+@pytest.mark.parametrize("space", [EuclideanSpace(2), HyperboloidSpace(2)],
+                         ids=["euclidean-2", "hyperboloid-2"])
+def test_coordinate_backends_check_the_coordinate_count(space):
+    # The march kernels unpack a fixed number of coordinates per slot, so a
+    # tuple, a subset and the public methods reject a point with more or
+    # fewer; on the hyperboloid zip would otherwise truncate to a distance 0.
+    good = space.random_point(_rng("count"))
+    for bad in (Point(space.kind, good.data + (5.0,)), Point(space.kind, good.data[:-1])):
+        for build in (lambda: PointTuple(space, (bad, good)),
+                      lambda: PointTuple(space, (good, bad)),
+                      lambda: FiniteSubset(space, (bad,)),
+                      lambda: make_subset(space, [bad]),
+                      lambda: make_subset(space, [good, bad], 0.5),
+                      lambda: space.distance(good, bad),
+                      lambda: space.geodesic_point(bad, good, 0.5)):
+            with pytest.raises(GeometryError, match="coordinates"):
+                build()
+
+
+def _float_draw(rng):
+    # Signed zeros, subnormals, huge values near overflow, and ordinary ones.
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((0.0, -0.0))
+    if kind == 1:
+        return rng.choice((1.0, -1.0)) * rng.randrange(1, 2**20) * 5e-324
+    if kind == 2:
+        return rng.uniform(-1.0, 1.0) * 1.7976931348623157e308
+    return rng.gauss(0.0, 1.0) * 10.0 ** rng.randrange(-300, 300)
+
+
+def test_hypot_of_differences_is_math_dist_bit_for_bit():
+    # The euclidean march kernel computes a pair's distance as math.hypot of
+    # the coordinate differences, where _gap is math.dist.  CPython computes
+    # both as the vector norm of |p_k - q_k|; this pins that they agree.
+    rng = random.Random("hypotdist")
+    seen = {"inf": 0, "subnormal": 0, "zero": 0}
+    for dim in range(1, 18):
+        for _ in range(400):
+            p = tuple(_float_draw(rng) for _ in range(dim))
+            q = tuple(_float_draw(rng) for _ in range(dim))
+            want = math.dist(p, q)
+            assert math.hypot(*(a - b for a, b in zip(p, q))).hex() == want.hex()
+            seen["inf"] += want == math.inf
+            seen["subnormal"] += 0.0 < want < 2.2250738585072014e-308
+            seen["zero"] += want == 0.0
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # hyperboloid
 

@@ -222,11 +222,13 @@ def test_check_cat0_deterministic(plane):
 
 
 def test_flow_descent_reports_an_ascent_as_a_failed_row(plane, monkeypatch):
-    # a broken sweep that scales every point by 2 doubles the objective
-    def scaling_sweep(coords, lam):
-        coords[:] = [plane.point(tuple(2.0 * c for c in p)).data for p in coords]
+    # a broken march whose every sweep scales every point by 2 doubles the objective
+    def scaling_march(space, coords, lam, sweeps, watch):
+        for _ in range(sweeps):
+            coords[:] = [plane.point(tuple(2.0 * c for c in p)).data for p in coords]
+        return sweeps, math.inf
 
-    monkeypatch.setattr(type(plane), "_sweep", property(lambda space: scaling_sweep))
+    monkeypatch.setattr(type(plane), "_march", scaling_march)
     row = check_flow_descent(plane, 3, 0, 2)
     assert row.name == "flow_descent"
     assert row.trials == 2
