@@ -139,8 +139,8 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
     """The PointTuple of a run that started at x and ended with this data.
 
     A slot whose data object is one of x's keeps x's Point, and slots that
-    hold one data object share one Point.  A shared midpoint may also be
-    equal data in two objects (the euclidean march builds its tuples anew);
+    hold one data object share one Point.  On the coordinate backends a
+    shared midpoint is two equal tuples (their marches build tuples anew);
     either way a later gap check sees an exact zero between the two slots.
     """
     kind = x.space.kind

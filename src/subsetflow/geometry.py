@@ -33,13 +33,13 @@ sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
 decides how a march runs.  ``_pair_sweep`` is one sweep as a loop over
 ``_step`` in the sweep's pair order, and ``_loop_march`` repeats a sweep;
-a tree marches with both.  The hyperboloid repeats a sweep kernel generated
-once per dimension from a template, with ``_step`` inlined and the
-coordinates unrolled, up to ``_SWEEP_MAX_DIM``.  The euclidean march is one
-kernel generated per dimension and tuple size, up to ``_MARCH_MAX_TERMS``
-pair x coordinate terms, that holds every coordinate in a local for the
-whole march.  Above the caps a march loops over ``_pair_sweep``.  Every
-kernel keeps ``_step``'s bits.
+a tree marches with both.  A coordinate backend writes its pair step once,
+as a template with ``_step`` inlined, and one generator builds its march
+from it: unrolled per dimension and tuple size, with every coordinate in a
+local for the whole march, while the source fits under
+``_MARCH_MAX_SOURCE`` characters, else looped over the pairs per
+dimension, else a loop over ``_pair_sweep``.  Every march keeps ``_step``'s
+bits.
 """
 
 from __future__ import annotations
@@ -130,18 +130,12 @@ def _project(raw: list) -> tuple:
     return tuple([c * inv for c in raw])
 
 
-# The hyperboloid's sweep kernels are generated up to this dimension.
-# Compiling one costs 10 to 40 KB of memory per dimension (peak RSS measured
-# at dim 1,000: +37 MB; +112 MB at 3,000), so above the cap it sweeps with
-# ``_pair_sweep``.  At the cap a kernel compiles in 16 ms and holds under
-# 20 KB.
-_SWEEP_MAX_DIM = 16
-
-# The euclidean march kernels are generated up to this many pair x
-# coordinate terms, n(n-1)/2 * dim for n-tuples in R^dim, which holds every
-# shape with dim <= 16 and n <= 8 (448 terms at most).  Above it the march
-# loops over ``_pair_sweep``.
-_MARCH_MAX_TERMS = 448
+# A generated march source is at most this many characters long.  Compiling
+# one holds 90 to 125 bytes of memory per character while it runs, so the
+# cap bounds that transient whatever the dimension or the number of pairs:
+# in a fresh process no march under it raised max RSS by more than 1.7 MB,
+# and looped sources from 22,600 characters on raised it by 2.9 MB.
+_MARCH_MAX_SOURCE = 22_000
 
 
 def _pair_sweep(space, coords: list[tuple], lam: float) -> float:
@@ -189,33 +183,21 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _sweep_kernel(cls, dim: int):
-    """The sweep kernel of backend cls at dim, compiled from ``cls._SWEEP_SOURCE``.
-
-    Each field of the template is a pattern of ``cls._SWEEP_UNROLL`` written
-    out once per coordinate, from its first index to the last of a point's
-    ``dim + cls._EXTRA_COORDS`` coordinates.  The cache holds at most one
-    kernel per backend and dimension up to ``_SWEEP_MAX_DIM``.
-    """
-    count = dim + cls._EXTRA_COORDS
-    fields = {name: "".join(pattern.format(k=k) for k in range(first, count))
-              for name, (pattern, first) in cls._SWEEP_UNROLL.items()}
-    return _compile(cls._SWEEP_SOURCE.format(**fields), "_sweep")
-
-
-@functools.cache
-def _march_kernel(cls, dim: int, n: int):
-    """The march of n-tuples in ``cls(dim)``: ``cls._kernel(dim, n)``, or above
-    the backend's cap, where that is None, ``_loop_march`` over ``_pair_sweep``."""
-    march = cls._kernel(dim, n)
-    if march is None:
-        march = functools.partial(_loop_march, functools.partial(_pair_sweep, cls(dim)))
-    return march
+def _march_kernel(cls, dim: int, n: int | None):
+    """The march of n-tuples in ``cls(dim)``, compiled from ``cls._march_source(dim, n)``;
+    past the cap, the looped march that serves every n, ``_march_kernel(cls,
+    dim, None)``, and past it too, ``_loop_march`` over ``_pair_sweep``."""
+    source = cls._march_source(dim, n)
+    if source is not None:
+        return _compile(source, "_march")
+    if n is not None:
+        return _march_kernel(cls, dim, None)
+    return functools.partial(_loop_march, functools.partial(_pair_sweep, cls(dim)))
 
 
 @dataclass(frozen=True)
 class _CoordinateSpace:
-    """What the coordinate backends share: a dimension, the array codec, the pair step.
+    """What the coordinate backends share: a dimension, the array codec, the pair step, the march.
 
     Subclasses set ``kind`` and define ``point``, ``distance``,
     ``geodesic_point`` and ``random_point`` in their own class body, where
@@ -224,15 +206,18 @@ class _CoordinateSpace:
     to qd, d apart.  ``_step`` is ``_gap`` followed by ``_interp`` from each
     end.
 
-    Each subclass also sets ``_kernel(dim, n)``, its march of n-tuples in
-    dimension dim, or None above its cap.  ``self._march(coords, lam,
-    sweeps, watch)`` runs the one for ``len(coords)``, built on first use
-    and cached by backend, dimension and n (``_march_kernel``), and
-    ``_loop_march`` over ``_pair_sweep`` above the cap.  The euclidean
-    kernel is one generated function per dimension and n; the hyperboloid's
-    repeats a sweep kernel generated per dimension from ``_SWEEP_SOURCE``
-    and ``_SWEEP_UNROLL``.  Each keeps every float operation of ``_step`` in
-    its order, so a march gives the same bits through any of them.
+    Each subclass also sets its pair template: ``_MARCH_PAIR``, one pair
+    step over the coordinates of two slots with ``_step``'s float operations
+    in their order, and ``_MARCH_UNROLL``, its fields written out once per
+    coordinate.  ``_march_source`` builds the march in two shapes from it:
+    unrolled per dimension and n, with every coordinate of every slot in a
+    local and ``coords`` written once, on return, or looped per dimension,
+    with a slot written back after each of its pair steps.  So a march that
+    raises leaves ``coords`` as it was in the unrolled shape and partly
+    stepped in the looped one; nothing reads it after a raise.
+    ``self._march`` runs the unrolled shape for ``len(coords)`` while its
+    source fits under ``_MARCH_MAX_SOURCE``, else the looped one, else
+    ``_loop_march`` over ``_pair_sweep``.  Every shape gives the same bits.
     """
 
     dim: int
@@ -280,6 +265,64 @@ class _CoordinateSpace:
                watch: float) -> tuple[int, float]:
         return _march_kernel(type(self), self.dim, len(coords))(coords, lam, sweeps, watch)
 
+    # The unrolled march holds coordinate k of slot i in x{i}_{k}; the looped
+    # one holds coordinate k of a pair step's two slots in a{k} and b{k}.
+    _MARCH_SOURCE: ClassVar[str] = """
+def _march(coords, lam, sweeps, watch):
+    {slots}, = coords
+    lam2 = 2.0 * lam
+    for done in range(1, sweeps + 1):
+        low = inf{pairs}
+        if low <= watch:
+            break
+    coords[:] = {slots},
+    return done, low
+"""
+    _LOOP_SOURCE: ClassVar[str] = """
+def _march(coords, lam, sweeps, watch):
+    lam2 = 2.0 * lam
+    for done in range(1, sweeps + 1):
+        low = inf
+        for j in range(1, len(coords)):
+            {b}, = coords[j]
+            for i in range(j):
+                {a}, = coords[i]{pair}
+                coords[i] = {a},
+            coords[j] = {b},
+        if low <= watch:
+            break
+    return done, low
+"""
+
+    @classmethod
+    def _pair(cls, a: list[str], b: list[str]) -> str:
+        # The pair template over the coordinate names a and b of two slots.
+        # Each field of _MARCH_UNROLL is a pattern written out once per
+        # coordinate k from its first one on, and the separator between them.
+        fields = {name: sep.join(pattern.format(a=a[k], b=b[k], k=k) for k in range(first, len(a)))
+                  for name, (pattern, sep, first) in cls._MARCH_UNROLL.items()}
+        return cls._MARCH_PAIR.format(a0=a[0], b0=b[0], **fields)
+
+    @classmethod
+    def _march_source(cls, dim: int, n: int | None) -> str | None:
+        """The unrolled march of n-tuples in dimension dim, or where n is None the
+        looped march of any n; None if it is longer than ``_MARCH_MAX_SOURCE``."""
+        count = dim + cls._EXTRA_COORDS
+        if n is None:
+            a, b = ([f"{s}{k}" for k in range(count)] for s in "ab")
+            pair = cls._pair(a, b).replace("\n", "\n        ")
+            source = cls._LOOP_SOURCE.format(a=", ".join(a), b=", ".join(b), pair=pair)
+        else:
+            x = [[f"x{i}_{k}" for k in range(count)] for i in range(n)]
+            # No pair block is shorter than one over slot 0 twice, so this
+            # skips building sources far past the cap.
+            if n * (n - 1) // 2 * len(cls._pair(x[0], x[0])) > _MARCH_MAX_SOURCE:
+                return None
+            pairs = "".join(cls._pair(x[i], x[j]) for j in range(1, n) for i in range(j))
+            slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
+            source = cls._MARCH_SOURCE.format(slots=slots, pairs=pairs)
+        return source if len(source) <= _MARCH_MAX_SOURCE else None
+
     @staticmethod
     def _scale(data: list[tuple]) -> float:
         # The largest absolute coordinate of data bounds every coordinate the
@@ -318,26 +361,14 @@ class EuclideanSpace(_CoordinateSpace):
     def _interp(pd: tuple, qd: tuple, t: float, d) -> tuple:
         return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
 
-    # The march of n-tuples, coordinate k of slot i held in the local
-    # x{i}_{k}.  Each pair block is _step inlined, every float operation in
-    # its order: the equal-data skip, d = hypot of the differences, which
-    # has math.dist's bits (CPython computes both as the vector_norm of
+    # The pair step, _step inlined with every float operation in its
+    # order: the equal-data skip, d = hypot of the differences, which has
+    # math.dist's bits (CPython computes both as the vector_norm of
     # |p_k - q_k|), the shared midpoint, and both points moved s = lam / d
     # toward each other.  The reverse point keeps b + s * (a - b):
     # b - s * (b - a) is the same number except where a and b are both
     # -0.0, which it leaves at -0.0.  A shared midpoint leaves as equal
     # tuples, not one.
-    _MARCH_SOURCE: ClassVar[str] = """
-def _march(coords, lam, sweeps, watch):
-    {slots}, = coords
-    lam2 = 2.0 * lam
-    for done in range(1, sweeps + 1):
-        low = inf{pairs}
-        if low <= watch:
-            break
-    coords[:] = {slots},
-    return done, low
-"""
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -353,27 +384,12 @@ def _march(coords, lam, sweeps, watch):
                     {step}
                 else:
                     _far_step(None, None, s, d)"""
-    # Each field of _MARCH_PAIR: a pattern written out once per coordinate
-    # pair (a, b) of the two slots, and its separator.
     _MARCH_UNROLL: ClassVar[dict] = {
-        "same": ("{a} == {b}", " and "),
-        "diff": ("{a} - {b}", ", "),
-        "mid": ("{a} = {b} = {a} + 0.5 * ({b} - {a})", "; "),
-        "step": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; "),
+        "same": ("{a} == {b}", " and ", 0),
+        "diff": ("{a} - {b}", ", ", 0),
+        "mid": ("{a} = {b} = {a} + 0.5 * ({b} - {a})", "; ", 0),
+        "step": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; ", 0),
     }
-
-    @classmethod
-    def _kernel(cls, dim: int, n: int):
-        # The march kernel of n-tuples in R^dim, or None above _MARCH_MAX_TERMS.
-        if n * (n - 1) // 2 * dim > _MARCH_MAX_TERMS:
-            return None
-        x = [[f"x{i}_{k}" for k in range(dim)] for i in range(n)]
-        pairs = "".join(cls._MARCH_PAIR.format(**{
-            name: sep.join(pattern.format(a=a, b=b) for a, b in zip(x[i], x[j]))
-            for name, (pattern, sep) in cls._MARCH_UNROLL.items()})
-            for j in range(1, n) for i in range(j))
-        slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
-        return _compile(cls._MARCH_SOURCE.format(slots=slots, pairs=pairs), "_march")
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -388,6 +404,7 @@ class HyperboloidSpace(_CoordinateSpace):
     """
 
     kind: ClassVar[str] = "hyperboloid"
+    _EXTRA_COORDS: ClassVar[int] = 1
 
     @staticmethod
     def minkowski(u: tuple, v: tuple) -> float:
@@ -454,24 +471,16 @@ class HyperboloidSpace(_CoordinateSpace):
         wq = math.sinh(t * theta) / sh
         return _project([wp * a + wq * b for a, b in zip(pd, qd)])
 
-    # The midpoint's weights are one number: sinh((1.0 - 0.5) * d) is
-    # sinh(0.5 * d).  u is the blend toward q, v the one toward p, each
-    # projected as _project does.
-    _EXTRA_COORDS: ClassVar[int] = 1
-    _SWEEP_SOURCE: ClassVar[str] = """
-def _sweep(coords, lam):
-    lam2 = 2.0 * lam
-    low = inf
-    for j in range(1, len(coords)):
-        q = coords[j]
-        for i in range(j):
-            p = coords[i]
-            if p == q:
-                low = 0.0
-                continue
-            {a} = p
-            {b} = q
-            c = a0 - b0; md = -c * c; {md}
+    # The pair step, _step inlined with every float operation in its
+    # order.  The midpoint's weights are one number: sinh((1.0 - 0.5) * d)
+    # is sinh(0.5 * d).  u is the blend toward b, v the one toward a, each
+    # projected as _project does.  md <= 0.0 is tested as _gap tests it, so
+    # a NaN md gives a NaN d, whose step raises in _far_step.
+    _MARCH_PAIR: ClassVar[str] = """
+        if {same}:
+            low = 0.0
+        else:
+            c = {a0} - {b0}; md = -c * c; {md}
             if md <= 0.0:
                 d = 0.0
             else:
@@ -488,52 +497,42 @@ def _sweep(coords, lam):
                 if n2 <= 0.0 or u0 <= 0.0:
                     raise GeometryError(_OFF_SHEET)
                 inv = 1.0 / sqrt(n2)
-                coords[i] = q = ({u})
-                continue
-            s = lam / d
-            if not s > 0.0:
-                _far_step(p, q, s, d)
-                continue
-            if d < _SMALL_ANGLE:
-                {fwd_affine}
+                {mid}
             else:
-                sh = sinh(d)
-                wp = sinh((1.0 - s) * d) / sh
-                wq = sinh(s * d) / sh
-                {fwd_sinh}
-            n2 = u0 * u0; {norm_u}
-            if n2 <= 0.0 or u0 <= 0.0:
-                raise GeometryError(_OFF_SHEET)
-            inv = 1.0 / sqrt(n2)
-            coords[i] = ({u})
-            n2 = v0 * v0; {norm_v}
-            if n2 <= 0.0 or v0 <= 0.0:
-                raise GeometryError(_OFF_SHEET)
-            inv = 1.0 / sqrt(n2)
-            q = ({v})
-        coords[j] = q
-    return low
-"""
-    _SWEEP_UNROLL: ClassVar[dict] = {
-        "a": ("a{k}, ", 0),
-        "b": ("b{k}, ", 0),
-        "md": ("c = a{k} - b{k}; md += c * c; ", 1),
-        "mid_affine": ("u{k} = a{k} + 0.5 * (b{k} - a{k}); ", 0),
-        "mid_sinh": ("u{k} = w * a{k} + w * b{k}; ", 0),
-        "fwd_affine": ("u{k} = a{k} + s * (b{k} - a{k}); v{k} = b{k} + s * (a{k} - b{k}); ", 0),
-        "fwd_sinh": ("u{k} = wp * a{k} + wq * b{k}; v{k} = wp * b{k} + wq * a{k}; ", 0),
-        "norm_u": ("n2 -= u{k} * u{k}; ", 1),
-        "norm_v": ("n2 -= v{k} * v{k}; ", 1),
-        "u": ("u{k} * inv, ", 0),
-        "v": ("v{k} * inv, ", 0),
+                s = lam / d
+                if s > 0.0:
+                    if d < _SMALL_ANGLE:
+                        {fwd_affine}
+                    else:
+                        sh = sinh(d)
+                        wp = sinh((1.0 - s) * d) / sh
+                        wq = sinh(s * d) / sh
+                        {fwd_sinh}
+                    n2 = u0 * u0; {norm_u}
+                    if n2 <= 0.0 or u0 <= 0.0:
+                        raise GeometryError(_OFF_SHEET)
+                    inv = 1.0 / sqrt(n2)
+                    {fwd_a}
+                    n2 = v0 * v0; {norm_v}
+                    if n2 <= 0.0 or v0 <= 0.0:
+                        raise GeometryError(_OFF_SHEET)
+                    inv = 1.0 / sqrt(n2)
+                    {fwd_b}
+                else:
+                    _far_step(None, None, s, d)"""
+    _MARCH_UNROLL: ClassVar[dict] = {
+        "same": ("{a} == {b}", " and ", 0),
+        "md": ("c = {a} - {b}; md += c * c", "; ", 1),
+        "mid_affine": ("u{k} = {a} + 0.5 * ({b} - {a})", "; ", 0),
+        "mid_sinh": ("u{k} = w * {a} + w * {b}", "; ", 0),
+        "fwd_affine": ("u{k} = {a} + s * ({b} - {a}); v{k} = {b} + s * ({a} - {b})", "; ", 0),
+        "fwd_sinh": ("u{k} = wp * {a} + wq * {b}; v{k} = wp * {b} + wq * {a}", "; ", 0),
+        "norm_u": ("n2 -= u{k} * u{k}", "; ", 1),
+        "norm_v": ("n2 -= v{k} * v{k}", "; ", 1),
+        "mid": ("{a} = {b} = u{k} * inv", "; ", 0),
+        "fwd_a": ("{a} = u{k} * inv", "; ", 0),
+        "fwd_b": ("{b} = v{k} * inv", "; ", 0),
     }
-
-    @classmethod
-    def _kernel(cls, dim: int, n: int):
-        # The march of any n: the sweep kernel at dim, repeated.
-        if dim > _SWEEP_MAX_DIM:
-            return None
-        return functools.partial(_loop_march, _sweep_kernel(cls, dim))
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]

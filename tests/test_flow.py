@@ -29,8 +29,7 @@ from subsetflow import (
     to_set,
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
-from subsetflow.geometry import (_MARCH_MAX_TERMS, _SMALL_ANGLE, _SWEEP_MAX_DIM, _Move, _loop_march,
-                                 _march_kernel, _pair_sweep, _sweep_kernel)
+from subsetflow.geometry import _SMALL_ANGLE, _Move, _loop_march, _march_kernel, _pair_sweep
 from oracles import grid_pair_prox
 
 
@@ -272,17 +271,44 @@ def _branch_inputs(space, rng):
         yield PointTuple(space, (p, near, q)), lam, 2
 
 
+def _past_cap(cls):
+    # The smallest dimension whose looped march is longer than the source cap.
+    return next(dim for dim in itertools.count(1) if cls._march_source(dim, None) is None)
+
+
+# The keys reach every shape of both coordinate backends: the unrolled and
+# the looped march in each listed dimension, and the loop over _pair_sweep in
+# the smallest dimension whose looped source is past the cap.
+PAIR_SWEEP_KEYS = [f"euclidean-{_past_cap(EuclideanSpace)}",
+                   f"hyperboloid-{_past_cap(HyperboloidSpace)}"]
 MARCH_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", "euclidean-16", "euclidean-17",
               "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", "hyperboloid-16",
-              f"hyperboloid-{_SWEEP_MAX_DIM + 1}", "star-tree", "path-tree", "caterpillar"]
+              "hyperboloid-17", "star-tree", "path-tree", "caterpillar"] + PAIR_SWEEP_KEYS
+
+
+def _march_shape(space, n):
+    # Which march _march_kernel runs for n-tuples in space, checking that it
+    # is the kernel built for that shape.
+    cls, dim = type(space), space.dim
+    kernel, looped = _march_kernel(cls, dim, n), _march_kernel(cls, dim, None)
+    if cls._march_source(dim, n) is not None:
+        assert inspect.isfunction(kernel) and kernel is not looped
+        return "unrolled"
+    assert kernel is looped
+    if cls._march_source(dim, None) is not None:
+        assert inspect.isfunction(kernel)
+        return "looped"
+    assert kernel.func is _loop_march and kernel.args[0].func is _pair_sweep
+    assert kernel.args[0].args == (space,)
+    return "pair_sweep"
 
 
 @pytest.mark.parametrize("key", MARCH_KEYS)
 def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_tree, key):
     # A march is the composed pair steps, sweep after sweep, in one call or
-    # in one call per sweep: at n = 2..8 in every dimension the kernels are
-    # generated for, and above their caps, where the march loops over
-    # _pair_sweep (euclidean:17 at n = 8 and 9, hyperboloid:17).
+    # in one call per sweep: at n = 2..8, and in each dimension at the
+    # smallest n whose unrolled march is past the source cap, where it is
+    # looped, or loops over _pair_sweep in the PAIR_SWEEP_KEYS dimensions.
     if key == "caterpillar":
         space = caterpillar_tree
     elif key in all_spaces:
@@ -291,22 +317,15 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         kind, dim = key.split("-")
         space = make_space(kind, int(dim))
     coordinates = not isinstance(space, TreeSpace)
-    ns = range(2, 10 if key == "euclidean-17" else 9)
+    ns = list(range(2, 10 if key == "euclidean-17" else 9))
     if coordinates:
-        for n in ns:
-            kernel = _march_kernel(type(space), space.dim, n)
-            if isinstance(space, EuclideanSpace):
-                looped = n * (n - 1) // 2 * space.dim > _MARCH_MAX_TERMS
-                generated = not looped and inspect.isfunction(kernel) and kernel.__name__ == "_march"
-            else:
-                looped = space.dim > _SWEEP_MAX_DIM
-                generated = not looped and kernel.args == (_sweep_kernel(type(space), space.dim),)
-            if looped:
-                assert kernel.func is _loop_march and kernel.args[0].func is _pair_sweep
-                assert kernel.args[0].args == (space,)
-            else:
-                assert generated
-        assert looped == (key in ("euclidean-17", f"hyperboloid-{_SWEEP_MAX_DIM + 1}"))
+        # the smallest n whose unrolled march is longer than the source cap
+        source = type(space)._march_source
+        past_cap = next(n for n in itertools.count(2) if source(space.dim, n) is None)
+        if past_cap not in ns:
+            ns.append(past_cap)
+        shapes = {_march_shape(space, n) for n in ns}
+        assert shapes == ({"pair_sweep"} if key in PAIR_SWEEP_KEYS else {"unrolled", "looped"})
     rng = random.Random(f"sweepbits:{key}")
     cases = []
     for n in ns:
@@ -316,17 +335,35 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
             # lam below every starting d/2, between them, and above them all
             cases += [(x, lam, 3) for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2],
                                               0.6 * max(ds))]
-    if coordinates:
-        cases += _branch_inputs(space, rng)
+    edge_cases = list(_branch_inputs(space, rng)) if coordinates else []
     if key == "hyperboloid-2":
         # Valid points on one ray far from the apex that leave the sheet
         # through either path: at 17 and 18 the march's 53rd sweep does, at
-        # 18 and 19 the midpoint.
+        # 18 and 19 the midpoint.  After the raise the unrolled march has
+        # left coords as they were at the call and the looped one has
+        # written the pairs stepped before it; nothing reads them.
         for r, lam, sweeps in ((17.0, 1.0 / 512.0, 60), (18.0, 1.0, 1)):
             x = PointTuple(space, (_ray_point(space, r), _ray_point(space, r + 1.0)))
-            cases.append((x, lam * min_gap(x), sweeps))
+            edge_cases.append((x, lam * min_gap(x), sweeps))
             assert "interpolation left the hyperboloid sheet" in _march_outcome(
-                _flow_march, *cases[-1], -math.inf)
+                _flow_march, *edge_cases[-1], -math.inf)
+    seen, early = _check_marches(space, cases + edge_cases)
+    assert seen["merged"] and seen["moved"] and early
+    if coordinates:
+        assert seen["equal"] and seen["far"] and seen["tiny"]
+        # The edge cases have at most 4 slots.  Padded with random points to
+        # at least past_cap slots, they take every branch in the looped march.
+        if key not in PAIR_SWEEP_KEYS:
+            padded = [(PointTuple(space, x.coords + tuple(space.random_point(rng)
+                                                          for _ in range(past_cap - len(x)))),
+                       lam, sweeps) for x, lam, sweeps in edge_cases]
+            seen, _ = _check_marches(space, padded)
+            assert all(seen.values())
+
+
+def _check_marches(space, cases):
+    # Every (tuple, step, sweeps) case marches as the composed pair steps do;
+    # with the branches those took and how many marches stopped early.
     seen = dict.fromkeys(("equal", "merged", "moved", "far", "tiny"), 0)
     early = 0
     for x, lam, sweeps in cases:
@@ -339,9 +376,7 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
             assert _march_outcome(_flow_march, x, lam, sweeps, watch) == want
             assert _march_outcome(_stepwise_march, x, lam, sweeps, watch) == want
             early += watch > -math.inf and _flow_march(x, lam, sweeps, watch)[1] < sweeps
-    assert seen["merged"] and seen["moved"] and early
-    if coordinates:
-        assert seen["equal"] and seen["far"] and seen["tiny"]
+    return seen, early
 
 
 def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):

@@ -20,6 +20,7 @@ from subsetflow import (
     make_subset,
     space_from_json,
 )
+from subsetflow.geometry import _MARCH_MAX_SOURCE, _loop_march, _march_kernel, _pair_sweep
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -103,6 +104,35 @@ def test_hypot_of_differences_is_math_dist_bit_for_bit():
             seen["subnormal"] += 0.0 < want < 2.2250738585072014e-308
             seen["zero"] += want == 0.0
     assert all(seen.values()), seen
+
+
+# Which march _march_kernel picks for n = 2, 5, 8 and 31: the unrolled
+# march of that n (U), the looped march of the dimension (L), or the loop
+# over _pair_sweep (P).  Euclidean 200 and hyperboloid 100 are dimensions
+# whose looped source is past the cap.
+MARCH_SHAPES = {"euclidean-1": "UUUL", "euclidean-2": "UUUL", "euclidean-16": "ULLL",
+                "hyperboloid-2": "ULLL", "hyperboloid-16": "ULLL",
+                "euclidean-200": "PPPP", "hyperboloid-100": "PPPP"}
+
+
+@pytest.mark.parametrize("key", MARCH_SHAPES)
+def test_march_kernels_stay_under_the_source_cap(key):
+    kind, dim = key.split("-")
+    space = make_space(kind, int(dim))
+    cls, dim = type(space), space.dim
+    looped = cls._march_source(dim, None)
+    assert looped is None or len(looped) <= _MARCH_MAX_SOURCE
+    for n, shape in zip((2, 5, 8, 31), MARCH_SHAPES[key]):
+        kernel = _march_kernel(cls, dim, n)
+        unrolled = cls._march_source(dim, n)
+        assert unrolled is None or len(unrolled) <= _MARCH_MAX_SOURCE
+        assert (unrolled is not None) == (shape == "U")
+        assert (kernel is _march_kernel(cls, dim, None)) == (shape != "U")
+        if shape == "P":
+            assert looped is None and kernel.func is _loop_march
+            assert kernel.args[0].func is _pair_sweep and kernel.args[0].args == (space,)
+        else:
+            assert looped is not None and kernel.__name__ == "_march"
 
 
 # ---------------------------------------------------------------------------
