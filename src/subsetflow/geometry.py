@@ -25,7 +25,9 @@ On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
 step.  A tree has no march: ``merge_time`` calls its
-``_first_collision(data)``, the exact flow to the first collision.
+``_first_collision(data)``, the exact flow to the first collision.  The
+tree kernels read one table per edge id (its ends, its length and both
+ends' rows of node distances), and the tree ``_gap`` builds no route.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -643,10 +645,18 @@ class TreeSpace:
     offset at whichever end of that edge the vertex occupies.  All node
     distances and next-hop pointers are precomputed, so the instance is
     immutable after construction.
+
+    The kernels read ``_table``, which maps an edge id to (from node, to
+    node, length, from node's row of ``_node_dist``, to node's row), by
+    plain indexing: ``_check_point`` has rejected every edge id the tree
+    lacks.  ``_gap`` returns the least endpoint pairing's length without
+    building a route, and ``_motion`` reads one ``_next_edge`` row per
+    moving point.
     """
 
     topology: TreeTopology
     _edge_by_id: dict = field(init=False, repr=False, compare=False)
+    _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
@@ -679,7 +689,11 @@ class TreeSpace:
                         next_edge[w][target] = e
                         stack.append(w)
             node_dist[target] = dist
+        table = {e.id: (e.from_node, e.to_node, e.length,
+                        node_dist[e.from_node], node_dist[e.to_node])
+                 for e in topo.edges}
         object.__setattr__(self, "_edge_by_id", edge_by_id)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_node_dist", node_dist)
         object.__setattr__(self, "_next_edge", next_edge)
@@ -719,12 +733,20 @@ class TreeSpace:
         return Point(self.kind, self._place(self._edge(p.data[0]), p.data[1]))
 
     def _check_point(self, p: Point) -> None:
-        # A point of another tree: an unknown edge id is a SpaceMismatchError,
-        # an offset off this tree's edge a GeometryError.
+        # Data that is no (edge_id, offset) pair with a comparable offset,
+        # or an offset off its edge, is a GeometryError; an unknown edge id
+        # (a point of another tree) a SpaceMismatchError.  The kernels index
+        # the edge table with the data that passes.
         _check_kind(self, p)
-        edge_id, offset = p.data
-        edge = self._edge(edge_id)
-        if not 0.0 <= offset <= edge.length:
+        try:
+            edge_id, offset = p.data
+            edge = self._edge(edge_id)
+            inside = 0.0 <= offset <= edge.length
+        except SpaceMismatchError:  # a ValueError too; it stays what it is
+            raise
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"malformed tree point data {p.data!r}") from exc
+        if not inside:
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
     def distance(self, p: Point, q: Point) -> float:
@@ -733,18 +755,24 @@ class TreeSpace:
         return self._gap(p.data, q.data)
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
+        # _route(pd, qd)[0] without a route: the least of the four endpoint
+        # pairings, each summed as _route sums it.  Comparisons, not min():
+        # a call of min() costs more than the sums.
         if pd[0] == qd[0]:
             return abs(pd[1] - qd[1])
-        return self._route(pd, qd)[0]
-
-    def _ends(self, pd: tuple) -> tuple[tuple, tuple]:
-        # The endpoints of pd's edge, from then to, each as (node, leg from
-        # pd, the node's row of _node_dist).
-        edge = self._edge(pd[0])
-        o = pd[1]
-        dist = self._node_dist
-        return ((edge.from_node, o, dist[edge.from_node]),
-                (edge.to_node, edge.length - o, dist[edge.to_node]))
+        a, b, length, row_a, row_b = self._table[pd[0]]
+        c, d, length_q, _, _ = self._table[qd[0]]
+        o, oq = pd[1], qd[1]
+        r, rq = length - o, length_q - oq
+        best = o + row_a[c] + oq
+        other = o + row_a[d] + rq
+        if other < best:
+            best = other
+        other = r + row_b[c] + oq
+        if other < best:
+            best = other
+        other = r + row_b[d] + rq
+        return other if other < best else best
 
     def _route(self, pd: tuple, qd: tuple) -> tuple[float, float, int, int]:
         """Shortest route between points on two different edges.
@@ -754,27 +782,24 @@ class TreeSpace:
         fixed order and the first strict minimum wins, so distances and
         geodesics agree on which route a tie takes.
         """
-        ends_p, ends_q = self._ends(pd), self._ends(qd)
-        best = None
-        for na, ra, row_a in ends_p:
-            for nb, rb, _ in ends_q:
-                length = ra + row_a[nb] + rb
-                if best is None or length < best[0]:
-                    best = (length, ra, na, nb)
-        return best
+        return self._routes(pd, qd)[0]
 
     def _routes(self, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
         """``_route(pd, qd)`` and ``_route(qd, pd)`` from one pass over the pairings.
 
-        Each direction sums its legs in its own order, from its own row of
-        ``_node_dist``, so both keep their bits.  ``_route(qd, pd)`` tries
-        q's endpoints in its outer loop, so among equal lengths its first
-        strict minimum is the one with the earlier q endpoint j; this pass
-        runs p's endpoints outside and reproduces that by the j test.
+        Each point's edge ends are (node, leg from the point, the node's
+        row of ``_node_dist``), from then to.  Each direction sums its legs
+        in its own order, from its own row, so both keep their bits.
+        ``_route(qd, pd)`` tries q's ends first, so among equal lengths its
+        first strict minimum is the one with the earlier q end j; this pass
+        runs p's ends outside and reproduces that by the j test.
         """
-        ends_p, ends_q = self._ends(pd), self._ends(qd)
+        a, b, length_p, dist_a, dist_b = self._table[pd[0]]
+        c, d, length_q, dist_c, dist_d = self._table[qd[0]]
+        o, oq = pd[1], qd[1]
+        ends_q = ((c, oq, dist_c), (d, length_q - oq, dist_d))
         fwd = rev = None
-        for na, ra, row_a in ends_p:
+        for na, ra, row_a in ((a, o, dist_a), (b, length_p - o, dist_b)):
             for j, (nb, rb, row_b) in enumerate(ends_q):
                 length = ra + row_a[nb] + rb
                 if fwd is None or length < fwd[0]:
@@ -849,25 +874,27 @@ class TreeSpace:
                watch: float) -> tuple[int, float]:
         return _loop_march(functools.partial(_pair_sweep, self), coords, lam, sweeps, watch)
 
-    def _branch(self, node: int, qd: tuple) -> TreeEdge:
-        # The first edge from the vertex node toward the point qd != node.  An
-        # edge that does not end at node lies in one branch of it, with both
-        # of its endpoints.
-        edge = self._edge(qd[0])
-        if node == edge.from_node or node == edge.to_node:
-            return edge
-        return self._next_edge[node][edge.from_node]
+    def _branch(self, row: dict, node: int, qd: tuple) -> TreeEdge:
+        # The first edge from the vertex node toward the point qd != node;
+        # row is node's row of _next_edge.  qd's edge lies in one branch of
+        # node with both of its ends, so the first edge toward its far end
+        # leads to qd: the edge itself when it ends at node.
+        a, b, _, _, _ = self._table[qd[0]]
+        return row[b] if a == node else row[a]
 
     def _motion(self, i: int, data: list[tuple]) -> _Move | None:
         # How point i of data moves until the next event of the exact flow;
         # None if it stays.
-        edge = self._edge(data[i][0])
-        o = data[i][1]
+        edge_id, o = data[i]
+        edge = self._edge_by_id[edge_id]
         others = len(data) - 1
+        branch = self._branch
         if 0.0 < o < edge.length:
             # Inside an edge: toward the side that holds more of the others,
             # at the difference of the two counts.
-            ahead = [qd[1] > o if qd[0] == edge.id else self._branch(edge.to_node, qd) is not edge
+            v = edge.to_node
+            row = self._next_edge[v]
+            ahead = [qd[1] > o if qd[0] == edge_id else branch(row, v, qd) is not edge
                      for qd in data]
             ahead[i] = False
             speed = 2 * sum(ahead) - others
@@ -879,7 +906,8 @@ class TreeSpace:
         # At a vertex: into the branch that holds c > (n-1)/2 of the others,
         # at 2c - (n-1), or nowhere.
         v = edge.from_node if o == 0.0 else edge.to_node
-        branches = [None if j == i else self._branch(v, qd) for j, qd in enumerate(data)]
+        row = self._next_edge[v]
+        branches = [None if j == i else branch(row, v, qd) for j, qd in enumerate(data)]
         (b, count), = Counter(branches[:i] + branches[i + 1:]).most_common(1)
         speed = 2 * count - others
         if speed <= 0:
@@ -906,19 +934,19 @@ class TreeSpace:
         n = len(data)
         data = list(data)
         pairs = list(itertools.combinations(range(n), 2))
+        gap = self._gap
         t = 0.0
         for _ in range(n * (len(self.topology.edges) + 1)):
             moves = [self._motion(i, data) for i in range(n)]
             arrivals = [math.inf if m is None else m.arrival() for m in moves]
+            # What each point moves toward each slot's point per unit time.
+            pull = [[0] * n if m is None else [m.speed if a else -m.speed for a in m.toward]
+                    for m in moves]
             meets = []
             for i, j in pairs:
-                d = self._gap(data[i], data[j])
+                d = gap(data[i], data[j])
                 # The gap closes at the sum of what each point moves toward the other.
-                rate = 0
-                for a, b in ((i, j), (j, i)):
-                    m = moves[a]
-                    if m is not None:
-                        rate += m.speed if m.toward[b] else -m.speed
+                rate = pull[i][j] + pull[j][i]
                 if d == 0.0:
                     meets.append(0.0)
                 else:
@@ -994,7 +1022,11 @@ def space_from_json(obj) -> SpaceDescriptor:
     return make_space(obj["kind"], obj.get("dim"))
 
 
+# json.dumps(obj, sort_keys=True) builds this encoder on every call.
+_SORT_KEY_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
 def point_sort_key(space: SpaceDescriptor, p: Point) -> str:
     """Canonical serialization, used wherever a deterministic order is needed."""
-    return json.dumps(space.point_to_json(p), sort_keys=True)
+    return _SORT_KEY_ENCODE(space.point_to_json(p))
 

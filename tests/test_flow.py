@@ -387,9 +387,12 @@ def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
     pts = list(dict.fromkeys(space.point((e.id, f * e.length))
                              for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
     for p, q in itertools.permutations(pts, 2):
-        if p.data[0] != q.data[0]:
-            pd, qd = p.data, q.data
+        pd, qd = p.data, q.data
+        if pd[0] != qd[0]:
             assert space._routes(pd, qd) == (space._route(pd, qd), space._route(qd, pd))
+            # the distance kernel builds no route, and keeps its bits
+            assert space._gap(pd, qd) == space._route(pd, qd)[0]
+            assert space._gap(qd, pd) == space._route(qd, pd)[0]
         d = space.distance(p, q)
         for lam in (0.1 * d, 0.3 * d, d):
             y = pair_resolvent(PointTuple(space, (p, q)), 0, 1, lam)

@@ -20,7 +20,9 @@ from subsetflow import (
     make_subset,
     space_from_json,
 )
-from subsetflow.geometry import _MARCH_MAX_SOURCE, _loop_march, _march_kernel, _pair_sweep
+from subsetflow.geometry import (
+    _MARCH_MAX_SOURCE, _loop_march, _march_kernel, _pair_sweep, point_sort_key,
+)
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -308,10 +310,18 @@ def test_tree_rejects_bad_offsets(star_tree):
                 star_tree.geodesic_point(p, q, 0.5)
 
 
-@pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400)])
+@pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400),
+                                   (0,), (0, 0.5, 1)])
 def test_tree_malformed_points_are_geometry_errors(star_tree, place):
     with pytest.raises(GeometryError):
         star_tree.point(place)
+    # the same data wrapped as a Point fails where points enter, and as a
+    # GeometryError, not as an error of the arithmetic it would reach
+    p = Point("tree", place)
+    for build in (lambda: PointTuple(star_tree, (p,)), lambda: FiniteSubset(star_tree, (p,)),
+                  lambda: make_subset(star_tree, [p])):
+        with pytest.raises(GeometryError):
+            build()
 
 
 @pytest.mark.parametrize("entry", [
@@ -395,6 +405,7 @@ def test_point_json_roundtrip(all_spaces, key):
         p = space.random_point(_rng(f"{key}:{i}"))
         payload = json.loads(json.dumps(space.point_to_json(p)))
         assert space.point_from_json(payload) == p
+        assert point_sort_key(space, p) == json.dumps(space.point_to_json(p), sort_keys=True)
 
 
 def test_make_space_rejects_unknown_kind():
