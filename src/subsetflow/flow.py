@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace
@@ -336,96 +337,167 @@ def _set_partitions(n: int):
         yield blocks + [[n - 1]]
 
 
-def _reduced_minimize(pts: np.ndarray, blocks: list[list[int]], lam: float):
+def _cholesky_solve(h: list[list[float]], rhs: list[float]):
+    """The x with h x = rhs, for h symmetric positive definite.
+
+    Reads only the lower triangle of h and overwrites it with its Cholesky
+    factor.  Returns None when a pivot is not positive, that is, when h is
+    not positive definite to working precision.
+    """
+    n = len(rhs)
+    for j in range(n):
+        row_j = h[j]
+        d = row_j[j]
+        for k in range(j):
+            d -= row_j[k] * row_j[k]
+        if not d > 0.0:
+            return None
+        d = math.sqrt(d)
+        row_j[j] = d
+        for i in range(j + 1, n):
+            row_i = h[i]
+            s = row_i[j]
+            for k in range(j):
+                s -= row_i[k] * row_j[k]
+            row_i[j] = s / d
+    y = []
+    for i in range(n):
+        row_i = h[i]
+        s = rhs[i]
+        for k in range(i):
+            s -= row_i[k] * y[k]
+        y.append(s / row_i[i])
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= h[k][i] * x[k]
+        x[i] = s / h[i][i]
+    return x
+
+
+def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
     """Exactly minimize the objective restricted to a coincidence pattern.
 
     Variables are one point per block; the reduced objective is smooth and
-    strongly convex whenever the optimal blocks stay apart, and a damped
-    Newton iteration drives the gradient below 1e-10 there.  Returns
-    (value, block points) or None when blocks collide, in which case a
-    coarser pattern dominates this one anyway.
-    """
-    import numpy as np
+    strongly convex while the blocks stay apart, and a damped Newton
+    iteration drives the gradient below 1e-10 there.  Returns (value, block
+    points) or None when an iterate brings two blocks within 1e-9 of each
+    other or the iteration ends with the gradient above 1e-8.  None does not
+    show that the pattern is suboptimal: the optimum can lie in it all the
+    same, and a coarser pattern then wins the enumeration.
 
-    dim = pts.shape[1]
+    The arithmetic is on Python floats, summed left to right.  The Newton
+    matrix, (size/lam) I per block plus positive semidefinite pair blocks,
+    is symmetric positive definite with at most 8 rows, so it is solved by
+    Cholesky factorization.
+    """
+    dim = len(pts[0])
     m = len(blocks)
-    sizes = np.array([len(b) for b in blocks], dtype=float)
-    means = np.array([pts[b].mean(axis=0) for b in blocks])
+    sizes = [float(len(b)) for b in blocks]
+    means = [tuple([functools.reduce(operator.add, col) / len(b)
+                    for col in zip(*[pts[i] for i in b])]) for b in blocks]
     # Sum of squared distances from each block's members to its mean is a
     # constant of the pattern; fold it in so values are comparable.
-    base = sum(float(((pts[b] - means[i]) ** 2).sum()) for i, b in enumerate(blocks)) / (2.0 * lam)
+    base = 0.0
+    for b, mean in zip(blocks, means):
+        s = 0.0
+        for i in b:
+            for c, mc in zip(pts[i], mean):
+                s += (c - mc) ** 2
+        base += s
+    base /= 2.0 * lam
     if m == 1:
         return base, means
 
-    weights = np.outer(sizes, sizes)
+    pairs = [(a, b, sizes[a] * sizes[b]) for a, b in itertools.combinations(range(m), 2)]
+    # The iterate is one flat list of m*dim coordinates; rows[a] slices out
+    # block a's point.
+    rows = [slice(a * dim, (a + 1) * dim) for a in range(m)]
+    flat_means = [c for mean in means for c in mean]
 
     def value(u):
         v = base
-        for a in range(m - 1):
-            for b in range(a + 1, m):
-                v += weights[a, b] * float(np.linalg.norm(u[a] - u[b]))
-        v += float((sizes * ((u - means) ** 2).sum(axis=1)).sum()) / (2.0 * lam)
-        return v
+        for a, b, w in pairs:
+            v += w * math.dist(u[rows[a]], u[rows[b]])
+        q = 0.0
+        for s, row in zip(sizes, rows):
+            r = 0.0
+            for c, mc in zip(u[row], flat_means[row]):
+                r += (c - mc) ** 2
+            q += s * r
+        return v + q / (2.0 * lam)
 
     def grad_hess(u):
-        g = (sizes[:, None] / lam) * (u - means)
-        h = np.zeros((m * dim, m * dim))
-        for a in range(m):
-            h[a * dim:(a + 1) * dim, a * dim:(a + 1) * dim] += (sizes[a] / lam) * np.eye(dim)
-        for a in range(m - 1):
-            for b in range(a + 1, m):
-                diff = u[a] - u[b]
-                r = float(np.linalg.norm(diff))
-                if r < 1e-9:
-                    return None, None
-                unit = diff / r
-                g[a] += weights[a, b] * unit
-                g[b] -= weights[a, b] * unit
-                block = (weights[a, b] / r) * (np.eye(dim) - np.outer(unit, unit))
-                h[a * dim:(a + 1) * dim, a * dim:(a + 1) * dim] += block
-                h[b * dim:(b + 1) * dim, b * dim:(b + 1) * dim] += block
-                h[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] -= block
-                h[b * dim:(b + 1) * dim, a * dim:(a + 1) * dim] -= block
+        # The gradient and the lower triangle of the Hessian.
+        g = []
+        h = [[0.0] * (m * dim) for _ in range(m * dim)]
+        for s, row in zip(sizes, rows):
+            k = s / lam
+            g.extend([k * (c - mc) for c, mc in zip(u[row], flat_means[row])])
+            for c in range(row.start, row.stop):
+                h[c][c] = k
+        for a, b, w in pairs:
+            ua, ub = u[rows[a]], u[rows[b]]
+            r = math.dist(ua, ub)
+            if r < 1e-9:
+                return None, None
+            unit = [(c - e) / r for c, e in zip(ua, ub)]
+            k = w / r
+            oa, ob = a * dim, b * dim
+            for c, uc in enumerate(unit):
+                g[oa + c] += w * uc
+                g[ob + c] -= w * uc
+                h_a, h_b = h[oa + c], h[ob + c]
+                for e, ue in enumerate(unit):
+                    block = k * ((c == e) - uc * ue)
+                    if e <= c:
+                        h_a[oa + e] += block
+                        h_b[ob + e] += block
+                    h_b[oa + e] -= block
         return g, h
 
-    u = means.copy()
+    u = flat_means
     val = value(u)
     for _ in range(100):
         g, h = grad_hess(u)
         if g is None:
             return None
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.hypot(*g)
         if gnorm <= 1e-10:
             break
-        step = np.linalg.solve(h, -g.reshape(-1)).reshape(m, dim)
-        descent = float((g.reshape(-1) * step.reshape(-1)).sum())
-        if -descent <= 64.0 * np.finfo(float).eps * max(1.0, abs(val)):
+        step = _cholesky_solve(h, [-c for c in g])
+        if step is None:
+            break
+        descent = 0.0
+        for c, d in zip(g, step):
+            descent += c * d
+        if -descent <= 64.0 * sys.float_info.epsilon * max(1.0, abs(val)):
             # The predicted decrease is below the float resolution of the
             # value, so an Armijo test would accept zero-progress steps.
             # Finish with pure Newton steps gated on gradient contraction.
-            g2, _ = grad_hess(u + step)
-            if g2 is None or not float(np.linalg.norm(g2)) < 0.5 * gnorm:
+            cand = [c + d for c, d in zip(u, step)]
+            g2, _ = grad_hess(cand)
+            if g2 is None or not math.hypot(*g2) < 0.5 * gnorm:
                 break
-            u = u + step
+            u = cand
             val = value(u)
             continue
         alpha = 1.0
-        moved = False
         while alpha > 1e-14:
-            cand = u + alpha * step
+            cand = [c + alpha * d for c, d in zip(u, step)]
             cand_val = value(cand)
             if cand_val <= val + 1e-4 * alpha * descent:
                 u = cand
                 val = cand_val
-                moved = True
                 break
             alpha *= 0.5
-        if not moved:
+        else:
             break
     g, _ = grad_hess(u)
-    if g is None or float(np.linalg.norm(g)) > 1e-8:
+    if g is None or math.hypot(*g) > 1e-8:
         return None
-    return val, u
+    return val, [tuple(u[row]) for row in rows]
 
 
 def oracle_supports(space: SpaceDescriptor, n: int) -> bool:
@@ -441,12 +513,11 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
 
     Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam)
     by enumerating coincidence patterns of the coordinates and solving each
-    smooth reduced problem by Newton iteration.  A pattern can only be
-    optimal if its merged coordinates started within 2(n-1)*lam of each
-    other, which prunes the enumeration hard for small steps.
+    smooth reduced problem by Newton iteration (``_reduced_minimize``); the
+    first pattern of least value wins.  A pattern can only be optimal if its
+    merged coordinates started within 2(n-1)*lam of each other, which prunes
+    the enumeration hard for small steps.
     """
-    import numpy as np
-
     space = x.space
     n = len(x)
     if not oracle_supports(space, n):
@@ -455,21 +526,14 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
         raise GeometryError("step size must be positive")
     if n < 2:
         return x
-    pts = np.array([p.data for p in x.coords], dtype=float)
+    pts = [p.data for p in x.coords]
     reach = 2.0 * (n - 1) * lam * (1.0 + 1e-9) + 1e-12
 
     best_val = math.inf
     best = None
     for blocks in _set_partitions(n):
-        feasible = True
-        for b in blocks:
-            for ai, bi in itertools.combinations(b, 2):
-                if float(np.linalg.norm(pts[ai] - pts[bi])) > reach:
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if not feasible:
+        if any(math.dist(pts[a], pts[b]) > reach
+               for block in blocks for a, b in itertools.combinations(block, 2)):
             continue
         solved = _reduced_minimize(pts, blocks, lam)
         if solved is None:
@@ -480,8 +544,9 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
             best = (blocks, u)
 
     if best is None:
-        # The pattern of the true optimum always solves; reaching this means
-        # a numerical breakdown worth hearing about, not silent garbage.
+        # Some pattern usually solves, but none is certain to: a failed
+        # Newton solve can drop even the optimal one, so say so loudly
+        # rather than return garbage.
         raise GeometryError("reference resolvent failed to certify any coincidence pattern")
     blocks, u = best
     out = [None] * n

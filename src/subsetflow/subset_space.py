@@ -103,6 +103,22 @@ class FiniteSubset:
     dedup_tolerance: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        self._validate(check_order=True)
+
+    @classmethod
+    def _sorted(cls, space: SpaceDescriptor, points: tuple[Point, ...],
+                dedup_tolerance: float) -> "FiniteSubset":
+        # make_subset's way in: it has just sorted its points by their sort
+        # keys, so the order check, which would encode every key again, is
+        # skipped; every other check runs.
+        out = cls.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "points", points)
+        object.__setattr__(out, "dedup_tolerance", dedup_tolerance)
+        out._validate(check_order=False)
+        return out
+
+    def _validate(self, check_order: bool) -> None:
         points = tuple(self.points)
         if not points:
             raise GeometryError("a finite subset needs at least one point")
@@ -110,9 +126,10 @@ class FiniteSubset:
             raise GeometryError("dedup tolerance must be >= 0")
         for p in points:
             self.space._check_point(p)
-        keys = [point_sort_key(self.space, p) for p in points]
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise GeometryError("points are not in canonical order; use make_subset")
+        if check_order:
+            keys = [point_sort_key(self.space, p) for p in points]
+            if any(a > b for a, b in zip(keys, keys[1:])):
+                raise GeometryError("points are not in canonical order; use make_subset")
         if any(d <= self.dedup_tolerance for d in _gaps(self.space, [p.data for p in points])):
             raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
@@ -186,7 +203,7 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
             merged.append(rep)
         pts = merged  # folded representatives may themselves sit within tol
     pts.sort(key=lambda p: point_sort_key(space, p))
-    return FiniteSubset(space, tuple(pts), dedup_tolerance)
+    return FiniteSubset._sorted(space, tuple(pts), dedup_tolerance)
 
 
 def _check_same_space(a, b) -> None:

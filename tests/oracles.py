@@ -7,10 +7,14 @@ precomputed tables) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 
 import numpy as np
+
+from subsetflow import GeometryError, PointTuple
+from subsetflow.flow import _set_partitions, oracle_supports
 
 
 def grid_pair_prox(p, q, lam, levels=14, grid=13):
@@ -93,3 +97,136 @@ def brute_hausdorff(space, pts_a, pts_b):
     forward = max(min(d(x, y) for y in pts_b) for x in pts_a)
     backward = max(min(d(x, y) for x in pts_a) for y in pts_b)
     return max(forward, backward)
+
+
+# The library's reference resolvent as it stood on numpy, kept to compare the
+# plain-float one against: the same enumeration, pruning, tie rule and Newton
+# constants, with the Newton systems solved by np.linalg.solve.
+
+
+def reduced_minimize_ref(pts: np.ndarray, blocks: list[list[int]], lam: float):
+    """subsetflow.flow._reduced_minimize with numpy arrays and np.linalg.solve."""
+    dim = pts.shape[1]
+    m = len(blocks)
+    sizes = np.array([len(b) for b in blocks], dtype=float)
+    means = np.array([pts[b].mean(axis=0) for b in blocks])
+    # Sum of squared distances from each block's members to its mean is a
+    # constant of the pattern; fold it in so values are comparable.
+    base = sum(float(((pts[b] - means[i]) ** 2).sum()) for i, b in enumerate(blocks)) / (2.0 * lam)
+    if m == 1:
+        return base, means
+
+    weights = np.outer(sizes, sizes)
+
+    def value(u):
+        v = base
+        for a in range(m - 1):
+            for b in range(a + 1, m):
+                v += weights[a, b] * float(np.linalg.norm(u[a] - u[b]))
+        v += float((sizes * ((u - means) ** 2).sum(axis=1)).sum()) / (2.0 * lam)
+        return v
+
+    def grad_hess(u):
+        g = (sizes[:, None] / lam) * (u - means)
+        h = np.zeros((m * dim, m * dim))
+        for a in range(m):
+            h[a * dim:(a + 1) * dim, a * dim:(a + 1) * dim] += (sizes[a] / lam) * np.eye(dim)
+        for a in range(m - 1):
+            for b in range(a + 1, m):
+                diff = u[a] - u[b]
+                r = float(np.linalg.norm(diff))
+                if r < 1e-9:
+                    return None, None
+                unit = diff / r
+                g[a] += weights[a, b] * unit
+                g[b] -= weights[a, b] * unit
+                block = (weights[a, b] / r) * (np.eye(dim) - np.outer(unit, unit))
+                h[a * dim:(a + 1) * dim, a * dim:(a + 1) * dim] += block
+                h[b * dim:(b + 1) * dim, b * dim:(b + 1) * dim] += block
+                h[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] -= block
+                h[b * dim:(b + 1) * dim, a * dim:(a + 1) * dim] -= block
+        return g, h
+
+    u = means.copy()
+    val = value(u)
+    for _ in range(100):
+        g, h = grad_hess(u)
+        if g is None:
+            return None
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-10:
+            break
+        step = np.linalg.solve(h, -g.reshape(-1)).reshape(m, dim)
+        descent = float((g.reshape(-1) * step.reshape(-1)).sum())
+        if -descent <= 64.0 * np.finfo(float).eps * max(1.0, abs(val)):
+            # The predicted decrease is below the float resolution of the
+            # value, so an Armijo test would accept zero-progress steps.
+            # Finish with pure Newton steps gated on gradient contraction.
+            g2, _ = grad_hess(u + step)
+            if g2 is None or not float(np.linalg.norm(g2)) < 0.5 * gnorm:
+                break
+            u = u + step
+            val = value(u)
+            continue
+        alpha = 1.0
+        moved = False
+        while alpha > 1e-14:
+            cand = u + alpha * step
+            cand_val = value(cand)
+            if cand_val <= val + 1e-4 * alpha * descent:
+                u = cand
+                val = cand_val
+                moved = True
+                break
+            alpha *= 0.5
+        if not moved:
+            break
+    g, _ = grad_hess(u)
+    if g is None or float(np.linalg.norm(g)) > 1e-8:
+        return None
+    return val, u
+
+
+def full_resolvent_ref(x: PointTuple, lam: float) -> PointTuple:
+    """subsetflow.full_resolvent_oracle on numpy, solving each pattern by reduced_minimize_ref."""
+    space = x.space
+    n = len(x)
+    if not oracle_supports(space, n):
+        raise GeometryError("the reference resolvent supports only euclidean tuples with n*dim <= 8")
+    if lam <= 0.0:
+        raise GeometryError("step size must be positive")
+    if n < 2:
+        return x
+    pts = np.array([p.data for p in x.coords], dtype=float)
+    reach = 2.0 * (n - 1) * lam * (1.0 + 1e-9) + 1e-12
+
+    best_val = math.inf
+    best = None
+    for blocks in _set_partitions(n):
+        feasible = True
+        for b in blocks:
+            for ai, bi in itertools.combinations(b, 2):
+                if float(np.linalg.norm(pts[ai] - pts[bi])) > reach:
+                    feasible = False
+                    break
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        solved = reduced_minimize_ref(pts, blocks, lam)
+        if solved is None:
+            continue
+        val, u = solved
+        if val < best_val:
+            best_val = val
+            best = (blocks, u)
+
+    if best is None:
+        raise GeometryError("reference resolvent failed to certify any coincidence pattern")
+    blocks, u = best
+    out = [None] * n
+    for bi, block in enumerate(blocks):
+        p = space.point(u[bi])
+        for idx in block:
+            out[idx] = p
+    return PointTuple(space, tuple(out))

@@ -43,12 +43,23 @@ def test_retract_tree_space_file(capsys, tmp_path, star_tree):
 
 
 def test_import_and_retract_leave_numpy_unloaded():
-    # numpy is imported only by the exact reference resolvent
-    code = ("import sys, subsetflow, subsetflow.cli\n"
+    # No part of the package needs numpy: with its import blocked, the
+    # retract command and the suites that run the reference resolvent work.
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import subsetflow, subsetflow.cli\n"
+            "from subsetflow import FlowConfig, ScanConfig, bound_suite, convergence_study, make_space\n"
             "rc = subsetflow.cli.main(['retract', '--space', 'euclidean:2',"
             " '--set', '[[0, 0], [1, 0], [0, 1]]', '--n', '3'])\n"
             "assert rc == 0, rc\n"
-            "assert 'numpy' not in sys.modules\n")
+            "plane = make_space('euclidean', 2)\n"
+            "suite = bound_suite(ScanConfig(plane, 3, 5, 0))\n"
+            "study = convergence_study(ScanConfig(plane, 4, 3, 0, FlowConfig(sweeps_per_run=16)), 0.01)\n"
+            "rows = {c.name: c for c in suite.checks + study.checks}\n"
+            "for name in ('oracle_consistency', 'resolvent_inequality', 'oracle_agreement'):\n"
+            "    assert rows[name].trials >= 1, name\n"
+            "assert sys.modules['numpy'] is None\n"
+            "assert not [m for m in sys.modules if m.startswith('numpy.')]\n")
     env = {**os.environ, "PYTHONPATH": str(Path(subsetflow.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -288,7 +299,9 @@ def test_help_is_exit_zero(capsys):
 # audit moved into verify.py; the README's flow, merge-time and convergence
 # runs: before the sweep-doubling loop was shared by the flow and the study;
 # the retract and verify runs on the star tree: as the exact tree flow prints
-# them, the retract with merge_time_used 0.2, as test_retraction checks).
+# them, the retract with merge_time_used 0.2, as test_retraction checks; the
+# verify and convergence runs on euclidean:2: as the reference resolvent
+# prints them on plain floats).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -303,7 +316,7 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
       ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
      "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "9688c4beed9a6d3de93507f32407aed5c5225ac2cdfafa724f93876a0b95bad8"),
+     "89bd3cd642ee57144233de96a350bd5ee0dd5f134c46f1138d7b928316b613e0"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
      "865650c19958a9a11e43499cfdceb2c9139d99c7ead5ebd07ab6ca40bc17b0d5"),
     (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],
@@ -312,7 +325,7 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
      "49697ac95a2896463c1700e7d67d74e2cf491c2fd83780ea1a51f594420653c5"),
     (["convergence", "--space", "euclidean:2", "--n", "4", "--time", "0.01", "--k", "16",
       "--samples", "3"],
-     "8c946b163d1537b5f89ace856b2ee2202bff456b118dcd85e1e367aa2067bb85"),
+     "6d5e85165d3c9e1664918affa6d1c2ca207088783a363dcf180c814d36a7422a"),
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
         "verify-star", "flow-readme", "merge-time-readme", "convergence-readme"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):

@@ -30,7 +30,7 @@ from subsetflow import (
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
 from subsetflow.geometry import _SMALL_ANGLE, _Move, _loop_march, _march_kernel, _pair_sweep
-from oracles import grid_pair_prox
+from oracles import full_resolvent_ref, grid_pair_prox
 
 
 def line_tuple(line, *vals):
@@ -833,6 +833,23 @@ def test_oracle_prox_inequality():
         rhs = sum_pairwise_distances(y) + product_distance(x, y) ** 2 / (2.0 * lam)
         worst = max(worst, lhs - rhs)
     assert worst <= 1e-7
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (4, 2)])
+def test_oracle_matches_numpy_reference(dim, n):
+    # The plain-float resolvent against the numpy one it replaced: the same
+    # coincidence pattern, and the same points within 1e-10 lam.
+    def pattern(y):
+        return [[j for j, q in enumerate(y.coords) if q == p] for p in y.coords]
+
+    space = EuclideanSpace(dim)
+    for seed in range(3):
+        x = random_tuple(space, random.Random(f"oracleref:{dim}:{n}:{seed}"), n)
+        for scale in (1e-3, 1e-2, 0.1, 0.5, 2.0):
+            lam = scale * min_gap(x)
+            a, b = full_resolvent_oracle(x, lam), full_resolvent_ref(x, lam)
+            assert pattern(a) == pattern(b), (seed, scale)
+            assert product_distance(a, b) <= 1e-10 * lam, (seed, scale)
 
 
 # ---------------------------------------------------------------------------

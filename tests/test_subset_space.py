@@ -57,6 +57,23 @@ def test_constructor_rejects_non_canonical(line):
         FiniteSubset(line, near, dedup_tolerance=1e-9)
 
 
+@given(key=st.sampled_from(SPACE_KEYS), seed=st.integers(0, 10_000), n=st.integers(1, 6),
+       tol=st.sampled_from([0.0, 1e-9, 0.05, 0.3]))
+@settings(max_examples=100, deadline=None)
+def test_make_subset_output_passes_the_constructor(all_spaces, key, seed, n, tol):
+    # make_subset skips the constructor's order check, having sorted by the
+    # same keys; the public constructor, given its points, accepts them and
+    # builds an equal subset
+    space = all_spaces[key]
+    rng = random.Random(seed)
+    pts = [space.random_point(rng) for _ in range(n)]
+    pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+    out = make_subset(space, pts, tol)
+    again = FiniteSubset(space, out.points, out.dedup_tolerance)
+    assert again == out
+    assert again.points == out.points and again.dedup_tolerance == tol
+
+
 def test_non_point_coordinates_are_a_space_mismatch():
     # PointTuple and FiniteSubset are where kinds are checked: the flow
     # kernels trust them, so a bare coordinate tuple must not get through.
