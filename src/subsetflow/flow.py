@@ -295,7 +295,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     if delta == 0.0:
         return 0.0, x
     if isinstance(space, TreeSpace):
-        t, data = space._first_collision(data)
+        t, data = space._first_collision(data, ds)
         return t, _wrap(x, data)
     threshold = cfg.merge_tolerance * delta
     lam = delta / (2.0 * cfg.sweeps_per_run)

@@ -25,9 +25,11 @@ On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
 step.  A tree has no march: ``merge_time`` calls its
-``_first_collision(data)``, the exact flow to the first collision.  The
-tree kernels read one table per edge id (its ends, its length and both
-ends' rows of node distances), and the tree ``_gap`` builds no route.
+``_first_collision(data, gaps)``, the exact flow to the first collision,
+whose first event reuses the gaps ``merge_time`` measured.  The tree
+kernels read one table per edge id (its ends, its length and both ends'
+rows of node distances), the tree ``_gap`` builds no route, and each event
+of the exact flow is one pass (``_motions``) over every slot's edge ends.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -50,8 +52,8 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
@@ -426,7 +428,9 @@ class HyperboloidSpace(_CoordinateSpace):
         if math.isfinite(x0 * x0):
             off = abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0
         else:
-            off = abs(sum((c / x0) ** 2 for c in data[1:]) - 1.0) > HYPERBOLOID_CONSTRAINT_TOL
+            # Summed left to right: the builtin sum rounds differently from 3.12 on.
+            norm2 = functools.reduce(operator.add, ((c / x0) ** 2 for c in data[1:]))
+            off = abs(norm2 - 1.0) > HYPERBOLOID_CONSTRAINT_TOL
         if off:
             raise GeometryError("point is off the hyperboloid sheet")
         return Point(self.kind, data)
@@ -538,7 +542,8 @@ class HyperboloidSpace(_CoordinateSpace):
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
-        r = math.sqrt(sum(g * g for g in gauss))
+        # Summed left to right: the builtin sum rounds differently from Python 3.12 on.
+        r = math.sqrt(functools.reduce(operator.add, (g * g for g in gauss)))
         if r < 1e-12:
             return Point(self.kind, (1.0,) + (0.0,) * self.dim)
         length = min(r, HYPERBOLOID_SAMPLE_CAP)
@@ -564,21 +569,6 @@ class TreeEdge:
 
     def endpoint_offset(self, node: int) -> float:
         return 0.0 if node == self.from_node else self.length
-
-
-class _Move(NamedTuple):
-    """How a tree point moves until the next event of the exact flow."""
-
-    edge: TreeEdge  # the edge it moves along
-    offset: float  # where it is on that edge
-    sign: float  # +1.0 toward the edge's to_node, -1.0 toward its from_node
-    speed: int
-    toward: list  # per slot of the flow, whether it moves toward that slot's point
-
-    def arrival(self) -> float:
-        # When it reaches the vertex ahead, if no collision comes first.
-        leg = self.edge.length - self.offset if self.sign > 0.0 else self.offset
-        return leg / self.speed
 
 
 @dataclass(frozen=True)
@@ -650,8 +640,8 @@ class TreeSpace:
     node, length, from node's row of ``_node_dist``, to node's row), by
     plain indexing: ``_check_point`` has rejected every edge id the tree
     lacks.  ``_gap`` returns the least endpoint pairing's length without
-    building a route, and ``_motion`` reads one ``_next_edge`` row per
-    moving point.
+    building a route, and ``_motions`` reads each slot's edge ends once
+    per event and one ``_next_edge`` row per point.
     """
 
     topology: TreeTopology
@@ -874,57 +864,66 @@ class TreeSpace:
                watch: float) -> tuple[int, float]:
         return _loop_march(functools.partial(_pair_sweep, self), coords, lam, sweeps, watch)
 
-    def _branch(self, row: dict, node: int, qd: tuple) -> TreeEdge:
-        # The first edge from the vertex node toward the point qd != node;
-        # row is node's row of _next_edge.  qd's edge lies in one branch of
-        # node with both of its ends, so the first edge toward its far end
-        # leads to qd: the edge itself when it ends at node.
-        a, b, _, _, _ = self._table[qd[0]]
-        return row[b] if a == node else row[a]
-
-    def _motion(self, i: int, data: list[tuple]) -> _Move | None:
-        # How point i of data moves until the next event of the exact flow;
-        # None if it stays.
-        edge_id, o = data[i]
-        edge = self._edge_by_id[edge_id]
+    def _motions(self, data: list[tuple]) -> list[tuple | None]:
+        # How each point of data moves until the next event of the exact
+        # flow: (edge, offset, sign, speed, pull), sign +1.0 toward the
+        # edge's to node, pull[j] what it moves toward slot j's point per
+        # unit time; None if it stays.  Each slot's edge ends are read once,
+        # and the first edge from a vertex v toward a point on the edge
+        # (c, d) is row[d] if c == v else row[c], row being v's _next_edge.
+        table = self._table
+        slots = [(e, p) + table[e][:3] for e, p in data]
         others = len(data) - 1
-        branch = self._branch
-        if 0.0 < o < edge.length:
-            # Inside an edge: toward the side that holds more of the others,
-            # at the difference of the two counts.
-            v = edge.to_node
+        moves = []
+        for i, (edge_id, o, a, b, length) in enumerate(slots):
+            if 0.0 < o < length:
+                # Inside an edge: toward the side that holds more of the
+                # others, at the difference of the two counts.
+                edge = self._edge_by_id[edge_id]
+                row = self._next_edge[b]
+                ahead = [p > o if e == edge_id else (row[d] if c == b else row[c]) is not edge
+                         for e, p, c, d, _ in slots]
+                ahead[i] = False
+                vel = 2 * sum(ahead) - others
+                pull = [vel if x else -vel for x in ahead]
+                moves.append(None if vel == 0 else (edge, o, 1.0, vel, pull) if vel > 0
+                             else (edge, o, -1.0, -vel, pull))
+                continue
+            # At a vertex: into the branch that holds c > (n-1)/2 of the
+            # others, at 2c - (n-1), or nowhere.  Among branches tied for
+            # the most, none holds more than half.
+            v = a if o == 0.0 else b
             row = self._next_edge[v]
-            ahead = [qd[1] > o if qd[0] == edge_id else branch(row, v, qd) is not edge
-                     for qd in data]
-            ahead[i] = False
-            speed = 2 * sum(ahead) - others
-            if speed == 0:
-                return None
-            if speed > 0:
-                return _Move(edge, o, 1.0, speed, ahead)
-            return _Move(edge, o, -1.0, -speed, [not a for a in ahead])
-        # At a vertex: into the branch that holds c > (n-1)/2 of the others,
-        # at 2c - (n-1), or nowhere.
-        v = edge.from_node if o == 0.0 else edge.to_node
-        row = self._next_edge[v]
-        branches = [None if j == i else branch(row, v, qd) for j, qd in enumerate(data)]
-        (b, count), = Counter(branches[:i] + branches[i + 1:]).most_common(1)
-        speed = 2 * count - others
-        if speed <= 0:
-            return None
-        sign = 1.0 if v == b.from_node else -1.0
-        return _Move(b, b.endpoint_offset(v), sign, speed, [c is b for c in branches])
+            # Counted by edge id: a TreeEdge hashes its fields in Python.
+            branches = [(row[d] if c == v else row[c]).id for _, _, c, d, _ in slots]
+            branches[i] = None
+            counts = {}
+            for x in branches:
+                counts[x] = counts.get(x, 0) + 1
+            del counts[None]
+            best = max(counts, key=counts.get)
+            speed = 2 * counts[best] - others
+            if speed <= 0:
+                moves.append(None)
+                continue
+            edge = self._edge_by_id[best]
+            pull = [speed if x == best else -speed for x in branches]
+            moves.append((edge, 0.0, 1.0, speed, pull) if v == edge.from_node
+                         else (edge, edge.length, -1.0, speed, pull))
+        return moves
 
-    def _first_collision(self, data: list[tuple]) -> tuple[float, list[tuple]]:
+    def _first_collision(self, data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
         """The exact flow of the total pairwise distance, up to its first collision.
 
-        data holds distinct points.  Until two of them meet, each point moves
-        at an integer speed that counts of the others decide (``_motion``),
-        and those counts change only when two points meet.  Between events
-        (a point reaches a vertex, or two points meet) every point moves
-        along one edge and every gap changes linearly, so each event time is
-        a leg over a speed or a gap over a closing rate.  A point whose
-        arrival is the step is placed on its vertex exactly.
+        data holds distinct points and gaps their distances in
+        ``itertools.combinations`` order (``_gap(data[i], data[j])``, i < j),
+        as ``merge_time`` has measured them for the first event.  Until two
+        points meet, each moves at an integer speed that counts of the others
+        decide (``_motions``), and those counts change only when two points
+        meet.  Between events (a point reaches a vertex, or two points meet)
+        every point moves along one edge and every gap changes linearly, so
+        each event time is a leg over a speed or a gap over a closing rate.
+        A point whose arrival is the step is placed on its vertex exactly.
 
         Returns the collision time and the data there, in which the points
         that met share one tuple.  A point never turns back before the first
@@ -935,33 +934,27 @@ class TreeSpace:
         data = list(data)
         pairs = list(itertools.combinations(range(n), 2))
         gap = self._gap
+        still = [0] * n
         t = 0.0
         for _ in range(n * (len(self.topology.edges) + 1)):
-            moves = [self._motion(i, data) for i in range(n)]
-            arrivals = [math.inf if m is None else m.arrival() for m in moves]
-            # What each point moves toward each slot's point per unit time.
-            pull = [[0] * n if m is None else [m.speed if a else -m.speed for a in m.toward]
-                    for m in moves]
-            meets = []
-            for i, j in pairs:
-                d = gap(data[i], data[j])
-                # The gap closes at the sum of what each point moves toward the other.
-                rate = pull[i][j] + pull[j][i]
-                if d == 0.0:
-                    meets.append(0.0)
-                else:
-                    meets.append(d / rate if rate > 0 else math.inf)
+            moves = self._motions(data)
+            arrivals = [math.inf if m is None
+                        else (m[0].length - m[1] if m[2] > 0.0 else m[1]) / m[3] for m in moves]
+            pull = [still if m is None else m[4] for m in moves]
+            # A gap closes at the sum of what each point moves toward the other.
+            meets = [0.0 if d == 0.0 else d / rate if (rate := pull[i][j] + pull[j][i]) > 0
+                     else math.inf for (i, j), d in zip(pairs, gaps)]
             h = min(min(arrivals), min(meets))
             if h == math.inf:
                 raise GeometryError("no two points of the flow approach each other")
             for i, m in enumerate(moves):
                 if m is None:
                     continue
-                edge = m.edge
+                edge, o, sign, speed, _ = m
                 if arrivals[i] == h:
-                    o = edge.length if m.sign > 0.0 else 0.0
+                    o = edge.length if sign > 0.0 else 0.0
                 else:
-                    o = min(max(m.offset + m.sign * m.speed * h, 0.0), edge.length)
+                    o = min(max(o + sign * speed * h, 0.0), edge.length)
                 data[i] = self._place(edge, o)
             t += h
             hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
@@ -972,6 +965,7 @@ class TreeSpace:
                     old, new = data[j], data[i]
                     data = [new if d is old else d for d in data]
                 return t, data
+            gaps = [gap(data[i], data[j]) for i, j in pairs]
         raise GeometryError("the exact tree flow ran past its event bound")
 
     def random_point(self, rng: random.Random) -> Point:

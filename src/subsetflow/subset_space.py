@@ -8,8 +8,10 @@ the retraction machinery is built on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .geometry import (
@@ -231,7 +233,9 @@ def product_distance(x: PointTuple, y: PointTuple) -> float:
     if len(x) != len(y):
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
     gap = x.space._gap
-    return math.sqrt(sum(gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)))
+    # Summed left to right: the builtin sum rounds differently from Python 3.12 on.
+    return math.sqrt(functools.reduce(
+        operator.add, (gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)), 0.0))
 
 
 def min_gap(x: PointTuple) -> float:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,3 +231,99 @@ def full_resolvent_ref(x: PointTuple, lam: float) -> PointTuple:
         for idx in block:
             out[idx] = p
     return PointTuple(space, tuple(out))
+
+
+# The library's exact tree flow as it stood with one call per point and per
+# branch test, kept to compare the one-pass event loop against: the same
+# event rule and the same float operations in the same order.
+
+
+class MoveRef(NamedTuple):
+    """How a tree point moves until the next event of the exact flow."""
+
+    edge: object  # the TreeEdge it moves along
+    offset: float  # where it is on that edge
+    sign: float  # +1.0 toward the edge's to_node, -1.0 toward its from_node
+    speed: int
+    toward: list  # per slot of the flow, whether it moves toward that slot's point
+
+    def arrival(self) -> float:
+        # When it reaches the vertex ahead, if no collision comes first.
+        leg = self.edge.length - self.offset if self.sign > 0.0 else self.offset
+        return leg / self.speed
+
+
+def tree_branch_ref(space, row: dict, node: int, qd: tuple):
+    # The first edge from the vertex node toward the point qd != node; row is
+    # node's row of space._next_edge.
+    a, b, _, _, _ = space._table[qd[0]]
+    return row[b] if a == node else row[a]
+
+
+def tree_motion_ref(space, i: int, data: list[tuple]) -> MoveRef | None:
+    """How point i of data moves until the next event; None if it stays."""
+    edge_id, o = data[i]
+    edge = space._edge_by_id[edge_id]
+    others = len(data) - 1
+    if 0.0 < o < edge.length:
+        v = edge.to_node
+        row = space._next_edge[v]
+        ahead = [qd[1] > o if qd[0] == edge_id else tree_branch_ref(space, row, v, qd) is not edge
+                 for qd in data]
+        ahead[i] = False
+        speed = 2 * sum(ahead) - others
+        if speed == 0:
+            return None
+        if speed > 0:
+            return MoveRef(edge, o, 1.0, speed, ahead)
+        return MoveRef(edge, o, -1.0, -speed, [not a for a in ahead])
+    v = edge.from_node if o == 0.0 else edge.to_node
+    row = space._next_edge[v]
+    branches = [None if j == i else tree_branch_ref(space, row, v, qd) for j, qd in enumerate(data)]
+    (b, count), = Counter(branches[:i] + branches[i + 1:]).most_common(1)
+    speed = 2 * count - others
+    if speed <= 0:
+        return None
+    sign = 1.0 if v == b.from_node else -1.0
+    return MoveRef(b, b.endpoint_offset(v), sign, speed, [c is b for c in branches])
+
+
+def tree_first_collision_ref(space, data: list[tuple]) -> tuple[float, list[tuple]]:
+    """subsetflow.TreeSpace._first_collision with one tree_motion_ref call per point."""
+    n = len(data)
+    data = list(data)
+    pairs = list(itertools.combinations(range(n), 2))
+    t = 0.0
+    for _ in range(n * (len(space.topology.edges) + 1)):
+        moves = [tree_motion_ref(space, i, data) for i in range(n)]
+        arrivals = [math.inf if m is None else m.arrival() for m in moves]
+        pull = [[0] * n if m is None else [m.speed if a else -m.speed for a in m.toward]
+                for m in moves]
+        meets = []
+        for i, j in pairs:
+            d = space._gap(data[i], data[j])
+            rate = pull[i][j] + pull[j][i]
+            if d == 0.0:
+                meets.append(0.0)
+            else:
+                meets.append(d / rate if rate > 0 else math.inf)
+        h = min(min(arrivals), min(meets))
+        if h == math.inf:
+            raise GeometryError("no two points of the flow approach each other")
+        for i, m in enumerate(moves):
+            if m is None:
+                continue
+            edge = m.edge
+            if arrivals[i] == h:
+                o = edge.length if m.sign > 0.0 else 0.0
+            else:
+                o = min(max(m.offset + m.sign * m.speed * h, 0.0), edge.length)
+            data[i] = space._place(edge, o)
+        t += h
+        hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
+        if hits:
+            for i, j in hits:
+                old, new = data[j], data[i]
+                data = [new if d is old else d for d in data]
+            return t, data
+    raise GeometryError("the exact tree flow ran past its event bound")

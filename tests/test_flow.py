@@ -13,7 +13,9 @@ from subsetflow import (
     GeometryError,
     HyperboloidSpace,
     PointTuple,
+    TreeEdge,
     TreeSpace,
+    TreeTopology,
     flow_adaptive,
     full_resolvent_oracle,
     hausdorff_distance,
@@ -29,8 +31,9 @@ from subsetflow import (
     to_set,
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _Move, _loop_march, _march_kernel, _pair_sweep
-from oracles import full_resolvent_ref, grid_pair_prox
+from subsetflow.geometry import _SMALL_ANGLE, _loop_march, _march_kernel, _pair_sweep
+from subsetflow.subset_space import _gaps
+from oracles import full_resolvent_ref, grid_pair_prox, tree_first_collision_ref
 
 
 def line_tuple(line, *vals):
@@ -762,20 +765,73 @@ def test_tree_merge_time_is_the_limit_of_the_splitting(caterpillar_tree):
 
 def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
     # A flow in which nothing approaches, or which never collides, raises
-    # instead of looping.
+    # instead of looping.  Both are made by replacing one event's motions.
     x = tree_tuple(star_tree, (0, 0.3), (1, 0.5), (2, 1.2))
-    monkeypatch.setattr(TreeSpace, "_motion", lambda self, i, data: None)
+    monkeypatch.setattr(TreeSpace, "_motions", lambda self, data: [None] * len(data))
     with pytest.raises(GeometryError, match="approach"):
         merge_time(x, FlowConfig())
     # every point bounces between the ends of its edge, never toward another
-    def bounce(self, i, data):
-        edge = self._edge(data[i][0])
-        sign = -1.0 if data[i][1] == edge.length else 1.0
-        return _Move(edge, data[i][1], sign, 1, [False] * len(data))
+    def bounce(self, data):
+        moves = []
+        for edge_id, o in data:
+            edge = self._edge(edge_id)
+            sign = -1.0 if o == edge.length else 1.0
+            moves.append((edge, o, sign, 1, [-1] * len(data)))
+        return moves
 
-    monkeypatch.setattr(TreeSpace, "_motion", bounce)
+    monkeypatch.setattr(TreeSpace, "_motions", bounce)
     with pytest.raises(GeometryError, match="event bound"):
         merge_time(x, FlowConfig())
+
+
+def _exact_flow_inputs(tree, rng, n, family):
+    """Distinct data of n points: random ones, some moved onto a vertex
+    (family 0), n legs at one depth (1), or mirrored pairs at equal depths
+    with the odd one out at the hub (2)."""
+    edges = tree.topology.edges
+    if family == 0:
+        data = []
+        while len(data) < n:
+            p = tree.random_point(rng).data
+            if rng.random() < 0.3:
+                e = rng.choice(edges)
+                p = tree.point((e.id, rng.choice((0.0, e.length)))).data
+            if p not in data:
+                data.append(p)
+        return data
+    legs = rng.sample(edges, n)
+    depth = rng.uniform(0.05, 1.0) * min(e.length for e in legs)
+    if family == 1:
+        return [tree.point((e.id, depth)).data for e in legs]
+    data = []
+    for k in range(n // 2):
+        data += [tree.point((e.id, depth * (1.0 - 0.2 * k))).data for e in legs[2 * k:2 * k + 2]]
+    if n % 2:
+        data.append(tree.point((legs[-1].id, 0.0)).data)
+    return data
+
+
+def test_tree_first_collision_matches_its_reference(star_tree, caterpillar_tree):
+    # The one-pass event loop keeps every bit of the loop with one motion
+    # call per point, given merge_time's gaps for its first event: the same
+    # time and data, and the same slots sharing one tuple.  The five legs of
+    # one depth end in a five-way meet at the hub.
+    five_leg = TreeSpace(TreeTopology(tuple(TreeEdge(i, 0, i + 1, 1.0) for i in range(5))))
+    checked = five_way = 0
+    for name, tree, ns in (("star", star_tree, (2, 3)), ("caterpillar", caterpillar_tree, (2, 4, 6, 8)),
+                           ("five-leg", five_leg, (2, 3, 4, 5))):
+        rng = random.Random(f"firstcollision:{name}")
+        for k in range(700):
+            family, n = k % 3, rng.choice(ns)
+            data = _exact_flow_inputs(tree, rng, n, family)
+            t_ref, want = tree_first_collision_ref(tree, data)
+            t, got = tree._first_collision(data, _gaps(tree, data))
+            assert (t, got) == (t_ref, want), (name, data)
+            assert [[a is b for b in got] for a in got] == [[a is b for b in want] for a in want]
+            checked += 1
+            five_way += len(data) == 5 and all(d is got[0] for d in got)
+    assert checked >= 2000
+    assert five_way >= 50
 
 
 # ---------------------------------------------------------------------------

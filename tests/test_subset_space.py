@@ -1,4 +1,7 @@
+import functools
 import json
+import math
+import operator
 import random
 
 import pytest
@@ -155,6 +158,19 @@ def test_product_distance_pythagorean(line):
     y = line_tuple(line, 3.0, 4.0)
     assert product_distance(x, y) == 5.0
     assert product_distance(x, x) == 0.0
+
+
+def test_product_distance_sums_left_to_right(line):
+    # Squares 1, 1e-16, 4e-16, 9e-16 and 16e-16: summed left to right each
+    # small one rounds against 1, while a compensated sum (the builtin sum
+    # from Python 3.12 on) keeps what they round off, and the distance's
+    # last bits differ.
+    x = line_tuple(line, 0.0, 0.0, 0.0, 0.0, 0.0)
+    y = line_tuple(line, 1.0, 1e-8, 2e-8, 3e-8, 4e-8)
+    squares = [(q.data[0] - p.data[0]) ** 2 for p, q in zip(x.coords, y.coords)]
+    left = math.sqrt(functools.reduce(operator.add, squares))
+    assert left != math.sqrt(math.fsum(squares))
+    assert product_distance(x, y) == left
 
 
 def test_product_distance_length_mismatch(line):
