@@ -26,8 +26,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace
-from .subset_space import PointTuple, _gaps, product_distance
+from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace, _gaps
+from .subset_space import PointTuple, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
 # the closest pair is snapped together by force.
@@ -95,7 +95,8 @@ class FlowReport:
             "elapsed_time": self.elapsed_time,
             "sweeps_used": self.sweeps_used,
             "converged": self.converged,
-            "min_gap_trace": [[t, g] for t, g in self.min_gap_trace],
+            # a one-point tuple's min gap is inf, which JSON cannot spell
+            "min_gap_trace": [[t, g if math.isfinite(g) else None] for t, g in self.min_gap_trace],
             "objective_trace": [[t, f] for t, f in self.objective_trace],
         }
 

@@ -7,11 +7,11 @@ function of its arguments, so the module is safe to use from concurrent
 samplers.
 
 The public ``distance`` and ``geodesic_point`` check each point with
-``_check_point(p)``, the check ``PointTuple``, ``FiniteSubset`` and
-``make_subset`` make of every point they hold (its kind; on the coordinate
-backends its coordinate count, on a tree its edge and offset), call
-a private kernel and wrap its result in a ``Point``.  The kernels take and
-return bare coordinate data, the ``Point.data`` of a point: a coordinate
+``_check_point(p)``, the check ``PointTuple`` and ``FiniteSubset`` make of
+every point they hold and ``canonicalize`` of its point (its kind; on the
+coordinate backends its coordinate count, on a tree its edge and offset),
+call a private kernel and wrap its result in a ``Point``.  The kernels take
+and return bare coordinate data, the ``Point.data`` of a point: a coordinate
 tuple, or an ``(edge_id, offset)`` pair on a tree.  They skip the check,
 because the flow passes them the data of a ``PointTuple``, checked once
 when it was built, and it builds Points again only once per run.
@@ -20,7 +20,8 @@ two-point resolvent of distinct pd and qd, which computes their distance d
 once and returns ``(p', q', d)``: the shared midpoint twice when
 d <= 2 lam, else both points moved lam toward each other, and d itself,
 which the merge march uses as a bound.  Both give the same bits as the
-public methods they stand in for.
+public methods they stand in for, and ``_gaps(space, data)`` is ``_gap`` over
+every pair.
 On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
@@ -35,15 +36,14 @@ Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
 sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
-decides how a march runs.  ``_pair_sweep`` is one sweep as a loop over
-``_step`` in the sweep's pair order, and ``_loop_march`` repeats a sweep;
-a tree marches with both.  A coordinate backend writes its pair step once,
-as a template with ``_step`` inlined, and one generator builds its march
-from it: unrolled per dimension and tuple size, with every coordinate in a
-local for the whole march, while the source fits under
-``_MARCH_MAX_SOURCE`` characters, else looped over the pairs per
-dimension, else a loop over ``_pair_sweep``.  Every march keeps ``_step``'s
-bits.
+decides how a march runs.  The reference march, ``_pair_march``, calls
+``_step`` pair by pair, and a tree's ``_march`` is that function.  A
+coordinate backend writes its pair step once, as a template with ``_step``
+inlined, and one generator builds its march from it: unrolled per dimension
+and tuple size, with every coordinate in a local for the whole march, while
+the source fits under ``_MARCH_MAX_SOURCE`` characters, else looped over
+the pairs per dimension, else ``_pair_march``.  Every march keeps
+``_step``'s bits.
 """
 
 from __future__ import annotations
@@ -100,13 +100,6 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
-def _far_step(pd: tuple, qd: tuple, s: float, d: float) -> tuple[tuple, tuple, float]:
-    # A pair step whose fraction lam/d is 0 (d overflowed) or NaN keeps the
-    # checked composition's outcome: both points stay put, or GeometryError.
-    _check_t(s)
-    return pd, qd, d
-
-
 def _coordinates(coords, count: int) -> tuple:
     """Exactly count finite floats; malformed input is a GeometryError."""
     try:
@@ -142,32 +135,33 @@ def _project(raw: list) -> tuple:
 _MARCH_MAX_SOURCE = 22_000
 
 
-def _pair_sweep(space, coords: list[tuple], lam: float) -> float:
-    # Pairs ordered by the larger index, then the smaller: (0,1), (0,2),
-    # (1,2), (0,3), ...  The composition applies (0,1) first.  Returns the
-    # smallest distance a pair was stepped from, or 0.0 if a pair was
-    # skipped because its two slots held equal data.  The generated kernels
-    # run the same sweep with the pair step inlined.
-    step = space._step
-    low = math.inf
-    for j in range(1, len(coords)):
-        for i in range(j):
-            p = coords[i]
-            q = coords[j]
-            if p != q:
-                coords[i], coords[j], d = step(p, q, lam)
-                if d < low:
-                    low = d
-            else:
-                low = 0.0
-    return low
+def _gaps(space, data) -> list[float]:
+    # _gap(data[i], data[j]) for every i < j, in itertools.combinations order,
+    # on checked points' bare data: a PointTuple's, a FiniteSubset's, a flow's.
+    gap = space._gap
+    return [gap(p, q) for p, q in itertools.combinations(data, 2)]
 
 
-def _loop_march(sweep, coords: list[tuple], lam: float, sweeps: int,
+def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 watch: float) -> tuple[int, float]:
-    # The march as repeated calls of one sweep, sweep(coords, lam) -> low.
+    # The reference march: each sweep calls space._step on the pairs ordered
+    # by the larger index, then the smaller: (0,1), (0,2), (1,2), (0,3), ...
+    # A sweep's low is the smallest distance a pair was stepped from, or 0.0
+    # if a pair was skipped because its two slots held equal data.  The
+    # generated marches run the same sweeps with the pair step inlined.
+    step = space._step
     for done in range(1, sweeps + 1):
-        low = sweep(coords, lam)
+        low = math.inf
+        for j in range(1, len(coords)):
+            for i in range(j):
+                p = coords[i]
+                q = coords[j]
+                if p != q:
+                    coords[i], coords[j], d = step(p, q, lam)
+                    if d < low:
+                        low = d
+                else:
+                    low = 0.0
         if low <= watch:
             break
     return done, low
@@ -175,28 +169,24 @@ def _loop_march(sweep, coords: list[tuple], lam: float, sweeps: int,
 
 _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh": math.asinh,
                  "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OFF_SHEET": _OFF_SHEET,
-                 "_far_step": _far_step, "GeometryError": GeometryError}
-
-
-def _compile(source: str, name: str):
-    # Run generated source by exec, the way dataclasses and
-    # collections.namedtuple build their methods, and return name from it.
-    namespace = dict(_KERNEL_NAMES)
-    exec(source, namespace)
-    return namespace[name]
+                 "_check_t": _check_t, "GeometryError": GeometryError}
 
 
 @functools.cache
 def _march_kernel(cls, dim: int, n: int | None):
     """The march of n-tuples in ``cls(dim)``, compiled from ``cls._march_source(dim, n)``;
     past the cap, the looped march that serves every n, ``_march_kernel(cls,
-    dim, None)``, and past it too, ``_loop_march`` over ``_pair_sweep``."""
+    dim, None)``, and past it too, ``_pair_march`` on ``cls(dim)``."""
     source = cls._march_source(dim, n)
     if source is not None:
-        return _compile(source, "_march")
+        # Run the source by exec, the way dataclasses and
+        # collections.namedtuple build their methods.
+        namespace = dict(_KERNEL_NAMES)
+        exec(source, namespace)
+        return namespace["_march"]
     if n is not None:
         return _march_kernel(cls, dim, None)
-    return functools.partial(_loop_march, functools.partial(_pair_sweep, cls(dim)))
+    return functools.partial(_pair_march, cls(dim))
 
 
 @dataclass(frozen=True)
@@ -220,8 +210,8 @@ class _CoordinateSpace:
     raises leaves ``coords`` as it was in the unrolled shape and partly
     stepped in the looped one; nothing reads it after a raise.
     ``self._march`` runs the unrolled shape for ``len(coords)`` while its
-    source fits under ``_MARCH_MAX_SOURCE``, else the looped one, else
-    ``_loop_march`` over ``_pair_sweep``.  Every shape gives the same bits.
+    source fits under ``_MARCH_MAX_SOURCE``, else the looped one, else the
+    reference march ``_pair_march``.  Every shape gives the same bits.
     """
 
     dim: int
@@ -234,6 +224,7 @@ class _CoordinateSpace:
             raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
 
     def canonicalize(self, p: Point) -> Point:
+        self._check_point(p)
         return p
 
     def _check_point(self, p: Point) -> None:
@@ -262,7 +253,8 @@ class _CoordinateSpace:
             return mid, mid, d
         s = lam / d
         if not s > 0.0:
-            return _far_step(pd, qd, s, d)
+            _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
+            return pd, qd, d
         return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d), d
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
@@ -387,7 +379,7 @@ class EuclideanSpace(_CoordinateSpace):
                 if s > 0.0:
                     {step}
                 else:
-                    _far_step(None, None, s, d)"""
+                    _check_t(s)"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "diff": ("{a} - {b}", ", ", 0),
@@ -481,7 +473,7 @@ class HyperboloidSpace(_CoordinateSpace):
     # order.  The midpoint's weights are one number: sinh((1.0 - 0.5) * d)
     # is sinh(0.5 * d).  u is the blend toward b, v the one toward a, each
     # projected as _project does.  md <= 0.0 is tested as _gap tests it, so
-    # a NaN md gives a NaN d, whose step raises in _far_step.
+    # a NaN md gives a NaN d, whose step raises in _check_t.
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -525,7 +517,7 @@ class HyperboloidSpace(_CoordinateSpace):
                     inv = 1.0 / sqrt(n2)
                     {fwd_b}
                 else:
-                    _far_step(None, None, s, d)"""
+                    _check_t(s)"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "md": ("c = {a} - {b}; md += c * c", "; ", 1),
@@ -618,8 +610,11 @@ class TreeTopology:
         edges = []
         for item in obj:
             try:
-                fields = (int(item["id"]), int(item["from"]), int(item["to"]),
-                          float(item["length"]))
+                ids = (item["id"], item["from"], item["to"])
+                fields = [int(v) for v in ids] + [float(item["length"])]
+                # int() alone would truncate 0.5 to 0 and read True as 1.
+                if any(isinstance(v, bool) or v != f for v, f in zip(ids, fields)):
+                    raise ValueError("edge ids and nodes must be integers")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise GeometryError(f"malformed tree edge entry: {item!r}") from exc
             edges.append(TreeEdge(*fields))
@@ -712,15 +707,10 @@ class TreeSpace:
             return self._vertex_rep[edge.to_node]
         return (edge.id, offset)
 
-    def _edge(self, edge_id) -> TreeEdge:
-        try:
-            return self._edge_by_id[edge_id]
-        except KeyError:
-            raise SpaceMismatchError(f"edge id {edge_id!r} does not belong to this tree") from None
-
     def canonicalize(self, p: Point) -> Point:
-        _check_kind(self, p)
-        return Point(self.kind, self._place(self._edge(p.data[0]), p.data[1]))
+        self._check_point(p)
+        edge_id, offset = p.data
+        return Point(self.kind, self._place(self._edge_by_id[edge_id], offset))
 
     def _check_point(self, p: Point) -> None:
         # Data that is no (edge_id, offset) pair with a comparable offset,
@@ -730,12 +720,12 @@ class TreeSpace:
         _check_kind(self, p)
         try:
             edge_id, offset = p.data
-            edge = self._edge(edge_id)
-            inside = 0.0 <= offset <= edge.length
-        except SpaceMismatchError:  # a ValueError too; it stays what it is
-            raise
+            edge = self._edge_by_id.get(edge_id)
+            inside = edge is None or 0.0 <= offset <= edge.length
         except (TypeError, ValueError) as exc:
             raise GeometryError(f"malformed tree point data {p.data!r}") from exc
+        if edge is None:
+            raise SpaceMismatchError(f"edge id {edge_id!r} does not belong to this tree")
         if not inside:
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
@@ -745,9 +735,9 @@ class TreeSpace:
         return self._gap(p.data, q.data)
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
-        # _route(pd, qd)[0] without a route: the least of the four endpoint
-        # pairings, each summed as _route sums it.  Comparisons, not min():
-        # a call of min() costs more than the sums.
+        # _routes(pd, qd)[0][0] without a route: the least of the four
+        # endpoint pairings, each summed as the forward route sums it.
+        # Comparisons, not min(): a call of min() costs more than the sums.
         if pd[0] == qd[0]:
             return abs(pd[1] - qd[1])
         a, b, length, row_a, row_b = self._table[pd[0]]
@@ -764,25 +754,17 @@ class TreeSpace:
         other = r + row_b[d] + rq
         return other if other < best else best
 
-    def _route(self, pd: tuple, qd: tuple) -> tuple[float, float, int, int]:
-        """Shortest route between points on two different edges.
-
-        Returns (length, leg from p to the exit node of p's edge, exit node,
-        entry node of q's edge).  The four endpoint pairings are tried in a
-        fixed order and the first strict minimum wins, so distances and
-        geodesics agree on which route a tie takes.
-        """
-        return self._routes(pd, qd)[0]
-
     def _routes(self, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
-        """``_route(pd, qd)`` and ``_route(qd, pd)`` from one pass over the pairings.
+        """The shortest route from pd to qd and the one back, for points on two edges.
 
-        Each point's edge ends are (node, leg from the point, the node's
-        row of ``_node_dist``), from then to.  Each direction sums its legs
-        in its own order, from its own row, so both keep their bits.
-        ``_route(qd, pd)`` tries q's ends first, so among equal lengths its
-        first strict minimum is the one with the earlier q end j; this pass
-        runs p's ends outside and reproduces that by the j test.
+        A route is (length, leg from its start to the exit node of the
+        start's edge, exit node, entry node of the end's edge).  It tries
+        its start's edge ends, then its end's, each from then to, and the
+        first strict minimum wins, so distances and geodesics agree on which
+        route a tie takes.  Each route sums its legs in its own order, from
+        its own row of ``_node_dist``, so ``_routes(qd, pd)`` is this pair
+        swapped, bit for bit.  This pass runs p's ends outside, so among
+        equal lengths it keeps the way back with the earlier q end j.
         """
         a, b, length_p, dist_a, dist_b = self._table[pd[0]]
         c, d, length_q, dist_c, dist_d = self._table[qd[0]]
@@ -829,12 +811,12 @@ class TreeSpace:
 
     def _along(self, pd: tuple, qd: tuple, t: float, route=None) -> tuple:
         # The point at fraction t in (0, 1) from pd to qd != pd; route is
-        # _route(pd, qd) when the caller has it already.
+        # _routes(pd, qd)[0] when the caller has it already.
         e1, o1 = pd
         e2, o2 = qd
         if e1 == e2:
             return self._place(self._edge_by_id[e1], o1 + t * (o2 - o1))
-        total, ra, na, nb = route or self._route(pd, qd)
+        total, ra, na, nb = route or self._routes(pd, qd)[0]
         s = t * total
         if s <= ra:
             a = self._edge_by_id[e1]
@@ -847,9 +829,8 @@ class TreeSpace:
             fwd = rev = None
             d = abs(pd[1] - qd[1])
         else:
-            # The reverse route is its own: _route(qd, pd) sums its legs in
-            # the other order, and reusing the forward one would change the
-            # last bit.
+            # The reverse route is its own: it sums its legs in the other
+            # order, and reusing the forward one would change the last bit.
             fwd, rev = self._routes(pd, qd)
             d = fwd[0]
         if d <= 2.0 * lam:
@@ -857,12 +838,11 @@ class TreeSpace:
             return mid, mid, d
         s = lam / d
         if not s > 0.0:
-            return _far_step(pd, qd, s, d)
+            _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
+            return pd, qd, d
         return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
 
-    def _march(self, coords: list[tuple], lam: float, sweeps: int,
-               watch: float) -> tuple[int, float]:
-        return _loop_march(functools.partial(_pair_sweep, self), coords, lam, sweeps, watch)
+    _march = _pair_march
 
     def _motions(self, data: list[tuple]) -> list[tuple | None]:
         # How each point of data moves until the next event of the exact
@@ -933,7 +913,6 @@ class TreeSpace:
         n = len(data)
         data = list(data)
         pairs = list(itertools.combinations(range(n), 2))
-        gap = self._gap
         still = [0] * n
         t = 0.0
         for _ in range(n * (len(self.topology.edges) + 1)):
@@ -965,7 +944,7 @@ class TreeSpace:
                     old, new = data[j], data[i]
                     data = [new if d is old else d for d in data]
                 return t, data
-            gaps = [gap(data[i], data[j]) for i, j in pairs]
+            gaps = _gaps(self, data)
         raise GeometryError("the exact tree flow ran past its event bound")
 
     def random_point(self, rng: random.Random) -> Point:

@@ -1,9 +1,9 @@
 """Lipschitz retraction from at-most-n subsets onto at-most-(n-1) subsets.
 
 A subset of full cardinality n is numbered as a tuple with its closest
-pair first, flowed under the splitting dynamics until some pair of
-coordinates merges, and collapsed back to a subset; anything smaller is
-already in the target space and passes through untouched.
+pair first, flowed until some pair of coordinates merges (by the splitting
+sweeps; exactly on a metric tree), and collapsed back to a subset; anything
+smaller is already in the target space and passes through untouched.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     """Retract a subset of at most n points onto at most n-1 points.
 
     Subsets with fewer than n points are returned unchanged.  A full
-    n-point subset is ordered with its closest pair first, marched under
-    the merge dynamics, and collapsed with a tolerance proportional to its
-    starting min gap, which removes at least one point.
+    n-point subset is ordered with its closest pair first, flowed by
+    ``merge_time`` until a pair merges (marched by sweeps; exactly on a
+    tree), and collapsed with a tolerance proportional to its starting min
+    gap, which removes at least one point.
     """
     if n < 2:
         raise GeometryError("the retraction is defined for n >= 2")

@@ -20,6 +20,7 @@ from .geometry import (
     SpaceDescriptor,
     SpaceMismatchError,
     _check_kind,
+    _gaps,
     point_sort_key,
     space_from_json,
 )
@@ -31,13 +32,6 @@ def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
     for p in pts:
         _check_kind(space, p)
     return _gaps(space, [p.data for p in pts])
-
-
-def _gaps(space: SpaceDescriptor, data) -> list[float]:
-    # pairwise_distances on the bare data of points whose kinds were checked
-    # already: those of a PointTuple or FiniteSubset, or the flow's state.
-    gap = space._gap
-    return [gap(p, q) for p, q in itertools.combinations(data, 2)]
 
 
 def _points_from_json(obj, what: str, field: str):
@@ -105,22 +99,6 @@ class FiniteSubset:
     dedup_tolerance: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        self._validate(check_order=True)
-
-    @classmethod
-    def _sorted(cls, space: SpaceDescriptor, points: tuple[Point, ...],
-                dedup_tolerance: float) -> "FiniteSubset":
-        # make_subset's way in: it has just sorted its points by their sort
-        # keys, so the order check, which would encode every key again, is
-        # skipped; every other check runs.
-        out = cls.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "points", points)
-        object.__setattr__(out, "dedup_tolerance", dedup_tolerance)
-        out._validate(check_order=False)
-        return out
-
-    def _validate(self, check_order: bool) -> None:
         points = tuple(self.points)
         if not points:
             raise GeometryError("a finite subset needs at least one point")
@@ -128,13 +106,25 @@ class FiniteSubset:
             raise GeometryError("dedup tolerance must be >= 0")
         for p in points:
             self.space._check_point(p)
-        if check_order:
-            keys = [point_sort_key(self.space, p) for p in points]
-            if any(a > b for a, b in zip(keys, keys[1:])):
-                raise GeometryError("points are not in canonical order; use make_subset")
+        keys = [point_sort_key(self.space, p) for p in points]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            raise GeometryError("points are not in canonical order; use make_subset")
         if any(d <= self.dedup_tolerance for d in _gaps(self.space, [p.data for p in points])):
             raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
+
+    @classmethod
+    def _sorted(cls, space: SpaceDescriptor, points: tuple[Point, ...],
+                dedup_tolerance: float) -> "FiniteSubset":
+        # make_subset's way in, past the constructor's checks, which it has
+        # made already: it checked each point (canonicalize), found every
+        # pair more than dedup_tolerance apart (its last _clusters pass) and
+        # sorted the points by their sort keys.
+        out = cls.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "points", points)
+        object.__setattr__(out, "dedup_tolerance", dedup_tolerance)
+        return out
 
     def __len__(self) -> int:
         return len(self.points)
@@ -182,13 +172,12 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     Points within ``dedup_tolerance`` of each other (by chained single
     linkage) are replaced by one representative, built by folding the
     cluster through pairwise geodesic midpoints in discovery order.  Each
-    point is checked once, on entry (``space._check_point``), and the
-    clustering runs on the distance kernel over the checked data.
+    point is checked once, on entry (``space.canonicalize``), and the
+    clustering runs on the distance kernel over the checked data.  Its last
+    pass finds every pair more than ``dedup_tolerance`` apart, so the subset
+    is built without the constructor's checks.
     """
-    pts = []
-    for p in points:
-        space._check_point(p)
-        pts.append(space.canonicalize(p))
+    pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise GeometryError("a finite subset needs at least one point")
     if dedup_tolerance < 0.0:

@@ -86,6 +86,27 @@ def test_flow_with_trace(capsys, tmp_path):
     assert len(lines) > 2
 
 
+def _strict_json(text):
+    # json.loads reads the NaN and Infinity that json.dumps writes, but no
+    # JSON parser elsewhere has to
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_one_point_flow_report_is_strict_json(capsys, tmp_path):
+    # a one-point tuple has no pair, so its min gap is inf: null in the
+    # report, inf in the trace
+    trace = tmp_path / "trace.csv"
+    rc, out, _ = run_cli(capsys, "flow", "--space", "euclidean:1", "--set", "[[0.0]]",
+                         "--time", "0.1", "--trace-csv", str(trace))
+    assert rc == 0
+    report = _strict_json(out)
+    assert report["min_gap_trace"] == [[0.0, None]]
+    assert report["objective_trace"] == [[0.0, 0.0]]
+    assert trace.read_text().splitlines()[1] == "0.0,inf,0.0"
+
+
 def test_flow_requires_time(capsys):
     rc, _, err = run_cli(capsys, "flow", "--space", "euclidean:1",
                          "--set", "[[0.0],[1.0]]")
@@ -178,6 +199,16 @@ def test_bad_space_file_json(capsys, tmp_path, argv):
     rc, _, err = run_cli(capsys, *argv, "--space-file", str(space), "--n", "2")
     assert rc == 1
     assert err.startswith("error: space file is not valid JSON")
+
+
+def test_fractional_tree_edge_id_exits_1(capsys, tmp_path):
+    # int() would read the id 0.5 as edge 0, and the merge would run
+    space = tmp_path / "half.json"
+    space.write_text('{"kind": "tree", "edges": [{"id": 0.5, "from": 0, "to": 1, "length": 1.0}]}')
+    rc, out, err = run_cli(capsys, "merge-time", "--space-file", str(space), "--set",
+                           '[{"edge": 0, "offset": 0.2}, {"edge": 0, "offset": 0.8}]')
+    assert rc == 1 and out == ""
+    assert err.startswith("error: malformed tree edge entry")
 
 
 def test_set_and_input_conflict(capsys, tmp_path):

@@ -31,8 +31,7 @@ from subsetflow import (
     to_set,
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _loop_march, _march_kernel, _pair_sweep
-from subsetflow.subset_space import _gaps
+from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march
 from oracles import full_resolvent_ref, grid_pair_prox, tree_first_collision_ref
 
 
@@ -280,13 +279,13 @@ def _past_cap(cls):
 
 
 # The keys reach every shape of both coordinate backends: the unrolled and
-# the looped march in each listed dimension, and the loop over _pair_sweep in
+# the looped march in each listed dimension, and the reference _pair_march in
 # the smallest dimension whose looped source is past the cap.
-PAIR_SWEEP_KEYS = [f"euclidean-{_past_cap(EuclideanSpace)}",
+PAIR_MARCH_KEYS = [f"euclidean-{_past_cap(EuclideanSpace)}",
                    f"hyperboloid-{_past_cap(HyperboloidSpace)}"]
 MARCH_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", "euclidean-16", "euclidean-17",
               "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", "hyperboloid-16",
-              "hyperboloid-17", "star-tree", "path-tree", "caterpillar"] + PAIR_SWEEP_KEYS
+              "hyperboloid-17", "star-tree", "path-tree", "caterpillar"] + PAIR_MARCH_KEYS
 
 
 def _march_shape(space, n):
@@ -301,9 +300,8 @@ def _march_shape(space, n):
     if cls._march_source(dim, None) is not None:
         assert inspect.isfunction(kernel)
         return "looped"
-    assert kernel.func is _loop_march and kernel.args[0].func is _pair_sweep
-    assert kernel.args[0].args == (space,)
-    return "pair_sweep"
+    assert kernel.func is _pair_march and kernel.args == (space,)
+    return "pair_march"
 
 
 @pytest.mark.parametrize("key", MARCH_KEYS)
@@ -311,7 +309,7 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
     # A march is the composed pair steps, sweep after sweep, in one call or
     # in one call per sweep: at n = 2..8, and in each dimension at the
     # smallest n whose unrolled march is past the source cap, where it is
-    # looped, or loops over _pair_sweep in the PAIR_SWEEP_KEYS dimensions.
+    # looped, or runs _pair_march in the PAIR_MARCH_KEYS dimensions.
     if key == "caterpillar":
         space = caterpillar_tree
     elif key in all_spaces:
@@ -328,7 +326,7 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         if past_cap not in ns:
             ns.append(past_cap)
         shapes = {_march_shape(space, n) for n in ns}
-        assert shapes == ({"pair_sweep"} if key in PAIR_SWEEP_KEYS else {"unrolled", "looped"})
+        assert shapes == ({"pair_march"} if key in PAIR_MARCH_KEYS else {"unrolled", "looped"})
     rng = random.Random(f"sweepbits:{key}")
     cases = []
     for n in ns:
@@ -356,7 +354,7 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         assert seen["equal"] and seen["far"] and seen["tiny"]
         # The edge cases have at most 4 slots.  Padded with random points to
         # at least past_cap slots, they take every branch in the looped march.
-        if key not in PAIR_SWEEP_KEYS:
+        if key not in PAIR_MARCH_KEYS:
             padded = [(PointTuple(space, x.coords + tuple(space.random_point(rng)
                                                           for _ in range(past_cap - len(x)))),
                        lam, sweeps) for x, lam, sweeps in edge_cases]
@@ -384,18 +382,20 @@ def _check_marches(space, cases):
 
 def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
     # The pair step finds the forward and the reverse route in one pass;
-    # each must keep the tie rule of its own direction.  Vertices and points
-    # on edges that share a node have endpoint pairings whose lengths tie.
+    # each must keep the tie rule of its own direction, so the pass from the
+    # other end finds the same two routes swapped.  Vertices and points on
+    # edges that share a node have endpoint pairings whose lengths tie.
     space = caterpillar_tree
     pts = list(dict.fromkeys(space.point((e.id, f * e.length))
                              for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
     for p, q in itertools.permutations(pts, 2):
         pd, qd = p.data, q.data
         if pd[0] != qd[0]:
-            assert space._routes(pd, qd) == (space._route(pd, qd), space._route(qd, pd))
+            fwd, rev = space._routes(pd, qd)
+            assert space._routes(qd, pd) == (rev, fwd)
             # the distance kernel builds no route, and keeps its bits
-            assert space._gap(pd, qd) == space._route(pd, qd)[0]
-            assert space._gap(qd, pd) == space._route(qd, pd)[0]
+            assert space._gap(pd, qd) == fwd[0]
+            assert space._gap(qd, pd) == rev[0]
         d = space.distance(p, q)
         for lam in (0.1 * d, 0.3 * d, d):
             y = pair_resolvent(PointTuple(space, (p, q)), 0, 1, lam)
@@ -774,7 +774,7 @@ def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
     def bounce(self, data):
         moves = []
         for edge_id, o in data:
-            edge = self._edge(edge_id)
+            edge = self._edge_by_id[edge_id]
             sign = -1.0 if o == edge.length else 1.0
             moves.append((edge, o, sign, 1, [-1] * len(data)))
         return moves

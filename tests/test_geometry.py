@@ -20,9 +20,7 @@ from subsetflow import (
     make_subset,
     space_from_json,
 )
-from subsetflow.geometry import (
-    _MARCH_MAX_SOURCE, _loop_march, _march_kernel, _pair_sweep, point_sort_key,
-)
+from subsetflow.geometry import _MARCH_MAX_SOURCE, _march_kernel, _pair_march, point_sort_key
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -70,6 +68,7 @@ def test_coordinate_backends_check_the_coordinate_count(space):
         for build in (lambda: PointTuple(space, (bad, good)),
                       lambda: PointTuple(space, (good, bad)),
                       lambda: FiniteSubset(space, (bad,)),
+                      lambda: space.canonicalize(bad),
                       lambda: make_subset(space, [bad]),
                       lambda: make_subset(space, [good, bad], 0.5),
                       lambda: space.distance(good, bad),
@@ -109,8 +108,8 @@ def test_hypot_of_differences_is_math_dist_bit_for_bit():
 
 
 # Which march _march_kernel picks for n = 2, 5, 8 and 31: the unrolled
-# march of that n (U), the looped march of the dimension (L), or the loop
-# over _pair_sweep (P).  Euclidean 200 and hyperboloid 100 are dimensions
+# march of that n (U), the looped march of the dimension (L), or the
+# reference _pair_march (P).  Euclidean 200 and hyperboloid 100 are dimensions
 # whose looped source is past the cap.
 MARCH_SHAPES = {"euclidean-1": "UUUL", "euclidean-2": "UUUL", "euclidean-16": "ULLL",
                 "hyperboloid-2": "ULLL", "hyperboloid-16": "ULLL",
@@ -131,8 +130,7 @@ def test_march_kernels_stay_under_the_source_cap(key):
         assert (unrolled is not None) == (shape == "U")
         assert (kernel is _march_kernel(cls, dim, None)) == (shape != "U")
         if shape == "P":
-            assert looped is None and kernel.func is _loop_march
-            assert kernel.args[0].func is _pair_sweep and kernel.args[0].args == (space,)
+            assert looped is None and kernel.func is _pair_march and kernel.args == (space,)
         else:
             assert looped is not None and kernel.__name__ == "_march"
 
@@ -311,15 +309,16 @@ def test_tree_rejects_bad_offsets(star_tree):
 
 
 @pytest.mark.parametrize("place", [([0], 0.5), (0, "abc"), (0, None), (0, 10**400),
-                                   (0,), (0, 0.5, 1)])
+                                   (0,), (0, 0.5, 1), (0, 5.0), (0, -0.5), (0, math.nan)])
 def test_tree_malformed_points_are_geometry_errors(star_tree, place):
     with pytest.raises(GeometryError):
         star_tree.point(place)
-    # the same data wrapped as a Point fails where points enter, and as a
-    # GeometryError, not as an error of the arithmetic it would reach
+    # the same data wrapped as a Point, malformed or off its edge, fails
+    # where points enter, and as a GeometryError, not as an error of the
+    # arithmetic it would reach; canonicalize is make_subset's one check
     p = Point("tree", place)
     for build in (lambda: PointTuple(star_tree, (p,)), lambda: FiniteSubset(star_tree, (p,)),
-                  lambda: make_subset(star_tree, [p])):
+                  lambda: star_tree.canonicalize(p), lambda: make_subset(star_tree, [p])):
         with pytest.raises(GeometryError):
             build()
 
@@ -329,10 +328,24 @@ def test_tree_malformed_points_are_geometry_errors(star_tree, place):
     {"id": 0, "from": [0], "to": 1, "length": 1.0},
     {"id": 0, "from": 0, "to": 1, "length": "long"},
     {"id": 0, "from": 0, "to": 1},
+    # int() would truncate a fraction and read a boolean as 0 or 1
+    {"id": 0.5, "from": 0, "to": 1, "length": 1.0},
+    {"id": 0, "from": 0.9, "to": 1, "length": 1.0},
+    {"id": 0, "from": 0, "to": 1.5, "length": 1.0},
+    {"id": True, "from": 0, "to": 1, "length": 1.0},
+    {"id": 0, "from": False, "to": 1, "length": 1.0},
+    {"id": 0, "from": 0, "to": True, "length": 1.0},
 ])
 def test_tree_topology_json_rejects_malformed_edges(entry):
     with pytest.raises(GeometryError):
         TreeTopology.from_json([entry])
+
+
+def test_tree_topology_json_reads_integral_numbers():
+    # 1.0 is an integer written as a float; it is no fraction to truncate
+    topo = TreeTopology.from_json([{"id": 1.0, "from": 0.0, "to": 2, "length": 1.0}])
+    assert topo.edges == (TreeEdge(1, 0, 2, 1.0),)
+    assert topo.to_json() == [{"id": 1, "from": 0, "to": 2, "length": 1.0}]
 
 
 def test_tree_topology_must_be_a_tree():
