@@ -100,7 +100,8 @@ def _flow_config(ns: argparse.Namespace) -> FlowConfig:
 def _scan_config(ns: argparse.Namespace) -> ScanConfig:
     return ScanConfig(space=space_from_json(_space_json(ns)), n=ns.n, samples=ns.samples,
                       seed=ns.seed, flow=_flow_config(ns),
-                      perturbation_scale=ns.perturbation_scale)
+                      perturbation_scale=getattr(ns, "perturbation_scale",
+                                                 ScanConfig.perturbation_scale))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -204,11 +205,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--perturbation-scale", type=float,
-                       default=ScanConfig.perturbation_scale)
         p.add_argument("--csv", help="also write the report as CSV here")
         if name == "convergence":
             p.add_argument("--time", type=float)
+        else:
+            # convergence_study perturbs nothing
+            p.add_argument("--perturbation-scale", type=float,
+                           default=ScanConfig.perturbation_scale)
     return parser
 
 

@@ -203,6 +203,15 @@ def _traced_run(space, coords: list[tuple], t: float, k: int):
     return gap_trace, obj_trace
 
 
+def _finite_gaps(space, data: list[tuple]) -> list[float]:
+    # _gaps(space, data), rejected if a pair is not at a finite distance: it
+    # would never move (its step is lam/inf = 0), and no report can hold it.
+    ds = _gaps(space, data)
+    if not all(math.isfinite(d) for d in ds):
+        raise GeometryError("pairwise distances overflow double precision")
+    return ds
+
+
 def _refine(x: PointTuple, t: float, k: int, doublings: int, run):
     """Flow x for time t by ``run(space, coords, t, k)`` with k, 2k, 4k, ... sweeps.
 
@@ -233,11 +242,12 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     Successive runs use k, 2k, 4k, ... sweeps (``_refine``).  If the
     ``cfg.max_doublings`` doublings run out first, the report carries
     ``converged=False`` and the finest result; a single run (no doublings)
-    counts as converged.
+    counts as converged.  As in ``merge_time``, a tuple with a pairwise
+    distance that is not finite is rejected.
     """
     _check_time(t)
+    ds = _finite_gaps(x.space, [p.data for p in x.coords])
     if t == 0.0 or len(x) < 2:
-        ds = _gaps(x.space, [p.data for p in x.coords])
         final, used, steps = x, 0, []
         gap_trace = [(0.0, min(ds, default=math.inf))]
         obj_trace = [(0.0, functools.reduce(operator.add, ds, 0.0))]
@@ -288,10 +298,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
     data = [p.data for p in x.coords]
-    ds = _gaps(space, data)
-    # A pair at infinite distance would never move (its step is lam/inf = 0)
-    if not all(math.isfinite(d) for d in ds):
-        raise GeometryError("pairwise distances overflow double precision")
+    ds = _finite_gaps(space, data)
     delta = min(ds)
     if delta == 0.0:
         return 0.0, x

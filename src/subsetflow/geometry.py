@@ -6,22 +6,20 @@ space and point values are immutable, and every operation is a pure
 function of its arguments, so the module is safe to use from concurrent
 samplers.
 
-The public ``distance`` and ``geodesic_point`` check each point with
-``_check_point(p)``, the check ``PointTuple`` and ``FiniteSubset`` make of
-every point they hold and ``canonicalize`` of its point (its kind; on the
-coordinate backends its coordinate count, on a tree its edge and offset),
-call a private kernel and wrap its result in a ``Point``.  The kernels take
-and return bare coordinate data, the ``Point.data`` of a point: a coordinate
-tuple, or an ``(edge_id, offset)`` pair on a tree.  They skip the check,
-because the flow passes them the data of a ``PointTuple``, checked once
-when it was built, and it builds Points again only once per run.
-``_gap(pd, qd)`` is the distance, and ``_step(pd, qd, lam)`` is the
-two-point resolvent of distinct pd and qd, which computes their distance d
-once and returns ``(p', q', d)``: the shared midpoint twice when
-d <= 2 lam, else both points moved lam toward each other, and d itself,
-which the merge march uses as a bound.  Both give the same bits as the
-public methods they stand in for, and ``_gaps(space, data)`` is ``_gap`` over
-every pair.
+A backend supplies ``_check_point(p)`` and two kernels on bare coordinate
+data, the ``Point.data`` of a point (a coordinate tuple, or an ``(edge_id,
+offset)`` pair on a tree): ``_gap(pd, qd)``, the distance, and
+``_interp(pd, qd, t, d)``, the point at fraction t from pd to qd, d being
+their ``_gap``.  The kernels skip the check, because the flow passes them
+the data of a ``PointTuple``, checked once when it was built.  Each backend
+binds in its class body what this module writes once from those:
+``distance = _distance`` and ``geodesic_point = _geodesic_point``, which
+check each point (its kind; its coordinate count, or on a tree its edge and
+offset) and call the kernels, and ``_step = _pair_step``, the two-point
+resolvent of distinct pd and qd, which measures their distance d once and
+returns ``(p', q', d)``: the shared midpoint twice when d <= 2 lam, else
+both points moved lam toward each other, and d, which the merge march uses
+as a bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
 On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
@@ -29,8 +27,9 @@ step.  A tree has no march: ``merge_time`` calls its
 ``_first_collision(data, gaps)``, the exact flow to the first collision,
 whose first event reuses the gaps ``merge_time`` measured.  The tree
 kernels read one table per edge id (its ends, its length and both ends'
-rows of node distances), the tree ``_gap`` builds no route, and each event
-of the exact flow is one pass (``_motions``) over every slot's edge ends.
+rows of node distances), the tree ``_gap`` builds no route, its ``_interp``
+builds one (``_route``), and each event of the exact flow is one pass
+(``_motions``) over every slot's edge ends.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -142,6 +141,41 @@ def _gaps(space, data) -> list[float]:
     return [gap(p, q) for p, q in itertools.combinations(data, 2)]
 
 
+def _pair_step(space, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
+    # The two-point resolvent of distinct pd and qd, bound as each backend's
+    # _step.  Each end moves by its own _interp call, so a tree route is
+    # summed in the direction that end walks it.
+    d = space._gap(pd, qd)
+    if d <= 2.0 * lam:
+        mid = space._interp(pd, qd, 0.5, d)
+        return mid, mid, d
+    s = lam / d
+    if not s > 0.0:
+        _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
+        return pd, qd, d
+    return space._interp(pd, qd, s, d), space._interp(qd, pd, s, d), d
+
+
+def _distance(space, p: Point, q: Point) -> float:
+    # Bound as each backend's public distance.
+    space._check_point(p)
+    space._check_point(q)
+    return space._gap(p.data, q.data)
+
+
+def _geodesic_point(space, p: Point, q: Point, t: float) -> Point:
+    # Bound as each backend's public geodesic_point.
+    space._check_point(p)
+    space._check_point(q)
+    _check_t(t)
+    if t == 0.0 or p == q:
+        return p
+    if t == 1.0:
+        return q
+    pd, qd = p.data, q.data
+    return Point(space.kind, space._interp(pd, qd, t, space._gap(pd, qd)))
+
+
 def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 watch: float) -> tuple[int, float]:
     # The reference march: each sweep calls space._step on the pairs ordered
@@ -193,11 +227,11 @@ def _march_kernel(cls, dim: int, n: int | None):
 class _CoordinateSpace:
     """What the coordinate backends share: a dimension, the array codec, the pair step, the march.
 
-    Subclasses set ``kind`` and define ``point``, ``distance``,
-    ``geodesic_point`` and ``random_point`` in their own class body, where
-    per-backend call counters look the public methods up, and the kernels
-    ``_gap`` and ``_interp(pd, qd, t, d)``, the point at fraction t from pd
-    to qd, d apart.  ``_step`` is ``_gap`` followed by ``_interp`` from each
+    Subclasses set ``kind``, define ``point``, ``random_point`` and the
+    kernels ``_gap`` and ``_interp(pd, qd, t, d)``, and bind ``distance =
+    _distance`` and ``geodesic_point = _geodesic_point`` in their own class
+    body, where per-backend call counters look the public methods up.
+    ``_step`` is ``_pair_step``: ``_gap`` followed by ``_interp`` from each
     end.
 
     Each subclass also sets its pair template: ``_MARCH_PAIR``, one pair
@@ -246,16 +280,7 @@ class _CoordinateSpace:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
-    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
-        d = self._gap(pd, qd)
-        if d <= 2.0 * lam:
-            mid = self._interp(pd, qd, 0.5, d)
-            return mid, mid, d
-        s = lam / d
-        if not s > 0.0:
-            _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
-            return pd, qd, d
-        return self._interp(pd, qd, s, d), self._interp(qd, pd, s, d), d
+    _step = _pair_step
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
                watch: float) -> tuple[int, float]:
@@ -336,21 +361,8 @@ class EuclideanSpace(_CoordinateSpace):
     def point(self, coords) -> Point:
         return Point(self.kind, _coordinates(coords, self.dim))
 
-    def distance(self, p: Point, q: Point) -> float:
-        self._check_point(p)
-        self._check_point(q)
-        return math.dist(p.data, q.data)
-
-    def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        self._check_point(p)
-        self._check_point(q)
-        _check_t(t)
-        if t == 0.0 or p == q:
-            return p
-        if t == 1.0:
-            return q
-        return Point(self.kind, self._interp(p.data, q.data, t, None))
-
+    distance = _distance
+    geodesic_point = _geodesic_point
     _gap = staticmethod(math.dist)
 
     @staticmethod
@@ -427,10 +439,8 @@ class HyperboloidSpace(_CoordinateSpace):
             raise GeometryError("point is off the hyperboloid sheet")
         return Point(self.kind, data)
 
-    def distance(self, p: Point, q: Point) -> float:
-        self._check_point(p)
-        self._check_point(q)
-        return self._gap(p.data, q.data)
+    distance = _distance
+    geodesic_point = _geodesic_point
 
     @staticmethod
     def _gap(pd: tuple, qd: tuple) -> float:
@@ -447,17 +457,6 @@ class HyperboloidSpace(_CoordinateSpace):
         if md <= 0.0:
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(md))
-
-    def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        self._check_point(p)
-        self._check_point(q)
-        _check_t(t)
-        if t == 0.0 or p == q:
-            return p
-        if t == 1.0:
-            return q
-        pd, qd = p.data, q.data
-        return Point(self.kind, self._interp(pd, qd, t, self._gap(pd, qd)))
 
     @staticmethod
     def _interp(pd: tuple, qd: tuple, t: float, theta: float) -> tuple:
@@ -632,18 +631,18 @@ class TreeSpace:
     immutable after construction.
 
     The kernels read ``_table``, which maps an edge id to (from node, to
-    node, length, from node's row of ``_node_dist``, to node's row), by
+    node, length, from node's distances to every node, to node's), by
     plain indexing: ``_check_point`` has rejected every edge id the tree
     lacks.  ``_gap`` returns the least endpoint pairing's length without
-    building a route, and ``_motions`` reads each slot's edge ends once
-    per event and one ``_next_edge`` row per point.
+    building a route, ``_interp`` walks the one ``_route`` picks, and
+    ``_motions`` reads each slot's edge ends once per event and one
+    ``_next_edge`` row per point.
     """
 
     topology: TreeTopology
     _edge_by_id: dict = field(init=False, repr=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
-    _node_dist: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
 
@@ -680,7 +679,6 @@ class TreeSpace:
         object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
-        object.__setattr__(self, "_node_dist", node_dist)
         object.__setattr__(self, "_next_edge", next_edge)
 
     def point(self, place) -> Point:
@@ -729,14 +727,14 @@ class TreeSpace:
         if not inside:
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
-    def distance(self, p: Point, q: Point) -> float:
-        self._check_point(p)
-        self._check_point(q)
-        return self._gap(p.data, q.data)
+    distance = _distance
+    geodesic_point = _geodesic_point
+    _step = _pair_step
+    _march = _pair_march
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
-        # _routes(pd, qd)[0][0] without a route: the least of the four
-        # endpoint pairings, each summed as the forward route sums it.
+        # _route(pd, qd)[0] without a route: the least of the four endpoint
+        # pairings, each summed as the route sums it.
         # Comparisons, not min(): a call of min() costs more than the sums.
         if pd[0] == qd[0]:
             return abs(pd[1] - qd[1])
@@ -754,95 +752,49 @@ class TreeSpace:
         other = r + row_b[d] + rq
         return other if other < best else best
 
-    def _routes(self, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
-        """The shortest route from pd to qd and the one back, for points on two edges.
-
-        A route is (length, leg from its start to the exit node of the
-        start's edge, exit node, entry node of the end's edge).  It tries
-        its start's edge ends, then its end's, each from then to, and the
-        first strict minimum wins, so distances and geodesics agree on which
-        route a tie takes.  Each route sums its legs in its own order, from
-        its own row of ``_node_dist``, so ``_routes(qd, pd)`` is this pair
-        swapped, bit for bit.  This pass runs p's ends outside, so among
-        equal lengths it keeps the way back with the earlier q end j.
-        """
-        a, b, length_p, dist_a, dist_b = self._table[pd[0]]
-        c, d, length_q, dist_c, dist_d = self._table[qd[0]]
+    def _route(self, pd: tuple, qd: tuple) -> tuple:
+        # The shortest route from pd to qd on two edges: (length, leg from pd
+        # to its edge's exit node, exit node, entry node of qd's edge).  It
+        # tries the endpoint pairings in _gap's order, each summed as _gap
+        # sums it, and the first strict minimum wins, so its length is _gap's
+        # bit for bit.  The way back, _route(qd, pd), sums in its own order.
+        a, b, length, row_a, row_b = self._table[pd[0]]
+        c, d, length_q, _, _ = self._table[qd[0]]
         o, oq = pd[1], qd[1]
-        ends_q = ((c, oq, dist_c), (d, length_q - oq, dist_d))
-        fwd = rev = None
-        for na, ra, row_a in ((a, o, dist_a), (b, length_p - o, dist_b)):
-            for j, (nb, rb, row_b) in enumerate(ends_q):
-                length = ra + row_a[nb] + rb
-                if fwd is None or length < fwd[0]:
-                    fwd = (length, ra, na, nb)
-                length = rb + row_b[na] + ra
-                if rev is None or length < rev[0] or (length == rev[0] and j < rev_j):
-                    rev = (length, rb, nb, na)
-                    rev_j = j
-        return fwd, rev
+        r, rq = length - o, length_q - oq
+        route = o + row_a[c] + oq, o, a, c
+        other = o + row_a[d] + rq
+        if other < route[0]:
+            route = other, o, a, d
+        other = r + row_b[c] + oq
+        if other < route[0]:
+            route = other, r, b, c
+        other = r + row_b[d] + rq
+        return (other, r, b, d) if other < route[0] else route
 
-    def _walk_from_node(self, start: int, target_edge: TreeEdge, target_offset: float,
-                        target_node: int, s: float) -> tuple:
-        # Walk arclength s from a vertex toward a point on target_edge whose
-        # nearer endpoint (along this route) is target_node.
-        u = start
-        while u != target_node:
-            e = self._next_edge[u][target_node]
-            if s < e.length:
-                return self._place(e, s if u == e.from_node else e.length - s)
-            s -= e.length
-            u = e.other(u)
-        if target_node == target_edge.from_node:
-            off = min(s, target_offset)
-        else:
-            off = max(target_edge.length - s, target_offset)
-        return self._place(target_edge, off)
-
-    def geodesic_point(self, p: Point, q: Point, t: float) -> Point:
-        self._check_point(p)
-        self._check_point(q)
-        _check_t(t)
-        if t == 0.0 or p == q:
-            return p
-        if t == 1.0:
-            return q
-        return Point(self.kind, self._along(p.data, q.data, t))
-
-    def _along(self, pd: tuple, qd: tuple, t: float, route=None) -> tuple:
-        # The point at fraction t in (0, 1) from pd to qd != pd; route is
-        # _routes(pd, qd)[0] when the caller has it already.
+    def _interp(self, pd: tuple, qd: tuple, t: float, d: float) -> tuple:
+        # The point at fraction t in (0, 1) from pd to qd != pd.  d is unread:
+        # the way back walks its own route's length, which may differ in the last bit.
         e1, o1 = pd
         e2, o2 = qd
         if e1 == e2:
             return self._place(self._edge_by_id[e1], o1 + t * (o2 - o1))
-        total, ra, na, nb = route or self._routes(pd, qd)[0]
+        total, ra, u, nb = self._route(pd, qd)
         s = t * total
         if s <= ra:
             a = self._edge_by_id[e1]
-            off = o1 - s if na == a.from_node else o1 + s
+            off = o1 - s if u == a.from_node else o1 + s
             return self._place(a, min(max(off, 0.0), a.length))
-        return self._walk_from_node(na, self._edge_by_id[e2], o2, nb, s - ra)
-
-    def _step(self, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
-        if pd[0] == qd[0]:
-            fwd = rev = None
-            d = abs(pd[1] - qd[1])
-        else:
-            # The reverse route is its own: it sums its legs in the other
-            # order, and reusing the forward one would change the last bit.
-            fwd, rev = self._routes(pd, qd)
-            d = fwd[0]
-        if d <= 2.0 * lam:
-            mid = self._along(pd, qd, 0.5, fwd)
-            return mid, mid, d
-        s = lam / d
-        if not s > 0.0:
-            _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
-            return pd, qd, d
-        return self._along(pd, qd, s, fwd), self._along(qd, pd, s, rev), d
-
-    _march = _pair_march
+        # Walk on from the exit node u toward nb, where the route enters qd's edge.
+        s -= ra
+        while u != nb:
+            e = self._next_edge[u][nb]
+            if s < e.length:
+                return self._place(e, s if u == e.from_node else e.length - s)
+            s -= e.length
+            u = e.other(u)
+        b = self._edge_by_id[e2]
+        return self._place(b, min(s, o2) if nb == b.from_node else max(b.length - s, o2))
 
     def _motions(self, data: list[tuple]) -> list[tuple | None]:
         # How each point of data moves until the next event of the exact

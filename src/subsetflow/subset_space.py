@@ -118,8 +118,9 @@ class FiniteSubset:
                 dedup_tolerance: float) -> "FiniteSubset":
         # make_subset's way in, past the constructor's checks, which it has
         # made already: it checked each point (canonicalize), found every
-        # pair more than dedup_tolerance apart (its last _clusters pass) and
-        # sorted the points by their sort keys.
+        # pair more than dedup_tolerance apart (its last _clusters pass,
+        # whose seeds are the points) and sorted the points by their sort
+        # keys.
         out = cls.__new__(cls)
         object.__setattr__(out, "space", space)
         object.__setattr__(out, "points", points)
@@ -173,9 +174,10 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     linkage) are replaced by one representative, built by folding the
     cluster through pairwise geodesic midpoints in discovery order.  Each
     point is checked once, on entry (``space.canonicalize``), and the
-    clustering runs on the distance kernel over the checked data.  Its last
-    pass finds every pair more than ``dedup_tolerance`` apart, so the subset
-    is built without the constructor's checks.
+    clustering runs on the distance kernel over the checked data, and stops
+    after a pass whose folds all returned their cluster's first point.  That
+    pass found every pair of those points more than ``dedup_tolerance``
+    apart, so the subset is built without the constructor's checks.
     """
     pts = [space.canonicalize(p) for p in points]
     if not pts:
@@ -184,15 +186,19 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
         raise GeometryError("dedup tolerance must be >= 0")
     while True:
         clusters = _clusters(space, [p.data for p in pts], dedup_tolerance)
-        if len(clusters) == len(pts):
-            break
         merged = []
         for cluster in clusters:
             rep = pts[cluster[0]]
             for idx in cluster[1:]:
                 rep = space.geodesic_point(rep, pts[idx], 0.5)
             merged.append(rep)
-        pts = merged  # folded representatives may themselves sit within tol
+        # Each seed (a cluster's first point) was compared with every later
+        # seed as its cluster grew, so once every fold returns its seed (a
+        # singleton, or equal points) the seeds are more than tol apart.
+        done = all(rep is pts[cluster[0]] for rep, cluster in zip(merged, clusters))
+        pts = merged
+        if done:
+            break
     pts.sort(key=lambda p: point_sort_key(space, p))
     return FiniteSubset._sorted(space, tuple(pts), dedup_tolerance)
 

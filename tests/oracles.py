@@ -253,6 +253,32 @@ class MoveRef(NamedTuple):
         return leg / self.speed
 
 
+def tree_routes_ref(space, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
+    """The shortest routes from pd to qd and back, found in one fused pass.
+
+    pd and qd lie on two edges.  A route is (length, leg from its start to
+    the exit node of the start's edge, exit node, entry node of the end's
+    edge).  The pass runs pd's ends outside and qd's inside and forms both
+    directions' sums, each from its own row; the way there keeps the first
+    strict minimum, the way back among equal lengths the earlier qd end.
+    """
+    a, b, length_p, dist_a, dist_b = space._table[pd[0]]
+    c, d, length_q, dist_c, dist_d = space._table[qd[0]]
+    o, oq = pd[1], qd[1]
+    ends_q = ((c, oq, dist_c), (d, length_q - oq, dist_d))
+    fwd = rev = None
+    for na, ra, row_a in ((a, o, dist_a), (b, length_p - o, dist_b)):
+        for j, (nb, rb, row_b) in enumerate(ends_q):
+            length = ra + row_a[nb] + rb
+            if fwd is None or length < fwd[0]:
+                fwd = (length, ra, na, nb)
+            length = rb + row_b[na] + ra
+            if rev is None or length < rev[0] or (length == rev[0] and j < rev_j):
+                rev = (length, rb, nb, na)
+                rev_j = j
+    return fwd, rev
+
+
 def tree_branch_ref(space, row: dict, node: int, qd: tuple):
     # The first edge from the vertex node toward the point qd != node; row is
     # node's row of space._next_edge.

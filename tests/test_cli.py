@@ -278,9 +278,14 @@ STAR_EDGES = ('[{"id": 0, "from": 0, "to": 1, "length": 1.0},'
      "--merge-tol", "0.5"],
     ["retract", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]", "--n", "2",
      "--max-doublings", "5"],
+    ["convergence", "--space", "euclidean:2", "--n", "3", "--samples", "2", "--time", "0.1",
+     "--perturbation-scale", "0.5"],
+    ["flow", "--space", "euclidean:2", "--set", "[[-1e308, 0],[1e308, 0]]", "--time", "0.1",
+     "--k", "2"],
 ], ids=["letter", "null", "nested", "tree-edge-list", "tree-offset-text", "tree-edge-id",
         "no-space", "overflow", "no-doublings", "bool-dim", "flow-time-inf", "flow-time-nan",
-        "convergence-time-inf", "flow-merge-tol", "retract-max-doublings"])
+        "convergence-time-inf", "flow-merge-tol", "retract-max-doublings",
+        "convergence-perturbation-scale", "flow-overflow"])
 def test_bad_input_is_an_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1

@@ -32,7 +32,8 @@ from subsetflow import (
 )
 from subsetflow.flow import MERGE_SLACK, _wrap
 from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march
-from oracles import full_resolvent_ref, grid_pair_prox, tree_first_collision_ref
+from oracles import (full_resolvent_ref, grid_pair_prox, tree_first_collision_ref,
+                     tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -381,18 +382,20 @@ def _check_marches(space, cases):
 
 
 def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
-    # The pair step finds the forward and the reverse route in one pass;
-    # each must keep the tie rule of its own direction, so the pass from the
-    # other end finds the same two routes swapped.  Vertices and points on
-    # edges that share a node have endpoint pairings whose lengths tie.
+    # Each direction of a pair step walks its own route, _route(pd, qd) one
+    # way and _route(qd, pd) back, and each keeps the tie rule of its own
+    # direction: the two are the routes of a fused pass over both directions
+    # (tree_routes_ref), bit for bit, and each one's length is _gap in its
+    # direction.  Vertices and points on edges that share a node have
+    # endpoint pairings whose lengths tie.
     space = caterpillar_tree
     pts = list(dict.fromkeys(space.point((e.id, f * e.length))
                              for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
     for p, q in itertools.permutations(pts, 2):
         pd, qd = p.data, q.data
         if pd[0] != qd[0]:
-            fwd, rev = space._routes(pd, qd)
-            assert space._routes(qd, pd) == (rev, fwd)
+            fwd, rev = space._route(pd, qd), space._route(qd, pd)
+            assert (fwd, rev) == tree_routes_ref(space, pd, qd)
             # the distance kernel builds no route, and keeps its bits
             assert space._gap(pd, qd) == fwd[0]
             assert space._gap(qd, pd) == rev[0]
@@ -492,6 +495,18 @@ def test_flow_adaptive_time_zero(line):
     assert report.final is x
     assert report.sweeps_used == 0
     assert report.converged
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2"])
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_flow_adaptive_rejects_overflowing_distances(all_spaces, key, t):
+    # Its traces could not hold an infinite gap as JSON, and the pair would
+    # never move; merge_time rejects the same tuple with the same message.
+    x = PointTuple(all_spaces[key], _far_pair(all_spaces[key]))
+    for run in (lambda: flow_adaptive(x, t, FlowConfig(sweeps_per_run=2)),
+                lambda: merge_time(x, FlowConfig())):
+        with pytest.raises(GeometryError, match="overflow double precision"):
+            run()
 
 
 TRIANGLE = ((0.0, 0.0), (1.0, 0.2), (0.3, 1.1))

@@ -20,7 +20,8 @@ from subsetflow import (
     make_subset,
     space_from_json,
 )
-from subsetflow.geometry import _MARCH_MAX_SOURCE, _march_kernel, _pair_march, point_sort_key
+from subsetflow.geometry import (_MARCH_MAX_SOURCE, _distance, _geodesic_point, _march_kernel,
+                                 _pair_march, _pair_step, point_sort_key)
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -442,3 +443,13 @@ def test_make_space_rejects_unknown_kind():
 def test_space_from_json_rejects_malformed_descriptors(obj):
     with pytest.raises(GeometryError):
         space_from_json(obj)
+
+
+@pytest.mark.parametrize("cls", [EuclideanSpace, HyperboloidSpace, TreeSpace])
+def test_each_backend_binds_the_shared_methods_in_its_class_body(cls):
+    # One pair step, one distance and one geodesic_point for every backend,
+    # bound in each class's own body, where per-backend call counters
+    # (bench/spans.py) look the public methods up.
+    assert cls.__dict__["distance"] is _distance
+    assert cls.__dict__["geodesic_point"] is _geodesic_point
+    assert cls._step is _pair_step

@@ -23,6 +23,7 @@ from subsetflow import (
     product_distance,
     to_set,
 )
+from subsetflow import subset_space
 from oracles import brute_hausdorff
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -75,6 +76,23 @@ def test_make_subset_output_passes_the_constructor(all_spaces, key, seed, n, tol
     again = FiniteSubset(space, out.points, out.dedup_tolerance)
     assert again == out
     assert again.points == out.points and again.dedup_tolerance == tol
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_to_set_of_a_shared_point_clusters_once(all_spaces, key, monkeypatch):
+    # Two slots share one point, as the pair that met does in a tree
+    # retract's output: its fold returns that point, so the one _clusters
+    # pass has compared every pair of the subset's points already.
+    space = all_spaces[key]
+    rng = random.Random(f"shared:{key}")
+    p, q = space.random_point(rng), space.random_point(rng)
+    calls = []
+    clusters = subset_space._clusters
+    monkeypatch.setattr(subset_space, "_clusters",
+                        lambda *args: calls.append(args) or clusters(*args))
+    out = to_set(PointTuple(space, (p, p, q)), 0.0)
+    assert len(calls) == 1
+    assert out == make_subset(space, [p, q], 0.0) and len(out) == 2
 
 
 def test_non_point_coordinates_are_a_space_mismatch():
