@@ -87,7 +87,8 @@ def _points(ns: argparse.Namespace, cls, field: str):
 # command takes only the flags whose fields it reads.
 _FLOW_FLAGS = {
     "--k": ("sweeps_per_run", int, "sweeps per unit run (a tree's merge runs the exact flow)"),
-    "--merge-tol": ("merge_tolerance", float, None),
+    "--merge-tol": ("merge_tolerance", float,
+                    "merged-gap fraction of the starting min gap (not read on a tree)"),
     "--max-doublings": ("max_doublings", int, None),
 }
 

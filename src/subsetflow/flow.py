@@ -26,7 +26,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .geometry import EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace, _gaps
+from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
+                       _check_count, _gaps)
 from .subset_space import PointTuple, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
@@ -50,7 +51,8 @@ class FlowConfig:
     march uses the same count to cover its half-gap horizon (a tree does
     not march).
     merge_tolerance: a gap at or below this fraction of the starting min
-    gap counts as merged.
+    gap counts as merged.  A tree does not read it: its flow runs exactly to
+    the collision, and its retract collapses no gap but the one that closed.
     max_doublings: how many times an adaptive run may double its sweep count.
     """
 
@@ -59,12 +61,10 @@ class FlowConfig:
     max_doublings: int = 8
 
     def __post_init__(self) -> None:
-        if self.sweeps_per_run < 1:
-            raise GeometryError("sweeps_per_run must be >= 1")
+        _check_count("sweeps_per_run", self.sweeps_per_run, 1)
         if not 0.0 < self.merge_tolerance < 1.0:
             raise GeometryError("merge_tolerance must lie in (0, 1)")
-        if self.max_doublings < 0:
-            raise GeometryError("max_doublings must be >= 0")
+        _check_count("max_doublings", self.max_doublings, 0)
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def _check_time(t: float) -> None:
 def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
     """Time-t flow approximated by k resolvent sweeps of step t/k."""
     _check_time(t)
-    if k < 1:
-        raise GeometryError("sweep count must be >= 1")
+    _check_count("sweep count", k, 1)
     if t == 0.0 or len(x) < 2:
         return x
     data = [p.data for p in x.coords]

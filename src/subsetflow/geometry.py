@@ -99,6 +99,13 @@ def _check_t(t: float) -> None:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
 
 
+def _check_count(what: str, k, least: int) -> None:
+    # A float count would end deep in its caller as a TypeError, or be used
+    # as it is; a bool is an int to isinstance, but no count.
+    if not isinstance(k, int) or isinstance(k, bool) or k < least:
+        raise GeometryError(f"{what} must be an integer >= {least}, got {k!r}")
+
+
 def _coordinates(coords, count: int) -> tuple:
     """Exactly count finite floats; malformed input is a GeometryError."""
     try:
@@ -254,8 +261,7 @@ class _CoordinateSpace:
     _EXTRA_COORDS: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise GeometryError(f"dimension must be a positive integer, got {self.dim!r}")
+        _check_count("dimension", self.dim, 1)
 
     def canonicalize(self, p: Point) -> Point:
         self._check_point(p)

@@ -1,9 +1,14 @@
 """Lipschitz retraction from at-most-n subsets onto at-most-(n-1) subsets.
 
-A subset of full cardinality n is numbered as a tuple with its closest
-pair first, flowed until some pair of coordinates merges (by the splitting
-sweeps; exactly on a metric tree), and collapsed back to a subset; anything
-smaller is already in the target space and passes through untouched.
+A subset of full cardinality n is flowed until some pair of its points
+merges and collapsed back to a subset; anything smaller is already in the
+target space and passes through untouched.  On a metric tree the flow runs
+exactly, from the set's points in their canonical order (it needs no
+numbering), and the output is the set of points where it stops: the pair
+that met shares one point, and no tolerance merges anything else.  On the
+euclidean and hyperboloid backends the set is numbered as a tuple with its
+closest pair first, marched by the splitting sweeps, and collapsed with a
+tolerance proportional to its starting min gap.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GeometryError
+from .geometry import GeometryError, TreeSpace, _check_count
 from .flow import FlowConfig, merge_time
 # min_gap is no longer called here, but stays a name of this module:
 # bench/spans.py wraps retraction.min_gap when it traces a run.
-from .subset_space import FiniteSubset, min_gap, order_tuple, to_set  # noqa: F401
+from .subset_space import FiniteSubset, PointTuple, min_gap, order_tuple, to_set  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -25,8 +30,14 @@ class RetractReport:
     input: FiniteSubset
     output: FiniteSubset
     merge_time_used: float
-    input_cardinality: int
-    output_cardinality: int
+
+    @property
+    def input_cardinality(self) -> int:
+        return len(self.input)
+
+    @property
+    def output_cardinality(self) -> int:
+        return len(self.output)
 
     def to_json(self):
         return {
@@ -40,8 +51,7 @@ class RetractReport:
 
 def lipschitz_constant_bound(n: int) -> float:
     """Proved Lipschitz constant for the retraction at cardinality bound n."""
-    if n < 2:
-        raise GeometryError("the retraction is defined for n >= 2")
+    _check_count("n", n, 2)
     return max(4.0 * n**1.5 + 1.0, 2.0 * n**2 + math.sqrt(n))
 
 
@@ -49,33 +59,26 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     """Retract a subset of at most n points onto at most n-1 points.
 
     Subsets with fewer than n points are returned unchanged.  A full
-    n-point subset is ordered with its closest pair first, flowed by
-    ``merge_time`` until a pair merges (marched by sweeps; exactly on a
-    tree), and collapsed with a tolerance proportional to its starting min
-    gap, which removes at least one point.
+    n-point subset is flowed by ``merge_time`` until a pair merges.  On a
+    tree the flow starts from the points in their canonical order and runs
+    exactly; the pair that met shares one point, so the output is the set of
+    points it stops at, with no tolerance: ``cfg.merge_tolerance`` is
+    not read, and a third point however close to the pair is kept.
+    Elsewhere the subset is ordered with its closest pair first, marched by
+    sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
+    min gap, which removes at least one point.
     """
-    if n < 2:
-        raise GeometryError("the retraction is defined for n >= 2")
+    _check_count("n", n, 2)
     if len(a) > n:
         raise GeometryError(f"subset has {len(a)} points, more than the bound {n}")
     if len(a) < n:
-        return RetractReport(
-            input=a,
-            output=a,
-            merge_time_used=0.0,
-            input_cardinality=len(a),
-            output_cardinality=len(a),
-        )
-    x = order_tuple(a, n)
-    # order_tuple puts the closest pair first; positive, because a canonical
-    # n-point subset has no duplicates
-    delta = x.space._gap(x.coords[0].data, x.coords[1].data)
+        return RetractReport(input=a, output=a, merge_time_used=0.0)
+    if isinstance(a.space, TreeSpace):
+        x, tol = PointTuple(a.space, a.points), 0.0
+    else:
+        x = order_tuple(a, n)
+        # order_tuple puts the closest pair first; positive, because a
+        # canonical n-point subset has no duplicates
+        tol = cfg.merge_tolerance * x.space._gap(x.coords[0].data, x.coords[1].data)
     t_star, merged = merge_time(x, cfg)
-    out = to_set(merged, cfg.merge_tolerance * delta)
-    return RetractReport(
-        input=a,
-        output=out,
-        merge_time_used=t_star,
-        input_cardinality=len(a),
-        output_cardinality=len(out),
-    )
+    return RetractReport(input=a, output=to_set(merged, tol), merge_time_used=t_star)

@@ -19,6 +19,7 @@ from .geometry import (
     Point,
     SpaceDescriptor,
     SpaceMismatchError,
+    _check_count,
     _check_kind,
     _gaps,
     point_sort_key,
@@ -259,8 +260,7 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
     remaining points follow in canonical order, and the last point repeats
     to reach length ``pad_to``.  Singletons repeat their only point.
     """
-    if pad_to < 1:
-        raise GeometryError("pad_to must be >= 1")
+    _check_count("pad_to", pad_to, 1)
     if len(a) > pad_to:
         raise GeometryError(f"cannot number {len(a)} points as a {pad_to}-tuple")
     pts = list(a.points)

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import GeometryError, SpaceDescriptor
+from .geometry import GeometryError, SpaceDescriptor, _check_count
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -64,10 +64,8 @@ class ScanConfig:
     perturbation_scale: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise GeometryError("scans need n >= 2")
-        if self.samples < 1:
-            raise GeometryError("samples must be >= 1")
+        _check_count("scan n", self.n, 2)
+        _check_count("samples", self.samples, 1)
         if not 0.0 < self.perturbation_scale < 1.0:
             raise GeometryError("perturbation_scale must lie in (0, 1)")
 

@@ -426,6 +426,9 @@ def test_flow_validation(line):
         splitting_flow(x, -0.1, 8)
     with pytest.raises(GeometryError):
         splitting_flow(x, 0.1, 0)
+    for k in (2.5, 8.0, True):
+        with pytest.raises(GeometryError):
+            splitting_flow(x, 0.1, k)
     # A time that is not finite is refused as a time, not by the geodesic
     # parameter check a NaN step would reach.
     for t in (math.inf, math.nan):
@@ -550,6 +553,12 @@ def test_flow_config_validation():
         FlowConfig(merge_tolerance=1.0)
     with pytest.raises(GeometryError):
         FlowConfig(max_doublings=-1)
+    # counts that are no integers: 2.5 sweeps used to be accepted, and a
+    # fractional doubling count failed later as a TypeError
+    for kwargs in ({"sweeps_per_run": 2.5}, {"sweeps_per_run": True},
+                   {"max_doublings": 1.5}, {"max_doublings": False}):
+        with pytest.raises(GeometryError):
+            FlowConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from subsetflow import (
     GeometryError,
     HyperboloidSpace,
     RetractReport,
+    TreeEdge,
+    TreeSpace,
+    TreeTopology,
     hausdorff_distance,
     lipschitz_constant_bound,
     make_subset,
@@ -44,8 +47,9 @@ def test_constant_crossover():
 
 
 def test_constant_rejects_small_n():
-    with pytest.raises(GeometryError):
-        lipschitz_constant_bound(1)
+    for n in (1, 2.5, True):
+        with pytest.raises(GeometryError):
+            lipschitz_constant_bound(n)
 
 
 def test_retract_two_point_line(line):
@@ -75,6 +79,11 @@ def test_retract_rejects_oversized(line):
         retract(line_set(line, 0.0, 1.0, 2.0), 2)
     with pytest.raises(GeometryError):
         retract(line_set(line, 0.0, 1.0), 1)
+    # a bound that is no integer is bad input too, whether or not the set
+    # fills it
+    for n in (3.0, 2.5, True):
+        with pytest.raises(GeometryError):
+            retract(line_set(line, 0.0, 1.0, 2.0), n)
 
 
 FAR = 700.0  # on the hyperboloid, two points this far out in opposite directions
@@ -231,6 +240,53 @@ def test_retract_readme_star_closed_form(star_tree):
     (hub, hub_offset), (leg, offset) = (p.data for p in report.output.points)
     assert (hub, hub_offset) == (0, 0.0)
     assert leg == 2 and offset == pytest.approx(0.8, abs=1e-12)
+
+
+def test_tree_retract_keeps_a_point_that_does_not_meet():
+    # On a two-edge path the points at 0.2 and 0.6 meet at t = 0.2, while
+    # the third, eps*delta beyond the middle vertex, is still eps*delta from
+    # them: it has not met the pair, so it stays a point of its own.
+    path = TreeSpace(TreeTopology((TreeEdge(0, 0, 1, 1.0), TreeEdge(1, 1, 2, 1.0))))
+    eps, delta = 1e-8, 0.4
+    a = make_subset(path, [path.point(p) for p in ((0, 0.2), (0, 0.6), (1, eps * delta))])
+    report = retract(a, 3)
+    assert report.merge_time_used == pytest.approx(0.2, abs=1e-12)
+    assert report.output_cardinality == 2
+    assert sorted(p.data[1] for p in report.output.points) == pytest.approx(
+        [0.6, 0.6 + eps * delta], abs=1e-15)
+
+
+def test_tree_retract_ignores_merge_tolerance(star_tree):
+    # The points at 0.5 meet at the hub at t = 0.25; the third has come in
+    # to 0.1, which a merge tolerance of 0.5 times delta = 1 would swallow.
+    a = make_subset(star_tree, [star_tree.point(p) for p in ((0, 0.5), (1, 0.5), (2, 0.6))])
+    for cfg in (FlowConfig(), FlowConfig(merge_tolerance=0.5)):
+        (hub, hub_offset), (leg, offset) = (p.data for p in retract(a, 3, cfg).output.points)
+        assert (hub, hub_offset) == (0, 0.0)
+        assert leg == 2 and offset == pytest.approx(0.1, abs=1e-12)
+
+
+def test_tree_retract_commutes_with_leg_permutations():
+    # Permuting the legs of an equal star is an isometry g, so the exact
+    # flow gives r(gA) = g r(A) whatever order either set's points come in.
+    star = TreeSpace(TreeTopology(tuple(TreeEdge(i, 0, i + 1, 1.0) for i in range(5))))
+    rng = random.Random("leg-permutations")
+
+    def moved(g, subset):
+        return make_subset(star, [star.point((g[p.data[0]], p.data[1])) for p in subset.points])
+
+    trials = 0
+    while trials < 300:
+        n = rng.randint(3, 5)
+        a = make_subset(star, [star.random_point(rng) for _ in range(n)])
+        if len(a) < n:
+            continue
+        trials += 1
+        g = list(range(5))
+        rng.shuffle(g)
+        delta = min(pairwise_distances(star, a.points))
+        gap = hausdorff_distance(retract(moved(g, a), n).output, moved(g, retract(a, n).output))
+        assert gap <= 1e-12 * delta, (trials, a, g)
 
 
 def _polygon3_twin(plane, scale_first):

@@ -260,6 +260,13 @@ def test_order_tuple_pads_with_last(line):
     assert [p.data[0] for p in x.coords] == [4.0, 4.0, 4.0]
 
 
+def test_order_tuple_rejects_a_length_that_is_no_count(line):
+    a = line_set(line, 0.0, 1.0)
+    for pad_to in (1, 0, 3.5, 3.0, True):
+        with pytest.raises(GeometryError):
+            order_tuple(a, pad_to)
+
+
 def test_order_tuple_tie_puts_first_tied_pair_first(line):
     # both gaps of {0, 1, 2} are exactly 1; the pair (0, 1) comes first in
     # (i, j) order, so it is numbered first

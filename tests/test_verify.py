@@ -50,6 +50,11 @@ def test_scan_config_validation(plane):
         ScanConfig(space=plane, n=3, samples=5, seed=0, perturbation_scale=0.0)
     with pytest.raises(GeometryError):
         ScanConfig(space=plane, n=3, samples=5, seed=0, perturbation_scale=1.0)
+    # counts that are no integers; a fractional sample count used to reach
+    # lipschitz_scan and fail there as a TypeError
+    for n, samples in ((3.0, 5), (3, 2.5), (True, 5), (3, True)):
+        with pytest.raises(GeometryError):
+            ScanConfig(space=plane, n=n, samples=samples, seed=0)
 
 
 def test_check_result_json_hides_nonfinite():
