@@ -86,9 +86,10 @@ def _points(ns: argparse.Namespace, cls, field: str):
 # Each flow flag: the FlowConfig field it sets, its type and its help.  A
 # command takes only the flags whose fields it reads.
 _FLOW_FLAGS = {
-    "--k": ("sweeps_per_run", int, "sweeps per unit run (a tree's merge runs the exact flow)"),
-    "--merge-tol": ("merge_tolerance", float,
-                    "merged-gap fraction of the starting min gap (not read on a tree)"),
+    "--k": ("sweeps_per_run", int, "sweeps per unit run (a tree's merge runs the exact flow, "
+            "and two points meet at their midpoint at d/2)"),
+    "--merge-tol": ("merge_tolerance", float, "merged-gap fraction of the starting min gap "
+                    "(not read on a tree or for two points)"),
     "--max-doublings": ("max_doublings", int, None),
 }
 

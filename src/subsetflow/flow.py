@@ -6,8 +6,9 @@ cyclic sweeps of two-coordinate resolvents, each of which has a closed
 form: both coordinates move toward each other along their geodesic, and
 land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
-:mod:`subsetflow.retraction` is made of, except on a metric tree, where
-the flow itself is run exactly to its first collision.
+:mod:`subsetflow.retraction` is made of, except for two points, which meet
+at their geodesic midpoint at half their distance, and on a metric tree,
+where the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
@@ -49,10 +50,11 @@ class FlowConfig:
 
     sweeps_per_run: resolvent sweeps used to cover one flow run; the merge
     march uses the same count to cover its half-gap horizon (a tree does
-    not march).
+    not march, and neither do two points, which meet at their midpoint).
     merge_tolerance: a gap at or below this fraction of the starting min
     gap counts as merged.  A tree does not read it: its flow runs exactly to
     the collision, and its retract collapses no gap but the one that closed.
+    Nor does the merge of two points, which ends with both at one point.
     max_doublings: how many times an adaptive run may double its sweep count.
     """
 
@@ -266,6 +268,12 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
 def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     """Run the flow forward until some pair of coordinates merges.
 
+    Two distinct points move toward each other at unit speed along their
+    geodesic, on every backend, so they meet at its midpoint at half their
+    distance d: the result is ``d/2`` and both slots sharing one point,
+    ``geodesic_point(p, q, 0.5)``, with no march.  ``cfg`` is not read for
+    them.
+
     On a metric tree the flow is run exactly, event by event, to its first
     collision (``TreeSpace._first_collision``): the returned time is that
     collision's, at most ``min_gap(x)/2``, and the pair that met shares one
@@ -301,6 +309,9 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     delta = min(ds)
     if delta == 0.0:
         return 0.0, x
+    if len(data) == 2:
+        mid = space._interp(data[0], data[1], 0.5, delta)
+        return 0.5 * delta, _wrap(x, [mid, mid])
     if isinstance(space, TreeSpace):
         t, data = space._first_collision(data, ds)
         return t, _wrap(x, data)

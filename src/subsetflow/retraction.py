@@ -8,7 +8,9 @@ numbering), and the output is the set of points where it stops: the pair
 that met shares one point, and no tolerance merges anything else.  On the
 euclidean and hyperboloid backends the set is numbered as a tuple with its
 closest pair first, marched by the splitting sweeps, and collapsed with a
-tolerance proportional to its starting min gap.
+tolerance proportional to its starting min gap.  On every backend a
+two-point set is not marched: its points meet at their geodesic midpoint,
+so the output is that one point.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     not read, and a third point however close to the pair is kept.
     Elsewhere the subset is ordered with its closest pair first, marched by
     sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
-    min gap, which removes at least one point.
+    min gap, which removes at least one point.  For n = 2 ``merge_time``
+    marches nothing and reads no ``cfg``: the two points meet at their
+    geodesic midpoint at half their distance, and that point is the output.
     """
     _check_count("n", n, 2)
     if len(a) > n:

@@ -7,6 +7,7 @@ precomputed tables) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -90,6 +91,25 @@ def hyperboloid_distance_ref(p, q):
     """Plain arcosh of the Minkowski product; fine away from tiny angles."""
     prod = -p[0] * q[0] + sum(a * b for a, b in zip(p[1:], q[1:]))
     return math.acosh(max(1.0, -prod))
+
+
+def hyperboloid_distance_decimal(p, q, digits=50):
+    """Distance of two hyperboloid points from their spatial parts alone.
+
+    Each x0 is derived as sqrt(1 + |xs|^2), and arcosh of the Minkowski
+    product is taken as log(z + sqrt(z^2 - 1)), all in decimal arithmetic at
+    ``digits`` significant digits.  A stored x0 that disagrees with its
+    spatial part by rounding does not enter, so far from the apex this
+    resolves arc length that the float Minkowski product cancels away.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        xs = [decimal.Decimal(c) for c in p[1:]]
+        ys = [decimal.Decimal(c) for c in q[1:]]
+        x0 = (1 + sum(c * c for c in xs)).sqrt()
+        y0 = (1 + sum(c * c for c in ys)).sqrt()
+        z = x0 * y0 - sum(a * b for a, b in zip(xs, ys))
+        return float((z + (z * z - 1).sqrt()).ln()) if z > 1 else 0.0
 
 
 def brute_hausdorff(space, pts_a, pts_b):

@@ -336,8 +336,9 @@ def test_help_is_exit_zero(capsys):
 # runs: before the sweep-doubling loop was shared by the flow and the study;
 # the retract and verify runs on the star tree: as the exact tree flow prints
 # them, the retract with merge_time_used 0.2, as test_retraction checks; the
-# verify and convergence runs on euclidean:2: as the reference resolvent
-# prints them on plain floats).
+# convergence run on euclidean:2: as the reference resolvent prints it on
+# plain floats; the verify runs on euclidean:2 and hyperboloid:2: as two
+# points merge at their midpoint at d/2, where two_point_merge reads 0.0).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -345,14 +346,14 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--space", "hyperboloid:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "b6c1ebaf6584bf221f9c73972a155d00f222f23a4af9e15efaa40896cdc584f6"),
+     "2372e30a1442c4eafcb68a66bef2fb4fe4cf2becb341d8f6ae0a1520919ad065"),
     (["scan", "--space", "euclidean:2", "--n", "3", "--samples", "50", "--seed", "0"],
      "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
     (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
       ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
      "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "89bd3cd642ee57144233de96a350bd5ee0dd5f134c46f1138d7b928316b613e0"),
+     "fa139b23dd5879fd38e0e3ac265d7c92574a7676d51cbaca658b03f1d456eaa1"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
      "865650c19958a9a11e43499cfdceb2c9139d99c7ead5ebd07ab6ca40bc17b0d5"),
     (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],

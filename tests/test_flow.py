@@ -591,18 +591,25 @@ def test_merge_time_needs_two(line):
         merge_time(line_tuple(line, 1.0), FlowConfig())
 
 
-@pytest.mark.parametrize("key", ["star-tree", "hyperboloid-2"])
+@pytest.mark.parametrize("key", ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree",
+                                 "path-tree"])
 def test_merge_time_two_point_half_gap(all_spaces, key):
+    # Two points move toward each other at unit speed, so they meet at their
+    # geodesic midpoint at d/2 exactly, whatever the march's knobs: with 4
+    # sweeps and a merge tolerance of 0.5 a march would stop at d/4.
     space = all_spaces[key]
     for i in range(10):
         rng = random.Random(f"mergehalf:{key}:{i}")
         x = random_tuple(space, rng, 2)
-        delta = space.distance(x.coords[0], x.coords[1])
-        if delta < 1e-6:
-            continue
-        t_star, merged = merge_time(x, FlowConfig())
-        assert t_star == pytest.approx(delta / 2.0, rel=1e-9)
-        assert space.distance(merged.coords[0], merged.coords[1]) <= 1e-6 * delta
+        p, q = x.coords
+        d = space.distance(p, q)
+        mid = space.geodesic_point(p, q, 0.5)
+        for cfg in (FlowConfig(), FlowConfig(sweeps_per_run=4, merge_tolerance=0.5)):
+            t_star, merged = merge_time(x, cfg)
+            assert t_star == 0.5 * d
+            assert merged.coords == (mid, mid)
+            assert repr(merged.coords) == repr((mid, mid))
+            assert merged.coords[0] is merged.coords[1]
 
 
 def test_merge_time_star_tree_midpoint(star_tree):
@@ -611,6 +618,23 @@ def test_merge_time_star_tree_midpoint(star_tree):
     assert t_star == pytest.approx(0.35, rel=1e-12)
     edge, offset = merged.coords[0].data
     assert edge == 0 and offset == pytest.approx(0.05, abs=1e-12)
+
+
+def test_tree_two_point_closed_form_matches_the_event_flow(star_tree, caterpillar_tree):
+    # On a tree the midpoint at d/2 is where the exact event flow meets too,
+    # also from points on vertices, within 1e-14·d.
+    for name, tree in (("star", star_tree), ("caterpillar", caterpillar_tree),
+                       ("five-leg", _five_leg_star())):
+        rng = random.Random(f"twopointtree:{name}")
+        for _ in range(1000):
+            data = _exact_flow_inputs(tree, rng, 2, 0)
+            x = PointTuple(tree, tuple(tree.point(d) for d in data))
+            d = tree.distance(*x.coords)
+            t_star, merged = merge_time(x, FlowConfig())
+            t_event, met = tree._first_collision(data, _gaps(tree, data))
+            assert met[0] is met[1]
+            assert abs(t_event - t_star) <= 1e-14 * d, (name, data)
+            assert tree._gap(merged.coords[0].data, met[0]) <= 1e-14 * d, (name, data)
 
 
 def test_merge_bound_random(plane):
@@ -808,6 +832,11 @@ def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
         merge_time(x, FlowConfig())
 
 
+def _five_leg_star():
+    # the near-tie benchmark's star: five legs of length 1 at node 0
+    return TreeSpace(TreeTopology(tuple(TreeEdge(i, 0, i + 1, 1.0) for i in range(5))))
+
+
 def _exact_flow_inputs(tree, rng, n, family):
     """Distinct data of n points: random ones, some moved onto a vertex
     (family 0), n legs at one depth (1), or mirrored pairs at equal depths
@@ -840,10 +869,9 @@ def test_tree_first_collision_matches_its_reference(star_tree, caterpillar_tree)
     # call per point, given merge_time's gaps for its first event: the same
     # time and data, and the same slots sharing one tuple.  The five legs of
     # one depth end in a five-way meet at the hub.
-    five_leg = TreeSpace(TreeTopology(tuple(TreeEdge(i, 0, i + 1, 1.0) for i in range(5))))
     checked = five_way = 0
     for name, tree, ns in (("star", star_tree, (2, 3)), ("caterpillar", caterpillar_tree, (2, 4, 6, 8)),
-                           ("five-leg", five_leg, (2, 3, 4, 5))):
+                           ("five-leg", _five_leg_star(), (2, 3, 4, 5))):
         rng = random.Random(f"firstcollision:{name}")
         for k in range(700):
             family, n = k % 3, rng.choice(ns)

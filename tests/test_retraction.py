@@ -20,6 +20,7 @@ from subsetflow import (
     pairwise_distances,
     retract,
 )
+from oracles import hyperboloid_distance_decimal
 
 # max(4 n^{3/2} + 1, 2 n^2 + sqrt(n)), evaluated once by hand
 FROZEN_CONSTANTS = {
@@ -287,6 +288,61 @@ def test_tree_retract_commutes_with_leg_permutations():
         delta = min(pairwise_distances(star, a.points))
         gap = hausdorff_distance(retract(moved(g, a), n).output, moved(g, retract(a, n).output))
         assert gap <= 1e-12 * delta, (trials, a, g)
+
+
+def _plane_isometry(rng):
+    # A rotation, a reflection x -> -x half the time, and a translation.
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    c, s, f = math.cos(a), math.sin(a), rng.choice((1.0, -1.0))
+    tx, ty = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    return lambda v: (f * (c * v[0] - s * v[1]) + tx, f * (s * v[0] + c * v[1]) + ty)
+
+
+def _hyperboloid_isometry(rng):
+    # A boost of rapidity up to 2 along x1, then a spatial rotation; x0 is
+    # derived from the spatial part the two leave.
+    phi, a = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+    ch, sh, c, s = math.cosh(phi), math.sinh(phi), math.cos(a), math.sin(a)
+
+    def g(v):
+        x1, x2 = sh * v[0] + ch * v[1], v[2]
+        y1, y2 = c * x1 - s * x2, s * x1 + c * x2
+        return (math.sqrt(1.0 + y1 * y1 + y2 * y2), y1, y2)
+
+    return g
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2"])
+def test_two_point_retract_commutes_with_isometries(all_spaces, key):
+    # r(gA) = g r(A) for every isometry g: two points retract to their
+    # midpoint, and g maps midpoints to midpoints.
+    space = all_spaces[key]
+    draw = _plane_isometry if key == "euclidean-2" else _hyperboloid_isometry
+    rng = random.Random(f"twopointisometry:{key}")
+
+    def moved(g, subset):
+        return make_subset(space, [space.point(g(p.data)) for p in subset.points])
+
+    for trial in range(300):
+        a = make_subset(space, [space.random_point(rng) for _ in range(2)])
+        g = draw(rng)
+        delta = min(pairwise_distances(space, a.points))
+        gap = hausdorff_distance(retract(moved(g, a), 2).output, moved(g, retract(a, 2).output))
+        assert gap <= 1e-9 * delta, (trial, a)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 3): 17 and 18 from the apex "
+                   "_gap cancels, so the pair meets at t = 0.505, 0.606 and 0.394 from its points")
+def test_far_hyperboloid_pair_meets_at_its_midpoint():
+    # Two points on one ray, 17 and 18 from the apex, 1 apart.
+    hyper = HyperboloidSpace(2)
+    p, q = (hyper.point((math.cosh(r), math.sinh(r) * math.cos(0.3), math.sinh(r) * math.sin(0.3)))
+            for r in (17.0, 18.0))
+    report = retract(make_subset(hyper, [p, q]), 2)
+    (mid,) = report.output.points
+    assert report.merge_time_used == pytest.approx(0.5, abs=1e-6)
+    assert abs(hyperboloid_distance_decimal(mid.data, p.data)
+               - hyperboloid_distance_decimal(mid.data, q.data)) <= 1e-6
 
 
 def _polygon3_twin(plane, scale_first):

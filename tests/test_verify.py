@@ -25,6 +25,7 @@ from subsetflow.verify import (
     check_flow_descent,
     check_lipschitz_ratio,
     check_resolvent_inequality,
+    check_two_point_merge,
     perturb_point,
     perturb_subset,
     sample_subset,
@@ -242,6 +243,13 @@ def test_flow_descent_reports_an_ascent_as_a_failed_row(plane, monkeypatch):
     assert row.trials == 2
     assert not row.passed
     assert row.worst > 1.0
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])
+def test_two_point_merge_row_is_exact(all_spaces, key):
+    # Two points meet at their midpoint at d/2 exactly, so the row reads 0.
+    row = check_two_point_merge(all_spaces[key], 0, 200, FlowConfig())
+    assert (row.trials, row.passed, row.worst) == (200, True, 0.0)
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: on this input the reference resolvent's "
