@@ -6,9 +6,11 @@ space and point values are immutable, and every operation is a pure
 function of its arguments, so the module is safe to use from concurrent
 samplers.
 
-A backend supplies ``_check_point(p)`` and two kernels on bare coordinate
-data, the ``Point.data`` of a point (a coordinate tuple, or an ``(edge_id,
-offset)`` pair on a tree): ``_gap(pd, qd)``, the distance, and
+A backend supplies ``_check_point(p)``, which admits only data that its
+``point()`` builds, ``_sort_key(data)``, that data's JSON text for
+``point_sort_key``, and two kernels on bare coordinate data, the
+``Point.data`` of a point (a coordinate tuple, or an ``(edge_id, offset)``
+pair on a tree): ``_gap(pd, qd)``, the distance, and
 ``_interp(pd, qd, t, d)``, the point at fraction t from pd to qd, d being
 their ``_gap``.  The kernels skip the check, because the flow passes them
 the data of a ``PointTuple``, checked once when it was built.  Each backend
@@ -49,10 +51,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
@@ -268,15 +270,26 @@ class _CoordinateSpace:
         return p
 
     def _check_point(self, p: Point) -> None:
-        # The march kernels unpack a fixed number of coordinates per slot.
+        # The march kernels unpack a fixed number of coordinates per slot,
+        # and _sort_key writes each by float repr: finite floats only, as
+        # point() builds them (no int, bool or text).
         _check_kind(self, p)
         count = self.dim + self._EXTRA_COORDS
         if len(p.data) != count:
             raise GeometryError(f"expected {count} coordinates, got {len(p.data)}")
+        for c in p.data:
+            if type(c) is not float or not math.isfinite(c):
+                raise GeometryError(f"coordinates must be finite floats, got {p.data!r}")
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
         return list(p.data)
+
+    @staticmethod
+    def _sort_key(data: tuple) -> str:
+        # json.dumps(list(data)) of checked data: the encoder writes a finite
+        # float by its repr, and so does a list's repr, with the same ", ".
+        return repr(list(data))
 
     def point_from_json(self, obj) -> Point:
         if not isinstance(obj, (list, tuple)):
@@ -556,10 +569,17 @@ class TreeEdge:
     length: float
 
     def __post_init__(self) -> None:
+        # Ids and nodes are ints, not bools, as from_json reads them; the
+        # length is stored as a float, so every offset a point carries is one.
+        if any(type(v) is not int for v in (self.id, self.from_node, self.to_node)):
+            raise GeometryError(f"edge ids and nodes must be integers, got {self!r}")
         if self.from_node == self.to_node:
             raise GeometryError(f"edge {self.id} is a self-loop")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise GeometryError(f"edge {self.id} needs a positive finite length")
+        length = self.length
+        if (isinstance(length, bool) or not isinstance(length, (int, float))
+                or not 0.0 < length <= sys.float_info.max):
+            raise GeometryError(f"edge {self.id} needs a positive finite length, got {length!r}")
+        object.__setattr__(self, "length", float(length))
 
     def other(self, node: int) -> int:
         return self.to_node if node == self.from_node else self.from_node
@@ -650,6 +670,7 @@ class TreeSpace:
     _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
+    _cum_lengths: list = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
 
     def __post_init__(self) -> None:
@@ -686,6 +707,7 @@ class TreeSpace:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_next_edge", next_edge)
+        object.__setattr__(self, "_cum_lengths", list(itertools.accumulate(e.length for e in topo.edges)))
 
     def point(self, place) -> Point:
         try:
@@ -717,20 +739,21 @@ class TreeSpace:
         return Point(self.kind, self._place(self._edge_by_id[edge_id], offset))
 
     def _check_point(self, p: Point) -> None:
-        # Data that is no (edge_id, offset) pair with a comparable offset,
-        # or an offset off its edge, is a GeometryError; an unknown edge id
-        # (a point of another tree) a SpaceMismatchError.  The kernels index
-        # the edge table with the data that passes.
+        # Data that is no (int edge id, float offset) tuple, as point()
+        # builds it, or an offset off its edge, is a GeometryError; an
+        # unknown edge id (a point of another tree) a SpaceMismatchError.
+        # The kernels index the edge table with the data that passes, and
+        # _sort_key writes it by repr.
         _check_kind(self, p)
-        try:
-            edge_id, offset = p.data
-            edge = self._edge_by_id.get(edge_id)
-            inside = edge is None or 0.0 <= offset <= edge.length
-        except (TypeError, ValueError) as exc:
-            raise GeometryError(f"malformed tree point data {p.data!r}") from exc
+        data = p.data
+        if (type(data) is not tuple or len(data) != 2
+                or type(data[0]) is not int or type(data[1]) is not float):
+            raise GeometryError(f"malformed tree point data {data!r}")
+        edge_id, offset = data
+        edge = self._edge_by_id.get(edge_id)
         if edge is None:
             raise SpaceMismatchError(f"edge id {edge_id!r} does not belong to this tree")
-        if not inside:
+        if not 0.0 <= offset <= edge.length:
             raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
 
     distance = _distance
@@ -906,14 +929,21 @@ class TreeSpace:
         raise GeometryError("the exact tree flow ran past its event bound")
 
     def random_point(self, rng: random.Random) -> Point:
-        edges = self.topology.edges
-        weights = [e.length for e in edges]
-        e = rng.choices(edges, weights=weights)[0]
+        # An edge drawn with probability proportional to its length: the
+        # draws of rng.choices(edges, weights=lengths), which accumulates
+        # the weights into these cum_weights on every call.
+        e = rng.choices(self.topology.edges, cum_weights=self._cum_lengths)[0]
         return Point(self.kind, self._place(e, rng.uniform(0.0, e.length)))
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
         return {"edge": p.data[0], "offset": p.data[1]}
+
+    @staticmethod
+    def _sort_key(data: tuple) -> str:
+        # json.dumps of the point's JSON with sorted keys, for checked data:
+        # the encoder writes an int and a float by their reprs.
+        return '{"edge": %r, "offset": %r}' % data
 
     def point_from_json(self, obj) -> Point:
         if not isinstance(obj, dict) or "edge" not in obj or "offset" not in obj:
@@ -953,11 +983,15 @@ def space_from_json(obj) -> SpaceDescriptor:
     return make_space(obj["kind"], obj.get("dim"))
 
 
-# json.dumps(obj, sort_keys=True) builds this encoder on every call.
-_SORT_KEY_ENCODE = json.JSONEncoder(sort_keys=True).encode
-
-
 def point_sort_key(space: SpaceDescriptor, p: Point) -> str:
-    """Canonical serialization, used wherever a deterministic order is needed."""
-    return _SORT_KEY_ENCODE(space.point_to_json(p))
+    """Canonical serialization, used wherever a deterministic order is needed.
+
+    It is ``json.dumps(space.point_to_json(p), sort_keys=True)`` byte for
+    byte for every point the space's check admits, but each backend writes
+    the text itself (``space._sort_key(p.data)``), without the encoder: a
+    coordinate point as ``[x0, x1, ...]`` by float repr, a tree point as
+    ``{"edge": id, "offset": offset}``.
+    """
+    _check_kind(space, p)
+    return space._sort_key(p.data)
 

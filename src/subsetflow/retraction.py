@@ -22,7 +22,8 @@ from .geometry import GeometryError, TreeSpace, _check_count
 from .flow import FlowConfig, merge_time
 # min_gap is no longer called here, but stays a name of this module:
 # bench/spans.py wraps retraction.min_gap when it traces a run.
-from .subset_space import FiniteSubset, PointTuple, min_gap, order_tuple, to_set  # noqa: F401
+from .subset_space import (FiniteSubset, PointTuple, _by_sort_key, min_gap,  # noqa: F401
+                           order_tuple, to_set)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,11 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     tree the flow starts from the points in their canonical order and runs
     exactly; the pair that met shares one point, so the output is the set of
     points it stops at, with no tolerance: ``cfg.merge_tolerance`` is
-    not read, and a third point however close to the pair is kept.
+    not read, and a third point however close to the pair is kept.  That
+    set is built directly, from the distinct points of the final state in
+    sort-key order, with no ``to_set``: canonical tree data has one form per
+    place, so two points at one place are equal data, and ``to_set`` at
+    tolerance 0 would merge only those.
     Elsewhere the subset is ordered with its closest pair first, marched by
     sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
     min gap, which removes at least one point.  For n = 2 ``merge_time``
@@ -78,11 +83,15 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     if len(a) < n:
         return RetractReport(input=a, output=a, merge_time_used=0.0)
     if isinstance(a.space, TreeSpace):
-        x, tol = PointTuple(a.space, a.points), 0.0
-    else:
-        x = order_tuple(a, n)
-        # order_tuple puts the closest pair first; positive, because a
-        # canonical n-point subset has no duplicates
-        tol = cfg.merge_tolerance * x.space._gap(x.coords[0].data, x.coords[1].data)
+        # The pair that met shares one Point, and canonical tree data has
+        # one form per place, so the distinct Points are the output set:
+        # no check, clustering or fold is left for to_set to do.
+        t_star, merged = merge_time(PointTuple(a.space, a.points), cfg)
+        out = FiniteSubset._sorted(a.space, _by_sort_key(a.space, dict.fromkeys(merged.coords)), 0.0)
+        return RetractReport(input=a, output=out, merge_time_used=t_star)
+    x = order_tuple(a, n)
+    # order_tuple puts the closest pair first; positive, because a
+    # canonical n-point subset has no duplicates
+    tol = cfg.merge_tolerance * x.space._gap(x.coords[0].data, x.coords[1].data)
     t_star, merged = merge_time(x, cfg)
     return RetractReport(input=a, output=to_set(merged, tol), merge_time_used=t_star)

@@ -22,7 +22,6 @@ from .geometry import (
     _check_count,
     _check_kind,
     _gaps,
-    point_sort_key,
     space_from_json,
 )
 
@@ -91,7 +90,8 @@ class FiniteSubset:
     Stored points are pairwise more than ``dedup_tolerance`` apart and sorted
     by their canonical serialization, so value equality is set equality.
     Build instances with :func:`make_subset` (or :func:`to_set`), which merge
-    near-duplicates; the constructor itself rejects non-canonical input.
+    near-duplicates; the constructor itself rejects non-canonical input,
+    a tree vertex given on another edge than its canonical one included.
     """
 
     space: SpaceDescriptor
@@ -103,11 +103,12 @@ class FiniteSubset:
         points = tuple(self.points)
         if not points:
             raise GeometryError("a finite subset needs at least one point")
-        if self.dedup_tolerance < 0.0:
-            raise GeometryError("dedup tolerance must be >= 0")
+        if not self.dedup_tolerance >= 0.0:  # NaN too
+            raise GeometryError(f"dedup tolerance must be >= 0, got {self.dedup_tolerance!r}")
         for p in points:
-            self.space._check_point(p)
-        keys = [point_sort_key(self.space, p) for p in points]
+            if self.space.canonicalize(p) != p:
+                raise GeometryError("point is not in canonical form; use make_subset")
+        keys = [self.space._sort_key(p.data) for p in points]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise GeometryError("points are not in canonical order; use make_subset")
         if any(d <= self.dedup_tolerance for d in _gaps(self.space, [p.data for p in points])):
@@ -117,11 +118,13 @@ class FiniteSubset:
     @classmethod
     def _sorted(cls, space: SpaceDescriptor, points: tuple[Point, ...],
                 dedup_tolerance: float) -> "FiniteSubset":
-        # make_subset's way in, past the constructor's checks, which it has
-        # made already: it checked each point (canonicalize), found every
-        # pair more than dedup_tolerance apart (its last _clusters pass,
-        # whose seeds are the points) and sorted the points by their sort
-        # keys.
+        # make_subset's and a tree retract's way in, past the constructor's
+        # checks, which they have made already.  make_subset checked each
+        # point (canonicalize), found every pair more than dedup_tolerance
+        # apart (its last _clusters pass, whose seeds are the points) and
+        # sorted the points by their sort keys.  A tree retract passes the
+        # distinct canonical points where the exact flow stopped, sorted,
+        # with dedup_tolerance 0: distinct canonical tree data are apart.
         out = cls.__new__(cls)
         object.__setattr__(out, "space", space)
         object.__setattr__(out, "points", points)
@@ -141,6 +144,12 @@ class FiniteSubset:
     def from_json(obj) -> "FiniteSubset":
         space, points = _points_from_json(obj, "subset", "points")
         return make_subset(space, points, 0.0)
+
+
+def _by_sort_key(space: SpaceDescriptor, pts) -> tuple[Point, ...]:
+    # Checked points sorted by point_sort_key, which is their data's _sort_key.
+    key = space._sort_key
+    return tuple(sorted(pts, key=lambda p: key(p.data)))
 
 
 def _clusters(space: SpaceDescriptor, data: list[tuple], tol: float) -> list[list[int]]:
@@ -183,8 +192,8 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise GeometryError("a finite subset needs at least one point")
-    if dedup_tolerance < 0.0:
-        raise GeometryError("dedup tolerance must be >= 0")
+    if not dedup_tolerance >= 0.0:  # NaN too
+        raise GeometryError(f"dedup tolerance must be >= 0, got {dedup_tolerance!r}")
     while True:
         clusters = _clusters(space, [p.data for p in pts], dedup_tolerance)
         merged = []
@@ -200,8 +209,7 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
         pts = merged
         if done:
             break
-    pts.sort(key=lambda p: point_sort_key(space, p))
-    return FiniteSubset._sorted(space, tuple(pts), dedup_tolerance)
+    return FiniteSubset._sorted(space, _by_sort_key(space, pts), dedup_tolerance)
 
 
 def _check_same_space(a, b) -> None:

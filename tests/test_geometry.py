@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -349,6 +350,29 @@ def test_tree_topology_json_reads_integral_numbers():
     assert topo.to_json() == [{"id": 1, "from": 0, "to": 2, "length": 1.0}]
 
 
+@pytest.mark.parametrize("fields", [
+    ("a", 0, 1, 1.0), (0, 0, 1, "1"), (True, 0, 1, 1.0), (0.5, 0, 1, 1.0), (0, False, 1, 1.0),
+    (0, 0, 1.0, 1.0), (0, 0, 1, True), (0, 0, 1, None), (0, 0, 1, 10**400), (0, 0, 1, math.nan),
+    (0, 0, 1, math.inf), (0, 0, 1, -1.0),
+], ids=["text-id", "text-length", "bool-id", "fraction-id", "bool-node", "float-node", "bool-length",
+        "none-length", "huge-length", "nan-length", "inf-length", "negative-length"])
+def test_tree_edge_rejects_bad_fields(fields):
+    # Ids and nodes are ints, not bools or fractions, as from_json reads
+    # them, and the length a positive finite real: a GeometryError, not a
+    # TypeError when the tree is built, and no bool or fraction accepted.
+    with pytest.raises(GeometryError):
+        TreeSpace(TreeTopology((TreeEdge(*fields),)))
+
+
+def test_tree_edge_stores_its_length_as_a_float():
+    # So every offset a point of the tree carries is a float, vertex ends too.
+    tree = TreeSpace(TreeTopology((TreeEdge(0, 0, 1, 2),)))
+    end = tree.point((0, 2))
+    assert type(tree.topology.edges[0].length) is float
+    assert type(end.data[1]) is float
+    PointTuple(tree, (end,))
+
+
 def test_tree_topology_must_be_a_tree():
     with pytest.raises(GeometryError):  # cycle
         TreeTopology((TreeEdge(0, 0, 1, 1.0), TreeEdge(1, 1, 2, 1.0), TreeEdge(2, 2, 0, 1.0)))
@@ -420,6 +444,86 @@ def test_point_json_roundtrip(all_spaces, key):
         payload = json.loads(json.dumps(space.point_to_json(p)))
         assert space.point_from_json(payload) == p
         assert point_sort_key(space, p) == json.dumps(space.point_to_json(p), sort_keys=True)
+
+
+# Values whose JSON text is easy to get wrong: signed zeros, the smallest
+# subnormal and normal, where repr switches to an exponent (1e16), large
+# powers of ten, inexact fractions, and the largest finite magnitudes.
+_KEY_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e22,
+               0.1, 1 / 3, -1 / 3, 1e308, -1e308)
+
+
+def _key_points(space):
+    # Points of space built from _KEY_FLOATS, and on a tree every vertex.
+    if isinstance(space, TreeSpace):
+        pts = []
+        for e in space.topology.edges:
+            offsets = [e.length] + [v for v in _KEY_FLOATS if 0.0 <= v <= e.length]
+            pts += [space.point((e.id, v)) for v in offsets]
+        return pts
+    if isinstance(space, HyperboloidSpace):
+        return [space.point((math.hypot(1.0, v, w), v, w)) for v in _KEY_FLOATS for w in _KEY_FLOATS]
+    return [space.point(c) for c in itertools.product(_KEY_FLOATS, repeat=space.dim)]
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS + ["caterpillar-tree"])
+def test_sort_key_is_the_canonical_json_text(all_spaces, caterpillar_tree, key):
+    space = caterpillar_tree if key == "caterpillar-tree" else all_spaces[key]
+    pts = _key_points(space)
+    assert len(pts) >= 13
+    for p in pts:
+        assert point_sort_key(space, p) == json.dumps(space.point_to_json(p), sort_keys=True), p
+
+
+def test_subsets_sort_by_text_not_by_number(caterpillar_tree):
+    # Edge ids 2, 10 and 11 sort as text: 10, 11, 2.
+    pts = [caterpillar_tree.point((e, 0.3)) for e in (2, 10, 11)]
+    a = make_subset(caterpillar_tree, pts)
+    assert [p.data[0] for p in a.points] == [10, 11, 2]
+    keys = [json.dumps(caterpillar_tree.point_to_json(p), sort_keys=True) for p in a.points]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("data", [("a", "b"), (True, 0.0), (1, 0.0), (None, 0.0),
+                                  (math.nan, 0.0), (math.inf, 0.0)], ids=repr)
+def test_coordinate_points_hold_finite_floats(plane, hyper, data):
+    # Only data that point() builds gets past the boundary: text would
+    # raise TypeError in the kernels, and True would be read as 1.0.
+    for space, d in ((plane, data), (hyper, (1.0,) + data)):
+        p = Point(space.kind, d)
+        good = space.random_point(_rng(f"floats:{space.kind}"))
+        for build in (lambda: PointTuple(space, (p,)), lambda: FiniteSubset(space, (p,)),
+                      lambda: space.canonicalize(p), lambda: make_subset(space, [p]),
+                      lambda: space.distance(p, good)):
+            with pytest.raises(GeometryError):
+                build()
+
+
+@pytest.mark.parametrize("data", [(0, 1), (True, 0.5), (0.0, 0.5), [0, 0.5]], ids=repr)
+def test_tree_points_hold_an_int_edge_and_a_float_offset(star_tree, data):
+    p = Point("tree", data)
+    for build in (lambda: PointTuple(star_tree, (p,)), lambda: FiniteSubset(star_tree, (p,)),
+                  lambda: star_tree.canonicalize(p), lambda: make_subset(star_tree, [p])):
+        with pytest.raises(GeometryError):
+            build()
+
+
+def test_finite_subset_rejects_a_second_spelling_of_a_vertex(star_tree):
+    # (1, 0.0) is the hub, whose canonical form is (0, 0.0).
+    with pytest.raises(GeometryError):
+        FiniteSubset(star_tree, (Point("tree", (1, 0.0)),))
+    assert FiniteSubset(star_tree, (Point("tree", (0, 0.0)),)).points == (star_tree.point((1, 0.0)),)
+
+
+def test_tree_random_point_draws_edges_by_length(caterpillar_tree):
+    # The cumulative lengths are built once; the draws are those of
+    # rng.choices with the lengths as weights.
+    edges = caterpillar_tree.topology.edges
+    got, ref = random.Random(3), random.Random(3)
+    for _ in range(3000):
+        e = ref.choices(edges, weights=[e.length for e in edges])[0]
+        want = caterpillar_tree.point((e.id, ref.uniform(0.0, e.length)))
+        assert caterpillar_tree.random_point(got) == want
 
 
 def test_make_space_rejects_unknown_kind():

@@ -7,9 +7,11 @@ import pytest
 
 from subsetflow import (
     EuclideanSpace,
+    FiniteSubset,
     FlowConfig,
     GeometryError,
     HyperboloidSpace,
+    PointTuple,
     RetractReport,
     TreeEdge,
     TreeSpace,
@@ -17,10 +19,14 @@ from subsetflow import (
     hausdorff_distance,
     lipschitz_constant_bound,
     make_subset,
+    merge_time,
     pairwise_distances,
     retract,
+    to_set,
 )
+from subsetflow import subset_space
 from oracles import hyperboloid_distance_decimal
+from test_flow import _exact_flow_inputs, _five_leg_star
 
 # max(4 n^{3/2} + 1, 2 n^2 + sqrt(n)), evaluated once by hand
 FROZEN_CONSTANTS = {
@@ -288,6 +294,54 @@ def test_tree_retract_commutes_with_leg_permutations():
         delta = min(pairwise_distances(star, a.points))
         gap = hausdorff_distance(retract(moved(g, a), n).output, moved(g, retract(a, n).output))
         assert gap <= 1e-12 * delta, (trials, a, g)
+
+
+def _tree_retract_cases(trees):
+    # Distinct canonical sets on each tree, in _exact_flow_inputs' three
+    # families: random points, some on a vertex; n legs at one depth; mirrored
+    # pairs with the odd one out at the hub.
+    for name, tree, ns, count in trees:
+        rng = random.Random(f"treeretract:{name}")
+        for k in range(count):
+            n = rng.choice(ns)
+            a = make_subset(tree, [tree.point(d) for d in _exact_flow_inputs(tree, rng, n, k % 3)])
+            assert len(a) == n
+            yield a, n
+
+
+def test_tree_retract_is_the_set_where_the_flow_stops(star_tree, caterpillar_tree):
+    # The output is built from the distinct Points of merge_time's state,
+    # sorted, with no clustering: the subset to_set builds from that state
+    # at tolerance 0, bit for bit.  Five legs at one depth meet at the hub
+    # five at once and leave one point.
+    trees = (("star", star_tree, (2, 3), 1000), ("caterpillar", caterpillar_tree, (3, 4, 6, 8), 1000),
+             ("five-leg", _five_leg_star(), (3, 4, 5), 1000))
+    checked = five_way = 0
+    for a, n in _tree_retract_cases(trees):
+        t_star, merged = merge_time(PointTuple(a.space, a.points), FlowConfig())
+        want = to_set(merged, 0.0)
+        report = retract(a, n)
+        assert repr(report.output.points) == repr(want.points), a
+        assert report.merge_time_used == t_star
+        assert FiniteSubset(a.space, report.output.points) == report.output
+        checked += 1
+        five_way += n == 5 and len(want) == 1
+    assert checked == 3000
+    assert five_way >= 50
+
+
+def test_tree_retract_runs_no_clustering_and_no_json(star_tree, caterpillar_tree, monkeypatch):
+    trees = (("star", star_tree, (3,), 30), ("caterpillar", caterpillar_tree, (6, 8), 30),
+             ("five-leg", _five_leg_star(), (5,), 30))
+    cases = [(a, n, retract(a, n).output) for a, n in _tree_retract_cases(trees)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree retract clustered or encoded JSON")
+
+    monkeypatch.setattr(subset_space, "_clusters", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    for a, n, want in cases:
+        assert retract(a, n).output == want
 
 
 def _plane_isometry(rng):

@@ -61,6 +61,15 @@ def test_constructor_rejects_non_canonical(line):
         FiniteSubset(line, near, dedup_tolerance=1e-9)
 
 
+def test_nan_dedup_tolerance_is_rejected(line):
+    # not nan >= 0, so neither builder stores it
+    pts = (line.point((0.0,)), line.point((1.0,)))
+    with pytest.raises(GeometryError):
+        make_subset(line, pts, math.nan)
+    with pytest.raises(GeometryError):
+        FiniteSubset(line, pts, math.nan)
+
+
 @given(key=st.sampled_from(SPACE_KEYS), seed=st.integers(0, 10_000), n=st.integers(1, 6),
        tol=st.sampled_from([0.0, 1e-9, 0.05, 0.3]))
 @settings(max_examples=100, deadline=None)
@@ -80,9 +89,9 @@ def test_make_subset_output_passes_the_constructor(all_spaces, key, seed, n, tol
 
 @pytest.mark.parametrize("key", SPACE_KEYS)
 def test_to_set_of_a_shared_point_clusters_once(all_spaces, key, monkeypatch):
-    # Two slots share one point, as the pair that met does in a tree
-    # retract's output: its fold returns that point, so the one _clusters
-    # pass has compared every pair of the subset's points already.
+    # Two slots share one point, as the pair that met does after merge_time:
+    # its fold returns that point, so the one _clusters pass has compared
+    # every pair of the subset's points already.
     space = all_spaces[key]
     rng = random.Random(f"shared:{key}")
     p, q = space.random_point(rng), space.random_point(rng)
