@@ -29,10 +29,13 @@ from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
                        _check_count, _gaps)
-from .subset_space import PointTuple, product_distance
+from .subset_space import PointTuple, _built, product_distance
 
 # Fraction of the guaranteed merge horizon the march may overshoot before
-# the closest pair is snapped together by force.
+# the closest pair is snapped together by force.  The march has
+# int(k * (1 + MERGE_SLACK)) sweeps of step delta/(2k), which is k itself
+# for every k < 1000: at the default k = 256 no sweep runs past the half-gap
+# horizon before the snap, and the slack only loosens the stated bound.
 MERGE_SLACK = 1e-3
 
 # Below this fraction of the space's scale, a step of size lam may round by
@@ -155,7 +158,7 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
         if p is None:
             p = made[id(d)] = Point(kind, d)
         coords.append(p)
-    return PointTuple(x.space, tuple(coords))
+    return _built(PointTuple, space=x.space, coords=tuple(coords))
 
 
 def sweep(x: PointTuple, lam: float) -> PointTuple:
@@ -285,8 +288,11 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     starting min gap, together with the state there.  The march never runs
     past half the starting gap (plus a small slack): if nothing has merged
     by then, the closest pair is snapped to its midpoint, so the returned
-    time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.  A tuple
-    with a pairwise distance that is not finite is rejected.
+    time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.  The march
+    has ``int(sweeps_per_run * (1 + MERGE_SLACK))`` sweeps, which is
+    ``sweeps_per_run`` itself below 1000 sweeps, so at the default 256 the
+    snap follows the last sweep of the half-gap horizon with no extra sweep.
+    A tuple with a pairwise distance that is not finite is rejected.
 
     The gaps are measured after a sweep only where one may have merged.  A
     sweep steps each coordinate in n-1 pair steps of at most lam each, so
@@ -572,4 +578,5 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
         p = space.point(u[bi])
         for idx in block:
             out[idx] = p
-    return PointTuple(space, tuple(out))
+    # space.point has checked each point it built.
+    return _built(PointTuple, space=space, coords=tuple(out))

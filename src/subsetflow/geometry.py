@@ -13,7 +13,11 @@ A backend supplies ``_check_point(p)``, which admits only data that its
 pair on a tree): ``_gap(pd, qd)``, the distance, and
 ``_interp(pd, qd, t, d)``, the point at fraction t from pd to qd, d being
 their ``_gap``.  The kernels skip the check, because the flow passes them
-the data of a ``PointTuple``, checked once when it was built.  Each backend
+the data of a ``PointTuple``, checked once, where its points entered the
+library, and a kernel builds from admitted data only data the check
+admits.  Outside numbers enter through ``point()``, which reads an ``int``
+or ``float`` that is not a ``bool`` (``_real``) and refuses anything else
+as a ``GeometryError``.  Each backend
 binds in its class body what this module writes once from those:
 ``distance = _distance`` and ``geodesic_point = _geodesic_point``, which
 check each point (its kind; its coordinate count, or on a tree its edge and
@@ -108,11 +112,20 @@ def _check_count(what: str, k, least: int) -> None:
         raise GeometryError(f"{what} must be an integer >= {least}, got {k!r}")
 
 
+def _real(v) -> bool:
+    # What an outside number must be: an int or a float, and no bool, which
+    # is an int to isinstance; text such as "1.5" is no number either.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _coordinates(coords, count: int) -> tuple:
     """Exactly count finite floats; malformed input is a GeometryError."""
     try:
-        data = tuple(float(c) for c in coords)
-    except (TypeError, ValueError, OverflowError) as exc:
+        items = tuple(coords)
+        if not all(_real(c) for c in items):
+            raise TypeError("not a real number")
+        data = tuple(map(float, items))
+    except (TypeError, OverflowError) as exc:
         raise GeometryError(f"coordinates must be numbers, got {coords!r}") from exc
     if len(data) != count:
         raise GeometryError(f"expected {count} coordinates, got {len(data)}")
@@ -125,11 +138,12 @@ _OFF_SHEET = "interpolation left the hyperboloid sheet"
 
 
 def _project(raw: list) -> tuple:
-    # Rescale a blend of hyperboloid points back onto the sheet.
+    # Rescale a blend of hyperboloid points back onto the sheet.  Where
+    # raw[0]**2 overflows, s can be inf - inf = NaN, which is refused too.
     s = raw[0] * raw[0]
     for c in raw[1:]:
         s -= c * c
-    if s <= 0.0 or raw[0] <= 0.0:
+    if not s > 0.0 or raw[0] <= 0.0:
         raise GeometryError(_OFF_SHEET)
     inv = 1.0 / math.sqrt(s)
     return tuple([c * inv for c in raw])
@@ -490,8 +504,8 @@ class HyperboloidSpace(_CoordinateSpace):
     # The pair step, _step inlined with every float operation in its
     # order.  The midpoint's weights are one number: sinh((1.0 - 0.5) * d)
     # is sinh(0.5 * d).  u is the blend toward b, v the one toward a, each
-    # projected as _project does.  md <= 0.0 is tested as _gap tests it, so
-    # a NaN md gives a NaN d, whose step raises in _check_t.
+    # projected as _project does, a NaN n2 refused.  md <= 0.0 is tested as
+    # _gap tests it, so a NaN md gives a NaN d, whose step raises in _check_t.
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -510,7 +524,7 @@ class HyperboloidSpace(_CoordinateSpace):
                     w = sinh(0.5 * d) / sinh(d)
                     {mid_sinh}
                 n2 = u0 * u0; {norm_u}
-                if n2 <= 0.0 or u0 <= 0.0:
+                if not n2 > 0.0 or u0 <= 0.0:
                     raise GeometryError(_OFF_SHEET)
                 inv = 1.0 / sqrt(n2)
                 {mid}
@@ -525,12 +539,12 @@ class HyperboloidSpace(_CoordinateSpace):
                         wq = sinh(s * d) / sh
                         {fwd_sinh}
                     n2 = u0 * u0; {norm_u}
-                    if n2 <= 0.0 or u0 <= 0.0:
+                    if not n2 > 0.0 or u0 <= 0.0:
                         raise GeometryError(_OFF_SHEET)
                     inv = 1.0 / sqrt(n2)
                     {fwd_a}
                     n2 = v0 * v0; {norm_v}
-                    if n2 <= 0.0 or v0 <= 0.0:
+                    if not n2 > 0.0 or v0 <= 0.0:
                         raise GeometryError(_OFF_SHEET)
                     inv = 1.0 / sqrt(n2)
                     {fwd_b}
@@ -576,8 +590,7 @@ class TreeEdge:
         if self.from_node == self.to_node:
             raise GeometryError(f"edge {self.id} is a self-loop")
         length = self.length
-        if (isinstance(length, bool) or not isinstance(length, (int, float))
-                or not 0.0 < length <= sys.float_info.max):
+        if not _real(length) or not 0.0 < length <= sys.float_info.max:
             raise GeometryError(f"edge {self.id} needs a positive finite length, got {length!r}")
         object.__setattr__(self, "length", float(length))
 
@@ -636,7 +649,9 @@ class TreeTopology:
         for item in obj:
             try:
                 ids = (item["id"], item["from"], item["to"])
-                fields = [int(v) for v in ids] + [float(item["length"])]
+                # The length goes to TreeEdge as it is, which refuses all but
+                # a real number: float() would read "1.0" and True as 1.0.
+                fields = [int(v) for v in ids] + [item["length"]]
                 # int() alone would truncate 0.5 to 0 and read True as 1.
                 if any(isinstance(v, bool) or v != f for v, f in zip(ids, fields)):
                     raise ValueError("edge ids and nodes must be integers")
@@ -714,10 +729,13 @@ class TreeSpace:
             edge_id, offset = place
         except (TypeError, ValueError) as exc:
             raise GeometryError("tree point is an (edge_id, offset) pair") from exc
+        # An integral float id such as 1.0 finds edge 1, as from_json reads it.
         try:
+            if not (_real(edge_id) and _real(offset)):
+                raise TypeError("not a real number")
             edge = self._edge_by_id.get(edge_id)
             offset = float(offset)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise GeometryError(f"malformed tree point {place!r}") from exc
         if edge is None:
             raise GeometryError(f"unknown edge id {edge_id!r}")

@@ -51,10 +51,11 @@ def _points_from_json(obj, what: str, field: str):
 class PointTuple:
     """Ordered tuple of points, an element of the product space.
 
-    Construction checks every coordinate once (``space._check_point``: its
+    The constructor checks every coordinate (``space._check_point``: its
     kind; its coordinate count, or on a tree its edge and offset); the flow
     kernels and the helpers below that take a tuple or subset rely on that
-    check.
+    check.  It is the way in for outside points; a tuple the library builds
+    from checked points is not checked again.
     """
 
     space: SpaceDescriptor
@@ -92,6 +93,8 @@ class FiniteSubset:
     Build instances with :func:`make_subset` (or :func:`to_set`), which merge
     near-duplicates; the constructor itself rejects non-canonical input,
     a tree vertex given on another edge than its canonical one included.
+    Both check each point once, where it enters; a subset the library
+    builds from checked points is not checked again.
     """
 
     space: SpaceDescriptor
@@ -115,22 +118,6 @@ class FiniteSubset:
             raise GeometryError("points closer than the dedup tolerance; use make_subset")
         object.__setattr__(self, "points", points)
 
-    @classmethod
-    def _sorted(cls, space: SpaceDescriptor, points: tuple[Point, ...],
-                dedup_tolerance: float) -> "FiniteSubset":
-        # make_subset's and a tree retract's way in, past the constructor's
-        # checks, which they have made already.  make_subset checked each
-        # point (canonicalize), found every pair more than dedup_tolerance
-        # apart (its last _clusters pass, whose seeds are the points) and
-        # sorted the points by their sort keys.  A tree retract passes the
-        # distinct canonical points where the exact flow stopped, sorted,
-        # with dedup_tolerance 0: distinct canonical tree data are apart.
-        out = cls.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "points", points)
-        object.__setattr__(out, "dedup_tolerance", dedup_tolerance)
-        return out
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -144,6 +131,21 @@ class FiniteSubset:
     def from_json(obj) -> "FiniteSubset":
         space, points = _points_from_json(obj, "subset", "points")
         return make_subset(space, points, 0.0)
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, past its checks.
+
+    For a ``PointTuple`` or ``FiniteSubset`` built from points that were
+    checked where they entered: the constructor would check each again.
+    The caller vouches for what the constructor checks, so a subset's points
+    must be canonical, sorted by sort key and more than its
+    ``dedup_tolerance`` apart.
+    """
+    out = cls.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _by_sort_key(space: SpaceDescriptor, pts) -> tuple[Point, ...]:
@@ -187,7 +189,8 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     clustering runs on the distance kernel over the checked data, and stops
     after a pass whose folds all returned their cluster's first point.  That
     pass found every pair of those points more than ``dedup_tolerance``
-    apart, so the subset is built without the constructor's checks.
+    apart, so the subset is built without the constructor's checks.  The folds call the public ``geodesic_point``, whose shortcuts
+    for equal points and for t at 0 or 1 are part of what a fold returns.
     """
     pts = [space.canonicalize(p) for p in points]
     if not pts:
@@ -209,7 +212,8 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
         pts = merged
         if done:
             break
-    return FiniteSubset._sorted(space, _by_sort_key(space, pts), dedup_tolerance)
+    return _built(FiniteSubset, space=space, points=_by_sort_key(space, pts),
+                  dedup_tolerance=dedup_tolerance)
 
 
 def _check_same_space(a, b) -> None:
@@ -279,4 +283,4 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
         rest = [p for k, p in enumerate(pts) if k not in (i, j)]
         pts = first + rest
     coords = pts + [pts[-1]] * (pad_to - len(pts))
-    return PointTuple(a.space, tuple(coords))
+    return _built(PointTuple, space=a.space, coords=tuple(coords))

@@ -15,6 +15,7 @@ from .geometry import GeometryError, SpaceDescriptor, _check_count
 from .subset_space import (
     FiniteSubset,
     PointTuple,
+    _built,
     hausdorff_distance,
     make_subset,
     max_spread,
@@ -51,6 +52,10 @@ SPREAD_SLACK = 1.01
 ATTAINMENT_TOL = 1e-6
 RESOLVENT_INEQ_TOL = 1e-7
 ORACLE_AGREEMENT_TOL = 1e-4
+
+# Least distance between the coordinates of a sampled tuple; halved each
+# time 200 n draws in a row fail to keep it.
+SAMPLE_MIN_SEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -131,27 +136,30 @@ def _rng(seed: int, label: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{index}")
 
 
-def sample_tuple(space: SpaceDescriptor, n: int, rng: random.Random,
-                 min_sep: float = 1e-3) -> PointTuple:
-    """Random tuple with pairwise separated coordinates."""
-    sep = min_sep
+def sample_tuple(space: SpaceDescriptor, n: int, rng: random.Random) -> PointTuple:
+    """Random tuple with pairwise separated coordinates.
+
+    ``random_point`` builds only points the space's check admits, so their
+    distances are taken by the kernel and the tuple is built unchecked.
+    """
+    sep = SAMPLE_MIN_SEP
+    gap = space._gap
     pts = []
     attempts = 0
     while len(pts) < n:
         cand = space.random_point(rng)
-        if all(space.distance(cand, p) > sep for p in pts):
+        if all(gap(cand.data, p.data) > sep for p in pts):
             pts.append(cand)
         attempts += 1
         if attempts > 200 * n:
             sep *= 0.5  # crowded space; relax rather than loop forever
             attempts = 0
-    return PointTuple(space, tuple(pts))
+    return _built(PointTuple, space=space, coords=tuple(pts))
 
 
-def sample_subset(space: SpaceDescriptor, n: int, rng: random.Random,
-                  min_sep: float = 1e-3) -> FiniteSubset:
+def sample_subset(space: SpaceDescriptor, n: int, rng: random.Random) -> FiniteSubset:
     """Random subset of exactly n points."""
-    return to_set(sample_tuple(space, n, rng, min_sep), 0.0)
+    return to_set(sample_tuple(space, n, rng), 0.0)
 
 
 def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
@@ -327,7 +335,7 @@ def check_objective_convexity(space: SpaceDescriptor, n: int, seed: int, trials:
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
         t = rng.random()
-        mid = PointTuple(space, tuple(
+        mid = _built(PointTuple, space=space, coords=tuple(
             space.geodesic_point(p, q, t) for p, q in zip(x.coords, y.coords)
         ))
         bound = (1.0 - t) * sum_pairwise_distances(x) + t * sum_pairwise_distances(y)
@@ -437,7 +445,7 @@ def check_permutation_limit(space: SpaceDescriptor, n: int, seed: int, trials: i
         x = sample_tuple(space, n, rng)
         perm = list(range(n))
         rng.shuffle(perm)
-        y = PointTuple(space, tuple(x.coords[p] for p in perm))
+        y = _built(PointTuple, space=space, coords=tuple(x.coords[p] for p in perm))
         t = 0.25 * min_gap(x)
         return [hausdorff_distance(to_set(splitting_flow(x, t, k), 0.0),
                                    to_set(splitting_flow(y, t, k), 0.0))

@@ -1,0 +1,246 @@
+"""Points are checked once, where they enter the library, and never again inside it.
+
+The public constructors (``PointTuple``, ``FiniteSubset``), ``make_subset``
+and ``to_set``, and a space's ``point()`` are the boundary.  What the library
+builds from points it holds checked (the flow's results, ``order_tuple``'s
+tuple, a tree retract's input tuple and output set, the sampled tuples) is
+built past the constructors' checks, so it must be what they would accept.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from subsetflow import (
+    FiniteSubset,
+    FlowConfig,
+    GeometryError,
+    HyperboloidSpace,
+    PointTuple,
+    TreeSpace,
+    TreeTopology,
+    flow_adaptive,
+    full_resolvent_oracle,
+    make_subset,
+    merge_time,
+    min_gap,
+    order_tuple,
+    pair_resolvent,
+    retract,
+    splitting_flow,
+    sweep,
+)
+from subsetflow import retraction
+from subsetflow.cli import main
+from subsetflow.flow import oracle_supports
+from subsetflow.verify import sample_subset, sample_tuple
+
+SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
+CFG = FlowConfig(sweeps_per_run=32, max_doublings=2)
+
+
+def _rng(label):
+    return random.Random(f"boundary:{label}")
+
+
+def _count_checks(monkeypatch, space):
+    """The list each _check_point call of space's class appends to: whether
+    it ran inside retraction.to_set."""
+    calls = []
+    inside = [False]
+    check = type(space)._check_point
+    monkeypatch.setattr(type(space), "_check_point",
+                        lambda self, p: calls.append(inside[0]) or check(self, p))
+    to_set = retraction.to_set
+
+    def counted_to_set(*args):
+        inside[0] = True
+        try:
+            return to_set(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(retraction, "to_set", counted_to_set)
+    return calls
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
+    space = all_spaces[key]
+    rng = _rng(f"count:{key}")
+    cases = []
+    for i in range(40):
+        n = 2 + i % 4
+        cases.append((n, sample_subset(space, n, rng), sample_tuple(space, n, rng)))
+    calls = _count_checks(monkeypatch, space)
+    for n, a, x in cases:
+        t = 0.25 * min_gap(x)
+        for run in (lambda: order_tuple(a, n + 1), lambda: merge_time(x, CFG),
+                    lambda: splitting_flow(x, t, 8), lambda: sweep(x, t / 8),
+                    lambda: pair_resolvent(x, 0, n - 1, t), lambda: flow_adaptive(x, t, CFG)):
+            run()
+            assert calls == []
+        retract(a, n, CFG)
+        if isinstance(space, TreeSpace):
+            # set in, set out: no to_set, and no check
+            assert calls == []
+        else:
+            # only to_set checks, where a tuple becomes a set
+            assert calls and all(calls)
+            calls.clear()
+
+
+def _adversarial_sets(space, rng):
+    """Point lists: random, at scales 1e-6 and 1e3, far from the hyperboloid's
+    apex (up to 7.9), on tree vertices and next to them, and at one depth on
+    legs of a star, which the flow takes to the hub together."""
+    if isinstance(space, TreeSpace):
+        edges = space.topology.edges
+        legs = [e for e in edges if e.from_node == edges[0].from_node]
+        shortest = min(e.length for e in legs)
+        for k in range(2, len(legs) + 1):
+            for depth in (0.5, 1e-6, rng.uniform(0.0, 1.0)):
+                yield [space.point((e.id, depth * shortest)) for e in legs[:k]]
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            pts = []
+            for _ in range(n):
+                e = rng.choice(edges)
+                offset = rng.choice((0.0, e.length, rng.uniform(0.0, e.length),
+                                     min(1e-6 * rng.random(), e.length),
+                                     e.length - 1e-6 * rng.random()))
+                pts.append(space.point((e.id, offset)))
+            yield pts
+        return
+    for scale in (1.0, 1e-6, 1e3):
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            if isinstance(space, HyperboloidSpace):
+                # the radius scale is capped at 7.9, where cosh is about 1350
+                radius = min(scale, 7.9)
+                pts = []
+                for _ in range(n):
+                    r, th = radius * rng.random(), rng.uniform(0.0, 2.0 * math.pi)
+                    pts.append(space.point((math.cosh(r), math.sinh(r) * math.cos(th),
+                                            math.sinh(r) * math.sin(th))))
+            else:
+                pts = [space.point([scale * rng.gauss(0.0, 1.0) for _ in range(space.dim)])
+                       for _ in range(n)]
+            yield pts
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_every_built_value_passes_the_public_constructors(all_spaces, key):
+    space = all_spaces[key]
+    rng = _rng(f"built:{key}")
+    seen = 0
+    for pts in _adversarial_sets(space, rng):
+        a = make_subset(space, pts, 0.0)
+        n = len(a)
+        if n < 2:
+            continue
+        seen += 1
+        x = order_tuple(a, n + rng.randint(0, 1))
+        t = 0.25 * min_gap(order_tuple(a, n))
+        tuples = [x, merge_time(x, CFG)[1], splitting_flow(x, t, 8), sweep(x, t / 8),
+                  pair_resolvent(x, 0, 1, t), flow_adaptive(x, t, CFG).final,
+                  sample_tuple(space, n, rng)]
+        if oracle_supports(space, len(x)):
+            tuples.append(full_resolvent_oracle(x, t))
+        for out in tuples:
+            assert PointTuple(space, out.coords) == out
+        for m in (n, n + 1):
+            r = retract(a, m, CFG)
+            assert FiniteSubset(space, r.output.points, r.output.dedup_tolerance) == r.output
+            assert r.output.points == FiniteSubset(space, r.output.points).points
+        s = sample_subset(space, n, rng)
+        assert FiniteSubset(space, s.points) == s
+    assert seen >= 30
+
+
+# ---------------------------------------------------------------------------
+# outside numbers: an int or a float that is not a bool, else a GeometryError
+
+STAR_EDGES = [{"id": 0, "from": 0, "to": 1, "length": 1.0},
+              {"id": 1, "from": 0, "to": 2, "length": 1.0}]
+
+
+@pytest.mark.parametrize("coords", [[True], ["1.5"], [False], ["nan"]])
+def test_a_coordinate_is_a_real_number(line, hyper, coords):
+    with pytest.raises(GeometryError):
+        line.point(coords)
+    with pytest.raises(GeometryError):
+        line.point_from_json(coords)
+    with pytest.raises(GeometryError):
+        hyper.point(coords * 3)
+    with pytest.raises(GeometryError):
+        FiniteSubset.from_json({"space": line.to_json(), "points": [coords, [0.0]]})
+
+
+@pytest.mark.parametrize("place", [{"edge": True, "offset": 0.5}, {"edge": 0, "offset": "0.5"},
+                                   {"edge": 0, "offset": True}, {"edge": "0", "offset": 0.5},
+                                   {"edge": False, "offset": 0.5}])
+def test_a_tree_point_holds_real_numbers(star_tree, place):
+    with pytest.raises(GeometryError):
+        star_tree.point_from_json(place)
+    with pytest.raises(GeometryError):
+        star_tree.point((place["edge"], place["offset"]))
+    with pytest.raises(GeometryError):
+        PointTuple.from_json({"space": star_tree.to_json(),
+                              "coords": [place, {"edge": 2, "offset": 1.2}]})
+
+
+@pytest.mark.parametrize("length", ["1.0", True, "long", None])
+def test_a_tree_edge_length_is_a_real_number(length):
+    edges = [dict(STAR_EDGES[0], length=length), STAR_EDGES[1]]
+    with pytest.raises(GeometryError):
+        TreeTopology.from_json(edges)
+
+
+def test_integral_numbers_still_read(plane, star_tree):
+    # An int coordinate reads as its float, and an integral float edge id
+    # such as 1.0 as that edge, as TreeTopology.from_json reads ids.
+    p = plane.point((1, -2))
+    assert p.data == (1.0, -2.0) and all(type(c) is float for c in p.data)
+    assert star_tree.point((1.0, 0.5)) == star_tree.point((1, 0.5))
+    assert star_tree.point_from_json({"edge": 2, "offset": 1}).data == (2, 1.0)
+    topo = TreeTopology.from_json([dict(STAR_EDGES[0], length=2), STAR_EDGES[1]])
+    assert topo.edges[0].length == 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["retract", "--space", "euclidean:1", "--set", "[[true],[0.0]]", "--n", "2"],
+    ["retract", "--space", "euclidean:1", "--set", '[["1.5"],[0.0]]', "--n", "2"],
+    ["merge-time", "--set", '[{"edge": true, "offset": 0.5}, {"edge": 0, "offset": 0.2}]'],
+    ["merge-time", "--set", '[{"edge": 0, "offset": "0.5"}, {"edge": 1, "offset": 0.2}]'],
+    ["merge-time", "--set", '[{"edge": 0, "offset": 0.5}, {"edge": 1, "offset": 0.2}]',
+     "length-text"],
+    ["merge-time", "--set", '[{"edge": 0, "offset": 0.5}, {"edge": 1, "offset": 0.2}]',
+     "length-bool"],
+], ids=["true-coordinate", "text-coordinate", "true-edge", "text-offset", "text-length",
+        "true-length"])
+def test_the_command_line_refuses_numbers_that_are_not_real(argv, tmp_path, capsys):
+    if argv[0] == "merge-time":
+        edges = [dict(e) for e in STAR_EDGES]
+        if argv[-1].startswith("length-"):
+            edges[0]["length"] = "1.0" if argv.pop() == "length-text" else True
+        space_file = tmp_path / "star.json"
+        space_file.write_text(json.dumps({"kind": "tree", "edges": edges}))
+        argv = argv + ["--space-file", str(space_file)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_a_flow_far_out_on_the_hyperboloid_refuses_to_leave_the_sheet(hyper):
+    # cosh 700 is admitted, but its square overflows: a blend's norm reads
+    # inf - inf = NaN, which must raise as any other point off the sheet.
+    ch, sh = math.cosh(700.0), math.sinh(700.0)
+    x = PointTuple(hyper, [hyper.point((ch, sh, 0.0)), hyper.point((ch, sh, 1.0))])
+    assert math.isfinite(hyper.distance(*x.coords))
+    for run in (lambda: merge_time(x, CFG), lambda: splitting_flow(x, 0.3, 4),
+                lambda: sweep(x, 0.3), lambda: pair_resolvent(x, 0, 1, 0.3)):
+        with pytest.raises(GeometryError):
+            run()
