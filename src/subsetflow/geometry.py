@@ -29,7 +29,7 @@ as a bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
 On the coordinate backends ``_scale(data)`` bounds the magnitude of every
 coordinate that a flow from that data works with; the merge march
 compares its step size to it to tell when rounding may be as large as a
-step.  A tree has no march: ``merge_time`` calls its
+step.  A tree's merge does not march: ``merge_time`` calls its
 ``_first_collision(data, gaps)``, the exact flow to the first collision,
 whose first event reuses the gaps ``merge_time`` measured.  The tree
 kernels read one table per edge id (its ends, its length and both ends'
@@ -42,9 +42,11 @@ Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
 decides how a march runs.  The reference march, ``_pair_march``, calls
-``_step`` pair by pair, and a tree's ``_march`` is that function.  A
-coordinate backend writes its pair step once, as a template with ``_step``
-inlined, and one generator builds its march from it: unrolled per dimension
+``_step`` pair by pair.  A tree's ``_march`` is its own method, with
+``_step`` inlined in one pass per pair step, and shares with ``_interp`` the
+walk past an edge's end (``_walk``).  A coordinate backend writes its pair
+step once, as a template with ``_step`` inlined, and one generator builds
+its march from it: unrolled per dimension
 and tuple size, with every coordinate in a local for the whole march, while
 the source fits under ``_MARCH_MAX_SOURCE`` characters, else looped over
 the pairs per dimension, else ``_pair_march``.  Every march keeps
@@ -677,7 +679,9 @@ class TreeSpace:
     lacks.  ``_gap`` returns the least endpoint pairing's length without
     building a route, ``_interp`` walks the one ``_route`` picks, and
     ``_motions`` reads each slot's edge ends once per event and one
-    ``_next_edge`` row per point.
+    ``_next_edge`` row per point.  ``_march`` is ``_pair_march`` with
+    ``_step`` inlined: it routes each pair from the two slots' table rows,
+    and, like ``_interp``, leaves a walk past an edge's end to ``_walk``.
     """
 
     topology: TreeTopology
@@ -777,7 +781,6 @@ class TreeSpace:
     distance = _distance
     geodesic_point = _geodesic_point
     _step = _pair_step
-    _march = _pair_march
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
         # _route(pd, qd)[0] without a route: the least of the four endpoint
@@ -831,17 +834,139 @@ class TreeSpace:
         if s <= ra:
             a = self._edge_by_id[e1]
             off = o1 - s if u == a.from_node else o1 + s
-            return self._place(a, min(max(off, 0.0), a.length))
-        # Walk on from the exit node u toward nb, where the route enters qd's edge.
-        s -= ra
+            # Comparisons, not min(max(off, 0.0), a.length), with its bits.
+            if off < 0.0:
+                off = 0.0
+            elif off > a.length:
+                off = a.length
+            return self._place(a, off)
+        return self._walk(u, nb, s - ra, qd)
+
+    def _walk(self, u: int, nb: int, s: float, qd: tuple) -> tuple:
+        # The point s on from node u along the route to qd, which enters qd's
+        # edge at its node nb; on that edge it stops at qd.  The comparisons
+        # give min(s, o2) and max(length - s, o2), bit for bit.
         while u != nb:
             e = self._next_edge[u][nb]
             if s < e.length:
                 return self._place(e, s if u == e.from_node else e.length - s)
             s -= e.length
             u = e.other(u)
+        e2, o2 = qd
         b = self._edge_by_id[e2]
-        return self._place(b, min(s, o2) if nb == b.from_node else max(b.length - s, o2))
+        if nb == b.from_node:
+            off = o2 if o2 < s else s
+        else:
+            off = b.length - s
+            if o2 > off:
+                off = o2
+        return self._place(b, off)
+
+    def _march(self, coords: list[tuple], lam: float, sweeps: int,
+               watch: float) -> tuple[int, float]:
+        # _pair_march with _step inlined, one pass per pair step, bit for bit.
+        # Each slot's table row is read once; the forward route's length is
+        # d, which is _gap's (see _route), and the way back is routed only for
+        # a pair that moves apart, summed in its own order.  A step that
+        # stays on its own edge is clamped by comparisons and placed here; a
+        # step past its edge's end is _walk's.
+        table, edge_by_id, place, walk = self._table, self._edge_by_id, self._place, self._walk
+        lam2 = 2.0 * lam
+        for done in range(1, sweeps + 1):
+            low = math.inf
+            for j in range(1, len(coords)):
+                for i in range(j):
+                    pd = coords[i]
+                    qd = coords[j]
+                    if pd == qd:
+                        low = 0.0
+                        continue
+                    e1, o1 = pd
+                    e2, o2 = qd
+                    if e1 == e2:
+                        d = abs(o1 - o2)
+                        if d < low:
+                            low = d
+                        length = table[e1][2]
+                        if d <= lam2:
+                            off = o1 + 0.5 * (o2 - o1)
+                            coords[i] = coords[j] = (
+                                (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off))
+                            continue
+                        s = lam / d
+                        if not s > 0.0:
+                            _check_t(s)
+                            continue
+                        off = o1 + s * (o2 - o1)
+                        coords[i] = (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off)
+                        off = o2 + s * (o1 - o2)
+                        coords[j] = (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off)
+                        continue
+                    # _route(pd, qd): its length d, the leg to the exit node u,
+                    # and nb, where it enters qd's edge.
+                    a1, b1, l1, row_a1, row_b1 = table[e1]
+                    a2, b2, l2, row_a2, row_b2 = table[e2]
+                    r1 = l1 - o1
+                    r2 = l2 - o2
+                    d = o1 + row_a1[a2] + o2
+                    leg, u, nb = o1, a1, a2
+                    x = o1 + row_a1[b2] + r2
+                    if x < d:
+                        d, nb = x, b2
+                    x = r1 + row_b1[a2] + o2
+                    if x < d:
+                        d, leg, u, nb = x, r1, b1, a2
+                    x = r1 + row_b1[b2] + r2
+                    if x < d:
+                        d, leg, u, nb = x, r1, b1, b2
+                    if d < low:
+                        low = d
+                    if d <= lam2:
+                        step = 0.5 * d
+                    else:
+                        s = lam / d
+                        if not s > 0.0:
+                            _check_t(s)
+                            continue
+                        step = s * d
+                    if step <= leg:
+                        off = o1 - step if u == a1 else o1 + step
+                        if off < 0.0:
+                            off = 0.0
+                        elif off > l1:
+                            off = l1
+                        new = (e1, off) if 0.0 < off < l1 else place(edge_by_id[e1], off)
+                    else:
+                        new = walk(u, nb, step - leg, qd)
+                    if d <= lam2:
+                        coords[i] = coords[j] = new
+                        continue
+                    coords[i] = new
+                    # _route(qd, pd), the way back.
+                    d = o2 + row_a2[a1] + o1
+                    leg, u, nb = o2, a2, a1
+                    x = o2 + row_a2[b1] + r1
+                    if x < d:
+                        d, nb = x, b1
+                    x = r2 + row_b2[a1] + o1
+                    if x < d:
+                        d, leg, u, nb = x, r2, b2, a1
+                    x = r2 + row_b2[b1] + r1
+                    if x < d:
+                        d, leg, u, nb = x, r2, b2, b1
+                    step = s * d
+                    if step <= leg:
+                        off = o2 - step if u == a2 else o2 + step
+                        if off < 0.0:
+                            off = 0.0
+                        elif off > l2:
+                            off = l2
+                        coords[j] = (e2, off) if 0.0 < off < l2 else place(edge_by_id[e2], off)
+                    else:
+                        coords[j] = walk(u, nb, step - leg, pd)
+            if low <= watch:
+                break
+        return done, low
 
     def _motions(self, data: list[tuple]) -> list[tuple | None]:
         # How each point of data moves until the next event of the exact
@@ -932,7 +1057,12 @@ class TreeSpace:
                 if arrivals[i] == h:
                     o = edge.length if sign > 0.0 else 0.0
                 else:
-                    o = min(max(o + sign * speed * h, 0.0), edge.length)
+                    # Comparisons, not min(max(o, 0.0), edge.length), with its bits.
+                    o += sign * speed * h
+                    if o < 0.0:
+                        o = 0.0
+                    elif o > edge.length:
+                        o = edge.length
                 data[i] = self._place(edge, o)
             t += h
             hits = [pair for pair, tc in zip(pairs, meets) if tc == h]

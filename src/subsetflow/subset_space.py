@@ -80,8 +80,9 @@ class PointTuple:
 
     @staticmethod
     def from_json(obj) -> "PointTuple":
+        # point_from_json has checked each point.
         space, coords = _points_from_json(obj, "tuple", "coords")
-        return PointTuple(space, tuple(coords))
+        return _built(PointTuple, space=space, coords=tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ class FiniteSubset:
 
     @staticmethod
     def from_json(obj) -> "FiniteSubset":
+        # point_from_json has checked each point, and built it canonical.
         space, points = _points_from_json(obj, "subset", "points")
-        return make_subset(space, points, 0.0)
+        return _merge(space, points, 0.0)
 
 
 def _built(cls, **fields):
@@ -185,20 +187,29 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     Points within ``dedup_tolerance`` of each other (by chained single
     linkage) are replaced by one representative, built by folding the
     cluster through pairwise geodesic midpoints in discovery order.  Each
-    point is checked once, on entry (``space.canonicalize``), and the
-    clustering runs on the distance kernel over the checked data, and stops
-    after a pass whose folds all returned their cluster's first point.  That
-    pass found every pair of those points more than ``dedup_tolerance``
-    apart, so the subset is built without the constructor's checks.  The folds call the public ``geodesic_point``, whose shortcuts
-    for equal points and for t at 0 or 1 are part of what a fold returns.
+    point is checked once, on entry (``space.canonicalize``); the merge
+    (``_merge``) runs on the checked points.
     """
     pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise GeometryError("a finite subset needs at least one point")
     if not dedup_tolerance >= 0.0:  # NaN too
         raise GeometryError(f"dedup tolerance must be >= 0, got {dedup_tolerance!r}")
+    return _merge(space, pts, dedup_tolerance)
+
+
+def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset:
+    """The subset of checked, canonical points pts, merged within tol >= 0.
+
+    The clustering runs on the distance kernel over the points' data, and
+    stops after a pass whose folds all returned their cluster's first point.
+    That pass found every pair of those points more than tol apart, so the
+    subset is built without the constructor's checks.  The folds call the
+    public ``geodesic_point``, whose shortcuts for equal points and for t at
+    0 or 1 are part of what a fold returns.
+    """
     while True:
-        clusters = _clusters(space, [p.data for p in pts], dedup_tolerance)
+        clusters = _clusters(space, [p.data for p in pts], tol)
         merged = []
         for cluster in clusters:
             rep = pts[cluster[0]]
@@ -212,8 +223,7 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
         pts = merged
         if done:
             break
-    return _built(FiniteSubset, space=space, points=_by_sort_key(space, pts),
-                  dedup_tolerance=dedup_tolerance)
+    return _built(FiniteSubset, space=space, points=_by_sort_key(space, pts), dedup_tolerance=tol)
 
 
 def _check_same_space(a, b) -> None:
@@ -242,8 +252,13 @@ def product_distance(x: PointTuple, y: PointTuple) -> float:
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
     gap = x.space._gap
     # Summed left to right: the builtin sum rounds differently from Python 3.12 on.
-    return math.sqrt(functools.reduce(
-        operator.add, (gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)), 0.0))
+    # A float's ** raises OverflowError past the float range, where the
+    # distance is inf; x * x would round some finite squares differently.
+    try:
+        return math.sqrt(functools.reduce(
+            operator.add, (gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)), 0.0))
+    except OverflowError:
+        return math.inf
 
 
 def min_gap(x: PointTuple) -> float:

@@ -19,6 +19,7 @@ from subsetflow import (
     GeometryError,
     HyperboloidSpace,
     PointTuple,
+    TreeEdge,
     TreeSpace,
     TreeTopology,
     flow_adaptive,
@@ -28,6 +29,7 @@ from subsetflow import (
     min_gap,
     order_tuple,
     pair_resolvent,
+    product_distance,
     retract,
     splitting_flow,
     sweep,
@@ -82,6 +84,10 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
                     lambda: pair_resolvent(x, 0, n - 1, t), lambda: flow_adaptive(x, t, CFG)):
             run()
             assert calls == []
+        # point() checks each point as it reads it, and nothing checks it again
+        assert PointTuple.from_json(x.to_json()) == x
+        assert FiniteSubset.from_json(a.to_json()) == a
+        assert calls == []
         retract(a, n, CFG)
         if isinstance(space, TreeSpace):
             # set in, set out: no to_set, and no check
@@ -234,6 +240,23 @@ def test_the_command_line_refuses_numbers_that_are_not_real(argv, tmp_path, caps
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, field", [("flow", "coords"), ("retract", "points")])
+@pytest.mark.parametrize("space, points", [
+    ({"kind": "euclidean", "dim": 2}, [[0.0, 1.0], [2.0]]),
+    ({"kind": "euclidean", "dim": 1}, [[0.0], [True]]),
+    ({"kind": "hyperboloid", "dim": 1}, [[1.0, 0.0], [1.0, 1.0]]),
+    ({"kind": "tree", "edges": STAR_EDGES}, [{"edge": 0, "offset": 0.5}, {"edge": 1, "offset": 1.5}]),
+    ({"kind": "tree", "edges": STAR_EDGES}, [{"edge": 0, "offset": 0.5}, {"edge": 2, "offset": 0.5}]),
+], ids=["count", "bool", "off-sheet", "off-edge", "unknown-edge"])
+def test_a_bad_point_in_a_payload_is_an_error(command, field, space, points, capsys):
+    # from_json builds past the constructors, so point() alone must refuse these.
+    flags = ["--time", "0.1"] if command == "flow" else ["--n", "2"]
+    payload = json.dumps({"space": space, field: points})
+    assert main([command, "--set", payload] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_a_flow_far_out_on_the_hyperboloid_refuses_to_leave_the_sheet(hyper):
     # cosh 700 is admitted, but its square overflows: a blend's norm reads
     # inf - inf = NaN, which must raise as any other point off the sheet.
@@ -244,3 +267,29 @@ def test_a_flow_far_out_on_the_hyperboloid_refuses_to_leave_the_sheet(hyper):
                 lambda: sweep(x, 0.3), lambda: pair_resolvent(x, 0, 1, 0.3)):
         with pytest.raises(GeometryError):
             run()
+
+
+def test_a_gap_past_the_float_range_squares_to_inf():
+    # A gap past about 1.3e154 squares past the float range, where ** raises
+    # OverflowError; the product distance is inf, and a flow whose doublings
+    # are that far apart has not converged.
+    star = TreeSpace(TreeTopology((TreeEdge(0, 0, 1, 1e300), TreeEdge(1, 0, 2, 1e-300))))
+    x = PointTuple(star, [star.point(p) for p in ((0, 1e300), (1, 0.0), (1, 1e-300))])
+    y = PointTuple(star, x.coords[1:] + x.coords[:1])
+    assert product_distance(x, y) == math.inf
+    report = flow_adaptive(x, 1e300, FlowConfig())
+    assert not report.converged
+    json.dumps(report.to_json(), allow_nan=False)
+
+
+def test_flows_on_extreme_trees_raise_no_overflow():
+    # Random trees with edge lengths from 1e-300 to 1e300 and a flow far past
+    # every merge: the doublings' product distances may overflow, and read inf.
+    rng = _rng("extreme")
+    cfg = FlowConfig(sweeps_per_run=8, max_doublings=2)
+    for _ in range(300):
+        edges = [TreeEdge(i, rng.randint(0, i), i + 1, 10.0 ** rng.uniform(-300, 300))
+                 for i in range(rng.randint(1, 5))]
+        tree = TreeSpace(TreeTopology(tuple(edges)))
+        x = PointTuple(tree, [tree.random_point(rng) for _ in range(rng.randint(2, 4))])
+        json.dumps(flow_adaptive(x, 1e300, cfg).to_json(), allow_nan=False)

@@ -342,6 +342,13 @@ def test_help_is_exit_zero(capsys):
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
+# The large-n benchmark's caterpillar (conftest.caterpillar_tree), whose flow
+# walks points across vertices; its digest is the reference march's.
+CATERPILLAR = json.dumps({"kind": "tree", "edges": [
+    {"id": i, "from": a, "to": b, "length": length} for i, a, b, length in (
+        (0, 0, 1, 0.8), (1, 1, 2, 0.6), (2, 2, 3, 1.1), (3, 3, 4, 0.7), (4, 4, 5, 0.9),
+        (5, 0, 6, 1.2), (6, 0, 7, 0.5), (7, 1, 12, 1.0), (8, 2, 8, 0.75), (9, 3, 9, 1.3),
+        (10, 5, 10, 0.65), (11, 5, 11, 0.85))]})
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -363,12 +370,21 @@ README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "lengt
     (["convergence", "--space", "euclidean:2", "--n", "4", "--time", "0.01", "--k", "16",
       "--samples", "3"],
      "6d5e85165d3c9e1664918affa6d1c2ca207088783a363dcf180c814d36a7422a"),
+    (["flow", "--space-file", "{caterpillar}", "--set", '[{"edge": 0, "offset": 0.4},'
+      ' {"edge": 2, "offset": 0.5}, {"edge": 4, "offset": 0.45}, {"edge": 5, "offset": 0.6},'
+      ' {"edge": 7, "offset": 0.5}, {"edge": 8, "offset": 0.3}, {"edge": 9, "offset": 1.0},'
+      ' {"edge": 11, "offset": 0.4}]', "--time", "0.2", "--k", "16", "--max-doublings", "3"],
+     "33c770847b8de8650457ef655094091e1d970ae4ee7a79fd3b46877277b6ccf8"),
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
-        "verify-star", "flow-readme", "merge-time-readme", "convergence-readme"])
+        "verify-star", "flow-readme", "merge-time-readme", "convergence-readme",
+        "flow-caterpillar"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)
-    rc, out, err = run_cli(capsys, *(a.replace("{star}", str(star)) for a in argv))
+    caterpillar = tmp_path / "caterpillar.json"
+    caterpillar.write_text(CATERPILLAR)
+    rc, out, err = run_cli(capsys, *(a.replace("{star}", str(star))
+                                     .replace("{caterpillar}", str(caterpillar)) for a in argv))
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -406,6 +406,89 @@ def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
             assert y.coords == want and repr(y.coords) == repr(want)
 
 
+def _tree_walk_branch(space, step, route, seen, way):
+    # Which branch moves one end of a tree pair step by step along route =
+    # (length, leg, exit node, entry node): its own edge, a walk that stops
+    # on an edge between, or one that ends on the target edge.
+    _, leg, u, nb = route
+    if step <= leg:
+        seen["own edge"] += 1
+        return
+    seen[f"walk {way}"] += 1
+    s = step - leg
+    while u != nb:
+        e = space._next_edge[u][nb]
+        if s < e.length:
+            return
+        s -= e.length
+        u = e.other(u)
+    seen["target edge"] += 1
+
+
+def _tree_sweep_branches(space, coords, lam, seen):
+    # The reference march's sweep over coords, in place, counting the
+    # branches of each pair step; returns the sweep's low.
+    low = math.inf
+    for j in range(1, len(coords)):
+        for i in range(j):
+            pd, qd = coords[i], coords[j]
+            if pd == qd:
+                seen["equal"] += 1
+                low = 0.0
+                continue
+            coords[i], coords[j], d = space._step(pd, qd, lam)
+            low = min(low, d)
+            if pd[0] == qd[0]:
+                seen["same edge merge" if d <= 2.0 * lam else "same edge move"] += 1
+            elif d <= 2.0 * lam:
+                _tree_walk_branch(space, 0.5 * d, space._route(pd, qd), seen, "forward")
+            else:
+                s = lam / d
+                _tree_walk_branch(space, s * d, space._route(pd, qd), seen, "forward")
+                back = space._route(qd, pd)
+                _tree_walk_branch(space, s * back[0], back, seen, "back")
+    return low
+
+
+def test_tree_march_matches_the_pair_march_bit_for_bit(star_tree, caterpillar_tree):
+    # A tree's own march is _pair_march, whose pair step is _step, in one
+    # pass per pair step: the same state, sweeps run and low, in repr, with
+    # 30% of points on vertices, steps from far below every gap to past the
+    # largest, and watches that stop the march after one or two sweeps.
+    seen = dict.fromkeys(("equal", "same edge merge", "same edge move", "own edge",
+                          "walk forward", "walk back", "target edge"), 0)
+    marches = early = 0
+    for name, tree in (("star", star_tree), ("caterpillar", caterpillar_tree),
+                       ("five-leg", _five_leg_star())):
+        rng = random.Random(f"treemarch:{name}")
+        edges = tree.topology.edges
+        for _ in range(125):
+            data = []
+            for _ in range(rng.randint(2, 8)):
+                if rng.random() < 0.3:
+                    e = rng.choice(edges)
+                    data.append(tree.point((e.id, rng.choice((0.0, e.length)))).data)
+                else:
+                    data.append(tree.random_point(rng).data)
+            ds = sorted(_gaps(tree, data))
+            apart = [d for d in ds if d > 0.0] or [1.0]
+            for lam in (1e-3 * apart[0], 0.1 * apart[0], 0.5 * ds[len(ds) // 2], 0.6 * ds[-1]):
+                if not lam > 0.0:
+                    continue
+                coords = list(data)
+                _tree_sweep_branches(tree, coords, lam, seen)
+                watch = _tree_sweep_branches(tree, coords, lam, seen)
+                for watch in (-math.inf, watch):
+                    want, got = list(data), list(data)
+                    want_run = _pair_march(tree, want, lam, 3, watch)
+                    got_run = tree._march(got, lam, 3, watch)
+                    assert repr((got_run, got)) == repr((want_run, want)), (name, data, lam)
+                    marches += 1
+                    early += got_run[0] < 3
+    assert marches >= 2900 and early >= 500
+    assert min(seen.values()) >= 50, seen
+
+
 def test_two_point_flow_exact(line):
     x = line_tuple(line, 0.0, 1.0)
     for k in (1, 2, 7, 64):
