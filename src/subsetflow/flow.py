@@ -28,18 +28,12 @@ import sys
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
-                       _check_count, _gaps)
+                       _check_count, _gaps, _pair_step)
 from .subset_space import PointTuple, _built, product_distance
 
-# Fraction of the guaranteed merge horizon the march may overshoot before
-# the closest pair is snapped together by force.  The march has
-# int(k * (1 + MERGE_SLACK)) sweeps of step delta/(2k), which is k itself
-# for every k < 1000: at the default k = 256 no sweep runs past the half-gap
-# horizon before the snap, and the slack only loosens the stated bound.
-MERGE_SLACK = 1e-3
-
-# Below this fraction of the space's scale, a step of size lam may round by
-# as much as lam itself, so merge_time measures the gaps after every sweep.
+# Below this fraction of the largest absolute coordinate, a step of size lam
+# may round by as much as lam itself, so merge_time measures the gaps after
+# every sweep.
 ROUNDING_FLOOR = 2.0**-30
 
 # Product distance between the results of two successive sweep doublings at
@@ -138,7 +132,7 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("step size must be positive")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
-        data[i], data[j], _ = x.space._step(data[i], data[j], lam)
+        data[i], data[j], _ = _pair_step(x.space, data[i], data[j], lam)
     return _wrap(x, data)
 
 
@@ -286,13 +280,12 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     Elsewhere the splitting sweeps march the flow, and the result is the
     first time a pairwise gap falls to ``merge_tolerance`` times the
     starting min gap, together with the state there.  The march never runs
-    past half the starting gap (plus a small slack): if nothing has merged
-    by then, the closest pair is snapped to its midpoint, so the returned
-    time is always at most ``min_gap(x)/2 * (1 + MERGE_SLACK)``.  The march
-    has ``int(sweeps_per_run * (1 + MERGE_SLACK))`` sweeps, which is
-    ``sweeps_per_run`` itself below 1000 sweeps, so at the default 256 the
-    snap follows the last sweep of the half-gap horizon with no extra sweep.
-    A tuple with a pairwise distance that is not finite is rejected.
+    past half the starting gap: it has at most ``sweeps_per_run`` sweeps of
+    step ``min_gap(x) / (2 sweeps_per_run)``, and if nothing has merged
+    after the last of them, the closest pair meets at its midpoint, as two
+    points do.  So the returned time is at most ``min_gap(x)/2``, up to the
+    rounding of the summed steps.  A tuple with a pairwise distance that is
+    not finite is rejected.
 
     The gaps are measured after a sweep only where one may have merged.  A
     sweep steps each coordinate in n-1 pair steps of at most lam each, so
@@ -302,10 +295,10 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     measure the gaps (``space._march``'s ``watch``) only after a sweep with
     ``low <= threshold + 4 n lam``, a margin about twice the exact one that
     also covers rounding; after every sweep when lam is below
-    ``ROUNDING_FLOOR`` times the space's scale (``space._scale``), where a
-    step may round by as much as lam; and after the last sweep, whose gaps
-    pick the pair to snap.  The result keeps every bit of a
-    march that measures the gaps after every sweep.
+    ``ROUNDING_FLOOR`` times the largest absolute coordinate, where a step
+    may round by as much as lam; and after the last sweep, whose gaps pick
+    the pair to snap.  The result keeps every bit of a march that measures
+    the gaps after every sweep.
     """
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
@@ -322,9 +315,12 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
         t, data = space._first_collision(data, ds)
         return t, _wrap(x, data)
     threshold = cfg.merge_tolerance * delta
-    lam = delta / (2.0 * cfg.sweeps_per_run)
-    max_sweeps = int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))
-    if lam < ROUNDING_FLOOR * space._scale(data):
+    max_sweeps = cfg.sweeps_per_run
+    lam = delta / (2.0 * max_sweeps)
+    # The largest absolute coordinate bounds every coordinate the march
+    # reaches: the flow stays in the convex hull of data, which on the
+    # hyperboloid lies in the ball around the apex that holds data.
+    if lam < ROUNDING_FLOOR * max(abs(c) for pd in data for c in pd):
         watch = math.inf
     else:
         watch = threshold + 4.0 * len(data) * lam
@@ -339,9 +335,11 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
         ds = _gaps(space, data)
         if min(ds) <= threshold:
             return elapsed, _wrap(x, data)
-    # Force-merge the first closest pair of the last sweep's distances.
-    i, j = list(itertools.combinations(range(len(data)), 2))[ds.index(min(ds))]
-    data[i], data[j], _ = space._step(data[i], data[j], math.inf)
+    # The first closest pair of the last sweep's distances meets at its
+    # midpoint, as two points do, from the gap just measured.
+    k = ds.index(min(ds))
+    i, j = list(itertools.combinations(range(len(data)), 2))[k]
+    data[i] = data[j] = space._interp(data[i], data[j], 0.5, ds[k])
     return elapsed, _wrap(x, data)
 
 

@@ -21,15 +21,13 @@ as a ``GeometryError``.  Each backend
 binds in its class body what this module writes once from those:
 ``distance = _distance`` and ``geodesic_point = _geodesic_point``, which
 check each point (its kind; its coordinate count, or on a tree its edge and
-offset) and call the kernels, and ``_step = _pair_step``, the two-point
-resolvent of distinct pd and qd, which measures their distance d once and
-returns ``(p', q', d)``: the shared midpoint twice when d <= 2 lam, else
-both points moved lam toward each other, and d, which the merge march uses
-as a bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
-On the coordinate backends ``_scale(data)`` bounds the magnitude of every
-coordinate that a flow from that data works with; the merge march
-compares its step size to it to tell when rounding may be as large as a
-step.  A tree's merge does not march: ``merge_time`` calls its
+offset) and call the kernels.  Over the kernels of any backend, this module
+writes ``_pair_step(space, pd, qd, lam)`` once, the two-point resolvent of
+distinct pd and qd, which measures their distance d once and returns
+``(p', q', d)``: the shared midpoint twice when d <= 2 lam, else both
+points moved lam toward each other, and d, which the merge march uses as a
+bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
+A tree's merge does not march: ``merge_time`` calls its
 ``_first_collision(data, gaps)``, the exact flow to the first collision,
 whose first event reuses the gaps ``merge_time`` measured.  The tree
 kernels read one table per edge id (its ends, its length and both ends'
@@ -42,15 +40,15 @@ Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
 decides how a march runs.  The reference march, ``_pair_march``, calls
-``_step`` pair by pair.  A tree's ``_march`` is its own method, with
-``_step`` inlined in one pass per pair step, and shares with ``_interp`` the
-walk past an edge's end (``_walk``).  A coordinate backend writes its pair
-step once, as a template with ``_step`` inlined, and one generator builds
-its march from it: unrolled per dimension
+``_pair_step`` pair by pair.  A tree's ``_march`` is its own method, with
+``_pair_step`` inlined in one pass per pair step, and shares with
+``_interp`` the walk past an edge's end (``_walk``).  A coordinate backend
+writes its pair step once, as a template with ``_pair_step`` inlined, and
+one generator builds its march from it: unrolled per dimension
 and tuple size, with every coordinate in a local for the whole march, while
 the source fits under ``_MARCH_MAX_SOURCE`` characters, else looped over
 the pairs per dimension, else ``_pair_march``.  Every march keeps
-``_step``'s bits.
+``_pair_step``'s bits.
 """
 
 from __future__ import annotations
@@ -167,9 +165,9 @@ def _gaps(space, data) -> list[float]:
 
 
 def _pair_step(space, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
-    # The two-point resolvent of distinct pd and qd, bound as each backend's
-    # _step.  Each end moves by its own _interp call, so a tree route is
-    # summed in the direction that end walks it.
+    # The two-point resolvent of distinct pd and qd in space.  Each end
+    # moves by its own _interp call, so a tree route is summed in the
+    # direction that end walks it.
     d = space._gap(pd, qd)
     if d <= 2.0 * lam:
         mid = space._interp(pd, qd, 0.5, d)
@@ -203,12 +201,11 @@ def _geodesic_point(space, p: Point, q: Point, t: float) -> Point:
 
 def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 watch: float) -> tuple[int, float]:
-    # The reference march: each sweep calls space._step on the pairs ordered
+    # The reference march: each sweep calls _pair_step on the pairs ordered
     # by the larger index, then the smaller: (0,1), (0,2), (1,2), (0,3), ...
     # A sweep's low is the smallest distance a pair was stepped from, or 0.0
     # if a pair was skipped because its two slots held equal data.  The
     # generated marches run the same sweeps with the pair step inlined.
-    step = space._step
     for done in range(1, sweeps + 1):
         low = math.inf
         for j in range(1, len(coords)):
@@ -216,7 +213,7 @@ def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 p = coords[i]
                 q = coords[j]
                 if p != q:
-                    coords[i], coords[j], d = step(p, q, lam)
+                    coords[i], coords[j], d = _pair_step(space, p, q, lam)
                     if d < low:
                         low = d
                 else:
@@ -256,13 +253,11 @@ class _CoordinateSpace:
     kernels ``_gap`` and ``_interp(pd, qd, t, d)``, and bind ``distance =
     _distance`` and ``geodesic_point = _geodesic_point`` in their own class
     body, where per-backend call counters look the public methods up.
-    ``_step`` is ``_pair_step``: ``_gap`` followed by ``_interp`` from each
-    end.
 
     Each subclass also sets its pair template: ``_MARCH_PAIR``, one pair
-    step over the coordinates of two slots with ``_step``'s float operations
-    in their order, and ``_MARCH_UNROLL``, its fields written out once per
-    coordinate.  ``_march_source`` builds the march in two shapes from it:
+    step over the coordinates of two slots with ``_pair_step``'s float
+    operations in their order, and ``_MARCH_UNROLL``, its fields written
+    out once per coordinate.  ``_march_source`` builds the march in two shapes from it:
     unrolled per dimension and n, with every coordinate of every slot in a
     local and ``coords`` written once, on return, or looped per dimension,
     with a slot written back after each of its pair steps.  So a march that
@@ -314,8 +309,6 @@ class _CoordinateSpace:
 
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
-
-    _step = _pair_step
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
                watch: float) -> tuple[int, float]:
@@ -379,14 +372,6 @@ def _march(coords, lam, sweeps, watch):
             source = cls._MARCH_SOURCE.format(slots=slots, pairs=pairs)
         return source if len(source) <= _MARCH_MAX_SOURCE else None
 
-    @staticmethod
-    def _scale(data: list[tuple]) -> float:
-        # The largest absolute coordinate of data bounds every coordinate the
-        # flow from data reaches: the flow stays in the convex hull of data,
-        # which on the hyperboloid lies in the ball around the apex that
-        # holds data.
-        return max(abs(c) for pd in data for c in pd)
-
 
 class EuclideanSpace(_CoordinateSpace):
     """R^dim with the usual metric; geodesics are straight segments."""
@@ -404,7 +389,7 @@ class EuclideanSpace(_CoordinateSpace):
     def _interp(pd: tuple, qd: tuple, t: float, d) -> tuple:
         return tuple([a + t * (b - a) for a, b in zip(pd, qd)])
 
-    # The pair step, _step inlined with every float operation in its
+    # The pair step, _pair_step inlined with every float operation in its
     # order: the equal-data skip, d = hypot of the differences, which has
     # math.dist's bits (CPython computes both as the vector_norm of
     # |p_k - q_k|), the shared midpoint, and both points moved s = lam / d
@@ -503,7 +488,7 @@ class HyperboloidSpace(_CoordinateSpace):
         wq = math.sinh(t * theta) / sh
         return _project([wp * a + wq * b for a, b in zip(pd, qd)])
 
-    # The pair step, _step inlined with every float operation in its
+    # The pair step, _pair_step inlined with every float operation in its
     # order.  The midpoint's weights are one number: sinh((1.0 - 0.5) * d)
     # is sinh(0.5 * d).  u is the blend toward b, v the one toward a, each
     # projected as _project does, a NaN n2 refused.  md <= 0.0 is tested as
@@ -680,8 +665,9 @@ class TreeSpace:
     building a route, ``_interp`` walks the one ``_route`` picks, and
     ``_motions`` reads each slot's edge ends once per event and one
     ``_next_edge`` row per point.  ``_march`` is ``_pair_march`` with
-    ``_step`` inlined: it routes each pair from the two slots' table rows,
-    and, like ``_interp``, leaves a walk past an edge's end to ``_walk``.
+    ``_pair_step`` inlined: it routes each pair from the two slots' table
+    rows, and, like ``_interp``, leaves a walk past an edge's end to
+    ``_walk``.
     """
 
     topology: TreeTopology
@@ -780,7 +766,6 @@ class TreeSpace:
 
     distance = _distance
     geodesic_point = _geodesic_point
-    _step = _pair_step
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
         # _route(pd, qd)[0] without a route: the least of the four endpoint
@@ -864,7 +849,7 @@ class TreeSpace:
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
                watch: float) -> tuple[int, float]:
-        # _pair_march with _step inlined, one pass per pair step, bit for bit.
+        # _pair_march with _pair_step inlined, one pass per pair step, bit for bit.
         # Each slot's table row is read once; the forward route's length is
         # d, which is _gap's (see _route), and the way back is routed only for
         # a pair that moves apart, summed in its own order.  A step that

@@ -27,7 +27,6 @@ from .subset_space import (
 )
 from .flow import (
     DOUBLING_TOLERANCE,
-    MERGE_SLACK,
     FlowConfig,
     _check_time,
     _refine,
@@ -391,7 +390,7 @@ def check_merge_time_bound(space: SpaceDescriptor, n: int, seed: int, trials: in
 
     outcomes = _trials(seed, "mergebound", trials, trial)
     return [
-        _row("merge_time_bound", [time for time, _ in outcomes], 1.0 + MERGE_SLACK),
+        _row("merge_time_bound", [time for time, _ in outcomes], 1.0 + EXACT_TOL),
         _row("merge_state_gap", [state for _, state in outcomes], EXACT_TOL),
     ]
 

@@ -338,7 +338,9 @@ def test_help_is_exit_zero(capsys):
 # them, the retract with merge_time_used 0.2, as test_retraction checks; the
 # convergence run on euclidean:2: as the reference resolvent prints it on
 # plain floats; the verify runs on euclidean:2 and hyperboloid:2: as two
-# points merge at their midpoint at d/2, where two_point_merge reads 0.0).
+# points merge at their midpoint at d/2, where two_point_merge reads 0.0;
+# the three verify runs: with the merge_time_bound threshold at 1 + 1e-9,
+# as the merge march stops at half the gap, which moved no other field).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -353,16 +355,16 @@ CATERPILLAR = json.dumps({"kind": "tree", "edges": [
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--space", "hyperboloid:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "2372e30a1442c4eafcb68a66bef2fb4fe4cf2becb341d8f6ae0a1520919ad065"),
+     "d03fc5cad10f090e6442b4444b7f19f2ffa0eb0561e4faac9ee0b75ed94d938f"),
     (["scan", "--space", "euclidean:2", "--n", "3", "--samples", "50", "--seed", "0"],
      "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
     (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
       ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
      "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "fa139b23dd5879fd38e0e3ac265d7c92574a7676d51cbaca658b03f1d456eaa1"),
+     "d52f40644ae52ee8c47b613f2491028bd3fd5c4635fc9aef764fa3dcd2d6fcd4"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
-     "865650c19958a9a11e43499cfdceb2c9139d99c7ead5ebd07ab6ca40bc17b0d5"),
+     "b5bb5d4baa4849babee33b5bba897f7f5042316723f99c2ceacd1db422f8715f"),
     (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],
      "6faa9dde48692fa093d845c47b3e5503480d8f84a0bc040847be6d893545935a"),
     (["merge-time", "--space", "euclidean:1", "--set", "[[0.0],[1.0]]"],

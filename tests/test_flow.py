@@ -30,8 +30,8 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import MERGE_SLACK, _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march
+from subsetflow.flow import _wrap
+from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march, _pair_step
 from oracles import (full_resolvent_ref, grid_pair_prox, tree_first_collision_ref,
                      tree_routes_ref)
 
@@ -436,7 +436,7 @@ def _tree_sweep_branches(space, coords, lam, seen):
                 seen["equal"] += 1
                 low = 0.0
                 continue
-            coords[i], coords[j], d = space._step(pd, qd, lam)
+            coords[i], coords[j], d = _pair_step(space, pd, qd, lam)
             low = min(low, d)
             if pd[0] == qd[0]:
                 seen["same edge merge" if d <= 2.0 * lam else "same edge move"] += 1
@@ -451,7 +451,7 @@ def _tree_sweep_branches(space, coords, lam, seen):
 
 
 def test_tree_march_matches_the_pair_march_bit_for_bit(star_tree, caterpillar_tree):
-    # A tree's own march is _pair_march, whose pair step is _step, in one
+    # A tree's own march is _pair_march, whose pair step is _pair_step, in one
     # pass per pair step: the same state, sweeps run and low, in repr, with
     # 30% of points on vertices, steps from far below every gap to past the
     # largest, and watches that stop the march after one or two sweeps.
@@ -755,6 +755,23 @@ def test_merge_time_forced_snap_merges_first_closest_pair(plane):
     assert t_star <= delta / 2.0 * (1.0 + 1e-3)
 
 
+def test_merge_time_stops_at_half_the_gap(plane, all_spaces):
+    # The march covers delta/2 in at most sweeps_per_run sweeps and then
+    # snaps, whatever the sweep count: the forced-snap input above, which
+    # marches to the horizon, at counts on both sides of 1000, and random
+    # tuples at 1500 sweeps on every backend.
+    snap = PointTuple(plane, tuple(plane.point(c) for c in
+                                   ((-1.7, -0.3), (-1.6, 1.0), (0.0, -1.8), (-1.8, 0.9))))
+    cases = [(snap, k) for k in (256, 999, 1000, 1002, 1500, 3000)]
+    for key, space in all_spaces.items():
+        for i in range(30):
+            rng = random.Random(f"halfgap:{key}:{i}")
+            cases.append((random_tuple(space, rng, rng.randint(3, 6)), 1500))
+    for x, k in cases:
+        t_star, _ = merge_time(x, FlowConfig(sweeps_per_run=k))
+        assert t_star <= min_gap(x) / 2.0 * (1.0 + 1e-9), (x.to_json(), k)
+
+
 def _reference_merge_time(x, cfg):
     # The march as plain composition: measure every gap after every sweep.
     ds = pairwise_distances(x.space, x.coords)
@@ -764,7 +781,7 @@ def _reference_merge_time(x, cfg):
     threshold = cfg.merge_tolerance * delta
     lam = delta / (2.0 * cfg.sweeps_per_run)
     elapsed = 0.0
-    for _ in range(int(cfg.sweeps_per_run * (1.0 + MERGE_SLACK))):
+    for _ in range(cfg.sweeps_per_run):
         x = sweep(x, lam)
         elapsed += lam
         ds = pairwise_distances(x.space, x.coords)
