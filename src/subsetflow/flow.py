@@ -433,34 +433,34 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
         return base, means
 
     pairs = [(a, b, sizes[a] * sizes[b]) for a, b in itertools.combinations(range(m), 2)]
-    # The iterate is one flat list of m*dim coordinates; rows[a] slices out
-    # block a's point.
-    rows = [slice(a * dim, (a + 1) * dim) for a in range(m)]
-    flat_means = [c for mean in means for c in mean]
+    # The iterate is one flat list of m*dim coordinates; zip(*[iter(u)] * dim)
+    # reads it as its m block points, one tuple of dim coordinates each.
 
     def value(u):
+        pu = list(zip(*[iter(u)] * dim))
         v = base
         for a, b, w in pairs:
-            v += w * math.dist(u[rows[a]], u[rows[b]])
+            v += w * math.dist(pu[a], pu[b])
         q = 0.0
-        for s, row in zip(sizes, rows):
+        for s, p, mean in zip(sizes, pu, means):
             r = 0.0
-            for c, mc in zip(u[row], flat_means[row]):
+            for c, mc in zip(p, mean):
                 r += (c - mc) ** 2
             q += s * r
         return v + q / (2.0 * lam)
 
     def grad_hess(u):
         # The gradient and the lower triangle of the Hessian.
+        pu = list(zip(*[iter(u)] * dim))
         g = []
         h = [[0.0] * (m * dim) for _ in range(m * dim)]
-        for s, row in zip(sizes, rows):
+        for a, (s, p, mean) in enumerate(zip(sizes, pu, means)):
             k = s / lam
-            g.extend([k * (c - mc) for c, mc in zip(u[row], flat_means[row])])
-            for c in range(row.start, row.stop):
+            g.extend([k * (c - mc) for c, mc in zip(p, mean)])
+            for c in range(a * dim, (a + 1) * dim):
                 h[c][c] = k
         for a, b, w in pairs:
-            ua, ub = u[rows[a]], u[rows[b]]
+            ua, ub = pu[a], pu[b]
             r = math.dist(ua, ub)
             if r < 1e-9:
                 return None, None
@@ -479,10 +479,12 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
                     h_b[oa + e] -= block
         return g, h
 
-    u = flat_means
+    # g and h are always grad_hess(u): each is computed once per iterate,
+    # and a pure Newton step carries its candidate's pair forward.
+    u = [c for mean in means for c in mean]
     val = value(u)
+    g, h = grad_hess(u)
     for _ in range(100):
-        g, h = grad_hess(u)
         if g is None:
             return None
         gnorm = math.hypot(*g)
@@ -499,11 +501,12 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
             # value, so an Armijo test would accept zero-progress steps.
             # Finish with pure Newton steps gated on gradient contraction.
             cand = [c + d for c, d in zip(u, step)]
-            g2, _ = grad_hess(cand)
+            g2, h2 = grad_hess(cand)
             if g2 is None or not math.hypot(*g2) < 0.5 * gnorm:
                 break
             u = cand
             val = value(u)
+            g, h = g2, h2
             continue
         alpha = 1.0
         while alpha > 1e-14:
@@ -516,10 +519,10 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
             alpha *= 0.5
         else:
             break
-    g, _ = grad_hess(u)
+        g, h = grad_hess(u)
     if g is None or math.hypot(*g) > 1e-8:
         return None
-    return val, [tuple(u[row]) for row in rows]
+    return val, list(zip(*[iter(u)] * dim))
 
 
 def oracle_supports(space: SpaceDescriptor, n: int) -> bool:

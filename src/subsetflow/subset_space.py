@@ -232,16 +232,21 @@ def _check_same_space(a, b) -> None:
 
 
 def hausdorff_distance(a: FiniteSubset, b: FiniteSubset) -> float:
-    """Hausdorff distance: the larger of the two directed max-min distances."""
+    """Hausdorff distance: the larger of the two directed max-min distances.
+
+    It trusts both subsets' points as checked where they entered, and
+    measures each pair once, ``gap(p, q)`` with p from a and q from b; the
+    pass from a reads the rows of those gaps, the pass from b their columns.
+    """
     _check_same_space(a, b)
     gap = a.space._gap
-    ad = [p.data for p in a.points]
     bd = [q.data for q in b.points]
+    rows = [[gap(p.data, q) for q in bd] for p in a.points]
     worst = 0.0
-    for p in ad:
-        worst = max(worst, min(gap(p, q) for q in bd))
-    for q in bd:
-        worst = max(worst, min(gap(p, q) for p in ad))
+    for row in rows:
+        worst = max(worst, min(row))
+    for col in zip(*rows):
+        worst = max(worst, min(col))
     return worst
 
 

@@ -11,13 +11,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import GeometryError, SpaceDescriptor, _check_count
+from .geometry import GeometryError, Point, SpaceDescriptor, _check_count, _check_t
 from .subset_space import (
     FiniteSubset,
     PointTuple,
     _built,
+    _by_sort_key,
+    _merge,
     hausdorff_distance,
-    make_subset,
     max_spread,
     min_gap,
     order_tuple,
@@ -156,13 +157,29 @@ def sample_tuple(space: SpaceDescriptor, n: int, rng: random.Random) -> PointTup
     return _built(PointTuple, space=space, coords=tuple(pts))
 
 
+def _sampled_set(x: PointTuple) -> FiniteSubset:
+    # to_set(x, 0.0) of a sampled tuple, built without its clustering pass:
+    # the coordinates are canonical, as random_point builds them, and more
+    # than sep > 0 apart, so every cluster would be a singleton.
+    return _built(FiniteSubset, space=x.space, points=_by_sort_key(x.space, x.coords),
+                  dedup_tolerance=0.0)
+
+
 def sample_subset(space: SpaceDescriptor, n: int, rng: random.Random) -> FiniteSubset:
-    """Random subset of exactly n points."""
-    return to_set(sample_tuple(space, n, rng), 0.0)
+    """Random subset of exactly n points: ``to_set(sample_tuple(space, n, rng), 0.0)``.
+
+    The sampled points are trusted as ``sample_tuple`` builds them, so the
+    subset is built without checking or measuring them again.
+    """
+    return _sampled_set(sample_tuple(space, n, rng))
 
 
 def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
-    """Move p toward a random target by a Gaussian-sized step of the given scale."""
+    """Move p toward a random target by a Gaussian-sized step of the given scale.
+
+    The public form: p is checked, by the public ``distance`` and
+    ``geodesic_point``, which measure the gap from p to the target each.
+    """
     target = space.random_point(rng)
     d = space.distance(p, target)
     if d < 1e-12:
@@ -172,7 +189,33 @@ def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
 
 
 def perturb_subset(a: FiniteSubset, scale: float, rng: random.Random) -> FiniteSubset:
-    return make_subset(a.space, [perturb_point(a.space, p, scale, rng) for p in a.points], 0.0)
+    """``make_subset`` of ``perturb_point`` applied to each point of a, on the same draws.
+
+    It trusts a's points as checked and runs on the kernels: each point
+    measures one gap to its target and moves by ``_interp`` with that gap,
+    with ``geodesic_point``'s shortcuts (p itself for t = 0, the target for
+    t = 1; a target equal to p is at gap 0 and stays put before them).  The
+    moved points merge at tolerance 0 as ``make_subset`` merges them.
+    """
+    space = a.space
+    gap, interp = space._gap, space._interp
+    pts = []
+    for p in a.points:
+        target = space.random_point(rng)
+        pd, qd = p.data, target.data
+        d = gap(pd, qd)
+        if d < 1e-12:
+            pts.append(p)
+            continue
+        t = min(abs(rng.gauss(0.0, scale)), d) / d
+        _check_t(t)
+        if t == 0.0:
+            pts.append(p)
+        elif t == 1.0:
+            pts.append(target)
+        else:
+            pts.append(Point(space.kind, interp(pd, qd, t, d)))
+    return _merge(space, pts, 0.0)
 
 
 def _trials(seed: int, label: str, trials: int, trial) -> list:
@@ -303,7 +346,7 @@ def check_product_dominates_hausdorff(space: SpaceDescriptor, n: int, seed: int,
     def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
-        return hausdorff_distance(to_set(x, 0.0), to_set(y, 0.0)) - product_distance(x, y), None
+        return hausdorff_distance(_sampled_set(x), _sampled_set(y)) - product_distance(x, y), None
 
     return _row("product_dominates_hausdorff", _trials(seed, "proddom", trials, trial), EXACT_TOL)
 

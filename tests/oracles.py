@@ -120,6 +120,24 @@ def brute_hausdorff(space, pts_a, pts_b):
     return max(forward, backward)
 
 
+def two_pass_hausdorff(a, b):
+    """Hausdorff distance in two directed passes, each measuring its own gaps.
+
+    Both passes call the gap kernel with p from a and q from b, take each
+    point's min and start the max at 0.0, so the library's one-measurement
+    form must equal it bit for bit.
+    """
+    gap = a.space._gap
+    ad = [p.data for p in a.points]
+    bd = [q.data for q in b.points]
+    worst = 0.0
+    for p in ad:
+        worst = max(worst, min(gap(p, q) for q in bd))
+    for q in bd:
+        worst = max(worst, min(gap(p, q) for p in ad))
+    return worst
+
+
 # The library's reference resolvent as it stood on numpy, kept to compare the
 # plain-float one against: the same enumeration, pruning, tie rule and Newton
 # constants, with the Newton systems solved by np.linalg.solve.

@@ -3,8 +3,9 @@
 The public constructors (``PointTuple``, ``FiniteSubset``), ``make_subset``
 and ``to_set``, and a space's ``point()`` are the boundary.  What the library
 builds from points it holds checked (the flow's results, ``order_tuple``'s
-tuple, a tree retract's input tuple and output set, the sampled tuples) is
-built past the constructors' checks, so it must be what they would accept.
+tuple, a tree retract's input tuple and output set, the sampled tuples and
+subsets, a perturbed subset) is built past the constructors' checks, so it
+must be what they would accept.
 """
 
 import json
@@ -24,6 +25,7 @@ from subsetflow import (
     TreeTopology,
     flow_adaptive,
     full_resolvent_oracle,
+    hausdorff_distance,
     make_subset,
     merge_time,
     min_gap,
@@ -37,7 +39,7 @@ from subsetflow import (
 from subsetflow import retraction
 from subsetflow.cli import main
 from subsetflow.flow import oracle_supports
-from subsetflow.verify import sample_subset, sample_tuple
+from subsetflow.verify import perturb_subset, sample_subset, sample_tuple
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
 CFG = FlowConfig(sweeps_per_run=32, max_doublings=2)
@@ -96,6 +98,25 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
             # only to_set checks, where a tuple becomes a set
             assert calls and all(calls)
             calls.clear()
+
+
+@pytest.mark.parametrize("helper", ["sample_subset", "perturb_subset", "hausdorff_distance"])
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_the_scan_helpers_check_no_point(all_spaces, key, helper, monkeypatch):
+    # A scan's sampled subsets, their perturbations and the Hausdorff gaps
+    # between them run on points the library built or holds checked.
+    space = all_spaces[key]
+    rng = _rng(f"scan:{key}")
+    sets = [sample_subset(space, 1 + i % 5, rng) for i in range(40)]
+    runs = {
+        "sample_subset": lambda a: sample_subset(space, len(a), rng),
+        "perturb_subset": lambda a: perturb_subset(a, 0.05, rng),
+        "hausdorff_distance": lambda a: hausdorff_distance(a, sets[-1]),
+    }
+    calls = _count_checks(monkeypatch, space)
+    for a in sets:
+        runs[helper](a)
+    assert calls == []
 
 
 def _adversarial_sets(space, rng):

@@ -340,7 +340,10 @@ def test_help_is_exit_zero(capsys):
 # plain floats; the verify runs on euclidean:2 and hyperboloid:2: as two
 # points merge at their midpoint at d/2, where two_point_merge reads 0.0;
 # the three verify runs: with the merge_time_bound threshold at 1 + 1e-9,
-# as the merge march stops at half the gap, which moved no other field).
+# as the merge march stops at half the gap, which moved no other field; the
+# scan on the star tree: as sampled subsets were re-clustered, perturbations
+# ran through the public geodesic calls and each Hausdorff pair was measured
+# twice).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -377,9 +380,11 @@ CATERPILLAR = json.dumps({"kind": "tree", "edges": [
       ' {"edge": 7, "offset": 0.5}, {"edge": 8, "offset": 0.3}, {"edge": 9, "offset": 1.0},'
       ' {"edge": 11, "offset": 0.4}]', "--time", "0.2", "--k", "16", "--max-doublings", "3"],
      "33c770847b8de8650457ef655094091e1d970ae4ee7a79fd3b46877277b6ccf8"),
+    (["scan", "--space-file", "{star}", "--n", "3", "--samples", "50", "--seed", "0"],
+     "b08fe1ad3ea5260efcc63060ed2c267817b9c150a4dc93c990e7ee962141d3cd"),
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
         "verify-star", "flow-readme", "merge-time-readme", "convergence-readme",
-        "flow-caterpillar"])
+        "flow-caterpillar", "scan-star"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)

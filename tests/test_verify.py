@@ -15,9 +15,12 @@ from subsetflow import (
     TreeSpace,
     TreeTopology,
     convergence_study,
+    hausdorff_distance,
     lipschitz_constant_bound,
     lipschitz_scan,
     make_space,
+    make_subset,
+    to_set,
 )
 from subsetflow.verify import (
     RESOLVENT_INEQ_TOL,
@@ -31,6 +34,8 @@ from subsetflow.verify import (
     sample_subset,
     sample_tuple,
 )
+
+from oracles import two_pass_hausdorff
 
 
 def small_cfg(space, n=3, samples=8, seed=7, **flow):
@@ -119,6 +124,79 @@ def test_perturb_subset_keeps_size_bound(star_tree):
         b = perturb_subset(a, 0.05, rng)
         assert 1 <= len(b) <= len(a)
         assert b.space == a.space
+
+
+# The scan helpers trust the points they are handed and skip what the public
+# path would redo; each must give exactly what that path gives.
+
+SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_sample_subset_is_to_set_of_the_sampled_tuple(all_spaces, key):
+    space = all_spaces[key]
+    for i in range(40):
+        n = 1 + i % 6
+        fast, slow = random.Random(f"sampleset:{i}"), random.Random(f"sampleset:{i}")
+        a = sample_subset(space, n, fast)
+        want = to_set(sample_tuple(space, n, slow), 0.0)
+        assert (a, a.points, a.dedup_tolerance) == (want, want.points, want.dedup_tolerance)
+        assert len(a) == n
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_perturb_subset_is_make_subset_of_perturb_point(all_spaces, key):
+    space = all_spaces[key]
+    rng = random.Random(f"perturbsame:{key}")
+    for i in range(60):
+        a = sample_subset(space, 1 + i % 5, rng)
+        # no step (t = 0), steps of the scan's size and far below it, and
+        # steps that mostly reach the target (t = 1)
+        scale = (0.0, 0.05, 1e-9, 10.0)[i % 4]
+        fast, slow = random.Random(f"perturb:{i}"), random.Random(f"perturb:{i}")
+        b = perturb_subset(a, scale, fast)
+        want = make_subset(space, [perturb_point(space, p, scale, slow) for p in a.points], 0.0)
+        assert (b, b.points, b.dedup_tolerance) == (want, want.points, want.dedup_tolerance)
+        assert fast.getstate() == slow.getstate()
+
+
+class _ScriptedGauss(random.Random):
+    """A generator whose Gaussian draws are mu + sigma * z for the scripted z."""
+
+    def __init__(self, zs):
+        super().__init__(0)
+        self.zs = iter(zs)
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return mu + sigma * next(self.zs)
+
+
+@pytest.mark.parametrize("key", ["euclidean-1", "euclidean-2", "hyperboloid-2"])
+def test_perturb_subset_merges_points_that_meet(all_spaces, key):
+    # Both points step all the way to one target, so the perturbed subset
+    # holds one point, as make_subset merges it.
+    space = all_spaces[key]
+    a = sample_subset(space, 2, random.Random("meet"))
+    target = [0.3] * space.dim
+    zs = (target + [100.0]) * 2
+    b = perturb_subset(a, 1.0, _ScriptedGauss(zs))
+    slow = _ScriptedGauss(zs)
+    want = make_subset(space, [perturb_point(space, p, 1.0, slow) for p in a.points], 0.0)
+    assert (b, b.points) == (want, want.points)
+    assert len(b) == 1
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_hausdorff_distance_equals_the_two_pass_reference(all_spaces, key):
+    space = all_spaces[key]
+    rng = random.Random(f"hausref:{key}")
+    for i in range(60):
+        a = sample_subset(space, rng.randint(1, 5), rng)
+        b = sample_subset(space, rng.randint(1, 5), rng)
+        near = perturb_subset(a, 1e-3, rng)
+        for x, y in ((a, b), (b, a), (a, a), (a, near), (near, a)):
+            assert hausdorff_distance(x, y) == two_pass_hausdorff(x, y)
 
 
 # ---------------------------------------------------------------------------
