@@ -174,48 +174,43 @@ def sample_subset(space: SpaceDescriptor, n: int, rng: random.Random) -> FiniteS
     return _sampled_set(sample_tuple(space, n, rng))
 
 
+def _perturb(space: SpaceDescriptor, p, scale: float, rng: random.Random):
+    # p moved toward a random target by a Gaussian-sized step, on the
+    # kernels: one gap to the target, and _interp with that gap, behind
+    # geodesic_point's t check and its t = 0 and t = 1 shortcuts (a target
+    # equal to p is at gap 0 and stays put before them).  p is trusted.
+    target = space.random_point(rng)
+    pd, qd = p.data, target.data
+    d = space._gap(pd, qd)
+    if d < 1e-12:
+        return p
+    t = min(abs(rng.gauss(0.0, scale)), d) / d
+    _check_t(t)
+    if t == 0.0:
+        return p
+    if t == 1.0:
+        return target
+    return Point(space.kind, space._interp(pd, qd, t, d))
+
+
 def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
     """Move p toward a random target by a Gaussian-sized step of the given scale.
 
-    The public form: p is checked, by the public ``distance`` and
-    ``geodesic_point``, which measure the gap from p to the target each.
+    p is checked once, here; the step measures one gap to the target, as
+    ``distance`` would, and moves along it as ``geodesic_point`` would.
     """
-    target = space.random_point(rng)
-    d = space.distance(p, target)
-    if d < 1e-12:
-        return p
-    step = min(abs(rng.gauss(0.0, scale)), d)
-    return space.geodesic_point(p, target, step / d)
+    space._check_point(p)
+    return _perturb(space, p, scale, rng)
 
 
 def perturb_subset(a: FiniteSubset, scale: float, rng: random.Random) -> FiniteSubset:
     """``make_subset`` of ``perturb_point`` applied to each point of a, on the same draws.
 
-    It trusts a's points as checked and runs on the kernels: each point
-    measures one gap to its target and moves by ``_interp`` with that gap,
-    with ``geodesic_point``'s shortcuts (p itself for t = 0, the target for
-    t = 1; a target equal to p is at gap 0 and stays put before them).  The
+    It trusts a's points as checked, so no point is checked again, and the
     moved points merge at tolerance 0 as ``make_subset`` merges them.
     """
     space = a.space
-    gap, interp = space._gap, space._interp
-    pts = []
-    for p in a.points:
-        target = space.random_point(rng)
-        pd, qd = p.data, target.data
-        d = gap(pd, qd)
-        if d < 1e-12:
-            pts.append(p)
-            continue
-        t = min(abs(rng.gauss(0.0, scale)), d) / d
-        _check_t(t)
-        if t == 0.0:
-            pts.append(p)
-        elif t == 1.0:
-            pts.append(target)
-        else:
-            pts.append(Point(space.kind, interp(pd, qd, t, d)))
-    return _merge(space, pts, 0.0)
+    return _merge(space, [_perturb(space, p, scale, rng) for p in a.points], 0.0)
 
 
 def _trials(seed: int, label: str, trials: int, trial) -> list:

@@ -120,6 +120,21 @@ def brute_hausdorff(space, pts_a, pts_b):
     return max(forward, backward)
 
 
+def public_perturb_point(space, p, scale, rng):
+    """A perturbation through the public, checking methods alone.
+
+    ``distance`` measures the gap to the target and ``geodesic_point``
+    measures it again and moves along it, each checking both points, so the
+    library's one-measurement kernel must equal it bit for bit.
+    """
+    target = space.random_point(rng)
+    d = space.distance(p, target)
+    if d < 1e-12:
+        return p
+    step = min(abs(rng.gauss(0.0, scale)), d)
+    return space.geodesic_point(p, target, step / d)
+
+
 def two_pass_hausdorff(a, b):
     """Hausdorff distance in two directed passes, each measuring its own gaps.
 

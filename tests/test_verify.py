@@ -8,6 +8,7 @@ from subsetflow import (
     CheckResult,
     FlowConfig,
     GeometryError,
+    Point,
     ScanConfig,
     ScanReport,
     bound_suite,
@@ -35,7 +36,7 @@ from subsetflow.verify import (
     sample_tuple,
 )
 
-from oracles import two_pass_hausdorff
+from oracles import public_perturb_point, two_pass_hausdorff
 
 
 def small_cfg(space, n=3, samples=8, seed=7, **flow):
@@ -156,9 +157,30 @@ def test_perturb_subset_is_make_subset_of_perturb_point(all_spaces, key):
         scale = (0.0, 0.05, 1e-9, 10.0)[i % 4]
         fast, slow = random.Random(f"perturb:{i}"), random.Random(f"perturb:{i}")
         b = perturb_subset(a, scale, fast)
-        want = make_subset(space, [perturb_point(space, p, scale, slow) for p in a.points], 0.0)
+        want = make_subset(space, [public_perturb_point(space, p, scale, slow)
+                                   for p in a.points], 0.0)
         assert (b, b.points, b.dedup_tolerance) == (want, want.points, want.dedup_tolerance)
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_perturb_point_equals_the_public_path(all_spaces, key):
+    space = all_spaces[key]
+    rng = random.Random(f"perturbpoint:{key}")
+    for i in range(80):
+        p = space.random_point(rng)
+        scale = (0.0, 0.05, 1e-9, 10.0)[i % 4]
+        fast, slow = random.Random(f"perturbpoint:{i}"), random.Random(f"perturbpoint:{i}")
+        assert perturb_point(space, p, scale, fast) == public_perturb_point(space, p, scale, slow)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_perturb_point_checks_its_point(plane, hyper):
+    # The public form checks p before it moves it; perturb_subset trusts its
+    # subset's points instead.
+    for p in (Point(plane.kind, (0.0,)), hyper.random_point(random.Random("foreign"))):
+        with pytest.raises(GeometryError):
+            perturb_point(plane, p, 0.05, random.Random("check"))
 
 
 class _ScriptedGauss(random.Random):
@@ -182,7 +204,7 @@ def test_perturb_subset_merges_points_that_meet(all_spaces, key):
     zs = (target + [100.0]) * 2
     b = perturb_subset(a, 1.0, _ScriptedGauss(zs))
     slow = _ScriptedGauss(zs)
-    want = make_subset(space, [perturb_point(space, p, 1.0, slow) for p in a.points], 0.0)
+    want = make_subset(space, [public_perturb_point(space, p, 1.0, slow) for p in a.points], 0.0)
     assert (b, b.points) == (want, want.points)
     assert len(b) == 1
 
