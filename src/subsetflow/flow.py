@@ -16,6 +16,11 @@ Points again once, when it ends (``_wrap``).  Its sweeps run in marches,
 calls of the space's ``_march``, which :mod:`subsetflow.geometry` decides
 how to run; this module only schedules marches: how many sweeps, of what
 step, and when to stop and measure the gaps.
+
+The exact resolvent of the whole objective, ``full_resolvent_oracle``, is a
+reference for small euclidean tuples.  It enumerates coincidence patterns and
+solves each by Newton iteration on kernels generated once per shape (blocks
+and dimension) and compiled by ``exec``, as the marches are.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("pair indices must differ")
     if i > j:
         raise GeometryError("pair indices must be given as i < j")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise GeometryError("step size must be positive")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
@@ -157,7 +162,7 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
 
 def sweep(x: PointTuple, lam: float) -> PointTuple:
     """One full cycle of pair resolvents over every coordinate pair."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise GeometryError("step size must be positive")
     return splitting_flow(x, lam, 1)
 
@@ -359,46 +364,145 @@ def _set_partitions(n: int):
         yield blocks + [[n - 1]]
 
 
-def _cholesky_solve(h: list[list[float]], rhs: list[float]):
-    """The x with h x = rhs, for h symmetric positive definite.
-
-    Reads only the lower triangle of h and overwrites it with its Cholesky
-    factor.  Returns None when a pivot is not positive, that is, when h is
-    not positive definite to working precision.
-    """
-    n = len(rhs)
-    for j in range(n):
-        row_j = h[j]
-        d = row_j[j]
-        for k in range(j):
-            d -= row_j[k] * row_j[k]
-        if not d > 0.0:
-            return None
-        d = math.sqrt(d)
-        row_j[j] = d
-        for i in range(j + 1, n):
-            row_i = h[i]
-            s = row_i[j]
-            for k in range(j):
-                s -= row_i[k] * row_j[k]
-            row_i[j] = s / d
-    y = []
-    for i in range(n):
-        row_i = h[i]
-        s = rhs[i]
-        for k in range(i):
-            s -= row_i[k] * y[k]
-        y.append(s / row_i[i])
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= h[k][i] * x[k]
-        x[i] = s / h[i][i]
-    return x
+@functools.cache
+def _patterns(n: int) -> tuple:
+    # Every partition of range(n) in _set_partitions order, its blocks as
+    # tuples, with the bit mask of its in-block pairs: bit i stands for the
+    # i-th pair of itertools.combinations(range(n), 2).
+    bit = {pair: 1 << i for i, pair in enumerate(itertools.combinations(range(n), 2))}
+    return tuple((tuple(map(tuple, blocks)),
+                  sum(bit[pair] for block in blocks for pair in itertools.combinations(block, 2)))
+                 for blocks in _set_partitions(n))
 
 
-def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
+# The Newton kernels of an m-block pattern in dimension dim, written out once
+# per shape with coordinate c of block a in u{a}_{c}.  _bind takes the
+# pattern's constants: base, lam2 = 2 lam, the pair weights in
+# itertools.combinations order, the sizes, size/lam and the block means, one
+# coordinate after another.  solve is a Cholesky solve of the lower triangle,
+# flattened row by row.  Every float operation is the generic code's, in its
+# order (tests/oracles.py keeps that code): the pair distance is math.dist's
+# vector norm, which is hypot of the differences, or abs of the one in dim 1; a
+# square is ** 2; a Hessian entry starts at size/lam on the diagonal and 0.0
+# off it and adds its pair blocks k ((c == e) - n_c n_e) in pair order.
+_NEWTON_SOURCE = """
+def solve(h, g):
+    {h_all}, = h
+    {g_all}, = g
+{factor}
+    return [{x_all}]
+
+def _bind(base, lam2, w, s, k, mean):
+    {w_all}, = w
+    {s_all}, = s
+    {k_all}, = k
+    {m_all}, = mean
+
+    def value(u):
+        {u_all}, = u
+        return base{value_pairs} + ({value_blocks}) / lam2
+
+    def grad_hess(u):
+        {u_all}, = u
+{pair_terms}
+        return ({g_terms},), ({h_terms},)
+
+    return value, grad_hess, solve
+"""
+
+
+def _newton_source(m: int, dim: int) -> str:
+    """The source of the Newton kernels of m blocks in dimension dim (``_NEWTON_SOURCE``)."""
+    size = m * dim
+    u = [[f"u{a}_{c}" for c in range(dim)] for a in range(m)]
+    pairs = list(itertools.combinations(range(m), 2))
+
+    def norm(terms):
+        return f"abs({terms[0]})" if dim == 1 else f"hypot({', '.join(terms)})"
+
+    def quotient(first, products, divisor):
+        # (first - p0 - p1 ...) / divisor, subtracted left to right
+        return f"({' - '.join([first, *products])}) / {divisor}" if products else f"{first} / {divisor}"
+
+    value_pairs = "".join(
+        f" + w{a}_{b} * {norm([f'{ua} - {ub}' for ua, ub in zip(u[a], u[b])])}" for a, b in pairs)
+    value_blocks = " + ".join(
+        f"s{a} * ({' + '.join(f'({x} - m{a}_{c}) ** 2' for c, x in enumerate(u[a]))})" for a in range(m))
+
+    lines = []
+    for a, b in pairs:
+        diff = [f"d{a}_{b}_{c}" for c in range(dim)]
+        lines += [f"{d} = {ua} - {ub}" for d, ua, ub in zip(diff, u[a], u[b])]
+        lines.append(f"r{a}_{b} = {norm(diff)}")
+    lines.append(f"if {' or '.join(f'r{a}_{b} < 1e-9' for a, b in pairs)}:")
+    lines.append("    return None")
+    for a, b in pairs:
+        lines += [f"n{a}_{b}_{c} = d{a}_{b}_{c} / r{a}_{b}" for c in range(dim)]
+        lines.append(f"k{a}_{b} = w{a}_{b} / r{a}_{b}")
+        lines += [f"v{a}_{b}_{c} = w{a}_{b} * n{a}_{b}_{c}" for c in range(dim)]
+        lines += [f"b{a}_{b}_{c}_{e} = k{a}_{b} * ({float(c == e)} - n{a}_{b}_{c} * n{a}_{b}_{e})"
+                  for c in range(dim) for e in range(c + 1)]
+    pair_terms = "".join(f"\n        {line}" for line in lines)[1:]
+
+    g_terms = []
+    for a in range(m):
+        for c in range(dim):
+            term = f"k{a} * ({u[a][c]} - m{a}_{c})"
+            for i, j in pairs:
+                if j == a:
+                    term += f" - v{i}_{j}_{c}"
+                elif i == a:
+                    term += f" + v{i}_{j}_{c}"
+            g_terms.append(term)
+    h_terms = []
+    for row in range(size):
+        b, c = divmod(row, dim)
+        for col in range(row + 1):
+            a, e = divmod(col, dim)
+            if a == b:
+                term = f"k{a}" if c == e else "0.0"
+                term += "".join(f" + b{i}_{j}_{c}_{e}" for i, j in pairs if a in (i, j))
+            else:
+                term = f"0.0 - b{a}_{b}_{max(c, e)}_{min(c, e)}"
+            h_terms.append(term)
+
+    # Column j of the factor: its pivot, refused unless positive, then the
+    # entries below it; forward substitution with -g, then backward.
+    factor = []
+    for j in range(size):
+        factor.append(f"d = h{j}_{j}" + "".join(f" - l{j}_{i} * l{j}_{i}" for i in range(j)))
+        factor += ["if not d > 0.0:", "    return None", f"l{j}_{j} = sqrt(d)"]
+        factor += [f"l{i}_{j} = " + quotient(f"h{i}_{j}", [f"l{i}_{k} * l{j}_{k}" for k in range(j)],
+                                             f"l{j}_{j}") for i in range(j + 1, size)]
+    factor += [f"y{i} = " + quotient(f"-g{i}", [f"l{i}_{k} * y{k}" for k in range(i)], f"l{i}_{i}")
+               for i in range(size)]
+    factor += [f"x{i} = " + quotient(f"y{i}", [f"l{k}_{i} * x{k}" for k in range(i + 1, size)],
+                                     f"l{i}_{i}") for i in reversed(range(size))]
+
+    return _NEWTON_SOURCE.format(
+        h_all=", ".join(f"h{i}_{j}" for i in range(size) for j in range(i + 1)),
+        g_all=", ".join(f"g{i}" for i in range(size)),
+        factor="".join(f"\n    {line}" for line in factor)[1:],
+        x_all=", ".join(f"x{i}" for i in range(size)),
+        w_all=", ".join(f"w{a}_{b}" for a, b in pairs),
+        s_all=", ".join(f"s{a}" for a in range(m)),
+        k_all=", ".join(f"k{a}" for a in range(m)),
+        m_all=", ".join(f"m{a}_{c}" for a in range(m) for c in range(dim)),
+        u_all=", ".join(x for ua in u for x in ua),
+        value_pairs=value_pairs, value_blocks=value_blocks, pair_terms=pair_terms,
+        g_terms=", ".join(g_terms), h_terms=", ".join(h_terms))
+
+
+@functools.cache
+def _newton_kernel(m: int, dim: int):
+    """The ``_bind`` of m blocks in dimension dim, compiled from ``_newton_source``."""
+    namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
+    # By exec, as geometry._march_kernel builds the marches.
+    exec(_newton_source(m, dim), namespace)
+    return namespace["_bind"]
+
+
+def _reduced_minimize(pts: list[tuple], blocks, lam: float):
     """Exactly minimize the objective restricted to a coincidence pattern.
 
     Variables are one point per block; the reduced objective is smooth and
@@ -411,8 +515,10 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
 
     The arithmetic is on Python floats, summed left to right.  The Newton
     matrix, (size/lam) I per block plus positive semidefinite pair blocks,
-    is symmetric positive definite with at most 8 rows, so it is solved by
-    Cholesky factorization.
+    is symmetric positive definite with at most 8 rows.  Its value, gradient,
+    Hessian and Cholesky solve run on kernels generated per shape
+    (``_newton_kernel``), with every coordinate in a local, bit for bit the
+    generic list code that ``tests/oracles.py`` keeps.
     """
     dim = len(pts[0])
     m = len(blocks)
@@ -432,65 +538,25 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
     if m == 1:
         return base, means
 
-    pairs = [(a, b, sizes[a] * sizes[b]) for a, b in itertools.combinations(range(m), 2)]
     # The iterate is one flat list of m*dim coordinates; zip(*[iter(u)] * dim)
     # reads it as its m block points, one tuple of dim coordinates each.
-
-    def value(u):
-        pu = list(zip(*[iter(u)] * dim))
-        v = base
-        for a, b, w in pairs:
-            v += w * math.dist(pu[a], pu[b])
-        q = 0.0
-        for s, p, mean in zip(sizes, pu, means):
-            r = 0.0
-            for c, mc in zip(p, mean):
-                r += (c - mc) ** 2
-            q += s * r
-        return v + q / (2.0 * lam)
-
-    def grad_hess(u):
-        # The gradient and the lower triangle of the Hessian.
-        pu = list(zip(*[iter(u)] * dim))
-        g = []
-        h = [[0.0] * (m * dim) for _ in range(m * dim)]
-        for a, (s, p, mean) in enumerate(zip(sizes, pu, means)):
-            k = s / lam
-            g.extend([k * (c - mc) for c, mc in zip(p, mean)])
-            for c in range(a * dim, (a + 1) * dim):
-                h[c][c] = k
-        for a, b, w in pairs:
-            ua, ub = pu[a], pu[b]
-            r = math.dist(ua, ub)
-            if r < 1e-9:
-                return None, None
-            unit = [(c - e) / r for c, e in zip(ua, ub)]
-            k = w / r
-            oa, ob = a * dim, b * dim
-            for c, uc in enumerate(unit):
-                g[oa + c] += w * uc
-                g[ob + c] -= w * uc
-                h_a, h_b = h[oa + c], h[ob + c]
-                for e, ue in enumerate(unit):
-                    block = k * ((c == e) - uc * ue)
-                    if e <= c:
-                        h_a[oa + e] += block
-                        h_b[ob + e] += block
-                    h_b[oa + e] -= block
-        return g, h
-
-    # g and h are always grad_hess(u): each is computed once per iterate,
-    # and a pure Newton step carries its candidate's pair forward.
     u = [c for mean in means for c in mean]
+    value, grad_hess, solve = _newton_kernel(m, dim)(
+        base, 2.0 * lam, [sizes[a] * sizes[b] for a, b in itertools.combinations(range(m), 2)],
+        sizes, [s / lam for s in sizes], u)
+    # gh is always grad_hess(u), the gradient and the Hessian's lower
+    # triangle, or None: each is computed once per iterate, and a pure Newton
+    # step carries its candidate's forward.
     val = value(u)
-    g, h = grad_hess(u)
+    gh = grad_hess(u)
     for _ in range(100):
-        if g is None:
+        if gh is None:
             return None
+        g, h = gh
         gnorm = math.hypot(*g)
         if gnorm <= 1e-10:
             break
-        step = _cholesky_solve(h, [-c for c in g])
+        step = solve(h, g)
         if step is None:
             break
         descent = 0.0
@@ -501,12 +567,12 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
             # value, so an Armijo test would accept zero-progress steps.
             # Finish with pure Newton steps gated on gradient contraction.
             cand = [c + d for c, d in zip(u, step)]
-            g2, h2 = grad_hess(cand)
-            if g2 is None or not math.hypot(*g2) < 0.5 * gnorm:
+            gh2 = grad_hess(cand)
+            if gh2 is None or not math.hypot(*gh2[0]) < 0.5 * gnorm:
                 break
             u = cand
             val = value(u)
-            g, h = g2, h2
+            gh = gh2
             continue
         alpha = 1.0
         while alpha > 1e-14:
@@ -519,8 +585,8 @@ def _reduced_minimize(pts: list[tuple], blocks: list[list[int]], lam: float):
             alpha *= 0.5
         else:
             break
-        g, h = grad_hess(u)
-    if g is None or math.hypot(*g) > 1e-8:
+        gh = grad_hess(u)
+    if gh is None or math.hypot(*gh[0]) > 1e-8:
         return None
     return val, list(zip(*[iter(u)] * dim))
 
@@ -537,28 +603,35 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     """Exact resolvent of the full objective, for the cases oracle_supports admits.
 
     Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam)
-    by enumerating coincidence patterns of the coordinates and solving each
-    smooth reduced problem by Newton iteration (``_reduced_minimize``); the
-    first pattern of least value wins.  A pattern can only be optimal if its
-    merged coordinates started within 2(n-1)*lam of each other, which prunes
-    the enumeration hard for small steps.
+    by enumerating coincidence patterns of the coordinates, in
+    ``_set_partitions`` order, and solving each smooth reduced problem by
+    Newton iteration on the kernels generated for its shape
+    (``_reduced_minimize``); the first pattern of least value wins.  A
+    pattern can only be optimal if its merged coordinates started within
+    2(n-1)*lam of each other, which prunes the enumeration hard for small
+    steps: each pair of input points is measured once, and a pattern is
+    skipped if one of its in-block pairs lies farther apart.  An infinite
+    step is accepted; its resolvent is the centroid.
     """
     space = x.space
     n = len(x)
     if not oracle_supports(space, n):
         raise GeometryError("the reference resolvent supports only euclidean tuples with n*dim <= 8")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise GeometryError("step size must be positive")
     if n < 2:
         return x
     pts = [p.data for p in x.coords]
     reach = 2.0 * (n - 1) * lam * (1.0 + 1e-9) + 1e-12
+    far = 0
+    for i, (p, q) in enumerate(itertools.combinations(pts, 2)):
+        if math.dist(p, q) > reach:
+            far |= 1 << i
 
     best_val = math.inf
     best = None
-    for blocks in _set_partitions(n):
-        if any(math.dist(pts[a], pts[b]) > reach
-               for block in blocks for a, b in itertools.combinations(block, 2)):
+    for blocks, inner in _patterns(n):
+        if inner & far:
             continue
         solved = _reduced_minimize(pts, blocks, lam)
         if solved is None:

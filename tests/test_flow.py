@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import math
@@ -30,10 +31,12 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import _wrap
-from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march, _pair_step
-from oracles import (full_resolvent_ref, grid_pair_prox, tree_first_collision_ref,
-                     tree_routes_ref)
+from subsetflow.flow import (_newton_source, _patterns, _reduced_minimize, _set_partitions, _wrap,
+                             oracle_supports)
+from subsetflow.geometry import (_MARCH_MAX_SOURCE, _SMALL_ANGLE, _gaps, _march_kernel, _pair_march,
+                                 _pair_step)
+from oracles import (full_resolvent_ref, grid_pair_prox, reduced_minimize_generic,
+                     tree_first_collision_ref, tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -1058,6 +1061,63 @@ def test_oracle_matches_numpy_reference(dim, n):
             a, b = full_resolvent_oracle(x, lam), full_resolvent_ref(x, lam)
             assert pattern(a) == pattern(b), (seed, scale)
             assert product_distance(a, b) <= 1e-10 * lam, (seed, scale)
+
+
+@pytest.mark.parametrize("step", [
+    lambda x, lam: pair_resolvent(x, 0, 1, lam),
+    sweep,
+    full_resolvent_oracle,
+], ids=["pair_resolvent", "sweep", "full_resolvent_oracle"])
+def test_nan_step_is_refused(line, step):
+    with pytest.raises(GeometryError, match="step size must be positive"):
+        step(line_tuple(line, 0.0, 1.0, 3.0), math.nan)
+
+
+def test_infinite_step_lands_on_the_limit(line):
+    # J_inf is the midpoint for a pair and the centroid for the full objective.
+    x = line_tuple(line, 0.0, 1.0, 5.0)
+    assert coords1d(pair_resolvent(x, 0, 1, math.inf)) == [0.5, 0.5, 5.0]
+    assert coords1d(full_resolvent_oracle(x, math.inf)) == [2.0, 2.0, 2.0]
+
+
+def test_pattern_cache_holds_the_partitions_in_order():
+    # The first pattern of least value wins, so the cache keeps
+    # _set_partitions' order, and each pattern's mask holds its in-block pairs.
+    for n in range(1, 9):
+        pairs = list(itertools.combinations(range(n), 2))
+        cached = _patterns(n)
+        assert [[list(block) for block in blocks] for blocks, _ in cached] == list(_set_partitions(n))
+        for blocks, inner in cached:
+            assert inner == sum(1 << pairs.index(pair) for block in blocks
+                                for pair in itertools.combinations(block, 2))
+
+
+def test_newton_kernels_match_the_generic_solve():
+    # Every shape of m >= 2 blocks that oracle_supports admits, solved on its
+    # generated kernels and on the generic list code, must give the same
+    # repr: the same value, the same block points, or both None.  Points at
+    # scale 1e7 drive the Newton matrix far enough from positive definite to
+    # working precision that Cholesky refuses some pivots.
+    shapes = [(m, dim) for dim in range(1, 9) for m in range(2, 9)
+              if oracle_supports(EuclideanSpace(dim), m)]
+    assert len(shapes) == 12
+    counts = collections.Counter()
+    for m, dim in shapes:
+        assert len(_newton_source(m, dim)) <= _MARCH_MAX_SOURCE
+        n = 8 // dim
+        patterns = [blocks for blocks, _ in _patterns(n) if len(blocks) == m]
+        for seed in range(6):
+            rng = random.Random(f"newtonkernel:{m}:{dim}:{seed}")
+            for scale in (1.0, 1e7):
+                pts = [tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(n)]
+                gap = min(math.dist(p, q) for p, q in itertools.combinations(pts, 2))
+                for blocks in rng.sample(patterns, min(3, len(patterns))):
+                    for i in range(8):
+                        lam = 1e-3 * gap * 2000.0 ** (i / 7)
+                        want = reduced_minimize_generic(pts, blocks, lam, counts)
+                        assert repr(_reduced_minimize(pts, blocks, lam)) == repr(want), (pts, blocks, lam)
+    for branch in ("converged", "pure_newton", "backtrack", "cholesky_refused", "guard"):
+        assert counts[branch] > 0, (branch, counts)
 
 
 # ---------------------------------------------------------------------------
