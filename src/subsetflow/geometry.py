@@ -29,11 +29,11 @@ points moved lam toward each other, and d, which the merge march uses as a
 bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
 A tree's merge does not march: ``merge_time`` calls its
 ``_first_collision(data, gaps)``, the exact flow to the first collision,
-whose first event reuses the gaps ``merge_time`` measured.  The tree
-kernels read one table per edge id (its ends, its length and both ends'
-rows of node distances), the tree ``_gap`` builds no route, its ``_interp``
-builds one (``_route``), and each event of the exact flow is one pass
-(``_motions``) over every slot's edge ends.
+whose first event reuses the gaps ``merge_time`` measured.  Every tree
+kernel reads an edge by its id from one table (its ends, its length and
+both ends' rows of node distances); the tree ``_gap`` builds no route, its
+``_interp`` builds one (``_route``), and each event of the exact flow is
+one pass (``_motions``) over every slot's edge ends, in plain numbers.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -658,20 +658,19 @@ class TreeSpace:
     distances and next-hop pointers are precomputed, so the instance is
     immutable after construction.
 
-    The kernels read ``_table``, which maps an edge id to (from node, to
-    node, length, from node's distances to every node, to node's), by
-    plain indexing: ``_check_point`` has rejected every edge id the tree
-    lacks.  ``_gap`` returns the least endpoint pairing's length without
-    building a route, ``_interp`` walks the one ``_route`` picks, and
-    ``_motions`` reads each slot's edge ends once per event and one
-    ``_next_edge`` row per point.  ``_march`` is ``_pair_march`` with
-    ``_pair_step`` inlined: it routes each pair from the two slots' table
-    rows, and, like ``_interp``, leaves a walk past an edge's end to
-    ``_walk``.
+    Every kernel reads an edge by its id from ``_table``, which maps an edge
+    id to (from node, to node, length, from node's distances to every node,
+    to node's), by plain indexing: ``_check_point`` has rejected every edge
+    id the tree lacks.  ``_next_edge`` rows hold edge ids too.  ``_gap``
+    returns the least endpoint pairing's length without building a route,
+    ``_interp`` walks the one ``_route`` picks, and ``_motions`` reads each
+    slot's table row once per event and one ``_next_edge`` row per point.
+    ``_march`` is ``_pair_march`` with ``_pair_step`` inlined: it routes each
+    pair from the two slots' table rows, and, like ``_interp``, leaves a walk
+    past an edge's end to ``_walk``.
     """
 
     topology: TreeTopology
-    _edge_by_id: dict = field(init=False, repr=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
@@ -680,7 +679,6 @@ class TreeSpace:
 
     def __post_init__(self) -> None:
         topo = self.topology
-        edge_by_id = {e.id: e for e in topo.edges}
         incident: dict[int, list[TreeEdge]] = {v: [] for v in topo.nodes}
         for e in topo.edges:
             incident[e.from_node].append(e)
@@ -690,9 +688,9 @@ class TreeSpace:
             e = min(edges, key=lambda e: e.id)
             vertex_rep[v] = (e.id, e.endpoint_offset(v))
         # One BFS per target node yields distances plus, for every other
-        # node, the first edge on the unique path toward that target.
+        # node, the id of the first edge on the unique path toward that target.
         node_dist: dict[int, dict[int, float]] = {}
-        next_edge: dict[int, dict[int, TreeEdge]] = {v: {} for v in topo.nodes}
+        next_edge: dict[int, dict[int, int]] = {v: {} for v in topo.nodes}
         for target in topo.nodes:
             dist = {target: 0.0}
             stack = [target]
@@ -702,13 +700,12 @@ class TreeSpace:
                     w = e.other(u)
                     if w not in dist:
                         dist[w] = dist[u] + e.length
-                        next_edge[w][target] = e
+                        next_edge[w][target] = e.id
                         stack.append(w)
             node_dist[target] = dist
         table = {e.id: (e.from_node, e.to_node, e.length,
                         node_dist[e.from_node], node_dist[e.to_node])
                  for e in topo.edges}
-        object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_next_edge", next_edge)
@@ -723,28 +720,28 @@ class TreeSpace:
         try:
             if not (_real(edge_id) and _real(offset)):
                 raise TypeError("not a real number")
-            edge = self._edge_by_id.get(edge_id)
+            row = self._table.get(edge_id)
             offset = float(offset)
         except (TypeError, OverflowError) as exc:
             raise GeometryError(f"malformed tree point {place!r}") from exc
-        if edge is None:
+        if row is None:
             raise GeometryError(f"unknown edge id {edge_id!r}")
-        if not (math.isfinite(offset) and 0.0 <= offset <= edge.length):
-            raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
-        return Point(self.kind, self._place(edge, offset))
+        if not (math.isfinite(offset) and 0.0 <= offset <= row[2]):
+            raise GeometryError(f"offset {offset} outside [0, {row[2]}] on edge {edge_id}")
+        return Point(self.kind, self._place(int(edge_id), offset))
 
-    def _place(self, edge: TreeEdge, offset: float) -> tuple:
-        # The canonical data of the point at offset along edge.
+    def _place(self, edge_id: int, offset: float) -> tuple:
+        # The canonical data of the point at offset along edge edge_id.
+        row = self._table[edge_id]
         if offset == 0.0:
-            return self._vertex_rep[edge.from_node]
-        if offset == edge.length:
-            return self._vertex_rep[edge.to_node]
-        return (edge.id, offset)
+            return self._vertex_rep[row[0]]
+        if offset == row[2]:
+            return self._vertex_rep[row[1]]
+        return (edge_id, offset)
 
     def canonicalize(self, p: Point) -> Point:
         self._check_point(p)
-        edge_id, offset = p.data
-        return Point(self.kind, self._place(self._edge_by_id[edge_id], offset))
+        return Point(self.kind, self._place(*p.data))
 
     def _check_point(self, p: Point) -> None:
         # Data that is no (int edge id, float offset) tuple, as point()
@@ -758,11 +755,11 @@ class TreeSpace:
                 or type(data[0]) is not int or type(data[1]) is not float):
             raise GeometryError(f"malformed tree point data {data!r}")
         edge_id, offset = data
-        edge = self._edge_by_id.get(edge_id)
-        if edge is None:
+        row = self._table.get(edge_id)
+        if row is None:
             raise SpaceMismatchError(f"edge id {edge_id!r} does not belong to this tree")
-        if not 0.0 <= offset <= edge.length:
-            raise GeometryError(f"offset {offset} outside [0, {edge.length}] on edge {edge_id}")
+        if not 0.0 <= offset <= row[2]:
+            raise GeometryError(f"offset {offset} outside [0, {row[2]}] on edge {edge_id}")
 
     distance = _distance
     geodesic_point = _geodesic_point
@@ -813,18 +810,18 @@ class TreeSpace:
         e1, o1 = pd
         e2, o2 = qd
         if e1 == e2:
-            return self._place(self._edge_by_id[e1], o1 + t * (o2 - o1))
+            return self._place(e1, o1 + t * (o2 - o1))
         total, ra, u, nb = self._route(pd, qd)
         s = t * total
         if s <= ra:
-            a = self._edge_by_id[e1]
-            off = o1 - s if u == a.from_node else o1 + s
-            # Comparisons, not min(max(off, 0.0), a.length), with its bits.
+            a, _, length, _, _ = self._table[e1]
+            off = o1 - s if u == a else o1 + s
+            # Comparisons, not min(max(off, 0.0), length), with its bits.
             if off < 0.0:
                 off = 0.0
-            elif off > a.length:
-                off = a.length
-            return self._place(a, off)
+            elif off > length:
+                off = length
+            return self._place(e1, off)
         return self._walk(u, nb, s - ra, qd)
 
     def _walk(self, u: int, nb: int, s: float, qd: tuple) -> tuple:
@@ -833,19 +830,20 @@ class TreeSpace:
         # give min(s, o2) and max(length - s, o2), bit for bit.
         while u != nb:
             e = self._next_edge[u][nb]
-            if s < e.length:
-                return self._place(e, s if u == e.from_node else e.length - s)
-            s -= e.length
-            u = e.other(u)
+            a, b, length, _, _ = self._table[e]
+            if s < length:
+                return self._place(e, s if u == a else length - s)
+            s -= length
+            u = b if u == a else a
         e2, o2 = qd
-        b = self._edge_by_id[e2]
-        if nb == b.from_node:
+        a, _, length, _, _ = self._table[e2]
+        if nb == a:
             off = o2 if o2 < s else s
         else:
-            off = b.length - s
+            off = length - s
             if o2 > off:
                 off = o2
-        return self._place(b, off)
+        return self._place(e2, off)
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
                watch: float) -> tuple[int, float]:
@@ -855,7 +853,7 @@ class TreeSpace:
         # a pair that moves apart, summed in its own order.  A step that
         # stays on its own edge is clamped by comparisons and placed here; a
         # step past its edge's end is _walk's.
-        table, edge_by_id, place, walk = self._table, self._edge_by_id, self._place, self._walk
+        table, place, walk = self._table, self._place, self._walk
         lam2 = 2.0 * lam
         for done in range(1, sweeps + 1):
             low = math.inf
@@ -876,16 +874,16 @@ class TreeSpace:
                         if d <= lam2:
                             off = o1 + 0.5 * (o2 - o1)
                             coords[i] = coords[j] = (
-                                (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off))
+                                (e1, off) if 0.0 < off < length else place(e1, off))
                             continue
                         s = lam / d
                         if not s > 0.0:
                             _check_t(s)
                             continue
                         off = o1 + s * (o2 - o1)
-                        coords[i] = (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off)
+                        coords[i] = (e1, off) if 0.0 < off < length else place(e1, off)
                         off = o2 + s * (o1 - o2)
-                        coords[j] = (e1, off) if 0.0 < off < length else place(edge_by_id[e1], off)
+                        coords[j] = (e1, off) if 0.0 < off < length else place(e1, off)
                         continue
                     # _route(pd, qd): its length d, the leg to the exit node u,
                     # and nb, where it enters qd's edge.
@@ -920,7 +918,7 @@ class TreeSpace:
                             off = 0.0
                         elif off > l1:
                             off = l1
-                        new = (e1, off) if 0.0 < off < l1 else place(edge_by_id[e1], off)
+                        new = (e1, off) if 0.0 < off < l1 else place(e1, off)
                     else:
                         new = walk(u, nb, step - leg, qd)
                     if d <= lam2:
@@ -946,7 +944,7 @@ class TreeSpace:
                             off = 0.0
                         elif off > l2:
                             off = l2
-                        coords[j] = (e2, off) if 0.0 < off < l2 else place(edge_by_id[e2], off)
+                        coords[j] = (e2, off) if 0.0 < off < l2 else place(e2, off)
                     else:
                         coords[j] = walk(u, nb, step - leg, pd)
             if low <= watch:
@@ -955,11 +953,11 @@ class TreeSpace:
 
     def _motions(self, data: list[tuple]) -> list[tuple | None]:
         # How each point of data moves until the next event of the exact
-        # flow: (edge, offset, sign, speed, pull), sign +1.0 toward the
-        # edge's to node, pull[j] what it moves toward slot j's point per
-        # unit time; None if it stays.  Each slot's edge ends are read once,
-        # and the first edge from a vertex v toward a point on the edge
-        # (c, d) is row[d] if c == v else row[c], row being v's _next_edge.
+        # flow: (edge id, offset, sign, speed, pull, length), sign 1 toward
+        # the edge's to node, else -1, pull[j] what it moves toward slot j's
+        # point per unit time; None if it stays.  Each slot's table row is
+        # read once, and the first edge from a vertex v toward a point on the
+        # edge (c, d) is row[d] if c == v else row[c], row being v's _next_edge.
         table = self._table
         slots = [(e, p) + table[e][:3] for e, p in data]
         others = len(data) - 1
@@ -968,23 +966,21 @@ class TreeSpace:
             if 0.0 < o < length:
                 # Inside an edge: toward the side that holds more of the
                 # others, at the difference of the two counts.
-                edge = self._edge_by_id[edge_id]
                 row = self._next_edge[b]
-                ahead = [p > o if e == edge_id else (row[d] if c == b else row[c]) is not edge
+                ahead = [p > o if e == edge_id else (row[d] if c == b else row[c]) != edge_id
                          for e, p, c, d, _ in slots]
                 ahead[i] = False
                 vel = 2 * sum(ahead) - others
                 pull = [vel if x else -vel for x in ahead]
-                moves.append(None if vel == 0 else (edge, o, 1.0, vel, pull) if vel > 0
-                             else (edge, o, -1.0, -vel, pull))
+                moves.append(None if vel == 0 else (edge_id, o, 1, vel, pull, length) if vel > 0
+                             else (edge_id, o, -1, -vel, pull, length))
                 continue
             # At a vertex: into the branch that holds c > (n-1)/2 of the
             # others, at 2c - (n-1), or nowhere.  Among branches tied for
             # the most, none holds more than half.
             v = a if o == 0.0 else b
             row = self._next_edge[v]
-            # Counted by edge id: a TreeEdge hashes its fields in Python.
-            branches = [(row[d] if c == v else row[c]).id for _, _, c, d, _ in slots]
+            branches = [row[d] if c == v else row[c] for _, _, c, d, _ in slots]
             branches[i] = None
             counts = {}
             for x in branches:
@@ -995,10 +991,10 @@ class TreeSpace:
             if speed <= 0:
                 moves.append(None)
                 continue
-            edge = self._edge_by_id[best]
+            a, _, length, _, _ = table[best]
             pull = [speed if x == best else -speed for x in branches]
-            moves.append((edge, 0.0, 1.0, speed, pull) if v == edge.from_node
-                         else (edge, edge.length, -1.0, speed, pull))
+            moves.append((best, 0, 1, speed, pull, length) if v == a
+                         else (best, length, -1, speed, pull, length))
         return moves
 
     def _first_collision(self, data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
@@ -1018,16 +1014,19 @@ class TreeSpace:
         that met share one tuple.  A point never turns back before the first
         collision, so it reaches each vertex at most once; past
         n (edge count + 1) events the run raises GeometryError.
+
+        Its own constants are ints (the start time, the signs, a departure's
+        offset), so on a table of ``fractions.Fraction`` values it runs exactly.
         """
         n = len(data)
         data = list(data)
         pairs = list(itertools.combinations(range(n), 2))
         still = [0] * n
-        t = 0.0
+        t = 0
         for _ in range(n * (len(self.topology.edges) + 1)):
             moves = self._motions(data)
             arrivals = [math.inf if m is None
-                        else (m[0].length - m[1] if m[2] > 0.0 else m[1]) / m[3] for m in moves]
+                        else (m[5] - m[1] if m[2] > 0 else m[1]) / m[3] for m in moves]
             pull = [still if m is None else m[4] for m in moves]
             # A gap closes at the sum of what each point moves toward the other.
             meets = [0.0 if d == 0.0 else d / rate if (rate := pull[i][j] + pull[j][i]) > 0
@@ -1038,17 +1037,17 @@ class TreeSpace:
             for i, m in enumerate(moves):
                 if m is None:
                     continue
-                edge, o, sign, speed, _ = m
+                edge_id, o, sign, speed, _, length = m
                 if arrivals[i] == h:
-                    o = edge.length if sign > 0.0 else 0.0
+                    o = length if sign > 0 else 0
                 else:
-                    # Comparisons, not min(max(o, 0.0), edge.length), with its bits.
+                    # Comparisons, not min(max(o, 0.0), length), with its bits.
                     o += sign * speed * h
                     if o < 0.0:
                         o = 0.0
-                    elif o > edge.length:
-                        o = edge.length
-                data[i] = self._place(edge, o)
+                    elif o > length:
+                        o = length
+                data[i] = self._place(edge_id, o)
             t += h
             hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
             if hits:
@@ -1066,7 +1065,7 @@ class TreeSpace:
         # draws of rng.choices(edges, weights=lengths), which accumulates
         # the weights into these cum_weights on every call.
         e = rng.choices(self.topology.edges, cum_weights=self._cum_lengths)[0]
-        return Point(self.kind, self._place(e, rng.uniform(0.0, e.length)))
+        return Point(self.kind, self._place(e.id, rng.uniform(0.0, e.length)))
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)

@@ -204,9 +204,9 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
     The clustering runs on the distance kernel over the points' data, and
     stops after a pass whose folds all returned their cluster's first point.
     That pass found every pair of those points more than tol apart, so the
-    subset is built without the constructor's checks.  The folds call the
-    public ``geodesic_point``, whose shortcuts for equal points and for t at
-    0 or 1 are part of what a fold returns.
+    subset is built without the constructor's checks.  The folds run on the
+    kernels, with no check: a fold of equal points returns the first, else
+    the midpoint, as the public ``geodesic_point`` would.
     """
     while True:
         clusters = _clusters(space, [p.data for p in pts], tol)
@@ -214,7 +214,9 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
         for cluster in clusters:
             rep = pts[cluster[0]]
             for idx in cluster[1:]:
-                rep = space.geodesic_point(rep, pts[idx], 0.5)
+                q = pts[idx]
+                rep = rep if rep == q else Point(
+                    space.kind, space._interp(rep.data, q.data, 0.5, space._gap(rep.data, q.data)))
             merged.append(rep)
         # Each seed (a cluster's first point) was compared with every later
         # seed as its cluster grew, so once every fold returns its seed (a

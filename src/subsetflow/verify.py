@@ -433,12 +433,12 @@ def check_merge_time_bound(space: SpaceDescriptor, n: int, seed: int, trials: in
     ]
 
 
-def check_two_point_merge(space: SpaceDescriptor, seed: int, trials: int,
-                          cfg: FlowConfig) -> CheckResult:
+def check_two_point_merge(space: SpaceDescriptor, seed: int, trials: int) -> CheckResult:
+    # Two points meet before merge_time reads its FlowConfig.
     def trial(rng):
         x = sample_tuple(space, 2, rng)
         delta = min_gap(x)
-        t_star, merged = merge_time(x, cfg)
+        t_star, merged = merge_time(x, FlowConfig())
         return max(abs(t_star - 0.5 * delta), min_gap(merged)), None
 
     return _row("two_point_merge", _trials(seed, "twopoint", trials, trial), EXACT_TOL)
@@ -530,11 +530,10 @@ def check_resolvent_inequality(space: SpaceDescriptor, n: int, seed: int, trials
                 RESOLVENT_INEQ_TOL)
 
 
-def check_retract_identity(space: SpaceDescriptor, n: int, seed: int, trials: int,
-                           cfg: FlowConfig) -> CheckResult:
+def check_retract_identity(space: SpaceDescriptor, n: int, seed: int, trials: int) -> CheckResult:
     def trial(rng):
         a = sample_subset(space, rng.randint(1, n - 1), rng)
-        rep = retract(a, n, cfg)
+        rep = retract(a, n)
         return max(hausdorff_distance(rep.output, a), rep.merge_time_used), None
 
     return _row("retract_identity", _trials(seed, "ridentity", trials, trial), 0.0)
@@ -617,14 +616,14 @@ def bound_suite(cfg: ScanConfig) -> ScanReport:
     checks.append(check_flow_descent(cfg.space, cfg.n, cfg.seed, twentieth))
     checks.append(check_spread_bound(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
     checks.extend(check_merge_time_bound(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
-    checks.append(check_two_point_merge(cfg.space, cfg.seed, fifth, cfg.flow))
+    checks.append(check_two_point_merge(cfg.space, cfg.seed, fifth))
     checks.append(check_pair_gap_stability(cfg.space, cfg.n, cfg.seed, s))
     checks.append(check_min_attainment(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
     checks.append(check_permutation_limit(cfg.space, cfg.n, cfg.seed, twentieth))
     checks.append(check_oracle_consistency(cfg.space, min(cfg.n, 3), cfg.seed, twentieth))
     checks.append(check_resolvent_inequality(cfg.space, min(cfg.n, 3), cfg.seed,
                                              min(s, 60)))
-    checks.append(check_retract_identity(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
+    checks.append(check_retract_identity(cfg.space, cfg.n, cfg.seed, fifth))
     checks.extend(check_retract_contracts(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
     checks.append(check_lipschitz_ratio(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow,
                                         cfg.perturbation_scale))

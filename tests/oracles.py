@@ -497,22 +497,41 @@ def tree_routes_ref(space, pd: tuple, qd: tuple) -> tuple[tuple, tuple]:
     return fwd, rev
 
 
-def tree_branch_ref(space, row: dict, node: int, qd: tuple):
-    # The first edge from the vertex node toward the point qd != node; row is
-    # node's row of space._next_edge.
-    a, b, _, _, _ = space._table[qd[0]]
-    return row[b] if a == node else row[a]
+@functools.cache
+def tree_edges_ref(space) -> tuple[dict, dict]:
+    """space's TreeEdges by id, and first[u][v], the TreeEdge that leaves node
+    u on the path to node v, found by a search over space.topology.edges."""
+    edges = {e.id: e for e in space.topology.edges}
+    first = {v: {} for v in space.topology.nodes}
+    for target in space.topology.nodes:
+        seen = {target}
+        stack = [target]
+        while stack:
+            u = stack.pop()
+            for e in edges.values():
+                w = e.other(u)
+                if u in (e.from_node, e.to_node) and w not in seen:
+                    seen.add(w)
+                    first[w][target] = e
+                    stack.append(w)
+    return edges, first
+
+
+def tree_branch_ref(space, node: int, qd: tuple):
+    # The first TreeEdge from the vertex node toward the point qd != node.
+    edges, first = tree_edges_ref(space)
+    e = edges[qd[0]]
+    return first[node][e.to_node if e.from_node == node else e.from_node]
 
 
 def tree_motion_ref(space, i: int, data: list[tuple]) -> MoveRef | None:
     """How point i of data moves until the next event; None if it stays."""
     edge_id, o = data[i]
-    edge = space._edge_by_id[edge_id]
+    edge = tree_edges_ref(space)[0][edge_id]
     others = len(data) - 1
     if 0.0 < o < edge.length:
         v = edge.to_node
-        row = space._next_edge[v]
-        ahead = [qd[1] > o if qd[0] == edge_id else tree_branch_ref(space, row, v, qd) is not edge
+        ahead = [qd[1] > o if qd[0] == edge_id else tree_branch_ref(space, v, qd) is not edge
                  for qd in data]
         ahead[i] = False
         speed = 2 * sum(ahead) - others
@@ -522,8 +541,7 @@ def tree_motion_ref(space, i: int, data: list[tuple]) -> MoveRef | None:
             return MoveRef(edge, o, 1.0, speed, ahead)
         return MoveRef(edge, o, -1.0, -speed, [not a for a in ahead])
     v = edge.from_node if o == 0.0 else edge.to_node
-    row = space._next_edge[v]
-    branches = [None if j == i else tree_branch_ref(space, row, v, qd) for j, qd in enumerate(data)]
+    branches = [None if j == i else tree_branch_ref(space, v, qd) for j, qd in enumerate(data)]
     (b, count), = Counter(branches[:i] + branches[i + 1:]).most_common(1)
     speed = 2 * count - others
     if speed <= 0:
@@ -562,7 +580,7 @@ def tree_first_collision_ref(space, data: list[tuple]) -> tuple[float, list[tupl
                 o = edge.length if m.sign > 0.0 else 0.0
             else:
                 o = min(max(m.offset + m.sign * m.speed * h, 0.0), edge.length)
-            data[i] = space._place(edge, o)
+            data[i] = space._place(edge.id, o)
         t += h
         hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
         if hits:

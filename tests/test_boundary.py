@@ -39,6 +39,7 @@ from subsetflow import (
 from subsetflow import retraction
 from subsetflow.cli import main
 from subsetflow.flow import oracle_supports
+from subsetflow.subset_space import _merge
 from subsetflow.verify import perturb_subset, sample_subset, sample_tuple
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -89,6 +90,13 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
         # point() checks each point as it reads it, and nothing checks it again
         assert PointTuple.from_json(x.to_json()) == x
         assert FiniteSubset.from_json(a.to_json()) == a
+        # a payload that lists a point twice, and merges of checked points
+        # (one with a repeat, one folding every point), fold on the kernels
+        payload = a.to_json()
+        payload["points"].append(payload["points"][-1])
+        assert FiniteSubset.from_json(payload) == a
+        assert _merge(space, [*a.points, a.points[0]], 0.0) == a
+        assert len(_merge(space, list(a.points), math.inf)) == 1
         assert calls == []
         retract(a, n, CFG)
         if isinstance(space, TreeSpace):
@@ -232,6 +240,8 @@ def test_integral_numbers_still_read(plane, star_tree):
     p = plane.point((1, -2))
     assert p.data == (1.0, -2.0) and all(type(c) is float for c in p.data)
     assert star_tree.point((1.0, 0.5)) == star_tree.point((1, 0.5))
+    # it stores the int id, which _check_point demands
+    assert type(star_tree.point((1.0, 0.5)).data[0]) is int
     assert star_tree.point_from_json({"edge": 2, "offset": 1}).data == (2, 1.0)
     topo = TreeTopology.from_json([dict(STAR_EDGES[0], length=2), STAR_EDGES[1]])
     assert topo.edges[0].length == 2.0

@@ -348,7 +348,7 @@ def test_flow_descent_reports_an_ascent_as_a_failed_row(plane, monkeypatch):
 @pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree"])
 def test_two_point_merge_row_is_exact(all_spaces, key):
     # Two points meet at their midpoint at d/2 exactly, so the row reads 0.
-    row = check_two_point_merge(all_spaces[key], 0, 200, FlowConfig())
+    row = check_two_point_merge(all_spaces[key], 0, 200)
     assert (row.trials, row.passed, row.worst) == (200, True, 0.0)
 
 
