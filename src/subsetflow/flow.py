@@ -28,12 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
-                       _check_count, _gaps, _pair_step)
+                       _check_count, _gaps, _pair_step, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -77,7 +76,8 @@ class FlowReport:
 
     Traces come from the finest run and hold one row per sweep, starting at
     time zero.  The objective trace must never increase along a run; the
-    constructor enforces that within floating noise.
+    constructor enforces that within max(1e-9, 1e-12 F0), F0 the starting
+    objective: collapsed points leave a residue of the coordinates' scale.
     """
 
     final: PointTuple
@@ -89,8 +89,9 @@ class FlowReport:
 
     def __post_init__(self) -> None:
         values = [f for _, f in self.objective_trace]
+        noise = max(1e-9, 1e-12 * values[0]) if values else 0.0
         for a, b in zip(values, values[1:]):
-            if b > a + 1e-9:
+            if b > a + noise:
                 raise GeometryError(f"objective increased along the flow: {a} -> {b}")
 
     def to_json(self):
@@ -115,9 +116,7 @@ def sum_pairwise_distances(x: PointTuple) -> float:
     """The flow objective: total distance over all coordinate pairs."""
     if len(x) < 2:
         raise GeometryError("the objective needs at least two coordinates")
-    # Summed left to right, as in the flow traces; the builtin sum rounds
-    # differently from Python 3.12 on.
-    return functools.reduce(operator.add, _gaps(x.space, [p.data for p in x.coords]))
+    return _total(_gaps(x.space, [p.data for p in x.coords]))
 
 
 def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
@@ -202,7 +201,7 @@ def _traced_run(space, coords: list[tuple], t: float, k: int):
         ds = _gaps(space, coords)
         now = m * lam
         gap_trace.append((now, min(ds)))
-        obj_trace.append((now, functools.reduce(operator.add, ds)))
+        obj_trace.append((now, _total(ds)))
     return gap_trace, obj_trace
 
 
@@ -253,7 +252,7 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     if t == 0.0 or len(x) < 2:
         final, used, steps = x, 0, []
         gap_trace = [(0.0, min(ds, default=math.inf))]
-        obj_trace = [(0.0, functools.reduce(operator.add, ds, 0.0))]
+        obj_trace = [(0.0, _total(ds) if ds else 0.0)]
     else:
         final, (gap_trace, obj_trace), used, steps = _refine(
             x, t, cfg.sweeps_per_run, cfg.max_doublings, _traced_run)
@@ -523,8 +522,7 @@ def _reduced_minimize(pts: list[tuple], blocks, lam: float):
     dim = len(pts[0])
     m = len(blocks)
     sizes = [float(len(b)) for b in blocks]
-    means = [tuple([functools.reduce(operator.add, col) / len(b)
-                    for col in zip(*[pts[i] for i in b])]) for b in blocks]
+    means = [tuple([_total(col) / len(b) for col in zip(*[pts[i] for i in b])]) for b in blocks]
     # Sum of squared distances from each block's members to its mean is a
     # constant of the pattern; fold it in so values are comparable.
     base = 0.0

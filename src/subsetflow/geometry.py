@@ -21,7 +21,10 @@ as a ``GeometryError``.  Each backend
 binds in its class body what this module writes once from those:
 ``distance = _distance`` and ``geodesic_point = _geodesic_point``, which
 check each point (its kind; its coordinate count, or on a tree its edge and
-offset) and call the kernels.  Over the kernels of any backend, this module
+offset) and call the kernels.  ``_geodesic_point`` ends in ``_toward(space,
+p, q, t, d)``, the step between checked points d apart, which the library's
+own steps call directly; ``_total`` sums floats left to right for every
+report.  Over the kernels of any backend, this module
 writes ``_pair_step(space, pd, qd, lam)`` once, the two-point resolvent of
 distinct pd and qd, which measures their distance d once and returns
 ``(p', q', d)``: the shared midpoint twice when d <= 2 lam, else both
@@ -186,17 +189,31 @@ def _distance(space, p: Point, q: Point) -> float:
     return space._gap(p.data, q.data)
 
 
+def _toward(space, p: Point, q: Point, t: float, d: float) -> Point:
+    # The point at fraction t from checked p to checked q, d being their
+    # _gap: p at t = 0, q at t = 1, else one _interp.
+    _check_t(t)
+    if t == 0.0:
+        return p
+    if t == 1.0:
+        return q
+    return Point(space.kind, space._interp(p.data, q.data, t, d))
+
+
 def _geodesic_point(space, p: Point, q: Point, t: float) -> Point:
     # Bound as each backend's public geodesic_point.
     space._check_point(p)
     space._check_point(q)
     _check_t(t)
-    if t == 0.0 or p == q:
+    if p == q:
         return p
-    if t == 1.0:
-        return q
-    pd, qd = p.data, q.data
-    return Point(space.kind, space._interp(pd, qd, t, space._gap(pd, qd)))
+    return _toward(space, p, q, t, space._gap(p.data, q.data))
+
+
+def _total(values) -> float:
+    # A nonempty iterable of floats summed left to right: from Python 3.12 on
+    # the builtin sum compensates its rounding, so its bits vary by version.
+    return functools.reduce(operator.add, values)
 
 
 def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
@@ -452,8 +469,7 @@ class HyperboloidSpace(_CoordinateSpace):
         if math.isfinite(x0 * x0):
             off = abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0
         else:
-            # Summed left to right: the builtin sum rounds differently from 3.12 on.
-            norm2 = functools.reduce(operator.add, ((c / x0) ** 2 for c in data[1:]))
+            norm2 = _total((c / x0) ** 2 for c in data[1:])
             off = abs(norm2 - 1.0) > HYPERBOLOID_CONSTRAINT_TOL
         if off:
             raise GeometryError("point is off the hyperboloid sheet")
@@ -553,8 +569,7 @@ class HyperboloidSpace(_CoordinateSpace):
 
     def random_point(self, rng: random.Random) -> Point:
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
-        # Summed left to right: the builtin sum rounds differently from Python 3.12 on.
-        r = math.sqrt(functools.reduce(operator.add, (g * g for g in gauss)))
+        r = math.sqrt(_total(g * g for g in gauss))
         if r < 1e-12:
             return Point(self.kind, (1.0,) + (0.0,) * self.dim)
         length = min(r, HYPERBOLOID_SAMPLE_CAP)

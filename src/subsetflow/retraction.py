@@ -22,7 +22,7 @@ from .geometry import GeometryError, TreeSpace, _check_count
 from .flow import FlowConfig, merge_time
 # min_gap is no longer called here, but stays a name of this module:
 # bench/spans.py wraps retraction.min_gap when it traces a run.
-from .subset_space import (FiniteSubset, PointTuple, _built, _by_sort_key,  # noqa: F401
+from .subset_space import (FiniteSubset, PointTuple, _built, _set_of,  # noqa: F401
                            min_gap, order_tuple, to_set)
 
 
@@ -84,13 +84,12 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
         return RetractReport(input=a, output=a, merge_time_used=0.0)
     if isinstance(a.space, TreeSpace):
         # a's points were checked when a was built, so they go in as a tuple
-        # and come out as a set by _built, with no second check.  The pair
+        # and come out as a set by _set_of, with no second check.  The pair
         # that met shares one Point, and canonical tree data has one form
         # per place, so the distinct Points are the output set: no
         # clustering or fold is left for to_set to do.
         t_star, merged = merge_time(_built(PointTuple, space=a.space, coords=a.points), cfg)
-        out = _built(FiniteSubset, space=a.space, dedup_tolerance=0.0,
-                     points=_by_sort_key(a.space, dict.fromkeys(merged.coords)))
+        out = _set_of(a.space, dict.fromkeys(merged.coords))
         return RetractReport(input=a, output=out, merge_time_used=t_star)
     x = order_tuple(a, n)
     # order_tuple puts the closest pair first; positive, because a

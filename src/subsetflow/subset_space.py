@@ -4,14 +4,15 @@
 most n points under the Hausdorff metric; ``PointTuple`` models an element
 of the n-fold product space.  Conversions between the two are the bridge
 the retraction machinery is built on.
+
+A subset the library builds from points it holds checked, canonical and
+apart is ``_set_of`` them: sorted, past the constructor's checks.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from .geometry import (
@@ -22,6 +23,8 @@ from .geometry import (
     _check_count,
     _check_kind,
     _gaps,
+    _toward,
+    _total,
     space_from_json,
 )
 
@@ -150,10 +153,12 @@ def _built(cls, **fields):
     return out
 
 
-def _by_sort_key(space: SpaceDescriptor, pts) -> tuple[Point, ...]:
-    # Checked points sorted by point_sort_key, which is their data's _sort_key.
+def _set_of(space: SpaceDescriptor, points, tol: float = 0.0) -> FiniteSubset:
+    # The subset of checked, canonical points more than tol apart, sorted by
+    # point_sort_key (their data's _sort_key); it neither dedups nor measures.
     key = space._sort_key
-    return tuple(sorted(pts, key=lambda p: key(p.data)))
+    points = tuple(sorted(points, key=lambda p: key(p.data)))
+    return _built(FiniteSubset, space=space, points=points, dedup_tolerance=tol)
 
 
 def _clusters(space: SpaceDescriptor, data: list[tuple], tol: float) -> list[list[int]]:
@@ -204,9 +209,9 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
     The clustering runs on the distance kernel over the points' data, and
     stops after a pass whose folds all returned their cluster's first point.
     That pass found every pair of those points more than tol apart, so the
-    subset is built without the constructor's checks.  The folds run on the
-    kernels, with no check: a fold of equal points returns the first, else
-    the midpoint, as the public ``geodesic_point`` would.
+    subset is built without the constructor's checks (``_set_of``).  The
+    folds step by ``_toward``, with no check: a fold of equal points returns
+    the first, else the midpoint, as the public ``geodesic_point`` would.
     """
     while True:
         clusters = _clusters(space, [p.data for p in pts], tol)
@@ -215,8 +220,7 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
             rep = pts[cluster[0]]
             for idx in cluster[1:]:
                 q = pts[idx]
-                rep = rep if rep == q else Point(
-                    space.kind, space._interp(rep.data, q.data, 0.5, space._gap(rep.data, q.data)))
+                rep = rep if rep == q else _toward(space, rep, q, 0.5, space._gap(rep.data, q.data))
             merged.append(rep)
         # Each seed (a cluster's first point) was compared with every later
         # seed as its cluster grew, so once every fold returns its seed (a
@@ -225,7 +229,7 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
         pts = merged
         if done:
             break
-    return _built(FiniteSubset, space=space, points=_by_sort_key(space, pts), dedup_tolerance=tol)
+    return _set_of(space, pts, tol)
 
 
 def _check_same_space(a, b) -> None:
@@ -258,12 +262,10 @@ def product_distance(x: PointTuple, y: PointTuple) -> float:
     if len(x) != len(y):
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
     gap = x.space._gap
-    # Summed left to right: the builtin sum rounds differently from Python 3.12 on.
     # A float's ** raises OverflowError past the float range, where the
     # distance is inf; x * x would round some finite squares differently.
     try:
-        return math.sqrt(functools.reduce(
-            operator.add, (gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)), 0.0))
+        return math.sqrt(_total(gap(p.data, q.data) ** 2 for p, q in zip(x.coords, y.coords)))
     except OverflowError:
         return math.inf
 

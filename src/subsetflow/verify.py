@@ -11,13 +11,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import GeometryError, Point, SpaceDescriptor, _check_count, _check_t
+from .geometry import GeometryError, SpaceDescriptor, _check_count, _toward
 from .subset_space import (
     FiniteSubset,
     PointTuple,
     _built,
-    _by_sort_key,
     _merge,
+    _set_of,
     hausdorff_distance,
     max_spread,
     min_gap,
@@ -157,40 +157,24 @@ def sample_tuple(space: SpaceDescriptor, n: int, rng: random.Random) -> PointTup
     return _built(PointTuple, space=space, coords=tuple(pts))
 
 
-def _sampled_set(x: PointTuple) -> FiniteSubset:
-    # to_set(x, 0.0) of a sampled tuple, built without its clustering pass:
-    # the coordinates are canonical, as random_point builds them, and more
-    # than sep > 0 apart, so every cluster would be a singleton.
-    return _built(FiniteSubset, space=x.space, points=_by_sort_key(x.space, x.coords),
-                  dedup_tolerance=0.0)
-
-
 def sample_subset(space: SpaceDescriptor, n: int, rng: random.Random) -> FiniteSubset:
     """Random subset of exactly n points: ``to_set(sample_tuple(space, n, rng), 0.0)``.
 
-    The sampled points are trusted as ``sample_tuple`` builds them, so the
-    subset is built without checking or measuring them again.
+    ``sample_tuple`` builds its points canonical and more than sep > 0 apart,
+    so the subset is ``_set_of`` them, with no check or clustering pass.
     """
-    return _sampled_set(sample_tuple(space, n, rng))
+    return _set_of(space, sample_tuple(space, n, rng).coords)
 
 
 def _perturb(space: SpaceDescriptor, p, scale: float, rng: random.Random):
-    # p moved toward a random target by a Gaussian-sized step, on the
-    # kernels: one gap to the target, and _interp with that gap, behind
-    # geodesic_point's t check and its t = 0 and t = 1 shortcuts (a target
-    # equal to p is at gap 0 and stays put before them).  p is trusted.
+    # p moved toward a random target by a Gaussian-sized step: one gap to
+    # the target, and _toward along it (p stays put when the target is
+    # within 1e-12 of it).  p is trusted.
     target = space.random_point(rng)
-    pd, qd = p.data, target.data
-    d = space._gap(pd, qd)
+    d = space._gap(p.data, target.data)
     if d < 1e-12:
         return p
-    t = min(abs(rng.gauss(0.0, scale)), d) / d
-    _check_t(t)
-    if t == 0.0:
-        return p
-    if t == 1.0:
-        return target
-    return Point(space.kind, space._interp(pd, qd, t, d))
+    return _toward(space, p, target, min(abs(rng.gauss(0.0, scale)), d) / d, d)
 
 
 def perturb_point(space: SpaceDescriptor, p, scale: float, rng: random.Random):
@@ -341,7 +325,8 @@ def check_product_dominates_hausdorff(space: SpaceDescriptor, n: int, seed: int,
     def trial(rng):
         x = sample_tuple(space, n, rng)
         y = sample_tuple(space, n, rng)
-        return hausdorff_distance(_sampled_set(x), _sampled_set(y)) - product_distance(x, y), None
+        a, b = _set_of(space, x.coords), _set_of(space, y.coords)
+        return hausdorff_distance(a, b) - product_distance(x, y), None
 
     return _row("product_dominates_hausdorff", _trials(seed, "proddom", trials, trial), EXACT_TOL)
 

@@ -107,6 +107,16 @@ def test_one_point_flow_report_is_strict_json(capsys, tmp_path):
     assert trace.read_text().splitlines()[1] == "0.0,inf,0.0"
 
 
+def test_flow_at_large_scale_exits_0(capsys):
+    # Once the points collapse, the objective is rounding residue of the
+    # coordinates' scale: here it rises from 5.96e-07 to 7.15e-07 in one
+    # sweep, far below the starting objective of 1.78e10.
+    rc, out, err = run_cli(capsys, "flow", "--space", "euclidean:1",
+                           "--set", "[[-1.5e9],[-8e8],[9e8],[1.1e9],[2e9]]", "--time", "1.75e9")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["objective_trace"][0] == [0.0, 1.78e10]
+
+
 def test_flow_requires_time(capsys):
     rc, _, err = run_cli(capsys, "flow", "--space", "euclidean:1",
                          "--set", "[[0.0],[1.0]]")
@@ -343,7 +353,9 @@ def test_help_is_exit_zero(capsys):
 # as the merge march stops at half the gap, which moved no other field; the
 # scan on the star tree: as sampled subsets were re-clustered, perturbations
 # ran through the public geodesic calls and each Hausdorff pair was measured
-# twice).
+# twice; the eight retract, merge-time and flow runs from plane-8 on: as the
+# console runs of CI printed them before the geodesic step, the sorted-set
+# build and the left-to-right sum each got one helper).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -354,6 +366,24 @@ CATERPILLAR = json.dumps({"kind": "tree", "edges": [
         (0, 0, 1, 0.8), (1, 1, 2, 0.6), (2, 2, 3, 1.1), (3, 3, 4, 0.7), (4, 4, 5, 0.9),
         (5, 0, 6, 1.2), (6, 0, 7, 0.5), (7, 1, 12, 1.0), (8, 2, 8, 0.75), (9, 3, 9, 1.3),
         (10, 5, 10, 0.65), (11, 5, 11, 0.85))]})
+# The near-tie benchmark's five-leg equal star.
+FIVE_LEG = json.dumps({"kind": "tree", "edges": [
+    {"id": i, "from": 0, "to": i + 1, "length": 1.0} for i in range(5)]})
+STAR_SET = '[{"edge": 0, "offset": 0.4}, {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]'
+CATERPILLAR_SET = ('[{"edge": 0, "offset": 0.4}, {"edge": 2, "offset": 0.5},'
+                   ' {"edge": 4, "offset": 0.45}, {"edge": 5, "offset": 0.6},'
+                   ' {"edge": 7, "offset": 0.5}, {"edge": 8, "offset": 0.3},'
+                   ' {"edge": 9, "offset": 1.0}, {"edge": 11, "offset": 0.4}]')
+PLANE_8 = [[0.0, 0.0], [0.5, 0.1], [-0.4, 0.3], [0.2, -0.6], [1.0, 0.8], [-0.9, -0.2],
+           [0.3, 1.1], [-0.1, -1.0]]
+HYPERBOLOID_8 = [[1.0, 0.0, 0.0], [1.122497216032, 0.5, 0.1], [1.11803398875, -0.4, 0.3],
+                 [1.18321595662, 0.2, -0.6], [1.624807680927, 1.0, 0.8],
+                 [1.360147050874, -0.9, -0.2], [1.51657508881, 0.3, 1.1],
+                 [1.417744687876, -0.1, -1.0]]
+LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801],[0.904],"
+           "[1.002],[1.102],[1.204],[1.301],[1.4],[1.501],[1.604],[1.702],[1.802],[1.904],"
+           "[2.001],[2.1],[2.201],[2.304],[2.402],[2.502],[2.604],[2.701],[2.8],[2.901],"
+           "[3.004]]")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -361,8 +391,7 @@ CATERPILLAR = json.dumps({"kind": "tree", "edges": [
      "d03fc5cad10f090e6442b4444b7f19f2ffa0eb0561e4faac9ee0b75ed94d938f"),
     (["scan", "--space", "euclidean:2", "--n", "3", "--samples", "50", "--seed", "0"],
      "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
-    (["retract", "--space-file", "{star}", "--set", '[{"edge": 0, "offset": 0.4},'
-      ' {"edge": 1, "offset": 0.3}, {"edge": 2, "offset": 1.2}]', "--n", "3"],
+    (["retract", "--space-file", "{star}", "--set", STAR_SET, "--n", "3"],
      "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
      "d52f40644ae52ee8c47b613f2491028bd3fd5c4635fc9aef764fa3dcd2d6fcd4"),
@@ -375,23 +404,46 @@ CATERPILLAR = json.dumps({"kind": "tree", "edges": [
     (["convergence", "--space", "euclidean:2", "--n", "4", "--time", "0.01", "--k", "16",
       "--samples", "3"],
      "6d5e85165d3c9e1664918affa6d1c2ca207088783a363dcf180c814d36a7422a"),
-    (["flow", "--space-file", "{caterpillar}", "--set", '[{"edge": 0, "offset": 0.4},'
-      ' {"edge": 2, "offset": 0.5}, {"edge": 4, "offset": 0.45}, {"edge": 5, "offset": 0.6},'
-      ' {"edge": 7, "offset": 0.5}, {"edge": 8, "offset": 0.3}, {"edge": 9, "offset": 1.0},'
-      ' {"edge": 11, "offset": 0.4}]', "--time", "0.2", "--k", "16", "--max-doublings", "3"],
+    (["flow", "--space-file", "{caterpillar}", "--set", CATERPILLAR_SET, "--time", "0.2",
+      "--k", "16", "--max-doublings", "3"],
      "33c770847b8de8650457ef655094091e1d970ae4ee7a79fd3b46877277b6ccf8"),
     (["scan", "--space-file", "{star}", "--n", "3", "--samples", "50", "--seed", "0"],
      "b08fe1ad3ea5260efcc63060ed2c267817b9c150a4dc93c990e7ee962141d3cd"),
+    (["retract", "--space", "euclidean:2", "--set", json.dumps(PLANE_8), "--n", "8"],
+     "d1375cc232ddbf4360cf81953e2f70b803d65a05ee303f62676fa36e28e759f4"),
+    # 3 points on the hyperboloid march in the unrolled shape, 8 in the looped one.
+    (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_8[:3]), "--n", "3"],
+     "f90875a4e4bdfffbc5dddc66b2bd50d65c2c72613fb199c93e41af80ec6055b7"),
+    (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_8), "--n", "8"],
+     "f60c42501891fdd8b47ec7b72e2677e45c5f76d7d6ec8647834ea836dea15e38"),
+    # 31 points on the line march in the looped shape.
+    (["retract", "--space", "euclidean:1", "--set", LINE_31, "--n", "31"],
+     "296f3787790d1a675d0ac05b39a647b9192c23048ca4e01e3aee0b06fa7c6f5b"),
+    (["merge-time", "--space-file", "{star}", "--set", STAR_SET],
+     "aeba2a414451d7c9152700a457513c5aa81cbe057ff2d6fa94bdd17dd42d2e3e"),
+    (["flow", "--space-file", "{star}", "--set", STAR_SET, "--time", "0.1"],
+     "93a04bd54644bd4710c06c8d25a1dd04ae0577c6468d7191d69247f09ca3439b"),
+    (["retract", "--space-file", "{caterpillar}", "--set", CATERPILLAR_SET, "--n", "8"],
+     "5367c1940a33bf18322547e896a8babc70c6b83d50d0f0787e54a6570b04f145"),
+    # Five points at one depth flow to the hub together and meet there five at once.
+    (["retract", "--space-file", "{five_leg}", "--set", json.dumps(
+        [{"edge": i, "offset": 0.6} for i in range(5)]), "--n", "5"],
+     "c47549ba28877272809c6785595554045831d70401cbfdc6e45cbfa5952a405f"),
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
         "verify-star", "flow-readme", "merge-time-readme", "convergence-readme",
-        "flow-caterpillar", "scan-star"])
+        "flow-caterpillar", "scan-star", "retract-plane-8", "retract-hyperboloid-3",
+        "retract-hyperboloid-8", "retract-line-31", "merge-time-star", "flow-star",
+        "retract-caterpillar", "retract-five-leg"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)
     caterpillar = tmp_path / "caterpillar.json"
     caterpillar.write_text(CATERPILLAR)
+    five_leg = tmp_path / "five-leg.json"
+    five_leg.write_text(FIVE_LEG)
     rc, out, err = run_cli(capsys, *(a.replace("{star}", str(star))
-                                     .replace("{caterpillar}", str(caterpillar)) for a in argv))
+                                     .replace("{caterpillar}", str(caterpillar))
+                                     .replace("{five_leg}", str(five_leg)) for a in argv))
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

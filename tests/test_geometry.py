@@ -22,7 +22,7 @@ from subsetflow import (
     space_from_json,
 )
 from subsetflow.geometry import (_MARCH_MAX_SOURCE, _distance, _geodesic_point, _march_kernel,
-                                 _pair_march, point_sort_key)
+                                 _pair_march, _total, point_sort_key)
 from oracles import hyperboloid_distance_ref, tree_point_distance
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
@@ -107,6 +107,13 @@ def test_hypot_of_differences_is_math_dist_bit_for_bit():
             seen["subnormal"] += 0.0 < want < 2.2250738585072014e-308
             seen["zero"] += want == 0.0
     assert all(seen.values()), seen
+
+
+def test_total_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0; the
+    # builtin sum compensates that rounding from Python 3.12 on and gives 1.0.
+    assert _total([1e16, 1.0, -1e16]) == 0.0
+    assert _total(iter([0.5])) == 0.5
 
 
 # Which march _march_kernel picks for n = 2, 5, 8 and 31: the unrolled
