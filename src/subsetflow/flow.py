@@ -18,17 +18,16 @@ how to run; this module only schedules marches: how many sweeps, of what
 step, and when to stop and measure the gaps.
 
 The exact resolvent of the whole objective, ``full_resolvent_oracle``, is a
-reference for small euclidean tuples.  It enumerates coincidence patterns and
-solves each by Newton iteration on kernels generated once per shape (blocks
-and dimension) and compiled by ``exec``, as the marches are.
+reference for small euclidean tuples.  It solves the dual of that
+sum-of-norms problem by projected gradient on plain floats, with no numpy and
+no generated code, and returns only an answer it has certified: a bound on
+its distance from the exact resolvent.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
@@ -43,6 +42,11 @@ ROUNDING_FLOOR = 2.0**-30
 # Product distance between the results of two successive sweep doublings at
 # which an adaptive run counts as converged.
 DOUBLING_TOLERANCE = 1e-7
+
+# Dual steps the reference resolvent may take before it gives up, and the
+# fraction of the step size within which it snaps points together.
+ORACLE_MAX_ITERATIONS = 10_000
+ORACLE_SNAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -351,264 +355,139 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
 # Reference resolvent of the full objective (validation only).
 
 
-def _set_partitions(n: int):
-    # Partitions of range(n): the last element joins each block of a
-    # partition of range(n - 1) in turn, then opens a block of its own.
-    if n == 0:
-        yield []
-        return
-    for blocks in _set_partitions(n - 1):
-        for i in range(len(blocks)):
-            yield blocks[:i] + [blocks[i] + [n - 1]] + blocks[i + 1:]
-        yield blocks + [[n - 1]]
-
-
-@functools.cache
-def _patterns(n: int) -> tuple:
-    # Every partition of range(n) in _set_partitions order, its blocks as
-    # tuples, with the bit mask of its in-block pairs: bit i stands for the
-    # i-th pair of itertools.combinations(range(n), 2).
-    bit = {pair: 1 << i for i, pair in enumerate(itertools.combinations(range(n), 2))}
-    return tuple((tuple(map(tuple, blocks)),
-                  sum(bit[pair] for block in blocks for pair in itertools.combinations(block, 2)))
-                 for blocks in _set_partitions(n))
-
-
-# The Newton kernels of an m-block pattern in dimension dim, written out once
-# per shape with coordinate c of block a in u{a}_{c}.  _bind takes the
-# pattern's constants: base, lam2 = 2 lam, the pair weights in
-# itertools.combinations order, the sizes, size/lam and the block means, one
-# coordinate after another.  solve is a Cholesky solve of the lower triangle,
-# flattened row by row.  Every float operation is the generic code's, in its
-# order (tests/oracles.py keeps that code): the pair distance is math.dist's
-# vector norm, which is hypot of the differences, or abs of the one in dim 1; a
-# square is ** 2; a Hessian entry starts at size/lam on the diagonal and 0.0
-# off it and adds its pair blocks k ((c == e) - n_c n_e) in pair order.
-_NEWTON_SOURCE = """
-def solve(h, g):
-    {h_all}, = h
-    {g_all}, = g
-{factor}
-    return [{x_all}]
-
-def _bind(base, lam2, w, s, k, mean):
-    {w_all}, = w
-    {s_all}, = s
-    {k_all}, = k
-    {m_all}, = mean
-
-    def value(u):
-        {u_all}, = u
-        return base{value_pairs} + ({value_blocks}) / lam2
-
-    def grad_hess(u):
-        {u_all}, = u
-{pair_terms}
-        return ({g_terms},), ({h_terms},)
-
-    return value, grad_hess, solve
-"""
-
-
-def _newton_source(m: int, dim: int) -> str:
-    """The source of the Newton kernels of m blocks in dimension dim (``_NEWTON_SOURCE``)."""
-    size = m * dim
-    u = [[f"u{a}_{c}" for c in range(dim)] for a in range(m)]
-    pairs = list(itertools.combinations(range(m), 2))
-
-    def norm(terms):
-        return f"abs({terms[0]})" if dim == 1 else f"hypot({', '.join(terms)})"
-
-    def quotient(first, products, divisor):
-        # (first - p0 - p1 ...) / divisor, subtracted left to right
-        return f"({' - '.join([first, *products])}) / {divisor}" if products else f"{first} / {divisor}"
-
-    value_pairs = "".join(
-        f" + w{a}_{b} * {norm([f'{ua} - {ub}' for ua, ub in zip(u[a], u[b])])}" for a, b in pairs)
-    value_blocks = " + ".join(
-        f"s{a} * ({' + '.join(f'({x} - m{a}_{c}) ** 2' for c, x in enumerate(u[a]))})" for a in range(m))
-
-    lines = []
-    for a, b in pairs:
-        diff = [f"d{a}_{b}_{c}" for c in range(dim)]
-        lines += [f"{d} = {ua} - {ub}" for d, ua, ub in zip(diff, u[a], u[b])]
-        lines.append(f"r{a}_{b} = {norm(diff)}")
-    lines.append(f"if {' or '.join(f'r{a}_{b} < 1e-9' for a, b in pairs)}:")
-    lines.append("    return None")
-    for a, b in pairs:
-        lines += [f"n{a}_{b}_{c} = d{a}_{b}_{c} / r{a}_{b}" for c in range(dim)]
-        lines.append(f"k{a}_{b} = w{a}_{b} / r{a}_{b}")
-        lines += [f"v{a}_{b}_{c} = w{a}_{b} * n{a}_{b}_{c}" for c in range(dim)]
-        lines += [f"b{a}_{b}_{c}_{e} = k{a}_{b} * ({float(c == e)} - n{a}_{b}_{c} * n{a}_{b}_{e})"
-                  for c in range(dim) for e in range(c + 1)]
-    pair_terms = "".join(f"\n        {line}" for line in lines)[1:]
-
-    g_terms = []
-    for a in range(m):
-        for c in range(dim):
-            term = f"k{a} * ({u[a][c]} - m{a}_{c})"
-            for i, j in pairs:
-                if j == a:
-                    term += f" - v{i}_{j}_{c}"
-                elif i == a:
-                    term += f" + v{i}_{j}_{c}"
-            g_terms.append(term)
-    h_terms = []
-    for row in range(size):
-        b, c = divmod(row, dim)
-        for col in range(row + 1):
-            a, e = divmod(col, dim)
-            if a == b:
-                term = f"k{a}" if c == e else "0.0"
-                term += "".join(f" + b{i}_{j}_{c}_{e}" for i, j in pairs if a in (i, j))
-            else:
-                term = f"0.0 - b{a}_{b}_{max(c, e)}_{min(c, e)}"
-            h_terms.append(term)
-
-    # Column j of the factor: its pivot, refused unless positive, then the
-    # entries below it; forward substitution with -g, then backward.
-    factor = []
-    for j in range(size):
-        factor.append(f"d = h{j}_{j}" + "".join(f" - l{j}_{i} * l{j}_{i}" for i in range(j)))
-        factor += ["if not d > 0.0:", "    return None", f"l{j}_{j} = sqrt(d)"]
-        factor += [f"l{i}_{j} = " + quotient(f"h{i}_{j}", [f"l{i}_{k} * l{j}_{k}" for k in range(j)],
-                                             f"l{j}_{j}") for i in range(j + 1, size)]
-    factor += [f"y{i} = " + quotient(f"-g{i}", [f"l{i}_{k} * y{k}" for k in range(i)], f"l{i}_{i}")
-               for i in range(size)]
-    factor += [f"x{i} = " + quotient(f"y{i}", [f"l{k}_{i} * x{k}" for k in range(i + 1, size)],
-                                     f"l{i}_{i}") for i in reversed(range(size))]
-
-    return _NEWTON_SOURCE.format(
-        h_all=", ".join(f"h{i}_{j}" for i in range(size) for j in range(i + 1)),
-        g_all=", ".join(f"g{i}" for i in range(size)),
-        factor="".join(f"\n    {line}" for line in factor)[1:],
-        x_all=", ".join(f"x{i}" for i in range(size)),
-        w_all=", ".join(f"w{a}_{b}" for a, b in pairs),
-        s_all=", ".join(f"s{a}" for a in range(m)),
-        k_all=", ".join(f"k{a}" for a in range(m)),
-        m_all=", ".join(f"m{a}_{c}" for a in range(m) for c in range(dim)),
-        u_all=", ".join(x for ua in u for x in ua),
-        value_pairs=value_pairs, value_blocks=value_blocks, pair_terms=pair_terms,
-        g_terms=", ".join(g_terms), h_terms=", ".join(h_terms))
-
-
-@functools.cache
-def _newton_kernel(m: int, dim: int):
-    """The ``_bind`` of m blocks in dimension dim, compiled from ``_newton_source``."""
-    namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
-    # By exec, as geometry._march_kernel builds the marches.
-    exec(_newton_source(m, dim), namespace)
-    return namespace["_bind"]
-
-
-def _reduced_minimize(pts: list[tuple], blocks, lam: float):
-    """Exactly minimize the objective restricted to a coincidence pattern.
-
-    Variables are one point per block; the reduced objective is smooth and
-    strongly convex while the blocks stay apart, and a damped Newton
-    iteration drives the gradient below 1e-10 there.  Returns (value, block
-    points) or None when an iterate brings two blocks within 1e-9 of each
-    other or the iteration ends with the gradient above 1e-8.  None does not
-    show that the pattern is suboptimal: the optimum can lie in it all the
-    same, and a coarser pattern then wins the enumeration.
-
-    The arithmetic is on Python floats, summed left to right.  The Newton
-    matrix, (size/lam) I per block plus positive semidefinite pair blocks,
-    is symmetric positive definite with at most 8 rows.  Its value, gradient,
-    Hessian and Cholesky solve run on kernels generated per shape
-    (``_newton_kernel``), with every coordinate in a local, bit for bit the
-    generic list code that ``tests/oracles.py`` keeps.
-    """
-    dim = len(pts[0])
-    m = len(blocks)
-    sizes = [float(len(b)) for b in blocks]
-    means = [tuple([_total(col) / len(b) for col in zip(*[pts[i] for i in b])]) for b in blocks]
-    # Sum of squared distances from each block's members to its mean is a
-    # constant of the pattern; fold it in so values are comparable.
-    base = 0.0
-    for b, mean in zip(blocks, means):
-        s = 0.0
-        for i in b:
-            for c, mc in zip(pts[i], mean):
-                s += (c - mc) ** 2
-        base += s
-    base /= 2.0 * lam
-    if m == 1:
-        return base, means
-
-    # The iterate is one flat list of m*dim coordinates; zip(*[iter(u)] * dim)
-    # reads it as its m block points, one tuple of dim coordinates each.
-    u = [c for mean in means for c in mean]
-    value, grad_hess, solve = _newton_kernel(m, dim)(
-        base, 2.0 * lam, [sizes[a] * sizes[b] for a, b in itertools.combinations(range(m), 2)],
-        sizes, [s / lam for s in sizes], u)
-    # gh is always grad_hess(u), the gradient and the Hessian's lower
-    # triangle, or None: each is computed once per iterate, and a pure Newton
-    # step carries its candidate's forward.
-    val = value(u)
-    gh = grad_hess(u)
-    for _ in range(100):
-        if gh is None:
-            return None
-        g, h = gh
-        gnorm = math.hypot(*g)
-        if gnorm <= 1e-10:
-            break
-        step = solve(h, g)
-        if step is None:
-            break
-        descent = 0.0
-        for c, d in zip(g, step):
-            descent += c * d
-        if -descent <= 64.0 * sys.float_info.epsilon * max(1.0, abs(val)):
-            # The predicted decrease is below the float resolution of the
-            # value, so an Armijo test would accept zero-progress steps.
-            # Finish with pure Newton steps gated on gradient contraction.
-            cand = [c + d for c, d in zip(u, step)]
-            gh2 = grad_hess(cand)
-            if gh2 is None or not math.hypot(*gh2[0]) < 0.5 * gnorm:
-                break
-            u = cand
-            val = value(u)
-            gh = gh2
-            continue
-        alpha = 1.0
-        while alpha > 1e-14:
-            cand = [c + alpha * d for c, d in zip(u, step)]
-            cand_val = value(cand)
-            if cand_val <= val + 1e-4 * alpha * descent:
-                u = cand
-                val = cand_val
-                break
-            alpha *= 0.5
-        else:
-            break
-        gh = grad_hess(u)
-    if gh is None or math.hypot(*gh[0]) > 1e-8:
-        return None
-    return val, list(zip(*[iter(u)] * dim))
-
-
 def oracle_supports(space: SpaceDescriptor, n: int) -> bool:
     """Whether full_resolvent_oracle accepts n-tuples in space.
 
-    Only euclidean tuples with n*dim <= 8 keep the enumeration honest-sized.
+    Only euclidean tuples with n*dim <= 8.  The solve has no such limit: the
+    cap bounds what the oracle rows of ``verify`` and ``convergence`` cost,
+    and lifting it would turn rows that reports print as skipped into runs.
     """
     return isinstance(space, EuclideanSpace) and n * space.dim <= 8
+
+
+# The dual solve's lists are flat and coordinate-major: coordinate c of slot i
+# is entry c*n + i, that of pair p (in itertools.combinations order) entry
+# c*P + p, P pairs.  firsts and seconds map a pair entry to its slots' entries.
+
+
+def _pair_norms(d: list[float], dim: int) -> list[float]:
+    # The length of each pair's vector, repeated once per coordinate.
+    size = len(d) // dim
+    return list(map(math.hypot, *[d[c * size:(c + 1) * size] for c in range(dim)])) * dim
+
+
+def _residual(x: list, z: list, g: list, firsts: list, seconds: list, lam: float) -> list[float]:
+    # r_i = (x_i - z_i) / lam - (g_p over the pairs (i, j), minus over (j, i)):
+    # if each g_p is a subgradient of |.| at z_i - z_j, z = J_lam(x - lam r).
+    r = [(a - b) / lam for a, b in zip(x, z)]
+    for a, i, j in zip(g, firsts, seconds):
+        r[i] -= a
+        r[j] += a
+    return r
+
+
+def _certify(x: list, z: list, v: list, d: list, norms: list, firsts: list, seconds: list,
+             dim: int, lam: float):
+    """Snap the primal iterate z, given its pair vectors d and their norms.
+
+    Slots within ``ORACLE_SNAP * lam``, transitively, form a cluster and take
+    its mean.  A pair across clusters takes its exact unit vector as its
+    subgradient.  Inside a cluster of k slots, the dual v_p moves to
+    v_p + (r_i - r_j) / k, which leaves the cluster's slots one residual,
+    and is clipped to the unit ball: for two slots, the least-residual
+    refit.  The snapped points are J_lam(x - lam r) (``_residual``), so they
+    lie within lam |r| of J_lam(x), which is nonexpansive.  Returns |r|,
+    each slot's cluster label and the snapped points.
+    """
+    n = len(x) // dim
+    snap = ORACLE_SNAP * lam
+    label = list(range(n))
+    if min(norms) > snap:
+        g = [a / b for a, b in zip(d, norms)]
+    else:
+        # coordinate 0's pair entries are the slots themselves
+        for i, j, norm in zip(firsts[:len(d) // dim], seconds, norms):
+            a, b = label[i], label[j]
+            if a != b and norm <= snap:
+                label = [a if m == b else m for m in label]
+        size = [label.count(a) for a in label]
+        z = [_total([z[c + j] for j in range(n) if label[j] == label[i]]) / size[i]
+             for c in range(0, len(z), n) for i in range(n)]
+        d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
+        # a pair entry's cluster size, 0 across clusters
+        k = [size[i % n] if label[i % n] == label[j % n] else 0 for i, j in zip(firsts, seconds)]
+        g = [b if m else a / norm for a, b, norm, m in zip(d, v, _pair_norms(d, dim), k)]
+        r = _residual(x, z, g, firsts, seconds, lam)
+        g = [b + (r[i] - r[j]) / m if m else b for b, i, j, m in zip(g, firsts, seconds, k)]
+        g = [b / s if m and s > 1.0 else b for b, s, m in zip(g, _pair_norms(g, dim), k)]
+    return math.hypot(*_residual(x, z, g, firsts, seconds, lam)), label, z
+
+
+def _dual_solve(pts: list[tuple], lam: float) -> list[tuple]:
+    """J_lam(pts) by accelerated projected gradient on the dual, certified.
+
+    The dual holds a vector v_p in the unit ball per pair p = (i, j).  The
+    Lagrangian's minimizer is z_i = x_i - lam (v_p summed over the pairs
+    (i, j), minus over the pairs (j, i)), and the dual's gradient at v_p is
+    z_i - z_j, Lipschitz with constant lam n.  A step is
+    v_p <- P(v_p + (z_i - z_j) / (lam n)), P the projection onto the unit
+    ball, with FISTA momentum, restarted when the step turns against it
+    (Chi & Lange's AMA; Beck & Teboulle 2009; O'Donoghue & Candes 2015).
+    The start, each pair's unit vector, solves two points in one step.
+
+    The first iterate whose certificate (``_certify``) has |r| at most
+    1e-11, or at most the rounding floor 64 eps max|x| / lam, is returned.
+    A minimizer may keep two points so close that rounding holds |r| above
+    both: once a step moves the dual by no more than rounding, lam |r| up to
+    1e-9 times the spread of x is accepted too.  After ``ORACLE_MAX_ITERATIONS``
+    steps it raises GeometryError instead.  Slots of a cluster share a tuple.
+    """
+    n, dim = len(pts), len(pts[0])
+    pairs = list(itertools.combinations(range(n), 2))
+    firsts = [c * n + i for c in range(dim) for i, _ in pairs]
+    seconds = [c * n + j for c in range(dim) for _, j in pairs]
+    x = [c for col in zip(*pts) for c in col]
+    d = [x[i] - x[j] for i, j in zip(firsts, seconds)]
+    norms = _pair_norms(d, dim)
+    v = [a / b if b > 0.0 else 0.0 for a, b in zip(d, norms)]
+    floor = max(1e-11, 64.0 * math.ulp(1.0) * max(map(abs, x)) / lam)
+    near = 1e-9 * max(norms) / lam
+    tau = 1.0 / (lam * n)
+    w, t, stalled, last = v, 1.0, False, math.inf
+    for _ in range(ORACLE_MAX_ITERATIONS + 1):
+        push = [0.0] * len(x)
+        for a, i, j in zip(w, firsts, seconds):
+            push[i] += a
+            push[j] -= a
+        z = [a - lam * b for a, b in zip(x, push)]
+        d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
+        res, label, snapped = _certify(x, z, w, d, _pair_norms(d, dim), firsts, seconds, dim, lam)
+        if res <= floor or (stalled and res <= near):
+            made = {a: tuple(snapped[i::n]) for i, a in enumerate(label)}
+            return [made[a] for a in label]
+        u = [a + tau * b for a, b in zip(w, d)]
+        step = [a / b if b > 1.0 else a for a, b in zip(u, _pair_norms(u, dim))]
+        move = math.hypot(*[a - b for a, b in zip(step, v)])
+        stalled = move <= 64.0 * math.ulp(1.0)
+        # Restart also on a step under a tenth of the last: the dual then
+        # contracts fast, and momentum would overshoot.
+        if math.fsum([(a - b) * (b - c) for a, b, c in zip(w, step, v)]) > 0.0 or move < 0.1 * last:
+            t, w = 1.0, step
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            w = [b + (t - 1.0) / t_next * (b - c) for b, c in zip(step, v)]
+            t = t_next
+        v, last = step, move
+    raise GeometryError(f"reference resolvent not certified in {ORACLE_MAX_ITERATIONS} iterations")
 
 
 def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     """Exact resolvent of the full objective, for the cases oracle_supports admits.
 
-    Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam)
-    by enumerating coincidence patterns of the coordinates, in
-    ``_set_partitions`` order, and solving each smooth reduced problem by
-    Newton iteration on the kernels generated for its shape
-    (``_reduced_minimize``); the first pattern of least value wins.  A
-    pattern can only be optimal if its merged coordinates started within
-    2(n-1)*lam of each other, which prunes the enumeration hard for small
-    steps: each pair of input points is measured once, and a pattern is
-    skipped if one of its in-block pairs lies farther apart.  An infinite
+    Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam),
+    sum-of-norms clustering with uniform weights, by a certified dual solve
+    (``_dual_solve``): the result lies within 1e-11 lam of the minimizer, or
+    within rounding of it, and slots it merges share one point.  An infinite
     step is accepted; its resolvent is the centroid.
     """
     space = x.space
@@ -620,35 +499,6 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     if n < 2:
         return x
     pts = [p.data for p in x.coords]
-    reach = 2.0 * (n - 1) * lam * (1.0 + 1e-9) + 1e-12
-    far = 0
-    for i, (p, q) in enumerate(itertools.combinations(pts, 2)):
-        if math.dist(p, q) > reach:
-            far |= 1 << i
-
-    best_val = math.inf
-    best = None
-    for blocks, inner in _patterns(n):
-        if inner & far:
-            continue
-        solved = _reduced_minimize(pts, blocks, lam)
-        if solved is None:
-            continue
-        val, u = solved
-        if val < best_val:
-            best_val = val
-            best = (blocks, u)
-
-    if best is None:
-        # Some pattern usually solves, but none is certain to: a failed
-        # Newton solve can drop even the optimal one, so say so loudly
-        # rather than return garbage.
-        raise GeometryError("reference resolvent failed to certify any coincidence pattern")
-    blocks, u = best
-    out = [None] * n
-    for bi, block in enumerate(blocks):
-        p = space.point(u[bi])
-        for idx in block:
-            out[idx] = p
-    # space.point has checked each point it built.
-    return _built(PointTuple, space=space, coords=tuple(out))
+    if lam == math.inf:
+        return _wrap(x, [tuple([_total(col) / n for col in zip(*pts)])] * n)
+    return _wrap(x, _dual_solve(pts, lam))

@@ -11,15 +11,13 @@ import decimal
 import functools
 import itertools
 import math
-import operator
-import sys
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
 import numpy as np
 
 from subsetflow import GeometryError, PointTuple
-from subsetflow.flow import _set_partitions, oracle_supports
+from subsetflow.flow import oracle_supports
 
 
 def grid_pair_prox(p, q, lam, levels=14, grid=13):
@@ -156,175 +154,40 @@ def two_pass_hausdorff(a, b):
     return worst
 
 
-# The library's Newton solve of one coincidence pattern as it stood on generic
-# list code, kept to compare the kernels generated per shape against bit for
-# bit: closures over lists of block points, a Hessian in a list of rows, and
-# a Cholesky solve over any row count.  The Newton loop is the library's.
+# The library's reference resolvent as it stood on numpy, before the dual solve
+# replaced it, kept to compare the dual solve against: it enumerates the
+# coincidence patterns, prunes those whose merged points start too far apart,
+# solves each by Newton iteration with np.linalg.solve, and takes the first of
+# least value.
 
 
-def cholesky_solve(h: list[list[float]], rhs: list[float]):
-    """The x with h x = rhs, for h symmetric positive definite.
+def _set_partitions(n: int):
+    """Partitions of range(n), each a list of blocks.
 
-    Reads only the lower triangle of h and overwrites it with its Cholesky
-    factor.  Returns None when a pivot is not positive, that is, when h is
-    not positive definite to working precision.
+    The last element joins each block of a partition of range(n - 1) in
+    turn, then opens a block of its own.  Enumerating them is how
+    ``full_resolvent_ref`` looks for the minimizer's coincidence pattern,
+    and how the library's reference resolvent did before its dual solve;
+    both pick a wrong pattern on the same inputs, where a Newton solve drops
+    the optimal one (``test_oracle_beats_the_enumeration_where_it_was_wrong``
+    in tests/test_flow.py lists them).
     """
-    n = len(rhs)
-    for j in range(n):
-        row_j = h[j]
-        d = row_j[j]
-        for k in range(j):
-            d -= row_j[k] * row_j[k]
-        if not d > 0.0:
-            return None
-        d = math.sqrt(d)
-        row_j[j] = d
-        for i in range(j + 1, n):
-            row_i = h[i]
-            s = row_i[j]
-            for k in range(j):
-                s -= row_i[k] * row_j[k]
-            row_i[j] = s / d
-    y = []
-    for i in range(n):
-        row_i = h[i]
-        s = rhs[i]
-        for k in range(i):
-            s -= row_i[k] * y[k]
-        y.append(s / row_i[i])
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= h[k][i] * x[k]
-        x[i] = s / h[i][i]
-    return x
-
-
-def reduced_minimize_generic(pts: list[tuple], blocks, lam: float, counts=None):
-    """subsetflow.flow._reduced_minimize on generic list code.
-
-    ``counts``, a Counter if given, tallies the branches the Newton loop
-    took: ``converged`` (the gradient test at 1e-10), ``pure_newton`` (the
-    predicted-decrease switch), ``backtrack`` (an Armijo halving),
-    ``cholesky_refused`` (a pivot that is not positive) and ``guard`` (two
-    blocks within 1e-9, where the gradient and Hessian are None).
-    """
-    counts = Counter() if counts is None else counts
-    dim = len(pts[0])
-    m = len(blocks)
-    sizes = [float(len(b)) for b in blocks]
-    means = [tuple([functools.reduce(operator.add, col) / len(b)
-                    for col in zip(*[pts[i] for i in b])]) for b in blocks]
-    base = 0.0
-    for b, mean in zip(blocks, means):
-        s = 0.0
-        for i in b:
-            for c, mc in zip(pts[i], mean):
-                s += (c - mc) ** 2
-        base += s
-    base /= 2.0 * lam
-    if m == 1:
-        return base, means
-
-    pairs = [(a, b, sizes[a] * sizes[b]) for a, b in itertools.combinations(range(m), 2)]
-
-    def value(u):
-        pu = list(zip(*[iter(u)] * dim))
-        v = base
-        for a, b, w in pairs:
-            v += w * math.dist(pu[a], pu[b])
-        q = 0.0
-        for s, p, mean in zip(sizes, pu, means):
-            r = 0.0
-            for c, mc in zip(p, mean):
-                r += (c - mc) ** 2
-            q += s * r
-        return v + q / (2.0 * lam)
-
-    def grad_hess(u):
-        # The gradient and the lower triangle of the Hessian.
-        pu = list(zip(*[iter(u)] * dim))
-        g = []
-        h = [[0.0] * (m * dim) for _ in range(m * dim)]
-        for a, (s, p, mean) in enumerate(zip(sizes, pu, means)):
-            k = s / lam
-            g.extend([k * (c - mc) for c, mc in zip(p, mean)])
-            for c in range(a * dim, (a + 1) * dim):
-                h[c][c] = k
-        for a, b, w in pairs:
-            ua, ub = pu[a], pu[b]
-            r = math.dist(ua, ub)
-            if r < 1e-9:
-                counts["guard"] += 1
-                return None, None
-            unit = [(c - e) / r for c, e in zip(ua, ub)]
-            k = w / r
-            oa, ob = a * dim, b * dim
-            for c, uc in enumerate(unit):
-                g[oa + c] += w * uc
-                g[ob + c] -= w * uc
-                h_a, h_b = h[oa + c], h[ob + c]
-                for e, ue in enumerate(unit):
-                    block = k * ((c == e) - uc * ue)
-                    if e <= c:
-                        h_a[oa + e] += block
-                        h_b[ob + e] += block
-                    h_b[oa + e] -= block
-        return g, h
-
-    u = [c for mean in means for c in mean]
-    val = value(u)
-    g, h = grad_hess(u)
-    for _ in range(100):
-        if g is None:
-            return None
-        gnorm = math.hypot(*g)
-        if gnorm <= 1e-10:
-            counts["converged"] += 1
-            break
-        step = cholesky_solve(h, [-c for c in g])
-        if step is None:
-            counts["cholesky_refused"] += 1
-            break
-        descent = 0.0
-        for c, d in zip(g, step):
-            descent += c * d
-        if -descent <= 64.0 * sys.float_info.epsilon * max(1.0, abs(val)):
-            counts["pure_newton"] += 1
-            cand = [c + d for c, d in zip(u, step)]
-            g2, h2 = grad_hess(cand)
-            if g2 is None or not math.hypot(*g2) < 0.5 * gnorm:
-                break
-            u = cand
-            val = value(u)
-            g, h = g2, h2
-            continue
-        alpha = 1.0
-        while alpha > 1e-14:
-            cand = [c + alpha * d for c, d in zip(u, step)]
-            cand_val = value(cand)
-            if cand_val <= val + 1e-4 * alpha * descent:
-                u = cand
-                val = cand_val
-                break
-            counts["backtrack"] += 1
-            alpha *= 0.5
-        else:
-            break
-        g, h = grad_hess(u)
-    if g is None or math.hypot(*g) > 1e-8:
-        return None
-    return val, list(zip(*[iter(u)] * dim))
-
-
-# The library's reference resolvent as it stood on numpy, kept to compare the
-# plain-float one against: the same enumeration, pruning, tie rule and Newton
-# constants, with the Newton systems solved by np.linalg.solve.
+    if n == 0:
+        yield []
+        return
+    for blocks in _set_partitions(n - 1):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] + [n - 1]] + blocks[i + 1:]
+        yield blocks + [[n - 1]]
 
 
 def reduced_minimize_ref(pts: np.ndarray, blocks: list[list[int]], lam: float):
-    """subsetflow.flow._reduced_minimize with numpy arrays and np.linalg.solve."""
+    """Minimize the resolvent's objective with the points of each block merged.
+
+    A damped Newton iteration on numpy arrays, solved by np.linalg.solve.
+    Returns (value, block points), or None when two blocks come within 1e-9
+    of each other or the gradient ends above 1e-8.
+    """
     dim = pts.shape[1]
     m = len(blocks)
     sizes = np.array([len(b) for b in blocks], dtype=float)
@@ -407,7 +270,7 @@ def reduced_minimize_ref(pts: np.ndarray, blocks: list[list[int]], lam: float):
 
 
 def full_resolvent_ref(x: PointTuple, lam: float) -> PointTuple:
-    """subsetflow.full_resolvent_oracle on numpy, solving each pattern by reduced_minimize_ref."""
+    """The resolvent of the full objective: the best pattern, each solved by reduced_minimize_ref."""
     space = x.space
     n = len(x)
     if not oracle_supports(space, n):

@@ -394,7 +394,7 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
     (["retract", "--space-file", "{star}", "--set", STAR_SET, "--n", "3"],
      "13854aa6a6d49da17fe89435be0e52611b979f5d3291080e1ad65287839fb913"),
     (["verify", "--space", "euclidean:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "d52f40644ae52ee8c47b613f2491028bd3fd5c4635fc9aef764fa3dcd2d6fcd4"),
+     "3b1ac4469cdecd652f65422f0405f5aadf08917efc2bf68366c7d3cfac86be88"),
     (["verify", "--space-file", "{star}", "--n", "4", "--samples", "20", "--seed", "0"],
      "b5bb5d4baa4849babee33b5bba897f7f5042316723f99c2ceacd1db422f8715f"),
     (["flow", "--space", "euclidean:2", "--set", "[[0,0],[1,0],[0,1]]", "--time", "0.4"],
@@ -403,7 +403,7 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
      "49697ac95a2896463c1700e7d67d74e2cf491c2fd83780ea1a51f594420653c5"),
     (["convergence", "--space", "euclidean:2", "--n", "4", "--time", "0.01", "--k", "16",
       "--samples", "3"],
-     "6d5e85165d3c9e1664918affa6d1c2ca207088783a363dcf180c814d36a7422a"),
+     "019561736c2f66cbe17e4379c96a72dfd8d92277fba2d8d7178e7a0cbf63a347"),
     (["flow", "--space-file", "{caterpillar}", "--set", CATERPILLAR_SET, "--time", "0.2",
       "--k", "16", "--max-doublings", "3"],
      "33c770847b8de8650457ef655094091e1d970ae4ee7a79fd3b46877277b6ccf8"),

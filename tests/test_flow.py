@@ -1,4 +1,3 @@
-import collections
 import copy
 import inspect
 import itertools
@@ -33,12 +32,11 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import (_newton_source, _patterns, _reduced_minimize, _set_partitions, _wrap,
-                             oracle_supports)
-from subsetflow.geometry import (_MARCH_MAX_SOURCE, _SMALL_ANGLE, _gaps, _march_kernel, _pair_march,
-                                 _pair_step)
-from oracles import (full_resolvent_ref, grid_pair_prox, reduced_minimize_generic,
-                     tree_edges_ref, tree_first_collision_ref, tree_routes_ref)
+from subsetflow.flow import _wrap
+from subsetflow.verify import sample_tuple
+from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march, _pair_step
+from oracles import (full_resolvent_ref, grid_pair_prox, tree_edges_ref, tree_first_collision_ref,
+                     tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -1149,44 +1147,62 @@ def test_infinite_step_lands_on_the_limit(line):
     assert coords1d(full_resolvent_oracle(x, math.inf)) == [2.0, 2.0, 2.0]
 
 
-def test_pattern_cache_holds_the_partitions_in_order():
-    # The first pattern of least value wins, so the cache keeps
-    # _set_partitions' order, and each pattern's mask holds its in-block pairs.
-    for n in range(1, 9):
-        pairs = list(itertools.combinations(range(n), 2))
-        cached = _patterns(n)
-        assert [[list(block) for block in blocks] for blocks, _ in cached] == list(_set_partitions(n))
-        for blocks, inner in cached:
-            assert inner == sum(1 << pairs.index(pair) for block in blocks
-                                for pair in itertools.combinations(block, 2))
+def _enumwrong_input(i):
+    rng = random.Random(f"enumwrong:{i}")
+    x = sample_tuple(EuclideanSpace(2), 3, rng)
+    return x, rng.uniform(0.02, 0.5)
 
 
-def test_newton_kernels_match_the_generic_solve():
-    # Every shape of m >= 2 blocks that oracle_supports admits, solved on its
-    # generated kernels and on the generic list code, must give the same
-    # repr: the same value, the same block points, or both None.  Points at
-    # scale 1e7 drive the Newton matrix far enough from positive definite to
-    # working precision that Cholesky refuses some pivots.
-    shapes = [(m, dim) for dim in range(1, 9) for m in range(2, 9)
-              if oracle_supports(EuclideanSpace(dim), m)]
-    assert len(shapes) == 12
-    counts = collections.Counter()
-    for m, dim in shapes:
-        assert len(_newton_source(m, dim)) <= _MARCH_MAX_SOURCE
-        n = 8 // dim
-        patterns = [blocks for blocks, _ in _patterns(n) if len(blocks) == m]
-        for seed in range(6):
-            rng = random.Random(f"newtonkernel:{m}:{dim}:{seed}")
-            for scale in (1.0, 1e7):
-                pts = [tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(n)]
-                gap = min(math.dist(p, q) for p, q in itertools.combinations(pts, 2))
-                for blocks in rng.sample(patterns, min(3, len(patterns))):
-                    for i in range(8):
-                        lam = 1e-3 * gap * 2000.0 ** (i / 7)
-                        want = reduced_minimize_generic(pts, blocks, lam, counts)
-                        assert repr(_reduced_minimize(pts, blocks, lam)) == repr(want), (pts, blocks, lam)
-    for branch in ("converged", "pure_newton", "backtrack", "cholesky_refused", "guard"):
-        assert counts[branch] > 0, (branch, counts)
+def _distinct_residual(x, j, lam):
+    # |r| for r_i = (x_i - j_i) / lam - (the unit vectors from j_i to the other
+    # points, pointing away from them): with distinct points the subgradient
+    # is unique, and j = J_lam(x - lam r) exactly.
+    xs, zs = [p.data for p in x.coords], [p.data for p in j.coords]
+    r = [[(a - b) / lam for a, b in zip(xi, zi)] for xi, zi in zip(xs, zs)]
+    for a, b in itertools.combinations(range(len(zs)), 2):
+        d = [p - q for p, q in zip(zs[a], zs[b])]
+        norm = math.hypot(*d)
+        for c, dc in enumerate(d):
+            r[a][c] -= dc / norm
+            r[b][c] += dc / norm
+    return math.hypot(*[c for ri in r for c in ri])
+
+
+@pytest.mark.parametrize("i", [76, 105, 194, 207, 223, 404, 501, 511, 550, 626, 631, 704, 746,
+                               749, 828, 885, 908, 988])
+def test_oracle_beats_the_enumeration_where_it_was_wrong(i):
+    # On these inputs the pattern enumeration (the numpy reference, and the
+    # library's oracle before its dual solve) returned two blocks, with an
+    # objective up to 1.34e-2 too high.  The minimizer keeps three points.
+    x, lam = _enumwrong_input(i)
+
+    def objective(y):
+        return sum_pairwise_distances(y) + product_distance(x, y) ** 2 / (2.0 * lam)
+
+    j, ref = full_resolvent_oracle(x, lam), full_resolvent_ref(x, lam)
+    assert len(set(j.coords)) == 3
+    assert objective(j) < objective(ref) - 1e-9
+    assert _distinct_residual(x, j, lam) <= 1e-10
+
+
+def test_oracle_raises_when_its_iteration_cap_runs_out(monkeypatch):
+    # Input 76 needs dozens of dual steps.  Under every cap the oracle either
+    # raises or returns the point the uncapped solve certifies, never an
+    # iterate it did not certify.
+    x, lam = _enumwrong_input(76)
+    want = full_resolvent_oracle(x, lam)
+    raised = []
+    for cap in range(1, 80):
+        monkeypatch.setattr("subsetflow.flow.ORACLE_MAX_ITERATIONS", cap)
+        try:
+            got = full_resolvent_oracle(x, lam)
+        except GeometryError as exc:
+            assert "not certified" in str(exc)
+            raised.append(cap)
+            continue
+        assert got == want
+    assert raised == list(range(1, len(raised) + 1))
+    assert 1 in raised and 79 not in raised
 
 
 # ---------------------------------------------------------------------------

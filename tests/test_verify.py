@@ -352,8 +352,6 @@ def test_two_point_merge_row_is_exact(all_spaces, key):
     assert (row.trials, row.passed, row.worst) == (200, True, 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: on this input the reference resolvent's "
-                   "Newton solve drops the optimal all-distinct pattern and a coarser one wins")
 def test_resolvent_inequality_on_a_dropped_pattern():
     # the large-n benchmark's failing suite row (euclidean n = 7, seed 337069995)
     row = check_resolvent_inequality(make_space("euclidean", 2), 3, 337069995, 5)
