@@ -74,7 +74,7 @@ HYPERBOLOID_CONSTRAINT_TOL = 1e-9
 HYPERBOLOID_SAMPLE_CAP = 3.0
 
 # Below this separation the sinh interpolation formula degenerates to 0/0;
-# an affine blend plus reprojection is exact to well past double precision.
+# an affine blend of the spatial parts is exact to well past double precision.
 _SMALL_ANGLE = 1e-8
 
 
@@ -137,19 +137,19 @@ def _coordinates(coords, count: int) -> tuple:
     return data
 
 
-_OFF_SHEET = "interpolation left the hyperboloid sheet"
+_OVERFLOW = "a hyperboloid point's time coordinate overflows double precision"
 
 
-def _project(raw: list) -> tuple:
-    # Rescale a blend of hyperboloid points back onto the sheet.  Where
-    # raw[0]**2 overflows, s can be inf - inf = NaN, which is refused too.
-    s = raw[0] * raw[0]
-    for c in raw[1:]:
-        s -= c * c
-    if not s > 0.0 or raw[0] <= 0.0:
-        raise GeometryError(_OFF_SHEET)
-    inv = 1.0 / math.sqrt(s)
-    return tuple([c * inv for c in raw])
+def _lift(spatial) -> tuple:
+    # The point of the upper sheet with these spatial coordinates: x0 is
+    # sqrt(1 + |xs|^2), summed left to right.  An overflowing or NaN sum is
+    # refused.
+    s = 1.0
+    for c in spatial:
+        s += c * c
+    if not s < math.inf:
+        raise GeometryError(_OVERFLOW)
+    return (math.sqrt(s), *spatial)
 
 
 # A generated march source is at most this many characters long.  Compiling
@@ -241,7 +241,7 @@ def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
 
 
 _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh": math.asinh,
-                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OFF_SHEET": _OFF_SHEET,
+                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OVERFLOW": _OVERFLOW,
                  "_check_t": _check_t, "GeometryError": GeometryError}
 
 
@@ -444,8 +444,8 @@ class HyperboloidSpace(_CoordinateSpace):
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
     Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
-    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  Every interpolation is
-    reprojected onto the sheet before it is returned.
+    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  An interpolation
+    blends the spatial coordinates alone and derives x0 from them (``_lift``).
     """
 
     kind: ClassVar[str] = "hyperboloid"
@@ -496,19 +496,21 @@ class HyperboloidSpace(_CoordinateSpace):
 
     @staticmethod
     def _interp(pd: tuple, qd: tuple, t: float, theta: float) -> tuple:
-        # The point at fraction t from pd to qd, theta = d(pd, qd) apart.
+        # The point at fraction t from pd to qd, theta = d(pd, qd) apart: a
+        # blend of the spatial parts, lifted to the sheet.
         if theta < _SMALL_ANGLE:
-            return _project([a + t * (b - a) for a, b in zip(pd, qd)])
+            return _lift([a + t * (b - a) for a, b in zip(pd[1:], qd[1:])])
         sh = math.sinh(theta)
         wp = math.sinh((1.0 - t) * theta) / sh
         wq = math.sinh(t * theta) / sh
-        return _project([wp * a + wq * b for a, b in zip(pd, qd)])
+        return _lift([wp * a + wq * b for a, b in zip(pd[1:], qd[1:])])
 
     # The pair step, _pair_step inlined with every float operation in its
-    # order.  The midpoint's weights are one number: sinh((1.0 - 0.5) * d)
-    # is sinh(0.5 * d).  u is the blend toward b, v the one toward a, each
-    # projected as _project does, a NaN n2 refused.  md <= 0.0 is tested as
-    # _gap tests it, so a NaN md gives a NaN d, whose step raises in _check_t.
+    # order.  A pair that meets takes the forward step at s = 0.5, which has
+    # the midpoint's bits, and both slots get the forward point.  The spatial
+    # coordinates are blended in place and each x0 is derived as _lift does,
+    # an overflowing or NaN n2 refused.  md <= 0.0 is tested as _gap tests
+    # it, so a NaN md gives a NaN d, whose step raises in _check_t.
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -520,51 +522,36 @@ class HyperboloidSpace(_CoordinateSpace):
                 d = 2.0 * asinh(0.5 * sqrt(md))
             if d < low:
                 low = d
-            if d <= lam2:
+            s = 0.5 if d <= lam2 else lam / d
+            if s > 0.0:
                 if d < _SMALL_ANGLE:
-                    {mid_affine}
+                    {affine}
                 else:
-                    w = sinh(0.5 * d) / sinh(d)
-                    {mid_sinh}
-                n2 = u0 * u0; {norm_u}
-                if not n2 > 0.0 or u0 <= 0.0:
-                    raise GeometryError(_OFF_SHEET)
-                inv = 1.0 / sqrt(n2)
-                {mid}
+                    sh = sinh(d)
+                    wp = sinh((1.0 - s) * d) / sh
+                    wq = sinh(s * d) / sh
+                    {blend}
+                n2 = 1.0; {norm_a}
+                if not n2 < inf:
+                    raise GeometryError(_OVERFLOW)
+                {a0} = sqrt(n2)
+                if d <= lam2:
+                    {meet}
+                else:
+                    n2 = 1.0; {norm_b}
+                    if not n2 < inf:
+                        raise GeometryError(_OVERFLOW)
+                    {b0} = sqrt(n2)
             else:
-                s = lam / d
-                if s > 0.0:
-                    if d < _SMALL_ANGLE:
-                        {fwd_affine}
-                    else:
-                        sh = sinh(d)
-                        wp = sinh((1.0 - s) * d) / sh
-                        wq = sinh(s * d) / sh
-                        {fwd_sinh}
-                    n2 = u0 * u0; {norm_u}
-                    if not n2 > 0.0 or u0 <= 0.0:
-                        raise GeometryError(_OFF_SHEET)
-                    inv = 1.0 / sqrt(n2)
-                    {fwd_a}
-                    n2 = v0 * v0; {norm_v}
-                    if not n2 > 0.0 or v0 <= 0.0:
-                        raise GeometryError(_OFF_SHEET)
-                    inv = 1.0 / sqrt(n2)
-                    {fwd_b}
-                else:
-                    _check_t(s)"""
+                _check_t(s)"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "md": ("c = {a} - {b}; md += c * c", "; ", 1),
-        "mid_affine": ("u{k} = {a} + 0.5 * ({b} - {a})", "; ", 0),
-        "mid_sinh": ("u{k} = w * {a} + w * {b}", "; ", 0),
-        "fwd_affine": ("u{k} = {a} + s * ({b} - {a}); v{k} = {b} + s * ({a} - {b})", "; ", 0),
-        "fwd_sinh": ("u{k} = wp * {a} + wq * {b}; v{k} = wp * {b} + wq * {a}", "; ", 0),
-        "norm_u": ("n2 -= u{k} * u{k}", "; ", 1),
-        "norm_v": ("n2 -= v{k} * v{k}", "; ", 1),
-        "mid": ("{a} = {b} = u{k} * inv", "; ", 0),
-        "fwd_a": ("{a} = u{k} * inv", "; ", 0),
-        "fwd_b": ("{b} = v{k} * inv", "; ", 0),
+        "affine": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; ", 1),
+        "blend": ("{a}, {b} = wp * {a} + wq * {b}, wp * {b} + wq * {a}", "; ", 1),
+        "norm_a": ("n2 += {a} * {a}", "; ", 1),
+        "norm_b": ("n2 += {b} * {b}", "; ", 1),
+        "meet": ("{b} = {a}", "; ", 0),
     }
 
     def random_point(self, rng: random.Random) -> Point:

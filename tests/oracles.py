@@ -113,6 +113,33 @@ def hyperboloid_distance_decimal(p, q, digits=50):
         return float((z + (z * z - 1).sqrt()).ln()) if z > 1 else 0.0
 
 
+def hyperboloid_geodesic_decimal(p, q, t, digits=50):
+    """The point at fraction t from p to q on the hyperboloid, from their spatial parts alone.
+
+    As in ``hyperboloid_distance_decimal``, each x0 is derived from its
+    spatial part and the distance theta is arcosh of the Minkowski product.
+    The spatial parts are blended with the weights sinh((1 - t) theta) /
+    sinh theta and sinh(t theta) / sinh theta, sinh taken from exp, and x0 is
+    derived again; all in decimal arithmetic at ``digits`` significant digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        xs = [decimal.Decimal(c) for c in p[1:]]
+        ys = [decimal.Decimal(c) for c in q[1:]]
+        x0 = (1 + sum(c * c for c in xs)).sqrt()
+        y0 = (1 + sum(c * c for c in ys)).sqrt()
+        z = x0 * y0 - sum(a * b for a, b in zip(xs, ys))
+        theta = (z + (z * z - 1).sqrt()).ln()
+        t = decimal.Decimal(t)
+
+        def sinh(v):
+            return (v.exp() - (-v).exp()) / 2
+
+        wp, wq = sinh((1 - t) * theta) / sinh(theta), sinh(t * theta) / sinh(theta)
+        blend = [wp * a + wq * b for a, b in zip(xs, ys)]
+        return tuple(float(c) for c in [(1 + sum(c * c for c in blend)).sqrt()] + blend)
+
+
 def brute_hausdorff(space, pts_a, pts_b):
     """Textbook double max-min, written directly against the space API."""
     d = space.distance

@@ -342,16 +342,14 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
                                               0.6 * max(ds))]
     edge_cases = list(_branch_inputs(space, rng)) if coordinates else []
     if key == "hyperboloid-2":
-        # Valid points on one ray far from the apex that leave the sheet
-        # through either path: at 17 and 18 the march's 53rd sweep does, at
-        # 18 and 19 the midpoint.  After the raise the unrolled march has
-        # left coords as they were at the call and the looped one has
-        # written the pairs stepped before it; nothing reads them.
+        # Valid points on one ray far from the apex, where _gap cancels: at
+        # 17 and 18 a pair that moves for 60 sweeps, at 18 and 19 one that
+        # meets at once.  Each runs every sweep, and every shape agrees on
+        # it below.
         for r, lam, sweeps in ((17.0, 1.0 / 512.0, 60), (18.0, 1.0, 1)):
             x = PointTuple(space, (_ray_point(space, r), _ray_point(space, r + 1.0)))
             edge_cases.append((x, lam * min_gap(x), sweeps))
-            assert "interpolation left the hyperboloid sheet" in _march_outcome(
-                _flow_march, *edge_cases[-1], -math.inf)
+            assert _flow_march(*edge_cases[-1], -math.inf)[1] == sweeps
     seen, early = _check_marches(space, cases + edge_cases)
     assert seen["merged"] and seen["moved"] and early
     if coordinates:

@@ -23,7 +23,8 @@ from subsetflow import (
 )
 from subsetflow.geometry import (_MARCH_MAX_SOURCE, _distance, _geodesic_point, _march_kernel,
                                  _pair_march, _total, point_sort_key)
-from oracles import hyperboloid_distance_ref, tree_point_distance
+from oracles import (hyperboloid_distance_decimal, hyperboloid_distance_ref,
+                     hyperboloid_geodesic_decimal, tree_point_distance)
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
 
@@ -121,7 +122,7 @@ def test_total_sums_left_to_right():
 # reference _pair_march (P).  Euclidean 200 and hyperboloid 100 are dimensions
 # whose looped source is past the cap.
 MARCH_SHAPES = {"euclidean-1": "UUUL", "euclidean-2": "UUUL", "euclidean-16": "ULLL",
-                "hyperboloid-2": "ULLL", "hyperboloid-16": "ULLL",
+                "hyperboloid-2": "UULL", "hyperboloid-16": "ULLL",
                 "euclidean-200": "PPPP", "hyperboloid-100": "PPPP"}
 
 
@@ -210,6 +211,29 @@ def test_hyperboloid_checks_the_sheet_where_x0_squared_overflows():
     assert space.point((1e150, 1e150, 0.0)).data == (1e150, 1e150, 0.0)
     far = (math.cosh(700.0), math.sinh(700.0), 0.0)
     assert space.point(far).data == far
+
+
+def _hyperboloid_point_at(hyper, r, rng):
+    # A point of hyperboloid:2 r from the apex in a random direction.
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    x1, x2 = math.sinh(r) * math.cos(a), math.sinh(r) * math.sin(a)
+    return hyper.point((math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2))
+
+
+@pytest.mark.parametrize("radii", [(0.0, 3.0), (6.0, 8.0)], ids=["near", "far"])
+def test_hyperboloid_geodesic_points_match_the_decimal_reference(hyper, radii):
+    # The point at fraction t lies within 1e-13 d of the one a 50-digit
+    # blend of the spatial parts gives, near the apex and 6 to 8 from it.
+    rng = _rng(f"geodesic-decimal:{radii}")
+    worst = 0.0
+    for _ in range(200):
+        p, q = (_hyperboloid_point_at(hyper, rng.uniform(*radii), rng) for _ in range(2))
+        t = rng.random()
+        want = hyperboloid_geodesic_decimal(p.data, q.data, t)
+        got = hyper.geodesic_point(p, q, t)
+        error = hyperboloid_distance_decimal(got.data, want)
+        worst = max(worst, error / hyperboloid_distance_decimal(p.data, q.data))
+    assert worst <= 1e-13
 
 
 def test_hyperboloid_sampler_stays_on_sheet(hyper):
