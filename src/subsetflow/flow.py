@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
-                       _check_count, _gaps, _pair_step, _total)
+                       _check_count, _gaps, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -140,7 +140,7 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("step size must be positive")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
-        data[i], data[j], _ = _pair_step(x.space, data[i], data[j], lam)
+        data[i], data[j], _ = x.space._pair_step(data[i], data[j], lam)
     return _wrap(x, data)
 
 

@@ -24,12 +24,15 @@ check each point (its kind; its coordinate count, or on a tree its edge and
 offset) and call the kernels.  ``_geodesic_point`` ends in ``_toward(space,
 p, q, t, d)``, the step between checked points d apart, which the library's
 own steps call directly; ``_total`` sums floats left to right for every
-report.  Over the kernels of any backend, this module
-writes ``_pair_step(space, pd, qd, lam)`` once, the two-point resolvent of
-distinct pd and qd, which measures their distance d once and returns
-``(p', q', d)``: the shared midpoint twice when d <= 2 lam, else both
-points moved lam toward each other, and d, which the merge march uses as a
-bound.  ``_gaps(space, data)`` is ``_gap`` over every pair.
+report.  Each backend also binds a pair step, ``space._pair_step(pd, qd,
+lam)``, the two-point resolvent of distinct pd and qd, which measures their
+distance d once and returns ``(p', q', d)``: the shared midpoint twice when
+d <= 2 lam, else both points moved lam toward each other, and d, which the
+merge march uses as a bound.  The euclidean and tree backends bind the
+module's ``_pair_step(space, pd, qd, lam)``, written once over the kernels;
+the hyperboloid writes its own in closed form in the squared gap md = 4
+sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
+``_gaps(space, data)`` is ``_gap`` over every pair.
 A tree's merge does not march: ``merge_time`` calls its
 ``_first_collision(data, gaps)``, the exact flow to the first collision,
 whose first event reuses the gaps ``merge_time`` measured.  Every tree
@@ -43,15 +46,15 @@ Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
 decides how a march runs.  The reference march, ``_pair_march``, calls
-``_pair_step`` pair by pair.  A tree's ``_march`` is its own method, with
-``_pair_step`` inlined in one pass per pair step, and shares with
-``_interp`` the walk past an edge's end (``_walk``).  A coordinate backend
-writes its pair step once, as a template with ``_pair_step`` inlined, and
-one generator builds its march from it: unrolled per dimension
-and tuple size, with every coordinate in a local for the whole march, while
-the source fits under ``_MARCH_MAX_SOURCE`` characters, else looped over
-the pairs per dimension, else ``_pair_march``.  Every march keeps
-``_pair_step``'s bits.
+the space's ``_pair_step`` pair by pair.  A tree's ``_march`` is its own
+method, with ``_pair_step`` inlined in one pass per pair step, and shares
+with ``_interp`` the walk past an edge's end (``_walk``).  A coordinate
+backend writes its pair step once more, as a template with its
+``_pair_step`` inlined, and one generator builds its march from it:
+unrolled per dimension and tuple size, with every coordinate in a local for
+the whole march, while the source fits under ``_MARCH_MAX_SOURCE``
+characters, else looped over the pairs per dimension, else ``_pair_march``.
+Every march keeps its space's ``_pair_step`` bits.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ HYPERBOLOID_CONSTRAINT_TOL = 1e-9
 # cosh factors stay well conditioned in double precision.
 HYPERBOLOID_SAMPLE_CAP = 3.0
 
-# Below this separation the sinh interpolation formula degenerates to 0/0;
-# an affine blend of the spatial parts is exact to well past double precision.
+# Below this separation _interp's sinh weights degenerate to 0/0; an affine
+# blend of the spatial parts is exact to well past double precision.  Only
+# _interp reads it: the hyperboloid pair step has no small-angle branch.
 _SMALL_ANGLE = 1e-8
 
 
@@ -152,6 +156,31 @@ def _lift(spatial) -> tuple:
     return (math.sqrt(s), *spatial)
 
 
+def _squared_gap(pd: tuple, qd: tuple) -> float:
+    # md = 4 sinh^2(d/2) of two hyperboloid points d apart: the Minkowski
+    # norm of their difference, -(x0 - y0)^2 + sum of (x_k - y_k)^2, summed
+    # left to right.  _gap and the pair step read a pair through it alone,
+    # and the march templates write its lines out in the same order.
+    pairs = zip(pd, qd)
+    a, b = next(pairs)
+    c = a - b
+    md = -c * c
+    for a, b in pairs:
+        c = a - b
+        md += c * c
+    return md
+
+
+def _step_weights(lam: float) -> tuple[float, float, float]:
+    # What a hyperboloid march of step lam computes once: sinh lam, exp(-lam)
+    # and the meeting bound (2 sinh lam)^2 on md, capped at the largest
+    # float so that an infinite md never meets.  The bound reaches the cap
+    # once lam passes about 355, where every finite md meets, so sinh is
+    # taken at no more than 710: past that math.sinh raises OverflowError.
+    sl = math.sinh(min(lam, 710.0))
+    return sl, math.exp(-lam), min(4.0 * sl * sl, sys.float_info.max)
+
+
 # A generated march source is at most this many characters long.  Compiling
 # one holds 90 to 125 bytes of memory per character while it runs, so the
 # cap bounds that transient whatever the dimension or the number of pairs:
@@ -218,11 +247,12 @@ def _total(values) -> float:
 
 def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 watch: float) -> tuple[int, float]:
-    # The reference march: each sweep calls _pair_step on the pairs ordered
+    # The reference march: each sweep calls the space's _pair_step on the pairs ordered
     # by the larger index, then the smaller: (0,1), (0,2), (1,2), (0,3), ...
     # A sweep's low is the smallest distance a pair was stepped from, or 0.0
     # if a pair was skipped because its two slots held equal data.  The
     # generated marches run the same sweeps with the pair step inlined.
+    step = space._pair_step
     for done in range(1, sweeps + 1):
         low = math.inf
         for j in range(1, len(coords)):
@@ -230,7 +260,7 @@ def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
                 p = coords[i]
                 q = coords[j]
                 if p != q:
-                    coords[i], coords[j], d = _pair_step(space, p, q, lam)
+                    coords[i], coords[j], d = step(p, q, lam)
                     if d < low:
                         low = d
                 else:
@@ -241,7 +271,7 @@ def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
 
 
 _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh": math.asinh,
-                 "sinh": math.sinh, "_SMALL_ANGLE": _SMALL_ANGLE, "_OVERFLOW": _OVERFLOW,
+                 "_step_weights": _step_weights, "_OVERFLOW": _OVERFLOW,
                  "_check_t": _check_t, "GeometryError": GeometryError}
 
 
@@ -269,15 +299,19 @@ class _CoordinateSpace:
     Subclasses set ``kind``, define ``point``, ``random_point`` and the
     kernels ``_gap`` and ``_interp(pd, qd, t, d)``, and bind ``distance =
     _distance`` and ``geodesic_point = _geodesic_point`` in their own class
-    body, where per-backend call counters look the public methods up.
+    body, where per-backend call counters look the public methods up.  Each
+    binds or writes its ``_pair_step(pd, qd, lam)`` there too.
 
     Each subclass also sets its pair template: ``_MARCH_PAIR``, one pair
-    step over the coordinates of two slots with ``_pair_step``'s float
+    step over the coordinates of two slots with its ``_pair_step``'s float
     operations in their order, and ``_MARCH_UNROLL``, its fields written
-    out once per coordinate.  ``_march_source`` builds the march in two shapes from it:
-    unrolled per dimension and n, with every coordinate of every slot in a
-    local and ``coords`` written once, on return, or looped per dimension,
-    with a slot written back after each of its pair steps.  So a march that
+    out once per coordinate; ``_MARCH_SETUP``, the line that computes a
+    march's per-step constants from ``lam`` once, and ``_MARCH_FRESH``, the
+    line that starts each sweep's ``low``.  ``_march_source`` builds the
+    march in two shapes from them: unrolled per dimension and n, with every
+    coordinate of every slot in a local and ``coords`` written once, on
+    return, or looped per dimension, with a slot written back after each of
+    its pair steps.  So a march that
     raises leaves ``coords`` as it was in the unrolled shape and partly
     stepped in the looped one; nothing reads it after a raise.
     ``self._march`` runs the unrolled shape for ``len(coords)`` while its
@@ -336,9 +370,9 @@ class _CoordinateSpace:
     _MARCH_SOURCE: ClassVar[str] = """
 def _march(coords, lam, sweeps, watch):
     {slots}, = coords
-    lam2 = 2.0 * lam
+    {setup}
     for done in range(1, sweeps + 1):
-        low = inf{pairs}
+        {fresh}{pairs}
         if low <= watch:
             break
     coords[:] = {slots},
@@ -346,9 +380,9 @@ def _march(coords, lam, sweeps, watch):
 """
     _LOOP_SOURCE: ClassVar[str] = """
 def _march(coords, lam, sweeps, watch):
-    lam2 = 2.0 * lam
+    {setup}
     for done in range(1, sweeps + 1):
-        low = inf
+        {fresh}
         for j in range(1, len(coords)):
             {b}, = coords[j]
             for i in range(j):
@@ -377,7 +411,8 @@ def _march(coords, lam, sweeps, watch):
         if n is None:
             a, b = ([f"{s}{k}" for k in range(count)] for s in "ab")
             pair = cls._pair(a, b).replace("\n", "\n        ")
-            source = cls._LOOP_SOURCE.format(a=", ".join(a), b=", ".join(b), pair=pair)
+            source = cls._LOOP_SOURCE.format(a=", ".join(a), b=", ".join(b), pair=pair,
+                                             setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
         else:
             x = [[f"x{i}_{k}" for k in range(count)] for i in range(n)]
             # No pair block is shorter than one over slot 0 twice, so this
@@ -386,7 +421,8 @@ def _march(coords, lam, sweeps, watch):
                 return None
             pairs = "".join(cls._pair(x[i], x[j]) for j in range(1, n) for i in range(j))
             slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
-            source = cls._MARCH_SOURCE.format(slots=slots, pairs=pairs)
+            source = cls._MARCH_SOURCE.format(slots=slots, pairs=pairs,
+                                              setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
         return source if len(source) <= _MARCH_MAX_SOURCE else None
 
 
@@ -400,6 +436,7 @@ class EuclideanSpace(_CoordinateSpace):
 
     distance = _distance
     geodesic_point = _geodesic_point
+    _pair_step = _pair_step
     _gap = staticmethod(math.dist)
 
     @staticmethod
@@ -414,6 +451,8 @@ class EuclideanSpace(_CoordinateSpace):
     # b - s * (b - a) is the same number except where a and b are both
     # -0.0, which it leaves at -0.0.  A shared midpoint leaves as equal
     # tuples, not one.
+    _MARCH_SETUP: ClassVar[str] = "lam2 = 2.0 * lam"
+    _MARCH_FRESH: ClassVar[str] = "low = inf"
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -444,8 +483,14 @@ class HyperboloidSpace(_CoordinateSpace):
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
     Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
-    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  An interpolation
-    blends the spatial coordinates alone and derives x0 from them (``_lift``).
+    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  Every point the
+    library builds, an interpolation, a pair step or a random point, blends
+    or draws the spatial coordinates alone and derives x0 from them
+    (``_lift``).  The pair step and ``_gap`` read a pair through its squared
+    gap md = 4 sinh^2(d/2) alone (``_squared_gap``): the step's weights are
+    algebraic in md and in sinh and exp of the step, computed once per march,
+    so a pair step calls no sinh, and a sweep takes asinh only where a pair
+    lowers its smallest md.
     """
 
     kind: ClassVar[str] = "hyperboloid"
@@ -481,15 +526,10 @@ class HyperboloidSpace(_CoordinateSpace):
     @staticmethod
     def _gap(pd: tuple, qd: tuple) -> float:
         # Algebraically arcosh(-<p,q>), but evaluated through the Minkowski
-        # norm of the difference: the arcosh form loses half the significant
-        # digits for separations near sqrt(eps), which merge detection needs.
-        pairs = zip(pd, qd)
-        a, b = next(pairs)
-        c = a - b
-        md = -c * c
-        for a, b in pairs:
-            c = a - b
-            md += c * c
+        # norm of the difference, md = 4 sinh^2(d/2): the arcosh form loses
+        # half the significant digits for separations near sqrt(eps), which
+        # merge detection needs.
+        md = _squared_gap(pd, qd)
         if md <= 0.0:
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(md))
@@ -505,63 +545,93 @@ class HyperboloidSpace(_CoordinateSpace):
         wq = math.sinh(t * theta) / sh
         return _lift([wp * a + wq * b for a, b in zip(pd[1:], qd[1:])])
 
+    @staticmethod
+    def _pair_step(pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, float]:
+        # The two-point resolvent of distinct pd and qd in closed form in
+        # their squared gap md = 4 sinh^2(d/2) (_squared_gap): cosh d = 1 +
+        # md/2 and sinh d = sqrt(md (1 + md/4)), written md sqrt(1/4 + 1/md)
+        # so that it cannot overflow.  Where d <= 2 lam, that is md <= (2 sinh
+        # lam)^2, both ends go to the midpoint, the spatial parts blended by
+        # 1 / (2 cosh(d/2)) = 0.5 / sqrt(1 + md/4) each (0.5 where rounding
+        # far from the apex leaves md <= 0).  Otherwise each end moves lam,
+        # by the weights sinh(d - lam) / sinh d and wq = sinh lam / sinh d,
+        # the first written exp(-lam) - wq exp(-d), exp(-d) = 1 / (cosh d +
+        # sinh d): that difference loses at most a bit, where cosh lam - wq
+        # cosh d loses them all once lam passes about 18.  An infinite md
+        # stays put and a NaN one raises (_check_t), as lam / d would.  Each
+        # x0 is derived (_lift), and d is _gap's.
+        md = _squared_gap(pd, qd)
+        d = 0.0 if md <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(md))
+        sl, el, sl2 = _step_weights(lam)
+        if md <= sl2:
+            w = 0.5 / math.sqrt(1.0 + 0.25 * md) if md > 0.0 else 0.5
+            mid = _lift([w * (a + b) for a, b in zip(pd[1:], qd[1:])])
+            return mid, mid, d
+        if not md < math.inf:
+            _check_t(lam / md)
+            return pd, qd, d
+        sh = md * math.sqrt(0.25 + 1.0 / md)
+        wq = sl / sh
+        wp = el - wq / (1.0 + 0.5 * md + sh)
+        return (_lift([wp * a + wq * b for a, b in zip(pd[1:], qd[1:])]),
+                _lift([wp * b + wq * a for a, b in zip(pd[1:], qd[1:])]), d)
+
     # The pair step, _pair_step inlined with every float operation in its
-    # order.  A pair that meets takes the forward step at s = 0.5, which has
-    # the midpoint's bits, and both slots get the forward point.  The spatial
-    # coordinates are blended in place and each x0 is derived as _lift does,
-    # an overflowing or NaN n2 refused.  md <= 0.0 is tested as _gap tests
-    # it, so a NaN md gives a NaN d, whose step raises in _check_t.
+    # order, its per-step constants computed once per march.  The spatial
+    # coordinates are blended in place and each x0 is derived as _lift
+    # does, an overflowing or NaN n2 refused.  A sweep keeps its smallest md
+    # in mlow and takes low from it only when a pair lowers it, with _gap's
+    # formula: asinh is increasing, so that low is the smallest d.
+    _MARCH_SETUP: ClassVar[str] = "sl, el, sl2 = _step_weights(lam)"
+    _MARCH_FRESH: ClassVar[str] = "low = mlow = inf"
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
-            low = 0.0
+            low = mlow = 0.0
         else:
             c = {a0} - {b0}; md = -c * c; {md}
-            if md <= 0.0:
-                d = 0.0
-            else:
-                d = 2.0 * asinh(0.5 * sqrt(md))
-            if d < low:
-                low = d
-            s = 0.5 if d <= lam2 else lam / d
-            if s > 0.0:
-                if d < _SMALL_ANGLE:
-                    {affine}
-                else:
-                    sh = sinh(d)
-                    wp = sinh((1.0 - s) * d) / sh
-                    wq = sinh(s * d) / sh
-                    {blend}
+            if md < mlow:
+                mlow = md
+                low = 0.0 if md <= 0.0 else 2.0 * asinh(0.5 * sqrt(md))
+            if md <= sl2:
+                w = 0.5 / sqrt(1.0 + 0.25 * md) if md > 0.0 else 0.5
+                {meet}
+                n2 = 1.0; {norm_a}
+                if not n2 < inf:
+                    raise GeometryError(_OVERFLOW)
+                {a0} = {b0} = sqrt(n2)
+            elif md < inf:
+                sh = md * sqrt(0.25 + 1.0 / md)
+                wq = sl / sh
+                wp = el - wq / (1.0 + 0.5 * md + sh)
+                {blend}
                 n2 = 1.0; {norm_a}
                 if not n2 < inf:
                     raise GeometryError(_OVERFLOW)
                 {a0} = sqrt(n2)
-                if d <= lam2:
-                    {meet}
-                else:
-                    n2 = 1.0; {norm_b}
-                    if not n2 < inf:
-                        raise GeometryError(_OVERFLOW)
-                    {b0} = sqrt(n2)
+                n2 = 1.0; {norm_b}
+                if not n2 < inf:
+                    raise GeometryError(_OVERFLOW)
+                {b0} = sqrt(n2)
             else:
-                _check_t(s)"""
+                _check_t(lam / md)"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "md": ("c = {a} - {b}; md += c * c", "; ", 1),
-        "affine": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; ", 1),
+        "meet": ("{a} = {b} = w * ({a} + {b})", "; ", 1),
         "blend": ("{a}, {b} = wp * {a} + wq * {b}, wp * {b} + wq * {a}", "; ", 1),
         "norm_a": ("n2 += {a} * {a}", "; ", 1),
         "norm_b": ("n2 += {b} * {b}", "; ", 1),
-        "meet": ("{b} = {a}", "; ", 0),
     }
 
     def random_point(self, rng: random.Random) -> Point:
+        # A Gaussian direction, at its length capped at HYPERBOLOID_SAMPLE_CAP
+        # from the apex; x0 is derived from the spatial part (_lift).
         gauss = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
         r = math.sqrt(_total(g * g for g in gauss))
         if r < 1e-12:
             return Point(self.kind, (1.0,) + (0.0,) * self.dim)
-        length = min(r, HYPERBOLOID_SAMPLE_CAP)
-        scale = math.sinh(length) / r
-        return Point(self.kind, (math.cosh(length),) + tuple(g * scale for g in gauss))
+        scale = math.sinh(min(r, HYPERBOLOID_SAMPLE_CAP)) / r
+        return Point(self.kind, _lift([g * scale for g in gauss]))
 
 
 @dataclass(frozen=True)
@@ -765,6 +835,7 @@ class TreeSpace:
 
     distance = _distance
     geodesic_point = _geodesic_point
+    _pair_step = _pair_step
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
         # _route(pd, qd)[0] without a route: the least of the four endpoint

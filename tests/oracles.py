@@ -126,10 +126,7 @@ def hyperboloid_geodesic_decimal(p, q, t, digits=50):
         ctx.prec = digits
         xs = [decimal.Decimal(c) for c in p[1:]]
         ys = [decimal.Decimal(c) for c in q[1:]]
-        x0 = (1 + sum(c * c for c in xs)).sqrt()
-        y0 = (1 + sum(c * c for c in ys)).sqrt()
-        z = x0 * y0 - sum(a * b for a, b in zip(xs, ys))
-        theta = (z + (z * z - 1).sqrt()).ln()
+        theta = _hyperboloid_theta_decimal(xs, ys)
         t = decimal.Decimal(t)
 
         def sinh(v):
@@ -138,6 +135,36 @@ def hyperboloid_geodesic_decimal(p, q, t, digits=50):
         wp, wq = sinh((1 - t) * theta) / sinh(theta), sinh(t * theta) / sinh(theta)
         blend = [wp * a + wq * b for a, b in zip(xs, ys)]
         return tuple(float(c) for c in [(1 + sum(c * c for c in blend)).sqrt()] + blend)
+
+
+def _hyperboloid_theta_decimal(xs, ys):
+    # arcosh of the Minkowski product of the points with spatial parts xs and
+    # ys, x0 derived from each, in the decimal context that is current.
+    x0 = (1 + sum(c * c for c in xs)).sqrt()
+    y0 = (1 + sum(c * c for c in ys)).sqrt()
+    z = x0 * y0 - sum(a * b for a, b in zip(xs, ys))
+    return (z + (z * z - 1).sqrt()).ln()
+
+
+def hyperboloid_pair_step_decimal(p, q, lam, digits=50):
+    """The two-point resolvent of hyperboloid points p and q at step lam, from their spatial parts alone.
+
+    The distance theta is taken as in ``hyperboloid_geodesic_decimal``.
+    Where theta <= 2 lam both ends go to the midpoint, the point at t = 1/2;
+    else each end moves lam toward the other, to the point at t = lam / theta
+    from its own end.  Each point is ``hyperboloid_geodesic_decimal``'s, t
+    computed in decimal arithmetic at ``digits`` significant digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        theta = _hyperboloid_theta_decimal([decimal.Decimal(c) for c in p[1:]],
+                                           [decimal.Decimal(c) for c in q[1:]])
+        lam = decimal.Decimal(lam)
+        if theta <= 2 * lam:
+            mid = hyperboloid_geodesic_decimal(p, q, decimal.Decimal("0.5"), digits)
+            return mid, mid
+        t = lam / theta
+    return hyperboloid_geodesic_decimal(p, q, t, digits), hyperboloid_geodesic_decimal(q, p, t, digits)
 
 
 def brute_hausdorff(space, pts_a, pts_b):

@@ -359,7 +359,12 @@ def test_help_is_exit_zero(capsys):
 # the two retract runs on hyperboloid:2: as a geodesic point blends the
 # spatial coordinates alone and derives x0, which moved the retracts'
 # coordinates by at most 2.9e-13 of x0, kept their cardinalities and merge
-# times, and moved verify's worst values by rounding only).
+# times, and moved verify's worst values by rounding only; the same three
+# again as the hyperboloid pair step is written in the squared gap md alone
+# and random points derive x0, which moved the retracts' coordinates by at
+# most 3.3e-14 of x0, kept their cardinalities and merge times, and moved
+# verify's worst values by rounding only; the flow and the far retract on
+# hyperboloid:2 as that pair step prints them).
 README_STAR = """{"kind": "tree", "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
                            {"id": 1, "from": 0, "to": 2, "length": 1.0},
                            {"id": 2, "from": 0, "to": 3, "length": 1.5}]}"""
@@ -384,6 +389,12 @@ HYPERBOLOID_8 = [[1.0, 0.0, 0.0], [1.122497216032, 0.5, 0.1], [1.11803398875, -0
                  [1.18321595662, 0.2, -0.6], [1.624807680927, 1.0, 0.8],
                  [1.360147050874, -0.9, -0.2], [1.51657508881, 0.3, 1.1],
                  [1.417744687876, -0.1, -1.0]]
+# Four points 6.2, 7.9, 6.8 and 7.3 from the apex, the first two 0.15 apart
+# in direction, spatial parts rounded to 9 decimals and x0 derived.
+HYPERBOLOID_FAR = [[246.37553526147212, 235.369600074, 72.808349359],
+                   [1348.641349506367, 1214.379861441, 586.612343652],
+                   [448.9242027126158, -435.885538728, 107.404547897],
+                   [740.1503015617089, -227.472308779, -704.327919112]]
 LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801],[0.904],"
            "[1.002],[1.102],[1.204],[1.301],[1.4],[1.501],[1.604],[1.702],[1.802],[1.904],"
            "[2.001],[2.1],[2.201],[2.304],[2.402],[2.502],[2.604],[2.701],[2.8],[2.901],"
@@ -392,7 +403,7 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--space", "hyperboloid:2", "--n", "4", "--samples", "20", "--seed", "0"],
-     "cb108509348028e8d99096090c4c2b9839f978ff4cd920abba46a00d84c287ae"),
+     "f0ba969bfde7e31d636f83e77eeb5f910fc32c14f8f9fee40356aa8e6f123971"),
     (["scan", "--space", "euclidean:2", "--n", "3", "--samples", "50", "--seed", "0"],
      "5742814f8ee33246b3a4858caf20b25886bdaa3fbaf322275f2e722701fee3c9"),
     (["retract", "--space-file", "{star}", "--set", STAR_SET, "--n", "3"],
@@ -417,9 +428,15 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
      "d1375cc232ddbf4360cf81953e2f70b803d65a05ee303f62676fa36e28e759f4"),
     # 3 points on the hyperboloid march in the unrolled shape, 8 in the looped one.
     (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_8[:3]), "--n", "3"],
-     "4c772342c74750b2eca9c60ac9e38126b0902e2f9abe479950a6080a75ef6f4d"),
+     "6c7bd09db121558affd0b06bd90336f0f6ba99fd8f806728e266fb18d25575d3"),
     (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_8), "--n", "8"],
-     "c471617a382d3e608301c1499acbe7e3f4876acb42f86faaa85b05080661354a"),
+     "88c691f1c3e8eee64e42803b727c19919c83ec097a57120b888d39e98e69c750"),
+    # Five points flow until pairs meet, so the unrolled march meets and moves.
+    (["flow", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_8[:5]), "--time", "0.2",
+      "--k", "16", "--max-doublings", "3"],
+     "69124c0878195a845b369279c7e8bcbfb9b487d883545a53bd2e8e87f24f6732"),
+    (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_FAR), "--n", "4"],
+     "12ca0c31ca8176fecb25649e2cbd03aa33e728c96b2251cff4e23e2e25c37807"),
     # 31 points on the line march in the looped shape.
     (["retract", "--space", "euclidean:1", "--set", LINE_31, "--n", "31"],
      "296f3787790d1a675d0ac05b39a647b9192c23048ca4e01e3aee0b06fa7c6f5b"),
@@ -436,8 +453,9 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
 ], ids=["verify-hyperboloid", "scan-euclidean", "retract-star", "verify-euclidean",
         "verify-star", "flow-readme", "merge-time-readme", "convergence-readme",
         "flow-caterpillar", "scan-star", "retract-plane-8", "retract-hyperboloid-3",
-        "retract-hyperboloid-8", "retract-line-31", "merge-time-star", "flow-star",
-        "retract-caterpillar", "retract-five-leg"])
+        "retract-hyperboloid-8", "flow-hyperboloid", "retract-hyperboloid-far",
+        "retract-line-31", "merge-time-star", "flow-star", "retract-caterpillar",
+        "retract-five-leg"])
 def test_golden_report_bytes(capsys, tmp_path, argv, digest):
     star = tmp_path / "star.json"
     star.write_text(README_STAR)

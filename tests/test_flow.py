@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,10 @@ from subsetflow import (
 )
 from subsetflow.flow import _wrap
 from subsetflow.verify import sample_tuple
-from subsetflow.geometry import _SMALL_ANGLE, _gaps, _march_kernel, _pair_march, _pair_step
-from oracles import (full_resolvent_ref, grid_pair_prox, tree_edges_ref, tree_first_collision_ref,
-                     tree_routes_ref)
+from subsetflow.geometry import (_OVERFLOW, _SMALL_ANGLE, _gaps, _march_kernel, _pair_march,
+                                 _pair_step)
+from oracles import (full_resolvent_ref, grid_pair_prox, hyperboloid_distance_decimal,
+                     tree_edges_ref, tree_first_collision_ref, tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -114,8 +116,52 @@ def test_pair_resolvent_matches_grid_oracle(plane, seed):
     assert got == pytest.approx(list(ref1) + list(ref2), abs=1e-5)
 
 
+def _hyperboloid_pair_step(pd, qd, lam):
+    # The hyperboloid pair step written out from its closed form in the
+    # squared gap md = 4 sinh^2(d/2), the Minkowski norm of pd - qd summed
+    # left to right, in plain floats with the library's operations in their
+    # order.  The pair meets where md <= (2 sinh lam)^2, capped at the largest
+    # float, both ends at the blend of the spatial parts by 0.5 / sqrt(1 +
+    # md/4); else each end takes the blend by wp = exp(-lam) - wq / (1 + md/2
+    # + sinh d) and wq = sinh lam / sinh d, sinh d = md sqrt(1/4 + 1/md).
+    # Each x0 is sqrt(1 + |xs|^2), summed left to right.  None where md is
+    # not finite.
+    c = pd[0] - qd[0]
+    md = -c * c
+    for a, b in zip(pd[1:], qd[1:]):
+        c = a - b
+        md += c * c
+    sl = math.sinh(min(lam, 710.0))
+
+    def lift(spatial):
+        n2 = 1.0
+        for c in spatial:
+            n2 += c * c
+        if not n2 < math.inf:
+            raise GeometryError(_OVERFLOW)
+        return (math.sqrt(n2), *spatial)
+
+    if md <= min(4.0 * sl * sl, sys.float_info.max):
+        w = 0.5 / math.sqrt(1.0 + 0.25 * md) if md > 0.0 else 0.5
+        mid = lift([w * (a + b) for a, b in zip(pd[1:], qd[1:])])
+        return mid, mid
+    if not md < math.inf:
+        return None
+    sh = md * math.sqrt(0.25 + 1.0 / md)
+    wq = sl / sh
+    wp = math.exp(-lam) - wq / (1.0 + 0.5 * md + sh)
+    return (lift([wp * a + wq * b for a, b in zip(pd[1:], qd[1:])]),
+            lift([wp * b + wq * a for a, b in zip(pd[1:], qd[1:])]))
+
+
 def _composed_pair_step(space, p, q, lam):
-    # The pair step as the public space methods compose it.
+    # The pair step as the public space methods compose it; on the
+    # hyperboloid, whose step is written in md alone, a finite md steps as
+    # _hyperboloid_pair_step writes it out.
+    if isinstance(space, HyperboloidSpace):
+        step = _hyperboloid_pair_step(p.data, q.data, lam)
+        if step is not None:
+            return tuple(space.point(c) for c in step)
     d = space.distance(p, q)
     if d <= 2.0 * lam:
         mid = space.geodesic_point(p, q, 0.5)
@@ -150,7 +196,8 @@ def test_pair_kernel_matches_public_methods_bit_for_bit(all_spaces, key):
         d = space.distance(p, q)
         cases += [(p, q, lam) for lam in (0.5 * d, 2.0 * d, 0.49 * d, 0.1 * d, 1e-3 * d)]
     if key == "hyperboloid-2":
-        # theta below _SMALL_ANGLE takes the affine blend in both branches
+        # theta below _SMALL_ANGLE, where _interp blends affinely and the
+        # pair step takes no branch of its own, meeting and moving
         p, r = space.random_point(rng), space.random_point(rng)
         q = space.geodesic_point(p, r, 1e-9 / space.distance(p, r))
         theta = space.distance(p, q)
@@ -170,6 +217,84 @@ def test_pair_kernel_matches_public_methods_bit_for_bit(all_spaces, key):
         merged += space.distance(p, q) <= 2.0 * lam
         moved += space.distance(p, q) > 2.0 * lam
     assert merged and moved
+
+
+def _apex_point(hyper, scale, rng):
+    # A point of hyperboloid:2 whose spatial part is scale times two
+    # Gaussian draws, x0 derived from it.
+    x1, x2 = scale * rng.gauss(0.0, 1.0), scale * rng.gauss(0.0, 1.0)
+    return hyper.point((math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-50, 1e-100, 1e-150])
+def test_hyperboloid_pair_resolvent_never_widens_a_gap_or_passes_the_midpoint(hyper, scale):
+    # For lam/d from 1e-12 to 1e3 a pair step leaves the pair no farther
+    # apart, and neither end moves more than d/2, up to 1e-14 of it for the
+    # rounding of the midpoint (8 ulps at most).  Spatial offsets scale from
+    # 1 down to 1e-150, where (2 sinh lam)^2 is subnormal or 0 for the
+    # smallest steps.
+    rng = random.Random(f"pairprop:{scale}")
+    ratios = [10.0 ** k for k in range(-12, 4)] + [0.49, 0.4999999, 0.5, 0.5000001]
+    seen = {"met": 0, "moved": 0, "subnormal": 0}
+    for _ in range(25):
+        p, q = _apex_point(hyper, scale, rng), _apex_point(hyper, scale, rng)
+        d = hyper.distance(p, q)
+        for ratio in ratios:
+            lam = ratio * d
+            p2, q2 = pair_resolvent(PointTuple(hyper, (p, q)), 0, 1, lam).coords
+            assert hyper.distance(p2, q2) <= d
+            for a, a2 in ((p, p2), (q, q2)):
+                assert hyper.distance(a, a2) <= 0.5 * d * (1.0 + 1e-14)
+            seen["met" if p2 == q2 else "moved"] += 1
+            # sinh lam is lam to double precision at the steps this counts
+            seen["subnormal"] += 4.0 * lam * lam < sys.float_info.min
+    assert seen["met"] and seen["moved"] and (seen["subnormal"] or scale > 1e-150)
+
+
+def test_hyperboloid_pair_step_refuses_a_nan_gap(hyper):
+    # 500 from the apex, x0 and x1 square past the float range, so the
+    # squared gap to the apex is inf - inf = NaN: the Python step and both
+    # march shapes refuse it through the geodesic parameter check.
+    p = hyper.point((math.cosh(500.0), math.sinh(500.0), 0.0))
+    q = hyper.point((1.0, 0.0, 0.0))
+    rng = random.Random("pairnan")
+    rest = tuple(hyper.random_point(rng) for _ in range(6))
+    for run in (lambda: pair_resolvent(PointTuple(hyper, (p, q)), 0, 1, 0.5),
+                lambda: sweep(PointTuple(hyper, (p, q)), 0.5),
+                lambda: sweep(PointTuple(hyper, (p, q) + rest), 0.5)):
+        with pytest.raises(GeometryError, match="geodesic parameter"):
+            run()
+
+
+def _decimal_gap(p, q):
+    # The distance of two points far from the apex, at enough digits that
+    # the products of their coordinates, up to about 1e165, keep 35 more.
+    return hyperboloid_distance_decimal(p.data, q.data, digits=200)
+
+
+@pytest.mark.parametrize("radii, ratios", [((40.0, 60.0), (0.05, 0.2, 0.4, 0.49)),
+                                            ((170.0, 190.0), (1e-9, 1e-3, 0.1, 0.4))],
+                         ids=["wide-step", "past-sinh-overflow"])
+def test_hyperboloid_pair_step_moves_each_end_lam_far_from_the_apex(hyper, radii, ratios):
+    # Two points on the x1 axis, on either side of the apex: each end of a
+    # step moves lam toward the other, to 1e-9 of d.  On one axis no
+    # rounding turns a point off the geodesic, which far out would put it
+    # hundreds away: an ulp of direction at r from the apex is eps sinh r of
+    # arc.  With lam from 2 to 59, cosh lam - wq cosh d would cancel up to
+    # every bit of the first weight; past 170 from the apex md (1 + md/4)
+    # overflows, while sinh d does not.
+    rng = random.Random(f"pairfar:{radii}")
+    for _ in range(10):
+        r, s = rng.uniform(*radii), rng.uniform(*radii)
+        p = hyper.point((math.cosh(r), math.sinh(r), 0.0))
+        q = hyper.point((math.cosh(s), -math.sinh(s), 0.0))
+        d = _decimal_gap(p, q)
+        for ratio in ratios:
+            lam = ratio * d
+            p2, q2 = pair_resolvent(PointTuple(hyper, (p, q)), 0, 1, lam).coords
+            assert abs(_decimal_gap(p, p2) - lam) <= 1e-9 * d
+            assert abs(_decimal_gap(q, q2) - lam) <= 1e-9 * d
+            assert abs(_decimal_gap(p2, q2) - (d - 2.0 * lam)) <= 1e-9 * d
 
 
 # ---------------------------------------------------------------------------

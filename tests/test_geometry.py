@@ -19,12 +19,14 @@ from subsetflow import (
     TreeTopology,
     make_space,
     make_subset,
+    pair_resolvent,
     space_from_json,
 )
 from subsetflow.geometry import (_MARCH_MAX_SOURCE, _distance, _geodesic_point, _march_kernel,
-                                 _pair_march, _total, point_sort_key)
+                                 _pair_march, _pair_step, _total, point_sort_key)
 from oracles import (hyperboloid_distance_decimal, hyperboloid_distance_ref,
-                     hyperboloid_geodesic_decimal, tree_point_distance)
+                     hyperboloid_geodesic_decimal, hyperboloid_pair_step_decimal,
+                     tree_point_distance)
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
 
@@ -119,11 +121,12 @@ def test_total_sums_left_to_right():
 
 # Which march _march_kernel picks for n = 2, 5, 8 and 31: the unrolled
 # march of that n (U), the looped march of the dimension (L), or the
-# reference _pair_march (P).  Euclidean 200 and hyperboloid 100 are dimensions
-# whose looped source is past the cap.
+# reference _pair_march (P).  Euclidean 200 and hyperboloid 120 are dimensions
+# whose looped source is past the cap; hyperboloid 100, whose looped source
+# fits since the pair step is written in md alone, was past it before.
 MARCH_SHAPES = {"euclidean-1": "UUUL", "euclidean-2": "UUUL", "euclidean-16": "ULLL",
-                "hyperboloid-2": "UULL", "hyperboloid-16": "ULLL",
-                "euclidean-200": "PPPP", "hyperboloid-100": "PPPP"}
+                "hyperboloid-2": "UULL", "hyperboloid-16": "ULLL", "hyperboloid-100": "LLLL",
+                "euclidean-200": "PPPP", "hyperboloid-120": "PPPP"}
 
 
 @pytest.mark.parametrize("key", MARCH_SHAPES)
@@ -234,6 +237,32 @@ def test_hyperboloid_geodesic_points_match_the_decimal_reference(hyper, radii):
         error = hyperboloid_distance_decimal(got.data, want)
         worst = max(worst, error / hyperboloid_distance_decimal(p.data, q.data))
     assert worst <= 1e-13
+
+
+# The far bound, 7.6e-12, is the worst the sinh-weight step this one replaced
+# was measured at 6 to 8 from the apex, where _gap's cancellation of two
+# terms of size x0^2 d^2 limits md; on these pairs both steps read about
+# 1e-14, and at most 1.6e-12 on 30 other draws of 200.  The distance half of
+# ROADMAP item 3 should tighten it.
+@pytest.mark.parametrize("radii, bound", [((0.0, 3.0), 1e-13), ((6.0, 8.0), 7.6e-12)],
+                         ids=["near", "far"])
+def test_hyperboloid_pair_steps_match_the_decimal_reference(hyper, radii, bound):
+    # Each end of a pair step, met or moved, lies within bound * d of the one
+    # a 50-digit resolvent gives, on fixed-seed pairs near the apex and 6 to
+    # 8 from it, with steps on both sides of d/2 but not within 1% of it.
+    rng = _rng(f"pair-step-decimal:{radii}")
+    worst, met = 0.0, 0
+    for _ in range(200):
+        p, q = (_hyperboloid_point_at(hyper, rng.uniform(*radii), rng) for _ in range(2))
+        d = hyperboloid_distance_decimal(p.data, q.data)
+        lam = d * (rng.uniform(0.001, 0.495) if rng.random() < 0.5 else rng.uniform(0.505, 2.0))
+        got = pair_resolvent(PointTuple(hyper, (p, q)), 0, 1, lam).coords
+        want = hyperboloid_pair_step_decimal(p.data, q.data, lam)
+        met += want[0] is want[1]
+        for g, w in zip(got, want):
+            worst = max(worst, hyperboloid_distance_decimal(g.data, w) / d)
+    assert 0 < met < 200
+    assert worst <= bound
 
 
 def test_hyperboloid_sampler_stays_on_sheet(hyper):
@@ -584,8 +613,9 @@ def test_space_from_json_rejects_malformed_descriptors(obj):
 def test_each_backend_binds_the_shared_methods_in_its_class_body(cls):
     # One distance and one geodesic_point for every backend, bound in each
     # class's own body, where per-backend call counters (bench/spans.py)
-    # look the public methods up.  The pair step is the module's
-    # _pair_step, which no class binds.
+    # look the public methods up.  The pair step is the module's _pair_step
+    # over the kernels, except on the hyperboloid, which writes its own in
+    # closed form.
     assert cls.__dict__["distance"] is _distance
     assert cls.__dict__["geodesic_point"] is _geodesic_point
-    assert not hasattr(cls, "_step")
+    assert (cls.__dict__["_pair_step"] is _pair_step) == (cls is not HyperboloidSpace)

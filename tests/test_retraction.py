@@ -195,9 +195,11 @@ def _golden_set(space, n, rng):
 # before the flow ran on bare coordinate tuples; the caterpillar entries as
 # the exact tree flow prints them, each merging at delta/2, where its closest
 # pair meets at closing speed 2 (test_golden_caterpillar_merges_at_half_gap);
-# the hyperboloid entries as a geodesic point blends the spatial coordinates
-# alone and derives x0, which moved coordinates by at most 4.4e-9 of x0 and
-# kept every cardinality and merge time
+# the hyperboloid entries as the pair step is written in the squared gap md
+# alone, which moved coordinates by at most 2.2e-13 of x0 and kept every
+# cardinality and merge time (before it, as a geodesic point blended the
+# spatial coordinates alone and derived x0, which moved them by at most
+# 4.4e-9 of x0)
 GOLDEN_RETRACTS = {
     ("euclidean-2", 6):
         "1e24ba784e3b1c18d217aa3ca1def851fc8e96d8270ce5262840b50a2fa89c9b",
@@ -206,11 +208,11 @@ GOLDEN_RETRACTS = {
     ("euclidean-2", 8):
         "423e4a27792c6ed218a9a355df821ce2269067a9215d4c7c1ae9b87310b9dd40",
     ("hyperboloid-2", 6):
-        "72d93bb6157d9c9ab47cb129ddeeecf778a6b220dd3c542e37eb1c355c9f7a4a",
+        "6a7bc3b81a239eb51a0d417e192cad4215f542d6dd6ac72a00ea3a15c8b94ac4",
     ("hyperboloid-2", 7):
-        "0d7cface92dd98d818002668c6b5d72abad3c5ce7db88e7f4c16aad2fd8b76b5",
+        "0cba43493a2abd7d0aaf21901fcf410beabdeade1fcea783ed8388f5548015ac",
     ("hyperboloid-2", 8):
-        "3dc5b48181e7c464a81e0e4ce75154f0beff1d635ecc47917c342e46708bb603",
+        "9b602a387e62c20c679d56c73b8b33e168fb528dea163c5f346e9dc3a73ec376",
     ("caterpillar", 6):
         "5c4265c18f785a4b1c56bbe00f1f5902e77b5959a7d0468da66b2f9f4d7fc883",
     ("caterpillar", 7):
