@@ -7,8 +7,8 @@ form: both coordinates move toward each other along their geodesic, and
 land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
 :mod:`subsetflow.retraction` is made of, except for two points, which meet
-at their geodesic midpoint at half their distance, and on a metric tree,
-where the flow itself is run exactly to its first collision.
+at their geodesic midpoint at half their distance, and on a metric tree and
+on the line, where the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
@@ -30,8 +30,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, TreeSpace,
-                       _check_count, _gaps, _total)
+from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, _check_count,
+                       _gaps, _merges_exactly, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -54,11 +54,11 @@ class FlowConfig:
     """Knobs for the splitting flow and the merge march.
 
     sweeps_per_run: resolvent sweeps used to cover one flow run; the merge
-    march uses the same count to cover its half-gap horizon (a tree does
-    not march, and neither do two points, which meet at their midpoint).
+    march uses the same count to cover its half-gap horizon (a tree, the
+    line and two points, which meet at their midpoint, do not march).
     merge_tolerance: a gap at or below this fraction of the starting min
-    gap counts as merged.  A tree does not read it: its flow runs exactly to
-    the collision, and its retract collapses no gap but the one that closed.
+    gap counts as merged.  A tree and the line do not read it: their flow
+    runs exactly to the collision, and their retract collapses no other gap.
     Nor does the merge of two points, which ends with both at one point.
     max_doublings: how many times an adaptive run may double its sweep count.
     """
@@ -136,8 +136,8 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
         raise GeometryError("pair indices must differ")
     if i > j:
         raise GeometryError("pair indices must be given as i < j")
-    if not lam > 0.0:
-        raise GeometryError("step size must be positive")
+    if not 0.0 < lam < math.inf:
+        raise GeometryError("step size must be positive and finite")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
         data[i], data[j], _ = x.space._pair_step(data[i], data[j], lam)
@@ -218,19 +218,20 @@ def _finite_gaps(space, data: list[tuple]) -> list[float]:
     return ds
 
 
-def _refine(x: PointTuple, t: float, k: int, doublings: int, run):
-    """Flow x for time t by ``run(space, coords, t, k)`` with k, 2k, 4k, ... sweeps.
+def _refine(x: PointTuple, t: float, k: int, doublings: int):
+    """Flow x for time t with k, 2k, 4k, ... sweeps.
 
     Stops once two successive results are within ``DOUBLING_TOLERANCE`` in
     the product metric, or after ``doublings`` doublings.  Returns the finest
-    result, its ``run`` output, the sweeps spent and the successive distances.
+    result, the sweeps spent and the successive distances; the finest run
+    had k * 2**len(distances) sweeps.
     """
     space = x.space
     start = [p.data for p in x.coords]
     prev, used, steps = None, 0, []
     for _ in range(doublings + 1):
         data = list(start)
-        out = run(space, data, t, k)
+        _run(space, data, t, k)
         cur = _wrap(x, data)
         used += k
         k *= 2
@@ -239,13 +240,14 @@ def _refine(x: PointTuple, t: float, k: int, doublings: int, run):
         prev = cur
         if steps and steps[-1] <= DOUBLING_TOLERANCE:
             break
-    return prev, out, used, steps
+    return prev, used, steps
 
 
 def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     """Run the splitting flow, doubling the sweep count until stable.
 
-    Successive runs use k, 2k, 4k, ... sweeps (``_refine``).  If the
+    Successive runs use k, 2k, 4k, ... sweeps (``_refine``); the finest is
+    run once more, traced sweep by sweep, for the report.  If the
     ``cfg.max_doublings`` doublings run out first, the report carries
     ``converged=False`` and the finest result; a single run (no doublings)
     counts as converged.  As in ``merge_time``, a tuple with a pairwise
@@ -258,8 +260,9 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
         gap_trace = [(0.0, min(ds, default=math.inf))]
         obj_trace = [(0.0, _total(ds) if ds else 0.0)]
     else:
-        final, (gap_trace, obj_trace), used, steps = _refine(
-            x, t, cfg.sweeps_per_run, cfg.max_doublings, _traced_run)
+        final, used, steps = _refine(x, t, cfg.sweeps_per_run, cfg.max_doublings)
+        gap_trace, obj_trace = _traced_run(x.space, [p.data for p in x.coords], t,
+                                           cfg.sweeps_per_run << len(steps))
     return FlowReport(
         final=final,
         elapsed_time=t,
@@ -279,11 +282,11 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     ``geodesic_point(p, q, 0.5)``, with no march.  ``cfg`` is not read for
     them.
 
-    On a metric tree the flow is run exactly, event by event, to its first
-    collision (``TreeSpace._first_collision``): the returned time is that
-    collision's, at most ``min_gap(x)/2``, and the pair that met shares one
-    point in the returned state.  ``cfg`` plays no part there: no
-    ``sweeps_per_run``, no ``merge_tolerance`` threshold, no forced snap.
+    On a metric tree and on the line the flow is run exactly to its first
+    collision (the space's ``_first_collision``): the returned time is that
+    collision's, at most ``min_gap(x)/2``, and the points that met share
+    one point.  ``cfg`` plays no part there: no ``sweeps_per_run``, no
+    ``merge_tolerance`` threshold, no forced snap.
 
     Elsewhere the splitting sweeps march the flow, and the result is the
     first time a pairwise gap falls to ``merge_tolerance`` times the
@@ -319,7 +322,7 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     if len(data) == 2:
         mid = space._interp(data[0], data[1], 0.5, delta)
         return 0.5 * delta, _wrap(x, [mid, mid])
-    if isinstance(space, TreeSpace):
+    if _merges_exactly(space):
         t, data = space._first_collision(data, ds)
         return t, _wrap(x, data)
     threshold = cfg.merge_tolerance * delta

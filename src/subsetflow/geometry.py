@@ -33,9 +33,9 @@ module's ``_pair_step(space, pd, qd, lam)``, written once over the kernels;
 the hyperboloid writes its own in closed form in the squared gap md = 4
 sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
 ``_gaps(space, data)`` is ``_gap`` over every pair.
-A tree's merge does not march: ``merge_time`` calls its
-``_first_collision(data, gaps)``, the exact flow to the first collision,
-whose first event reuses the gaps ``merge_time`` measured.  Every tree
+A tree's merge does not march, nor does the line's (``_merges_exactly``):
+``merge_time`` calls ``_first_collision(data, gaps)``, the exact flow to the
+first collision, whose first event on a tree reuses those gaps.  Every tree
 kernel reads an edge by its id from one table (its ends, its length and
 both ends' rows of node distances); the tree ``_gap`` builds no route, its
 ``_interp`` builds one (``_route``), and each event of the exact flow is
@@ -474,6 +474,32 @@ class EuclideanSpace(_CoordinateSpace):
         "mid": ("{a} = {b} = {a} + 0.5 * ({b} - {a})", "; ", 0),
         "step": ("{a}, {b} = {a} + s * ({b} - {a}), {b} + s * ({a} - {b})", "; ", 0),
     }
+
+    @staticmethod
+    def _first_collision(data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
+        """The line's (dim 1) exact flow to its first collision, as a tree's; gaps unread.
+
+        Sorted, point k moves at n - 1 - 2k, so each gap between neighbours
+        closes at rate 2 and the smallest, delta, at t = delta/2.  Gaps tie
+        on exact values: a gap's key, its rounded value and that value's
+        rounding error (TwoSum), orders as the exact difference does.  A run
+        of points that met shares the tuple of its first point.
+        """
+        n = len(data)
+        order = sorted(range(n), key=data.__getitem__)
+        xs = [data[i][0] for i in order]
+        keys = []
+        for a, b in zip(xs, xs[1:]):
+            s = b - a
+            v = s - b
+            keys.append((s, (b - (s - v)) + (-a - v)))
+        low = min(keys)
+        t = 0.5 * low[0]
+        out = [(x + (n - 1 - 2 * k) * t,) for k, x in enumerate(xs)]
+        for k, key in enumerate(keys):
+            if key == low:
+                out[k + 1] = out[k]
+        return t, [p for _, p in sorted(zip(order, out))]
 
     def random_point(self, rng: random.Random) -> Point:
         return Point(self.kind, tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim)))
@@ -1160,6 +1186,11 @@ class TreeSpace:
 
 
 SpaceDescriptor = Union[EuclideanSpace, HyperboloidSpace, TreeSpace]
+
+
+def _merges_exactly(space: SpaceDescriptor) -> bool:
+    # Whether merge_time runs space._first_collision, not a march: on a tree and on the line.
+    return isinstance(space, TreeSpace) or (type(space) is EuclideanSpace and space.dim == 1)
 
 
 def make_space(kind: str, dim: int | None = None, tree: TreeTopology | None = None) -> SpaceDescriptor:

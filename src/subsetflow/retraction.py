@@ -2,15 +2,15 @@
 
 A subset of full cardinality n is flowed until some pair of its points
 merges and collapsed back to a subset; anything smaller is already in the
-target space and passes through untouched.  On a metric tree the flow runs
-exactly, from the set's points in their canonical order (it needs no
-numbering), and the output is the set of points where it stops: the pair
-that met shares one point, and no tolerance merges anything else.  On the
-euclidean and hyperboloid backends the set is numbered as a tuple with its
-closest pair first, marched by the splitting sweeps, and collapsed with a
-tolerance proportional to its starting min gap.  On every backend a
-two-point set is not marched: its points meet at their geodesic midpoint,
-so the output is that one point.
+target space and passes through untouched.  On a metric tree and on the
+line the flow runs exactly, from the set's points in their canonical order
+(it needs no numbering), and the output is the set of points where it
+stops: the points that met share one point, and no tolerance merges
+anything else.  On the other euclidean and hyperboloid spaces the set is
+numbered as a tuple with its closest pair first, marched by the splitting
+sweeps, and collapsed with a tolerance proportional to its starting min
+gap.  On every backend a two-point set is not marched: its points meet at
+their geodesic midpoint, so the output is that one point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GeometryError, TreeSpace, _check_count
+from .geometry import GeometryError, _check_count, _merges_exactly
 from .flow import FlowConfig, merge_time
 # min_gap is no longer called here, but stays a name of this module:
 # bench/spans.py wraps retraction.min_gap when it traces a run.
@@ -63,14 +63,10 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
 
     Subsets with fewer than n points are returned unchanged.  A full
     n-point subset is flowed by ``merge_time`` until a pair merges.  On a
-    tree the flow starts from the points in their canonical order and runs
-    exactly; the pair that met shares one point, so the output is the set of
-    points it stops at, with no tolerance: ``cfg.merge_tolerance`` is
-    not read, and a third point however close to the pair is kept.  That
-    set is built directly, from the distinct points of the final state in
-    sort-key order, with no ``to_set``: canonical tree data has one form per
-    place, so two points at one place are equal data, and ``to_set`` at
-    tolerance 0 would merge only those.
+    tree and on the line the flow starts from the points in their canonical
+    order and runs exactly, and ``cfg`` is not read: the output is the set
+    of distinct points it stops at, in sort-key order, with no ``to_set``
+    and no tolerance, so a third point however close to the pair is kept.
     Elsewhere the subset is ordered with its closest pair first, marched by
     sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
     min gap, which removes at least one point.  For n = 2 ``merge_time``
@@ -82,12 +78,13 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
         raise GeometryError(f"subset has {len(a)} points, more than the bound {n}")
     if len(a) < n:
         return RetractReport(input=a, output=a, merge_time_used=0.0)
-    if isinstance(a.space, TreeSpace):
+    if _merges_exactly(a.space):
         # a's points were checked when a was built, so they go in as a tuple
-        # and come out as a set by _set_of, with no second check.  The pair
-        # that met shares one Point, and canonical tree data has one form
-        # per place, so the distinct Points are the output set: no
-        # clustering or fold is left for to_set to do.
+        # and come out as a set by _set_of, with no second check.  The points
+        # that met share one Point, and two points at one place are equal
+        # data (a tree place has one canonical form; on the line -0.0 ==
+        # 0.0), so the distinct Points are the output set: to_set at
+        # tolerance 0 would merge only those.
         t_star, merged = merge_time(_built(PointTuple, space=a.space, coords=a.points), cfg)
         out = _set_of(a.space, dict.fromkeys(merged.coords))
         return RetractReport(input=a, output=out, merge_time_used=t_star)

@@ -31,7 +31,6 @@ from .flow import (
     FlowConfig,
     _check_time,
     _refine,
-    _run,
     _traced_run,
     # flow_adaptive is no longer called here, but stays a name of this
     # module: bench/spans.py wraps verify.flow_adaptive when it traces a run.
@@ -455,7 +454,7 @@ def check_min_attainment(space: SpaceDescriptor, n: int, seed: int, trials: int,
     def trial(rng):
         x = sample_tuple(space, n, rng)
         spread = max_spread(x)
-        final = _refine(x, 0.5 * spread, cfg.sweeps_per_run, doublings, _run)[0]
+        final = _refine(x, 0.5 * spread, cfg.sweeps_per_run, doublings)[0]
         ratio = sum_pairwise_distances(final) / spread if len(final) >= 2 else 0.0
         return ratio, lambda: {"x": x.to_json()}
 
@@ -636,7 +635,7 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
 
     def cauchy(rng):
         x = sample_tuple(space, cfg.n, rng)
-        return _refine(x, t, flow.sweeps_per_run, flow.max_doublings, _run)[3]
+        return _refine(x, t, flow.sweeps_per_run, flow.max_doublings)[2]
 
     sequences = _trials(cfg.seed, "cauchy", cfg.samples, cauchy)
     rises = [(max((b - a for a, b in zip(seq, seq[1:])), default=-math.inf), None)

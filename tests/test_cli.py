@@ -437,9 +437,10 @@ LINE_31 = ("[[0.0],[0.101],[0.204],[0.302],[0.402],[0.504],[0.601],[0.7],[0.801]
      "69124c0878195a845b369279c7e8bcbfb9b487d883545a53bd2e8e87f24f6732"),
     (["retract", "--space", "hyperboloid:2", "--set", json.dumps(HYPERBOLOID_FAR), "--n", "4"],
      "12ca0c31ca8176fecb25649e2cbd03aa33e728c96b2251cff4e23e2e25c37807"),
-    # 31 points on the line march in the looped shape.
+    # 31 points on the line merge by the exact flow: four gaps tie exactly,
+    # so 27 points are left, bit for bit bench/refgeom.py's exact_line_merge.
     (["retract", "--space", "euclidean:1", "--set", LINE_31, "--n", "31"],
-     "296f3787790d1a675d0ac05b39a647b9192c23048ca4e01e3aee0b06fa7c6f5b"),
+     "38758e8aedccfc35757599a1b17bb99a0eec9989da3f69ea5eb17a7a57f5d9b2"),
     (["merge-time", "--space-file", "{star}", "--set", STAR_SET],
      "aeba2a414451d7c9152700a457513c5aa81cbe057ff2d6fa94bdd17dd42d2e3e"),
     (["flow", "--space-file", "{star}", "--set", STAR_SET, "--time", "0.1"],

@@ -1264,10 +1264,20 @@ def test_nan_step_is_refused(line, step):
 
 
 def test_infinite_step_lands_on_the_limit(line):
-    # J_inf is the midpoint for a pair and the centroid for the full objective.
+    # J_inf of the full objective is the centroid.  A pair step refuses an
+    # infinite step (test_infinite_pair_step_is_refused).
     x = line_tuple(line, 0.0, 1.0, 5.0)
-    assert coords1d(pair_resolvent(x, 0, 1, math.inf)) == [0.5, 0.5, 5.0]
     assert coords1d(full_resolvent_oracle(x, math.inf)) == [2.0, 2.0, 2.0]
+
+
+def test_infinite_pair_step_is_refused(line, hyper):
+    # As sweep refuses it: points 2e308 apart on the line would meet at inf,
+    # and the hyperboloid pair 1400 apart at a NaN fraction of its geodesic.
+    ch, sh = math.cosh(700.0), math.sinh(700.0)
+    for x in (line_tuple(line, 0.0, 1.0, 5.0), line_tuple(line, -1e308, 1e308),
+              PointTuple(hyper, [hyper.point((ch, sh, 0.0)), hyper.point((ch, -sh, 0.0))])):
+        with pytest.raises(GeometryError, match="step size must be positive and finite"):
+            pair_resolvent(x, 0, 1, math.inf)
 
 
 def _enumwrong_input(i):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,11 +166,93 @@ def test_report_roundtrips_subset(line):
     assert back == report.output
 
 
-def test_retract_respects_config(line):
-    # a coarse merge tolerance folds the trailing residual gap sooner
-    report = retract(line_set(line, 0.0, 1.0, 10.0), 3, FlowConfig(merge_tolerance=1e-2))
+def test_retract_respects_config(plane):
+    # a coarse merge tolerance folds the trailing residual gap sooner (the
+    # line and the trees merge exactly and read no config)
+    a = make_subset(plane, [plane.point((x, 0.0)) for x in (0.0, 1.0, 10.0)])
+    report = retract(a, 3, FlowConfig(merge_tolerance=1e-2))
     assert report.output_cardinality == 2
-    assert report.merge_time_used <= 0.5 * (1.0 + 1e-3)
+    assert report.merge_time_used < retract(a, 3).merge_time_used <= 0.5 * (1.0 + 1e-3)
+
+
+def _line_twin(eps):
+    # A line set whose smallest gaps tie exactly (0-1 and 5-6), and a last
+    # gap of 1 + eps or 1 - eps: above, two pairs meet; below, one.
+    return [0.0, 1.0, 3.0, 5.0, 6.0, 7.0 + eps], [0.0, 1.0, 3.0, 5.0, 6.0, 7.0 - eps]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_line_twins_keep_the_lipschitz_bound(line, eps):
+    # The march numbered and snapped these: ratios of 1.33, 1,952 and 1.95e6,
+    # and three points for the upper twin at 1e-9.  The exact flow gives 1.25.
+    hi, lo = (line_set(line, *xs) for xs in _line_twin(eps))
+    out_hi, out_lo = retract(hi, 6).output, retract(lo, 6).output
+    assert (len(out_hi), len(out_lo)) == (4, 5)
+    ratio = hausdorff_distance(out_hi, out_lo) / hausdorff_distance(hi, lo)
+    assert ratio <= lipschitz_constant_bound(6)
+
+
+def _line_closed_form(xs):
+    # The exact flow on R to its first collision: sorted point k moves at
+    # n - 1 - 2k, so the smallest gap delta closes at t = delta/2.  The gaps
+    # equal to delta as exact rationals close, and each run of points that
+    # met takes its first point's value.  Also returns how many gaps closed.
+    xs = sorted(xs)
+    n = len(xs)
+    gaps = [Fraction(b) - Fraction(a) for a, b in zip(xs, xs[1:])]
+    t = 0.5 * float(min(gaps))
+    out = [x + (n - 1 - 2 * k) * t for k, x in enumerate(xs)]
+    closed = [k for k, gap in enumerate(gaps) if gap == min(gaps)]
+    for k in closed:
+        out[k + 1] = out[k]
+    return t, out, len(closed)
+
+
+LINE_31 = [0.0, 0.101, 0.204, 0.302, 0.402, 0.504, 0.601, 0.7, 0.801, 0.904, 1.002, 1.102,
+           1.204, 1.301, 1.4, 1.501, 1.604, 1.702, 1.802, 1.904, 2.001, 2.1, 2.201, 2.304,
+           2.402, 2.502, 2.604, 2.701, 2.8, 2.901, 3.004]
+
+
+def test_line_merge_is_the_closed_form(line):
+    # merge_time and retract on the line are the exact flow, bit for bit,
+    # whatever the config: on random sets in shuffled order, and on grids
+    # whose float gaps tie only up to rounding, line-31's four tied gaps too.
+    rng = random.Random("lineclosed")
+    sets = [[rng.gauss(0.0, 1.0) for _ in range(3 + i % 6)] for i in range(200)]
+    sets += [[k * h + 0.7 for k in range(n)] for n in (3, 5, 8) for h in (1.0, 0.1, 0.3)]
+    sets += [[0.0, 0.1, 0.3, 0.4, 0.6], LINE_31]
+    for xs in sets:
+        t, want, closed = _line_closed_form(xs)
+        rng.shuffle(xs)
+        for cfg in (FlowConfig(), FlowConfig(sweeps_per_run=4, merge_tolerance=0.5)):
+            t_star, merged = merge_time(PointTuple(line, [line.point((x,)) for x in xs]), cfg)
+            assert t_star == t and sorted(p.data[0] for p in merged.coords) == want, xs
+            # the points that met share one Point; others may round onto it
+            assert len({id(p) for p in merged.coords}) == len(xs) - closed, xs
+            report = retract(line_set(line, *xs), len(xs), cfg)
+            assert report.merge_time_used == t, xs
+            assert sorted(p.data[0] for p in report.output.points) == sorted(set(want)), xs
+    assert len(retract(line_set(line, *LINE_31), 31).output) == 27
+
+
+def test_line_twin_scan_stays_under_n(line):
+    # One point of a base set moved by +-eps delta: the exact flow's ratio
+    # stays under n (ROADMAP item 17), far under lipschitz_constant_bound(n).
+    rng = random.Random("linetwins")
+    worst = {}
+    for n in range(3, 9):
+        bases = [[float(k) for k in range(n)]]
+        bases += [sorted(rng.uniform(0.0, n) for _ in range(n)) for _ in range(4)]
+        for xs in bases:
+            delta = min(b - a for a, b in zip(xs, xs[1:]))
+            for i in range(n):
+                for eps in (1e-3, 1e-6, 1e-9):
+                    lo, hi = (line_set(line, *xs[:i], xs[i] + s * eps * delta, *xs[i + 1:])
+                              for s in (-1.0, 1.0))
+                    moved = hausdorff_distance(retract(lo, n).output, retract(hi, n).output)
+                    ratio = moved / hausdorff_distance(lo, hi)
+                    worst[n] = max(worst.get(n, 0.0), ratio)
+    assert all(worst[n] <= n * (1.0 + 1e-5) for n in worst), worst
 
 
 def _golden_set(space, n, rng):
