@@ -19,19 +19,21 @@ step, and when to stop and measure the gaps.
 
 The exact resolvent of the whole objective, ``full_resolvent_oracle``, is a
 reference for small euclidean tuples.  It solves the dual of that
-sum-of-norms problem by projected gradient on plain floats, with no numpy and
-no generated code, and returns only an answer it has certified: a bound on
-its distance from the exact resolvent.
+sum-of-norms problem by projected gradient on plain floats, with no numpy, on
+a kernel generated once per shape (points and dimension) and compiled by
+``exec``, as the marches are, and returns only an answer it has certified: a
+bound on its distance from the exact resolvent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, _check_count,
-                       _gaps, _merges_exactly, _total)
+                       _compile, _gaps, _merges_exactly, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -368,7 +370,7 @@ def oracle_supports(space: SpaceDescriptor, n: int) -> bool:
     return isinstance(space, EuclideanSpace) and n * space.dim <= 8
 
 
-# The dual solve's lists are flat and coordinate-major: coordinate c of slot i
+# The certificate's lists are flat and coordinate-major: coordinate c of slot i
 # is entry c*n + i, that of pair p (in itertools.combinations order) entry
 # c*P + p, P pairs.  firsts and seconds map a pair entry to its slots' entries.
 
@@ -391,7 +393,7 @@ def _residual(x: list, z: list, g: list, firsts: list, seconds: list, lam: float
 
 def _certify(x: list, z: list, v: list, d: list, norms: list, firsts: list, seconds: list,
              dim: int, lam: float):
-    """Snap the primal iterate z, given its pair vectors d and their norms.
+    """Snap the primal iterate z, given its pair vectors d and their norms, some within snap.
 
     Slots within ``ORACLE_SNAP * lam``, transitively, form a cluster and take
     its mean.  A pair across clusters takes its exact unit vector as its
@@ -400,30 +402,160 @@ def _certify(x: list, z: list, v: list, d: list, norms: list, firsts: list, seco
     and is clipped to the unit ball: for two slots, the least-residual
     refit.  The snapped points are J_lam(x - lam r) (``_residual``), so they
     lie within lam |r| of J_lam(x), which is nonexpansive.  Returns |r|,
-    each slot's cluster label and the snapped points.
+    each slot's cluster label and the snapped points.  An iterate with every
+    pair farther apart has one cluster per slot and the pairs' unit vectors
+    as its subgradients: the dual kernels certify it themselves.
     """
     n = len(x) // dim
     snap = ORACLE_SNAP * lam
     label = list(range(n))
-    if min(norms) > snap:
-        g = [a / b for a, b in zip(d, norms)]
-    else:
-        # coordinate 0's pair entries are the slots themselves
-        for i, j, norm in zip(firsts[:len(d) // dim], seconds, norms):
-            a, b = label[i], label[j]
-            if a != b and norm <= snap:
-                label = [a if m == b else m for m in label]
-        size = [label.count(a) for a in label]
-        z = [_total([z[c + j] for j in range(n) if label[j] == label[i]]) / size[i]
-             for c in range(0, len(z), n) for i in range(n)]
-        d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
-        # a pair entry's cluster size, 0 across clusters
-        k = [size[i % n] if label[i % n] == label[j % n] else 0 for i, j in zip(firsts, seconds)]
-        g = [b if m else a / norm for a, b, norm, m in zip(d, v, _pair_norms(d, dim), k)]
-        r = _residual(x, z, g, firsts, seconds, lam)
-        g = [b + (r[i] - r[j]) / m if m else b for b, i, j, m in zip(g, firsts, seconds, k)]
-        g = [b / s if m and s > 1.0 else b for b, s, m in zip(g, _pair_norms(g, dim), k)]
+    # coordinate 0's pair entries are the slots themselves
+    for i, j, norm in zip(firsts[:len(d) // dim], seconds, norms):
+        a, b = label[i], label[j]
+        if a != b and norm <= snap:
+            label = [a if m == b else m for m in label]
+    size = [label.count(a) for a in label]
+    z = [_total([z[c + j] for j in range(n) if label[j] == label[i]]) / size[i]
+         for c in range(0, len(z), n) for i in range(n)]
+    d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
+    # a pair entry's cluster size, 0 across clusters
+    k = [size[i % n] if label[i % n] == label[j % n] else 0 for i, j in zip(firsts, seconds)]
+    g = [b if m else a / norm for a, b, norm, m in zip(d, v, _pair_norms(d, dim), k)]
+    r = _residual(x, z, g, firsts, seconds, lam)
+    g = [b + (r[i] - r[j]) / m if m else b for b, i, j, m in zip(g, firsts, seconds, k)]
+    g = [b / s if m and s > 1.0 else b for b, s, m in zip(g, _pair_norms(g, dim), k)]
     return math.hypot(*_residual(x, z, g, firsts, seconds, lam)), label, z
+
+
+# The dual solve of n points in dimension dim, written out once per shape with
+# every coordinate in a local: x{i}_{c} and z{i}_{c} of slot i, and per pair p
+# (itertools.combinations order) d{p}_{c} = z_i - z_j with its norm e{p}, the
+# dual w{p}_{c} that the momentum moves, the last step v{p}_{c} and the new one
+# s{p}_{c}.  Every float operation is the flat-list solve's, in its order
+# (tests/oracles.py keeps that solve): a push starts at 0.0 and adds or
+# subtracts its pairs in pair order, a pair's norm is hypot of its coordinates
+# (abs in dim 1, the same number), and the residual, the move and the restart
+# sum run over the entries coordinate by coordinate.  A snapped iterate is
+# rare, so the kernel certifies an iterate with every pair apart itself, and
+# hands one with a pair within snap to _certify in the flat layout.  A step
+# under a tenth of the last restarts the momentum too: the dual then contracts
+# fast, and momentum would overshoot.
+_DUAL_SOURCE = """
+def _dual(pts, lam, snap, iterations):
+    {x_slots}, = pts
+    {init}
+    eps = 64.0 * ulp(1.0)
+    floor = max(1e-11, eps * max({abs_x}) / lam)
+    near = 1e-9 * {max_e} / lam
+    tau = 1.0 / (lam * {n})
+    t, stalled, last = 1.0, False, inf
+    for _ in range(iterations + 1):
+        {iterate}
+        if {min_e} > snap:
+            res = hypot({residual})
+            if res <= floor or (stalled and res <= near):
+                return [{z_slots}]
+        else:
+            res, label, snapped = _certify([{x_flat}], [{z_flat}], [{w_flat}], [{d_flat}],
+                                           [{e_all}] * {dim}, {firsts}, {seconds}, {dim}, lam)
+            if res <= floor or (stalled and res <= near):
+                made = {{a: tuple(snapped[i::{n}]) for i, a in enumerate(label)}}
+                return [made[a] for a in label]
+        {step}
+        move = hypot({move})
+        stalled = move <= eps
+        if fsum(({restart},)) > 0.0 or move < 0.1 * last:
+            t = 1.0
+            {w_is_s}
+        else:
+            t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+            m = (t - 1.0) / t_next
+            {w_momentum}
+            t = t_next
+        {v_is_s}
+        last = move
+    return None
+"""
+
+
+def _dual_source(n: int, dim: int) -> str:
+    """The source of the dual solve of n points in dimension dim (``_DUAL_SOURCE``)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    cs = range(dim)
+    ps = range(len(pairs))
+    x = [[f"x{i}_{c}" for c in cs] for i in range(n)]
+    z = [[f"z{i}_{c}" for c in cs] for i in range(n)]
+    e = [f"e{p}" for p in ps]
+
+    def flat(names):
+        # coordinate-major, as the flat-list solve holds its entries
+        return [names[k][c] for c in cs for k in range(len(names))]
+
+    def names(s):
+        return [[f"{s}{p}_{c}" for c in cs] for p in ps]
+
+    d, w, v, s = names("d"), names("w"), names("v"), names("s")
+
+    def norm(terms):
+        return f"abs({terms[0]})" if dim == 1 else f"hypot({', '.join(terms)})"
+
+    def extreme(f, terms):
+        return f"{f}({', '.join(terms)})" if len(terms) > 1 else terms[0]
+
+    def lines(rows, indent):
+        return f"\n{' ' * indent}".join(rows)
+
+    def pair_vectors(pt):
+        # d and its norm e of each pair, from the points pt
+        return ([f"{d[p][c]} = {pt[i][c]} - {pt[j][c]}" for p, (i, j) in enumerate(pairs) for c in cs]
+                + [f"{e[p]} = {norm(d[p])}" for p in ps])
+
+    def signed(k, terms, first):
+        # slot k's terms of its pairs, in pair order: with the sign first for
+        # a pair (k, j), with the other one for a pair (i, k)
+        other = "-" if first == "+" else "+"
+        return "".join(f" {first if i == k else other} {term}"
+                       for term, (i, j) in zip(terms, pairs) if k in (i, j))
+
+    init = pair_vectors(x) + [f"{v[p][c]} = {d[p][c]} / {e[p]} if {e[p]} > 0.0 else 0.0"
+                              for p in ps for c in cs]
+    init.append("; ".join(f"{w[p][c]} = {v[p][c]}" for p in ps for c in cs))
+    iterate = [f"{z[k][c]} = {x[k][c]} - lam * (0.0{signed(k, [wp[c] for wp in w], '+')})"
+               for k in range(n) for c in cs] + pair_vectors(z)
+    units = [[f"{dp[c]} / {ep}" for dp, ep in zip(d, e)] for c in cs]
+    residual = [f"({x[k][c]} - {z[k][c]}) / lam{signed(k, units[c], '-')}"
+                for c in cs for k in range(n)]
+    step = []
+    for p in ps:
+        step += [f"{s[p][c]} = {w[p][c]} + tau * {d[p][c]}" for c in cs]
+        step += [f"f = {norm(s[p])}", "if f > 1.0:",
+                 "    " + "; ".join(f"{s[p][c]} = {s[p][c]} / f" for c in cs)]
+    return _DUAL_SOURCE.format(
+        n=n, dim=dim,
+        x_slots=", ".join(f"({', '.join(xi)},)" for xi in x),
+        x_flat=", ".join(flat(x)),
+        init=lines(init, 4),
+        abs_x=", ".join(f"abs({a})" for a in flat(x)),
+        max_e=extreme("max", e), min_e=extreme("min", e), e_all=", ".join(e),
+        iterate=lines(iterate, 8),
+        residual=", ".join(residual),
+        z_slots=", ".join(f"({', '.join(zi)},)" for zi in z),
+        z_flat=", ".join(flat(z)), w_flat=", ".join(flat(w)), d_flat=", ".join(flat(d)),
+        firsts=[c * n + i for c in cs for i, _ in pairs],
+        seconds=[c * n + j for c in cs for _, j in pairs],
+        step=lines(step, 8),
+        move=", ".join(f"{a} - {b}" for a, b in zip(flat(s), flat(v))),
+        restart=", ".join(f"({a} - {b}) * ({b} - {c})" for a, b, c in zip(flat(w), flat(s), flat(v))),
+        w_is_s="; ".join(f"{a} = {b}" for a, b in zip(flat(w), flat(s))),
+        w_momentum="; ".join(f"{a} = {b} + m * ({b} - {c})"
+                             for a, b, c in zip(flat(w), flat(s), flat(v))),
+        v_is_s="; ".join(f"{a} = {b}" for a, b in zip(flat(v), flat(s))))
+
+
+@functools.cache
+def _dual_kernel(n: int, dim: int):
+    """The dual solve of n points in dimension dim, compiled from ``_dual_source``."""
+    return _compile(_dual_source(n, dim), "_dual", fsum=math.fsum, ulp=math.ulp, _certify=_certify)
 
 
 def _dual_solve(pts: list[tuple], lam: float) -> list[tuple]:
@@ -438,50 +570,34 @@ def _dual_solve(pts: list[tuple], lam: float) -> list[tuple]:
     (Chi & Lange's AMA; Beck & Teboulle 2009; O'Donoghue & Candes 2015).
     The start, each pair's unit vector, solves two points in one step.
 
-    The first iterate whose certificate (``_certify``) has |r| at most
-    1e-11, or at most the rounding floor 64 eps max|x| / lam, is returned.
-    A minimizer may keep two points so close that rounding holds |r| above
-    both: once a step moves the dual by no more than rounding, lam |r| up to
-    1e-9 times the spread of x is accepted too.  After ``ORACLE_MAX_ITERATIONS``
-    steps it raises GeometryError instead.  Slots of a cluster share a tuple.
+    The first iterate whose certificate has |r| at most 1e-11, or at most
+    the rounding floor 64 eps max|x| / lam, is returned.  A minimizer may
+    keep two points so close that rounding holds |r| above both: once a step
+    moves the dual by no more than rounding, lam |r| up to 1e-9 times the
+    spread of x is accepted too.  After ``ORACLE_MAX_ITERATIONS`` steps, read
+    at each call, it raises GeometryError instead.  Slots of a
+    cluster share a tuple.  The solve runs on a kernel generated for the
+    shape (n, dim) and compiled once (``_dual_kernel``), which keeps every
+    bit of the flat-list solve in tests/oracles.py.  The kernel certifies an
+    iterate whose pairs are all farther apart than ``ORACLE_SNAP * lam`` by
+    their unit vectors, and hands any other to ``_certify``.
     """
-    n, dim = len(pts), len(pts[0])
-    pairs = list(itertools.combinations(range(n), 2))
-    firsts = [c * n + i for c in range(dim) for i, _ in pairs]
-    seconds = [c * n + j for c in range(dim) for _, j in pairs]
-    x = [c for col in zip(*pts) for c in col]
-    d = [x[i] - x[j] for i, j in zip(firsts, seconds)]
-    norms = _pair_norms(d, dim)
-    v = [a / b if b > 0.0 else 0.0 for a, b in zip(d, norms)]
-    floor = max(1e-11, 64.0 * math.ulp(1.0) * max(map(abs, x)) / lam)
-    near = 1e-9 * max(norms) / lam
-    tau = 1.0 / (lam * n)
-    w, t, stalled, last = v, 1.0, False, math.inf
-    for _ in range(ORACLE_MAX_ITERATIONS + 1):
-        push = [0.0] * len(x)
-        for a, i, j in zip(w, firsts, seconds):
-            push[i] += a
-            push[j] -= a
-        z = [a - lam * b for a, b in zip(x, push)]
-        d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
-        res, label, snapped = _certify(x, z, w, d, _pair_norms(d, dim), firsts, seconds, dim, lam)
-        if res <= floor or (stalled and res <= near):
-            made = {a: tuple(snapped[i::n]) for i, a in enumerate(label)}
-            return [made[a] for a in label]
-        u = [a + tau * b for a, b in zip(w, d)]
-        step = [a / b if b > 1.0 else a for a, b in zip(u, _pair_norms(u, dim))]
-        move = math.hypot(*[a - b for a, b in zip(step, v)])
-        stalled = move <= 64.0 * math.ulp(1.0)
-        # Restart also on a step under a tenth of the last: the dual then
-        # contracts fast, and momentum would overshoot.
-        if math.fsum([(a - b) * (b - c) for a, b, c in zip(w, step, v)]) > 0.0 or move < 0.1 * last:
-            t, w = 1.0, step
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            w = [b + (t - 1.0) / t_next * (b - c) for b, c in zip(step, v)]
-            t = t_next
-        v, last = step, move
-    raise GeometryError(f"reference resolvent not certified in {ORACLE_MAX_ITERATIONS} iterations")
+    out = _dual_kernel(len(pts), len(pts[0]))(pts, lam, ORACLE_SNAP * lam, ORACLE_MAX_ITERATIONS)
+    if out is None:
+        raise GeometryError(f"reference resolvent not certified in {ORACLE_MAX_ITERATIONS} iterations")
+    return out
+
+
+def _resolvent(space, pts: list[tuple], lam: float) -> list[tuple]:
+    # full_resolvent_oracle on the bare data of a tuple it admits, n >= 2 and
+    # lam > 0.  Pairs whose distance overflows are refused, as merge_time
+    # refuses them.  Where lam n reaches the largest pairwise distance, the dual point
+    # v_ij = (x_i - x_j) / (lam n) lies in the unit ball and puts every z_i on
+    # the centroid, so the centroid is the minimizer; lam = inf lands there.
+    n = len(pts)
+    if lam * n >= max(_finite_gaps(space, pts)):
+        return [tuple([_total(col) / n for col in zip(*pts)])] * n
+    return _dual_solve(pts, lam)
 
 
 def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
@@ -490,8 +606,10 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     Minimizes  sum of pairwise distances + product_distance(x, .)^2 / (2 lam),
     sum-of-norms clustering with uniform weights, by a certified dual solve
     (``_dual_solve``): the result lies within 1e-11 lam of the minimizer, or
-    within rounding of it, and slots it merges share one point.  An infinite
-    step is accepted; its resolvent is the centroid.
+    within rounding of it, and slots it merges share one point.  Where
+    lam n is at least the largest pairwise distance, an infinite step
+    included, the resolvent is the centroid, and it is returned as such.  A
+    tuple with a pairwise distance that is not finite is rejected.
     """
     space = x.space
     n = len(x)
@@ -501,7 +619,4 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
         raise GeometryError("step size must be positive")
     if n < 2:
         return x
-    pts = [p.data for p in x.coords]
-    if lam == math.inf:
-        return _wrap(x, [tuple([_total(col) / n for col in zip(*pts)])] * n)
-    return _wrap(x, _dual_solve(pts, lam))
+    return _wrap(x, _resolvent(space, [p.data for p in x.coords], lam))

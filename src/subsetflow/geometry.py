@@ -181,9 +181,10 @@ def _step_weights(lam: float) -> tuple[float, float, float]:
     return sl, math.exp(-lam), min(4.0 * sl * sl, sys.float_info.max)
 
 
-# A generated march source is at most this many characters long.  Compiling
-# one holds 90 to 125 bytes of memory per character while it runs, so the
-# cap bounds that transient whatever the dimension or the number of pairs:
+# A generated source, a march's or a dual solve's in flow.py, is at most this
+# many characters long.  Compiling one holds 90 to 125 bytes of memory per
+# character while it runs, so the cap bounds that transient whatever the
+# dimension or the number of pairs:
 # in a fresh process no march under it raised max RSS by more than 1.7 MB,
 # and looped sources from 22,600 characters on raised it by 2.9 MB.
 _MARCH_MAX_SOURCE = 22_000
@@ -275,6 +276,16 @@ _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh
                  "_check_t": _check_t, "GeometryError": GeometryError}
 
 
+def _compile(source: str, name: str, **names):
+    """The function ``name`` that a generated source defines, run by exec the way
+    dataclasses and collections.namedtuple build their methods; the source
+    sees ``_KERNEL_NAMES`` and ``names``.  Every source it runs is at most
+    ``_MARCH_MAX_SOURCE`` characters long."""
+    namespace = {**_KERNEL_NAMES, **names}
+    exec(source, namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _march_kernel(cls, dim: int, n: int | None):
     """The march of n-tuples in ``cls(dim)``, compiled from ``cls._march_source(dim, n)``;
@@ -282,11 +293,7 @@ def _march_kernel(cls, dim: int, n: int | None):
     dim, None)``, and past it too, ``_pair_march`` on ``cls(dim)``."""
     source = cls._march_source(dim, n)
     if source is not None:
-        # Run the source by exec, the way dataclasses and
-        # collections.namedtuple build their methods.
-        namespace = dict(_KERNEL_NAMES)
-        exec(source, namespace)
-        return namespace["_march"]
+        return _compile(source, "_march")
     if n is not None:
         return _march_kernel(cls, dim, None)
     return functools.partial(_pair_march, cls(dim))

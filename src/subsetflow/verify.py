@@ -31,7 +31,9 @@ from .flow import (
     FlowConfig,
     _check_time,
     _refine,
+    _resolvent,
     _traced_run,
+    _wrap,
     # flow_adaptive is no longer called here, but stays a name of this
     # module: bench/spans.py wraps verify.flow_adaptive when it traces a run.
     flow_adaptive,  # noqa: F401
@@ -216,11 +218,14 @@ def _row(name: str, outcomes, threshold: float, data=None) -> CheckResult:
 
 
 def _oracle_gap(x: PointTuple, t: float, k: int) -> float:
-    """Product distance between k splitting sweeps and k exact resolvents of step t/k."""
-    cur = x
+    """Product distance between k splitting sweeps and k exact resolvents of step t/k.
+
+    The resolvents run on x's bare data, as a march does, and are wrapped once.
+    """
+    data = [p.data for p in x.coords]
     for _ in range(k):
-        cur = full_resolvent_oracle(cur, t / k)
-    return product_distance(splitting_flow(x, t, k), cur)
+        data = _resolvent(x.space, data, t / k)
+    return product_distance(splitting_flow(x, t, k), _wrap(x, data))
 
 
 # ---------------------------------------------------------------------------

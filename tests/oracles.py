@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subsetflow import GeometryError, PointTuple
-from subsetflow.flow import oracle_supports
+from subsetflow import GeometryError, PointTuple, flow
+from subsetflow.flow import _certify, _pair_norms, _residual, oracle_supports
 
 
 def grid_pair_prox(p, q, lam, levels=14, grid=13):
@@ -366,6 +366,66 @@ def full_resolvent_ref(x: PointTuple, lam: float) -> PointTuple:
         for idx in block:
             out[idx] = p
     return PointTuple(space, tuple(out))
+
+
+# The library's dual solve of the reference resolvent as it stood in generic
+# flat-list code, kept to compare the kernels generated per shape against: the
+# same float operations in the same order, bit for bit.
+
+
+def dual_solve_ref(pts: list[tuple], lam: float) -> list[tuple]:
+    """J_lam(pts) as ``flow._dual_solve`` computes it, on flat lists.
+
+    The lists are coordinate-major: coordinate c of slot i is entry c*n + i,
+    that of pair p (in itertools.combinations order) entry c*P + p, P pairs;
+    firsts and seconds map a pair entry to its slots' entries.  An iterate
+    with every pair farther apart than the snap has the pairs' unit vectors as
+    its subgradients; one with a pair within it goes through the library's
+    ``_certify``.  The momentum, restart and acceptance rules are
+    ``_dual_solve``'s.  Raises GeometryError after
+    ``flow.ORACLE_MAX_ITERATIONS`` steps, read at call time.
+    """
+    n, dim = len(pts), len(pts[0])
+    pairs = list(itertools.combinations(range(n), 2))
+    firsts = [c * n + i for c in range(dim) for i, _ in pairs]
+    seconds = [c * n + j for c in range(dim) for _, j in pairs]
+    x = [c for col in zip(*pts) for c in col]
+    d = [x[i] - x[j] for i, j in zip(firsts, seconds)]
+    norms = _pair_norms(d, dim)
+    v = [a / b if b > 0.0 else 0.0 for a, b in zip(d, norms)]
+    floor = max(1e-11, 64.0 * math.ulp(1.0) * max(map(abs, x)) / lam)
+    near = 1e-9 * max(norms) / lam
+    tau = 1.0 / (lam * n)
+    w, t, stalled, last = v, 1.0, False, math.inf
+    for _ in range(flow.ORACLE_MAX_ITERATIONS + 1):
+        push = [0.0] * len(x)
+        for a, i, j in zip(w, firsts, seconds):
+            push[i] += a
+            push[j] -= a
+        z = [a - lam * b for a, b in zip(x, push)]
+        d = [z[i] - z[j] for i, j in zip(firsts, seconds)]
+        norms = _pair_norms(d, dim)
+        if min(norms) > flow.ORACLE_SNAP * lam:
+            g = [a / b for a, b in zip(d, norms)]
+            res = math.hypot(*_residual(x, z, g, firsts, seconds, lam))
+            label, snapped = list(range(n)), z
+        else:
+            res, label, snapped = _certify(x, z, w, d, norms, firsts, seconds, dim, lam)
+        if res <= floor or (stalled and res <= near):
+            made = {a: tuple(snapped[i::n]) for i, a in enumerate(label)}
+            return [made[a] for a in label]
+        u = [a + tau * b for a, b in zip(w, d)]
+        step = [a / b if b > 1.0 else a for a, b in zip(u, _pair_norms(u, dim))]
+        move = math.hypot(*[a - b for a, b in zip(step, v)])
+        stalled = move <= 64.0 * math.ulp(1.0)
+        if math.fsum([(a - b) * (b - c) for a, b, c in zip(w, step, v)]) > 0.0 or move < 0.1 * last:
+            t, w = 1.0, step
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            w = [b + (t - 1.0) / t_next * (b - c) for b, c in zip(step, v)]
+            t = t_next
+        v, last = step, move
+    raise GeometryError(f"reference resolvent not certified in {flow.ORACLE_MAX_ITERATIONS} iterations")
 
 
 # The library's exact tree flow as it stood with one call per point and per

@@ -33,12 +33,13 @@ from subsetflow import (
     sweep,
     to_set,
 )
-from subsetflow.flow import _wrap
+from subsetflow.flow import _dual_source, _dual_solve, _wrap, oracle_supports
 from subsetflow.verify import sample_tuple
-from subsetflow.geometry import (_OVERFLOW, _SMALL_ANGLE, _gaps, _march_kernel, _pair_march,
-                                 _pair_step)
-from oracles import (full_resolvent_ref, grid_pair_prox, hyperboloid_distance_decimal,
-                     tree_edges_ref, tree_first_collision_ref, tree_routes_ref)
+from subsetflow.geometry import (_MARCH_MAX_SOURCE, _OVERFLOW, _SMALL_ANGLE, _gaps, _march_kernel,
+                                 _pair_march, _pair_step, _total)
+from oracles import (dual_solve_ref, full_resolvent_ref, grid_pair_prox,
+                     hyperboloid_distance_decimal, tree_edges_ref, tree_first_collision_ref,
+                     tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -1336,6 +1337,85 @@ def test_oracle_raises_when_its_iteration_cap_runs_out(monkeypatch):
         assert got == want
     assert raised == list(range(1, len(raised) + 1))
     assert 1 in raised and 79 not in raised
+
+
+def _solve_bits(solve, pts, lam):
+    # Each slot's coordinates by float.hex, which tells -0.0 from 0.0, and the
+    # first slot holding the same tuple object; or the error raised.
+    try:
+        out = solve(pts, lam)
+    except GeometryError as exc:
+        return str(exc)
+    return [(tuple(map(float.hex, p)), next(k for k, q in enumerate(out) if q is p)) for p in out]
+
+
+@pytest.mark.parametrize("n, dim", [(n, 1) for n in range(2, 9)] + [(n, 2) for n in range(2, 5)]
+                         + [(2, 3), (2, 4)])
+def test_dual_kernels_match_the_flat_list_solve(n, dim):
+    # Every shape oracle_supports admits, on steps from 1e-3 to 2 times the
+    # smallest gap and on inputs with two equal slots: the generated kernel
+    # keeps every bit of the flat-list solve, and which slots share a tuple.
+    # Some answers share one, so the snapped certificate ran; every source
+    # fits under the cap of the march sources.
+    assert oracle_supports(EuclideanSpace(dim), n)
+    assert len(_dual_source(n, dim)) <= _MARCH_MAX_SOURCE
+    snapped = 0
+    for seed in range(12):
+        rng = random.Random(f"dualkernel:{n}:{dim}:{seed}")
+        pts = [tuple(rng.gauss(0.0, 1.0) for _ in range(dim)) for _ in range(n)]
+        if seed % 4 == 3 and n > 2:
+            pts[rng.randrange(1, n)] = pts[0]
+        gap = min(d for d in itertools.starmap(math.dist, itertools.combinations(pts, 2)) if d > 0.0)
+        for scale in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0):
+            got = _solve_bits(_dual_solve, pts, scale * gap)
+            assert got == _solve_bits(dual_solve_ref, pts, scale * gap), (seed, scale)
+            snapped += len({k for _, k in got}) < n
+    assert snapped > 0
+
+
+def test_dual_kernel_matches_the_flat_list_solve_where_it_stalls(monkeypatch):
+    # Input 475 is certified only once the dual stalls: its answer keeps three
+    # points, whose residual is above the 1e-11 floor.  Both solves return it
+    # on the same step, and under a cap one short of that both raise.
+    x, lam = _enumwrong_input(475)
+    pts = [p.data for p in x.coords]
+    got = _solve_bits(_dual_solve, pts, lam)
+    assert got == _solve_bits(dual_solve_ref, pts, lam)
+    assert _distinct_residual(x, full_resolvent_oracle(x, lam), lam) > 1e-11
+    for cap, raises in ((170, True), (171, False)):
+        monkeypatch.setattr("subsetflow.flow.ORACLE_MAX_ITERATIONS", cap)
+        want = _solve_bits(dual_solve_ref, pts, lam)
+        assert isinstance(want, str) == raises
+        assert _solve_bits(_dual_solve, pts, lam) == want
+
+
+def test_oracle_refuses_overflowing_distances_at_once(line, plane):
+    # The dual used to run all its steps on NaN before it raised "not
+    # certified"; an infinite step returned a centroid of the overflowing pair.
+    far = PointTuple(plane, (plane.point((1e308, -1e308)), plane.point((-1e308, 1e308))))
+    for x in (line_tuple(line, -1e308, 1e308), line_tuple(line, 0.0, -1e308, 1e308), far):
+        for lam in (0.1, math.inf):
+            with pytest.raises(GeometryError, match="overflow double precision"):
+                full_resolvent_oracle(x, lam)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_returns_the_centroid_at_large_steps(plane, n):
+    # Once lam n reaches the largest pairwise distance, the dual point
+    # (x_i - x_j) / (lam n) certifies the centroid.  At lam = 1e100 the dual
+    # solve used to land up to 1.4e83 from it.  Just past the boundary the
+    # flat-list solve, certified within 1e-11 lam, agrees.
+    for i in range(50):
+        x = random_tuple(plane, random.Random(f"centroid:{n}:{i}"), n)
+        pts = [p.data for p in x.coords]
+        centroid = tuple([_total(col) / n for col in zip(*pts)])
+        top = max(_gaps(plane, pts)) / n
+        for lam in (1.001 * top, 2.0 * top, 1e18, 1e100, math.inf):
+            j = full_resolvent_oracle(x, lam)
+            assert [p.data for p in j.coords] == [centroid] * n, (i, lam)
+            assert len(set(j.coords)) == 1
+        ref = _wrap(x, dual_solve_ref(pts, 1.001 * top))
+        assert product_distance(j, ref) <= 1e-10 * top, i
 
 
 # ---------------------------------------------------------------------------
