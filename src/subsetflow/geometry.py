@@ -37,9 +37,12 @@ A tree's merge does not march, nor does the line's (``_merges_exactly``):
 ``merge_time`` calls ``_first_collision(data, gaps)``, the exact flow to the
 first collision, whose first event on a tree reuses those gaps.  Every tree
 kernel reads an edge by its id from one table (its ends, its length and
-both ends' rows of node distances); the tree ``_gap`` builds no route, its
-``_interp`` builds one (``_route``), and each event of the exact flow is
-one pass (``_motions``) over every slot's edge ends, in plain numbers.
+both ends' rows of node distances); the tree ``_gap`` builds no route, and
+its ``_interp`` builds one (``_route``).  The exact tree flow takes every
+point's motion (``_motion``, one pass over every point's edge id) at its
+first event and afterwards only for a point placed on a vertex: until two
+points meet, no point passes another, so every other point keeps the
+counts that set its motion.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -766,10 +769,11 @@ class TreeSpace:
     Every kernel reads an edge by its id from ``_table``, which maps an edge
     id to (from node, to node, length, from node's distances to every node,
     to node's), by plain indexing: ``_check_point`` has rejected every edge
-    id the tree lacks.  ``_next_edge`` rows hold edge ids too.  ``_gap``
-    returns the least endpoint pairing's length without building a route,
-    ``_interp`` walks the one ``_route`` picks, and ``_motions`` reads each
-    slot's table row once per event and one ``_next_edge`` row per point.
+    id the tree lacks.  ``_next_edge`` rows hold edge ids too, and so do
+    ``_branch`` rows: ``_branch[v][f]`` is the first edge from node v toward
+    edge f.  ``_gap`` returns the least endpoint pairing's length without
+    building a route, ``_interp`` walks the one ``_route`` picks, and
+    ``_motion`` reads one ``_branch`` row for its point.
     ``_march`` is ``_pair_march`` with ``_pair_step`` inlined: it routes each
     pair from the two slots' table rows, and, like ``_interp``, leaves a walk
     past an edge's end to ``_walk``.
@@ -779,6 +783,7 @@ class TreeSpace:
     _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
     _next_edge: dict = field(init=False, repr=False, compare=False)
+    _branch: dict = field(init=False, repr=False, compare=False)
     _cum_lengths: list = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
 
@@ -814,6 +819,11 @@ class TreeSpace:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
         object.__setattr__(self, "_next_edge", next_edge)
+        # The first edge from node v toward edge f: f itself at its ends, else
+        # the first edge toward either end, which is on the same path.
+        object.__setattr__(self, "_branch", {
+            v: {e.id: e.id if v in (e.from_node, e.to_node) else next_edge[v][e.from_node]
+                for e in topo.edges} for v in topo.nodes})
         object.__setattr__(self, "_cum_lengths", list(itertools.accumulate(e.length for e in topo.edges)))
 
     def point(self, place) -> Point:
@@ -1057,51 +1067,44 @@ class TreeSpace:
                 break
         return done, low
 
-    def _motions(self, data: list[tuple]) -> list[tuple | None]:
-        # How each point of data moves until the next event of the exact
-        # flow: (edge id, offset, sign, speed, pull, length), sign 1 toward
-        # the edge's to node, else -1, pull[j] what it moves toward slot j's
-        # point per unit time; None if it stays.  Each slot's table row is
-        # read once, and the first edge from a vertex v toward a point on the
-        # edge (c, d) is row[d] if c == v else row[c], row being v's _next_edge.
-        table = self._table
-        slots = [(e, p) + table[e][:3] for e, p in data]
+    def _motion(self, i: int, data: list[tuple]) -> tuple | None:
+        # How the point data[i] moves until the next event of the exact flow:
+        # (edge id, offset, sign, speed, pull, length), sign 1 toward the
+        # edge's to node, else -1, pull[j] what it moves toward data[j] per
+        # unit time; None if it stays.  A point on an edge f lies, seen from a
+        # vertex v, in the branch that starts with edge _branch[v][f].
+        edge_id, o = data[i]
+        a, b, length, _, _ = self._table[edge_id]
         others = len(data) - 1
-        moves = []
-        for i, (edge_id, o, a, b, length) in enumerate(slots):
-            if 0.0 < o < length:
-                # Inside an edge: toward the side that holds more of the
-                # others, at the difference of the two counts.
-                row = self._next_edge[b]
-                ahead = [p > o if e == edge_id else (row[d] if c == b else row[c]) != edge_id
-                         for e, p, c, d, _ in slots]
-                ahead[i] = False
-                vel = 2 * sum(ahead) - others
-                pull = [vel if x else -vel for x in ahead]
-                moves.append(None if vel == 0 else (edge_id, o, 1, vel, pull, length) if vel > 0
-                             else (edge_id, o, -1, -vel, pull, length))
-                continue
-            # At a vertex: into the branch that holds c > (n-1)/2 of the
-            # others, at 2c - (n-1), or nowhere.  Among branches tied for
-            # the most, none holds more than half.
-            v = a if o == 0.0 else b
-            row = self._next_edge[v]
-            branches = [row[d] if c == v else row[c] for _, _, c, d, _ in slots]
-            branches[i] = None
-            counts = {}
-            for x in branches:
-                counts[x] = counts.get(x, 0) + 1
-            del counts[None]
-            best = max(counts, key=counts.get)
-            speed = 2 * counts[best] - others
-            if speed <= 0:
-                moves.append(None)
-                continue
-            a, _, length, _, _ = table[best]
-            pull = [speed if x == best else -speed for x in branches]
-            moves.append((best, 0, 1, speed, pull, length) if v == a
-                         else (best, length, -1, speed, pull, length))
-        return moves
+        if 0.0 < o < length:
+            # Inside an edge: toward the side that holds more of the others,
+            # at the difference of the two counts.
+            row = self._branch[b]
+            ahead = [p > o if e == edge_id else row[e] != edge_id for e, p in data]
+            ahead[i] = False
+            vel = 2 * sum(ahead) - others
+            pull = [vel if x else -vel for x in ahead]
+            return (None if vel == 0 else (edge_id, o, 1, vel, pull, length) if vel > 0
+                    else (edge_id, o, -1, -vel, pull, length))
+        # At a vertex: into the branch that holds c > (n-1)/2 of the others,
+        # at 2c - (n-1), or nowhere.  Among branches tied for the most, none
+        # holds more than half.
+        v = a if o == 0.0 else b
+        row = self._branch[v]
+        branches = [row[e] for e, _ in data]
+        branches[i] = None
+        counts = {}
+        for x in branches:
+            counts[x] = counts.get(x, 0) + 1
+        del counts[None]
+        best = max(counts, key=counts.get)
+        speed = 2 * counts[best] - others
+        if speed <= 0:
+            return None
+        a, _, length, _, _ = self._table[best]
+        pull = [speed if x == best else -speed for x in branches]
+        return ((best, 0, 1, speed, pull, length) if v == a
+                else (best, length, -1, speed, pull, length))
 
     def _first_collision(self, data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
         """The exact flow of the total pairwise distance, up to its first collision.
@@ -1110,11 +1113,20 @@ class TreeSpace:
         ``itertools.combinations`` order (``_gap(data[i], data[j])``, i < j),
         as ``merge_time`` has measured them for the first event.  Until two
         points meet, each moves at an integer speed that counts of the others
-        decide (``_motions``), and those counts change only when two points
-        meet.  Between events (a point reaches a vertex, or two points meet)
-        every point moves along one edge and every gap changes linearly, so
-        each event time is a leg over a speed or a gap over a closing rate.
-        A point whose arrival is the step is placed on its vertex exactly.
+        decide (``_motion``).  Between events (a point reaches a vertex, or
+        two points meet) every point moves along one edge and every gap
+        changes linearly, so each event time is a leg over a speed or a gap
+        over a closing rate.  A point whose arrival is the step is placed on
+        its vertex exactly.
+
+        Every point's motion is taken at the first event, and later only for
+        a point placed on a vertex: one that arrived, or whose step rounded
+        onto its edge's end.  Every other point keeps its sign, speed and pull
+        and takes its new offset, because its counts have not changed: before
+        a collision no point passes another, so a point that reaches a vertex
+        stays on the same side of every other point's edge, and in the same
+        branch at every other vertex.  The gaps are measured again after
+        every event.
 
         Returns the collision time and the data there, in which the points
         that met share one tuple.  A point never turns back before the first
@@ -1128,22 +1140,25 @@ class TreeSpace:
         data = list(data)
         pairs = list(itertools.combinations(range(n), 2))
         still = [0] * n
+        moves = [self._motion(i, data) for i in range(n)]
         t = 0
         for _ in range(n * (len(self.topology.edges) + 1)):
-            moves = self._motions(data)
             arrivals = [math.inf if m is None
                         else (m[5] - m[1] if m[2] > 0 else m[1]) / m[3] for m in moves]
             pull = [still if m is None else m[4] for m in moves]
             # A gap closes at the sum of what each point moves toward the other.
             meets = [0.0 if d == 0.0 else d / rate if (rate := pull[i][j] + pull[j][i]) > 0
                      else math.inf for (i, j), d in zip(pairs, gaps)]
-            h = min(min(arrivals), min(meets))
+            h, meet = min(arrivals), min(meets)
+            if meet < h:
+                h = meet
             if h == math.inf:
                 raise GeometryError("no two points of the flow approach each other")
+            renew = []
             for i, m in enumerate(moves):
                 if m is None:
                     continue
-                edge_id, o, sign, speed, _, length = m
+                edge_id, o, sign, speed, pull_i, length = m
                 if arrivals[i] == h:
                     o = length if sign > 0 else 0
                 else:
@@ -1153,16 +1168,22 @@ class TreeSpace:
                         o = 0.0
                     elif o > length:
                         o = length
-                data[i] = self._place(edge_id, o)
+                if 0.0 < o < length:
+                    data[i] = (edge_id, o)
+                    moves[i] = (edge_id, o, sign, speed, pull_i, length)
+                else:
+                    data[i] = self._place(edge_id, o)
+                    renew.append(i)
             t += h
-            hits = [pair for pair, tc in zip(pairs, meets) if tc == h]
-            if hits:
-                for i, j in hits:
+            if meet == h:
+                for i, j in [pair for pair, tc in zip(pairs, meets) if tc == h]:
                     # Every slot at j's point takes i's, so three that meet
                     # share one tuple too.
                     old, new = data[j], data[i]
                     data = [new if d is old else d for d in data]
                 return t, data
+            for i in renew:
+                moves[i] = self._motion(i, data)
             gaps = _gaps(self, data)
         raise GeometryError("the exact tree flow ran past its event bound")
 

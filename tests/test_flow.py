@@ -39,7 +39,7 @@ from subsetflow.geometry import (_MARCH_MAX_SOURCE, _OVERFLOW, _SMALL_ANGLE, _ga
                                  _pair_march, _pair_step, _total)
 from oracles import (dual_solve_ref, full_resolvent_ref, grid_pair_prox,
                      hyperboloid_distance_decimal, tree_edges_ref, tree_first_collision_ref,
-                     tree_routes_ref)
+                     tree_motion_ref, tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -1041,22 +1041,20 @@ def test_tree_merge_time_is_the_limit_of_the_splitting(caterpillar_tree):
 
 def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
     # A flow in which nothing approaches, or which never collides, raises
-    # instead of looping.  Both are made by replacing one event's motions.
+    # instead of looping.  Both are made by replacing the motion of a point.
     x = tree_tuple(star_tree, (0, 0.3), (1, 0.5), (2, 1.2))
-    monkeypatch.setattr(TreeSpace, "_motions", lambda self, data: [None] * len(data))
+    monkeypatch.setattr(TreeSpace, "_motion", lambda self, i, data: None)
     with pytest.raises(GeometryError, match="approach"):
         merge_time(x, FlowConfig())
     # every point bounces between the ends of its edge, never toward another
     lengths = {e.id: e.length for e in star_tree.topology.edges}
 
-    def bounce(self, data):
-        moves = []
-        for edge_id, o in data:
-            sign = -1 if o == lengths[edge_id] else 1
-            moves.append((edge_id, o, sign, 1, [-1] * len(data), lengths[edge_id]))
-        return moves
+    def bounce(self, i, data):
+        edge_id, o = data[i]
+        sign = -1 if o == lengths[edge_id] else 1
+        return edge_id, o, sign, 1, [-1] * len(data), lengths[edge_id]
 
-    monkeypatch.setattr(TreeSpace, "_motions", bounce)
+    monkeypatch.setattr(TreeSpace, "_motion", bounce)
     with pytest.raises(GeometryError, match="event bound"):
         merge_time(x, FlowConfig())
 
@@ -1093,12 +1091,87 @@ def _exact_flow_inputs(tree, rng, n, family):
     return data
 
 
+def _reference_events(tree, data):
+    """The events of tree_first_collision_ref's loop on data, one at a time.
+
+    Each is (motions, arrived, clamped): the one tree_motion_ref call per
+    point that the event ran on, the points whose arrival at a vertex was
+    the step, and the points whose step rounded onto their edge's end.  The
+    last event is the meet."""
+    n = len(data)
+    data = list(data)
+    pairs = list(itertools.combinations(range(n), 2))
+    events = []
+    for _ in range(n * (len(tree.topology.edges) + 1)):
+        moves = [tree_motion_ref(tree, i, data) for i in range(n)]
+        arrivals = [math.inf if m is None else m.arrival() for m in moves]
+        pull = [[0] * n if m is None else [m.speed if a else -m.speed for a in m.toward]
+                for m in moves]
+        meets = []
+        for i, j in pairs:
+            d, rate = tree._gap(data[i], data[j]), pull[i][j] + pull[j][i]
+            meets.append(0.0 if d == 0.0 else d / rate if rate > 0 else math.inf)
+        h = min(min(arrivals), min(meets))
+        assert h < math.inf
+        arrived, clamped = [], []
+        for i, m in enumerate(moves):
+            if m is None:
+                continue
+            length = m.edge.length
+            if arrivals[i] == h:
+                o = length if m.sign > 0.0 else 0.0
+                arrived.append(i)
+            else:
+                o = min(max(m.offset + m.sign * m.speed * h, 0.0), length)
+                if not 0.0 < o < length:
+                    clamped.append(i)
+            data[i] = tree._place(m.edge.id, o)
+        events.append((moves, arrived, clamped))
+        if min(meets) == h:
+            return events
+    raise AssertionError("the reference flow ran past its event bound")
+
+
+def _motion_key(m, i):
+    # What point i's motion tells the flow: its sign, speed and pull toward
+    # every other point (toward[i] is not read, and a point leaving a vertex
+    # backward writes it otherwise than one inside the edge).
+    return None if m is None else (m.sign, m.speed, m.toward[:i] + m.toward[i + 1:])
+
+
+def test_tree_motion_holds_until_its_point_reaches_a_vertex(star_tree, caterpillar_tree):
+    # The event loop takes each point's motion once and renews it only for a
+    # point placed on a vertex.  Stepping the reference loop, which takes
+    # every motion again at every event, shows why that is exact: at each
+    # arrival every other point keeps its sign, speed and pull, since no
+    # point passes another before a collision.
+    arrivals = kept = 0
+    for name, tree, ns in (("star", star_tree, (2, 3)), ("caterpillar", caterpillar_tree, (2, 4, 6, 8)),
+                           ("five-leg", _five_leg_star(), (2, 3, 4, 5))):
+        rng = random.Random(f"motionkept:{name}")
+        for k in range(300):
+            family, n = k % 3, rng.choice(ns)
+            data = _exact_flow_inputs(tree, rng, n, family)
+            events = _reference_events(tree, data)
+            for (moves, arrived, clamped), (renewed, _, _) in zip(events, events[1:]):
+                assert arrived or clamped, (name, data)
+                for i in set(range(n)) - set(arrived) - set(clamped):
+                    assert _motion_key(renewed[i], i) == _motion_key(moves[i], i), (name, data, i)
+                    kept += 1
+                arrivals += 1
+    assert arrivals >= 800
+    assert kept >= 3000
+
+
 def test_tree_first_collision_matches_its_reference(star_tree, caterpillar_tree):
-    # The one-pass event loop keeps every bit of the loop with one motion
-    # call per point, given merge_time's gaps for its first event: the same
-    # time and data, and the same slots sharing one tuple.  The five legs of
-    # one depth end in a five-way meet at the hub.
-    checked = five_way = 0
+    # The event loop keeps every bit of the loop with one motion call per
+    # point at every event, given merge_time's gaps for its first event: the
+    # same time and data, and the same slots sharing one tuple.  The five
+    # legs of one depth end in a five-way meet at the hub.  Hundreds of the
+    # flows reach two vertices before they meet, so they run on kept
+    # motions, and in five of them a point's step rounds onto its edge's end
+    # before the meet.
+    checked = five_way = two_arrivals = clamps = 0
     for name, tree, ns in (("star", star_tree, (2, 3)), ("caterpillar", caterpillar_tree, (2, 4, 6, 8)),
                            ("five-leg", _five_leg_star(), (2, 3, 4, 5))):
         rng = random.Random(f"firstcollision:{name}")
@@ -1111,8 +1184,43 @@ def test_tree_first_collision_matches_its_reference(star_tree, caterpillar_tree)
             assert [[a is b for b in got] for a in got] == [[a is b for b in want] for a in want]
             checked += 1
             five_way += len(data) == 5 and all(d is got[0] for d in got)
+            before_meet = _reference_events(tree, data)[:-1]
+            two_arrivals += sum(len(arrived) for _, arrived, _ in before_meet) >= 2
+            clamps += any(clamped for _, _, clamped in before_meet)
     assert checked >= 2000
     assert five_way >= 50
+    assert two_arrivals >= 471
+    assert clamps >= 5
+
+
+def test_tree_first_collision_renews_a_clamped_point(caterpillar_tree, monkeypatch):
+    # Mirrored pairs on the caterpillar (_exact_flow_inputs family 2), the
+    # first of the five inputs of the reference test above whose step is
+    # clamped before the meet: at its fourth event one point arrives
+    # while another's step rounds onto the end of its edge, and the flow goes
+    # on to a fifth.  The loop takes every motion at the first event, then
+    # exactly the motions of the points placed on a vertex, the clamped one
+    # too.  (Were it kept, its leg of zero would make one more event of
+    # length zero, which renews it with the same result.)
+    data = [(1, 0.34159293765366733), (7, 0.34159293765366733), (8, 0.2732743501229339),
+            (11, 0.2732743501229339), (6, 0.20495576259220039), (4, 0.20495576259220039)]
+    events = _reference_events(caterpillar_tree, data)
+    assert len(events) == 5
+    assert [(arrived, clamped) for _, arrived, clamped in events[3:4]] == [([1], [5])]
+    taken = []
+    motion = TreeSpace._motion
+
+    def record(self, i, data):
+        taken.append(i)
+        return motion(self, i, data)
+
+    monkeypatch.setattr(TreeSpace, "_motion", record)
+    t_ref, want = tree_first_collision_ref(caterpillar_tree, data)
+    t, got = caterpillar_tree._first_collision(data, _gaps(caterpillar_tree, data))
+    assert taken == list(range(6)) + [i for _, arrived, clamped in events[:-1]
+                                      for i in sorted(arrived + clamped)]
+    assert (t, got) == (t_ref, want)
+    assert [[a is b for b in got] for a in got] == [[a is b for b in want] for a in want]
 
 
 def _exact_twin(tree):
