@@ -3,12 +3,29 @@
 Each check draws its own per-sample generators from (seed, label, index),
 so reports are deterministic for a given configuration and samples could
 be evaluated in any order or in parallel without changing the outcome.
+
+``bound_suite`` uses that: it forks one child, which runs the suite's
+odd-indexed rows while the caller runs the even ones, and merges them in
+suite order into the bytes a one-process run gives.  The rows stay in the
+caller's process where a fork cannot help or would hide them: without
+``os.fork``, with a second thread running (the child would inherit its
+locks half-held), with a tracer or profiler attached (coverage, cProfile
+and debuggers see every row), or when the fork fails.  ``lipschitz_scan``
+and ``convergence_study`` stay in one process: a scan call holds well
+under a millisecond of work on the benchmark's trees, and a fork round
+trip costs about one, plus the copy-on-write faults it leaves behind.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
 import random
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 from .geometry import GeometryError, SpaceDescriptor, _check_count, _toward
@@ -73,6 +90,10 @@ class ScanConfig:
     def __post_init__(self) -> None:
         _check_count("scan n", self.n, 2)
         _check_count("samples", self.samples, 1)
+        # the seed is written into every generator's seed text, where 1.0
+        # and True would draw apart from 1
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise GeometryError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.perturbation_scale < 1.0:
             raise GeometryError("perturbation_scale must lie in (0, 1)")
 
@@ -583,39 +604,130 @@ def lipschitz_scan(cfg: ScanConfig) -> ScanReport:
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, (check,))
 
 
+def _stays_in_process() -> bool:
+    """Whether the suite's rows must all run here: no fork, threads, or a tool watching."""
+    # From 3.12 on, cProfile and coverage may watch through sys.monitoring,
+    # whose tool ids are 0 to 5, in place of a trace or profile function.
+    monitoring = getattr(sys, "monitoring", None)
+    return (not hasattr(os, "fork") or threading.active_count() > 1
+            or sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(monitoring.get_tool(t) for t in range(6))))
+
+
+def _run_share(jobs, indices):
+    """Outcomes of the jobs at ``indices``, in order, up to the first that raises.
+
+    Returns ``(rows, failure)``: rows by index, and ``(index, exception)``
+    of that job, or None.
+    """
+    rows = {}
+    for i in indices:
+        try:
+            rows[i] = jobs[i]()
+        except Exception as exc:
+            return rows, (i, exc)
+    return rows, None
+
+
+def _run_split(jobs) -> list:
+    """Outcomes of the zero-argument ``jobs``, in order, as ``[job() for job in jobs]``.
+
+    A forked child runs the odd-indexed jobs while the caller runs the even
+    ones.  The child sends its rows, or the first exception with its index,
+    pickled through a pipe, and leaves by ``os._exit``, so it neither
+    flushes the caller's buffers nor runs its atexit handlers.  The caller
+    always reaps the child, and kills it first on an exception that is not
+    a job's (an interrupt).  Whatever the child cannot deliver (an
+    exception that does not pickle, a child that dies), the caller runs
+    itself.  When jobs fail, the one with the lowest index raises, as in a
+    one-process run.
+    """
+    if _stays_in_process():
+        return [job() for job in jobs]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return [job() for job in jobs]
+    if pid == 0:
+        try:
+            # The child's collector leaves the caller's objects alone: no
+            # finalizer of the caller's garbage runs twice.
+            gc.freeze()
+            os.close(r)
+            payload = pickle.dumps(_run_share(jobs, range(1, len(jobs), 2)))
+            with open(w, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            rows, failure = _run_share(jobs, range(0, len(jobs), 2))
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        theirs, their_failure = pickle.loads(sent)
+    except Exception:  # no bytes, or an exception that does not rebuild here
+        theirs, their_failure = _run_share(jobs, range(1, failure[0] if failure else len(jobs), 2))
+    rows.update(theirs)
+    failures = [f for f in (failure, their_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [rows[i] for i in range(len(jobs))]
+
+
 def bound_suite(cfg: ScanConfig) -> ScanReport:
     """Run every invariant check over fresh samples.
 
     Cheap checks use the full sample budget; flow-heavy ones run on a
     documented fraction of it so the suite stays interactive.  The
     acceptance tests drive the individual checks at their own counts.
+
+    The rows are listed once, in report order, as twenty jobs; a forked
+    child runs the odd-indexed ones (``_run_split``), so ``min_attainment``
+    (13) and ``permutation_limit`` (14), the heaviest rows, run side by
+    side.  The report has the bytes of a one-process run, and a failing
+    row raises what a one-process run raises.  See the module docstring for
+    when every row runs in the caller.
     """
+    space, n, seed, flow = cfg.space, cfg.n, cfg.seed, cfg.flow
     s = cfg.samples
     fifth = max(1, s // 5)
     twentieth = max(1, s // 20)
-    checks: list[CheckResult] = []
-    checks.extend(check_cat0(cfg.space, cfg.seed, s))
-    checks.append(check_geodesic_parametrization(cfg.space, cfg.seed, s))
-    checks.append(check_hausdorff_metric(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_product_dominates_hausdorff(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_set_tuple_roundtrip(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_objective_lipschitz(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_objective_convexity(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_flow_nonexpansive(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_flow_descent(cfg.space, cfg.n, cfg.seed, twentieth))
-    checks.append(check_spread_bound(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
-    checks.extend(check_merge_time_bound(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
-    checks.append(check_two_point_merge(cfg.space, cfg.seed, fifth))
-    checks.append(check_pair_gap_stability(cfg.space, cfg.n, cfg.seed, s))
-    checks.append(check_min_attainment(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
-    checks.append(check_permutation_limit(cfg.space, cfg.n, cfg.seed, twentieth))
-    checks.append(check_oracle_consistency(cfg.space, min(cfg.n, 3), cfg.seed, twentieth))
-    checks.append(check_resolvent_inequality(cfg.space, min(cfg.n, 3), cfg.seed,
-                                             min(s, 60)))
-    checks.append(check_retract_identity(cfg.space, cfg.n, cfg.seed, fifth))
-    checks.extend(check_retract_contracts(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow))
-    checks.append(check_lipschitz_ratio(cfg.space, cfg.n, cfg.seed, fifth, cfg.flow,
-                                        cfg.perturbation_scale))
+    # The check_* names are looked up when a job runs, so a wrapper that
+    # replaces one on this module still sees its row.
+    jobs = (
+        lambda: check_cat0(space, seed, s),
+        lambda: check_geodesic_parametrization(space, seed, s),
+        lambda: check_hausdorff_metric(space, n, seed, s),
+        lambda: check_product_dominates_hausdorff(space, n, seed, s),
+        lambda: check_set_tuple_roundtrip(space, n, seed, s),
+        lambda: check_objective_lipschitz(space, n, seed, s),
+        lambda: check_objective_convexity(space, n, seed, s),
+        lambda: check_flow_nonexpansive(space, n, seed, s),
+        lambda: check_flow_descent(space, n, seed, twentieth),
+        lambda: check_spread_bound(space, n, seed, fifth, flow),
+        lambda: check_merge_time_bound(space, n, seed, fifth, flow),
+        lambda: check_two_point_merge(space, seed, fifth),
+        lambda: check_pair_gap_stability(space, n, seed, s),
+        lambda: check_min_attainment(space, n, seed, fifth, flow),
+        lambda: check_permutation_limit(space, n, seed, twentieth),
+        lambda: check_oracle_consistency(space, min(n, 3), seed, twentieth),
+        lambda: check_resolvent_inequality(space, min(n, 3), seed, min(s, 60)),
+        lambda: check_retract_identity(space, n, seed, fifth),
+        lambda: check_retract_contracts(space, n, seed, fifth, flow),
+        lambda: check_lipschitz_ratio(space, n, seed, fifth, flow, cfg.perturbation_scale),
+    )
+    checks = []
+    for rows in _run_split(jobs):
+        checks.extend([rows] if isinstance(rows, CheckResult) else rows)
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, tuple(checks))
 
 

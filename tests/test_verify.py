@@ -1,6 +1,14 @@
+import contextlib
+import dataclasses
+import gc
 import json
 import math
+import os
 import random
+import sys
+import threading
+import time
+import types
 
 import pytest
 
@@ -23,6 +31,7 @@ from subsetflow import (
     make_subset,
     to_set,
 )
+import subsetflow.verify as verify
 from subsetflow.verify import (
     RESOLVENT_INEQ_TOL,
     check_cat0,
@@ -62,6 +71,11 @@ def test_scan_config_validation(plane):
     for n, samples in ((3.0, 5), (3, 2.5), (True, 5), (3, True)):
         with pytest.raises(GeometryError):
             ScanConfig(space=plane, n=n, samples=samples, seed=0)
+    # a seed is written into every generator's seed text, so 1.0 would draw
+    # apart from 1, and True or "1" would pass into the report
+    for seed in (1.0, True, "1"):
+        with pytest.raises(GeometryError):
+            ScanConfig(space=plane, n=3, samples=5, seed=seed)
 
 
 def test_check_result_json_hides_nonfinite():
@@ -241,6 +255,205 @@ def test_bound_suite_deterministic(plane):
     a = json.dumps(bound_suite(cfg).to_json(), sort_keys=True)
     b = json.dumps(bound_suite(cfg).to_json(), sort_keys=True)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the suite's two processes
+
+
+@contextlib.contextmanager
+def _one_process():
+    # an attached profile function keeps every suite row in the caller
+    saved = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        yield
+    finally:
+        sys.setprofile(saved)
+
+
+def _assert_no_child_left():
+    # no child and no zombie: waitpid finds nothing to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _report_bytes(cfg):
+    return json.dumps(bound_suite(cfg).to_json())
+
+
+@pytest.fixture
+def pid_row(monkeypatch):
+    """Row 1 of the suite, geodesic_parametrization, records the pid that ran it."""
+    inner = verify.check_geodesic_parametrization
+    monkeypatch.setattr(verify, "check_geodesic_parametrization",
+                        lambda *args: dataclasses.replace(inner(*args), data={"pid": os.getpid()}))
+
+    def pid_of(report):
+        return {c.name: c.data for c in report.checks}["geodesic_parametrization"]["pid"]
+
+    return pid_of
+
+
+def _fail_with(name):
+    def check(*args):
+        raise GeometryError(f"{name} failed")
+    return check
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2", "star-tree", "caterpillar"])
+def test_bound_suite_in_two_processes_gives_the_one_process_bytes(all_spaces, caterpillar_tree, key):
+    space = caterpillar_tree if key == "caterpillar" else all_spaces[key]
+    for n in (2, 3, 6):
+        cfg = ScanConfig(space=space, n=n, samples=10, seed=37)
+        two = _report_bytes(cfg)
+        with _one_process():
+            one = _report_bytes(cfg)
+        assert two == one, n
+    _assert_no_child_left()
+
+
+def test_bound_suite_runs_its_odd_rows_in_a_child(plane, pid_row):
+    cfg = small_cfg(plane, samples=2)
+    assert pid_row(bound_suite(cfg)) != os.getpid()
+    with _one_process():
+        assert pid_row(bound_suite(cfg)) == os.getpid()
+    _assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _condition(name, monkeypatch):
+    if name in ("trace", "profile"):
+        get, set_ = (sys.gettrace, sys.settrace) if name == "trace" else (sys.getprofile, sys.setprofile)
+        saved = get()
+        set_(lambda *args: None)
+        try:
+            yield
+        finally:
+            set_(saved)
+    elif name == "thread":
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            yield
+        finally:
+            stop.set()
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+    else:
+        if name == "monitoring":
+            # the profiler's tool id, as cProfile takes it from 3.12 on
+            tools = types.SimpleNamespace(get_tool=lambda t: "cProfile" if t == 2 else None)
+            monkeypatch.setattr(sys, "monitoring", tools, raising=False)
+        elif name == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork():
+                raise OSError("no process to spare")
+            monkeypatch.setattr(os, "fork", fork)
+        yield
+
+
+@pytest.mark.parametrize("name", ["trace", "profile", "monitoring", "thread", "no fork",
+                                  "fork fails"])
+def test_bound_suite_keeps_its_rows_in_process(plane, monkeypatch, pid_row, name):
+    cfg = small_cfg(plane, samples=2)
+    with _one_process():
+        expected = _report_bytes(cfg)
+    with _condition(name, monkeypatch):
+        report = bound_suite(cfg)
+    assert pid_row(report) == os.getpid()
+    assert json.dumps(report.to_json()) == expected
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("even, odd, lower", [
+    ("check_hausdorff_metric", "check_product_dominates_hausdorff", "even"),  # rows 2 and 3
+    ("check_set_tuple_roundtrip", "check_geodesic_parametrization", "odd"),  # rows 4 and 1
+])
+def test_bound_suite_raises_its_lowest_failing_row(plane, monkeypatch, even, odd, lower):
+    for name in (even, odd):
+        monkeypatch.setattr(verify, name, _fail_with(name))
+    cfg = small_cfg(plane, samples=2)
+    with _one_process(), pytest.raises(GeometryError) as one:
+        bound_suite(cfg)
+    with pytest.raises(GeometryError) as two:
+        bound_suite(cfg)
+    assert str(one.value) == f"{even if lower == 'even' else odd} failed"
+    assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
+    _assert_no_child_left()
+
+
+def test_bound_suite_kills_its_child_on_an_interrupt(plane, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "check_permutation_limit", interrupt)  # row 14, the caller's
+    monkeypatch.setattr(verify, "check_min_attainment", lambda *args: time.sleep(60))  # row 13
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        bound_suite(small_cfg(plane, samples=2))
+    # the child was killed, not waited for
+    assert time.perf_counter() - started < 30.0
+    _assert_no_child_left()
+
+
+def test_bound_suite_runs_what_its_child_cannot_send(plane, monkeypatch):
+    class Unpicklable(Exception):
+        pass  # a local class: pickle cannot find it by name
+
+    def raise_unpicklable(*args):
+        raise Unpicklable("row 3 failed")
+
+    monkeypatch.setattr(verify, "check_product_dominates_hausdorff", raise_unpicklable)
+    with pytest.raises(Unpicklable, match="row 3 failed"):
+        bound_suite(small_cfg(plane, samples=2))
+    _assert_no_child_left()
+
+
+def test_bound_suite_outlives_a_dying_child(plane, monkeypatch):
+    caller = os.getpid()
+    inner = verify.check_lipschitz_ratio
+
+    def die_in_the_child(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return inner(*args)
+
+    cfg = small_cfg(plane, samples=2)
+    expected = _report_bytes(cfg)
+    monkeypatch.setattr(verify, "check_lipschitz_ratio", die_in_the_child)  # row 19
+    assert _report_bytes(cfg) == expected
+    _assert_no_child_left()
+
+
+def test_bound_suite_child_runs_no_finalizer_of_the_caller(plane, monkeypatch, tmp_path):
+    record = tmp_path / "finalized"
+
+    class Finalized:
+        def __del__(self):
+            with open(record, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+    inner = verify.check_geodesic_parametrization
+
+    def collecting(*args):
+        gc.collect()
+        return inner(*args)
+
+    monkeypatch.setattr(verify, "check_geodesic_parametrization", collecting)  # row 1
+    gc.disable()
+    try:
+        garbage = Finalized()
+        garbage.cycle = garbage
+        del garbage  # a garbage cycle only the collector frees
+        bound_suite(small_cfg(plane, samples=2))
+        gc.collect()
+    finally:
+        gc.enable()
+    assert record.read_text() == f"{os.getpid()}\n"
+    _assert_no_child_left()
 
 
 def test_lipschitz_scan_deterministic_and_sane(plane):
