@@ -6,14 +6,20 @@ be evaluated in any order or in parallel without changing the outcome.
 
 ``bound_suite`` uses that: it forks one child, which runs the suite's
 odd-indexed rows while the caller runs the even ones, and merges them in
-suite order into the bytes a one-process run gives.  The rows stay in the
-caller's process where a fork cannot help or would hide them: without
-``os.fork``, with a second thread running (the child would inherit its
-locks half-held), with a tracer or profiler attached (coverage, cProfile
-and debuggers see every row), or when the fork fails.  ``lipschitz_scan``
-and ``convergence_study`` stay in one process: a scan call holds well
-under a millisecond of work on the benchmark's trees, and a fork round
-trip costs about one, plus the copy-on-write faults it leaves behind.
+suite order into the bytes a one-process run gives.  ``lipschitz_scan``
+does the same with its trials when the retract marches: at least two
+trials, n >= 3, and a space that does not merge exactly (not a tree, not
+the line).  Such a scan call holds several milliseconds of march, more
+than a fork round trip of about one; a two-point retract is a closed-form
+midpoint, a tree or line retract runs the exact flow, and a scan of those
+holds less work than the fork costs, so it stays in one process, as
+``convergence_study`` does.  Work stays in the caller's process where a
+fork cannot help or would hide it: without ``os.fork``, with a second
+thread running (the child would inherit its locks half-held), with a
+tracer or profiler attached (coverage, cProfile and debuggers see every
+trial), when the fork fails, and inside a split: a split never nests, so
+the suite's ``lipschitz_ratio`` row, which runs in the suite's child,
+forks no grandchild.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from .geometry import GeometryError, SpaceDescriptor, _check_count, _toward
+from .geometry import GeometryError, SpaceDescriptor, _check_count, _merges_exactly, _toward
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -577,8 +583,16 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
     Pairs alternate between independent draws and small perturbations of a
     common subset, so both far-apart and nearby regimes are exercised.
     Degenerate pairs (Hausdorff gap at most 1e-12) are counted, not kept.
+
+    Each trial is a job that returns None for a degenerate pair, else its
+    ratio and its two subsets.  When the retract marches (two or more
+    trials, n >= 3, a space that does not merge exactly) the jobs run
+    through ``_run_split``, a forked child taking the odd-indexed trials;
+    the row has the bytes of a one-process run, and a failing trial raises
+    what a one-process run raises.
     """
-    def trial(i, rng):
+    def trial(i):
+        rng = _rng(seed, "lipscan", i)
         a = sample_subset(space, n, rng)
         if i % 2 == 0:
             b = sample_subset(space, n, rng)
@@ -590,10 +604,13 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
             return None
         ra = retract(a, n, flow_cfg).output
         rb = retract(b, n, flow_cfg).output
-        return hausdorff_distance(ra, rb) / gap, lambda: {"a": a.to_json(), "b": b.to_json()}
+        return hausdorff_distance(ra, rb) / gap, a, b
 
-    outcomes = [trial(i, _rng(seed, "lipscan", i)) for i in range(samples)]
-    kept = [o for o in outcomes if o is not None]
+    jobs = [lambda i=i: trial(i) for i in range(samples)]
+    marches = samples >= 2 and n >= 3 and not _merges_exactly(space)
+    outcomes = _run_split(jobs) if marches else [job() for job in jobs]
+    kept = [(ratio, lambda a=a, b=b: {"a": a.to_json(), "b": b.to_json()})
+            for ratio, a, b in filter(None, outcomes)]
     return _row("lipschitz_ratio", kept, lipschitz_constant_bound(n),
                 data={"degenerate_pairs": samples - len(kept)})
 
@@ -604,12 +621,16 @@ def lipschitz_scan(cfg: ScanConfig) -> ScanReport:
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, (check,))
 
 
+# True while _run_split runs, in its caller and in its child: a split never nests.
+_splitting = False
+
+
 def _stays_in_process() -> bool:
-    """Whether the suite's rows must all run here: no fork, threads, or a tool watching."""
+    """Whether split jobs must all run here: inside a split, no fork, threads, or a tool watching."""
     # From 3.12 on, cProfile and coverage may watch through sys.monitoring,
     # whose tool ids are 0 to 5, in place of a trace or profile function.
     monitoring = getattr(sys, "monitoring", None)
-    return (not hasattr(os, "fork") or threading.active_count() > 1
+    return (_splitting or not hasattr(os, "fork") or threading.active_count() > 1
             or sys.gettrace() is not None or sys.getprofile() is not None
             or (monitoring is not None and any(monitoring.get_tool(t) for t in range(6))))
 
@@ -633,7 +654,25 @@ def _run_split(jobs) -> list:
     """Outcomes of the zero-argument ``jobs``, in order, as ``[job() for job in jobs]``.
 
     A forked child runs the odd-indexed jobs while the caller runs the even
-    ones.  The child sends its rows, or the first exception with its index,
+    ones (``_forked``).  While it runs, ``_splitting`` is set, in the caller
+    and in the child, so a ``_run_split`` inside a job runs all its jobs in
+    that job's process.  See ``_stays_in_process`` for when every job runs
+    in the caller.
+    """
+    global _splitting
+    if _stays_in_process():
+        return [job() for job in jobs]
+    _splitting = True
+    try:
+        return _forked(jobs)
+    finally:
+        _splitting = False
+
+
+def _forked(jobs) -> list:
+    """``_run_split``'s two processes.
+
+    The child sends its rows, or the first exception with its index,
     pickled through a pipe, and leaves by ``os._exit``, so it neither
     flushes the caller's buffers nor runs its atexit handlers.  The caller
     always reaps the child, and kills it first on an exception that is not
@@ -642,8 +681,6 @@ def _run_split(jobs) -> list:
     itself.  When jobs fail, the one with the lowest index raises, as in a
     one-process run.
     """
-    if _stays_in_process():
-        return [job() for job in jobs]
     r, w = os.pipe()
     try:
         pid = os.fork()

@@ -456,6 +456,188 @@ def test_bound_suite_child_runs_no_finalizer_of_the_caller(plane, monkeypatch, t
     _assert_no_child_left()
 
 
+@pytest.fixture
+def fork_log(monkeypatch, tmp_path):
+    """Every os.fork call, the children's included, as the pids that made them."""
+    record = tmp_path / "forks"
+    record.write_text("")
+    fork = os.fork
+
+    def logged():
+        with open(record, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return lambda: record.read_text().split()
+
+
+def test_bound_suite_forks_one_child(plane, fork_log):
+    # fifth = 2 trials at n = 4: a scan that splits, run as row 19 in the
+    # suite's child, which must not fork a grandchild
+    cfg = ScanConfig(space=plane, n=4, samples=10, seed=38)
+    with _one_process():
+        one = bound_suite(cfg)
+    assert fork_log() == []
+    two = bound_suite(cfg)
+    assert fork_log() == [str(os.getpid())]
+
+    def lipschitz_row(report):
+        return json.dumps({c.name: c.to_json() for c in report.checks}["lipschitz_ratio"])
+
+    assert lipschitz_row(two) == lipschitz_row(one)
+    assert not verify._splitting
+    _assert_no_child_left()
+
+
+def test_a_split_inside_a_job_runs_in_that_jobs_process():
+    def nested():
+        return verify._run_split([os.getpid] * 3)
+
+    mine, theirs = verify._run_split([nested, nested])
+    assert mine == [os.getpid()] * 3
+    assert theirs == [theirs[0]] * 3 and theirs[0] != os.getpid()
+    assert not verify._splitting
+    _assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the scan's two processes
+
+
+def _scan_bytes(cfg):
+    return json.dumps(lipschitz_scan(cfg).to_json())
+
+
+def _trial_input(space, n, seed, i):
+    """The first subset that trial i of a scan draws."""
+    return sample_subset(space, n, verify._rng(seed, "lipscan", i))
+
+
+@pytest.mark.parametrize("key", ["euclidean-2", "hyperboloid-2"])
+@pytest.mark.parametrize("n", [3, 6])
+def test_lipschitz_scan_in_two_processes_gives_the_one_process_bytes(all_spaces, key, n):
+    for samples in (2, 5, 8):
+        cfg = ScanConfig(space=all_spaces[key], n=n, samples=samples, seed=38)
+        two = _scan_bytes(cfg)
+        with _one_process():
+            one = _scan_bytes(cfg)
+        assert two == one, samples
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("key, seed, worst", [("euclidean-2", 0, 1), ("hyperboloid-2", 1, 5)])
+def test_lipschitz_scan_takes_its_worst_trial_from_the_child(all_spaces, monkeypatch, tmp_path,
+                                                             key, seed, worst):
+    space = all_spaces[key]
+    cfg = ScanConfig(space=space, n=3, samples=6, seed=seed)
+    with _one_process():
+        expected = _scan_bytes(cfg)
+    record = tmp_path / "retracts"
+    inner = verify.retract
+
+    def logged(a, *args):
+        with open(record, "a") as fh:
+            fh.write(json.dumps([os.getpid(), a.to_json()]) + "\n")
+        return inner(a, *args)
+
+    monkeypatch.setattr(verify, "retract", logged)
+    report = lipschitz_scan(cfg)
+    assert json.dumps(report.to_json()) == expected
+    a = report.checks[0].worst_input["a"]
+    assert a == _trial_input(space, 3, seed, worst).to_json()
+    assert worst % 2 == 1
+    pids = {pid for pid, subset in map(json.loads, record.read_text().splitlines()) if subset == a}
+    assert len(pids) == 1 and os.getpid() not in pids
+    _assert_no_child_left()
+
+
+def test_lipschitz_scan_counts_degenerate_pairs_on_both_sides(plane, monkeypatch):
+    # every subset is one of two, so an independent pair repeats its subset
+    # half the time; a perturbation leaves its subset alone half the time
+    sample, perturb = verify.sample_subset, verify.perturb_subset
+    monkeypatch.setattr(verify, "sample_subset",
+                        lambda space, n, rng: sample(space, n, random.Random(rng.randrange(2))))
+    monkeypatch.setattr(verify, "perturb_subset",
+                        lambda a, scale, rng: a if rng.random() < 0.5 else perturb(a, scale, rng))
+    seed, samples = 38, 12
+
+    def degenerate(i):
+        rng = verify._rng(seed, "lipscan", i)
+        first = rng.randrange(2)
+        return rng.randrange(2) == first if i % 2 == 0 else rng.random() < 0.5
+
+    even = sum(degenerate(i) for i in range(0, samples, 2))
+    odd = sum(degenerate(i) for i in range(1, samples, 2))
+    assert 0 < even < samples // 2 and 0 < odd < samples // 2
+    cfg = ScanConfig(space=plane, n=3, samples=samples, seed=seed)
+    with _one_process():
+        expected = _scan_bytes(cfg)
+    report = lipschitz_scan(cfg)
+    assert json.dumps(report.to_json()) == expected
+    assert report.checks[0].data == {"degenerate_pairs": even + odd}
+    assert report.checks[0].trials == samples - even - odd
+    _assert_no_child_left()
+
+
+def test_scans_that_do_not_march_do_not_fork(all_spaces, caterpillar_tree, fork_log):
+    for space, n, samples in ((all_spaces["star-tree"], 3, 8), (caterpillar_tree, 6, 8),
+                              (all_spaces["euclidean-1"], 4, 8), (all_spaces["euclidean-2"], 2, 8),
+                              (all_spaces["hyperboloid-2"], 2, 8), (all_spaces["euclidean-2"], 3, 1)):
+        lipschitz_scan(ScanConfig(space=space, n=n, samples=samples, seed=38))
+    assert fork_log() == []
+    lipschitz_scan(ScanConfig(space=all_spaces["euclidean-2"], n=3, samples=2, seed=38))
+    assert fork_log() == [str(os.getpid())]
+    _assert_no_child_left()
+
+
+def _failing_retract(space, n, seed, failures):
+    """verify.retract, raising ``failures[i]`` on the first subset of trial i."""
+    inner = verify.retract
+    firsts = {i: _trial_input(space, n, seed, i) for i in failures}
+
+    def retract(a, *args):
+        for i, subset in firsts.items():
+            if a == subset:
+                failures[i]()
+        return inner(a, *args)
+
+    return retract
+
+
+def test_lipschitz_scan_raises_its_lowest_failing_trial(plane, monkeypatch):
+    def fail(i):
+        def raise_():
+            raise GeometryError(f"trial {i} failed")
+        return raise_
+
+    cfg = ScanConfig(space=plane, n=3, samples=8, seed=38)
+    monkeypatch.setattr(verify, "retract", _failing_retract(plane, 3, 38, {3: fail(3), 4: fail(4)}))
+    with _one_process(), pytest.raises(GeometryError) as one:
+        lipschitz_scan(cfg)
+    with pytest.raises(GeometryError) as two:
+        lipschitz_scan(cfg)
+    assert str(one.value) == "trial 3 failed"
+    assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
+    assert not verify._splitting
+    _assert_no_child_left()
+
+
+def test_lipschitz_scan_kills_its_child_on_an_interrupt(plane, monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    # trial 2 is the caller's, trial 1 the child's
+    monkeypatch.setattr(verify, "retract", _failing_retract(
+        plane, 3, 38, {2: interrupt, 1: lambda: time.sleep(60)}))
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        lipschitz_scan(ScanConfig(space=plane, n=3, samples=4, seed=38))
+    assert time.perf_counter() - started < 30.0
+    assert not verify._splitting
+    _assert_no_child_left()
+
+
 def test_lipschitz_scan_deterministic_and_sane(plane):
     cfg = small_cfg(plane, n=3, samples=12)
     r1 = lipschitz_scan(cfg)
