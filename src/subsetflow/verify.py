@@ -4,28 +4,33 @@ Each check draws its own per-sample generators from (seed, label, index),
 so reports are deterministic for a given configuration and samples could
 be evaluated in any order or in parallel without changing the outcome.
 
-``bound_suite`` uses that: it forks one child, which runs the suite's
-odd-indexed rows while the caller runs the even ones, and merges them in
-suite order into the bytes a one-process run gives.  ``lipschitz_scan``
-does the same with its trials when the retract marches: at least two
-trials, n >= 3, and a space that does not merge exactly (not a tree, not
-the line).  Such a scan call holds several milliseconds of march, more
-than a fork round trip of about one; a two-point retract is a closed-form
-midpoint, a tree or line retract runs the exact flow, and a scan of those
-holds less work than the fork costs, so it stays in one process, as
-``convergence_study`` does.  Work stays in the caller's process where a
-fork cannot help or would hide it: without ``os.fork``, with a second
-thread running (the child would inherit its locks half-held), with a
-tracer or profiler attached (coverage, cProfile and debuggers see every
-trial), when the fork fails, and inside a split: a split never nests, so
-the suite's ``lipschitz_ratio`` row, which runs in the suite's child,
-forks no grandchild.
+``bound_suite`` uses that: one helper process, forked on the first split
+and kept, runs the suite's odd-indexed rows while the caller runs the even
+ones, and the caller merges them in suite order into the bytes a
+one-process run gives.  ``lipschitz_scan`` does the same with its trials
+when the retract marches: at least two trials, n >= 3, and a space that
+does not merge exactly (not a tree, not the line).  A call to a running
+helper is a pipe round trip of tens of microseconds; a two-point retract
+is a closed-form midpoint, and a tree or line retract runs the exact
+flow, so a scan of those holds too little work to share and stays in one
+process, as ``convergence_study`` does.  The helper runs the package as
+it was when it was forked, and a split that finds a binding of the
+package changed since then forks a fresh one (``_run_split``).  Work
+stays in the caller's process where a second process cannot help or
+would hide it: without ``os.fork``, with a second thread running (a fork
+would inherit its locks half-held), with a tracer or profiler attached
+(coverage, cProfile and debuggers see every trial), when a pipe or the
+fork fails, and inside a split: a split never nests, so the suite's
+``lipschitz_ratio`` row, which runs in the helper, shares no trial.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import gc
 import math
+import operator
 import os
 import pickle
 import random
@@ -576,20 +581,12 @@ def check_retract_contracts(space: SpaceDescriptor, n: int, seed: int, trials: i
 # Scans.
 
 
-def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: int,
-                          flow_cfg: FlowConfig, perturbation_scale: float) -> CheckResult:
-    """Empirical Lipschitz ratios of the retraction against the proved bound.
+def _scan_jobs(space: SpaceDescriptor, n: int, seed: int, samples: int,
+               flow_cfg: FlowConfig, perturbation_scale: float) -> list:
+    """One zero-argument job per trial of ``check_lipschitz_ratio``.
 
-    Pairs alternate between independent draws and small perturbations of a
-    common subset, so both far-apart and nearby regimes are exercised.
-    Degenerate pairs (Hausdorff gap at most 1e-12) are counted, not kept.
-
-    Each trial is a job that returns None for a degenerate pair, else its
-    ratio and its two subsets.  When the retract marches (two or more
-    trials, n >= 3, a space that does not merge exactly) the jobs run
-    through ``_run_split``, a forked child taking the odd-indexed trials;
-    the row has the bytes of a one-process run, and a failing trial raises
-    what a one-process run raises.
+    A job returns None for a degenerate pair, else its ratio and its two
+    subsets.
     """
     def trial(i):
         rng = _rng(seed, "lipscan", i)
@@ -606,9 +603,26 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
         rb = retract(b, n, flow_cfg).output
         return hausdorff_distance(ra, rb) / gap, a, b
 
-    jobs = [lambda i=i: trial(i) for i in range(samples)]
+    return [lambda i=i: trial(i) for i in range(samples)]
+
+
+def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: int,
+                          flow_cfg: FlowConfig, perturbation_scale: float) -> CheckResult:
+    """Empirical Lipschitz ratios of the retraction against the proved bound.
+
+    Pairs alternate between independent draws and small perturbations of a
+    common subset, so both far-apart and nearby regimes are exercised.
+    Degenerate pairs (Hausdorff gap at most 1e-12) are counted, not kept.
+
+    The trials are ``_scan_jobs``.  When the retract marches (two or more
+    trials, n >= 3, a space that does not merge exactly) they run through
+    ``_run_split``, the helper process taking the odd-indexed trials; the
+    row has the bytes of a one-process run, and a failing trial raises
+    what a one-process run raises.
+    """
+    args = (space, n, seed, samples, flow_cfg, perturbation_scale)
     marches = samples >= 2 and n >= 3 and not _merges_exactly(space)
-    outcomes = _run_split(jobs) if marches else [job() for job in jobs]
+    outcomes = _run_split(_scan_jobs, args) if marches else [job() for job in _scan_jobs(*args)]
     kept = [(ratio, lambda a=a, b=b: {"a": a.to_json(), "b": b.to_json()})
             for ratio, a, b in filter(None, outcomes)]
     return _row("lipschitz_ratio", kept, lipschitz_constant_bound(n),
@@ -621,8 +635,12 @@ def lipschitz_scan(cfg: ScanConfig) -> ScanReport:
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, (check,))
 
 
-# True while _run_split runs, in its caller and in its child: a split never nests.
+# True while _run_split runs, in its caller, and always in the helper, which is
+# forked while it is set: a split never nests.
 _splitting = False
+
+# The modules whose bindings, and those of the classes they define, a helper shares with its caller.
+_PACKAGE_MODULES = ("geometry", "subset_space", "flow", "retraction", "verify")
 
 
 def _stays_in_process() -> bool:
@@ -650,69 +668,184 @@ def _run_share(jobs, indices):
     return rows, None
 
 
-def _run_split(jobs) -> list:
-    """Outcomes of the zero-argument ``jobs``, in order, as ``[job() for job in jobs]``.
+def _bindings() -> list:
+    """The objects bound in ``_PACKAGE_MODULES`` and in the classes they define, in order.
 
-    A forked child runs the odd-indexed jobs while the caller runs the even
-    ones (``_forked``).  While it runs, ``_splitting`` is set, in the caller
-    and in the child, so a ``_run_split`` inside a job runs all its jobs in
-    that job's process.  See ``_stays_in_process`` for when every job runs
-    in the caller.
+    A class's ``__slotnames__`` is left out: pickle caches it on the class
+    the first time it pickles an instance, and it changes no behaviour.
+    """
+    modules = [vars(sys.modules[f"{__package__}.{name}"]) for name in _PACKAGE_MODULES]
+    classes = [vars(value) for ns in modules for value in ns.values()
+               if isinstance(value, type) and value.__module__ == ns["__name__"]]
+    return [value for ns in modules for value in ns.values()] + [
+        value for ns in classes for key, value in ns.items() if key != "__slotnames__"]
+
+
+class _Helper:
+    """The caller's handle on its helper: pid, the caller's ends of the two
+    pipes, and the bindings the helper was forked with (None: no helper)."""
+
+    def __init__(self):
+        self.pid = self.requests = self.replies = self.bindings = None
+
+
+# Changed only in place, so the bindings it is compared by never see it change.
+_helper = _Helper()
+
+
+def _send(pipe, payload: bytes) -> None:
+    pipe.write(len(payload).to_bytes(8, "little") + payload)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next length-prefixed message on ``pipe``, or None at end of file."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size)
+    return body if len(body) == size else None
+
+
+def _serve(requests_fd: int, replies_fd: int) -> None:
+    """The helper's loop, until its caller closes the request pipe.
+
+    Each request is ``(builder, args, indices)``: the helper rebuilds the
+    jobs as ``builder(*args)`` and replies with the pickled ``_run_share``
+    of ``indices``, or with no bytes where that does not pickle.  It leaves
+    by ``os._exit``, so it neither flushes the caller's buffers nor runs
+    its atexit handlers.
+    """
+    try:
+        # The helper's collector leaves the caller's objects alone: no
+        # finalizer of the caller's garbage runs twice.
+        gc.freeze()
+        with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
+            while (request := _receive(requests)) is not None:
+                try:
+                    builder, args, indices = pickle.loads(request)
+                    reply = pickle.dumps(_run_share(builder(*args), indices))
+                except Exception:  # the caller runs what the helper cannot deliver
+                    reply = b""
+                _send(replies, reply)
+    finally:
+        os._exit(0)
+
+
+def _spawn(bindings: list) -> bool:
+    """Fork a helper with the package as ``bindings`` has it now; False when a pipe or the fork fails."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return False
+    requests_r, requests_w, replies_r, replies_w = fds
+    if pid == 0:
+        os.close(requests_w)
+        os.close(replies_r)
+        _serve(requests_r, replies_w)
+    os.close(requests_r)
+    os.close(replies_w)
+    _helper.pid, _helper.requests, _helper.replies = pid, open(requests_w, "wb"), open(replies_r, "rb")
+    # held, so no other object can take one of their ids while the helper lives
+    _helper.bindings = bindings
+    return True
+
+
+def _forget() -> None:
+    """Close this process's ends of the helper's pipes and drop the handle.
+
+    A process forked from the caller runs it first thing, so it never
+    writes to the caller's helper.
+    """
+    for pipe in (_helper.requests, _helper.replies):
+        if pipe is not None:
+            with contextlib.suppress(OSError):
+                pipe.close()
+    _helper.__init__()
+
+
+def _retire() -> None:
+    """Close the helper's pipes, kill it and reap it; without a helper, nothing."""
+    pid = _helper.pid
+    if pid is None:
+        return
+    _forget()
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    with contextlib.suppress(ChildProcessError):
+        os.waitpid(pid, 0)
+
+
+atexit.register(_retire)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget)
+
+
+def _run_split(builder, args) -> list:
+    """Outcomes of the zero-argument jobs ``builder(*args)``, in order, as one process gives them.
+
+    One helper process, forked on the first split and kept, runs the
+    odd-indexed jobs while the caller runs the even ones.  It is sent
+    ``(builder, args, indices)``, so ``builder`` is a module-level function
+    and ``args`` pickle, and it runs the package as it was when it was
+    forked.  So each split compares, by identity, the objects bound in
+    ``_PACKAGE_MODULES`` and in their classes with those at the fork, and
+    forks a fresh helper on any difference: a wrapper set on
+    ``verify.check_*``, ``verify.retract`` or a space class reaches it.  A
+    change made in place, inside a container or an object, is not seen.
+    The helper is retired (pipes closed, killed, reaped) when stale, when
+    it dies, on an exception in the caller that is not a job's, and at
+    exit.  ``_splitting`` is set while a split runs, so a split inside a
+    job runs in that job's process.  The lowest-indexed failing job
+    raises, as in one process.  What the helper cannot deliver (an
+    exception that does not pickle, a helper that dies) the caller runs
+    itself, and where a pipe or the fork fails it runs every job; see
+    ``_stays_in_process`` for when it runs every job anyway.
     """
     global _splitting
+    jobs = builder(*args)
     if _stays_in_process():
         return [job() for job in jobs]
+    bindings = _bindings()
+    if _helper.pid is not None and not (len(bindings) == len(_helper.bindings)
+                                        and all(map(operator.is_, bindings, _helper.bindings))):
+        _retire()
     _splitting = True
     try:
-        return _forked(jobs)
+        if _helper.pid is None and not _spawn(bindings):
+            return [job() for job in jobs]
+        return _served(builder, args, jobs)
     finally:
         _splitting = False
 
 
-def _forked(jobs) -> list:
-    """``_run_split``'s two processes.
-
-    The child sends its rows, or the first exception with its index,
-    pickled through a pipe, and leaves by ``os._exit``, so it neither
-    flushes the caller's buffers nor runs its atexit handlers.  The caller
-    always reaps the child, and kills it first on an exception that is not
-    a job's (an interrupt).  Whatever the child cannot deliver (an
-    exception that does not pickle, a child that dies), the caller runs
-    itself.  When jobs fail, the one with the lowest index raises, as in a
-    one-process run.
-    """
-    r, w = os.pipe()
+def _served(builder, args, jobs) -> list:
+    """``_run_split``'s exchange with the helper, which is alive and current."""
+    request = pickle.dumps((builder, args, range(1, len(jobs), 2)))
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return [job() for job in jobs]
-    if pid == 0:
         try:
-            # The child's collector leaves the caller's objects alone: no
-            # finalizer of the caller's garbage runs twice.
-            gc.freeze()
-            os.close(r)
-            payload = pickle.dumps(_run_share(jobs, range(1, len(jobs), 2)))
-            with open(w, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(0)
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
-            rows, failure = _run_share(jobs, range(0, len(jobs), 2))
-            sent = pipe.read()
+            _send(_helper.requests, request)
+        except BrokenPipeError:  # the helper died while idle
+            _retire()
+        rows, failure = _run_share(jobs, range(0, len(jobs), 2))
+        reply = _receive(_helper.replies) if _helper.pid is not None else None
+        if reply is None:  # the helper died mid-call
+            _retire()
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        _retire()
         raise
-    finally:
-        os.waitpid(pid, 0)
-    try:
-        theirs, their_failure = pickle.loads(sent)
-    except Exception:  # no bytes, or an exception that does not rebuild here
-        theirs, their_failure = _run_share(jobs, range(1, failure[0] if failure else len(jobs), 2))
+    delivered = None
+    if reply:  # empty: the helper's rows did not pickle
+        with contextlib.suppress(Exception):  # an exception that does not rebuild here
+            delivered = pickle.loads(reply)
+    theirs, their_failure = delivered or _run_share(
+        jobs, range(1, failure[0] if failure else len(jobs), 2))
     rows.update(theirs)
     failures = [f for f in (failure, their_failure) if f is not None]
     if failures:
@@ -720,27 +853,15 @@ def _forked(jobs) -> list:
     return [rows[i] for i in range(len(jobs))]
 
 
-def bound_suite(cfg: ScanConfig) -> ScanReport:
-    """Run every invariant check over fresh samples.
-
-    Cheap checks use the full sample budget; flow-heavy ones run on a
-    documented fraction of it so the suite stays interactive.  The
-    acceptance tests drive the individual checks at their own counts.
-
-    The rows are listed once, in report order, as twenty jobs; a forked
-    child runs the odd-indexed ones (``_run_split``), so ``min_attainment``
-    (13) and ``permutation_limit`` (14), the heaviest rows, run side by
-    side.  The report has the bytes of a one-process run, and a failing
-    row raises what a one-process run raises.  See the module docstring for
-    when every row runs in the caller.
-    """
+def _suite_jobs(cfg: ScanConfig) -> tuple:
+    """``bound_suite``'s twenty rows, in report order, as zero-argument jobs."""
     space, n, seed, flow = cfg.space, cfg.n, cfg.seed, cfg.flow
     s = cfg.samples
     fifth = max(1, s // 5)
     twentieth = max(1, s // 20)
     # The check_* names are looked up when a job runs, so a wrapper that
     # replaces one on this module still sees its row.
-    jobs = (
+    return (
         lambda: check_cat0(space, seed, s),
         lambda: check_geodesic_parametrization(space, seed, s),
         lambda: check_hausdorff_metric(space, n, seed, s),
@@ -762,8 +883,24 @@ def bound_suite(cfg: ScanConfig) -> ScanReport:
         lambda: check_retract_contracts(space, n, seed, fifth, flow),
         lambda: check_lipschitz_ratio(space, n, seed, fifth, flow, cfg.perturbation_scale),
     )
+
+
+def bound_suite(cfg: ScanConfig) -> ScanReport:
+    """Run every invariant check over fresh samples.
+
+    Cheap checks use the full sample budget; flow-heavy ones run on a
+    documented fraction of it so the suite stays interactive.  The
+    acceptance tests drive the individual checks at their own counts.
+
+    The rows are ``_suite_jobs``; the helper process runs the odd-indexed
+    ones (``_run_split``), so ``min_attainment`` (13) and
+    ``permutation_limit`` (14), the heaviest rows, run side by side.  The
+    report has the bytes of a one-process run, and a failing row raises
+    what a one-process run raises.  See the module docstring for when
+    every row runs in the caller.
+    """
     checks = []
-    for rows in _run_split(jobs):
+    for rows in _run_split(_suite_jobs, (cfg,)):
         checks.extend([rows] if isinstance(rows, CheckResult) else rows)
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, tuple(checks))
 

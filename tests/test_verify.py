@@ -1,14 +1,18 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import json
 import math
 import os
 import random
+import signal
+import subprocess
 import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -273,7 +277,11 @@ def _one_process():
 
 
 def _assert_no_child_left():
-    # no child and no zombie: waitpid finds nothing to wait for
+    # no child but the live helper, and once it is retired no child and no
+    # zombie: waitpid finds nothing to wait for
+    if verify._helper.pid is not None:
+        assert os.waitpid(verify._helper.pid, os.WNOHANG) == (0, 0)
+    verify._retire()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -349,14 +357,16 @@ def _condition(name, monkeypatch):
         elif name == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
-            def fork():
-                raise OSError("no process to spare")
-            monkeypatch.setattr(os, "fork", fork)
+            def fail():
+                raise OSError(errno.EMFILE, "no descriptor or process to spare")
+            monkeypatch.setattr(os, "fork" if name == "fork fails" else "pipe", fail)
         yield
 
 
+# pid_row sets a binding no running helper was forked with, so a split
+# needs a new helper, and with "pipe fails" or "fork fails" cannot make one
 @pytest.mark.parametrize("name", ["trace", "profile", "monitoring", "thread", "no fork",
-                                  "fork fails"])
+                                  "fork fails", "pipe fails"])
 def test_bound_suite_keeps_its_rows_in_process(plane, monkeypatch, pid_row, name):
     cfg = small_cfg(plane, samples=2)
     with _one_process():
@@ -394,8 +404,9 @@ def test_bound_suite_kills_its_child_on_an_interrupt(plane, monkeypatch):
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         bound_suite(small_cfg(plane, samples=2))
-    # the child was killed, not waited for
+    # the helper was killed, not waited for, and is gone
     assert time.perf_counter() - started < 30.0
+    assert verify._helper.pid is None
     _assert_no_child_left()
 
 
@@ -458,7 +469,11 @@ def test_bound_suite_child_runs_no_finalizer_of_the_caller(plane, monkeypatch, t
 
 @pytest.fixture
 def fork_log(monkeypatch, tmp_path):
-    """Every os.fork call, the children's included, as the pids that made them."""
+    """Every os.fork call, the children's included, as the pids that made them.
+
+    The log starts with no helper running.
+    """
+    verify._retire()
     record = tmp_path / "forks"
     record.write_text("")
     fork = os.fork
@@ -472,32 +487,105 @@ def fork_log(monkeypatch, tmp_path):
     return lambda: record.read_text().split()
 
 
-def test_bound_suite_forks_one_child(plane, fork_log):
+def test_bound_suite_forks_one_child(plane, monkeypatch, fork_log):
     # fifth = 2 trials at n = 4: a scan that splits, run as row 19 in the
-    # suite's child, which must not fork a grandchild
+    # helper, which must not fork a grandchild; and the cache that pickling
+    # the first request leaves on the space's class forks no second helper
+    monkeypatch.delattr(type(plane), "__slotnames__", raising=False)
     cfg = ScanConfig(space=plane, n=4, samples=10, seed=38)
     with _one_process():
         one = bound_suite(cfg)
     assert fork_log() == []
-    two = bound_suite(cfg)
+    twos = [bound_suite(cfg) for _ in range(5)]
     assert fork_log() == [str(os.getpid())]
 
     def lipschitz_row(report):
         return json.dumps({c.name: c.to_json() for c in report.checks}["lipschitz_ratio"])
 
-    assert lipschitz_row(two) == lipschitz_row(one)
+    assert {lipschitz_row(two) for two in twos} == {lipschitz_row(one)}
     assert not verify._splitting
     _assert_no_child_left()
 
 
-def test_a_split_inside_a_job_runs_in_that_jobs_process():
-    def nested():
-        return verify._run_split([os.getpid] * 3)
+def _getpids(count):
+    return [os.getpid] * count
 
-    mine, theirs = verify._run_split([nested, nested])
+
+def _nested_splits():
+    return [lambda: verify._run_split(_getpids, (3,))] * 2
+
+
+def test_a_split_inside_a_job_runs_in_that_jobs_process():
+    mine, theirs = verify._run_split(_nested_splits, ())
     assert mine == [os.getpid()] * 3
     assert theirs == [theirs[0]] * 3 and theirs[0] != os.getpid()
     assert not verify._splitting
+    _assert_no_child_left()
+
+
+def test_a_changed_binding_forks_a_helper_that_sees_it(plane, monkeypatch, fork_log):
+    cfg = small_cfg(plane, samples=2)
+
+    def row_1(report):
+        return {c.name: c.data for c in report.checks}["geodesic_parametrization"]
+
+    plain = row_1(bound_suite(cfg))
+    first = verify._helper.pid
+    inner = verify.check_geodesic_parametrization
+    monkeypatch.setattr(verify, "check_geodesic_parametrization",
+                        lambda *args: dataclasses.replace(inner(*args), data={"pid": os.getpid()}))
+    second = row_1(bound_suite(cfg))["pid"]
+    assert second == verify._helper.pid and second not in (first, os.getpid())
+    monkeypatch.setattr(verify, "check_geodesic_parametrization", inner)
+    assert row_1(bound_suite(cfg)) == plain
+    assert verify._helper.pid not in (first, second)
+    assert fork_log() == [str(os.getpid())] * 3
+    bound_suite(cfg)
+    assert len(fork_log()) == 3
+    _assert_no_child_left()
+
+
+def test_no_helper_outlives_its_caller():
+    code = ("import subsetflow as sf, subsetflow.verify as verify\n"
+            "cfg = sf.ScanConfig(space=sf.EuclideanSpace(2), n=3, samples=4, seed=7)\n"
+            "sf.bound_suite(cfg)\n"
+            "sf.lipschitz_scan(cfg)\n"
+            "print(verify._helper.pid)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    pid = int(proc.stdout)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_a_forked_child_runs_its_own_helper(plane, pid_row):
+    cfg = small_cfg(plane, samples=2)
+    helper = pid_row(bound_suite(cfg))
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            theirs = pid_row(bound_suite(cfg))
+            status = int(theirs in (os.getpid(), helper) or theirs != verify._helper.pid)
+            verify._retire()
+        finally:
+            os._exit(status)
+    assert os.waitpid(child, 0) == (child, 0)
+    assert pid_row(bound_suite(cfg)) == helper == verify._helper.pid
+    _assert_no_child_left()
+
+
+def test_a_killed_idle_helper_is_replaced(plane):
+    cfg = small_cfg(plane, samples=2)
+    expected = _report_bytes(cfg)
+    killed = verify._helper.pid
+    os.kill(killed, signal.SIGKILL)
+    # dead, its pipes closed, and left unreaped for the caller
+    os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+    assert _report_bytes(cfg) == expected
+    assert _report_bytes(cfg) == expected
+    assert verify._helper.pid not in (None, killed)
     _assert_no_child_left()
 
 
@@ -634,6 +722,7 @@ def test_lipschitz_scan_kills_its_child_on_an_interrupt(plane, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         lipschitz_scan(ScanConfig(space=plane, n=3, samples=4, seed=38))
     assert time.perf_counter() - started < 30.0
+    assert verify._helper.pid is None
     assert not verify._splitting
     _assert_no_child_left()
 
