@@ -53,11 +53,11 @@ the space's ``_pair_step`` pair by pair.  A tree's ``_march`` is its own
 method, with ``_pair_step`` inlined in one pass per pair step, and shares
 with ``_interp`` the walk past an edge's end (``_walk``).  A coordinate
 backend writes its pair step once more, as a template with its
-``_pair_step`` inlined, and one generator builds its march from it:
-unrolled per dimension and tuple size, with every coordinate in a local for
-the whole march, while the source fits under ``_MARCH_MAX_SOURCE``
-characters, else looped over the pairs per dimension, else ``_pair_march``.
-Every march keeps its space's ``_pair_step`` bits.
+``_pair_step`` inlined, and one generator builds its march from it in one
+shape: the coordinates of slots 0..k-1 in locals for the whole march, and
+each later slot in a row that steps it against them and loops over the
+rest, for the largest k <= n whose source fits under ``_MARCH_MAX_SOURCE``
+characters, else ``_pair_march``.  Every march keeps ``_pair_step``'s bits.
 """
 
 from __future__ import annotations
@@ -279,26 +279,26 @@ _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh
                  "_check_t": _check_t, "GeometryError": GeometryError}
 
 
+@functools.cache
 def _compile(source: str, name: str, **names):
     """The function ``name`` that a generated source defines, run by exec the way
-    dataclasses and collections.namedtuple build their methods; the source
-    sees ``_KERNEL_NAMES`` and ``names``.  Every source it runs is at most
-    ``_MARCH_MAX_SOURCE`` characters long."""
+    dataclasses and collections.namedtuple build their methods, once per source
+    and ``names``; the source sees ``_KERNEL_NAMES`` and ``names``.  Every
+    source it runs is at most ``_MARCH_MAX_SOURCE`` characters long."""
     namespace = {**_KERNEL_NAMES, **names}
     exec(source, namespace)
     return namespace[name]
 
 
 @functools.cache
-def _march_kernel(cls, dim: int, n: int | None):
-    """The march of n-tuples in ``cls(dim)``, compiled from ``cls._march_source(dim, n)``;
-    past the cap, the looped march that serves every n, ``_march_kernel(cls,
-    dim, None)``, and past it too, ``_pair_march`` on ``cls(dim)``."""
-    source = cls._march_source(dim, n)
-    if source is not None:
-        return _compile(source, "_march")
-    if n is not None:
-        return _march_kernel(cls, dim, None)
+def _march_kernel(cls, dim: int, n: int):
+    """The march of n-tuples in ``cls(dim)``: the largest k <= n whose source
+    ``cls._march_source(dim, k, k < n)`` fits, else ``_pair_march``.  Every n
+    that takes the same k < n has the same source, so it runs one kernel."""
+    for k in range(n, -1, -1):
+        source = cls._march_source(dim, k, k < n)
+        if source is not None:
+            return _compile(source, "_march")
     return functools.partial(_pair_march, cls(dim))
 
 
@@ -317,16 +317,11 @@ class _CoordinateSpace:
     operations in their order, and ``_MARCH_UNROLL``, its fields written
     out once per coordinate; ``_MARCH_SETUP``, the line that computes a
     march's per-step constants from ``lam`` once, and ``_MARCH_FRESH``, the
-    line that starts each sweep's ``low``.  ``_march_source`` builds the
-    march in two shapes from them: unrolled per dimension and n, with every
-    coordinate of every slot in a local and ``coords`` written once, on
-    return, or looped per dimension, with a slot written back after each of
-    its pair steps.  So a march that
-    raises leaves ``coords`` as it was in the unrolled shape and partly
-    stepped in the looped one; nothing reads it after a raise.
-    ``self._march`` runs the unrolled shape for ``len(coords)`` while its
-    source fits under ``_MARCH_MAX_SOURCE``, else the looped one, else the
-    reference march ``_pair_march``.  Every shape gives the same bits.
+    line that starts each sweep's ``low``.  ``_march_source`` builds every
+    march from them in one shape, and ``self._march`` runs the one with the
+    largest k <= ``len(coords)`` that fits under ``_MARCH_MAX_SOURCE``, else
+    the reference march ``_pair_march`` (``_march_kernel``).  Every march
+    gives the same bits.
     """
 
     dim: int
@@ -375,34 +370,24 @@ class _CoordinateSpace:
                watch: float) -> tuple[int, float]:
         return _march_kernel(type(self), self.dim, len(coords))(coords, lam, sweeps, watch)
 
-    # The unrolled march holds coordinate k of slot i in x{i}_{k}; the looped
-    # one holds coordinate k of a pair step's two slots in a{k} and b{k}.
+    # Coordinate c of slot i < k is x{i}_{c} for the whole call; in a row, that
+    # of its slot j >= k is b{c}, and that of slot i >= k in its loop a{c}.
     _MARCH_SOURCE: ClassVar[str] = """
-def _march(coords, lam, sweeps, watch):
-    {slots}, = coords
+def _march(coords, lam, sweeps, watch):{load}
     {setup}
     for done in range(1, sweeps + 1):
-        {fresh}{pairs}
+        {fresh}{pairs}{rows}
         if low <= watch:
-            break
-    coords[:] = {slots},
+            break{store}
     return done, low
 """
-    _LOOP_SOURCE: ClassVar[str] = """
-def _march(coords, lam, sweeps, watch):
-    {setup}
-    for done in range(1, sweeps + 1):
-        {fresh}
-        for j in range(1, len(coords)):
-            {b}, = coords[j]
-            for i in range(j):
+    _MARCH_ROWS: ClassVar[str] = """
+        for j in range({first}, len(coords)):
+            {b}, = coords[j]{fixed}
+            for i in range({k}, j):
                 {a}, = coords[i]{pair}
                 coords[i] = {a},
-            coords[j] = {b},
-        if low <= watch:
-            break
-    return done, low
-"""
+            coords[j] = {b},"""
 
     @classmethod
     def _pair(cls, a: list[str], b: list[str]) -> str:
@@ -414,25 +399,33 @@ def _march(coords, lam, sweeps, watch):
         return cls._MARCH_PAIR.format(a0=a[0], b0=b[0], **fields)
 
     @classmethod
-    def _march_source(cls, dim: int, n: int | None) -> str | None:
-        """The unrolled march of n-tuples in dimension dim, or where n is None the
-        looped march of any n; None if it is longer than ``_MARCH_MAX_SOURCE``."""
+    def _march_source(cls, dim: int, k: int, rows: bool) -> str | None:
+        """The march in dimension dim that holds slots 0..k-1 in locals for the
+        whole call, their pairs unrolled; None if it is longer than
+        ``_MARCH_MAX_SOURCE``.  Without rows it marches k-tuples, and writes
+        ``coords`` once, on return.  With rows it marches n-tuples of any n >
+        k: each slot j >= k is a row, unpacked once per sweep, that steps its
+        pairs with the locals unrolled and loops over those with slots k..j-1,
+        each written back after its pair step; a raise leaves ``coords`` partly
+        stepped, and nothing reads it then.  k = 0 loops over every pair."""
         count = dim + cls._EXTRA_COORDS
-        if n is None:
-            a, b = ([f"{s}{k}" for k in range(count)] for s in "ab")
-            pair = cls._pair(a, b).replace("\n", "\n        ")
-            source = cls._LOOP_SOURCE.format(a=", ".join(a), b=", ".join(b), pair=pair,
-                                             setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
-        else:
-            x = [[f"x{i}_{k}" for k in range(count)] for i in range(n)]
-            # No pair block is shorter than one over slot 0 twice, so this
-            # skips building sources far past the cap.
-            if n * (n - 1) // 2 * len(cls._pair(x[0], x[0])) > _MARCH_MAX_SOURCE:
-                return None
-            pairs = "".join(cls._pair(x[i], x[j]) for j in range(1, n) for i in range(j))
-            slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
-            source = cls._MARCH_SOURCE.format(slots=slots, pairs=pairs,
-                                              setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
+        a, b = ([f"{s}{c}" for c in range(count)] for s in "ab")
+        # No pair block is shorter than one over a and b, so this skips
+        # building sources far past the cap.
+        if (k * (k - 1) // 2 + (k + 1 if rows else 0)) * len(cls._pair(a, b)) > _MARCH_MAX_SOURCE:
+            return None
+        x = [[f"x{i}_{c}" for c in range(count)] for i in range(k)]
+        slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
+        cut = f"[:{k}]" if rows else ""
+        section = "" if not rows else cls._MARCH_ROWS.format(
+            first=max(k, 1), k=k, a=", ".join(a), b=", ".join(b),
+            fixed="".join(cls._pair(xi, b) for xi in x).replace("\n", "\n    "),
+            pair=cls._pair(a, b).replace("\n", "\n        "))
+        source = cls._MARCH_SOURCE.format(
+            load=f"\n    {slots}, = coords{cut}" if k else "", rows=section,
+            pairs="".join(cls._pair(x[i], x[j]) for j in range(1, k) for i in range(j)),
+            store=f"\n    coords{cut or '[:]'} = {slots}," if k else "",
+            setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
         return source if len(source) <= _MARCH_MAX_SOURCE else None
 
 

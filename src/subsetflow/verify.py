@@ -10,16 +10,19 @@ ones, and the caller merges them in suite order into the bytes a
 one-process run gives.  ``lipschitz_scan`` does the same with its trials
 when the retract marches: at least two trials, n >= 3, and a space that
 does not merge exactly (not a tree, not the line).  A call to a running
-helper is a pipe round trip of tens of microseconds; a two-point retract
-is a closed-form midpoint, and a tree or line retract runs the exact
-flow, so a scan of those holds too little work to share and stays in one
-process, as ``convergence_study`` does.  The helper runs the package as
+helper is a pipe round trip of about 70 us back to back, but 240 to 250 us
+after a millisecond or more of work in the caller, as in a scan: it waits
+for the idle helper to wake.  A two-point retract is a closed-form
+midpoint, and a tree or line retract runs the exact flow, so a scan of
+those holds too little work to pay that and stays in one process, as
+``convergence_study`` does.  The helper runs the package as
 it was when it was forked, and a split that finds a binding of the
 package changed since then forks a fresh one (``_run_split``).  Work
 stays in the caller's process where a second process cannot help or
 would hide it: without ``os.fork``, with a second thread running (a fork
 would inherit its locks half-held), with a tracer or profiler attached
-(coverage, cProfile and debuggers see every trial), when a pipe or the
+(coverage, cProfile and debuggers see every trial), when the request
+does not pickle (a space class defined in a function), when a pipe or the
 fork fails, and inside a split: a split never nests, so the suite's
 ``lipschitz_ratio`` row, which runs in the helper, shares no trial.
 """
@@ -805,12 +808,16 @@ def _run_split(builder, args) -> list:
     job runs in that job's process.  The lowest-indexed failing job
     raises, as in one process.  What the helper cannot deliver (an
     exception that does not pickle, a helper that dies) the caller runs
-    itself, and where a pipe or the fork fails it runs every job; see
-    ``_stays_in_process`` for when it runs every job anyway.
+    itself, and where the request does not pickle or a pipe or the fork
+    fails it runs every job, as in the cases ``_stays_in_process`` lists.
     """
     global _splitting
     jobs = builder(*args)
     if _stays_in_process():
+        return [job() for job in jobs]
+    try:
+        request = pickle.dumps((builder, args, range(1, len(jobs), 2)))
+    except (pickle.PicklingError, AttributeError, TypeError):  # e.g. a class defined in a function
         return [job() for job in jobs]
     bindings = _bindings()
     if _helper.pid is not None and not (len(bindings) == len(_helper.bindings)
@@ -820,14 +827,13 @@ def _run_split(builder, args) -> list:
     try:
         if _helper.pid is None and not _spawn(bindings):
             return [job() for job in jobs]
-        return _served(builder, args, jobs)
+        return _served(request, jobs)
     finally:
         _splitting = False
 
 
-def _served(builder, args, jobs) -> list:
+def _served(request: bytes, jobs) -> list:
     """``_run_split``'s exchange with the helper, which is alive and current."""
-    request = pickle.dumps((builder, args, range(1, len(jobs), 2)))
     try:
         try:
             _send(_helper.requests, request)

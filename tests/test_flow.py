@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -35,8 +36,8 @@ from subsetflow import (
 )
 from subsetflow.flow import _dual_source, _dual_solve, _wrap, oracle_supports
 from subsetflow.verify import sample_tuple
-from subsetflow.geometry import (_MARCH_MAX_SOURCE, _OVERFLOW, _SMALL_ANGLE, _gaps, _march_kernel,
-                                 _pair_march, _pair_step, _total)
+from subsetflow.geometry import (_MARCH_MAX_SOURCE, _OVERFLOW, _SMALL_ANGLE, _compile, _gaps,
+                                 _march_kernel, _pair_march, _pair_step, _total)
 from oracles import (dual_solve_ref, full_resolvent_ref, grid_pair_prox,
                      hyperboloid_distance_decimal, tree_edges_ref, tree_first_collision_ref,
                      tree_motion_ref, tree_routes_ref)
@@ -403,43 +404,51 @@ def _branch_inputs(space, rng):
         yield PointTuple(space, (p, near, q)), lam, 2
 
 
-def _past_cap(cls):
-    # The smallest dimension whose looped march is longer than the source cap.
-    return next(dim for dim in itertools.count(1) if cls._march_source(dim, None) is None)
+def _past_cap(cls, k, rows):
+    # The smallest dimension whose march holding k slots in locals, with or
+    # without rows, is longer than the source cap.
+    return next(dim for dim in itertools.count(1) if cls._march_source(dim, k, rows) is None)
 
 
-# The keys reach every shape of both coordinate backends: the unrolled and
-# the looped march in each listed dimension, and the reference _pair_march in
-# the smallest dimension whose looped source is past the cap.
-PAIR_MARCH_KEYS = [f"euclidean-{_past_cap(EuclideanSpace)}",
-                   f"hyperboloid-{_past_cap(HyperboloidSpace)}"]
+# The keys reach every march of both coordinate backends: k = n and 0 < k < n
+# in each listed dimension, k = 0 alone in the smallest dimension where not
+# even n = 2 is unrolled, and the reference _pair_march in the smallest where
+# k = 0 is past the cap too.
+LOOPED_KEYS = [f"euclidean-{_past_cap(EuclideanSpace, 2, False)}",
+               f"hyperboloid-{_past_cap(HyperboloidSpace, 2, False)}"]
+PAIR_MARCH_KEYS = [f"euclidean-{_past_cap(EuclideanSpace, 0, True)}",
+                   f"hyperboloid-{_past_cap(HyperboloidSpace, 0, True)}"]
 MARCH_KEYS = ["euclidean-1", "euclidean-2", "euclidean-3", "euclidean-16", "euclidean-17",
               "hyperboloid-1", "hyperboloid-2", "hyperboloid-3", "hyperboloid-16",
-              "hyperboloid-17", "star-tree", "path-tree", "caterpillar"] + PAIR_MARCH_KEYS
+              "hyperboloid-17", "star-tree", "path-tree", "caterpillar",
+              *LOOPED_KEYS, *PAIR_MARCH_KEYS]
 
 
-def _march_shape(space, n):
-    # Which march _march_kernel runs for n-tuples in space, checking that it
-    # is the kernel built for that shape.
+def _march_slots(space, n):
+    # The k of the march _march_kernel runs for n-tuples in space, read from
+    # the slots its kernel holds in locals (x{i}_0), or None for _pair_march;
+    # checking that the kernel is the one compiled for that k under the cap,
+    # and that k is n or k + 1 does not fit.
     cls, dim = type(space), space.dim
-    kernel, looped = _march_kernel(cls, dim, n), _march_kernel(cls, dim, None)
-    if cls._march_source(dim, n) is not None:
-        assert inspect.isfunction(kernel) and kernel is not looped
-        return "unrolled"
-    assert kernel is looped
-    if cls._march_source(dim, None) is not None:
-        assert inspect.isfunction(kernel)
-        return "looped"
-    assert kernel.func is _pair_march and kernel.args == (space,)
-    return "pair_march"
+    kernel = _march_kernel(cls, dim, n)
+    if not inspect.isfunction(kernel):
+        assert all(cls._march_source(dim, k, k < n) is None for k in range(n + 1))
+        assert kernel.func is _pair_march and kernel.args == (space,)
+        return None
+    k = sum(re.fullmatch(r"x\d+_0", name) is not None for name in kernel.__code__.co_varnames)
+    source = cls._march_source(dim, k, k < n)
+    assert len(source) <= _MARCH_MAX_SOURCE and kernel is _compile(source, "_march")
+    assert k == n or cls._march_source(dim, k + 1, k + 1 < n) is None
+    return k
 
 
 @pytest.mark.parametrize("key", MARCH_KEYS)
 def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_tree, key):
     # A march is the composed pair steps, sweep after sweep, in one call or
     # in one call per sweep: at n = 2..8, and in each dimension at the
-    # smallest n whose unrolled march is past the source cap, where it is
-    # looped, or runs _pair_march in the PAIR_MARCH_KEYS dimensions.
+    # smallest n that takes a k < n, whose march holds k slots in locals and
+    # loops over the rest, or runs _pair_march in the PAIR_MARCH_KEYS
+    # dimensions.
     if key == "caterpillar":
         space = caterpillar_tree
     elif key in all_spaces:
@@ -450,13 +459,14 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
     coordinates = not isinstance(space, TreeSpace)
     ns = list(range(2, 10 if key == "euclidean-17" else 9))
     if coordinates:
-        # the smallest n whose unrolled march is longer than the source cap
-        source = type(space)._march_source
-        past_cap = next(n for n in itertools.count(2) if source(space.dim, n) is None)
+        # the smallest n that takes a k < n
+        past_cap = next(n for n in itertools.count(2) if _march_slots(space, n) != n)
         if past_cap not in ns:
             ns.append(past_cap)
-        shapes = {_march_shape(space, n) for n in ns}
-        assert shapes == ({"pair_march"} if key in PAIR_MARCH_KEYS else {"unrolled", "looped"})
+        shapes = {"pair_march" if k is None else "n" if k == n else "0" if k == 0 else "k"
+                  for n in ns for k in [_march_slots(space, n)]}
+        assert shapes == ({"pair_march"} if key in PAIR_MARCH_KEYS
+                          else {"0"} if key in LOOPED_KEYS else {"n", "k"})
     rng = random.Random(f"sweepbits:{key}")
     cases = []
     for n in ns:
@@ -480,14 +490,28 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
     assert seen["merged"] and seen["moved"] and early
     if coordinates:
         assert seen["equal"] and seen["far"] and seen["tiny"]
-        # The edge cases have at most 4 slots.  Padded with random points to
-        # at least past_cap slots, they take every branch in the looped march.
+        # The edge cases have at most 4 slots.  In tuples of past_cap + 1
+        # slots, whose march holds k < n slots in locals, they reach every
+        # part of it: after k copies of their first point, their pairs are
+        # first stepped in a row against the locals, then in a row's loop;
+        # in the first k slots (all but the last if k = 0), before copies of
+        # one random point, their pairs are stepped among the locals, and
+        # theirs with that point in the rows.
         if key not in PAIR_MARCH_KEYS:
-            padded = [(PointTuple(space, x.coords + tuple(space.random_point(rng)
-                                                          for _ in range(past_cap - len(x)))),
-                       lam, sweeps) for x, lam, sweeps in edge_cases]
-            seen, _ = _check_marches(space, padded)
-            assert all(seen.values())
+            m = past_cap + 1
+            k = _march_slots(space, m)
+            for pad in ("after copies", "before a random point"):
+                padded = []
+                for x, lam, sweeps in edge_cases:
+                    cycled = itertools.cycle(x.coords)
+                    if pad == "after copies":
+                        pts = [x.coords[0]] * k + [*itertools.islice(cycled, m - k)]
+                    else:
+                        head = k or m - 1
+                        pts = [*itertools.islice(cycled, head), *[space.random_point(rng)] * (m - head)]
+                    padded.append((PointTuple(space, tuple(pts)), lam, sweeps))
+                seen, _ = _check_marches(space, padded)
+                assert all(seen.values()), (pad, seen)
 
 
 def _check_marches(space, cases):

@@ -22,8 +22,8 @@ from subsetflow import (
     pair_resolvent,
     space_from_json,
 )
-from subsetflow.geometry import (_MARCH_MAX_SOURCE, _distance, _geodesic_point, _march_kernel,
-                                 _pair_march, _pair_step, _total, point_sort_key)
+from subsetflow.geometry import (_MARCH_MAX_SOURCE, _compile, _distance, _geodesic_point,
+                                 _march_kernel, _pair_march, _pair_step, _total, point_sort_key)
 from oracles import (hyperboloid_distance_decimal, hyperboloid_distance_ref,
                      hyperboloid_geodesic_decimal, hyperboloid_pair_step_decimal,
                      tree_point_distance)
@@ -119,33 +119,42 @@ def test_total_sums_left_to_right():
     assert _total(iter([0.5])) == 0.5
 
 
-# Which march _march_kernel picks for n = 2, 5, 8 and 31: the unrolled
-# march of that n (U), the looped march of the dimension (L), or the
-# reference _pair_march (P).  Euclidean 200 and hyperboloid 120 are dimensions
-# whose looped source is past the cap; hyperboloid 100, whose looped source
-# fits since the pair step is written in md alone, was past it before.
-MARCH_SHAPES = {"euclidean-1": "UUUL", "euclidean-2": "UUUL", "euclidean-16": "ULLL",
-                "hyperboloid-2": "UULL", "hyperboloid-16": "ULLL", "hyperboloid-100": "LLLL",
-                "euclidean-200": "PPPP", "hyperboloid-120": "PPPP"}
+# The k that _march_kernel takes for n = 2, 5, 8 and 31: the largest k <= n
+# whose march, holding slots 0..k-1 in locals, fits under the cap; None
+# where no k fits and the reference _pair_march runs.  k = n marches
+# n-tuples alone, a k < n march serves every n > k, and k = 0 loops over
+# every pair.  Euclidean 200 and hyperboloid 120 are dimensions whose k = 0
+# march is past the cap; hyperboloid 100, where it fits since the pair step
+# is written in md alone, was past it before.
+MARCH_SLOTS = {"euclidean-1": (2, 5, 8, 9), "euclidean-2": (2, 5, 8, 7),
+               "euclidean-16": (2, 3, 3, 3), "euclidean-120": (0, 0, 0, 0),
+               "hyperboloid-2": (2, 5, 4, 4), "hyperboloid-16": (2, 2, 2, 2),
+               "hyperboloid-100": (0, 0, 0, 0),
+               "euclidean-200": (None,) * 4, "hyperboloid-120": (None,) * 4}
 
 
-@pytest.mark.parametrize("key", MARCH_SHAPES)
+@pytest.mark.parametrize("key", MARCH_SLOTS)
 def test_march_kernels_stay_under_the_source_cap(key):
     kind, dim = key.split("-")
     space = make_space(kind, int(dim))
     cls, dim = type(space), space.dim
-    looped = cls._march_source(dim, None)
-    assert looped is None or len(looped) <= _MARCH_MAX_SOURCE
-    for n, shape in zip((2, 5, 8, 31), MARCH_SHAPES[key]):
+    for n, k in zip((2, 5, 8, 31), MARCH_SLOTS[key]):
         kernel = _march_kernel(cls, dim, n)
-        unrolled = cls._march_source(dim, n)
-        assert unrolled is None or len(unrolled) <= _MARCH_MAX_SOURCE
-        assert (unrolled is not None) == (shape == "U")
-        assert (kernel is _march_kernel(cls, dim, None)) == (shape != "U")
-        if shape == "P":
-            assert looped is None and kernel.func is _pair_march and kernel.args == (space,)
-        else:
-            assert looped is not None and kernel.__name__ == "_march"
+        if k is None:
+            assert all(cls._march_source(dim, j, j < n) is None for j in range(n + 1))
+            assert kernel.func is _pair_march and kernel.args == (space,)
+            continue
+        source = cls._march_source(dim, k, k < n)
+        assert len(source) <= _MARCH_MAX_SOURCE
+        assert kernel is _compile(source, "_march") and kernel.__name__ == "_march"
+        # the largest k that fits: n itself, or k + 1 is past the cap
+        assert k == n or cls._march_source(dim, k + 1, k + 1 < n) is None
+
+
+def test_every_n_that_takes_one_k_runs_one_kernel():
+    # hyperboloid:2 holds four slots in locals at n = 7 and at n = 8, and
+    # both run the one kernel compiled for that march.
+    assert _march_kernel(HyperboloidSpace, 2, 7) is _march_kernel(HyperboloidSpace, 2, 8)
 
 
 # ---------------------------------------------------------------------------

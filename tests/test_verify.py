@@ -18,6 +18,7 @@ import pytest
 
 from subsetflow import (
     CheckResult,
+    EuclideanSpace,
     FlowConfig,
     GeometryError,
     Point,
@@ -420,6 +421,23 @@ def test_bound_suite_runs_what_its_child_cannot_send(plane, monkeypatch):
     monkeypatch.setattr(verify, "check_product_dominates_hausdorff", raise_unpicklable)
     with pytest.raises(Unpicklable, match="row 3 failed"):
         bound_suite(small_cfg(plane, samples=2))
+    _assert_no_child_left()
+
+
+def test_a_split_whose_arguments_do_not_pickle_runs_in_the_caller(fork_log):
+    # A space whose class is defined in a function does not pickle, so no
+    # request can reach a helper: the scan's trials and the suite's rows all
+    # run in the caller, with the one-process bytes, and no helper is forked.
+    @dataclasses.dataclass(frozen=True)
+    class LocalSpace(EuclideanSpace):
+        pass
+
+    cfg = ScanConfig(LocalSpace(2), 3, 4, 1)
+    for run in (_scan_bytes, _report_bytes):
+        two = run(cfg)
+        with _one_process():
+            assert run(cfg) == two
+    assert fork_log() == []
     _assert_no_child_left()
 
 
