@@ -49,15 +49,16 @@ Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 sweep whose smallest stepped distance ``low`` is at most ``watch``; it
 returns how many sweeps ran and that sweep's ``low``.  This module alone
 decides how a march runs.  The reference march, ``_pair_march``, calls
-the space's ``_pair_step`` pair by pair.  A tree's ``_march`` is its own
-method, with ``_pair_step`` inlined in one pass per pair step, and shares
-with ``_interp`` the walk past an edge's end (``_walk``).  A coordinate
-backend writes its pair step once more, as a template with its
-``_pair_step`` inlined, and one generator builds its march from it in one
-shape: the coordinates of slots 0..k-1 in locals for the whole march, and
-each later slot in a row that steps it against them and loops over the
-rest, for the largest k <= n whose source fits under ``_MARCH_MAX_SOURCE``
-characters, else ``_pair_march``.  Every march keeps ``_pair_step``'s bits.
+the space's ``_pair_step`` pair by pair.  Every backend writes its pair
+step once more, as a template with its ``_pair_step`` inlined over the
+values of two slots (coordinates, or a tree's edge id and offset), and one
+generator (``_MarchingSpace``) builds every backend's march from it in one
+shape: the values of slots 0..k-1 in locals for the whole march, and each
+later slot in a row that steps it against them and loops over the rest,
+for the largest k <= n whose source fits under ``_MARCH_MAX_SOURCE``
+characters, else ``_pair_march``.  A tree's template shares with
+``_interp`` the walk past an edge's end (``_walk``).  Every march keeps
+``_pair_step``'s bits.
 """
 
 from __future__ import annotations
@@ -291,37 +292,111 @@ def _compile(source: str, name: str, **names):
 
 
 @functools.cache
-def _march_kernel(cls, dim: int, n: int):
-    """The march of n-tuples in ``cls(dim)``: the largest k <= n whose source
-    ``cls._march_source(dim, k, k < n)`` fits, else ``_pair_march``.  Every n
-    that takes the same k < n has the same source, so it runs one kernel."""
+def _march_kernel(cls, count: int, n: int):
+    """The march of n-tuples of slots that hold count values each, in a ``cls``
+    space: the largest k <= n whose source ``cls._march_source(count, k, k <
+    n)`` fits, else ``_pair_march``.  Every n that takes the same k < n has
+    the same source, so it runs one kernel."""
     for k in range(n, -1, -1):
-        source = cls._march_source(dim, k, k < n)
+        source = cls._march_source(count, k, k < n)
         if source is not None:
             return _compile(source, "_march")
-    return functools.partial(_pair_march, cls(dim))
+    return _pair_march
+
+
+class _MarchingSpace:
+    """The march generator every backend shares.
+
+    A subclass sets its pair template: ``_MARCH_PAIR``, one pair step over
+    the values of two slots, ``{a0}, {a1}, ...`` and ``{b0}, {b1}, ...``, with
+    its ``_pair_step``'s float operations in their order; ``_MARCH_UNROLL``,
+    its fields written out once per value; ``_MARCH_SETUP``, the line that
+    reads a march's per-step constants from ``space`` and ``lam`` once, and
+    ``_MARCH_FRESH``, the line that starts each sweep's ``low`` if not
+    ``low = inf``.  ``_march_source`` builds every march from them in one
+    shape, and ``self._march`` runs the one with the largest k <=
+    ``len(coords)`` that fits under ``_MARCH_MAX_SOURCE``, else the reference
+    march ``_pair_march`` (``_march_kernel``).  Every march has
+    ``_pair_march``'s signature and gives its bits.
+    """
+
+    _MARCH_UNROLL: ClassVar[dict] = {}
+    _MARCH_FRESH: ClassVar[str] = "low = inf"
+
+    def _march(self, coords: list[tuple], lam: float, sweeps: int,
+               watch: float) -> tuple[int, float]:
+        return _march_kernel(type(self), len(coords[0]), len(coords))(self, coords, lam, sweeps, watch)
+
+    # Value c of slot i < k is x{i}_{c} for the whole call; in a row, that
+    # of its slot j >= k is b{c}, and that of slot i >= k in its loop a{c}.
+    _MARCH_SOURCE: ClassVar[str] = """
+def _march(space, coords, lam, sweeps, watch):{load}
+    {setup}
+    for done in range(1, sweeps + 1):
+        {fresh}{pairs}{rows}
+        if low <= watch:
+            break{store}
+    return done, low
+"""
+    _MARCH_ROWS: ClassVar[str] = """
+        for j in range({first}, len(coords)):
+            {b}, = coords[j]{fixed}
+            for i in range({k}, j):
+                {a}, = coords[i]{pair}
+                coords[i] = {a},
+            coords[j] = {b},"""
+
+    @classmethod
+    def _pair(cls, a: list[str], b: list[str]) -> str:
+        # The pair template over the value names a and b of two slots.  Each
+        # field of _MARCH_UNROLL is a pattern written out once per value k
+        # from its first one on, and the separator between them.
+        fields = {name: sep.join(pattern.format(a=a[k], b=b[k], k=k) for k in range(first, len(a)))
+                  for name, (pattern, sep, first) in cls._MARCH_UNROLL.items()}
+        names = {f"{s}{c}": v for s, slot in (("a", a), ("b", b)) for c, v in enumerate(slot)}
+        return cls._MARCH_PAIR.format(**names, **fields)
+
+    @classmethod
+    def _march_source(cls, count: int, k: int, rows: bool) -> str | None:
+        """The march of slots of count values that holds slots 0..k-1 in
+        locals for the whole call, their pairs unrolled; None if it is longer
+        than ``_MARCH_MAX_SOURCE``.  Without rows it marches k-tuples, and
+        writes ``coords`` once, on return.  With rows it marches n-tuples of
+        any n > k: each slot j >= k is a row, unpacked once per sweep, that
+        steps its pairs with the locals unrolled and loops over those with
+        slots k..j-1, each written back after its pair step; a raise leaves
+        ``coords`` partly stepped, and nothing reads it then.  k = 0 loops
+        over every pair."""
+        a, b = ([f"{s}{c}" for c in range(count)] for s in "ab")
+        # No pair block is shorter than one over a and b, so this skips
+        # building sources far past the cap.
+        if (k * (k - 1) // 2 + (k + 1 if rows else 0)) * len(cls._pair(a, b)) > _MARCH_MAX_SOURCE:
+            return None
+        x = [[f"x{i}_{c}" for c in range(count)] for i in range(k)]
+        slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
+        cut = f"[:{k}]" if rows else ""
+        section = "" if not rows else cls._MARCH_ROWS.format(
+            first=max(k, 1), k=k, a=", ".join(a), b=", ".join(b),
+            fixed="".join(cls._pair(xi, b) for xi in x).replace("\n", "\n    "),
+            pair=cls._pair(a, b).replace("\n", "\n        "))
+        source = cls._MARCH_SOURCE.format(
+            load=f"\n    {slots}, = coords{cut}" if k else "", rows=section,
+            pairs="".join(cls._pair(x[i], x[j]) for j in range(1, k) for i in range(j)),
+            store=f"\n    coords{cut or '[:]'} = {slots}," if k else "",
+            setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
+        return source if len(source) <= _MARCH_MAX_SOURCE else None
 
 
 @dataclass(frozen=True)
-class _CoordinateSpace:
-    """What the coordinate backends share: a dimension, the array codec, the pair step, the march.
+class _CoordinateSpace(_MarchingSpace):
+    """What the coordinate backends share: a dimension, the array codec, the march.
 
     Subclasses set ``kind``, define ``point``, ``random_point`` and the
     kernels ``_gap`` and ``_interp(pd, qd, t, d)``, and bind ``distance =
     _distance`` and ``geodesic_point = _geodesic_point`` in their own class
     body, where per-backend call counters look the public methods up.  Each
-    binds or writes its ``_pair_step(pd, qd, lam)`` there too.
-
-    Each subclass also sets its pair template: ``_MARCH_PAIR``, one pair
-    step over the coordinates of two slots with its ``_pair_step``'s float
-    operations in their order, and ``_MARCH_UNROLL``, its fields written
-    out once per coordinate; ``_MARCH_SETUP``, the line that computes a
-    march's per-step constants from ``lam`` once, and ``_MARCH_FRESH``, the
-    line that starts each sweep's ``low``.  ``_march_source`` builds every
-    march from them in one shape, and ``self._march`` runs the one with the
-    largest k <= ``len(coords)`` that fits under ``_MARCH_MAX_SOURCE``, else
-    the reference march ``_pair_march`` (``_march_kernel``).  Every march
-    gives the same bits.
+    binds or writes its ``_pair_step(pd, qd, lam)`` there too, and sets its
+    pair template (``_MarchingSpace``) over the coordinates of two slots.
     """
 
     dim: int
@@ -366,68 +441,6 @@ class _CoordinateSpace:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
-    def _march(self, coords: list[tuple], lam: float, sweeps: int,
-               watch: float) -> tuple[int, float]:
-        return _march_kernel(type(self), self.dim, len(coords))(coords, lam, sweeps, watch)
-
-    # Coordinate c of slot i < k is x{i}_{c} for the whole call; in a row, that
-    # of its slot j >= k is b{c}, and that of slot i >= k in its loop a{c}.
-    _MARCH_SOURCE: ClassVar[str] = """
-def _march(coords, lam, sweeps, watch):{load}
-    {setup}
-    for done in range(1, sweeps + 1):
-        {fresh}{pairs}{rows}
-        if low <= watch:
-            break{store}
-    return done, low
-"""
-    _MARCH_ROWS: ClassVar[str] = """
-        for j in range({first}, len(coords)):
-            {b}, = coords[j]{fixed}
-            for i in range({k}, j):
-                {a}, = coords[i]{pair}
-                coords[i] = {a},
-            coords[j] = {b},"""
-
-    @classmethod
-    def _pair(cls, a: list[str], b: list[str]) -> str:
-        # The pair template over the coordinate names a and b of two slots.
-        # Each field of _MARCH_UNROLL is a pattern written out once per
-        # coordinate k from its first one on, and the separator between them.
-        fields = {name: sep.join(pattern.format(a=a[k], b=b[k], k=k) for k in range(first, len(a)))
-                  for name, (pattern, sep, first) in cls._MARCH_UNROLL.items()}
-        return cls._MARCH_PAIR.format(a0=a[0], b0=b[0], **fields)
-
-    @classmethod
-    def _march_source(cls, dim: int, k: int, rows: bool) -> str | None:
-        """The march in dimension dim that holds slots 0..k-1 in locals for the
-        whole call, their pairs unrolled; None if it is longer than
-        ``_MARCH_MAX_SOURCE``.  Without rows it marches k-tuples, and writes
-        ``coords`` once, on return.  With rows it marches n-tuples of any n >
-        k: each slot j >= k is a row, unpacked once per sweep, that steps its
-        pairs with the locals unrolled and loops over those with slots k..j-1,
-        each written back after its pair step; a raise leaves ``coords`` partly
-        stepped, and nothing reads it then.  k = 0 loops over every pair."""
-        count = dim + cls._EXTRA_COORDS
-        a, b = ([f"{s}{c}" for c in range(count)] for s in "ab")
-        # No pair block is shorter than one over a and b, so this skips
-        # building sources far past the cap.
-        if (k * (k - 1) // 2 + (k + 1 if rows else 0)) * len(cls._pair(a, b)) > _MARCH_MAX_SOURCE:
-            return None
-        x = [[f"x{i}_{c}" for c in range(count)] for i in range(k)]
-        slots = ", ".join(f"({', '.join(xi)},)" for xi in x)
-        cut = f"[:{k}]" if rows else ""
-        section = "" if not rows else cls._MARCH_ROWS.format(
-            first=max(k, 1), k=k, a=", ".join(a), b=", ".join(b),
-            fixed="".join(cls._pair(xi, b) for xi in x).replace("\n", "\n    "),
-            pair=cls._pair(a, b).replace("\n", "\n        "))
-        source = cls._MARCH_SOURCE.format(
-            load=f"\n    {slots}, = coords{cut}" if k else "", rows=section,
-            pairs="".join(cls._pair(x[i], x[j]) for j in range(1, k) for i in range(j)),
-            store=f"\n    coords{cut or '[:]'} = {slots}," if k else "",
-            setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
-        return source if len(source) <= _MARCH_MAX_SOURCE else None
-
 
 class EuclideanSpace(_CoordinateSpace):
     """R^dim with the usual metric; geodesics are straight segments."""
@@ -455,7 +468,6 @@ class EuclideanSpace(_CoordinateSpace):
     # -0.0, which it leaves at -0.0.  A shared midpoint leaves as equal
     # tuples, not one.
     _MARCH_SETUP: ClassVar[str] = "lam2 = 2.0 * lam"
-    _MARCH_FRESH: ClassVar[str] = "low = inf"
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
             low = 0.0
@@ -750,7 +762,7 @@ class TreeTopology:
 
 
 @dataclass(frozen=True)
-class TreeSpace:
+class TreeSpace(_MarchingSpace):
     """A metric tree; points live on edges as (edge_id, offset) pairs.
 
     Offsets are measured from an edge's ``from`` endpoint.  A vertex has
@@ -762,20 +774,19 @@ class TreeSpace:
     Every kernel reads an edge by its id from ``_table``, which maps an edge
     id to (from node, to node, length, from node's distances to every node,
     to node's), by plain indexing: ``_check_point`` has rejected every edge
-    id the tree lacks.  ``_next_edge`` rows hold edge ids too, and so do
-    ``_branch`` rows: ``_branch[v][f]`` is the first edge from node v toward
-    edge f.  ``_gap`` returns the least endpoint pairing's length without
-    building a route, ``_interp`` walks the one ``_route`` picks, and
-    ``_motion`` reads one ``_branch`` row for its point.
-    ``_march`` is ``_pair_march`` with ``_pair_step`` inlined: it routes each
-    pair from the two slots' table rows, and, like ``_interp``, leaves a walk
-    past an edge's end to ``_walk``.
+    id the tree lacks.  ``_branch`` rows hold edge ids too: ``_branch[v][f]``
+    is the first edge from node v toward edge f, the one next-hop table.
+    ``_gap`` returns the least endpoint pairing's length without building a
+    route, ``_interp`` walks the one ``_route`` picks, and ``_motion`` reads
+    one ``_branch`` row for its point.  The march is the shared generator's
+    (``_MarchingSpace``) over slots of (edge id, offset): its pair template
+    routes each pair from the two slots' table rows and, like ``_interp``,
+    leaves a walk past an edge's end to ``_walk``.
     """
 
     topology: TreeTopology
     _table: dict = field(init=False, repr=False, compare=False)
     _vertex_rep: dict = field(init=False, repr=False, compare=False)
-    _next_edge: dict = field(init=False, repr=False, compare=False)
     _branch: dict = field(init=False, repr=False, compare=False)
     _cum_lengths: list = field(init=False, repr=False, compare=False)
     kind: ClassVar[str] = "tree"
@@ -811,7 +822,6 @@ class TreeSpace:
                  for e in topo.edges}
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_vertex_rep", vertex_rep)
-        object.__setattr__(self, "_next_edge", next_edge)
         # The first edge from node v toward edge f: f itself at its ends, else
         # the first edge toward either end, which is on the same path.
         object.__setattr__(self, "_branch", {
@@ -872,6 +882,84 @@ class TreeSpace:
     distance = _distance
     geodesic_point = _geodesic_point
     _pair_step = _pair_step
+
+    # The pair step, _pair_step inlined in one pass with every float operation
+    # in its order, over slots of (edge id, offset).  The forward route's
+    # length is d, _gap's (see _route), and the way back is routed only for a
+    # pair that moves apart, summed in its own order.  A meeting pair's step
+    # 0.5 * d is written s * d with s = 0.5, on one edge too, so meeting and
+    # moving share the code that moves the points.
+    _MARCH_SETUP: ClassVar[str] = (
+        "table, place, walk, lam2 = space._table, space._place, space._walk, 2.0 * lam")
+    # One end's route to the other end, as _route(pd, qd): its length d, the
+    # leg to the exit node u, and nb, where it enters the other end's edge.
+    # P is the end's number (1 for slot a, 2 for slot b) and Q the other's.
+    _MARCH_ROUTE: ClassVar[str] = """
+d, leg, u, nb = {p1} + ra{P}[n{Q}] + {q1}, {p1}, n{P}, n{Q}
+x = {p1} + ra{P}[m{Q}] + r{Q}
+if x < d:
+    d = x; nb = m{Q}
+x = r{P} + rb{P}[n{Q}] + {q1}
+if x < d:
+    d = x; leg = r{P}; u = m{P}; nb = n{Q}
+x = r{P} + rb{P}[m{Q}] + r{Q}
+if x < d:
+    d = x; leg = r{P}; u = m{P}; nb = m{Q}"""
+    # That end moved step along its route into {e}, {o}: on its own edge, or
+    # placed at the end it reaches or passes, or past it by _walk.
+    _MARCH_MOVE: ClassVar[str] = """
+if step <= leg:
+    off = {p1} - step if u == n{P} else {p1} + step
+    if 0.0 < off < l{P}:
+        {e}, {o} = {p0}, off
+    else:
+        {e}, {o} = place({p0}, 0.0 if off <= 0.0 else l{P})
+else:
+    {e}, {o} = walk(u, nb, step - leg, ({q0}, {q1}))"""
+    # Formatted here with each end's blocks; the slot names stay for _pair.
+    _MARCH_PAIR: ClassVar[str] = """
+        if {a0} != {b0}:
+            n1, m1, l1, ra1, rb1 = table[{a0}]
+            n2, m2, l2, ra2, rb2 = table[{b0}]
+            r1 = l1 - {a1}
+            r2 = l2 - {b1}{route_a}
+            if d < low:
+                low = d
+            s = 0.5 if d <= lam2 else lam / d
+            if s > 0.0:
+                step = s * d{move_a}
+                if d <= lam2:
+                    {a0}, {a1} = {b0}, {b1} = e, o
+                else:{route_b}
+                    step = s * d{move_b}
+                    {a0}, {a1} = e, o
+            else:
+                _check_t(s)
+        elif {a1} == {b1}:
+            low = 0.0
+        else:
+            d = abs({a1} - {b1})
+            if d < low:
+                low = d
+            s = 0.5 if d <= lam2 else lam / d
+            if s > 0.0:
+                o = {a1} + s * ({b1} - {a1})
+                {b1} = o if d <= lam2 else {b1} + s * ({a1} - {b1})
+                {a1} = o
+                l1 = table[{a0}][2]
+                if not 0.0 < {a1} < l1:
+                    {a0}, {a1} = place({a0}, {a1})
+                if not 0.0 < {b1} < l1:
+                    {b0}, {b1} = place({b0}, {b1})
+            else:
+                _check_t(s)""".format(
+        a0="{a0}", a1="{a1}", b0="{b0}", b1="{b1}",
+        route_a=_MARCH_ROUTE.format(p1="{a1}", q1="{b1}", P=1, Q=2).replace("\n", "\n" + " " * 12),
+        move_a=_MARCH_MOVE.format(p0="{a0}", p1="{a1}", q0="{b0}", q1="{b1}", P=1, e="e", o="o")
+        .replace("\n", "\n" + " " * 16),
+        route_b=_MARCH_ROUTE.format(p1="{b1}", q1="{a1}", P=2, Q=1).replace("\n", "\n" + " " * 20),
+        move_b=_MARCH_MOVE.format(p0="{b0}", p1="{b1}", q0="{a0}", q1="{a1}", P=2, e="{b0}", o="{b1}")
+        .replace("\n", "\n" + " " * 20))
 
     def _gap(self, pd: tuple, qd: tuple) -> float:
         # _route(pd, qd)[0] without a route: the least of the four endpoint
@@ -938,7 +1026,7 @@ class TreeSpace:
         # edge at its node nb; on that edge it stops at qd.  The comparisons
         # give min(s, o2) and max(length - s, o2), bit for bit.
         while u != nb:
-            e = self._next_edge[u][nb]
+            e = self._branch[u][qd[0]]
             a, b, length, _, _ = self._table[e]
             if s < length:
                 return self._place(e, s if u == a else length - s)
@@ -953,112 +1041,6 @@ class TreeSpace:
             if o2 > off:
                 off = o2
         return self._place(e2, off)
-
-    def _march(self, coords: list[tuple], lam: float, sweeps: int,
-               watch: float) -> tuple[int, float]:
-        # _pair_march with _pair_step inlined, one pass per pair step, bit for bit.
-        # Each slot's table row is read once; the forward route's length is
-        # d, which is _gap's (see _route), and the way back is routed only for
-        # a pair that moves apart, summed in its own order.  A step that
-        # stays on its own edge is clamped by comparisons and placed here; a
-        # step past its edge's end is _walk's.
-        table, place, walk = self._table, self._place, self._walk
-        lam2 = 2.0 * lam
-        for done in range(1, sweeps + 1):
-            low = math.inf
-            for j in range(1, len(coords)):
-                for i in range(j):
-                    pd = coords[i]
-                    qd = coords[j]
-                    if pd == qd:
-                        low = 0.0
-                        continue
-                    e1, o1 = pd
-                    e2, o2 = qd
-                    if e1 == e2:
-                        d = abs(o1 - o2)
-                        if d < low:
-                            low = d
-                        length = table[e1][2]
-                        if d <= lam2:
-                            off = o1 + 0.5 * (o2 - o1)
-                            coords[i] = coords[j] = (
-                                (e1, off) if 0.0 < off < length else place(e1, off))
-                            continue
-                        s = lam / d
-                        if not s > 0.0:
-                            _check_t(s)
-                            continue
-                        off = o1 + s * (o2 - o1)
-                        coords[i] = (e1, off) if 0.0 < off < length else place(e1, off)
-                        off = o2 + s * (o1 - o2)
-                        coords[j] = (e1, off) if 0.0 < off < length else place(e1, off)
-                        continue
-                    # _route(pd, qd): its length d, the leg to the exit node u,
-                    # and nb, where it enters qd's edge.
-                    a1, b1, l1, row_a1, row_b1 = table[e1]
-                    a2, b2, l2, row_a2, row_b2 = table[e2]
-                    r1 = l1 - o1
-                    r2 = l2 - o2
-                    d = o1 + row_a1[a2] + o2
-                    leg, u, nb = o1, a1, a2
-                    x = o1 + row_a1[b2] + r2
-                    if x < d:
-                        d, nb = x, b2
-                    x = r1 + row_b1[a2] + o2
-                    if x < d:
-                        d, leg, u, nb = x, r1, b1, a2
-                    x = r1 + row_b1[b2] + r2
-                    if x < d:
-                        d, leg, u, nb = x, r1, b1, b2
-                    if d < low:
-                        low = d
-                    if d <= lam2:
-                        step = 0.5 * d
-                    else:
-                        s = lam / d
-                        if not s > 0.0:
-                            _check_t(s)
-                            continue
-                        step = s * d
-                    if step <= leg:
-                        off = o1 - step if u == a1 else o1 + step
-                        if off < 0.0:
-                            off = 0.0
-                        elif off > l1:
-                            off = l1
-                        new = (e1, off) if 0.0 < off < l1 else place(e1, off)
-                    else:
-                        new = walk(u, nb, step - leg, qd)
-                    if d <= lam2:
-                        coords[i] = coords[j] = new
-                        continue
-                    coords[i] = new
-                    # _route(qd, pd), the way back.
-                    d = o2 + row_a2[a1] + o1
-                    leg, u, nb = o2, a2, a1
-                    x = o2 + row_a2[b1] + r1
-                    if x < d:
-                        d, nb = x, b1
-                    x = r2 + row_b2[a1] + o1
-                    if x < d:
-                        d, leg, u, nb = x, r2, b2, a1
-                    x = r2 + row_b2[b1] + r1
-                    if x < d:
-                        d, leg, u, nb = x, r2, b2, b1
-                    step = s * d
-                    if step <= leg:
-                        off = o2 - step if u == a2 else o2 + step
-                        if off < 0.0:
-                            off = 0.0
-                        elif off > l2:
-                            off = l2
-                        coords[j] = (e2, off) if 0.0 < off < l2 else place(e2, off)
-                    else:
-                        coords[j] = walk(u, nb, step - leg, pd)
-            if low <= watch:
-                break
-        return done, low
 
     def _motion(self, i: int, data: list[tuple]) -> tuple | None:
         # How the point data[i] moves until the next event of the exact flow:

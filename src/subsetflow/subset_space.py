@@ -20,6 +20,7 @@ from .geometry import (
     Point,
     SpaceDescriptor,
     SpaceMismatchError,
+    TreeSpace,
     _check_count,
     _check_kind,
     _gaps,
@@ -285,8 +286,17 @@ def max_spread(x: PointTuple) -> float:
 
 
 def to_set(x: PointTuple, tol: float) -> FiniteSubset:
-    """Collapse a tuple to the subset of its coordinates, merging within tol."""
-    return make_subset(x.space, x.coords, tol)
+    """Collapse a tuple to the subset of its coordinates, merging within tol.
+
+    The tuple's points were checked when it was built and are not checked
+    again (``_merge``); on a tree, where a vertex has one form per incident
+    edge, each is placed in its canonical form first."""
+    if not tol >= 0.0:  # NaN too
+        raise GeometryError(f"dedup tolerance must be >= 0, got {tol!r}")
+    space, pts = x.space, list(x.coords)
+    if isinstance(space, TreeSpace):
+        pts = [Point(space.kind, space._place(*p.data)) for p in pts]
+    return _merge(space, pts, tol)
 
 
 def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:

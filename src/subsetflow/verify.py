@@ -102,6 +102,11 @@ class ScanConfig:
     perturbation_scale: float = 0.05
 
     def __post_init__(self) -> None:
+        # a space or flow of another type would fail in a scan as an AttributeError
+        if not isinstance(self.space, SpaceDescriptor):
+            raise GeometryError(f"space must be a space descriptor, got {self.space!r}")
+        if not isinstance(self.flow, FlowConfig):
+            raise GeometryError(f"flow must be a FlowConfig, got {self.flow!r}")
         _check_count("scan n", self.n, 2)
         _check_count("samples", self.samples, 1)
         # the seed is written into every generator's seed text, where 1.0

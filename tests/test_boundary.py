@@ -1,11 +1,11 @@
 """Points are checked once, where they enter the library, and never again inside it.
 
 The public constructors (``PointTuple``, ``FiniteSubset``), ``make_subset``
-and ``to_set``, and a space's ``point()`` are the boundary.  What the library
-builds from points it holds checked (the flow's results, ``order_tuple``'s
-tuple, a tree retract's input tuple and output set, the sampled tuples and
-subsets, a perturbed subset) is built past the constructors' checks, so it
-must be what they would accept.
+and a space's ``point()`` are the boundary.  What the library builds from
+points it holds checked (the flow's results, ``order_tuple``'s tuple, a
+retract's input tuple and output set, ``to_set``'s subset, the sampled
+tuples and subsets, a perturbed subset) is built past the constructors'
+checks, so it must be what they would accept.
 """
 
 import json
@@ -36,7 +36,6 @@ from subsetflow import (
     splitting_flow,
     sweep,
 )
-from subsetflow import retraction
 from subsetflow.cli import main
 from subsetflow.flow import oracle_supports
 from subsetflow.subset_space import _merge
@@ -51,23 +50,11 @@ def _rng(label):
 
 
 def _count_checks(monkeypatch, space):
-    """The list each _check_point call of space's class appends to: whether
-    it ran inside retraction.to_set."""
+    """The list each _check_point call of space's class appends to."""
     calls = []
-    inside = [False]
     check = type(space)._check_point
     monkeypatch.setattr(type(space), "_check_point",
-                        lambda self, p: calls.append(inside[0]) or check(self, p))
-    to_set = retraction.to_set
-
-    def counted_to_set(*args):
-        inside[0] = True
-        try:
-            return to_set(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(retraction, "to_set", counted_to_set)
+                        lambda self, p: calls.append(p) or check(self, p))
     return calls
 
 
@@ -98,14 +85,10 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
         assert _merge(space, [*a.points, a.points[0]], 0.0) == a
         assert len(_merge(space, list(a.points), math.inf)) == 1
         assert calls == []
+        # set in, set out on every backend: the marched tuple becomes a set
+        # by to_set on the points the flow built, with no check
         retract(a, n, CFG)
-        if isinstance(space, TreeSpace) or key == "euclidean-1":
-            # set in, set out on a tree and on the line: no to_set, and no check
-            assert calls == []
-        else:
-            # only to_set checks, where a tuple becomes a set
-            assert calls and all(calls)
-            calls.clear()
+        assert calls == []
 
 
 @pytest.mark.parametrize("helper", ["sample_subset", "perturb_subset", "hausdorff_distance"])

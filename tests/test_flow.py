@@ -1,5 +1,4 @@
 import copy
-import inspect
 import itertools
 import math
 import random
@@ -404,16 +403,33 @@ def _branch_inputs(space, rng):
         yield PointTuple(space, (p, near, q)), lam, 2
 
 
+def _tree_branch_inputs(space, rng):
+    # (tuple, step, sweeps) cases on a tree that make a sweep skip two slots
+    # holding equal data, step a pair on one edge apart and to its midpoint,
+    # step two vertices and a point apart, and step pairs exactly 2 lam apart,
+    # which meet.
+    p, q, r = (space.random_point(rng) for _ in range(3))
+    yield PointTuple(space, (p, p, q, r)), 0.1 * space.distance(p, q), 3
+    yield PointTuple(space, (p, r)), 0.5 * space.distance(p, r), 1
+    e = space.topology.edges[-1]
+    ends = PointTuple(space, (space.point((e.id, 0.0)), space.point((e.id, e.length)), p))
+    yield ends, 0.1 * e.length, 2
+    inside = PointTuple(space, (space.point((e.id, 0.1 * e.length)), space.point((e.id, 0.7 * e.length))))
+    for lam in (0.1 * e.length, 0.5 * min_gap(inside), e.length):
+        yield inside, lam, 2
+
+
 def _past_cap(cls, k, rows):
     # The smallest dimension whose march holding k slots in locals, with or
     # without rows, is longer than the source cap.
-    return next(dim for dim in itertools.count(1) if cls._march_source(dim, k, rows) is None)
+    return next(dim for dim in itertools.count(1)
+                if cls._march_source(dim + cls._EXTRA_COORDS, k, rows) is None)
 
 
-# The keys reach every march of both coordinate backends: k = n and 0 < k < n
-# in each listed dimension, k = 0 alone in the smallest dimension where not
-# even n = 2 is unrolled, and the reference _pair_march in the smallest where
-# k = 0 is past the cap too.
+# The keys reach every march of every backend: k = n and 0 < k < n in each
+# listed dimension and on each tree, k = 0 alone in the smallest dimension
+# where not even n = 2 is unrolled, and the reference _pair_march in the
+# smallest where k = 0 is past the cap too.
 LOOPED_KEYS = [f"euclidean-{_past_cap(EuclideanSpace, 2, False)}",
                f"hyperboloid-{_past_cap(HyperboloidSpace, 2, False)}"]
 PAIR_MARCH_KEYS = [f"euclidean-{_past_cap(EuclideanSpace, 0, True)}",
@@ -429,16 +445,15 @@ def _march_slots(space, n):
     # the slots its kernel holds in locals (x{i}_0), or None for _pair_march;
     # checking that the kernel is the one compiled for that k under the cap,
     # and that k is n or k + 1 does not fit.
-    cls, dim = type(space), space.dim
-    kernel = _march_kernel(cls, dim, n)
-    if not inspect.isfunction(kernel):
-        assert all(cls._march_source(dim, k, k < n) is None for k in range(n + 1))
-        assert kernel.func is _pair_march and kernel.args == (space,)
+    cls, count = type(space), len(space.random_point(random.Random(0)).data)
+    kernel = _march_kernel(cls, count, n)
+    if kernel is _pair_march:
+        assert all(cls._march_source(count, k, k < n) is None for k in range(n + 1))
         return None
     k = sum(re.fullmatch(r"x\d+_0", name) is not None for name in kernel.__code__.co_varnames)
-    source = cls._march_source(dim, k, k < n)
+    source = cls._march_source(count, k, k < n)
     assert len(source) <= _MARCH_MAX_SOURCE and kernel is _compile(source, "_march")
-    assert k == n or cls._march_source(dim, k + 1, k + 1 < n) is None
+    assert k == n or cls._march_source(count, k + 1, k + 1 < n) is None
     return k
 
 
@@ -458,15 +473,14 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
         space = make_space(kind, int(dim))
     coordinates = not isinstance(space, TreeSpace)
     ns = list(range(2, 10 if key == "euclidean-17" else 9))
-    if coordinates:
-        # the smallest n that takes a k < n
-        past_cap = next(n for n in itertools.count(2) if _march_slots(space, n) != n)
-        if past_cap not in ns:
-            ns.append(past_cap)
-        shapes = {"pair_march" if k is None else "n" if k == n else "0" if k == 0 else "k"
-                  for n in ns for k in [_march_slots(space, n)]}
-        assert shapes == ({"pair_march"} if key in PAIR_MARCH_KEYS
-                          else {"0"} if key in LOOPED_KEYS else {"n", "k"})
+    # the smallest n that takes a k < n
+    past_cap = next(n for n in itertools.count(2) if _march_slots(space, n) != n)
+    if past_cap not in ns:
+        ns.append(past_cap)
+    shapes = {"pair_march" if k is None else "n" if k == n else "0" if k == 0 else "k"
+              for n in ns for k in [_march_slots(space, n)]}
+    assert shapes == ({"pair_march"} if key in PAIR_MARCH_KEYS
+                      else {"0"} if key in LOOPED_KEYS else {"n", "k"})
     rng = random.Random(f"sweepbits:{key}")
     cases = []
     for n in ns:
@@ -476,7 +490,7 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
             # lam below every starting d/2, between them, and above them all
             cases += [(x, lam, 3) for lam in (0.1 * min(ds), 0.5 * sorted(ds)[len(ds) // 2],
                                               0.6 * max(ds))]
-    edge_cases = list(_branch_inputs(space, rng)) if coordinates else []
+    edge_cases = list((_branch_inputs if coordinates else _tree_branch_inputs)(space, rng))
     if key == "hyperboloid-2":
         # Valid points on one ray far from the apex, where _gap cancels: at
         # 17 and 18 a pair that moves for 60 sweeps, at 18 and 19 one that
@@ -487,31 +501,31 @@ def test_sweep_matches_composed_pair_steps_bit_for_bit(all_spaces, caterpillar_t
             edge_cases.append((x, lam * min_gap(x), sweeps))
             assert _flow_march(*edge_cases[-1], -math.inf)[1] == sweeps
     seen, early = _check_marches(space, cases + edge_cases)
-    assert seen["merged"] and seen["moved"] and early
-    if coordinates:
-        assert seen["equal"] and seen["far"] and seen["tiny"]
-        # The edge cases have at most 4 slots.  In tuples of past_cap + 1
-        # slots, whose march holds k < n slots in locals, they reach every
-        # part of it: after k copies of their first point, their pairs are
-        # first stepped in a row against the locals, then in a row's loop;
-        # in the first k slots (all but the last if k = 0), before copies of
-        # one random point, their pairs are stepped among the locals, and
-        # theirs with that point in the rows.
-        if key not in PAIR_MARCH_KEYS:
-            m = past_cap + 1
-            k = _march_slots(space, m)
-            for pad in ("after copies", "before a random point"):
-                padded = []
-                for x, lam, sweeps in edge_cases:
-                    cycled = itertools.cycle(x.coords)
-                    if pad == "after copies":
-                        pts = [x.coords[0]] * k + [*itertools.islice(cycled, m - k)]
-                    else:
-                        head = k or m - 1
-                        pts = [*itertools.islice(cycled, head), *[space.random_point(rng)] * (m - head)]
-                    padded.append((PointTuple(space, tuple(pts)), lam, sweeps))
-                seen, _ = _check_marches(space, padded)
-                assert all(seen.values()), (pad, seen)
+    # the far and tiny pairs are the coordinate backends' edge cases
+    branches = ["equal", "merged", "moved"] + (["far", "tiny"] if coordinates else [])
+    assert all(seen[b] for b in branches) and early, seen
+    # The edge cases have at most 4 slots.  In tuples of past_cap + 1 slots,
+    # whose march holds k < n slots in locals, they reach every part of it:
+    # after k copies of their first point, their pairs are first stepped in
+    # a row against the locals, then in a row's loop; in the first k slots
+    # (all but the last if k = 0), before copies of one random point, their
+    # pairs are stepped among the locals, and theirs with that point in the
+    # rows.
+    if key not in PAIR_MARCH_KEYS:
+        m = past_cap + 1
+        k = _march_slots(space, m)
+        for pad in ("after copies", "before a random point"):
+            padded = []
+            for x, lam, sweeps in edge_cases:
+                cycled = itertools.cycle(x.coords)
+                if pad == "after copies":
+                    pts = [x.coords[0]] * k + [*itertools.islice(cycled, m - k)]
+                else:
+                    head = k or m - 1
+                    pts = [*itertools.islice(cycled, head), *[space.random_point(rng)] * (m - head)]
+                padded.append((PointTuple(space, tuple(pts)), lam, sweeps))
+            seen, _ = _check_marches(space, padded)
+            assert all(seen[b] for b in branches), (pad, seen)
 
 
 def _check_marches(space, cases):

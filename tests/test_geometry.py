@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -125,36 +126,49 @@ def test_total_sums_left_to_right():
 # n-tuples alone, a k < n march serves every n > k, and k = 0 loops over
 # every pair.  Euclidean 200 and hyperboloid 120 are dimensions whose k = 0
 # march is past the cap; hyperboloid 100, where it fits since the pair step
-# is written in md alone, was past it before.
+# is written in md alone, was past it before.  A tree slot holds two values,
+# (edge id, offset), and every tree runs one kernel per n, which reads the
+# tree's tables when it is called: k = 3 with rows from n = 5 on.
 MARCH_SLOTS = {"euclidean-1": (2, 5, 8, 9), "euclidean-2": (2, 5, 8, 7),
                "euclidean-16": (2, 3, 3, 3), "euclidean-120": (0, 0, 0, 0),
                "hyperboloid-2": (2, 5, 4, 4), "hyperboloid-16": (2, 2, 2, 2),
                "hyperboloid-100": (0, 0, 0, 0),
-               "euclidean-200": (None,) * 4, "hyperboloid-120": (None,) * 4}
+               "euclidean-200": (None,) * 4, "hyperboloid-120": (None,) * 4,
+               "star-tree": (2, 3, 3, 3), "path-tree": (2, 3, 3, 3), "caterpillar": (2, 3, 3, 3)}
 
 
 @pytest.mark.parametrize("key", MARCH_SLOTS)
-def test_march_kernels_stay_under_the_source_cap(key):
-    kind, dim = key.split("-")
-    space = make_space(kind, int(dim))
-    cls, dim = type(space), space.dim
+def test_march_kernels_stay_under_the_source_cap(all_spaces, caterpillar_tree, key):
+    if key == "caterpillar":
+        space = caterpillar_tree
+    elif key in all_spaces:
+        space = all_spaces[key]
+    else:
+        kind, dim = key.split("-")
+        space = make_space(kind, int(dim))
+    # the kernel is keyed by the values a slot holds, read from the data
+    cls, count = type(space), len(space.random_point(_rng(key)).data)
     for n, k in zip((2, 5, 8, 31), MARCH_SLOTS[key]):
-        kernel = _march_kernel(cls, dim, n)
+        kernel = _march_kernel(cls, count, n)
         if k is None:
-            assert all(cls._march_source(dim, j, j < n) is None for j in range(n + 1))
-            assert kernel.func is _pair_march and kernel.args == (space,)
+            assert all(cls._march_source(count, j, j < n) is None for j in range(n + 1))
+            assert kernel is _pair_march
             continue
-        source = cls._march_source(dim, k, k < n)
+        source = cls._march_source(count, k, k < n)
         assert len(source) <= _MARCH_MAX_SOURCE
         assert kernel is _compile(source, "_march") and kernel.__name__ == "_march"
+        # every kernel takes _pair_march's arguments
+        assert [*inspect.signature(kernel).parameters] == [*inspect.signature(_pair_march).parameters]
         # the largest k that fits: n itself, or k + 1 is past the cap
-        assert k == n or cls._march_source(dim, k + 1, k + 1 < n) is None
+        assert k == n or cls._march_source(count, k + 1, k + 1 < n) is None
 
 
 def test_every_n_that_takes_one_k_runs_one_kernel():
-    # hyperboloid:2 holds four slots in locals at n = 7 and at n = 8, and
-    # both run the one kernel compiled for that march.
-    assert _march_kernel(HyperboloidSpace, 2, 7) is _march_kernel(HyperboloidSpace, 2, 8)
+    # hyperboloid:2 (three values a slot) holds four slots in locals at n = 7
+    # and at n = 8, and a tree three from n = 5 on: each runs the one kernel
+    # compiled for that march.
+    assert _march_kernel(HyperboloidSpace, 3, 7) is _march_kernel(HyperboloidSpace, 3, 8)
+    assert _march_kernel(TreeSpace, 2, 5) is _march_kernel(TreeSpace, 2, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from subsetflow import (
     FiniteSubset,
     GeometryError,
     HyperboloidSpace,
+    Point,
     PointTuple,
     SpaceMismatchError,
     hausdorff_distance,
@@ -141,6 +142,19 @@ def test_to_set_chained_cluster(line):
 def test_to_set_tol_zero_keeps_distinct(line):
     x = line_tuple(line, 0.0, 1.0, 3.0)
     assert len(to_set(x, 0.0)) == 3
+
+
+def test_to_set_places_a_tree_vertex_in_its_canonical_form(star_tree):
+    # A tuple may hold a vertex written on another edge than its canonical
+    # one: the hub, node 0, is canonical on edge 0.  to_set checks no point,
+    # but builds the subset make_subset builds, which the constructor takes.
+    x = PointTuple(star_tree, (Point("tree", (2, 0.0)), star_tree.point((1, 0.5))))
+    out = to_set(x, 0.0)
+    assert out == make_subset(star_tree, x.coords, 0.0) == FiniteSubset(star_tree, out.points)
+    assert out.points[0].data == (0, 0.0)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(GeometryError):
+            to_set(x, tol)
 
 
 def test_subset_json_roundtrip(all_spaces):

@@ -81,6 +81,12 @@ def test_scan_config_validation(plane):
     for seed in (1.0, True, "1"):
         with pytest.raises(GeometryError):
             ScanConfig(space=plane, n=3, samples=5, seed=seed)
+    # a space or flow of another type used to build, and fail in the scan as
+    # an AttributeError
+    with pytest.raises(GeometryError):
+        ScanConfig(space="x", n=3, samples=2, seed=0)
+    with pytest.raises(GeometryError):
+        ScanConfig(space=plane, n=3, samples=2, seed=0, flow="fast")
 
 
 def test_check_result_json_hides_nonfinite():
