@@ -6,9 +6,10 @@ cyclic sweeps of two-coordinate resolvents, each of which has a closed
 form: both coordinates move toward each other along their geodesic, and
 land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
-:mod:`subsetflow.retraction` is made of, except for two points, which meet
+:mod:`subsetflow.retraction` is made of, except where
+``geometry._merges_exactly`` says a merge does not march: two points meet
 at their geodesic midpoint at half their distance, and on a metric tree and
-on the line, where the flow itself is run exactly to its first collision.
+on the line the flow itself is run exactly to its first collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, _check_count,
-                       _compile, _gaps, _merges_exactly, _total)
+                       _check_type, _compile, _gaps, _merges_exactly, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -56,12 +57,11 @@ class FlowConfig:
     """Knobs for the splitting flow and the merge march.
 
     sweeps_per_run: resolvent sweeps used to cover one flow run; the merge
-    march uses the same count to cover its half-gap horizon (a tree, the
-    line and two points, which meet at their midpoint, do not march).
+    march uses the same count to cover its half-gap horizon.
     merge_tolerance: a gap at or below this fraction of the starting min
-    gap counts as merged.  A tree and the line do not read it: their flow
-    runs exactly to the collision, and their retract collapses no other gap.
-    Nor does the merge of two points, which ends with both at one point.
+    gap counts as merged.  A merge that does not march
+    (``_merges_exactly``) reads neither: it runs exactly to the collision,
+    and its retract collapses no other gap.
     max_doublings: how many times an adaptive run may double its sweep count.
     """
 
@@ -278,17 +278,16 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
 def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     """Run the flow forward until some pair of coordinates merges.
 
-    Two distinct points move toward each other at unit speed along their
-    geodesic, on every backend, so they meet at its midpoint at half their
-    distance d: the result is ``d/2`` and both slots sharing one point,
-    ``geodesic_point(p, q, 0.5)``, with no march.  ``cfg`` is not read for
-    them.
-
-    On a metric tree and on the line the flow is run exactly to its first
-    collision (the space's ``_first_collision``): the returned time is that
+    Where ``_merges_exactly(x.space, len(x))`` holds, nothing marches and
+    ``cfg`` plays no part: no ``sweeps_per_run``, no ``merge_tolerance``
+    threshold, no forced snap.  Two distinct points move toward each other
+    at unit speed along their geodesic, on every backend, so they meet at
+    its midpoint at half their distance d: the result is ``d/2`` and both
+    slots sharing one point, ``geodesic_point(p, q, 0.5)``.  More points on
+    a metric tree or on the line run the exact flow to its first collision
+    (the space's ``_first_collision``): the returned time is that
     collision's, at most ``min_gap(x)/2``, and the points that met share
-    one point.  ``cfg`` plays no part there: no ``sweeps_per_run``, no
-    ``merge_tolerance`` threshold, no forced snap.
+    one point.
 
     Elsewhere the splitting sweeps march the flow, and the result is the
     first time a pairwise gap falls to ``merge_tolerance`` times the
@@ -313,6 +312,8 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     the pair to snap.  The result keeps every bit of a march that measures
     the gaps after every sweep.
     """
+    _check_type("x", x, PointTuple)
+    _check_type("cfg", cfg, FlowConfig)
     if len(x) < 2:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
@@ -321,12 +322,12 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     delta = min(ds)
     if delta == 0.0:
         return 0.0, x
-    if len(data) == 2:
+    if _merges_exactly(space, len(data)):
+        if len(data) > 2:
+            t, data = space._first_collision(data, ds)
+            return t, _wrap(x, data)
         mid = space._interp(data[0], data[1], 0.5, delta)
         return 0.5 * delta, _wrap(x, [mid, mid])
-    if _merges_exactly(space):
-        t, data = space._first_collision(data, ds)
-        return t, _wrap(x, data)
     threshold = cfg.merge_tolerance * delta
     max_sweeps = cfg.sweeps_per_run
     lam = delta / (2.0 * max_sweeps)

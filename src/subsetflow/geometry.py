@@ -33,16 +33,17 @@ module's ``_pair_step(space, pd, qd, lam)``, written once over the kernels;
 the hyperboloid writes its own in closed form in the squared gap md = 4
 sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
 ``_gaps(space, data)`` is ``_gap`` over every pair.
-A tree's merge does not march, nor does the line's (``_merges_exactly``):
-``merge_time`` calls ``_first_collision(data, gaps)``, the exact flow to the
-first collision, whose first event on a tree reuses those gaps.  Every tree
-kernel reads an edge by its id from one table (its ends, its length and
-both ends' rows of node distances); the tree ``_gap`` builds no route, and
-its ``_interp`` builds one (``_route``).  The exact tree flow takes every
-point's motion (``_motion``, one pass over every point's edge id) at its
-first event and afterwards only for a point placed on a vertex: until two
-points meet, no point passes another, so every other point keeps the
-counts that set its motion.
+``_merges_exactly(space, n)`` alone decides which merges do not march: two
+points, which meet at their midpoint, and any number on a tree and on the
+line, where ``merge_time`` calls ``_first_collision(data, gaps)``, the exact
+flow to the first collision, whose first event on a tree reuses those gaps.
+Every tree kernel reads an edge by its id from one table (its ends, its
+length and both ends' rows of node distances); the tree ``_gap`` builds no
+route, and its ``_interp`` builds one (``_route``).  The exact tree flow
+takes every point's motion (``_motion``, one pass over every point's edge
+id) at its first event and afterwards only for a point placed on a vertex:
+until two points meet, no point passes another, so every other point keeps
+the counts that set its motion.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -121,6 +122,12 @@ def _check_count(what: str, k, least: int) -> None:
     # as it is; a bool is an int to isinstance, but no count.
     if not isinstance(k, int) or isinstance(k, bool) or k < least:
         raise GeometryError(f"{what} must be an integer >= {least}, got {k!r}")
+
+
+def _check_type(what: str, value, cls: type) -> None:
+    # An argument of another type would fail deep in its caller as an AttributeError.
+    if not isinstance(value, cls):
+        raise GeometryError(f"{what} must be a {cls.__name__}, got {value!r}")
 
 
 def _real(v) -> bool:
@@ -1191,9 +1198,9 @@ else:
 SpaceDescriptor = Union[EuclideanSpace, HyperboloidSpace, TreeSpace]
 
 
-def _merges_exactly(space: SpaceDescriptor) -> bool:
-    # Whether merge_time runs space._first_collision, not a march: on a tree and on the line.
-    return isinstance(space, TreeSpace) or (type(space) is EuclideanSpace and space.dim == 1)
+def _merges_exactly(space: SpaceDescriptor, n: int) -> bool:
+    # Whether an n-point merge runs no march: two points anywhere, any n on a tree or the line.
+    return n == 2 or isinstance(space, TreeSpace) or (type(space) is EuclideanSpace and space.dim == 1)
 
 
 def make_space(kind: str, dim: int | None = None, tree: TreeTopology | None = None) -> SpaceDescriptor:

@@ -2,15 +2,13 @@
 
 A subset of full cardinality n is flowed until some pair of its points
 merges and collapsed back to a subset; anything smaller is already in the
-target space and passes through untouched.  On a metric tree and on the
-line the flow runs exactly, from the set's points in their canonical order
-(it needs no numbering), and the output is the set of points where it
-stops: the points that met share one point, and no tolerance merges
-anything else.  On the other euclidean and hyperboloid spaces the set is
-numbered as a tuple with its closest pair first, marched by the splitting
-sweeps, and collapsed with a tolerance proportional to its starting min
-gap.  On every backend a two-point set is not marched: its points meet at
-their geodesic midpoint, so the output is that one point.
+target space and passes through untouched.  Where the merge runs no march
+(``geometry._merges_exactly``), the flow runs exactly from the set's points
+in their canonical order (it needs no numbering), and the output is the set
+of points where it stops: the points that met share one point, and no
+tolerance merges anything else.  Elsewhere the set is numbered as a tuple
+with its closest pair first, marched by the splitting sweeps, and collapsed
+with a tolerance proportional to its starting min gap.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GeometryError, _check_count, _merges_exactly
+from .geometry import GeometryError, _check_count, _check_type, _merges_exactly
 from .flow import FlowConfig, merge_time
 # min_gap is no longer called here, but stays a name of this module:
 # bench/spans.py wraps retraction.min_gap when it traces a run.
@@ -62,29 +60,31 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     """Retract a subset of at most n points onto at most n-1 points.
 
     Subsets with fewer than n points are returned unchanged.  A full
-    n-point subset is flowed by ``merge_time`` until a pair merges.  On a
-    tree and on the line the flow starts from the points in their canonical
-    order and runs exactly, and ``cfg`` is not read: the output is the set
-    of distinct points it stops at, in sort-key order, with no ``to_set``
-    and no tolerance, so a third point however close to the pair is kept.
+    n-point subset is flowed by ``merge_time`` until a pair merges.  Where
+    that merge runs no march (``_merges_exactly``: two points, or a tree or
+    the line), the flow starts from the points in their canonical order and
+    runs exactly, and ``cfg`` is not read: the output is the set of distinct
+    points it stops at, in sort-key order, with no ``to_set`` and no
+    tolerance, so a third point however close to the pair is kept.
+
     Elsewhere the subset is ordered with its closest pair first, marched by
     sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
-    min gap, which removes at least one point.  For n = 2 ``merge_time``
-    marches nothing and reads no ``cfg``: the two points meet at their
-    geodesic midpoint at half their distance, and that point is the output.
+    min gap, which removes at least one point.
     """
+    _check_type("a", a, FiniteSubset)
+    _check_type("cfg", cfg, FlowConfig)
     _check_count("n", n, 2)
     if len(a) > n:
         raise GeometryError(f"subset has {len(a)} points, more than the bound {n}")
     if len(a) < n:
         return RetractReport(input=a, output=a, merge_time_used=0.0)
-    if _merges_exactly(a.space):
+    if _merges_exactly(a.space, n):
         # a's points were checked when a was built, so they go in as a tuple
         # and come out as a set by _set_of, with no second check.  The points
-        # that met share one Point, and two points at one place are equal
-        # data (a tree place has one canonical form; on the line -0.0 ==
-        # 0.0), so the distinct Points are the output set: to_set at
-        # tolerance 0 would merge only those.
+        # that met share one Point (two points share their midpoint), and two
+        # points at one place are equal data (a tree place has one canonical
+        # form; on the line -0.0 == 0.0), so the distinct Points are the
+        # output set: to_set at tolerance 0 would merge only those.
         t_star, merged = merge_time(_built(PointTuple, space=a.space, coords=a.points), cfg)
         out = _set_of(a.space, dict.fromkeys(merged.coords))
         return RetractReport(input=a, output=out, merge_time_used=t_star)

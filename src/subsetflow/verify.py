@@ -8,13 +8,13 @@ be evaluated in any order or in parallel without changing the outcome.
 and kept, runs the suite's odd-indexed rows while the caller runs the even
 ones, and the caller merges them in suite order into the bytes a
 one-process run gives.  ``lipschitz_scan`` does the same with its trials
-when the retract marches: at least two trials, n >= 3, and a space that
-does not merge exactly (not a tree, not the line).  A call to a running
+when it has at least two and its retract marches, that is where
+``geometry._merges_exactly(space, n)`` is False.  A call to a running
 helper is a pipe round trip of about 70 us back to back, but 240 to 250 us
 after a millisecond or more of work in the caller, as in a scan: it waits
-for the idle helper to wake.  A two-point retract is a closed-form
-midpoint, and a tree or line retract runs the exact flow, so a scan of
-those holds too little work to pay that and stays in one process, as
+for the idle helper to wake.  A retract that does not march is a
+closed-form midpoint or the exact flow, so a scan of those holds too
+little work to pay that and stays in one process, as
 ``convergence_study`` does.  The helper runs the package as
 it was when it was forked, and a split that finds a binding of the
 package changed since then forks a fresh one (``_run_split``).  Work
@@ -42,7 +42,8 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from .geometry import GeometryError, SpaceDescriptor, _check_count, _merges_exactly, _toward
+from .geometry import (GeometryError, SpaceDescriptor, _check_count, _check_type, _merges_exactly,
+                       _toward)
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -105,8 +106,7 @@ class ScanConfig:
         # a space or flow of another type would fail in a scan as an AttributeError
         if not isinstance(self.space, SpaceDescriptor):
             raise GeometryError(f"space must be a space descriptor, got {self.space!r}")
-        if not isinstance(self.flow, FlowConfig):
-            raise GeometryError(f"flow must be a FlowConfig, got {self.flow!r}")
+        _check_type("flow", self.flow, FlowConfig)
         _check_count("scan n", self.n, 2)
         _check_count("samples", self.samples, 1)
         # the seed is written into every generator's seed text, where 1.0
@@ -622,15 +622,15 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
     common subset, so both far-apart and nearby regimes are exercised.
     Degenerate pairs (Hausdorff gap at most 1e-12) are counted, not kept.
 
-    The trials are ``_scan_jobs``.  When the retract marches (two or more
-    trials, n >= 3, a space that does not merge exactly) they run through
+    The trials are ``_scan_jobs``.  When there are two or more and the
+    retract marches (``_merges_exactly(space, n)`` is False) they run through
     ``_run_split``, the helper process taking the odd-indexed trials; the
     row has the bytes of a one-process run, and a failing trial raises
     what a one-process run raises.
     """
     args = (space, n, seed, samples, flow_cfg, perturbation_scale)
-    marches = samples >= 2 and n >= 3 and not _merges_exactly(space)
-    outcomes = _run_split(_scan_jobs, args) if marches else [job() for job in _scan_jobs(*args)]
+    split = samples >= 2 and not _merges_exactly(space, n)
+    outcomes = _run_split(_scan_jobs, args) if split else [job() for job in _scan_jobs(*args)]
     kept = [(ratio, lambda a=a, b=b: {"a": a.to_json(), "b": b.to_json()})
             for ratio, a, b in filter(None, outcomes)]
     return _row("lipschitz_ratio", kept, lipschitz_constant_bound(n),

@@ -85,8 +85,8 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
         assert _merge(space, [*a.points, a.points[0]], 0.0) == a
         assert len(_merge(space, list(a.points), math.inf)) == 1
         assert calls == []
-        # set in, set out on every backend: the marched tuple becomes a set
-        # by to_set on the points the flow built, with no check
+        # set in, set out on every backend: the points the flow built become
+        # a set (by to_set after a march, else as they are) with no check
         retract(a, n, CFG)
         assert calls == []
 
@@ -228,6 +228,28 @@ def test_integral_numbers_still_read(plane, star_tree):
     assert star_tree.point_from_json({"edge": 2, "offset": 1}).data == (2, 1.0)
     topo = TreeTopology.from_json([dict(STAR_EDGES[0], length=2), STAR_EDGES[1]])
     assert topo.edges[0].length == 2.0
+
+
+# ---------------------------------------------------------------------------
+# arguments of another type: refused on entry as a GeometryError, before any
+# branch, so also where the branch taken would not read them (two points)
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("key", SPACE_KEYS)
+def test_retract_and_merge_time_refuse_arguments_of_another_type(all_spaces, key, n):
+    space = all_spaces[key]
+    rng = _rng(f"types:{key}:{n}")
+    a, x = sample_subset(space, n, rng), sample_tuple(space, n, rng)
+    for args in ((x, n), (PointTuple, n), (list(a.points), n), (a, n, "fast"), (a, n, None)):
+        with pytest.raises(GeometryError):
+            retract(*args)
+    for args in ((a, CFG), (FiniteSubset, FlowConfig()), (list(x.coords), CFG), (x, None),
+                 (x, "fast")):
+        with pytest.raises(GeometryError):
+            merge_time(*args)
+    # the checks leave every well-typed call as it was
+    assert retract(a, n, CFG).output_cardinality < n
+    assert merge_time(x, CFG)[0] <= 0.5 * min_gap(x) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,7 +25,7 @@ from subsetflow import (
     retract,
     to_set,
 )
-from subsetflow import subset_space
+from subsetflow import retraction, subset_space
 from oracles import hyperboloid_distance_decimal
 from test_flow import _exact_flow_inputs, _five_leg_star
 
@@ -430,6 +430,91 @@ def test_tree_retract_runs_no_clustering_and_no_json(star_tree, caterpillar_tree
     monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
     for a, n, want in cases:
         assert retract(a, n).output == want
+
+
+TWO_POINT_SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+TWO_POINT_CONFIGS = tuple(FlowConfig(sweeps_per_run=k, merge_tolerance=tol)
+                          for k in (4, 256) for tol in (1e-6, 0.5, 0.999))
+
+
+def _apex_point(space, v):
+    # The hyperboloid point sinh|v| v/|v| (x0 derived), |v| from the apex along v.
+    r = math.hypot(*v)
+    spatial = [0.0] * len(v) if r == 0.0 else [math.sinh(r) * c / r for c in v]
+    return space.point((math.sqrt(1.0 + sum(c * c for c in spatial)), *spatial))
+
+
+def _two_point_sets(star_tree, caterpillar_tree):
+    """Seeded two-point sets on euclidean:1-3, hyperboloid:1-3 and two trees, at five scales.
+
+    A euclidean pair is c g and c g + s g' for gaussian g, g' and c, s among
+    the scales.  A hyperboloid pair is v and v + s g' mapped from the apex by
+    _apex_point, each vector cut back to length 15.  A tree pair sits on the
+    star or the caterpillar with its edge lengths times s, some points on a
+    vertex (test_flow's _exact_flow_inputs).  A pair that rounds to one
+    point is left out.
+    """
+    rng = random.Random("twopointbytes")
+    for dim in (1, 2, 3):
+        for space in (EuclideanSpace(dim), HyperboloidSpace(dim)):
+            for c in TWO_POINT_SCALES:
+                for s in TWO_POINT_SCALES:
+                    for _ in range(6):
+                        g = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+                        h = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+                        if isinstance(space, EuclideanSpace):
+                            pts = [space.point([c * a for a in g]),
+                                   space.point([c * a + s * b for a, b in zip(g, h)])]
+                        else:
+                            v = [rng.uniform(0.0, 15.0) * a / math.hypot(*g) for a in g]
+                            w = [a + s * b for a, b in zip(v, h)]
+                            if math.hypot(*w) > 15.0:
+                                w = [15.0 * a / math.hypot(*w) for a in w]
+                            pts = [_apex_point(space, v), _apex_point(space, w)]
+                        a = make_subset(space, pts)
+                        if len(a) == 2:
+                            yield a
+    for tree in (star_tree, caterpillar_tree):
+        for s in TWO_POINT_SCALES:
+            scaled = TreeSpace(TreeTopology(tuple(
+                TreeEdge(e.id, e.from_node, e.to_node, s * e.length) for e in tree.topology.edges)))
+            for k in range(30):
+                data = _exact_flow_inputs(scaled, rng, 2, k % 3)
+                yield make_subset(scaled, [scaled.point(d) for d in data])
+
+
+# sha256 over the sorted-key JSON of every two-point retract of
+# _two_point_sets under every TWO_POINT_CONFIGS entry, one line each, as the
+# code printed them when only trees and the line took retract's exact branch
+TWO_POINT_DIGEST = "19611b5a8936d00399aa46099ce605214f316ba960b9a5688fbc0e1ca1c71d28"
+
+
+def test_two_point_retract_bytes(star_tree, caterpillar_tree):
+    sets = list(_two_point_sets(star_tree, caterpillar_tree))
+    assert len(sets) >= 1000
+    digest = hashlib.sha256()
+    for a in sets:
+        for cfg in TWO_POINT_CONFIGS:
+            report = retract(a, 2, cfg)
+            assert report.output_cardinality == 1
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == TWO_POINT_DIGEST
+
+
+def test_two_point_retract_does_not_number_or_collapse(star_tree, caterpillar_tree, monkeypatch):
+    # Two points take retract's exact branch on every backend: merge_time
+    # meets them at their midpoint, and no numbering or tolerance is needed.
+    sets = list(_two_point_sets(star_tree, caterpillar_tree))[::7]
+    want = [retract(a, 2).to_json() for a in sets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-point retract numbered or collapsed its set")
+
+    monkeypatch.setattr(retraction, "order_tuple", refuse)
+    monkeypatch.setattr(retraction, "to_set", refuse)
+    for a, report in zip(sets, want):
+        for cfg in TWO_POINT_CONFIGS:
+            assert retract(a, 2, cfg).to_json() == report
 
 
 def _plane_isometry(rng):

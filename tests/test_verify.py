@@ -21,6 +21,7 @@ from subsetflow import (
     EuclideanSpace,
     FlowConfig,
     GeometryError,
+    HyperboloidSpace,
     Point,
     ScanConfig,
     ScanReport,
@@ -34,9 +35,13 @@ from subsetflow import (
     lipschitz_scan,
     make_space,
     make_subset,
+    merge_time,
+    retract,
     to_set,
 )
+import subsetflow.retraction as retraction
 import subsetflow.verify as verify
+from subsetflow.geometry import _merges_exactly
 from subsetflow.verify import (
     RESOLVENT_INEQ_TOL,
     check_cat0,
@@ -701,6 +706,47 @@ def test_scans_that_do_not_march_do_not_fork(all_spaces, caterpillar_tree, fork_
     lipschitz_scan(ScanConfig(space=all_spaces["euclidean-2"], n=3, samples=2, seed=38))
     assert fork_log() == [str(os.getpid())]
     _assert_no_child_left()
+
+
+# _merges_exactly(space, n) at n = 2, 3 and 8: two points merge exactly on
+# every backend, the line and a tree at every n; hyperboloid:1 marches from
+# n = 3 until it merges by the line's closed form (ROADMAP item 22)
+MERGES_EXACTLY = {
+    "euclidean-1": (True, True, True),
+    "euclidean-2": (True, False, False),
+    "hyperboloid-1": (True, False, False),
+    "hyperboloid-2": (True, False, False),
+    "star-tree": (True, True, True),
+}
+
+
+def test_one_predicate_decides_which_merges_march(all_spaces, monkeypatch):
+    # merge_time marches, retract numbers its set and a scan splits its
+    # trials exactly where _merges_exactly is False (a scan: with two or
+    # more trials).
+    spaces = dict(all_spaces, **{"hyperboloid-1": HyperboloidSpace(1)})
+    cfg = FlowConfig(sweeps_per_run=4)
+    marches, numbered, splits = [], [], []
+    for cls in {type(space) for space in spaces.values()}:
+        inner = cls._march
+        monkeypatch.setattr(cls, "_march", lambda *args, inner=inner: marches.append(1) or inner(*args))
+    order = verify.order_tuple
+    monkeypatch.setattr(retraction, "order_tuple", lambda *args: numbered.append(1) or order(*args))
+    monkeypatch.setattr(verify, "_run_split",
+                        lambda make, args: splits.append(1) or [job() for job in make(*args)])
+    for key, row in MERGES_EXACTLY.items():
+        space = spaces[key]
+        rng = random.Random(f"mergesexactly:{key}")
+        for n, exact in zip((2, 3, 8), row):
+            assert _merges_exactly(space, n) is exact, (key, n)
+            marches.clear(), numbered.clear()
+            merge_time(sample_tuple(space, n, rng), cfg)
+            retract(sample_subset(space, n, rng), n, cfg)
+            assert (bool(marches), bool(numbered)) == (not exact, not exact), (key, n)
+            for samples in (1, 2, 3):
+                splits.clear()
+                check_lipschitz_ratio(space, n, 38, samples, cfg, 0.05)
+                assert bool(splits) == (not exact and samples >= 2), (key, n, samples)
 
 
 def _failing_retract(space, n, seed, failures):
