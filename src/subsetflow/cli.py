@@ -86,10 +86,10 @@ def _points(ns: argparse.Namespace, cls, field: str):
 # Each flow flag: the FlowConfig field it sets, its type and its help.  A
 # command takes only the flags whose fields it reads.
 _FLOW_FLAGS = {
-    "--k": ("sweeps_per_run", int, "sweeps per unit run (a merge on a tree or the line runs the "
-            "exact flow, and two points meet at their midpoint at d/2)"),
+    "--k": ("sweeps_per_run", int, "sweeps per unit run (a merge on a tree, the line or "
+            "hyperboloid:1 runs the exact flow, and two points meet at their midpoint at d/2)"),
     "--merge-tol": ("merge_tolerance", float, "merged-gap fraction of the starting min gap "
-                    "(not read on a tree, on the line or for two points)"),
+                    "(not read on a tree, the line, hyperboloid:1 or two points)"),
     "--max-doublings": ("max_doublings", int, None),
 }
 

@@ -8,8 +8,9 @@ land together on the midpoint once they are close enough.  Marching the
 sweeps forward in time until a gap collapses is what the retraction in
 :mod:`subsetflow.retraction` is made of, except where
 ``geometry._merges_exactly`` says a merge does not march: two points meet
-at their geodesic midpoint at half their distance, and on a metric tree and
-on the line the flow itself is run exactly to its first collision.
+at their geodesic midpoint at half their distance, and on a metric tree, on
+the line and on hyperboloid:1 the flow itself is run exactly to its first
+collision.
 
 A run holds its state as a list of bare coordinate data, the ``Point.data``
 of each slot, and steps it with the space's private kernels; it builds
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, _check_count,
-                       _check_type, _compile, _gaps, _merges_exactly, _total)
+                       _check_type, _compile, _gaps, _merges_exactly, _real, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -71,7 +72,7 @@ class FlowConfig:
 
     def __post_init__(self) -> None:
         _check_count("sweeps_per_run", self.sweeps_per_run, 1)
-        if not 0.0 < self.merge_tolerance < 1.0:
+        if not (_real(self.merge_tolerance) and 0.0 < self.merge_tolerance < 1.0):
             raise GeometryError("merge_tolerance must lie in (0, 1)")
         _check_count("max_doublings", self.max_doublings, 0)
 
@@ -131,14 +132,17 @@ def pair_resolvent(x: PointTuple, i: int, j: int, lam: float) -> PointTuple:
     Both coordinates move distance min(lam, d/2) toward each other along
     their geodesic; all other coordinates are untouched.
     """
+    _check_type("x", x, PointTuple)
+    _check_count("pair index i", i, 0)
+    _check_count("pair index j", j, 0)
     n = len(x)
-    if not 0 <= i < n or not 0 <= j < n:
+    if i >= n or j >= n:
         raise GeometryError(f"pair indices ({i}, {j}) out of range for a {n}-tuple")
     if i == j:
         raise GeometryError("pair indices must differ")
     if i > j:
         raise GeometryError("pair indices must be given as i < j")
-    if not 0.0 < lam < math.inf:
+    if not (_real(lam) and 0.0 < lam < math.inf):
         raise GeometryError("step size must be positive and finite")
     data = [p.data for p in x.coords]
     if data[i] != data[j]:
@@ -167,19 +171,20 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
 
 def sweep(x: PointTuple, lam: float) -> PointTuple:
     """One full cycle of pair resolvents over every coordinate pair."""
-    if not lam > 0.0:
+    if not (_real(lam) and lam > 0.0):
         raise GeometryError("step size must be positive")
     return splitting_flow(x, lam, 1)
 
 
 def _check_time(t: float) -> None:
-    # NaN fails the comparison too.
-    if not 0.0 <= t < math.inf:
-        raise GeometryError(f"flow time must be finite and >= 0, got {t}")
+    # NaN fails the comparison too, and text is no time.
+    if not (_real(t) and 0.0 <= t < math.inf):
+        raise GeometryError(f"flow time must be a finite number >= 0, got {t!r}")
 
 
 def splitting_flow(x: PointTuple, t: float, k: int) -> PointTuple:
     """Time-t flow approximated by k resolvent sweeps of step t/k."""
+    _check_type("x", x, PointTuple)
     _check_time(t)
     _check_count("sweep count", k, 1)
     if t == 0.0 or len(x) < 2:
@@ -255,6 +260,8 @@ def flow_adaptive(x: PointTuple, t: float, cfg: FlowConfig) -> FlowReport:
     counts as converged.  As in ``merge_time``, a tuple with a pairwise
     distance that is not finite is rejected.
     """
+    _check_type("x", x, PointTuple)
+    _check_type("cfg", cfg, FlowConfig)
     _check_time(t)
     ds = _finite_gaps(x.space, [p.data for p in x.coords])
     if t == 0.0 or len(x) < 2:
@@ -284,9 +291,10 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     at unit speed along their geodesic, on every backend, so they meet at
     its midpoint at half their distance d: the result is ``d/2`` and both
     slots sharing one point, ``geodesic_point(p, q, 0.5)``.  More points on
-    a metric tree or on the line run the exact flow to its first collision
-    (the space's ``_first_collision``): the returned time is that
-    collision's, at most ``min_gap(x)/2``, and the points that met share
+    a metric tree, on the line or on hyperboloid:1 run the exact flow to its
+    first collision (the space's ``_first_collision``): the returned time is
+    that collision's, at most ``min_gap(x)/2`` (on hyperboloid:1 half the
+    smallest gap in arclength, asinh(x1)), and the points that met share
     one point.
 
     Elsewhere the splitting sweeps march the flow, and the result is the
@@ -612,11 +620,12 @@ def full_resolvent_oracle(x: PointTuple, lam: float) -> PointTuple:
     included, the resolvent is the centroid, and it is returned as such.  A
     tuple with a pairwise distance that is not finite is rejected.
     """
+    _check_type("x", x, PointTuple)
     space = x.space
     n = len(x)
     if not oracle_supports(space, n):
         raise GeometryError("the reference resolvent supports only euclidean tuples with n*dim <= 8")
-    if not lam > 0.0:
+    if not (_real(lam) and lam > 0.0):
         raise GeometryError("step size must be positive")
     if n < 2:
         return x

@@ -34,9 +34,10 @@ the hyperboloid writes its own in closed form in the squared gap md = 4
 sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
 ``_gaps(space, data)`` is ``_gap`` over every pair.
 ``_merges_exactly(space, n)`` alone decides which merges do not march: two
-points, which meet at their midpoint, and any number on a tree and on the
-line, where ``merge_time`` calls ``_first_collision(data, gaps)``, the exact
-flow to the first collision, whose first event on a tree reuses those gaps.
+points, which meet at their midpoint, and any number on a tree, on the line
+and on hyperboloid:1, where ``merge_time`` calls ``_first_collision(data,
+gaps)``, the exact flow to the first collision, whose first event on a tree
+reuses those gaps; hyperboloid:1 runs the line's in arclength.
 Every tree kernel reads an edge by its id from one table (its ends, its
 length and both ends' rows of node distances); the tree ``_gap`` builds no
 route, and its ``_interp`` builds one (``_route``).  The exact tree flow
@@ -58,7 +59,9 @@ shape: the values of slots 0..k-1 in locals for the whole march, and each
 later slot in a row that steps it against them and loops over the rest,
 for the largest k <= n whose source fits under ``_MARCH_MAX_SOURCE``
 characters, else ``_pair_march``.  A tree's template shares with
-``_interp`` the walk past an edge's end (``_walk``).  Every march keeps
+``_interp`` the walk past an edge's end (``_walk``), and the hyperboloid's
+lifts both ends of every step in one place and turns its sweep's smallest
+md into ``low`` once, at the sweep's end.  Every march keeps
 ``_pair_step``'s bits.
 """
 
@@ -245,6 +248,8 @@ def _geodesic_point(space, p: Point, q: Point, t: float) -> Point:
     # Bound as each backend's public geodesic_point.
     space._check_point(p)
     space._check_point(q)
+    if not _real(t):
+        raise GeometryError(f"geodesic parameter must be a number, got {t!r}")
     _check_t(t)
     if p == q:
         return p
@@ -319,8 +324,9 @@ class _MarchingSpace:
     its ``_pair_step``'s float operations in their order; ``_MARCH_UNROLL``,
     its fields written out once per value; ``_MARCH_SETUP``, the line that
     reads a march's per-step constants from ``space`` and ``lam`` once, and
-    ``_MARCH_FRESH``, the line that starts each sweep's ``low`` if not
-    ``low = inf``.  ``_march_source`` builds every march from them in one
+    ``_MARCH_SETTLE``, empty or a line that ends each sweep, which turns
+    what its pair steps kept in ``low`` into the sweep's smallest distance.
+    ``_march_source`` builds every march from them in one
     shape, and ``self._march`` runs the one with the largest k <=
     ``len(coords)`` that fits under ``_MARCH_MAX_SOURCE``, else the reference
     march ``_pair_march`` (``_march_kernel``).  Every march has
@@ -328,7 +334,7 @@ class _MarchingSpace:
     """
 
     _MARCH_UNROLL: ClassVar[dict] = {}
-    _MARCH_FRESH: ClassVar[str] = "low = inf"
+    _MARCH_SETTLE: ClassVar[str] = ""
 
     def _march(self, coords: list[tuple], lam: float, sweeps: int,
                watch: float) -> tuple[int, float]:
@@ -340,7 +346,7 @@ class _MarchingSpace:
 def _march(space, coords, lam, sweeps, watch):{load}
     {setup}
     for done in range(1, sweeps + 1):
-        {fresh}{pairs}{rows}
+        low = inf{pairs}{rows}{settle}
         if low <= watch:
             break{store}
     return done, low
@@ -390,7 +396,7 @@ def _march(space, coords, lam, sweeps, watch):{load}
             load=f"\n    {slots}, = coords{cut}" if k else "", rows=section,
             pairs="".join(cls._pair(x[i], x[j]) for j in range(1, k) for i in range(j)),
             store=f"\n    coords{cut or '[:]'} = {slots}," if k else "",
-            setup=cls._MARCH_SETUP, fresh=cls._MARCH_FRESH)
+            setup=cls._MARCH_SETUP, settle=cls._MARCH_SETTLE)
         return source if len(source) <= _MARCH_MAX_SOURCE else None
 
 
@@ -537,8 +543,9 @@ class HyperboloidSpace(_CoordinateSpace):
     (``_lift``).  The pair step and ``_gap`` read a pair through its squared
     gap md = 4 sinh^2(d/2) alone (``_squared_gap``): the step's weights are
     algebraic in md and in sinh and exp of the step, computed once per march,
-    so a pair step calls no sinh, and a sweep takes asinh only where a pair
-    lowers its smallest md.
+    so a pair step calls no sinh, and a march sweep takes asinh once, of its
+    smallest md.  In dimension 1 a merge runs the line's exact flow in
+    arclength (``_first_collision``).
     """
 
     kind: ClassVar[str] = "hyperboloid"
@@ -625,41 +632,38 @@ class HyperboloidSpace(_CoordinateSpace):
                 _lift([wp * b + wq * a for a, b in zip(pd[1:], qd[1:])]), d)
 
     # The pair step, _pair_step inlined with every float operation in its
-    # order, its per-step constants computed once per march.  The spatial
-    # coordinates are blended in place and each x0 is derived as _lift
-    # does, an overflowing or NaN n2 refused.  A sweep keeps its smallest md
-    # in mlow and takes low from it only when a pair lowers it, with _gap's
-    # formula: asinh is increasing, so that low is the smallest d.
+    # order, its per-step constants computed once per march.  A pair at a
+    # finite md meets (md <= sl2 <= the largest float) or moves, its spatial
+    # coordinates set in place, and then both ends take x0 as _lift derives
+    # it, an overflowing or NaN sum at either end refused in one test (n2 <
+    # inf > m2 fails on inf and on NaN); the ends of a meeting pair sum the
+    # same values.  The lift is written here once, not called: a call of
+    # _lift costs more than the whole meet.  Within a sweep low holds the
+    # smallest md, and the sweep's end turns it into a distance once, with
+    # _gap's formula: asinh is increasing, so that low is the smallest d.
     _MARCH_SETUP: ClassVar[str] = "sl, el, sl2 = _step_weights(lam)"
-    _MARCH_FRESH: ClassVar[str] = "low = mlow = inf"
+    _MARCH_SETTLE: ClassVar[str] = (
+        "\n        low = 0.0 if low <= 0.0 else 2.0 * asinh(0.5 * sqrt(low))")
     _MARCH_PAIR: ClassVar[str] = """
         if {same}:
-            low = mlow = 0.0
+            low = 0.0
         else:
             c = {a0} - {b0}; md = -c * c; {md}
-            if md < mlow:
-                mlow = md
-                low = 0.0 if md <= 0.0 else 2.0 * asinh(0.5 * sqrt(md))
-            if md <= sl2:
-                w = 0.5 / sqrt(1.0 + 0.25 * md) if md > 0.0 else 0.5
-                {meet}
-                n2 = 1.0; {norm_a}
-                if not n2 < inf:
+            if md < low:
+                low = md
+            if md < inf:
+                if md <= sl2:
+                    w = 0.5 / sqrt(1.0 + 0.25 * md) if md > 0.0 else 0.5
+                    {meet}
+                else:
+                    sh = md * sqrt(0.25 + 1.0 / md)
+                    wq = sl / sh
+                    wp = el - wq / (1.0 + 0.5 * md + sh)
+                    {blend}
+                n2 = m2 = 1.0; {norm}
+                if not n2 < inf > m2:
                     raise GeometryError(_OVERFLOW)
-                {a0} = {b0} = sqrt(n2)
-            elif md < inf:
-                sh = md * sqrt(0.25 + 1.0 / md)
-                wq = sl / sh
-                wp = el - wq / (1.0 + 0.5 * md + sh)
-                {blend}
-                n2 = 1.0; {norm_a}
-                if not n2 < inf:
-                    raise GeometryError(_OVERFLOW)
-                {a0} = sqrt(n2)
-                n2 = 1.0; {norm_b}
-                if not n2 < inf:
-                    raise GeometryError(_OVERFLOW)
-                {b0} = sqrt(n2)
+                {a0} = sqrt(n2); {b0} = sqrt(m2)
             else:
                 _check_t(lam / md)"""
     _MARCH_UNROLL: ClassVar[dict] = {
@@ -667,9 +671,25 @@ class HyperboloidSpace(_CoordinateSpace):
         "md": ("c = {a} - {b}; md += c * c", "; ", 1),
         "meet": ("{a} = {b} = w * ({a} + {b})", "; ", 1),
         "blend": ("{a}, {b} = wp * {a} + wq * {b}, wp * {b} + wq * {a}", "; ", 1),
-        "norm_a": ("n2 += {a} * {a}", "; ", 1),
-        "norm_b": ("n2 += {b} * {b}", "; ", 1),
+        "norm": ("n2 += {a} * {a}; m2 += {b} * {b}", "; ", 1),
     }
+
+    @staticmethod
+    def _first_collision(data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
+        """Dimension 1's exact flow to its first collision: the line's, in arclength.
+
+        s = asinh(x1) maps hyperboloid:1 isometrically onto R and keeps its
+        order, so the line's flow (``EuclideanSpace._first_collision``) runs
+        on the s values, and each point maps back by x1 = sinh(s), lifted
+        (``_lift``).  Ties are decided on the rounded arclengths: two gaps
+        that tie exactly in x1 may round apart in s, so the line's exact tie
+        rule holds in s.  The points stay within the input's hull, so sinh
+        cannot overflow where the input did not.  Points that met share one
+        tuple; gaps is unread.
+        """
+        t, out = EuclideanSpace._first_collision([(math.asinh(p[1]),) for p in data], gaps)
+        lifted = {s: _lift([math.sinh(s[0])]) for s in out}
+        return t, [lifted[s] for s in out]
 
     def random_point(self, rng: random.Random) -> Point:
         # A Gaussian direction, at its length capped at HYPERBOLOID_SAMPLE_CAP
@@ -716,9 +736,11 @@ class TreeTopology:
     nodes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        edges = tuple(self.edges)
+        edges = tuple(self.edges) if isinstance(self.edges, (list, tuple)) else ()
         if not edges:
-            raise GeometryError("a tree space needs at least one edge")
+            raise GeometryError(f"a tree needs a nonempty list or tuple of edges, got {self.edges!r}")
+        for e in edges:
+            _check_type("a tree edge", e, TreeEdge)
         ids = [e.id for e in edges]
         if len(set(ids)) != len(ids):
             raise GeometryError("edge ids must be unique")
@@ -800,6 +822,7 @@ class TreeSpace(_MarchingSpace):
 
     def __post_init__(self) -> None:
         topo = self.topology
+        _check_type("topology", topo, TreeTopology)
         incident: dict[int, list[TreeEdge]] = {v: [] for v in topo.nodes}
         for e in topo.edges:
             incident[e.from_node].append(e)
@@ -1198,9 +1221,18 @@ else:
 SpaceDescriptor = Union[EuclideanSpace, HyperboloidSpace, TreeSpace]
 
 
+def _check_space(space) -> None:
+    # Anything else would fail deep in its caller as an AttributeError.  A
+    # tuple of classes, not the Union, which isinstance reads ten times slower.
+    if not isinstance(space, (EuclideanSpace, HyperboloidSpace, TreeSpace)):
+        raise GeometryError(f"space must be a space descriptor, got {space!r}")
+
+
 def _merges_exactly(space: SpaceDescriptor, n: int) -> bool:
-    # Whether an n-point merge runs no march: two points anywhere, any n on a tree or the line.
-    return n == 2 or isinstance(space, TreeSpace) or (type(space) is EuclideanSpace and space.dim == 1)
+    # Whether an n-point merge runs no march: two points anywhere, any n on a
+    # tree, on the line and on hyperboloid:1, the line in arclength.
+    return (n == 2 or isinstance(space, TreeSpace)
+            or (isinstance(space, _CoordinateSpace) and space.dim == 1))
 
 
 def make_space(kind: str, dim: int | None = None, tree: TreeTopology | None = None) -> SpaceDescriptor:

@@ -61,11 +61,12 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
 
     Subsets with fewer than n points are returned unchanged.  A full
     n-point subset is flowed by ``merge_time`` until a pair merges.  Where
-    that merge runs no march (``_merges_exactly``: two points, or a tree or
-    the line), the flow starts from the points in their canonical order and
-    runs exactly, and ``cfg`` is not read: the output is the set of distinct
-    points it stops at, in sort-key order, with no ``to_set`` and no
-    tolerance, so a third point however close to the pair is kept.
+    that merge runs no march (``_merges_exactly``: two points, or a tree,
+    the line or hyperboloid:1), the flow starts from the points in their
+    canonical order and runs exactly, and ``cfg`` is not read: the output is
+    the set of distinct points it stops at, in sort-key order, with no
+    ``to_set`` and no tolerance, so a third point however close to the pair
+    is kept.
 
     Elsewhere the subset is ordered with its closest pair first, marched by
     sweeps, and collapsed with ``cfg.merge_tolerance`` times its starting
@@ -83,7 +84,8 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
         # and come out as a set by _set_of, with no second check.  The points
         # that met share one Point (two points share their midpoint), and two
         # points at one place are equal data (a tree place has one canonical
-        # form; on the line -0.0 == 0.0), so the distinct Points are the
+        # form; on the line -0.0 == 0.0, and hyperboloid:1 lifts each
+        # arclength once), so the distinct Points are the
         # output set: to_set at tolerance 0 would merge only those.
         t_star, merged = merge_time(_built(PointTuple, space=a.space, coords=a.points), cfg)
         out = _set_of(a.space, dict.fromkeys(merged.coords))

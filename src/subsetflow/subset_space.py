@@ -23,7 +23,10 @@ from .geometry import (
     TreeSpace,
     _check_count,
     _check_kind,
+    _check_space,
+    _check_type,
     _gaps,
+    _real,
     _toward,
     _total,
     space_from_json,
@@ -32,6 +35,7 @@ from .geometry import (
 
 def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
     """d(pts[i], pts[j]) for every i < j, in ``itertools.combinations`` order."""
+    _check_space(space)
     pts = tuple(pts)
     for p in pts:
         _check_kind(space, p)
@@ -66,6 +70,7 @@ class PointTuple:
     coords: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        _check_space(self.space)
         coords = tuple(self.coords)
         if not coords:
             raise GeometryError("a tuple needs at least one coordinate")
@@ -108,11 +113,11 @@ class FiniteSubset:
     dedup_tolerance: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        _check_space(self.space)
         points = tuple(self.points)
         if not points:
             raise GeometryError("a finite subset needs at least one point")
-        if not self.dedup_tolerance >= 0.0:  # NaN too
-            raise GeometryError(f"dedup tolerance must be >= 0, got {self.dedup_tolerance!r}")
+        _check_tolerance(self.dedup_tolerance)
         for p in points:
             if self.space.canonicalize(p) != p:
                 raise GeometryError("point is not in canonical form; use make_subset")
@@ -137,6 +142,12 @@ class FiniteSubset:
         # point_from_json has checked each point, and built it canonical.
         space, points = _points_from_json(obj, "subset", "points")
         return _merge(space, points, 0.0)
+
+
+def _check_tolerance(tol) -> None:
+    # A number >= 0: NaN and text are refused too.
+    if not (_real(tol) and tol >= 0.0):
+        raise GeometryError(f"dedup tolerance must be a number >= 0, got {tol!r}")
 
 
 def _built(cls, **fields):
@@ -196,11 +207,11 @@ def make_subset(space: SpaceDescriptor, points, dedup_tolerance: float = 0.0) ->
     point is checked once, on entry (``space.canonicalize``); the merge
     (``_merge``) runs on the checked points.
     """
+    _check_space(space)
+    _check_tolerance(dedup_tolerance)
     pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise GeometryError("a finite subset needs at least one point")
-    if not dedup_tolerance >= 0.0:  # NaN too
-        raise GeometryError(f"dedup tolerance must be >= 0, got {dedup_tolerance!r}")
     return _merge(space, pts, dedup_tolerance)
 
 
@@ -233,7 +244,10 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
     return _set_of(space, pts, tol)
 
 
-def _check_same_space(a, b) -> None:
+def _check_same_space(a, b, cls: type) -> None:
+    # Two operands of type cls, in one space.
+    _check_type("an operand", a, cls)
+    _check_type("an operand", b, cls)
     if a.space != b.space:
         raise SpaceMismatchError("operands live in different spaces")
 
@@ -245,7 +259,7 @@ def hausdorff_distance(a: FiniteSubset, b: FiniteSubset) -> float:
     measures each pair once, ``gap(p, q)`` with p from a and q from b; the
     pass from a reads the rows of those gaps, the pass from b their columns.
     """
-    _check_same_space(a, b)
+    _check_same_space(a, b, FiniteSubset)
     gap = a.space._gap
     bd = [q.data for q in b.points]
     rows = [[gap(p.data, q) for q in bd] for p in a.points]
@@ -259,7 +273,7 @@ def hausdorff_distance(a: FiniteSubset, b: FiniteSubset) -> float:
 
 def product_distance(x: PointTuple, y: PointTuple) -> float:
     """l2 product metric: sqrt of the sum of squared coordinate distances."""
-    _check_same_space(x, y)
+    _check_same_space(x, y, PointTuple)
     if len(x) != len(y):
         raise GeometryError(f"tuple lengths differ: {len(x)} vs {len(y)}")
     gap = x.space._gap
@@ -291,8 +305,8 @@ def to_set(x: PointTuple, tol: float) -> FiniteSubset:
     The tuple's points were checked when it was built and are not checked
     again (``_merge``); on a tree, where a vertex has one form per incident
     edge, each is placed in its canonical form first."""
-    if not tol >= 0.0:  # NaN too
-        raise GeometryError(f"dedup tolerance must be >= 0, got {tol!r}")
+    _check_type("x", x, PointTuple)
+    _check_tolerance(tol)
     space, pts = x.space, list(x.coords)
     if isinstance(space, TreeSpace):
         pts = [Point(space.kind, space._place(*p.data)) for p in pts]
@@ -306,6 +320,7 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
     remaining points follow in canonical order, and the last point repeats
     to reach length ``pad_to``.  Singletons repeat their only point.
     """
+    _check_type("a", a, FiniteSubset)
     _check_count("pad_to", pad_to, 1)
     if len(a) > pad_to:
         raise GeometryError(f"cannot number {len(a)} points as a {pad_to}-tuple")

@@ -42,8 +42,8 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from .geometry import (GeometryError, SpaceDescriptor, _check_count, _check_type, _merges_exactly,
-                       _toward)
+from .geometry import (GeometryError, SpaceDescriptor, _check_count, _check_space, _check_type,
+                       _merges_exactly, _real, _toward)
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -103,9 +103,7 @@ class ScanConfig:
     perturbation_scale: float = 0.05
 
     def __post_init__(self) -> None:
-        # a space or flow of another type would fail in a scan as an AttributeError
-        if not isinstance(self.space, SpaceDescriptor):
-            raise GeometryError(f"space must be a space descriptor, got {self.space!r}")
+        _check_space(self.space)
         _check_type("flow", self.flow, FlowConfig)
         _check_count("scan n", self.n, 2)
         _check_count("samples", self.samples, 1)
@@ -113,7 +111,7 @@ class ScanConfig:
         # and True would draw apart from 1
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise GeometryError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 < self.perturbation_scale < 1.0:
+        if not (_real(self.perturbation_scale) and 0.0 < self.perturbation_scale < 1.0):
             raise GeometryError("perturbation_scale must lie in (0, 1)")
 
 
@@ -638,6 +636,7 @@ def check_lipschitz_ratio(space: SpaceDescriptor, n: int, seed: int, samples: in
 
 
 def lipschitz_scan(cfg: ScanConfig) -> ScanReport:
+    _check_type("cfg", cfg, ScanConfig)
     check = check_lipschitz_ratio(cfg.space, cfg.n, cfg.seed, cfg.samples,
                                   cfg.flow, cfg.perturbation_scale)
     return ScanReport(cfg.space, cfg.n, cfg.samples, cfg.seed, (check,))
@@ -910,6 +909,7 @@ def bound_suite(cfg: ScanConfig) -> ScanReport:
     what a one-process run raises.  See the module docstring for when
     every row runs in the caller.
     """
+    _check_type("cfg", cfg, ScanConfig)
     checks = []
     for rows in _run_split(_suite_jobs, (cfg,)):
         checks.extend([rows] if isinstance(rows, CheckResult) else rows)
@@ -929,6 +929,7 @@ def convergence_study(cfg: ScanConfig, t: float) -> ScanReport:
     On small euclidean instances the flow is also compared against powers
     of the exact resolvent with step t/k.
     """
+    _check_type("cfg", cfg, ScanConfig)
     _check_time(t)
     if cfg.flow.max_doublings < 1:
         raise GeometryError("a convergence study needs max_doublings >= 1")

@@ -15,26 +15,33 @@ import random
 import pytest
 
 from subsetflow import (
+    EuclideanSpace,
     FiniteSubset,
     FlowConfig,
     GeometryError,
     HyperboloidSpace,
     PointTuple,
+    ScanConfig,
     TreeEdge,
     TreeSpace,
     TreeTopology,
+    bound_suite,
+    convergence_study,
     flow_adaptive,
     full_resolvent_oracle,
     hausdorff_distance,
+    lipschitz_scan,
     make_subset,
     merge_time,
     min_gap,
     order_tuple,
     pair_resolvent,
+    pairwise_distances,
     product_distance,
     retract,
     splitting_flow,
     sweep,
+    to_set,
 )
 from subsetflow.cli import main
 from subsetflow.flow import oracle_supports
@@ -58,9 +65,10 @@ def _count_checks(monkeypatch, space):
     return calls
 
 
-@pytest.mark.parametrize("key", SPACE_KEYS)
+@pytest.mark.parametrize("key", SPACE_KEYS + ["hyperboloid-1"])
 def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
-    space = all_spaces[key]
+    # hyperboloid:1 merges as the line does, in arclength
+    space = all_spaces.get(key) or HyperboloidSpace(1)
     rng = _rng(f"count:{key}")
     cases = []
     for i in range(40):
@@ -250,6 +258,67 @@ def test_retract_and_merge_time_refuse_arguments_of_another_type(all_spaces, key
     # the checks leave every well-typed call as it was
     assert retract(a, n, CFG).output_cardinality < n
     assert merge_time(x, CFG)[0] <= 0.5 * min_gap(x) * (1.0 + 1e-9)
+
+
+LINE = EuclideanSpace(1)
+X = PointTuple(LINE, [LINE.point((v,)) for v in (0.0, 1.0, 3.0)])
+A = make_subset(LINE, X.coords)
+SCAN = ScanConfig(LINE, 3, 2, 0)
+
+# Each call passes one argument of another type: a tuple, subset, config or
+# space, or text where a number goes.  Before these were refused, the first
+# two returned their "x", and the others raised AttributeError or TypeError
+# from deep inside.
+WRONG_TYPES = {
+    "splitting_flow-tuple": lambda: splitting_flow("x", 1.0, 2),
+    "sweep-tuple": lambda: sweep("x", 0.1),
+    "hausdorff_distance-subset": lambda: hausdorff_distance(X, A),
+    "hausdorff_distance-other-subset": lambda: hausdorff_distance(A, "x"),
+    "product_distance-tuple": lambda: product_distance(A, X),
+    "order_tuple-subset": lambda: order_tuple(X, 3),
+    "to_set-tuple": lambda: to_set(A, 0.0),
+    "flow_adaptive-tuple": lambda: flow_adaptive(A, 0.1, FlowConfig()),
+    "flow_adaptive-config": lambda: flow_adaptive(X, 0.1, "fast"),
+    "full_resolvent_oracle-tuple": lambda: full_resolvent_oracle(A, 0.1),
+    "bound_suite-config": lambda: bound_suite("x"),
+    "lipschitz_scan-config": lambda: lipschitz_scan(FlowConfig()),
+    "convergence_study-config": lambda: convergence_study(FlowConfig(), 0.1),
+    "PointTuple-space": lambda: PointTuple("x", X.coords),
+    "FiniteSubset-space": lambda: FiniteSubset("x", A.points),
+    "make_subset-space": lambda: make_subset("x", A.points),
+    "pairwise_distances-space": lambda: pairwise_distances("x", A.points),
+    "TreeTopology-edges": lambda: TreeTopology("x"),
+    "TreeTopology-number": lambda: TreeTopology(5),
+    "TreeSpace-topology": lambda: TreeSpace("x"),
+    "splitting_flow-text-time": lambda: splitting_flow(X, "1.0", 2),
+    "flow_adaptive-text-time": lambda: flow_adaptive(X, "1.0", FlowConfig()),
+    "convergence_study-text-time": lambda: convergence_study(SCAN, "0.1"),
+    "sweep-text-step": lambda: sweep(X, "0.1"),
+    "pair_resolvent-text-step": lambda: pair_resolvent(X, 0, 1, "0.1"),
+    "pair_resolvent-float-index": lambda: pair_resolvent(X, 0.0, 1, 0.1),
+    "pair_resolvent-bool-index": lambda: pair_resolvent(X, 0, True, 0.1),
+    "full_resolvent_oracle-text-step": lambda: full_resolvent_oracle(X, "0.1"),
+    "to_set-text-tolerance": lambda: to_set(X, "0.0"),
+    "make_subset-text-tolerance": lambda: make_subset(LINE, A.points, "0.0"),
+    "FiniteSubset-text-tolerance": lambda: FiniteSubset(LINE, A.points, "0.0"),
+    "geodesic_point-text-t": lambda: LINE.geodesic_point(X.coords[0], X.coords[1], "0.5"),
+    "FlowConfig-text-tolerance": lambda: FlowConfig(merge_tolerance="0.5"),
+    "ScanConfig-text-scale": lambda: ScanConfig(LINE, 3, 2, 0, perturbation_scale="0.1"),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+def test_public_entries_refuse_arguments_of_another_type(call):
+    with pytest.raises(GeometryError):
+        call()
+
+
+def test_the_type_checks_leave_well_typed_calls_alone():
+    # an int reads as its float wherever a number goes
+    assert splitting_flow(X, 1, 2) == splitting_flow(X, 1.0, 2)
+    assert pair_resolvent(X, 0, 2, 1) == pair_resolvent(X, 0, 2, 1.0)
+    assert to_set(X, 0) == A == make_subset(LINE, A.points, 0) == FiniteSubset(LINE, A.points, 0)
+    assert LINE.geodesic_point(X.coords[0], X.coords[1], 1) == X.coords[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -131,7 +131,7 @@ def test_total_sums_left_to_right():
 # tree's tables when it is called: k = 3 with rows from n = 5 on.
 MARCH_SLOTS = {"euclidean-1": (2, 5, 8, 9), "euclidean-2": (2, 5, 8, 7),
                "euclidean-16": (2, 3, 3, 3), "euclidean-120": (0, 0, 0, 0),
-               "hyperboloid-2": (2, 5, 4, 4), "hyperboloid-16": (2, 2, 2, 2),
+               "hyperboloid-2": (2, 5, 5, 5), "hyperboloid-16": (2, 2, 2, 2),
                "hyperboloid-100": (0, 0, 0, 0),
                "euclidean-200": (None,) * 4, "hyperboloid-120": (None,) * 4,
                "star-tree": (2, 3, 3, 3), "path-tree": (2, 3, 3, 3), "caterpillar": (2, 3, 3, 3)}
@@ -164,7 +164,7 @@ def test_march_kernels_stay_under_the_source_cap(all_spaces, caterpillar_tree, k
 
 
 def test_every_n_that_takes_one_k_runs_one_kernel():
-    # hyperboloid:2 (three values a slot) holds four slots in locals at n = 7
+    # hyperboloid:2 (three values a slot) holds five slots in locals at n = 7
     # and at n = 8, and a tree three from n = 5 on: each runs the one kernel
     # compiled for that march.
     assert _march_kernel(HyperboloidSpace, 3, 7) is _march_kernel(HyperboloidSpace, 3, 8)

@@ -709,12 +709,12 @@ def test_scans_that_do_not_march_do_not_fork(all_spaces, caterpillar_tree, fork_
 
 
 # _merges_exactly(space, n) at n = 2, 3 and 8: two points merge exactly on
-# every backend, the line and a tree at every n; hyperboloid:1 marches from
-# n = 3 until it merges by the line's closed form (ROADMAP item 22)
+# every backend, the line, hyperboloid:1 (the line in arclength) and a tree
+# at every n
 MERGES_EXACTLY = {
     "euclidean-1": (True, True, True),
     "euclidean-2": (True, False, False),
-    "hyperboloid-1": (True, False, False),
+    "hyperboloid-1": (True, True, True),
     "hyperboloid-2": (True, False, False),
     "star-tree": (True, True, True),
 }
