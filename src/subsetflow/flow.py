@@ -34,8 +34,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .geometry import (EuclideanSpace, GeometryError, Point, SpaceDescriptor, _check_count,
-                       _check_type, _compile, _gaps, _merges_exactly, _real, _total)
+from .geometry import (_GAPS_OVERFLOW, EuclideanSpace, GeometryError, Point, SpaceDescriptor,
+                       _check_count, _check_type, _compile, _gaps, _merges_exactly, _real, _total)
 from .subset_space import PointTuple, _built, product_distance
 
 # Below this fraction of the largest absolute coordinate, a step of size lam
@@ -221,7 +221,7 @@ def _finite_gaps(space, data: list[tuple]) -> list[float]:
     # would never move (its step is lam/inf = 0), and no report can hold it.
     ds = _gaps(space, data)
     if not all(math.isfinite(d) for d in ds):
-        raise GeometryError("pairwise distances overflow double precision")
+        raise GeometryError(_GAPS_OVERFLOW)
     return ds
 
 

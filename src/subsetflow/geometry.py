@@ -28,9 +28,12 @@ report.  Each backend also binds a pair step, ``space._pair_step(pd, qd,
 lam)``, the two-point resolvent of distinct pd and qd, which measures their
 distance d once and returns ``(p', q', d)``: the shared midpoint twice when
 d <= 2 lam, else both points moved lam toward each other, and d, which the
-merge march uses as a bound.  The euclidean and tree backends bind the
-module's ``_pair_step(space, pd, qd, lam)``, written once over the kernels;
-the hyperboloid writes its own in closed form in the squared gap md = 4
+merge march uses as a bound.  No step checks anything: lam and t are
+checked where they enter, and an admitted pair's d is never NaN
+(``HyperboloidSpace``), so a pair whose d overflowed stays put, and
+``_toward`` refuses it.  The euclidean and tree backends bind the module's
+``_pair_step(space, pd, qd, lam)``, written once over the kernels; the
+hyperboloid writes its own in closed form in the squared gap md = 4
 sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
 ``_gaps(space, data)`` is ``_gap`` over every pair.
 ``_merges_exactly(space, n)`` alone decides which merges do not march: two
@@ -115,11 +118,6 @@ def _check_kind(space, p: Point) -> None:
         raise SpaceMismatchError(f"point of kind {got!r} used with {space.kind!r} space")
 
 
-def _check_t(t: float) -> None:
-    if not 0.0 <= t <= 1.0:
-        raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
-
-
 def _check_count(what: str, k, least: int) -> None:
     # A float count would end deep in its caller as a TypeError, or be used
     # as it is; a bool is an int to isinstance, but no count.
@@ -155,7 +153,8 @@ def _coordinates(coords, count: int) -> tuple:
     return data
 
 
-_OVERFLOW = "a hyperboloid point's time coordinate overflows double precision"
+_OVERFLOW = "a hyperboloid point's squared time coordinate overflows double precision"
+_GAPS_OVERFLOW = "pairwise distances overflow double precision"
 
 
 def _lift(spatial) -> tuple:
@@ -220,8 +219,7 @@ def _pair_step(space, pd: tuple, qd: tuple, lam: float) -> tuple[tuple, tuple, f
         mid = space._interp(pd, qd, 0.5, d)
         return mid, mid, d
     s = lam / d
-    if not s > 0.0:
-        _check_t(s)  # lam/d is 0 (d overflowed) or NaN: stay put, or GeometryError
+    if not s > 0.0:  # d overflowed, or lam / d underflowed: stay put
         return pd, qd, d
     return space._interp(pd, qd, s, d), space._interp(qd, pd, s, d), d
 
@@ -234,13 +232,14 @@ def _distance(space, p: Point, q: Point) -> float:
 
 
 def _toward(space, p: Point, q: Point, t: float, d: float) -> Point:
-    # The point at fraction t from checked p to checked q, d being their
-    # _gap: p at t = 0, q at t = 1, else one _interp.
-    _check_t(t)
+    # The point at fraction t in [0, 1] from checked p to checked q, d being
+    # their _gap: p at t = 0, q at t = 1, else one _interp of a finite d.
     if t == 0.0:
         return p
     if t == 1.0:
         return q
+    if not d < math.inf:
+        raise GeometryError(_GAPS_OVERFLOW)
     return Point(space.kind, space._interp(p.data, q.data, t, d))
 
 
@@ -250,7 +249,8 @@ def _geodesic_point(space, p: Point, q: Point, t: float) -> Point:
     space._check_point(q)
     if not _real(t):
         raise GeometryError(f"geodesic parameter must be a number, got {t!r}")
-    _check_t(t)
+    if not 0.0 <= t <= 1.0:
+        raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
     if p == q:
         return p
     return _toward(space, p, q, t, space._gap(p.data, q.data))
@@ -288,8 +288,7 @@ def _pair_march(space, coords: list[tuple], lam: float, sweeps: int,
 
 
 _KERNEL_NAMES = {"inf": math.inf, "hypot": math.hypot, "sqrt": math.sqrt, "asinh": math.asinh,
-                 "_step_weights": _step_weights, "_OVERFLOW": _OVERFLOW,
-                 "_check_t": _check_t, "GeometryError": GeometryError}
+                 "_step_weights": _step_weights, "_OVERFLOW": _OVERFLOW, "GeometryError": GeometryError}
 
 
 @functools.cache
@@ -427,7 +426,8 @@ class _CoordinateSpace(_MarchingSpace):
     def _check_point(self, p: Point) -> None:
         # The march kernels unpack a fixed number of coordinates per slot,
         # and _sort_key writes each by float repr: finite floats only, as
-        # point() builds them (no int, bool or text).
+        # point() builds them (no int, bool or text), and on the hyperboloid
+        # an x0 whose square is a double, so that no gap is NaN.
         _check_kind(self, p)
         count = self.dim + self._EXTRA_COORDS
         if len(p.data) != count:
@@ -435,6 +435,8 @@ class _CoordinateSpace(_MarchingSpace):
         for c in p.data:
             if type(c) is not float or not math.isfinite(c):
                 raise GeometryError(f"coordinates must be finite floats, got {p.data!r}")
+        if self._EXTRA_COORDS and not p.data[0] * p.data[0] < math.inf:
+            raise GeometryError(_OVERFLOW)
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
@@ -493,9 +495,7 @@ class EuclideanSpace(_CoordinateSpace):
             else:
                 s = lam / d
                 if s > 0.0:
-                    {step}
-                else:
-                    _check_t(s)"""
+                    {step}"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "diff": ("{a} - {b}", ", ", 0),
@@ -537,15 +537,17 @@ class HyperboloidSpace(_CoordinateSpace):
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
     Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
-    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``.  Every point the
-    library builds, an interpolation, a pair step or a random point, blends
-    or draws the spatial coordinates alone and derives x0 from them
-    (``_lift``).  The pair step and ``_gap`` read a pair through its squared
-    gap md = 4 sinh^2(d/2) alone (``_squared_gap``): the step's weights are
-    algebraic in md and in sinh and exp of the step, computed once per march,
-    so a pair step calls no sinh, and a march sweep takes asinh once, of its
-    smallest md.  In dimension 1 a merge runs the line's exact flow in
-    arclength (``_first_collision``).
+    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2`` and x0^2 is a double
+    (x0 <= 1.34e154, about 355.6 from the apex): so no squared gap, -(x0 -
+    y0)^2 plus a sum of squares, is NaN.  Every point the library builds, an
+    interpolation, a pair step or a random point, blends or draws the
+    spatial coordinates alone and derives x0 from them (``_lift``), so it
+    stays in its inputs' hull.  The pair step and ``_gap`` read a pair
+    through its squared gap md = 4 sinh^2(d/2) alone (``_squared_gap``): the
+    step's weights are algebraic in md and in sinh and exp of the step,
+    computed once per march, so a pair step calls no sinh, and a march sweep
+    takes asinh once, of its smallest md.  In dimension 1 a merge runs the
+    line's exact flow in arclength (``_first_collision``).
     """
 
     kind: ClassVar[str] = "hyperboloid"
@@ -563,15 +565,10 @@ class HyperboloidSpace(_CoordinateSpace):
         x0 = data[0]
         if x0 <= 0.0:
             raise GeometryError("hyperboloid points need a positive time coordinate")
+        if not x0 * x0 < math.inf:
+            raise GeometryError(_OVERFLOW)
         # <x,x> rounds at the scale of x0^2, so the tolerance scales with it.
-        # Where x0^2 overflows, the same test runs on <x,x>/x0^2, in which the
-        # 1/x0^2 term is below any tolerance.
-        if math.isfinite(x0 * x0):
-            off = abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0
-        else:
-            norm2 = _total((c / x0) ** 2 for c in data[1:])
-            off = abs(norm2 - 1.0) > HYPERBOLOID_CONSTRAINT_TOL
-        if off:
+        if abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0:
             raise GeometryError("point is off the hyperboloid sheet")
         return Point(self.kind, data)
 
@@ -612,9 +609,9 @@ class HyperboloidSpace(_CoordinateSpace):
         # by the weights sinh(d - lam) / sinh d and wq = sinh lam / sinh d,
         # the first written exp(-lam) - wq exp(-d), exp(-d) = 1 / (cosh d +
         # sinh d): that difference loses at most a bit, where cosh lam - wq
-        # cosh d loses them all once lam passes about 18.  An infinite md
-        # stays put and a NaN one raises (_check_t), as lam / d would.  Each
-        # x0 is derived (_lift), and d is _gap's.
+        # cosh d loses them all once lam passes about 18.  An md that
+        # overflowed stays put, as lam / d = 0 would.  Each x0 is derived
+        # (_lift), and d is _gap's.
         md = _squared_gap(pd, qd)
         d = 0.0 if md <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(md))
         sl, el, sl2 = _step_weights(lam)
@@ -623,7 +620,6 @@ class HyperboloidSpace(_CoordinateSpace):
             mid = _lift([w * (a + b) for a, b in zip(pd[1:], qd[1:])])
             return mid, mid, d
         if not md < math.inf:
-            _check_t(lam / md)
             return pd, qd, d
         sh = md * math.sqrt(0.25 + 1.0 / md)
         wq = sl / sh
@@ -632,15 +628,16 @@ class HyperboloidSpace(_CoordinateSpace):
                 _lift([wp * b + wq * a for a, b in zip(pd[1:], qd[1:])]), d)
 
     # The pair step, _pair_step inlined with every float operation in its
-    # order, its per-step constants computed once per march.  A pair at a
-    # finite md meets (md <= sl2 <= the largest float) or moves, its spatial
-    # coordinates set in place, and then both ends take x0 as _lift derives
-    # it, an overflowing or NaN sum at either end refused in one test (n2 <
-    # inf > m2 fails on inf and on NaN); the ends of a meeting pair sum the
-    # same values.  The lift is written here once, not called: a call of
-    # _lift costs more than the whole meet.  Within a sweep low holds the
-    # smallest md, and the sweep's end turns it into a distance once, with
-    # _gap's formula: asinh is increasing, so that low is the smallest d.
+    # order, its per-step constants computed once per march.  A pair whose md
+    # overflowed stays put; one at a finite md meets (md <= sl2 <= the
+    # largest float) or moves, its spatial coordinates set in place, and
+    # then both ends take x0 as _lift derives it, an overflowing or NaN sum
+    # at either end refused in one test (n2 < inf > m2 fails on inf and on
+    # NaN); the ends of a meeting pair sum the same values.  The lift is
+    # written here once, not called: a call of _lift costs more than the
+    # whole meet.  Within a sweep low holds the smallest md, and the sweep's
+    # end turns it into a distance once, with _gap's formula: asinh is
+    # increasing, so that low is the smallest d.
     _MARCH_SETUP: ClassVar[str] = "sl, el, sl2 = _step_weights(lam)"
     _MARCH_SETTLE: ClassVar[str] = (
         "\n        low = 0.0 if low <= 0.0 else 2.0 * asinh(0.5 * sqrt(low))")
@@ -663,9 +660,7 @@ class HyperboloidSpace(_CoordinateSpace):
                 n2 = m2 = 1.0; {norm}
                 if not n2 < inf > m2:
                     raise GeometryError(_OVERFLOW)
-                {a0} = sqrt(n2); {b0} = sqrt(m2)
-            else:
-                _check_t(lam / md)"""
+                {a0} = sqrt(n2); {b0} = sqrt(m2)"""
     _MARCH_UNROLL: ClassVar[dict] = {
         "same": ("{a} == {b}", " and ", 0),
         "md": ("c = {a} - {b}; md += c * c", "; ", 1),
@@ -963,8 +958,6 @@ else:
                 else:{route_b}
                     step = s * d{move_b}
                     {a0}, {a1} = e, o
-            else:
-                _check_t(s)
         elif {a1} == {b1}:
             low = 0.0
         else:
@@ -980,9 +973,7 @@ else:
                 if not 0.0 < {a1} < l1:
                     {a0}, {a1} = place({a0}, {a1})
                 if not 0.0 < {b1} < l1:
-                    {b0}, {b1} = place({b0}, {b1})
-            else:
-                _check_t(s)""".format(
+                    {b0}, {b1} = place({b0}, {b1})""".format(
         a0="{a0}", a1="{a1}", b0="{b0}", b1="{b1}",
         route_a=_MARCH_ROUTE.format(p1="{a1}", q1="{b1}", P=1, Q=2).replace("\n", "\n" + " " * 12),
         move_a=_MARCH_MOVE.format(p0="{a0}", p1="{a1}", q0="{b0}", q1="{b1}", P=1, e="e", o="o")

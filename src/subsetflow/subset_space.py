@@ -222,8 +222,9 @@ def _merge(space: SpaceDescriptor, pts: list[Point], tol: float) -> FiniteSubset
     stops after a pass whose folds all returned their cluster's first point.
     That pass found every pair of those points more than tol apart, so the
     subset is built without the constructor's checks (``_set_of``).  The
-    folds step by ``_toward``, with no check: a fold of equal points returns
-    the first, else the midpoint, as the public ``geodesic_point`` would.
+    folds step by ``_toward``, with no point check: a fold of equal points
+    returns the first, else the midpoint, or refuses a pair whose distance
+    overflows, as the public ``geodesic_point`` would.
     """
     while True:
         clusters = _clusters(space, [p.data for p in pts], tol)

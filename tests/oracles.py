@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subsetflow import GeometryError, PointTuple, flow
+from subsetflow import (EuclideanSpace, GeometryError, HyperboloidSpace, PointTuple, TreeEdge,
+                        TreeSpace, TreeTopology, flow)
 from subsetflow.flow import _certify, _pair_norms, _residual, oracle_supports
 
 
@@ -566,3 +567,86 @@ def tree_first_collision_ref(space, data: list[tuple]) -> tuple[float, list[tupl
                 data = [new if d is old else d for d in data]
             return t, data
     raise GeometryError("the exact tree flow ran past its event bound")
+
+
+class LineEmbedding(NamedTuple):
+    """An isometric map of the line into a space, and its inverse.
+
+    ``point(s)`` is the point at arclength s, for s in [-4.5, 4.5] at
+    least, and ``arclength(p)`` reads a point of the image back, so the
+    flow of a set on the image, and its retract, are the line's mapped over
+    (each point's velocity is a sum of unit vectors along the image).
+    """
+
+    space: object
+    point: object
+    arclength: object
+
+
+def _rotation(dim, rng):
+    # A seeded orthonormal basis of R^dim, by Gram-Schmidt on Gaussian rows.
+    rows = []
+    while len(rows) < dim:
+        v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        for r in rows:
+            dot = sum(a * b for a, b in zip(v, r))
+            v = [a - dot * b for a, b in zip(v, r)]
+        norm = math.sqrt(sum(a * a for a in v))
+        if norm > 1e-3:
+            rows.append([a / norm for a in v])
+    return rows
+
+
+def euclidean_line(dim, rng):
+    """The line s -> c + s u in R^dim, at a seeded unit direction u and offset c."""
+    space = EuclideanSpace(dim)
+    u = _rotation(dim, rng)[0]
+    c = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+    return LineEmbedding(space, lambda s: space.point([a + s * b for a, b in zip(c, u)]),
+                         lambda p: sum((x - a) * b for x, a, b in zip(p.data, c, u)))
+
+
+def hyperboloid_geodesic(dim, a, rng):
+    """The geodesic gamma(s) = (cosh a cosh s, sinh s, sinh a cosh s, 0, ...), a from the apex.
+
+    Its spatial part is then turned by a seeded rotation Q; <gamma(s),
+    gamma(t)> = -cosh(s - t), so s is arclength, read back as asinh of the
+    first spatial coordinate of Q^T x.
+    """
+    space = HyperboloidSpace(dim)
+    q = _rotation(dim, rng)  # rows: the images of the spatial unit vectors
+
+    def point(s):
+        v = [math.sinh(s), math.sinh(a) * math.cosh(s)] + [0.0] * (dim - 2)
+        xs = [sum(v[k] * q[k][i] for k in range(dim)) for i in range(dim)]
+        return space.point([math.cosh(a) * math.cosh(s)] + xs)
+
+    return LineEmbedding(space, point, lambda p: math.asinh(sum(x * c for x, c in zip(p.data[1:], q[0]))))
+
+
+def path_tree_line(lengths=(1.5, 2.5, 2.0, 3.0)):
+    """A path of edges 0, 1, ... of these lengths, every other one reversed, by arclength.
+
+    Arclength s runs from -total/2 at node 0 to total/2 at the path's far
+    end; edge i joins nodes i and i + 1, its offset measured from node i + 1
+    where i is odd.
+    """
+    edges = [TreeEdge(i, i + 1, i, L) if i % 2 else TreeEdge(i, i, i + 1, L)
+             for i, L in enumerate(lengths)]
+    space = TreeSpace(TreeTopology(tuple(edges)))
+    starts = [0.0]
+    for L in lengths:
+        starts.append(starts[-1] + L)
+    half = 0.5 * starts[-1]
+
+    def point(s):
+        s += half
+        i = max(k for k in range(len(lengths)) if starts[k] <= s)
+        along = min(s - starts[i], lengths[i])
+        return space.point((i, lengths[i] - along if i % 2 else along))
+
+    def arclength(p):
+        i, o = p.data
+        return starts[i] + (lengths[i] - o if i % 2 else o) - half
+
+    return LineEmbedding(space, point, arclength)

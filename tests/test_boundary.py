@@ -363,15 +363,53 @@ def test_a_bad_point_in_a_payload_is_an_error(command, field, space, points, cap
 
 
 def test_a_flow_far_out_on_the_hyperboloid_refuses_to_leave_the_sheet(hyper):
-    # cosh 700 is admitted, but its square overflows: a blend's norm reads
-    # inf - inf = NaN, which must raise as any other point off the sheet.
-    ch, sh = math.cosh(700.0), math.sinh(700.0)
+    # cosh 700 squares past the float range, so point() refuses it: a gap or
+    # a blend's norm there would read inf - inf = NaN.  355 from the apex
+    # x0^2 is a double, and every flow of two points there builds points
+    # that point() admits as they are.
+    with pytest.raises(GeometryError, match="squared time coordinate overflows"):
+        hyper.point((math.cosh(700.0), math.sinh(700.0), 0.0))
+    ch, sh = math.cosh(355.0), math.sinh(355.0)
     x = PointTuple(hyper, [hyper.point((ch, sh, 0.0)), hyper.point((ch, sh, 1.0))])
     assert math.isfinite(hyper.distance(*x.coords))
-    for run in (lambda: merge_time(x, CFG), lambda: splitting_flow(x, 0.3, 4),
-                lambda: sweep(x, 0.3), lambda: pair_resolvent(x, 0, 1, 0.3)):
-        with pytest.raises(GeometryError):
-            run()
+    for y in (merge_time(x, CFG)[1], splitting_flow(x, 0.3, 4), sweep(x, 0.3),
+              pair_resolvent(x, 0, 1, 0.3)):
+        assert y.coords != x.coords
+        for p in y.coords:
+            assert hyper.point(p.data) == p
+
+
+# Two points whose distance overflows to inf on each backend: the plane, the
+# line, the two leaves of a path of two edges of length 1.7e308, and two
+# points 355 from the apex of hyperboloid:2 in opposite directions, where
+# point() still admits them.
+_HUGE_PATH = TreeSpace(TreeTopology((TreeEdge(0, 1, 0, 1.7e308), TreeEdge(1, 1, 2, 1.7e308))))
+_CH, _SH = math.cosh(355.0), math.sinh(355.0)
+OVERFLOWING_PAIRS = {
+    "plane": (EuclideanSpace(2), (-1.7e308, 0.0), (1.7e308, 0.0)),
+    "line": (EuclideanSpace(1), (-1.7e308,), (1.7e308,)),
+    "path-tree": (_HUGE_PATH, (0, 1.7e308), (1, 1.7e308)),
+    "hyperboloid": (HyperboloidSpace(2), (_CH, _SH, 0.0), (_CH, -_SH, 0.0)),
+}
+
+
+@pytest.mark.parametrize("key", OVERFLOWING_PAIRS)
+def test_no_point_is_built_between_points_whose_distance_overflows(key):
+    # No double finds a point strictly between such a pair: a blend would
+    # read inf, a walk along the path would end at the far leaf, and a
+    # hyperboloid lift would sum NaN.  So geodesic_point refuses it, with
+    # merge_time's message, and so does make_subset where it would fold the
+    # pair into one; its ends are still its points at t = 0 and t = 1.
+    space, a, b = OVERFLOWING_PAIRS[key]
+    p, q = space.point(a), space.point(b)
+    assert space.distance(p, q) == math.inf
+    for t in (0.1, 0.25, 0.5):
+        with pytest.raises(GeometryError, match="pairwise distances overflow double precision"):
+            space.geodesic_point(p, q, t)
+    assert space.geodesic_point(p, q, 0.0) == p and space.geodesic_point(p, q, 1.0) == q
+    with pytest.raises(GeometryError, match="pairwise distances overflow double precision"):
+        make_subset(space, [p, q], math.inf)
+    assert set(make_subset(space, [p, q]).points) == {p, q}
 
 
 def test_a_gap_past_the_float_range_squares_to_inf():

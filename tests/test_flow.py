@@ -172,13 +172,15 @@ def _composed_pair_step(space, p, q, lam):
 
 
 def _far_pair(space):
-    # Two points whose distance overflows to inf, or None on a tree.
+    # Two points whose distance overflows to inf, or None on a tree.  On the
+    # hyperboloid they lie 355 from the apex in opposite directions, inside
+    # the bound on x0 that point() admits, and md = -0 + (2 sinh 355)^2 = inf.
     if isinstance(space, TreeSpace):
         return None
     pad = (0.0,) * (space.dim - 1)
     if isinstance(space, EuclideanSpace):
         return space.point((-1e308,) + pad), space.point((1e308,) + pad)
-    c, s = math.cosh(710.0), math.sinh(710.0)
+    c, s = math.cosh(355.0), math.sinh(355.0)
     return space.point((c, s) + pad), space.point((c, -s) + pad)
 
 
@@ -252,19 +254,27 @@ def test_hyperboloid_pair_resolvent_never_widens_a_gap_or_passes_the_midpoint(hy
     assert seen["met"] and seen["moved"] and (seen["subnormal"] or scale > 1e-150)
 
 
-def test_hyperboloid_pair_step_refuses_a_nan_gap(hyper):
-    # 500 from the apex, x0 and x1 square past the float range, so the
-    # squared gap to the apex is inf - inf = NaN: the Python step and both
-    # march shapes refuse it through the geodesic parameter check.
-    p = hyper.point((math.cosh(500.0), math.sinh(500.0), 0.0))
+def test_no_hyperboloid_pair_step_meets_a_nan_gap(hyper):
+    # 500 from the apex, x0 and x1 would square past the float range, and the
+    # squared gap to the apex would read inf - inf = NaN: point() refuses the
+    # point, so no step checks its gap.  355 from the apex, the last whole
+    # radius point() admits, that gap is finite, and to the point opposite
+    # it is inf: the Python step moves the first pair and leaves the second
+    # put, and both march shapes run the same pair steps.
+    with pytest.raises(GeometryError, match="squared time coordinate overflows"):
+        hyper.point((math.cosh(500.0), math.sinh(500.0), 0.0))
+    p, far = _far_pair(hyper)
     q = hyper.point((1.0, 0.0, 0.0))
-    rng = random.Random("pairnan")
-    rest = tuple(hyper.random_point(rng) for _ in range(6))
-    for run in (lambda: pair_resolvent(PointTuple(hyper, (p, q)), 0, 1, 0.5),
-                lambda: sweep(PointTuple(hyper, (p, q)), 0.5),
-                lambda: sweep(PointTuple(hyper, (p, q) + rest), 0.5)):
-        with pytest.raises(GeometryError, match="geodesic parameter"):
-            run()
+    assert math.isfinite(hyper.distance(p, q)) and hyper.distance(p, far) == math.inf
+    rest = tuple(hyper.random_point(random.Random("pairnan")) for _ in range(6))
+    for pair, moves in (((p, q), True), ((p, far), False)):
+        assert (pair_resolvent(PointTuple(hyper, pair), 0, 1, 0.5).coords != pair) == moves
+        for x in (PointTuple(hyper, pair), PointTuple(hyper, pair + rest)):
+            want = x
+            for j in range(1, len(x)):
+                for i in range(j):
+                    want = pair_resolvent(want, i, j, 0.5)
+            assert sweep(x, 0.5).coords == want.coords
 
 
 def _decimal_gap(p, q):
@@ -1419,10 +1429,10 @@ def test_infinite_step_lands_on_the_limit(line):
 
 def test_infinite_pair_step_is_refused(line, hyper):
     # As sweep refuses it: points 2e308 apart on the line would meet at inf,
-    # and the hyperboloid pair 1400 apart at a NaN fraction of its geodesic.
-    ch, sh = math.cosh(700.0), math.sinh(700.0)
+    # and the hyperboloid pair 710 apart, whose md overflows, at a NaN
+    # fraction inf / inf of its geodesic.
     for x in (line_tuple(line, 0.0, 1.0, 5.0), line_tuple(line, -1e308, 1e308),
-              PointTuple(hyper, [hyper.point((ch, sh, 0.0)), hyper.point((ch, -sh, 0.0))])):
+              PointTuple(hyper, _far_pair(hyper))):
         with pytest.raises(GeometryError, match="step size must be positive and finite"):
             pair_resolvent(x, 0, 1, math.inf)
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,7 +130,7 @@ def test_total_sums_left_to_right():
 # is written in md alone, was past it before.  A tree slot holds two values,
 # (edge id, offset), and every tree runs one kernel per n, which reads the
 # tree's tables when it is called: k = 3 with rows from n = 5 on.
-MARCH_SLOTS = {"euclidean-1": (2, 5, 8, 9), "euclidean-2": (2, 5, 8, 7),
+MARCH_SLOTS = {"euclidean-1": (2, 5, 8, 9), "euclidean-2": (2, 5, 8, 8),
                "euclidean-16": (2, 3, 3, 3), "euclidean-120": (0, 0, 0, 0),
                "hyperboloid-2": (2, 5, 5, 5), "hyperboloid-16": (2, 2, 2, 2),
                "hyperboloid-100": (0, 0, 0, 0),
@@ -164,10 +165,10 @@ def test_march_kernels_stay_under_the_source_cap(all_spaces, caterpillar_tree, k
 
 
 def test_every_n_that_takes_one_k_runs_one_kernel():
-    # hyperboloid:2 (three values a slot) holds five slots in locals at n = 7
-    # and at n = 8, and a tree three from n = 5 on: each runs the one kernel
+    # hyperboloid:2 (three values a slot) holds five slots in locals at n = 8
+    # and at n = 9, and a tree three from n = 5 on: each runs the one kernel
     # compiled for that march.
-    assert _march_kernel(HyperboloidSpace, 3, 7) is _march_kernel(HyperboloidSpace, 3, 8)
+    assert _march_kernel(HyperboloidSpace, 3, 8) is _march_kernel(HyperboloidSpace, 3, 9)
     assert _march_kernel(TreeSpace, 2, 5) is _march_kernel(TreeSpace, 2, 8)
 
 
@@ -230,13 +231,23 @@ def test_hyperboloid_accepts_far_points_and_rejects_off_sheet(hyper):
 
 
 def test_hyperboloid_checks_the_sheet_where_x0_squared_overflows():
-    # a tolerance scaled by an overflowing x0^2 would be inf and accept anything
+    # Past x0 = 1.34e154, about 355.6 from the apex, x0^2 is no double: a
+    # tolerance scaled by it would accept anything, and a squared gap would
+    # read inf - inf = NaN, so point() refuses every such point, on the
+    # sheet or off it.  Up to there it checks the sheet as anywhere.
     space = HyperboloidSpace(2)
-    with pytest.raises(GeometryError):
-        space.point((1e200, 5.0, 0.0))
-    assert space.point((1e150, 1e150, 0.0)).data == (1e150, 1e150, 0.0)
-    far = (math.cosh(700.0), math.sinh(700.0), 0.0)
-    assert space.point(far).data == far
+    for coords in ((1e200, 5.0, 0.0), (math.cosh(700.0), math.sinh(700.0), 0.0),
+                   (math.nextafter(math.sqrt(sys.float_info.max), math.inf), 1e154, 0.0)):
+        with pytest.raises(GeometryError, match="squared time coordinate overflows"):
+            space.point(coords)
+        # nor past the constructors, built by hand
+        with pytest.raises(GeometryError, match="squared time coordinate overflows"):
+            PointTuple(space, [Point("hyperboloid", coords)])
+    for far in ((1e150, 1e150, 0.0), (math.cosh(355.0), math.sinh(355.0), 0.0)):
+        assert space.point(far).data == far
+        assert PointTuple(space, [Point("hyperboloid", far)]).coords[0].data == far
+    with pytest.raises(GeometryError, match="off the hyperboloid sheet"):
+        space.point((math.cosh(355.0), 0.0, math.sinh(355.0) * (1.0 - 1e-6)))
 
 
 def _hyperboloid_point_at(hyper, r, rng):
@@ -545,7 +556,9 @@ def _key_points(space):
             pts += [space.point((e.id, v)) for v in offsets]
         return pts
     if isinstance(space, HyperboloidSpace):
-        return [space.point((math.hypot(1.0, v, w), v, w)) for v in _KEY_FLOATS for w in _KEY_FLOATS]
+        # only where x0^2 is a double, as point() admits
+        return [space.point((x0, v, w)) for v in _KEY_FLOATS for w in _KEY_FLOATS
+                for x0 in [math.hypot(1.0, v, w)] if x0 * x0 < math.inf]
     return [space.point(c) for c in itertools.product(_KEY_FLOATS, repeat=space.dim)]
 
 

@@ -97,7 +97,7 @@ def test_retract_rejects_oversized(line):
             retract(line_set(line, 0.0, 1.0, 2.0), n)
 
 
-FAR = 700.0  # on the hyperboloid, two points this far out in opposite directions
+FAR = 355.0  # on the hyperboloid, two points this far out in opposite directions
 
 
 @pytest.mark.parametrize("space, coords", [
