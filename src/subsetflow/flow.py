@@ -154,9 +154,10 @@ def _wrap(x: PointTuple, data: list[tuple]) -> PointTuple:
     """The PointTuple of a run that started at x and ended with this data.
 
     A slot whose data object is one of x's keeps x's Point, and slots that
-    hold one data object share one Point.  On the coordinate backends a
-    shared midpoint is two equal tuples (their marches build tuples anew);
-    either way a later gap check sees an exact zero between the two slots.
+    hold one data object share one Point: a Point is built only for data the
+    run created, once per data object.  On the coordinate backends a shared
+    midpoint is two equal tuples (their marches build tuples anew); either
+    way a later gap check sees an exact zero between the two slots.
     """
     kind = x.space.kind
     made = {id(p.data): p for p in x.coords}
@@ -219,8 +220,10 @@ def _traced_run(space, coords: list[tuple], t: float, k: int):
 def _finite_gaps(space, data: list[tuple]) -> list[float]:
     # _gaps(space, data), rejected if a pair is not at a finite distance: it
     # would never move (its step is lam/inf = 0), and no report can hold it.
+    # No admitted pair's gap is NaN (math.dist of finite floats, sums of
+    # tree lengths, HyperboloidSpace), so all are finite where the largest is.
     ds = _gaps(space, data)
-    if not all(math.isfinite(d) for d in ds):
+    if ds and not max(ds) < math.inf:
         raise GeometryError(_GAPS_OVERFLOW)
     return ds
 
@@ -295,7 +298,10 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     first collision (the space's ``_first_collision``): the returned time is
     that collision's, at most ``min_gap(x)/2`` (on hyperboloid:1 half the
     smallest gap in arclength, asinh(x1)), and the points that met share
-    one point.
+    one point.  Either way the gaps are measured once, tested finite by
+    their largest (no admitted gap is NaN), and handed to the first event;
+    the result's Points are built only for data the flow made (``_wrap``;
+    two points' midpoint is one Point in both slots).
 
     Elsewhere the splitting sweeps march the flow, and the result is the
     first time a pairwise gap falls to ``merge_tolerance`` times the
@@ -322,20 +328,23 @@ def merge_time(x: PointTuple, cfg: FlowConfig) -> tuple[float, PointTuple]:
     """
     _check_type("x", x, PointTuple)
     _check_type("cfg", cfg, FlowConfig)
-    if len(x) < 2:
+    data = [p.data for p in x.coords]
+    n = len(data)
+    if n < 2:
         raise GeometryError("merging needs at least two coordinates")
     space = x.space
-    data = [p.data for p in x.coords]
     ds = _finite_gaps(space, data)
     delta = min(ds)
     if delta == 0.0:
         return 0.0, x
-    if _merges_exactly(space, len(data)):
-        if len(data) > 2:
+    if _merges_exactly(space, n):
+        if n > 2:
             t, data = space._first_collision(data, ds)
             return t, _wrap(x, data)
-        mid = space._interp(data[0], data[1], 0.5, delta)
-        return 0.5 * delta, _wrap(x, [mid, mid])
+        # The midpoint of two distinct points is data neither holds, so
+        # both slots share one new Point, as _wrap would give them.
+        mid = Point(space.kind, space._interp(data[0], data[1], 0.5, delta))
+        return 0.5 * delta, _built(PointTuple, space=space, coords=(mid, mid))
     threshold = cfg.merge_tolerance * delta
     max_sweeps = cfg.sweeps_per_run
     lam = delta / (2.0 * max_sweeps)

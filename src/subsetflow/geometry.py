@@ -44,10 +44,13 @@ reuses those gaps; hyperboloid:1 runs the line's in arclength.
 Every tree kernel reads an edge by its id from one table (its ends, its
 length and both ends' rows of node distances); the tree ``_gap`` builds no
 route, and its ``_interp`` builds one (``_route``).  The exact tree flow
-takes every point's motion (``_motion``, one pass over every point's edge
+takes every point's motion (``_motions``, one pass over every point's edge
 id) at its first event and afterwards only for a point placed on a vertex:
 until two points meet, no point passes another, so every other point keeps
-the counts that set its motion.
+the counts that set its motion.  An event takes the motions it needs in one
+``_motions`` call and gathers its times in plain loops, the pairs come from
+one list per n (``_pair_indices``), and the last event, the meet, only moves
+the points.
 
 Every space also has ``_march(coords, lam, sweeps, watch)``: up to
 ``sweeps`` cyclic sweeps of pair steps in place, stopping after the first
@@ -201,6 +204,13 @@ def _step_weights(lam: float) -> tuple[float, float, float]:
 # in a fresh process no march under it raised max RSS by more than 1.7 MB,
 # and looped sources from 22,600 characters on raised it by 2.9 MB.
 _MARCH_MAX_SOURCE = 22_000
+
+
+@functools.cache
+def _pair_indices(n: int) -> tuple[tuple[int, int], ...]:
+    # (i, j) for every i < j < n, in itertools.combinations order: the order
+    # of _gaps, built once per n.
+    return tuple(itertools.combinations(range(n), 2))
 
 
 def _gaps(space, data) -> list[float]:
@@ -801,8 +811,8 @@ class TreeSpace(_MarchingSpace):
     id the tree lacks.  ``_branch`` rows hold edge ids too: ``_branch[v][f]``
     is the first edge from node v toward edge f, the one next-hop table.
     ``_gap`` returns the least endpoint pairing's length without building a
-    route, ``_interp`` walks the one ``_route`` picks, and ``_motion`` reads
-    one ``_branch`` row for its point.  The march is the shared generator's
+    route, ``_interp`` walks the one ``_route`` picks, and ``_motions``
+    reads one ``_branch`` row per point.  The march is the shared generator's
     (``_MarchingSpace``) over slots of (edge id, offset): its pair template
     routes each pair from the two slots' table rows and, like ``_interp``,
     leaves a walk past an edge's end to ``_walk``.
@@ -1063,44 +1073,54 @@ else:
                 off = o2
         return self._place(e2, off)
 
-    def _motion(self, i: int, data: list[tuple]) -> tuple | None:
-        # How the point data[i] moves until the next event of the exact flow:
-        # (edge id, offset, sign, speed, pull, length), sign 1 toward the
-        # edge's to node, else -1, pull[j] what it moves toward data[j] per
-        # unit time; None if it stays.  A point on an edge f lies, seen from a
-        # vertex v, in the branch that starts with edge _branch[v][f].
-        edge_id, o = data[i]
-        a, b, length, _, _ = self._table[edge_id]
+    def _motions(self, data: list[tuple], which) -> list[tuple | None]:
+        # How each point data[i], i in which, moves until the next event of
+        # the exact flow: (edge id, offset, sign, speed, pull, length), sign 1
+        # toward the edge's to node, else -1, pull[j] what it moves toward
+        # data[j] per unit time; None if it stays.  A point on an edge f lies,
+        # seen from a vertex v, in the branch that starts with edge
+        # _branch[v][f].  One call takes every motion an event needs.
+        table, branch = self._table, self._branch
         others = len(data) - 1
-        if 0.0 < o < length:
-            # Inside an edge: toward the side that holds more of the others,
-            # at the difference of the two counts.
-            row = self._branch[b]
-            ahead = [p > o if e == edge_id else row[e] != edge_id for e, p in data]
-            ahead[i] = False
-            vel = 2 * sum(ahead) - others
-            pull = [vel if x else -vel for x in ahead]
-            return (None if vel == 0 else (edge_id, o, 1, vel, pull, length) if vel > 0
-                    else (edge_id, o, -1, -vel, pull, length))
-        # At a vertex: into the branch that holds c > (n-1)/2 of the others,
-        # at 2c - (n-1), or nowhere.  Among branches tied for the most, none
-        # holds more than half.
-        v = a if o == 0.0 else b
-        row = self._branch[v]
-        branches = [row[e] for e, _ in data]
-        branches[i] = None
-        counts = {}
-        for x in branches:
-            counts[x] = counts.get(x, 0) + 1
-        del counts[None]
-        best = max(counts, key=counts.get)
-        speed = 2 * counts[best] - others
-        if speed <= 0:
-            return None
-        a, _, length, _, _ = self._table[best]
-        pull = [speed if x == best else -speed for x in branches]
-        return ((best, 0, 1, speed, pull, length) if v == a
-                else (best, length, -1, speed, pull, length))
+        out = []
+        for i in which:
+            edge_id, o = data[i]
+            a, b, length, _, _ = table[edge_id]
+            if 0.0 < o < length:
+                # Inside an edge: toward the side that holds more of the
+                # others, at the difference of the two counts.
+                row = branch[b]
+                ahead = [p > o if e == edge_id else row[e] != edge_id for e, p in data]
+                ahead[i] = False
+                vel = 2 * ahead.count(True) - others
+                if vel == 0:
+                    out.append(None)
+                    continue
+                pull = [vel if x else -vel for x in ahead]
+                out.append((edge_id, o, 1, vel, pull, length) if vel > 0
+                           else (edge_id, o, -1, -vel, pull, length))
+                continue
+            # At a vertex: into the branch that holds c > (n-1)/2 of the
+            # others, at 2c - (n-1), or nowhere.  At most one branch holds
+            # more than half.
+            v = a if o == 0.0 else b
+            row = branch[v]
+            branches = [row[e] for e, _ in data]
+            branches[i] = None
+            speed = 0
+            for best in branches:
+                if best is not None:
+                    speed = 2 * branches.count(best) - others
+                    if speed > 0:
+                        break
+            if speed <= 0:
+                out.append(None)
+                continue
+            a, _, length, _, _ = table[best]
+            pull = [speed if x == best else -speed for x in branches]
+            out.append((best, 0, 1, speed, pull, length) if v == a
+                       else (best, length, -1, speed, pull, length))
+        return out
 
     def _first_collision(self, data: list[tuple], gaps: list[float]) -> tuple[float, list[tuple]]:
         """The exact flow of the total pairwise distance, up to its first collision.
@@ -1109,7 +1129,7 @@ else:
         ``itertools.combinations`` order (``_gap(data[i], data[j])``, i < j),
         as ``merge_time`` has measured them for the first event.  Until two
         points meet, each moves at an integer speed that counts of the others
-        decide (``_motion``).  Between events (a point reaches a vertex, or
+        decide (``_motions``).  Between events (a point reaches a vertex, or
         two points meet) every point moves along one edge and every gap
         changes linearly, so each event time is a leg over a speed or a gap
         over a closing rate.  A point whose arrival is the step is placed on
@@ -1122,7 +1142,14 @@ else:
         a collision no point passes another, so a point that reaches a vertex
         stays on the same side of every other point's edge, and in the same
         branch at every other vertex.  The gaps are measured again after
-        every event.
+        every event (``_gaps``).
+
+        Each event takes the motions it needs in one ``_motions`` call and
+        gathers its arrivals, closing rates and meets with their minima in
+        plain loops: between other work, as in a benchmark run, each Python
+        frame (a comprehension's too) costs more than the few items it
+        would handle.  The pair list is built once per n (``_pair_indices``),
+        and the last event, the meet, only moves the points.
 
         Returns the collision time and the data there, in which the points
         that met share one tuple.  A point never turns back before the first
@@ -1134,22 +1161,40 @@ else:
         """
         n = len(data)
         data = list(data)
-        pairs = list(itertools.combinations(range(n), 2))
+        pairs = _pair_indices(n)
         still = [0] * n
-        moves = [self._motion(i, data) for i in range(n)]
+        moves = self._motions(data, range(n))
+        inf = math.inf
         t = 0
         for _ in range(n * (len(self.topology.edges) + 1)):
-            arrivals = [math.inf if m is None
-                        else (m[5] - m[1] if m[2] > 0 else m[1]) / m[3] for m in moves]
-            pull = [still if m is None else m[4] for m in moves]
+            h = inf
+            arrivals = []
+            pull = []
+            for m in moves:
+                if m is None:
+                    arrivals.append(inf)
+                    pull.append(still)
+                else:
+                    x = (m[5] - m[1] if m[2] > 0 else m[1]) / m[3]
+                    arrivals.append(x)
+                    pull.append(m[4])
+                    if x < h:
+                        h = x
             # A gap closes at the sum of what each point moves toward the other.
-            meets = [0.0 if d == 0.0 else d / rate if (rate := pull[i][j] + pull[j][i]) > 0
-                     else math.inf for (i, j), d in zip(pairs, gaps)]
-            h, meet = min(arrivals), min(meets)
+            meet = inf
+            meets = []
+            for (i, j), d in zip(pairs, gaps):
+                rate = pull[i][j] + pull[j][i]
+                x = 0.0 if d == 0.0 else d / rate if rate > 0 else inf
+                meets.append(x)
+                if x < meet:
+                    meet = x
             if meet < h:
                 h = meet
-            if h == math.inf:
+            if h == inf:
                 raise GeometryError("no two points of the flow approach each other")
+            t += h
+            last = meet == h
             renew = []
             for i, m in enumerate(moves):
                 if m is None:
@@ -1166,20 +1211,23 @@ else:
                         o = length
                 if 0.0 < o < length:
                     data[i] = (edge_id, o)
-                    moves[i] = (edge_id, o, sign, speed, pull_i, length)
+                    if not last:
+                        moves[i] = (edge_id, o, sign, speed, pull_i, length)
                 else:
                     data[i] = self._place(edge_id, o)
                     renew.append(i)
-            t += h
-            if meet == h:
-                for i, j in [pair for pair, tc in zip(pairs, meets) if tc == h]:
-                    # Every slot at j's point takes i's, so three that meet
-                    # share one tuple too.
-                    old, new = data[j], data[i]
-                    data = [new if d is old else d for d in data]
+            if last:
+                for (i, j), x in zip(pairs, meets):
+                    if x == h:
+                        # Every slot at j's point takes i's, so three that
+                        # meet share one tuple too.
+                        old, new = data[j], data[i]
+                        for k, d in enumerate(data):
+                            if d is old:
+                                data[k] = new
                 return t, data
-            for i in renew:
-                moves[i] = self._motion(i, data)
+            for i, m in zip(renew, self._motions(data, renew)):
+                moves[i] = m
             gaps = _gaps(self, data)
         raise GeometryError("the exact tree flow ran past its event bound")
 

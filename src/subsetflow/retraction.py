@@ -75,11 +75,15 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
     _check_type("a", a, FiniteSubset)
     _check_type("cfg", cfg, FlowConfig)
     _check_count("n", n, 2)
-    if len(a) > n:
-        raise GeometryError(f"subset has {len(a)} points, more than the bound {n}")
-    if len(a) < n:
-        return RetractReport(input=a, output=a, merge_time_used=0.0)
-    if _merges_exactly(a.space, n):
+    size = len(a.points)
+    if size > n:
+        raise GeometryError(f"subset has {size} points, more than the bound {n}")
+    # RetractReport's constructor checks nothing, so each report is built in
+    # one step (_built).
+    if size < n:
+        return _built(RetractReport, input=a, output=a, merge_time_used=0.0)
+    space = a.space
+    if _merges_exactly(space, n):
         # a's points were checked when a was built, so they go in as a tuple
         # and come out as a set by _set_of, with no second check.  The points
         # that met share one Point (two points share their midpoint), and two
@@ -87,12 +91,12 @@ def retract(a: FiniteSubset, n: int, cfg: FlowConfig = FlowConfig()) -> RetractR
         # form; on the line -0.0 == 0.0, and hyperboloid:1 lifts each
         # arclength once), so the distinct Points are the
         # output set: to_set at tolerance 0 would merge only those.
-        t_star, merged = merge_time(_built(PointTuple, space=a.space, coords=a.points), cfg)
-        out = _set_of(a.space, dict.fromkeys(merged.coords))
-        return RetractReport(input=a, output=out, merge_time_used=t_star)
+        t_star, merged = merge_time(_built(PointTuple, space=space, coords=a.points), cfg)
+        return _built(RetractReport, input=a, output=_set_of(space, dict.fromkeys(merged.coords)),
+                      merge_time_used=t_star)
     x = order_tuple(a, n)
     # order_tuple puts the closest pair first; positive, because a
     # canonical n-point subset has no duplicates
-    tol = cfg.merge_tolerance * x.space._gap(x.coords[0].data, x.coords[1].data)
+    tol = cfg.merge_tolerance * space._gap(x.coords[0].data, x.coords[1].data)
     t_star, merged = merge_time(x, cfg)
-    return RetractReport(input=a, output=to_set(merged, tol), merge_time_used=t_star)
+    return _built(RetractReport, input=a, output=to_set(merged, tol), merge_time_used=t_star)

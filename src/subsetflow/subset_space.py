@@ -11,7 +11,6 @@ apart is ``_set_of`` them: sorted, past the constructor's checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ from .geometry import (
     _check_space,
     _check_type,
     _gaps,
+    _pair_indices,
     _real,
     _toward,
     _total,
@@ -157,19 +157,23 @@ def _built(cls, **fields):
     checked where they entered: the constructor would check each again.
     The caller vouches for what the constructor checks, so a subset's points
     must be canonical, sorted by sort key and more than its
-    ``dedup_tolerance`` apart.
+    ``dedup_tolerance`` apart.  The fields go in with one update of the
+    instance's ``__dict__``, which is where the frozen constructor's
+    ``object.__setattr__`` calls put them one by one.
     """
     out = cls.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+    out.__dict__.update(fields)
     return out
 
 
 def _set_of(space: SpaceDescriptor, points, tol: float = 0.0) -> FiniteSubset:
     # The subset of checked, canonical points more than tol apart, sorted by
     # point_sort_key (their data's _sort_key); it neither dedups nor measures.
-    key = space._sort_key
-    points = tuple(sorted(points, key=lambda p: key(p.data)))
+    # One point is in order as it is, so it needs no sort key.
+    points = tuple(points)
+    if len(points) > 1:
+        key = space._sort_key
+        points = tuple(sorted(points, key=lambda p: key(p.data)))
     return _built(FiniteSubset, space=space, points=points, dedup_tolerance=tol)
 
 
@@ -328,7 +332,7 @@ def order_tuple(a: FiniteSubset, pad_to: int) -> PointTuple:
     pts = list(a.points)
     if len(pts) >= 2:
         ds = _gaps(a.space, [p.data for p in pts])
-        i, j = list(itertools.combinations(range(len(pts)), 2))[ds.index(min(ds))]
+        i, j = _pair_indices(len(pts))[ds.index(min(ds))]
         first = [pts[i], pts[j]]
         rest = [p for k, p in enumerate(pts) if k not in (i, j)]
         pts = first + rest

@@ -1089,9 +1089,10 @@ def test_tree_merge_time_is_the_limit_of_the_splitting(caterpillar_tree):
 
 def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
     # A flow in which nothing approaches, or which never collides, raises
-    # instead of looping.  Both are made by replacing the motion of a point.
+    # instead of looping.  Both are made by replacing the motion of a point
+    # (_motions, which takes the motions of the points it is given).
     x = tree_tuple(star_tree, (0, 0.3), (1, 0.5), (2, 1.2))
-    monkeypatch.setattr(TreeSpace, "_motion", lambda self, i, data: None)
+    monkeypatch.setattr(TreeSpace, "_motions", lambda self, data, which: [None] * len(which))
     with pytest.raises(GeometryError, match="approach"):
         merge_time(x, FlowConfig())
     # every point bounces between the ends of its edge, never toward another
@@ -1102,7 +1103,8 @@ def test_tree_merge_time_guards_its_event_loop(star_tree, monkeypatch):
         sign = -1 if o == lengths[edge_id] else 1
         return edge_id, o, sign, 1, [-1] * len(data), lengths[edge_id]
 
-    monkeypatch.setattr(TreeSpace, "_motion", bounce)
+    monkeypatch.setattr(TreeSpace, "_motions",
+                        lambda self, data, which: [bounce(self, i, data) for i in which])
     with pytest.raises(GeometryError, match="event bound"):
         merge_time(x, FlowConfig())
 
@@ -1256,13 +1258,13 @@ def test_tree_first_collision_renews_a_clamped_point(caterpillar_tree, monkeypat
     assert len(events) == 5
     assert [(arrived, clamped) for _, arrived, clamped in events[3:4]] == [([1], [5])]
     taken = []
-    motion = TreeSpace._motion
+    motions = TreeSpace._motions
 
-    def record(self, i, data):
-        taken.append(i)
-        return motion(self, i, data)
+    def record(self, data, which):
+        taken.extend(which)
+        return motions(self, data, which)
 
-    monkeypatch.setattr(TreeSpace, "_motion", record)
+    monkeypatch.setattr(TreeSpace, "_motions", record)
     t_ref, want = tree_first_collision_ref(caterpillar_tree, data)
     t, got = caterpillar_tree._first_collision(data, _gaps(caterpillar_tree, data))
     assert taken == list(range(6)) + [i for _, arrived, clamped in events[:-1]

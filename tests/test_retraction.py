@@ -658,6 +658,52 @@ def test_two_point_retract_does_not_number_or_collapse(star_tree, caterpillar_tr
             assert retract(a, 2, cfg).to_json() == report
 
 
+def _exact_branch_sets(star_tree, caterpillar_tree):
+    """Seeded sets of three or more points whose merge takes retract's exact branch.
+
+    200 star sets at n = 3 (_golden_set); on the five-leg equal star, 50
+    sets of each _exact_flow_inputs family at n = 3, 4 and 5; 30 caterpillar
+    sets (_golden_set) at each n = 3..8; and 20 sets at each n = 3..6 on the
+    line (gaussian) and on hyperboloid:1 (_apex_point of a gaussian times 3).
+    """
+    rng = random.Random("exactbranch:star")
+    for _ in range(200):
+        yield _golden_set(star_tree, 3, rng), 3
+    five_leg = _five_leg_star()
+    rng = random.Random("exactbranch:five-leg")
+    for n in (3, 4, 5):
+        for k in range(150):
+            data = _exact_flow_inputs(five_leg, rng, n, k % 3)
+            yield make_subset(five_leg, [five_leg.point(d) for d in data]), n
+    rng = random.Random("exactbranch:caterpillar")
+    for n in range(3, 9):
+        for _ in range(30):
+            yield _golden_set(caterpillar_tree, n, rng), n
+    line, hyper = EuclideanSpace(1), HyperboloidSpace(1)
+    rng = random.Random("exactbranch:dim1")
+    for n in range(3, 7):
+        for _ in range(20):
+            yield make_subset(line, [line.point((rng.gauss(0.0, 1.0),)) for _ in range(n)]), n
+            yield make_subset(hyper, [_apex_point(hyper, [3.0 * rng.gauss(0.0, 1.0)])
+                                      for _ in range(n)]), n
+
+
+# sha256 over the sorted-key JSON of the retract of every _exact_branch_sets
+# set at its n, one line each, as the code printed them before the exact
+# branch's plumbing (the tuple, set and report it builds) was cut down
+EXACT_BRANCH_DIGEST = "d672a1abb1746394402eba5fe07f992bad931bee264c6e0447a6c5fd31108600"
+
+
+def test_exact_branch_retract_bytes(star_tree, caterpillar_tree):
+    digest = hashlib.sha256()
+    for a, n in _exact_branch_sets(star_tree, caterpillar_tree):
+        assert len(a) == n
+        report = retract(a, n)
+        assert report.output_cardinality < n
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == EXACT_BRANCH_DIGEST
+
+
 def _plane_isometry(rng):
     # A rotation, a reflection x -> -x half the time, and a translation.
     a = rng.uniform(0.0, 2.0 * math.pi)
