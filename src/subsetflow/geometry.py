@@ -42,8 +42,9 @@ and on hyperboloid:1, where ``merge_time`` calls ``_first_collision(data,
 gaps)``, the exact flow to the first collision, whose first event on a tree
 reuses those gaps; hyperboloid:1 runs the line's in arclength.
 Every tree kernel reads an edge by its id from one table (its ends, its
-length and both ends' rows of node distances); the tree ``_gap`` builds no
-route, and its ``_interp`` builds one (``_route``).  The exact tree flow
+length and both ends' rows of node distances); the tree's ``_gap`` and
+``_interp`` are rendered from its march template's route and move blocks
+(``_gap`` without the route's own parts).  The exact tree flow
 takes every point's motion (``_motions``, one pass over every point's edge
 id) at its first event and afterwards only for a point placed on a vertex:
 until two points meet, no point passes another, so every other point keeps
@@ -64,8 +65,8 @@ generator (``_MarchingSpace``) builds every backend's march from it in one
 shape: the values of slots 0..k-1 in locals for the whole march, and each
 later slot in a row that steps it against them and loops over the rest,
 for the largest k <= n whose source fits under ``_MARCH_MAX_SOURCE``
-characters, else ``_pair_march``.  A tree's template shares with
-``_interp`` the walk past an edge's end (``_walk``), and the hyperboloid's
+characters, else ``_pair_march``.  A tree's template shares its blocks
+with ``_gap`` and ``_interp`` (and ``_walk``), and the hyperboloid's
 lifts both ends of every step in one place and turns its sweep's smallest
 md into ``low`` once, at the sweep's end.  Every march keeps
 ``_pair_step``'s bits.
@@ -78,6 +79,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
@@ -310,6 +312,12 @@ def _compile(source: str, name: str, **names):
     namespace = {**_KERNEL_NAMES, **names}
     exec(source, namespace)
     return namespace[name]
+
+
+def _block(block: str, indent: int, **fields) -> str:
+    # A template block, each line of which starts with a newline, with its
+    # fields filled in and every line indented by indent spaces.
+    return block.format(**fields).replace("\n", "\n" + " " * indent)
 
 
 @functools.cache
@@ -810,12 +818,12 @@ class TreeSpace(_MarchingSpace):
     to node's), by plain indexing: ``_check_point`` has rejected every edge
     id the tree lacks.  ``_branch`` rows hold edge ids too: ``_branch[v][f]``
     is the first edge from node v toward edge f, the one next-hop table.
-    ``_gap`` returns the least endpoint pairing's length without building a
-    route, ``_interp`` walks the one ``_route`` picks, and ``_motions``
-    reads one ``_branch`` row per point.  The march is the shared generator's
-    (``_MarchingSpace``) over slots of (edge id, offset): its pair template
-    routes each pair from the two slots' table rows and, like ``_interp``,
-    leaves a walk past an edge's end to ``_walk``.
+    The march is the shared generator's (``_MarchingSpace``) over slots of
+    (edge id, offset); its pair template and the kernels ``_gap`` and
+    ``_interp`` are rendered from three blocks: the two table rows, the
+    route, whose length ``_gap`` returns without the route, and the move
+    along a point's own edge, which leaves a walk past the edge's end to
+    ``_walk``.  ``_motions`` reads one ``_branch`` row per point.
     """
 
     topology: TreeTopology
@@ -918,19 +926,23 @@ class TreeSpace(_MarchingSpace):
     geodesic_point = _geodesic_point
     _pair_step = _pair_step
 
-    # The pair step, _pair_step inlined in one pass with every float operation
-    # in its order, over slots of (edge id, offset).  The forward route's
-    # length is d, _gap's (see _route), and the way back is routed only for a
-    # pair that moves apart, summed in its own order.  A meeting pair's step
-    # 0.5 * d is written s * d with s = 0.5, on one edge too, so meeting and
-    # moving share the code that moves the points.
-    _MARCH_SETUP: ClassVar[str] = (
-        "table, place, walk, lam2 = space._table, space._place, space._walk, 2.0 * lam")
-    # One end's route to the other end, as _route(pd, qd): its length d, the
-    # leg to the exit node u, and nb, where it enters the other end's edge.
-    # P is the end's number (1 for slot a, 2 for slot b) and Q the other's.
-    _MARCH_ROUTE: ClassVar[str] = """
-d, leg, u, nb = {p1} + ra{P}[n{Q}] + {q1}, {p1}, n{P}, n{Q}
+    # Three blocks, each written once, render the pair template and the
+    # kernels over two ends: end P at offset {p1} on edge {p0}, and end Q at
+    # {q1} on {q0}.  The rows block reads end 1's and end 2's table rows: edge
+    # P runs from node n{P} to m{P}, is l{P} long, has the node distances
+    # ra{P} and rb{P} at its ends, and holds its end r{P} short of m{P}.
+    _ROWS: ClassVar[str] = """
+n1, m1, l1, ra1, rb1 = table[{p0}]
+n2, m2, l2, ra2, rb2 = table[{q0}]
+r1 = l1 - {p1}
+r2 = l2 - {q1}"""
+    # End P's shortest route to end Q: each line sums one endpoint pairing's
+    # length, in this order, and the first strict minimum is the distance d
+    # (comparisons, not min(), which costs more than the sums).  What follows
+    # a ";" only the route needs, and _gap drops it: the leg to the exit node
+    # u, and nb, where the route enters Q's edge.
+    _ROUTE: ClassVar[str] = """
+d = {p1} + ra{P}[n{Q}] + {q1}; leg, u, nb = {p1}, n{P}, n{Q}
 x = {p1} + ra{P}[m{Q}] + r{Q}
 if x < d:
     d = x; nb = m{Q}
@@ -940,24 +952,34 @@ if x < d:
 x = r{P} + rb{P}[m{Q}] + r{Q}
 if x < d:
     d = x; leg = r{P}; u = m{P}; nb = m{Q}"""
-    # That end moved step along its route into {e}, {o}: on its own edge, or
-    # placed at the end it reaches or passes, or past it by _walk.
-    _MARCH_MOVE: ClassVar[str] = """
+    # End P moved step along its route, the data that {to} takes: on its own
+    # edge, or placed at the end it reaches or passes, or past it by _walk.
+    # {on} is where the _place and _walk it calls are found.
+    _MOVE: ClassVar[str] = """
 if step <= leg:
     off = {p1} - step if u == n{P} else {p1} + step
     if 0.0 < off < l{P}:
-        {e}, {o} = {p0}, off
+        {to}{p0}, off
     else:
-        {e}, {o} = place({p0}, 0.0 if off <= 0.0 else l{P})
+        {to}{on}place({p0}, 0.0 if off <= 0.0 else l{P})
 else:
-    {e}, {o} = walk(u, nb, step - leg, ({q0}, {q1}))"""
+    {to}{on}walk(u, nb, step - leg, ({q0}, {q1}))"""
+    # The ends in the pair template's slot names (end 1 at slot a), and in the kernels'.
+    _END_A: ClassVar[dict] = dict(p0="{a0}", p1="{a1}", q0="{b0}", q1="{b1}", P=1, Q=2)
+    _END_B: ClassVar[dict] = dict(p0="{b0}", p1="{b1}", q0="{a0}", q1="{a1}", P=2, Q=1)
+    _END_PD: ClassVar[dict] = dict(p0="a0", p1="a1", q0="b0", q1="b1", P=1, Q=2)
+
+    # The pair step, _pair_step inlined in one pass with every float operation
+    # in its order, over slots of (edge id, offset).  The forward route's
+    # length is d, _gap's, and the way back is routed only for a pair that
+    # moves apart.  A meeting pair's step 0.5 * d is written s * d with s =
+    # 0.5, on one edge too, so meeting and moving share the code that moves
+    # the points.
+    _MARCH_SETUP: ClassVar[str] = (
+        "table, place, walk, lam2 = space._table, space._place, space._walk, 2.0 * lam")
     # Formatted here with each end's blocks; the slot names stay for _pair.
     _MARCH_PAIR: ClassVar[str] = """
-        if {a0} != {b0}:
-            n1, m1, l1, ra1, rb1 = table[{a0}]
-            n2, m2, l2, ra2, rb2 = table[{b0}]
-            r1 = l1 - {a1}
-            r2 = l2 - {b1}{route_a}
+        if {a0} != {b0}:{route_a}
             if d < low:
                 low = d
             s = 0.5 if d <= lam2 else lam / d
@@ -985,72 +1007,27 @@ else:
                 if not 0.0 < {b1} < l1:
                     {b0}, {b1} = place({b0}, {b1})""".format(
         a0="{a0}", a1="{a1}", b0="{b0}", b1="{b1}",
-        route_a=_MARCH_ROUTE.format(p1="{a1}", q1="{b1}", P=1, Q=2).replace("\n", "\n" + " " * 12),
-        move_a=_MARCH_MOVE.format(p0="{a0}", p1="{a1}", q0="{b0}", q1="{b1}", P=1, e="e", o="o")
-        .replace("\n", "\n" + " " * 16),
-        route_b=_MARCH_ROUTE.format(p1="{b1}", q1="{a1}", P=2, Q=1).replace("\n", "\n" + " " * 20),
-        move_b=_MARCH_MOVE.format(p0="{b0}", p1="{b1}", q0="{a0}", q1="{a1}", P=2, e="{b0}", o="{b1}")
-        .replace("\n", "\n" + " " * 20))
+        route_a=_block(_ROWS + _ROUTE, 12, **_END_A),
+        move_a=_block(_MOVE, 16, **_END_A, to="e, o = ", on=""),
+        route_b=_block(_ROUTE, 20, **_END_B),
+        move_b=_block(_MOVE, 20, **_END_B, to="{b0}, {b1} = ", on=""))
 
-    def _gap(self, pd: tuple, qd: tuple) -> float:
-        # _route(pd, qd)[0] without a route: the least of the four endpoint
-        # pairings, each summed as the route sums it.
-        # Comparisons, not min(): a call of min() costs more than the sums.
-        if pd[0] == qd[0]:
-            return abs(pd[1] - qd[1])
-        a, b, length, row_a, row_b = self._table[pd[0]]
-        c, d, length_q, _, _ = self._table[qd[0]]
-        o, oq = pd[1], qd[1]
-        r, rq = length - o, length_q - oq
-        best = o + row_a[c] + oq
-        other = o + row_a[d] + rq
-        if other < best:
-            best = other
-        other = r + row_b[c] + oq
-        if other < best:
-            best = other
-        other = r + row_b[d] + rq
-        return other if other < best else best
-
-    def _route(self, pd: tuple, qd: tuple) -> tuple:
-        # The shortest route from pd to qd on two edges: (length, leg from pd
-        # to its edge's exit node, exit node, entry node of qd's edge).  It
-        # tries the endpoint pairings in _gap's order, each summed as _gap
-        # sums it, and the first strict minimum wins, so its length is _gap's
-        # bit for bit.  The way back, _route(qd, pd), sums in its own order.
-        a, b, length, row_a, row_b = self._table[pd[0]]
-        c, d, length_q, _, _ = self._table[qd[0]]
-        o, oq = pd[1], qd[1]
-        r, rq = length - o, length_q - oq
-        route = o + row_a[c] + oq, o, a, c
-        other = o + row_a[d] + rq
-        if other < route[0]:
-            route = other, o, a, d
-        other = r + row_b[c] + oq
-        if other < route[0]:
-            route = other, r, b, c
-        other = r + row_b[d] + rq
-        return (other, r, b, d) if other < route[0] else route
-
-    def _interp(self, pd: tuple, qd: tuple, t: float, d: float) -> tuple:
-        # The point at fraction t in (0, 1) from pd to qd != pd.  d is unread:
-        # the way back walks its own route's length, which may differ in the last bit.
-        e1, o1 = pd
-        e2, o2 = qd
-        if e1 == e2:
-            return self._place(e1, o1 + t * (o2 - o1))
-        total, ra, u, nb = self._route(pd, qd)
-        s = t * total
-        if s <= ra:
-            a, _, length, _, _ = self._table[e1]
-            off = o1 - s if u == a else o1 + s
-            # Comparisons, not min(max(off, 0.0), length), with its bits.
-            if off < 0.0:
-                off = 0.0
-            elif off > length:
-                off = length
-            return self._place(e1, off)
-        return self._walk(u, nb, s - ra, qd)
+    # The kernels, which bind as methods: pd's route to qd over a0, a1 = pd
+    # and b0, b1 = qd, or on one edge the offsets.  _interp reads no d: each
+    # direction walks its own route, whose length may differ in the last bit.
+    _KERNEL: ClassVar[str] = """
+def {name}(space, pd, qd{args}):
+    a0, a1 = pd
+    b0, b1 = qd
+    if a0 == b0:
+        return {same}
+    table = space._table{body}"""
+    _gap = _compile(_KERNEL.format(name="_gap", args="", same="abs(a1 - b1)", body=_block(
+        _ROWS + re.sub(";.*", "", _ROUTE) + "\nreturn d", 4, **_END_PD)), "_gap")
+    _interp = _compile(_KERNEL.format(
+        name="_interp", args=", t, d", same="space._place(a0, a1 + t * (b1 - a1))",
+        body=_block(_ROWS + _ROUTE + "\nstep = t * d" + _MOVE, 4, **_END_PD, to="return ", on="space._")),
+        "_interp")
 
     def _walk(self, u: int, nb: int, s: float, qd: tuple) -> tuple:
         # The point s on from node u along the route to qd, which enters qd's

@@ -495,6 +495,34 @@ def tree_edges_ref(space) -> tuple[dict, dict]:
     return edges, first
 
 
+def tree_interp_ref(space, pd: tuple, qd: tuple, t: float) -> tuple:
+    """The point at fraction t in (0, 1) from pd to qd != pd, placed by
+    space._place: on one edge, t of the way; else t times the length of
+    tree_routes_ref's route from pd, walked along it over tree_edges_ref's
+    edges in TreeSpace._walk's arithmetic, clamped to pd's edge while on it
+    and stopped at qd on qd's edge."""
+    if pd[0] == qd[0]:
+        return space._place(pd[0], pd[1] + t * (qd[1] - pd[1]))
+    edges, first = tree_edges_ref(space)
+    length, leg, u, nb = tree_routes_ref(space, pd, qd)[0]
+    s = t * length
+    edge = edges[pd[0]]
+    if s <= leg:
+        off = pd[1] - s if u == edge.from_node else pd[1] + s
+        return space._place(edge.id, min(max(off, 0.0), edge.length))
+    s -= leg
+    while u != nb:
+        edge = first[u][nb]
+        if s < edge.length:
+            return space._place(edge.id, s if u == edge.from_node else edge.length - s)
+        s -= edge.length
+        u = edge.other(u)
+    edge = edges[qd[0]]
+    if nb == edge.from_node:
+        return space._place(edge.id, min(s, qd[1]))
+    return space._place(edge.id, max(edge.length - s, qd[1]))
+
+
 def tree_branch_ref(space, node: int, qd: tuple):
     # The first TreeEdge from the vertex node toward the point qd != node.
     edges, first = tree_edges_ref(space)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import random
@@ -39,7 +40,7 @@ from subsetflow.geometry import (_MARCH_MAX_SOURCE, _OVERFLOW, _SMALL_ANGLE, _co
                                  _march_kernel, _pair_march, _pair_step, _total)
 from oracles import (dual_solve_ref, full_resolvent_ref, grid_pair_prox,
                      hyperboloid_distance_decimal, tree_edges_ref, tree_first_collision_ref,
-                     tree_motion_ref, tree_routes_ref)
+                     tree_interp_ref, tree_motion_ref, tree_routes_ref)
 
 
 def line_tuple(line, *vals):
@@ -557,23 +558,26 @@ def _check_marches(space, cases):
 
 
 def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
-    # Each direction of a pair step walks its own route, _route(pd, qd) one
-    # way and _route(qd, pd) back, and each keeps the tie rule of its own
-    # direction: the two are the routes of a fused pass over both directions
-    # (tree_routes_ref), bit for bit, and each one's length is _gap in its
-    # direction.  Vertices and points on edges that share a node have
-    # endpoint pairings whose lengths tie.
+    # Each direction of a pair step walks its own route, and each keeps the
+    # tie rule of its own direction: _gap both ways is the length of the
+    # routes of a fused pass over both directions (tree_routes_ref), bit for
+    # bit, and _interp both ways is the point that a walk along that
+    # direction's route reaches (tree_interp_ref).  Vertices and points on
+    # edges that share a node have endpoint pairings whose lengths tie.
     space = caterpillar_tree
     pts = list(dict.fromkeys(space.point((e.id, f * e.length))
                              for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
     for p, q in itertools.permutations(pts, 2):
         pd, qd = p.data, q.data
         if pd[0] != qd[0]:
-            fwd, rev = space._route(pd, qd), space._route(qd, pd)
-            assert (fwd, rev) == tree_routes_ref(space, pd, qd)
-            # the distance kernel builds no route, and keeps its bits
+            fwd, rev = tree_routes_ref(space, pd, qd)
             assert space._gap(pd, qd) == fwd[0]
             assert space._gap(qd, pd) == rev[0]
+        for a, b in ((pd, qd), (qd, pd)):
+            d = space._gap(a, b)
+            for t in (1e-3, 0.1, 0.25, 0.3, 0.5, 0.999):
+                got = space._interp(a, b, t, d)
+                assert got == tree_interp_ref(space, a, b, t), (a, b, t)
         d = space.distance(p, q)
         for lam in (0.1 * d, 0.3 * d, d):
             y = pair_resolvent(PointTuple(space, (p, q)), 0, 1, lam)
@@ -617,11 +621,11 @@ def _tree_sweep_branches(space, coords, lam, seen):
             if pd[0] == qd[0]:
                 seen["same edge merge" if d <= 2.0 * lam else "same edge move"] += 1
             elif d <= 2.0 * lam:
-                _tree_walk_branch(space, 0.5 * d, space._route(pd, qd), seen, "forward")
+                _tree_walk_branch(space, 0.5 * d, tree_routes_ref(space, pd, qd)[0], seen, "forward")
             else:
                 s = lam / d
-                _tree_walk_branch(space, s * d, space._route(pd, qd), seen, "forward")
-                back = space._route(qd, pd)
+                there, back = tree_routes_ref(space, pd, qd)
+                _tree_walk_branch(space, s * d, there, seen, "forward")
                 _tree_walk_branch(space, s * back[0], back, seen, "back")
     return low
 
@@ -663,6 +667,61 @@ def test_tree_march_matches_the_pair_march_bit_for_bit(star_tree, caterpillar_tr
                     early += got_run[0] < 3
     assert marches >= 2900 and early >= 500
     assert min(seen.values()) >= 50, seen
+
+
+def _tree_kernel_results(tree, name):
+    """What a tree's kernels give on seeded data, about 30% of its points on
+    vertices: _gap and _interp on up to 600 ordered pairs of distinct
+    points, at t = 0.5, 0.25, 0.999 and a t whose step lands exactly on the
+    end of the leg along pd's own edge, where there is one; and three sweeps
+    of _march of 4- and 7-tuples at a small and a large step."""
+    rng = random.Random(f"treekernels:{name}")
+    edges = tree.topology.edges
+
+    def draw():
+        if rng.random() < 0.3:
+            e = rng.choice(edges)
+            return tree.point((e.id, rng.choice((0.0, e.length)))).data
+        return tree.random_point(rng).data
+
+    out = []
+    for _ in range(600):
+        pd, qd = draw(), draw()
+        if pd == qd:
+            continue
+        d = tree._gap(pd, qd)
+        ts = [0.5, 0.25, 0.999]
+        if pd[0] != qd[0]:
+            leg = tree_routes_ref(tree, pd, qd)[0][1]
+            t = leg / d
+            t = next((u for u in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0))
+                      if u * d == leg), t)
+            if 0.0 < t < 1.0:
+                ts.append(t)
+        out.append((pd, qd, d, [(t, tree._interp(pd, qd, t, d)) for t in ts]))
+    for n in (4, 7):
+        for _ in range(20):
+            data = [draw() for _ in range(n)]
+            ds = sorted(_gaps(tree, data))
+            apart = [d for d in ds if d > 0.0] or [1.0]
+            for lam in (0.1 * apart[0], 0.6 * ds[-1]):
+                coords = list(data)
+                out.append((data, lam, tree._march(coords, lam, 3, -math.inf), coords))
+    return out
+
+
+# sha256 over the repr of _tree_kernel_results on the star, the caterpillar
+# and the five-leg star, as the code gave them when the tree's _gap and
+# _interp were still written by hand beside its march template
+TREE_KERNEL_DIGEST = "1b4c2dcec0b1cebca65f90bd9d52c042c46b95498094989c953e681672ec4e92"
+
+
+def test_tree_kernel_bytes(star_tree, caterpillar_tree):
+    digest = hashlib.sha256()
+    for name, tree in (("star", star_tree), ("caterpillar", caterpillar_tree),
+                       ("five-leg", _five_leg_star())):
+        digest.update(repr(_tree_kernel_results(tree, name)).encode())
+    assert digest.hexdigest() == TREE_KERNEL_DIGEST
 
 
 def test_two_point_flow_exact(line):
