@@ -6,8 +6,8 @@ space and point values are immutable, and every operation is a pure
 function of its arguments, so the module is safe to use from concurrent
 samplers.
 
-A backend supplies ``_check_point(p)``, which admits only data that its
-``point()`` builds, ``_sort_key(data)``, that data's JSON text for
+A backend supplies ``_check_point(p)``, which alone decides what data its
+points may hold, ``_sort_key(data)``, that data's JSON text for
 ``point_sort_key``, and two kernels on bare coordinate data, the
 ``Point.data`` of a point (a coordinate tuple, or an ``(edge_id, offset)``
 pair on a tree): ``_gap(pd, qd)``, the distance, and
@@ -15,23 +15,22 @@ pair on a tree): ``_gap(pd, qd)``, the distance, and
 their ``_gap``.  The kernels skip the check, because the flow passes them
 the data of a ``PointTuple``, checked once, where its points entered the
 library, and a kernel builds from admitted data only data the check
-admits.  Outside numbers enter through ``point()``, which reads an ``int``
-or ``float`` that is not a ``bool`` (``_real``) and refuses anything else
-as a ``GeometryError``.  Each backend
-binds in its class body what this module writes once from those:
+admits.  Outside numbers enter through ``point()``, which only reads an
+``int`` or ``float`` that is not a ``bool`` (``_real``) and admits what it
+builds through the check, as every entry for a caller's point does.  Each
+backend binds in its class body what this module writes once from those:
 ``distance = _distance`` and ``geodesic_point = _geodesic_point``, which
-check each point (its kind; its coordinate count, or on a tree its edge and
-offset) and call the kernels.  ``_geodesic_point`` ends in ``_toward(space,
-p, q, t, d)``, the step between checked points d apart, which the library's
-own steps call directly; ``_total`` sums floats left to right for every
-report.  Each backend also binds a pair step, ``space._pair_step(pd, qd,
-lam)``, the two-point resolvent of distinct pd and qd, which measures their
-distance d once and returns ``(p', q', d)``: the shared midpoint twice when
-d <= 2 lam, else both points moved lam toward each other, and d, which the
-merge march uses as a bound.  No step checks anything: lam and t are
-checked where they enter, and an admitted pair's d is never NaN
-(``HyperboloidSpace``), so a pair whose d overflowed stays put, and
-``_toward`` refuses it.  The euclidean and tree backends bind the module's
+check each point and call the kernels.  ``_geodesic_point`` ends in
+``_toward(space, p, q, t, d)``, the step between checked points d apart,
+which the library's own steps call directly; ``_total`` sums floats left
+to right for every report.  Each backend also binds a pair step,
+``space._pair_step(pd, qd, lam)``, the two-point resolvent of distinct pd
+and qd, which measures their distance d once and returns ``(p', q', d)``:
+the shared midpoint twice when d <= 2 lam, else both points moved lam
+toward each other, and d, which the merge march uses as a bound.  No step
+checks anything: lam and t are checked where they enter, and an admitted
+pair's d is never NaN (``HyperboloidSpace``), so a pair whose d overflowed
+stays put, and ``_toward`` refuses it.  The euclidean and tree backends bind the module's
 ``_pair_step(space, pd, qd, lam)``, written once over the kernels; the
 hyperboloid writes its own in closed form in the squared gap md = 4
 sinh^2(d/2) (``_squared_gap``), which its ``_gap`` reads too.
@@ -142,20 +141,15 @@ def _real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _coordinates(coords, count: int) -> tuple:
-    """Exactly count finite floats; malformed input is a GeometryError."""
+def _coordinates(coords) -> tuple:
+    """Real numbers as floats, for ``_check_point`` to admit; else a GeometryError."""
     try:
         items = tuple(coords)
         if not all(_real(c) for c in items):
             raise TypeError("not a real number")
-        data = tuple(map(float, items))
+        return tuple(map(float, items))
     except (TypeError, OverflowError) as exc:
         raise GeometryError(f"coordinates must be numbers, got {coords!r}") from exc
-    if len(data) != count:
-        raise GeometryError(f"expected {count} coordinates, got {len(data)}")
-    if not all(math.isfinite(c) for c in data):
-        raise GeometryError("coordinates must be finite")
-    return data
 
 
 _OVERFLOW = "a hyperboloid point's squared time coordinate overflows double precision"
@@ -421,7 +415,8 @@ def _march(space, coords, lam, sweeps, watch):{load}
 class _CoordinateSpace(_MarchingSpace):
     """What the coordinate backends share: a dimension, the array codec, the march.
 
-    Subclasses set ``kind``, define ``point``, ``random_point`` and the
+    ``point`` reads coordinates (``_coordinates``) for ``_check_point`` to
+    admit.  Subclasses set ``kind``, define ``random_point`` and the
     kernels ``_gap`` and ``_interp(pd, qd, t, d)``, and bind ``distance =
     _distance`` and ``geodesic_point = _geodesic_point`` in their own class
     body, where per-backend call counters look the public methods up.  Each
@@ -437,15 +432,17 @@ class _CoordinateSpace(_MarchingSpace):
     def __post_init__(self) -> None:
         _check_count("dimension", self.dim, 1)
 
+    def point(self, coords) -> Point:
+        return self.canonicalize(Point(self.kind, _coordinates(coords)))
+
     def canonicalize(self, p: Point) -> Point:
         self._check_point(p)
         return p
 
     def _check_point(self, p: Point) -> None:
         # The march kernels unpack a fixed number of coordinates per slot,
-        # and _sort_key writes each by float repr: finite floats only, as
-        # point() builds them (no int, bool or text), and on the hyperboloid
-        # an x0 whose square is a double, so that no gap is NaN.
+        # and _sort_key writes each by float repr: finite floats only (no
+        # int, bool or text).
         _check_kind(self, p)
         count = self.dim + self._EXTRA_COORDS
         if len(p.data) != count:
@@ -453,8 +450,6 @@ class _CoordinateSpace(_MarchingSpace):
         for c in p.data:
             if type(c) is not float or not math.isfinite(c):
                 raise GeometryError(f"coordinates must be finite floats, got {p.data!r}")
-        if self._EXTRA_COORDS and not p.data[0] * p.data[0] < math.inf:
-            raise GeometryError(_OVERFLOW)
 
     def point_to_json(self, p: Point):
         _check_kind(self, p)
@@ -479,9 +474,6 @@ class EuclideanSpace(_CoordinateSpace):
     """R^dim with the usual metric; geodesics are straight segments."""
 
     kind: ClassVar[str] = "euclidean"
-
-    def point(self, coords) -> Point:
-        return Point(self.kind, _coordinates(coords, self.dim))
 
     distance = _distance
     geodesic_point = _geodesic_point
@@ -554,13 +546,13 @@ class EuclideanSpace(_CoordinateSpace):
 class HyperboloidSpace(_CoordinateSpace):
     """Hyperbolic space as the upper sheet of <x,x> = -1 in Minkowski R^{dim+1}.
 
-    Points carry dim+1 coordinates with x0 > 0, accepted when the constraint
-    holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2`` and x0^2 is a double
-    (x0 <= 1.34e154, about 355.6 from the apex): so no squared gap, -(x0 -
-    y0)^2 plus a sum of squares, is NaN.  Every point the library builds, an
-    interpolation, a pair step or a random point, blends or draws the
-    spatial coordinates alone and derives x0 from them (``_lift``), so it
-    stays in its inputs' hull.  The pair step and ``_gap`` read a pair
+    Points carry dim+1 coordinates with x0 > 0, admitted (``_check_point``)
+    when the constraint holds within ``HYPERBOLOID_CONSTRAINT_TOL * x0**2``
+    and x0^2 is a double (x0 <= 1.34e154, about 355.6 from the apex): so no
+    squared gap, -(x0 - y0)^2 plus a sum of squares, is NaN.  Every point
+    the library builds, an interpolation, a pair step or a random point,
+    blends or draws the spatial coordinates alone and derives x0 from them
+    (``_lift``), so it stays in its inputs' hull.  The pair step and ``_gap`` read a pair
     through its squared gap md = 4 sinh^2(d/2) alone (``_squared_gap``): the
     step's weights are algebraic in md and in sinh and exp of the step,
     computed once per march, so a pair step calls no sinh, and a march sweep
@@ -578,17 +570,17 @@ class HyperboloidSpace(_CoordinateSpace):
             s += a * b
         return s
 
-    def point(self, coords) -> Point:
-        data = _coordinates(coords, self.dim + 1)
-        x0 = data[0]
+    def _check_point(self, p: Point) -> None:
+        # The upper sheet: an x0 > 0 whose square is a double, so that no
+        # gap is NaN, and <x,x> = -1 within a tolerance scaled by x0^2.
+        super()._check_point(p)
+        x0 = p.data[0]
         if x0 <= 0.0:
             raise GeometryError("hyperboloid points need a positive time coordinate")
         if not x0 * x0 < math.inf:
             raise GeometryError(_OVERFLOW)
-        # <x,x> rounds at the scale of x0^2, so the tolerance scales with it.
-        if abs(self.minkowski(data, data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0:
+        if abs(self.minkowski(p.data, p.data) + 1.0) > HYPERBOLOID_CONSTRAINT_TOL * x0 * x0:
             raise GeometryError("point is off the hyperboloid sheet")
-        return Point(self.kind, data)
 
     distance = _distance
     geodesic_point = _geodesic_point
@@ -815,9 +807,10 @@ class TreeSpace(_MarchingSpace):
 
     Every kernel reads an edge by its id from ``_table``, which maps an edge
     id to (from node, to node, length, from node's distances to every node,
-    to node's), by plain indexing: ``_check_point`` has rejected every edge
-    id the tree lacks.  ``_branch`` rows hold edge ids too: ``_branch[v][f]``
-    is the first edge from node v toward edge f, the one next-hop table.
+    to node's), by plain indexing: ``_check_point``, behind ``point`` too,
+    has refused every edge id the tree lacks.  ``_branch`` rows hold edge
+    ids too: ``_branch[v][f]`` is the first edge from node v toward edge f,
+    the one next-hop table.
     The march is the shared generator's (``_MarchingSpace``) over slots of
     (edge id, offset); its pair template and the kernels ``_gap`` and
     ``_interp`` are rendered from three blocks: the two table rows, the
@@ -877,19 +870,14 @@ class TreeSpace(_MarchingSpace):
             edge_id, offset = place
         except (TypeError, ValueError) as exc:
             raise GeometryError("tree point is an (edge_id, offset) pair") from exc
-        # An integral float id such as 1.0 finds edge 1, as from_json reads it.
+        # An integral float id such as 1.0 reads as edge 1, as from_json reads it.
         try:
-            if not (_real(edge_id) and _real(offset)):
-                raise TypeError("not a real number")
-            row = self._table.get(edge_id)
-            offset = float(offset)
+            if not (_real(edge_id) and _real(offset)) or edge_id % 1:
+                raise TypeError("not a real number, or a fractional edge id")
+            data = (int(edge_id), float(offset))
         except (TypeError, OverflowError) as exc:
             raise GeometryError(f"malformed tree point {place!r}") from exc
-        if row is None:
-            raise GeometryError(f"unknown edge id {edge_id!r}")
-        if not (math.isfinite(offset) and 0.0 <= offset <= row[2]):
-            raise GeometryError(f"offset {offset} outside [0, {row[2]}] on edge {edge_id}")
-        return Point(self.kind, self._place(int(edge_id), offset))
+        return self.canonicalize(Point(self.kind, data))
 
     def _place(self, edge_id: int, offset: float) -> tuple:
         # The canonical data of the point at offset along edge edge_id.
@@ -1281,11 +1269,11 @@ def point_sort_key(space: SpaceDescriptor, p: Point) -> str:
     """Canonical serialization, used wherever a deterministic order is needed.
 
     It is ``json.dumps(space.point_to_json(p), sort_keys=True)`` byte for
-    byte for every point the space's check admits, but each backend writes
-    the text itself (``space._sort_key(p.data)``), without the encoder: a
-    coordinate point as ``[x0, x1, ...]`` by float repr, a tree point as
-    ``{"edge": id, "offset": offset}``.
+    byte for every point the space's check admits, and p is checked first,
+    but each backend writes the text itself (``space._sort_key(p.data)``),
+    without the encoder: a coordinate point as ``[x0, x1, ...]`` by float
+    repr, a tree point as ``{"edge": id, "offset": offset}``.
     """
-    _check_kind(space, p)
+    space._check_point(p)
     return space._sort_key(p.data)
 

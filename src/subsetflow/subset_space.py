@@ -21,7 +21,6 @@ from .geometry import (
     SpaceMismatchError,
     TreeSpace,
     _check_count,
-    _check_kind,
     _check_space,
     _check_type,
     _gaps,
@@ -34,11 +33,11 @@ from .geometry import (
 
 
 def pairwise_distances(space: SpaceDescriptor, pts) -> list[float]:
-    """d(pts[i], pts[j]) for every i < j, in ``itertools.combinations`` order."""
+    """d(pts[i], pts[j]) for every i < j, in ``itertools.combinations`` order; each is checked."""
     _check_space(space)
     pts = tuple(pts)
     for p in pts:
-        _check_kind(space, p)
+        space._check_point(p)
     return _gaps(space, [p.data for p in pts])
 
 

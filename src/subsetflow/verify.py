@@ -43,7 +43,7 @@ import threading
 from dataclasses import dataclass
 
 from .geometry import (GeometryError, SpaceDescriptor, _check_count, _check_space, _check_type,
-                       _merges_exactly, _real, _toward)
+                       _gaps, _merges_exactly, _real, _toward)
 from .subset_space import (
     FiniteSubset,
     PointTuple,
@@ -54,7 +54,6 @@ from .subset_space import (
     max_spread,
     min_gap,
     order_tuple,
-    pairwise_distances,
     product_distance,
     to_set,
 )
@@ -570,7 +569,7 @@ def check_retract_contracts(space: SpaceDescriptor, n: int, seed: int, trials: i
                             cfg: FlowConfig) -> list[CheckResult]:
     def trial(rng):
         a = sample_subset(space, n, rng)
-        delta = min(pairwise_distances(space, a.points))
+        delta = min(_gaps(space, [p.data for p in a.points]))
         rep = retract(a, n, cfg)
         prox = hausdorff_distance(a, rep.output) / (n**1.5 * delta)
         return ((float(rep.output_cardinality - (n - 1)), None),
@@ -600,7 +599,7 @@ def _scan_jobs(space: SpaceDescriptor, n: int, seed: int, samples: int,
         if i % 2 == 0:
             b = sample_subset(space, n, rng)
         else:
-            scale = perturbation_scale * min(pairwise_distances(space, a.points))
+            scale = perturbation_scale * min(_gaps(space, [p.data for p in a.points]))
             b = perturb_subset(a, scale, rng)
         gap = hausdorff_distance(a, b)
         if gap <= 1e-12:

@@ -1,7 +1,9 @@
 """Points are checked once, where they enter the library, and never again inside it.
 
-The public constructors (``PointTuple``, ``FiniteSubset``), ``make_subset``
-and a space's ``point()`` are the boundary.  What the library builds from
+The public constructors (``PointTuple``, ``FiniteSubset``), ``make_subset``,
+a space's ``point()`` and every other public entry that takes a caller's
+point are the boundary, and each admits a point through the one check its
+space makes (``_check_point``).  What the library builds from
 points it holds checked (the flow's results, ``order_tuple``'s tuple, a
 retract's input tuple and output set, ``to_set``'s subset, the sampled
 tuples and subsets, a perturbed subset) is built past the constructors'
@@ -20,6 +22,7 @@ from subsetflow import (
     FlowConfig,
     GeometryError,
     HyperboloidSpace,
+    Point,
     PointTuple,
     ScanConfig,
     TreeEdge,
@@ -43,10 +46,13 @@ from subsetflow import (
     sweep,
     to_set,
 )
+from subsetflow import verify
 from subsetflow.cli import main
 from subsetflow.flow import oracle_supports
+from subsetflow.geometry import point_sort_key
 from subsetflow.subset_space import _merge
-from subsetflow.verify import perturb_subset, sample_subset, sample_tuple
+from subsetflow.verify import (check_retract_contracts, perturb_point, perturb_subset,
+                               sample_subset, sample_tuple)
 
 SPACE_KEYS = ["euclidean-1", "euclidean-2", "hyperboloid-2", "star-tree", "path-tree"]
 CFG = FlowConfig(sweeps_per_run=32, max_doublings=2)
@@ -82,14 +88,19 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
                     lambda: pair_resolvent(x, 0, n - 1, t), lambda: flow_adaptive(x, t, CFG)):
             run()
             assert calls == []
-        # point() checks each point as it reads it, and nothing checks it again
-        assert PointTuple.from_json(x.to_json()) == x
-        assert FiniteSubset.from_json(a.to_json()) == a
-        # a payload that lists a point twice, and merges of checked points
-        # (one with a repeat, one folding every point), fold on the kernels
+        # point() checks each point once, as it reads it, and nothing checks
+        # it again: a payload that lists a point twice reads it twice
         payload = a.to_json()
         payload["points"].append(payload["points"][-1])
-        assert FiniteSubset.from_json(payload) == a
+        for read, want, points in ((lambda: PointTuple.from_json(x.to_json()), x, x.coords),
+                                   (lambda: FiniteSubset.from_json(a.to_json()), a, a.points),
+                                   (lambda: FiniteSubset.from_json(payload), a,
+                                    a.points + a.points[-1:])):
+            assert read() == want
+            assert calls == list(points)
+            calls.clear()
+        # merges of checked points (one with a repeat, one folding every
+        # point) fold on the kernels
         assert _merge(space, [*a.points, a.points[0]], 0.0) == a
         assert len(_merge(space, list(a.points), math.inf)) == 1
         assert calls == []
@@ -97,6 +108,14 @@ def test_the_library_checks_no_point_it_built(all_spaces, key, monkeypatch):
         # a set (by to_set after a march, else as they are) with no check
         retract(a, n, CFG)
         assert calls == []
+    # A scan measures the subsets it sampled on the kernels: the smallest
+    # gap that scales a perturbed trial's step, and a contract's; every
+    # trial runs here, where the calls are counted.
+    monkeypatch.setattr(verify, "_stays_in_process", lambda: True)
+    for n in range(2, 6):
+        lipschitz_scan(ScanConfig(space, n, 2, n, CFG))
+        check_retract_contracts(space, n, n, 2, CFG)
+    assert calls == []
 
 
 @pytest.mark.parametrize("helper", ["sample_subset", "perturb_subset", "hausdorff_distance"])
@@ -184,6 +203,43 @@ def test_every_built_value_passes_the_public_constructors(all_spaces, key):
         s = sample_subset(space, n, rng)
         assert FiniteSubset(space, s.points) == s
     assert seen >= 30
+
+
+# ---------------------------------------------------------------------------
+# one admission rule per backend: every way in refuses what point() refuses
+
+NAN = float("nan")
+BAD_DATA = {
+    # off the sheet, on the lower sheet, x0 = 0, and an x0 whose square overflows
+    "hyperboloid-2": [(0.5, 3.0, 4.0), (-5.0, 3.0, 4.0), (0.0, 0.0, 0.0), (1e200, 5.0, 0.0)],
+    "euclidean-2": [(1.0,), ("a", 1.0), (NAN, 1.0)],
+    # an edge the star lacks, an offset past its edge's end, a NaN offset
+    "star-tree": [(7, 0.5), (2, 2.0), (0, NAN)],
+}
+
+
+@pytest.mark.parametrize("key, data", [(k, d) for k, ds in BAD_DATA.items() for d in ds],
+                         ids=lambda v: repr(v) if isinstance(v, tuple) else v)
+def test_every_way_in_refuses_what_point_refuses(all_spaces, key, data):
+    # A Point built by hand holds data that point() refuses; each public
+    # entry that takes a caller's point refuses it the same way, as a
+    # GeometryError, rather than measure it, fold it or fail in a kernel.
+    space = all_spaces[key]
+    good = space.random_point(_rng("good"))
+    bad = Point(space.kind, data)
+    for enter in (lambda: space.point(data),
+                  lambda: PointTuple(space, (good, bad)),
+                  lambda: FiniteSubset(space, (bad,)),
+                  lambda: make_subset(space, [good, bad]),
+                  lambda: space.canonicalize(bad),
+                  lambda: space.distance(good, bad),
+                  lambda: space.distance(bad, good),
+                  lambda: space.geodesic_point(bad, good, 0.5),
+                  lambda: perturb_point(space, bad, 0.1, _rng("perturb")),
+                  lambda: pairwise_distances(space, [good, bad]),
+                  lambda: point_sort_key(space, bad)):
+        with pytest.raises(GeometryError):
+            enter()
 
 
 # ---------------------------------------------------------------------------

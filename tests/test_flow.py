@@ -563,10 +563,15 @@ def test_tree_pair_step_keeps_both_route_ties(caterpillar_tree):
     # routes of a fused pass over both directions (tree_routes_ref), bit for
     # bit, and _interp both ways is the point that a walk along that
     # direction's route reaches (tree_interp_ref).  Vertices and points on
-    # edges that share a node have endpoint pairings whose lengths tie.
+    # edges that share a node have endpoint pairings whose lengths tie.  So
+    # does a point 1e-16 past its edge's start or an ulp short of its end,
+    # whose route out through the near end rounds to the length of the one
+    # through the far end, though walking the two reaches points apart in
+    # the last bits: these pin the first strict minimum as the tie rule.
     space = caterpillar_tree
-    pts = list(dict.fromkeys(space.point((e.id, f * e.length))
-                             for e in space.topology.edges for f in (0.0, 0.25, 0.5, 1.0)))
+    pts = list(dict.fromkeys(space.point((e.id, o)) for e in space.topology.edges
+                             for o in (0.0, 1e-16, 0.25 * e.length, 0.5 * e.length,
+                                       math.nextafter(e.length, 0.0), e.length)))
     for p, q in itertools.permutations(pts, 2):
         pd, qd = p.data, q.data
         if pd[0] != qd[0]:
